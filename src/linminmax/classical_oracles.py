@@ -64,9 +64,6 @@ class Digraph:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "weights", weights)
 
-    def successors(self, u):
-        return [j for i, j in self.edges if i == u]
-
     def to_json(self):
         data = {"size": self.size, "edges": [list(e) for e in self.edges]}
         if self.weights is not None:
@@ -175,9 +172,6 @@ class Poset:
                     raise ValueError("strict order is not transitively closed")
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "gt", gt)
-
-    def greater(self, i, j):
-        return (i, j) in self.gt
 
     def comparable(self, i, j):
         return (i, j) in self.gt or (j, i) in self.gt

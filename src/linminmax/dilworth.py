@@ -369,7 +369,7 @@ def nilpotent_jordan_chains(A: Mat):
             raise ValueError("matrix is not nilpotent")
         powers.append(powers[-1] @ A)
     p = len(powers) - 1  # nilpotency index
-    kernels = [A.power(j).kernel() for j in range(p + 1)]  # kernels[0] = {0}
+    kernels = [P.kernel() for P in powers]  # kernels[0] = {0}
     chains: list[tuple[Vec, int]] = []
     carried: list[Vec] = []
     for j in range(p, 0, -1):

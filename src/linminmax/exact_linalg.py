@@ -3,8 +3,14 @@
 Everything downstream (relations, matchings, chain decompositions, path
 capacities, blow-ups) reduces to dense rational vectors and matrices plus a
 canonical subspace representation.  All arithmetic is exact: scalars are
-`fractions.Fraction`, elimination is fraction-free over the integers after
-clearing denominators, and there is no tolerance parameter anywhere.
+`fractions.Fraction`, and there is no tolerance parameter anywhere.
+
+Every elimination is fraction-free over the integers after clearing
+denominators.  There are two routines: the incremental echelon `IntEchelon`
+(rank, independence, spans, kernels, solving, intersection) and the Bareiss
+determinant.  The only division is the final one by each pivot when the
+canonical reduced rows are emitted.  Intersections are computed with the
+Zassenhaus construction, one echelon of the rows [a | a] and [b | 0].
 
 Subspaces are stored in reduced column echelon form, so two equal subspaces
 are bit-identical and can be compared (and hashed) directly.
@@ -25,8 +31,11 @@ _ONE = Fraction(1)
 
 
 def rational_from_string(s: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact rational."""
-    return Fraction(s.strip())
+    """Parse "p/q" or "p" into an exact rational; ValueError if malformed."""
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational {s!r}") from None
 
 
 def rational_to_string(q: Fraction) -> str:
@@ -113,10 +122,6 @@ def vec(*entries) -> Vec:
     return Vec(entries)
 
 
-def zero_vec(n: int) -> Vec:
-    return Vec([0] * n)
-
-
 def unit_vec(n: int, i: int) -> Vec:
     return Vec([1 if j == i else 0 for j in range(n)])
 
@@ -188,6 +193,33 @@ class IntEchelon:
 
     def contains(self, row) -> bool:
         return next((i for i, x in enumerate(self.reduce(row)) if x), None) is None
+
+    def rref(self) -> list[list[Fraction]]:
+        """Canonical reduced row echelon rows of the row space, in pivot order.
+
+        Clears each pivot column above its pivot with integer row
+        operations, last pivot first, then divides every row by its pivot
+        entry.  The stored rows are left as they were.
+        """
+        rows = [r[:] for r in self.rows]
+        pivots = self.pivots
+        for i in range(len(rows) - 1, 0, -1):
+            ri, p = rows[i], pivots[i]
+            a = ri[p]
+            for j in range(i):
+                rj = rows[j]
+                b = rj[p]
+                if b:
+                    rj = [a * x - b * y for x, y in zip(rj, ri)]
+                    g = 0
+                    for x in rj:
+                        g = gcd(g, x)
+                    rows[j] = [x // g for x in rj] if g > 1 else rj
+        out = []
+        for r, p in zip(rows, pivots):
+            d = r[p]
+            out.append([Fraction(x, d) if x else _ZERO for x in r])
+        return out
 
 
 def rank_of_int_rows(rows, width: int) -> int:
@@ -382,21 +414,20 @@ class Mat:
     def det(self) -> Fraction:
         if not self.is_square():
             raise DimensionError("determinant of a non-square matrix")
-        scale = _ONE
+        scale = 1
         int_rows = []
         for r in self._rows:
-            l = 1
-            for x in r:
-                d = x.denominator
-                l = l * d // gcd(l, d)
-            scale = scale * l
-            int_rows.append([int(x.numerator) * (l // x.denominator) for x in r])
-        return Fraction(_det_bareiss(int_rows), 1) / scale
+            # the appended 1 comes back as the factor the row was scaled by
+            *row, l = clear_denominators(r + (_ONE,))
+            int_rows.append(row)
+            scale *= l
+        return Fraction(_det_bareiss(int_rows), scale)
 
     def kernel(self) -> "Subspace":
         """Right kernel {v : M v = 0} as a canonical subspace of F^cols."""
-        rref_rows, piv_cols = _rref([list(r) for r in self._rows])
-        free = [j for j in range(self.cols) if j not in piv_cols]
+        rref_rows, piv_cols = _rref(self._rows, self.cols)
+        pivot_set = set(piv_cols)
+        free = [j for j in range(self.cols) if j not in pivot_set]
         basis = []
         for f in free:
             v = [_ZERO] * self.cols
@@ -467,50 +498,33 @@ def solve_exact(M: Mat, B: Mat) -> Mat | None:
     if M.rows != B.rows:
         raise DimensionError("right-hand side has wrong height")
     n = M.rows
-    aug = [list(M.row_tuples()[i]) + list(B.row_tuples()[i]) for i in range(n)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if pivot is None:
-            return None
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        pv = aug[c][c]
-        if pv != 1:
-            aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return Mat([row[n:] for row in aug], B.cols)
+    # M is invertible exactly when the RREF of [M | B] is [I | X].
+    rows, piv_cols = _rref(
+        [a + b for a, b in zip(M.row_tuples(), B.row_tuples())], n + B.cols
+    )
+    if piv_cols[:n] != list(range(n)):
+        return None
+    return Mat([row[n:] for row in rows], B.cols)
 
 
 # ---------------------------------------------------------------------------
 # subspaces
 
 
-def _rref(rows: list[list[Fraction]]):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    piv_cols = []
-    pr = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(pr, m) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[pr], rows[pivot] = rows[pivot], rows[pr]
-        pv = rows[pr][c]
-        if pv != 1:
-            rows[pr] = [x / pv for x in rows[pr]]
-        for i in range(m):
-            if i != pr and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
-        piv_cols.append(c)
-        pr += 1
-        if pr == m:
+def _echelon(rows, width: int) -> IntEchelon:
+    """Integer echelon of rational rows, each row scaled to integers."""
+    ech = IntEchelon(width)
+    for r in rows:
+        if ech.rank == width:
             break
-    return rows[:pr], piv_cols
+        ech.add(clear_denominators(r))
+    return ech
+
+
+def _rref(rows, width: int):
+    """Reduced row echelon form of rational rows; returns (nonzero rows, pivot columns)."""
+    ech = _echelon(rows, width)
+    return ech.rref(), ech.pivots
 
 
 class Subspace:
@@ -535,8 +549,12 @@ class Subspace:
         for v in vectors:
             if v.dim != ambient:
                 raise DimensionError("spanning vector with wrong ambient dimension")
-        rows, _ = _rref([list(v.entries) for v in vectors])
-        return cls(ambient, tuple(Vec(r) for r in rows))
+        return cls.from_echelon(_echelon([v.entries for v in vectors], ambient))
+
+    @classmethod
+    def from_echelon(cls, ech: IntEchelon) -> "Subspace":
+        """The row space of an integer echelon, in canonical form."""
+        return cls(ech.width, tuple(Vec(r) for r in ech.rref()))
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
@@ -544,7 +562,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        return cls.span(ambient, [unit_vec(ambient, i) for i in range(ambient)])
+        return cls(ambient, tuple(unit_vec(ambient, i) for i in range(ambient)))
 
     @property
     def dim(self) -> int:
@@ -608,6 +626,30 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
+    """A ∩ B by Zassenhaus: echelon the rows [a | a] and [b | 0].
+
+    A row of the echelon whose left half is zero, that is whose pivot is at
+    least n, is [0 | x] with x = sum c_i a_i = -sum d_j b_j, so its right
+    half lies in A ∩ B; those right halves form a basis of A ∩ B.
+    """
     if a.ambient != b.ambient:
         raise DimensionError("intersection of subspaces in different ambient spaces")
-    return subspace_sum(a.orthocomplement(), b.orthocomplement()).orthocomplement()
+    n = a.ambient
+    if a.dim == 0 or b.dim == 0:
+        return Subspace.zero(n)
+    if a.dim == n:
+        return b
+    if b.dim == n:
+        return a
+    ech = IntEchelon(2 * n)
+    for v in a.vectors:
+        row = clear_denominators(v.entries)
+        ech.add(row + row)
+    pad = [0] * n
+    for v in b.vectors:
+        ech.add(clear_denominators(v.entries) + pad)
+    meet = IntEchelon(n)
+    for row, p in zip(ech.rows, ech.pivots):
+        if p >= n:
+            meet.add(row[n:])
+    return Subspace.from_echelon(meet)

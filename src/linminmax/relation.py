@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import mul
 
 from .errors import DimensionError
 from .exact_linalg import (
@@ -59,10 +60,6 @@ class Relation:
     def __repr__(self):
         return f"Relation(n={self.n}, m={self.m}, pairs={len(self.pairs)})"
 
-    def has_pair(self, v: Vec, w: Vec) -> bool:
-        """Literal membership of (v, w) in the pair list."""
-        return (v, w) in self.pairs
-
     def to_json(self):
         return {
             "n": self.n,
@@ -84,19 +81,23 @@ class MatrixSpace:
 
     When the space was built from a relation, `source_pairs` remembers the
     (v, w) pairs behind the kept rank-one generators; the exact enumeration
-    routines use them instead of generic witness search.
+    routines use them instead of generic witness search.  The basis is also
+    kept as integer rows (each matrix scaled by one integer, which keeps
+    every span) and as the integer echelon of its flattening, which serves
+    the membership tests.
     """
 
-    __slots__ = ("m", "n", "basis", "source_pairs")
+    __slots__ = ("m", "n", "basis", "source_pairs", "_int_basis", "_echelon")
 
     def __init__(self, m: int, n: int, basis, source_pairs=None):
         basis = tuple(basis)
         for b in basis:
             if (b.rows, b.cols) != (m, n):
                 raise DimensionError("basis matrix with wrong shape")
+        flats = [clear_denominators(b.flatten().entries) for b in basis]
         ech = IntEchelon(m * n)
-        for b in basis:
-            if not ech.add(clear_denominators(b.flatten().entries)):
+        for flat in flats:
+            if not ech.add(flat):
                 raise ValueError("matrix space basis is linearly dependent")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
@@ -104,6 +105,12 @@ class MatrixSpace:
         object.__setattr__(
             self, "source_pairs", tuple(source_pairs) if source_pairs else None
         )
+        object.__setattr__(
+            self,
+            "_int_basis",
+            tuple([f[i * n:(i + 1) * n] for i in range(m)] for f in flats),
+        )
+        object.__setattr__(self, "_echelon", ech)
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixSpace is immutable")
@@ -115,10 +122,7 @@ class MatrixSpace:
     def contains(self, a: Mat) -> bool:
         if (a.rows, a.cols) != (self.m, self.n):
             raise DimensionError("membership test with wrong shape")
-        ech = IntEchelon(self.m * self.n)
-        for b in self.basis:
-            ech.add(clear_denominators(b.flatten().entries))
-        return ech.contains(clear_denominators(a.flatten().entries))
+        return self._echelon.contains(clear_denominators(a.flatten().entries))
 
     def source_relation(self) -> Relation | None:
         if self.source_pairs is None:
@@ -163,11 +167,6 @@ class GenericSampler:
 # operations
 
 
-def rank_one_generators(R: Relation):
-    """All w v^T for the pairs of R, in pair order."""
-    return [outer(w, v) for v, w in R.pairs]
-
-
 def reduced_indices(R: Relation) -> list[int]:
     """Indices of a maximal prefix-greedy sub-list with independent rank-ones."""
     ech = IntEchelon(R.n * R.m)
@@ -193,13 +192,23 @@ def to_matrix_space(R: Relation) -> MatrixSpace:
     )
 
 
+def _image(V: MatrixSpace, rows, cap: int) -> IntEchelon:
+    """Echelon of span{B u : B in V, u in rows} on integer rows; stops at rank cap."""
+    ech = IntEchelon(V.m)
+    for b in V._int_basis:
+        for u in rows:
+            ech.add([sum(map(mul, row, u)) for row in b])
+            if ech.rank == cap:
+                return ech
+    return ech
+
+
 def apply_space(V: MatrixSpace, E: Subspace) -> Subspace:
     """V[E] = span{A e : A in V, e in E}."""
     if E.ambient != V.n:
         raise DimensionError("apply_space ambient mismatch")
-    return Subspace.span(
-        V.m, [b.apply(e) for b in V.basis for e in E.vectors]
-    )
+    rows = [clear_denominators(e.entries) for e in E.vectors]
+    return Subspace.from_echelon(_image(V, rows, V.m))
 
 
 def neighborhood_span(R: Relation, S) -> Subspace:
@@ -220,43 +229,37 @@ def sample_element(V: MatrixSpace, sampler: GenericSampler) -> Mat:
     return acc
 
 
-def space_product(a: MatrixSpace, b: MatrixSpace) -> MatrixSpace:
-    """Span of all products A B with A in a, B in b."""
-    if a.n != b.m:
-        raise DimensionError("space product with incompatible shapes")
-    ech = IntEchelon(a.m * b.n)
-    kept = []
-    for x in a.basis:
-        for y in b.basis:
-            p = x @ y
-            if ech.add(clear_denominators(p.flatten().entries)):
-                kept.append(p)
-    return MatrixSpace(a.m, b.n, kept)
-
-
 def space_power_is_zero(V: MatrixSpace, k: int) -> bool:
-    """Whether V^k = {0} (V must be square)."""
+    """Whether V^k = {0} (V must be square).
+
+    Runs the flag U_0 = F^n, U_{i+1} = V[U_i] on integer rows: U_k is
+    V^k F^n, so V^k = 0 exactly when U_k = 0.  The U_i only shrink, so a
+    step that keeps the dimension has reached a nonzero fixed point.
+    """
     if V.m != V.n:
         raise DimensionError("powers of a non-square matrix space")
     if V.dim == 0:
         return True
-    current = V
-    for _ in range(k - 1):
-        current = space_product(current, V)
-        if current.dim == 0:
+    n = V.n
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(k):
+        ech = _image(V, U, len(U))
+        if ech.rank == len(U):
+            return False
+        if ech.rank == 0:
             return True
-    return current.dim == 0
+        U = ech.rows
+    return False
 
 
 def is_nilpotent_algebra(V: MatrixSpace) -> bool:
     """V^2 contained in V and V^n = {0}."""
     if V.m != V.n:
         return False
-    ech = IntEchelon(V.m * V.n)
-    for b in V.basis:
-        ech.add(clear_denominators(b.flatten().entries))
-    for x in V.basis:
-        for y in V.basis:
-            if not ech.contains(clear_denominators((x @ y).flatten().entries)):
+    transposed = [list(zip(*y)) for y in V._int_basis]
+    for x in V._int_basis:
+        for yt in transposed:
+            flat = [sum(map(mul, row, col)) for row in x for col in yt]
+            if not V._echelon.contains(flat):
                 return False
     return space_power_is_zero(V, V.n)

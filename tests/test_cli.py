@@ -180,3 +180,26 @@ def test_demo_determinism(capsys):
     _, out1 = run_cli(capsys, "demo", "skew3", "--output", "json", "--seed", "5")
     _, out2 = run_cli(capsys, "demo", "skew3", "--output", "json", "--seed", "5")
     assert out1 == out2
+
+
+def test_check_zero_denominator_is_parse_error(tmp_path, capsys):
+    rel = {"n": 2, "m": 2, "pairs": [[["1/0", "0"], ["1", "0"]]]}
+    space = {"m": 2, "n": 2, "basis": [[["0", "1/0"], ["0", "0"]]]}
+    lgv_path = tmp_path / "lgv.json"
+    main(["gen", "lgv", "n=3", "r=3", "k=2", "--seed", "7", "--out", str(lgv_path)])
+    capsys.readouterr()
+    path_instance = json.loads(lgv_path.read_text())
+    path_instance["A"][0][0] = "3/0"
+    for theorem, data in [
+        ("konig", rel),
+        ("ncrank", space),
+        ("matrix-konig", space),
+        ("lgv", path_instance),
+    ]:
+        path = tmp_path / f"{theorem}.json"
+        path.write_text(json.dumps(data))
+        code = main(["check", theorem, str(path), "--output", "json"])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE, (theorem, captured.out)
+        assert "Traceback" not in captured.out + captured.err
+        assert json.loads(captured.out)["error"].startswith("parse:")

@@ -220,3 +220,162 @@ def test_subspace_canonical_equality():
     s2 = Subspace.span(3, [vec(2, 2, 2), vec(0, 0, 1), vec(3, 3, 5)])
     assert s1 == s2
     assert hash(s1) == hash(s2)
+
+
+# ---------------------------------------------------------------------------
+# the integer engine against small Fraction references
+
+
+def ref_rref(rows):
+    """Fraction Gauss-Jordan reference: (nonzero RREF rows, pivot columns)."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    piv_cols, pr = [], 0
+    for c in range(ncols):
+        pivot = next((i for i in range(pr, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[pr], rows[pivot] = rows[pivot], rows[pr]
+        rows[pr] = [x / rows[pr][c] for x in rows[pr]]
+        for i in range(len(rows)):
+            if i != pr and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
+        piv_cols.append(c)
+        pr += 1
+    return rows[:pr], piv_cols
+
+
+def ref_kernel_rows(n, rows):
+    """Basis of {v : r . v = 0 for every row r}, by the reference RREF."""
+    red, piv = ref_rref(rows)
+    basis = []
+    for f in (j for j in range(n) if j not in piv):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for row, p in zip(red, piv):
+            v[p] = -row[f]
+        basis.append(v)
+    return basis
+
+
+def ref_span(n, rows):
+    return tuple(vec(*r) for r in ref_rref(rows)[0])
+
+
+def rand_rational_rows(rng, k, n, zero_share=0.3):
+    return [
+        [
+            Fraction(0)
+            if rng.random() < zero_share
+            else Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7)))
+            for _ in range(n)
+        ]
+        for _ in range(k)
+    ]
+
+
+def test_span_matches_fraction_rref():
+    rng = random.Random(37)
+    for _ in range(150):
+        n = rng.randint(0, 6)
+        rows = rand_rational_rows(rng, rng.randint(0, 7), n)
+        if rng.random() < 0.3 and len(rows) > 1:  # plant a dependent row
+            rows.append([a + 2 * b for a, b in zip(rows[0], rows[1])])
+        s = Subspace.span(n, [vec(*r) for r in rows])
+        assert s.vectors == ref_span(n, rows)
+        for v in s.vectors:  # reduced: pivot 1, zero elsewhere in its column
+            p = next(i for i, x in enumerate(v.entries) if x)
+            assert v[p] == 1
+            assert sum(1 for u in s.vectors if u[p]) == 1
+
+
+def test_kernel_matches_fraction_reference():
+    rng = random.Random(41)
+    for _ in range(100):
+        rows_n, cols = rng.randint(1, 5), rng.randint(0, 6)
+        rows = rand_rational_rows(rng, rows_n, cols, zero_share=0.4)
+        k = Mat(rows, cols).kernel()
+        assert k.vectors == ref_span(cols, ref_kernel_rows(cols, rows))
+
+
+def test_intersection_matches_orthocomplement_formula():
+    rng = random.Random(43)
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        picks = []
+        for _ in range(2):
+            kind = rng.random()
+            if kind < 0.1:
+                picks.append(Subspace.zero(n))
+            elif kind < 0.2:
+                picks.append(Subspace.full(n))
+            else:
+                rows = rand_rational_rows(rng, rng.randint(1, n), n)
+                picks.append(Subspace.span(n, [vec(*r) for r in rows]))
+        a, b = picks
+        meet = subspace_intersection(a, b)
+        # (A ∩ B) = (A^perp + B^perp)^perp, every step by the reference RREF
+        perps = ref_kernel_rows(n, [v.entries for v in a.vectors]) + ref_kernel_rows(
+            n, [v.entries for v in b.vectors]
+        )
+        assert meet.vectors == ref_span(n, ref_kernel_rows(n, perps))
+        assert a.dim + b.dim == subspace_sum(a, b).dim + meet.dim
+        assert a.contains_subspace(meet) and b.contains_subspace(meet)
+        assert subspace_intersection(b, a) == meet
+
+
+def test_intersection_with_zero_and_full():
+    s = Subspace.span(4, [vec(1, 2, 0, 0), vec(0, 0, 1, 1)])
+    for t in (s, Subspace.zero(4), Subspace.full(4)):
+        assert subspace_intersection(t, Subspace.zero(4)) == Subspace.zero(4)
+        assert subspace_intersection(Subspace.full(4), t) == t
+        assert subspace_intersection(t, Subspace.full(4)) == t
+    assert Subspace.full(3) == Subspace.span(3, [vec(1, 1, 1), vec(0, 1, 2), vec(0, 0, 5)])
+    assert subspace_intersection(Subspace.zero(0), Subspace.full(0)) == Subspace.zero(0)
+
+
+def test_solve_exact_edge_cases():
+    # n = 0, with and without right-hand columns
+    x = solve_exact(Mat.zeros(0, 0), Mat.zeros(0, 2))
+    assert (x.rows, x.cols) == (0, 2)
+    # a right-hand side with no columns
+    m = Mat([[2, 1], [1, 1]])
+    x = solve_exact(m, Mat.zeros(2, 0))
+    assert (x.rows, x.cols) == (2, 0) and m @ x == Mat.zeros(2, 0)
+    assert solve_exact(Mat([[1, 2], [2, 4]]), Mat.zeros(2, 0)) is None
+    # singular M: None whether or not M X = B happens to be consistent
+    singular = Mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    assert solve_exact(singular, Mat([[1], [2], [0]])) is None
+    assert solve_exact(singular, Mat([[1], [0], [0]])) is None
+    assert solve_exact(Mat.zeros(2, 2), Mat.identity(2)) is None
+    with pytest.raises(DimensionError):
+        solve_exact(Mat.zeros(2, 3), Mat.zeros(2, 1))
+    with pytest.raises(DimensionError):
+        solve_exact(Mat.identity(2), Mat.zeros(3, 1))
+
+
+def test_solve_exact_rational_entries():
+    rng = random.Random(47)
+    solved = 0
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        m = Mat(rand_rational_rows(rng, n, n, zero_share=0.2), n)
+        k = rng.randint(0, 3)
+        b = Mat(rand_rational_rows(rng, n, k), k)
+        x = solve_exact(m, b)
+        if m.det() == 0:
+            assert x is None
+        else:
+            assert (x.rows, x.cols) == (n, k)
+            assert m @ x == b
+            solved += 1
+    assert solved > 30
+
+
+def test_rational_from_string_zero_denominator():
+    for bad in ("1/0", "0/0", " -3/0 "):
+        with pytest.raises(ValueError):
+            rational_from_string(bad)
+    with pytest.raises(ValueError):
+        vec("1", "1/0")

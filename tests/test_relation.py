@@ -1,5 +1,7 @@
 """Relations, induced matrix spaces, and the finiteness reduction."""
 
+from itertools import product
+
 import pytest
 
 from linminmax.errors import DimensionError
@@ -9,12 +11,14 @@ from linminmax.relation import (
     MatrixSpace,
     Relation,
     apply_space,
+    is_nilpotent_algebra,
     neighborhood_span,
     reduce_relation,
     sample_element,
+    space_power_is_zero,
     to_matrix_space,
 )
-from conftest import rand_relation, rand_subspace, rand_vec
+from conftest import rand_mat, rand_relation, rand_subspace, rand_vec
 
 
 def spans_same(space_a, space_b):
@@ -158,3 +162,101 @@ def test_zero_pairs_are_dropped_by_reduce():
     assert reduce_relation(R).pairs == ((e(0), e(1)),)
     # but they are retained in the relation itself
     assert len(R.pairs) == 2
+
+
+def ref_power_dims(V, kmax):
+    """dim V^k for k = 1..kmax from the definition: spans of basis products."""
+    width = V.m * V.n
+    level = list(V.basis)
+    dims = []
+    for _ in range(kmax):
+        ech = IntEchelon(width)
+        kept = [p for p in level if ech.add(clear_denominators(p.flatten().entries))]
+        dims.append(len(kept))
+        level = [p @ b for p, b in product(kept, V.basis)]
+    return dims
+
+
+def conjugated(rng, mats, n):
+    """The same matrices in a random basis, P M P^-1, with rational entries."""
+    from linminmax.exact_linalg import solve_exact
+
+    while True:
+        p = rand_mat(rng, n, n, bound=2)
+        inv = solve_exact(p, Mat.identity(n))
+        if inv is not None:
+            return [p @ m @ inv for m in mats]
+
+
+def random_nilpotent_space(rng, n):
+    """Strictly upper triangular generators, some rows thinned, then conjugated."""
+    mats = []
+    for _ in range(rng.randint(1, 3)):
+        rows = [
+            [rng.randint(-2, 2) if j > i and rng.random() < 0.5 else 0 for j in range(n)]
+            for i in range(n)
+        ]
+        mats.append(Mat(rows, n))
+    mats = conjugated(rng, mats, n)
+    ech = IntEchelon(n * n)
+    kept = [m for m in mats if ech.add(clear_denominators(m.flatten().entries))]
+    return MatrixSpace(n, n, kept) if kept else random_nilpotent_space(rng, n)
+
+
+def test_space_power_is_zero_matches_products(rng):
+    spaces = [random_nilpotent_space(rng, rng.randint(2, 5)) for _ in range(25)]
+    e12, e21 = Mat([[0, 1], [0, 0]]), Mat([[0, 0], [1, 0]])
+    spaces += [
+        MatrixSpace(2, 2, [e12, e21]),  # each generator is nilpotent, V is not
+        MatrixSpace(2, 2, [Mat.identity(2)]),
+        MatrixSpace(3, 3, [Mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])]),  # index 3
+        MatrixSpace(3, 3, [Mat([[0, 1, 0], [0, 0, 1], [1, 0, 0]])]),  # a permutation
+    ]
+    for _ in range(10):
+        n = rng.randint(1, 4)
+        spaces.append(MatrixSpace(n, n, [rand_mat(rng, n, n)]))
+    seen_nilpotent = seen_other = 0
+    for V in spaces:
+        dims = ref_power_dims(V, V.n + 2)
+        index = next((k + 1 for k, d in enumerate(dims) if d == 0), None)
+        if index is None:
+            seen_other += 1
+            for k in range(V.n + 3):
+                assert not space_power_is_zero(V, k), (V.basis, k)
+        else:
+            seen_nilpotent += 1
+            for k in range(index + 3):  # below, at and above the index
+                assert space_power_is_zero(V, k) == (k >= index), (V.basis, k)
+    assert seen_nilpotent > 20 and seen_other > 5
+    assert space_power_is_zero(MatrixSpace(3, 3, []), 0)
+
+
+def test_space_power_is_zero_needs_square():
+    V = MatrixSpace(2, 3, [Mat([[0, 1, 0], [0, 0, 0]])])
+    with pytest.raises(DimensionError):
+        space_power_is_zero(V, 2)
+    assert not is_nilpotent_algebra(V)
+
+
+def test_is_nilpotent_algebra_examples(rng):
+    e12, e13, e23 = (
+        Mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
+        Mat([[0, 0, 1], [0, 0, 0], [0, 0, 0]]),
+        Mat([[0, 0, 0], [0, 0, 1], [0, 0, 0]]),
+    )
+    assert is_nilpotent_algebra(MatrixSpace(3, 3, [e12, e13, e23]))
+    assert is_nilpotent_algebra(MatrixSpace(3, 3, conjugated(rng, [e12, e13, e23], 3)))
+    # nilpotent, but e12 e23 = e13 is not in the span: not an algebra
+    assert not is_nilpotent_algebra(MatrixSpace(3, 3, [e12, e23]))
+    assert not is_nilpotent_algebra(MatrixSpace(2, 2, [Mat([[0, 1], [0, 0]]), Mat([[0, 0], [1, 0]])]))
+
+
+def test_matrix_space_membership_is_stable():
+    V = MatrixSpace(2, 2, [Mat([[1, 2], [0, 0]]), Mat([[0, 0], [3, 4]])])
+    inside = Mat([[2, 4], [-3, -4]])
+    outside = Mat([[1, 0], [0, 0]])
+    for _ in range(2):  # membership tests leave the stored echelon unchanged
+        assert V.contains(inside)
+        assert not V.contains(outside)
+    with pytest.raises(DimensionError):
+        V.contains(Mat.identity(3))
