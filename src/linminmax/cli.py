@@ -66,6 +66,14 @@ class ParseFailure(Exception):
     pass
 
 
+def _parse(what: str, build):
+    """Run `build()`; malformed input raises ParseFailure, never a traceback."""
+    try:
+        return build()
+    except (KeyError, TypeError, ValueError) as ex:
+        raise ParseFailure(f"bad {what}: {ex}") from ex
+
+
 def _load(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -189,8 +197,11 @@ def gen_lgv(rng, n, r, k) -> dict:
 def run_gen(args) -> int:
     rng = random.Random(args.seed)
     kind = args.kind
-    p = dict(kv.split("=", 1) for kv in args.params)
-    p = {k: int(v) for k, v in p.items()}
+    try:
+        p = {k: int(v) for k, v in (kv.split("=", 1) for kv in args.params)}
+    except ValueError as ex:
+        print(f"bad parameters (expected key=integer): {ex}", file=sys.stderr)
+        return EXIT_PARSE
     if kind == "relation":
         data = gen_relation(rng, p.get("n", 3), p.get("m", 3), p.get("r", 5))
     elif kind == "linorder":
@@ -222,22 +233,27 @@ def run_gen(args) -> int:
 
 
 def _relation_from(data) -> Relation:
-    try:
-        return Relation.from_json(data)
-    except (KeyError, TypeError, ValueError) as ex:
-        raise ParseFailure(f"bad relation instance: {ex}") from ex
+    return _parse("relation instance", lambda: Relation.from_json(data))
 
 
-def _subspace_from(data, ambient) -> Subspace:
-    try:
-        return Subspace.from_json(data, ambient)
-    except (KeyError, TypeError, ValueError) as ex:
-        raise ParseFailure(f"bad subspace: {ex}") from ex
+def _subspaces_from(data, ambient):
+    """The subspaces E and F of a path instance."""
+    return _parse(
+        "path instance E and F",
+        lambda: (
+            Subspace.from_json(data["E"], ambient),
+            Subspace.from_json(data["F"], ambient),
+        ),
+    )
+
+
+def _space_from(data) -> MatrixSpace:
+    return _parse("matrix space", lambda: MatrixSpace.from_json(data))
 
 
 def check_konig(data, config: RunConfig):
     R = _relation_from(data)
-    cv = matching_cover.max_matching(R, config.budget)
+    cv = matching_cover.max_matching(R)
     ok = (
         matching_cover.verify_matching(cv.primal)
         and matching_cover.verify_cover(R, cv.dual)
@@ -249,7 +265,7 @@ def check_konig(data, config: RunConfig):
 
 def check_hall(data, config: RunConfig):
     R = _relation_from(data)
-    result = matching_cover.saturated_matching(R, config.budget)
+    result = matching_cover.saturated_matching(R)
     if isinstance(result, Matching):
         ok = matching_cover.verify_matching(result) and result.size == R.n
         return (
@@ -264,12 +280,11 @@ def check_hall(data, config: RunConfig):
 
 
 def check_rado(data, config: RunConfig):
-    try:
-        m = int(data["m"])
-        sets = [[Vec.from_json(v) for v in s] for s in data["sets"]]
-    except (KeyError, TypeError, ValueError) as ex:
-        raise ParseFailure(f"bad set family: {ex}") from ex
-    transversal, witness = matching_cover.rado_transversal(sets, m, config.budget)
+    m, sets = _parse(
+        "set family",
+        lambda: (int(data["m"]), [[Vec.from_json(v) for v in s] for s in data["sets"]]),
+    )
+    transversal, witness = matching_cover.rado_transversal(sets, m)
     if transversal is not None:
         return (
             {"transversal": [v.to_json() for v in transversal]},
@@ -288,8 +303,8 @@ def _linorder_from(data) -> dilworth.Linorder:
 
 def check_dilworth(data, config: RunConfig):
     L = _linorder_from(data)
-    ac = dilworth.max_antichain(L, config.budget)
-    D = dilworth.bichain_decomposition(L, config.budget)
+    ac = dilworth.max_antichain(L)
+    D = dilworth.bichain_decomposition(L)
     ok = (
         dilworth.verify_antichain(L.relation, ac.primal)
         and dilworth.verify_bichain_decomposition(D)
@@ -307,8 +322,8 @@ def check_dilworth(data, config: RunConfig):
 
 def check_coherent(data, config: RunConfig):
     L = _linorder_from(data)
-    ac = dilworth.max_antichain(L, config.budget)
-    C = dilworth.coherent_decomposition(L, config.sampler(), config.budget)
+    ac = dilworth.max_antichain(L)
+    C = dilworth.coherent_decomposition(L, config.sampler())
     ok = (
         dilworth.verify_coherent_decomposition(C, to_matrix_space(L.relation))
         and C.size == ac.value
@@ -324,11 +339,7 @@ def check_coherent(data, config: RunConfig):
 
 def check_menger(data, config: RunConfig):
     R = _relation_from(data)
-    try:
-        E = _subspace_from(data["E"], R.n)
-        F = _subspace_from(data["F"], R.n)
-    except KeyError as ex:
-        raise ParseFailure("menger instances need E and F") from ex
+    E, F = _subspaces_from(data, R.n)
     cv = menger.cpc(R, E, F, config.sampler(), config.budget)
     ok = menger.verify_separator(R, cv.dual) and cv.dual.size == cv.value
     report = {
@@ -342,10 +353,7 @@ def check_menger(data, config: RunConfig):
 
 
 def check_lgv(data, config: RunConfig):
-    try:
-        inst = lgv.LgvInstance.from_json(data)
-    except (KeyError, TypeError, ValueError) as ex:
-        raise ParseFailure(f"bad path instance: {ex}") from ex
+    inst = _parse("path instance", lambda: lgv.LgvInstance.from_json(data))
     rng = random.Random(config.seed)
     checked = 0
     attempts = 0
@@ -371,11 +379,8 @@ def check_lgv(data, config: RunConfig):
 
 
 def check_ncrank(data, config: RunConfig):
-    try:
-        V = MatrixSpace.from_json(data)
-    except (KeyError, TypeError, ValueError) as ex:
-        raise ParseFailure(f"bad matrix space: {ex}") from ex
-    cv = ncrank.ncrank(V, config.sampler(), config.budget)
+    V = _space_from(data)
+    cv = ncrank.ncrank(V, config.sampler())
     r, element = cv.primal
     report = {
         "ncrank": cv.value,
@@ -388,11 +393,8 @@ def check_ncrank(data, config: RunConfig):
 
 
 def check_matrix_konig(data, config: RunConfig):
-    try:
-        V = MatrixSpace.from_json(data)
-    except (KeyError, TypeError, ValueError) as ex:
-        raise ParseFailure(f"bad matrix space: {ex}") from ex
-    cov = ncrank.matrix_min_cover(V, config.sampler(), config.budget)
+    V = _space_from(data)
+    cov = ncrank.matrix_min_cover(V, config.sampler())
     ok = ncrank.verify_matrix_cover(V, cov.primal)
     report = {"cover_size": cov.value, "status": cov.status}
     if not ok:
@@ -401,15 +403,12 @@ def check_matrix_konig(data, config: RunConfig):
 
 
 def check_matrix_dilworth(data, config: RunConfig):
-    try:
-        V = MatrixSpace.from_json(data)
-    except (KeyError, TypeError, ValueError) as ex:
-        raise ParseFailure(f"bad matrix space: {ex}") from ex
+    V = _space_from(data)
     if not ncrank.is_nilpotent_algebra(V):
         raise ParseFailure("matrix Dilworth needs a nilpotent algebra")
     r = max(1, V.n - 1)
-    C = ncrank.matrix_antichain(V, config.sampler(), config.budget)
-    D = ncrank.matrix_coherent_decomposition(V, r, config.sampler(), config.budget)
+    C = ncrank.matrix_antichain(V, config.sampler())
+    D = ncrank.matrix_coherent_decomposition(V, r, config.sampler())
     ok = dilworth.verify_coherent_decomposition(D) and D.size == r * C.dim
     report = {
         "r": r,
@@ -420,12 +419,8 @@ def check_matrix_dilworth(data, config: RunConfig):
 
 
 def check_matrix_menger(data, config: RunConfig):
-    try:
-        V = MatrixSpace.from_json(data)
-        E = _subspace_from(data["E"], V.n)
-        F = _subspace_from(data["F"], V.n)
-    except KeyError as ex:
-        raise ParseFailure("matrix-menger instances need E and F") from ex
+    V = _space_from(data)
+    E, F = _subspaces_from(data, V.n)
     cv = ncrank.mpc(V, E, F, config.sampler(), config.budget)
     ok = ncrank.verify_matrix_separator(V, cv.dual)
     report = {
@@ -516,9 +511,9 @@ def demo_linorder_f4(config: RunConfig):
     L = dilworth.validate_linorder(R)
     if not isinstance(L, dilworth.Linorder):
         raise InvariantViolation("demo relation failed linorder validation")
-    ac = dilworth.max_antichain(L, config.budget)
-    D = dilworth.bichain_decomposition(L, config.budget)
-    C = dilworth.coherent_decomposition(L, config.sampler(), config.budget)
+    ac = dilworth.max_antichain(L)
+    D = dilworth.bichain_decomposition(L)
+    C = dilworth.coherent_decomposition(L, config.sampler())
     e = [unit_vec(4, i) for i in range(4)]
     w_chains = [[e[0], e[1]], [e[0] + e[2], e[3]]]
     anomaly = dilworth.w_chain_check(L, w_chains)
@@ -546,10 +541,10 @@ def demo_menger_f7(config: RunConfig):
     cv = menger.cpc(R, E, F, config.sampler(), config.budget)
     e = [unit_vec(7, i) for i in range(7)]
     paths = [
-        menger.BiPath(
+        dilworth.BiChain(
             (e[0], e[2] + e[3], e[5]), (e[0], e[3] + e[4], e[5]), (0, 2)
         ),
-        menger.BiPath(
+        dilworth.BiChain(
             (e[1], e[2] - e[3], e[6]), (e[1], e[3] - e[4], e[6]), (1, 3)
         ),
     ]
@@ -581,8 +576,8 @@ def demo_skew3(config: RunConfig):
         sample_element(V, sampler).rank() for _ in range(config.trials)
     )
     blow2 = ncrank.max_rank_blowup(V, 2, config.sampler())
-    cv = ncrank.ncrank(V, config.sampler(), config.budget)
-    full, witness = ncrank.has_full_ncrank(V, config.sampler(), config.budget)
+    cv = ncrank.ncrank(V, config.sampler())
+    full, witness = ncrank.has_full_ncrank(V, config.sampler())
     ok = (
         plain_rank == 2
         and blow2 == 6

@@ -31,7 +31,6 @@ from .classical_oracles import Poset
 from .matching_cover import (
     PROVED,
     CertifiedValue,
-    DEFAULT_BUDGET,
     max_matching,
     min_cover,
 )
@@ -39,6 +38,7 @@ from .relation import (
     GenericSampler,
     MatrixSpace,
     Relation,
+    sample_element,
     space_power_is_zero,
     to_matrix_space,
 )
@@ -201,14 +201,14 @@ def verify_coherent_decomposition(
     return True
 
 
-def max_antichain(L: Linorder, budget: int = DEFAULT_BUDGET) -> CertifiedValue:
+def max_antichain(L: Linorder) -> CertifiedValue:
     """Largest subspace C with every pair orthogonal to C on one side.
 
     C is read off a minimum cover as (E + F)^perp; its dimension is exactly
     n minus the cover size.
     """
     R = L.relation
-    cover = min_cover(R, budget)
+    cover = min_cover(R)
     C = subspace_sum(cover.E, cover.F).orthocomplement()
     value = R.n - cover.size
     if C.dim != value:
@@ -266,9 +266,7 @@ def _complete_to_basis(vectors, n):
     return out
 
 
-def bichain_decomposition(
-    L: Linorder, budget: int = DEFAULT_BUDGET
-) -> BiChainDecomposition:
+def bichain_decomposition(L: Linorder) -> BiChainDecomposition:
     """Decompose F^n into the minimum number of bi-chains.
 
     Steps: maximum matching; completion of its v's and w's to bases; a
@@ -278,7 +276,7 @@ def bichain_decomposition(
     """
     R = L.relation
     n = R.n
-    cv = max_matching(R, budget)
+    cv = max_matching(R)
     s = cv.value
     matched = list(cv.primal.indices)
     vs = [R.pairs[i][0] for i in matched]
@@ -391,7 +389,7 @@ def nilpotent_jordan_chains(A: Mat):
 
 
 def coherent_decomposition(
-    L: Linorder, sampler: GenericSampler, budget: int = DEFAULT_BUDGET
+    L: Linorder, sampler: GenericSampler
 ) -> CoherentDecomposition:
     """Minimum coherent decomposition via a sampled maximum-rank element.
 
@@ -401,7 +399,7 @@ def coherent_decomposition(
     """
     R = L.relation
     n = R.n
-    cover = min_cover(R, budget)
+    cover = min_cover(R)
     target = cover.size
     space = to_matrix_space(R)
     if target == 0:
@@ -410,9 +408,7 @@ def coherent_decomposition(
     else:
         A = None
         for _ in range(sampler.trials):
-            cand = Mat.zeros(n, n)
-            for b in space.basis:
-                cand = cand + b.scaled(sampler.coefficient())
+            cand = sample_element(space, sampler)
             if cand.rank() == target:
                 A = cand
                 break

@@ -121,22 +121,9 @@ def _subset_tables(inst: LgvInstance):
     return vtw, vta, btw, bta
 
 
-def _gs_det(vtw, vta, btw, bta, S) -> Fraction:
-    """det [[V_S^T W_S, V_S^T A],[B^T W_S, B^T A]]."""
-    k = bta.rows
-    S = list(S)
-    size = len(S) + k
-    rows = []
-    for i in S:
-        rows.append([vtw.entry(i, j) for j in S] + [vta.entry(i, c) for c in range(k)])
-    for c in range(k):
-        rows.append([btw.entry(c, j) for j in S] + [bta.entry(c, d) for d in range(k)])
-    return Mat(rows, size).det()
-
-
-def gs_matrix(inst: LgvInstance, S) -> Mat:
-    """The bordered subset matrix G_S."""
-    vtw, vta, btw, bta = _subset_tables(inst)
+def gs_matrix(inst: LgvInstance, S, tables=None) -> Mat:
+    """The bordered subset matrix G_S = [[V_S^T W_S, V_S^T A],[B^T W_S, B^T A]]."""
+    vtw, vta, btw, bta = tables or _subset_tables(inst)
     S = sorted(S)
     k = inst.k
     rows = []
@@ -159,7 +146,8 @@ def lgv_rhs(inst: LgvInstance, xs) -> Fraction:
 def lgv_rhs_parts(inst: LgvInstance, xs):
     """(numerator, denominator) of the subset-sum side at a point."""
     xs = _coerce_point(inst, xs)
-    vtw, vta, btw, bta = _subset_tables(inst)
+    tables = _subset_tables(inst)
+    vtw = tables[0]
     num = Fraction(0)
     den = Fraction(0)
     indices = [i for i in range(inst.r)]
@@ -171,7 +159,7 @@ def lgv_rhs_parts(inst: LgvInstance, xs):
             if x_s == 0:
                 continue
             sign = -1 if size % 2 else 1
-            num += sign * x_s * _gs_det(vtw, vta, btw, bta, S)
+            num += sign * x_s * gs_matrix(inst, S, tables).det()
             minor = Mat([[vtw.entry(i, j) for j in S] for i in S], size)
             den += sign * x_s * minor.det()
     return num, den

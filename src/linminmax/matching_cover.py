@@ -2,19 +2,20 @@
 
 The maximum size of a matching (pairs with doubly independent vectors)
 equals the minimum size of a cover (a subspace pair absorbing every pair of
-the relation).  Both optima are computed by exact enumeration at desk scale:
-covers by a branch-and-bound over the subset-generated candidates
-(span of unselected v's, span of selected w's), matchings by a pruned DFS
-with incremental independence tests.  Every returned value carries a primal
-and a dual certificate of equal size.
+the relation).  This is Edmonds' matroid-intersection min-max for the
+linear matroids of the v's and of the w's, and both optima come from one
+polynomial augmenting-path run: the final common independent set is the
+matching, and the set reachable in the last exchange graph gives a cover
+of the same size.  Every returned value carries a primal and a dual
+certificate of equal size.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
-    BudgetExceededError,
     CertificationError,
     DimensionError,
     InvariantViolation,
@@ -34,14 +35,12 @@ from .relation import (
     Relation,
     apply_space,
     neighborhood_span,
-    reduced_indices,
+    sample_element,
     to_matrix_space,
 )
 
 PROVED = "proved"
 LOWER_BOUND_ONLY = "lower_bound_only"
-
-DEFAULT_BUDGET = 20
 
 
 @dataclass(frozen=True)
@@ -133,107 +132,109 @@ def verify_cover(R: Relation, c: Cover) -> bool:
     return all(c.E.contains(v) or c.F.contains(w) for v, w in R.pairs)
 
 
-def _reduced_pairs(R: Relation, budget: int):
-    kept = reduced_indices(R)
-    if len(kept) > budget:
-        raise BudgetExceededError(
-            f"{len(kept)} independent pairs exceed the subset budget {budget}"
-        )
-    return kept
+def _circuits(rows, I, outside, width):
+    """Fundamental circuits of the elements outside I in a linear matroid.
 
-
-def min_cover(R: Relation, budget: int = DEFAULT_BUDGET) -> Cover:
-    """Minimum-size cover by branch-and-bound over subset-generated covers.
-
-    Every cover dominates the subset cover with T = {i : w_i in F}, so the
-    optimum over (span{v_i : i not in T}, span{w_i : i in T}) is the true
-    minimum.  Ranks only grow along a DFS branch, which makes the running
-    dimension sum a sound pruning bound.
+    One echelon of the rows [u_y | e_y] for y in I; each outside u_x is
+    reduced as [u_x | 0].  A nonzero left half means I + x is independent
+    (None); otherwise the nonzero right-half entries name the y with
+    I - y + x independent.
     """
-    kept = _reduced_pairs(R, budget)
-    pairs = [R.pairs[i] for i in kept]
-    vrows = [clear_denominators(v.entries) for v, _ in pairs]
-    wrows = [clear_denominators(w.entries) for _, w in pairs]
-    best_size = min(R.n, R.m) + 1
-    best_T: set[int] | None = None
-
-    def dfs(idx, ech_v, ech_w, T):
-        nonlocal best_size, best_T
-        if ech_v.rank + ech_w.rank >= best_size:
-            return
-        if idx == len(pairs):
-            best_size = ech_v.rank + ech_w.rank
-            best_T = set(T)
-            return
-        # i in T: w_i joins F.
-        ech = ech_w.copy()
-        ech.add(wrows[idx])
-        T.append(idx)
-        dfs(idx + 1, ech_v, ech, T)
-        T.pop()
-        # i not in T: v_i joins E.
-        ech = ech_v.copy()
-        ech.add(vrows[idx])
-        dfs(idx + 1, ech, ech_w, T)
-
-    dfs(0, IntEchelon(R.n), IntEchelon(R.m), [])
-    if best_T is None:
-        # No pairs at all: the empty cover.
-        best_T = set()
-    E = Subspace.span(R.n, [v for i, (v, _) in enumerate(pairs) if i not in best_T])
-    F = Subspace.span(R.m, [w for i, (_, w) in enumerate(pairs) if i in best_T])
-    cover = Cover(E, F)
-    if not verify_cover(R, cover):
-        raise InvariantViolation("subset-generated cover misses a dropped pair")
-    return cover
+    k = len(I)
+    ech = IntEchelon(width + k)
+    for j, y in enumerate(I):
+        ech.add(rows[y] + [int(t == j) for t in range(k)])
+    out = {}
+    for x in outside:
+        red = ech.reduce(rows[x] + [0] * k)
+        if any(red[:width]):
+            out[x] = None
+        else:
+            out[x] = [I[t] for t in range(k) if red[width + t]]
+    return out
 
 
-def _matching_search(R: Relation, kept, target: int):
-    """DFS for `target` doubly independent pairs among the kept indices."""
-    pairs = [R.pairs[i] for i in kept]
-    vrows = [clear_denominators(v.entries) for v, _ in pairs]
-    wrows = [clear_denominators(w.entries) for _, w in pairs]
-    chosen: list[int] = []
+def matroid_intersection(R: Relation):
+    """Maximum matching and minimum cover of R, of equal size.
 
-    def dfs(idx, ech_v, ech_w):
-        if len(chosen) == target:
-            return True
-        if len(chosen) + (len(pairs) - idx) < target:
-            return False
-        for i in range(idx, len(pairs)):
-            ev = ech_v.copy()
-            if not ev.add(vrows[i]):
-                continue
-            ew = ech_w.copy()
-            if not ew.add(wrows[i]):
-                continue
-            chosen.append(i)
-            if dfs(i + 1, ev, ew):
-                return True
-            chosen.pop()
-        return False
-
-    if dfs(0, IntEchelon(R.n), IntEchelon(R.m)):
-        return tuple(kept[i] for i in chosen)
-    return None
-
-
-def max_matching(R: Relation, budget: int = DEFAULT_BUDGET) -> CertifiedValue:
-    """Maximum matching with the minimum cover as its dual certificate."""
-    cover = min_cover(R, budget)
-    kept = _reduced_pairs(R, budget)
-    indices = _matching_search(R, kept, cover.size)
-    if indices is None:
-        raise InvariantViolation(
-            "no matching of the minimum cover size exists; duality violated"
-        )
-    matching = Matching(R, indices)
+    Edmonds' augmenting-path matroid intersection for the linear matroids
+    of the v's and of the w's, over the pairs with v and w both nonzero.
+    Each round builds the exchange graph from fundamental circuits and
+    augments along a shortest path from X1 (I + x keeps the v's
+    independent) to X2 (I + x keeps the w's independent).  When no path is
+    left, the set Q reachable from X1 gives the cover
+    (span{v_i : i not in Q}, span{w_i : i in Q}) of size |I|.
+    """
+    ground = [
+        i for i, (v, w) in enumerate(R.pairs) if not v.is_zero() and not w.is_zero()
+    ]
+    vrows = {i: clear_denominators(R.pairs[i][0].entries) for i in ground}
+    wrows = {i: clear_denominators(R.pairs[i][1].entries) for i in ground}
+    # Greedy start: a maximal common independent set.
+    ech_v, ech_w = IntEchelon(R.n), IntEchelon(R.m)
+    I = []
+    for i in ground:
+        if not ech_v.contains(vrows[i]) and not ech_w.contains(wrows[i]):
+            ech_v.add(vrows[i])
+            ech_w.add(wrows[i])
+            I.append(i)
+    while True:
+        members = set(I)
+        outside = [x for x in ground if x not in members]
+        circ_v = _circuits(vrows, I, outside, R.n)
+        circ_w = _circuits(wrows, I, outside, R.m)
+        # Arcs y -> x when I - y + x keeps the v's independent, and x -> y
+        # when it keeps the w's independent.
+        succ = {y: [] for y in I}
+        for x in outside:
+            if circ_v[x] is not None:
+                for y in circ_v[x]:
+                    succ[y].append(x)
+            succ[x] = circ_w[x] or []
+        parent = {x: None for x in outside if circ_v[x] is None}
+        sink = next((x for x in parent if circ_w[x] is None), None)
+        queue = deque(parent)
+        while queue and sink is None:
+            u = queue.popleft()
+            for z in succ[u]:
+                if z in parent:
+                    continue
+                parent[z] = u
+                if z not in members and circ_w[z] is None:
+                    sink = z
+                    break
+                queue.append(z)
+        if sink is None:
+            break
+        path = set()
+        while sink is not None:
+            path.add(sink)
+            sink = parent[sink]
+        I = sorted(members ^ path)
+    E = Subspace.span(R.n, [R.pairs[i][0] for i in ground if i not in parent])
+    F = Subspace.span(R.m, [R.pairs[i][1] for i in parent])
+    matching, cover = Matching(R, tuple(I)), Cover(E, F)
     if not verify_matching(matching):
         raise InvariantViolation("matching certificate failed verification")
+    if not verify_cover(R, cover):
+        raise InvariantViolation("reachable-set cover misses a pair")
+    if cover.size != matching.size:
+        raise InvariantViolation("cover and matching sizes differ; duality violated")
+    return matching, cover
+
+
+def min_cover(R: Relation) -> Cover:
+    """Minimum-size cover, the dual half of the matroid intersection."""
+    return matroid_intersection(R)[1]
+
+
+def max_matching(R: Relation) -> CertifiedValue:
+    """Maximum matching with the minimum cover as its dual certificate."""
+    matching, cover = matroid_intersection(R)
     return CertifiedValue(cover.size, matching, cover, PROVED)
 
 
-def saturated_matching(R: Relation, budget: int = DEFAULT_BUDGET):
+def saturated_matching(R: Relation):
     """A matching whose v's form a basis of F^n, or a shrunk-subspace witness.
 
     The witness is a basis S of E^perp for a cover (E, F) of size < n; its
@@ -241,12 +242,9 @@ def saturated_matching(R: Relation, budget: int = DEFAULT_BUDGET):
     """
     if not (R.m >= R.n >= 1):
         raise DimensionError("saturated matchings need m >= n >= 1")
-    cover = min_cover(R, budget)
-    if cover.size >= R.n:
-        cv = max_matching(R, budget)
-        if cv.value != R.n:
-            raise InvariantViolation("cover of size n but no saturated matching")
-        return cv.primal
+    matching, cover = matroid_intersection(R)
+    if matching.size == R.n:
+        return matching
     S = cover.E.orthocomplement()
     nb = neighborhood_span(R, S.vectors)
     witness = ShrunkWitness(S, nb)
@@ -255,7 +253,7 @@ def saturated_matching(R: Relation, budget: int = DEFAULT_BUDGET):
     return witness
 
 
-def defect_matching(R: Relation, d: int, budget: int = DEFAULT_BUDGET):
+def defect_matching(R: Relation, d: int):
     """Matching of size n - d via the dummy-coordinate augmentation.
 
     Appends d coordinates to F^m, links every e_i to each new coordinate,
@@ -266,7 +264,7 @@ def defect_matching(R: Relation, d: int, budget: int = DEFAULT_BUDGET):
         raise ValueError("defect must be nonnegative")
     if d >= R.n:
         return Matching(R, ())
-    cover = min_cover(R, budget)
+    cover = min_cover(R)
     if cover.size < R.n - d:
         # Deficiency condition fails; E^perp is more than d short.
         S = cover.E.orthocomplement()
@@ -279,7 +277,7 @@ def defect_matching(R: Relation, d: int, budget: int = DEFAULT_BUDGET):
         for j in range(d)
     ]
     aug = Relation(R.n, m2, lifted + dummies)
-    result = saturated_matching(aug, budget)
+    result = saturated_matching(aug)
     if isinstance(result, ShrunkWitness):
         raise InvariantViolation("augmentation failed to restore the Hall condition")
     original = tuple(i for i in result.indices if i < len(R.pairs))
@@ -292,60 +290,37 @@ def defect_matching(R: Relation, d: int, budget: int = DEFAULT_BUDGET):
 
 
 def extract_matching_from_combination(
-    R: Relation,
-    target: int,
-    sampler: GenericSampler,
-    budget: int = DEFAULT_BUDGET,
+    R: Relation, target: int, sampler: GenericSampler
 ) -> Matching:
     """`target` distinct indices whose plain rank-one sum has rank `target`.
 
     The precondition (some combination reaches the target rank) is checked
-    by sampling; the indices are then found greedily with exact rank tests,
-    falling back to the exhaustive matching search.
+    by sampling; the indices are the first `target` of a maximum matching.
     """
     if target == 0:
         return Matching(R, ())
-    kept = _reduced_pairs(R, budget)
     space = to_matrix_space(R)
     reached = 0
     for _ in range(sampler.trials):
-        acc = Mat.zeros(R.m, R.n)
-        for b in space.basis:
-            acc = acc + b.scaled(sampler.coefficient())
-        reached = max(reached, acc.rank())
+        reached = max(reached, sample_element(space, sampler).rank())
         if reached >= target:
             break
     if reached < target:
         raise CertificationError(
             f"no sampled combination reached rank {target} (best {reached})"
         )
-    # Greedy: keep an index when it bumps the rank of the running sum.
-    chosen: list[int] = []
-    acc = Mat.zeros(R.m, R.n)
-    for i in kept:
-        v, w = R.pairs[i]
-        cand = acc + outer(w, v)
-        if cand.rank() == len(chosen) + 1:
-            chosen.append(i)
-            acc = cand
-            if len(chosen) == target:
-                break
-    if len(chosen) < target:
-        indices = _matching_search(R, kept, target)
-        if indices is None:
-            raise InvariantViolation(
-                "sampled rank reached the target but no index set does"
-            )
-        chosen = list(indices)
-    matching = Matching(R, tuple(chosen))
+    best = max_matching(R).primal
+    if best.size < target:
+        raise InvariantViolation(
+            "sampled rank reached the target but no index set does"
+        )
+    matching = Matching(R, best.indices[:target])
     if matching.rank_one_sum().rank() != target:
         raise InvariantViolation("extracted index set lost rank")
     return matching
 
 
-def lovasz_max_rank(
-    V: MatrixSpace, sampler: GenericSampler, budget: int = DEFAULT_BUDGET
-) -> CertifiedValue:
+def lovasz_max_rank(V: MatrixSpace, sampler: GenericSampler) -> CertifiedValue:
     """Maximum rank in a rank-one generated space, with a shrunk-subspace dual.
 
     The value is n - d where d is the largest dimension defect dim E -
@@ -355,9 +330,9 @@ def lovasz_max_rank(
     R = V.source_relation()
     if R is None:
         raise ValueError("lovasz_max_rank needs recorded rank-one generators")
-    cover = min_cover(R, budget)
+    cover = min_cover(R)
     value = cover.size
-    matching = extract_matching_from_combination(R, value, sampler, budget)
+    matching = extract_matching_from_combination(R, value, sampler)
     element = matching.rank_one_sum()
     shrunk = cover.E.orthocomplement()
     witness = ShrunkWitness(shrunk, apply_space(V, shrunk))
@@ -366,7 +341,7 @@ def lovasz_max_rank(
     return CertifiedValue(value, element, witness, PROVED)
 
 
-def rado_transversal(sets, m: int, budget: int = DEFAULT_BUDGET):
+def rado_transversal(sets, m: int):
     """Independent representatives w_i in S_i, or a violating subfamily.
 
     Encodes the families as the relation {(e_i, v) : v in S_i}; a failed
@@ -384,7 +359,7 @@ def rado_transversal(sets, m: int, budget: int = DEFAULT_BUDGET):
                 raise DimensionError("set vector with wrong ambient dimension")
             pairs.append((unit_vec(n, i), v))
     R = Relation(n, m, pairs)
-    result = saturated_matching(R, budget)
+    result = saturated_matching(R)
     if isinstance(result, ShrunkWitness):
         # The witness span is a coordinate subspace here (all v's are e_i),
         # and the sets it touches have a union of deficient dimension.

@@ -34,11 +34,11 @@ from .exact_linalg import (
     vstack,
 )
 from .classical_oracles import Digraph
+from .dilworth import BiChain, verify_bichain
 from .matching_cover import (
     LOWER_BOUND_ONLY,
     PROVED,
     CertifiedValue,
-    DEFAULT_BUDGET,
     max_matching,
 )
 from .relation import (
@@ -48,6 +48,8 @@ from .relation import (
     sample_element,
     to_matrix_space,
 )
+
+DEFAULT_BUDGET = 20
 
 
 @dataclass(frozen=True)
@@ -87,32 +89,13 @@ def verify_separator(R: Relation, sep: Separator) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class BiPath:
-    """Alternating (w_1, v_1, ..., w_r, v_r) from E to F with indexed links."""
-
-    ws: tuple
-    vs: tuple
-    link_pair_indices: tuple
-
-    @property
-    def length(self) -> int:
-        return len(self.ws)
-
-
-def verify_bipath(R: Relation, E: Subspace, F: Subspace, path: BiPath) -> bool:
-    r = path.length
-    if r == 0 or len(path.vs) != r or len(path.link_pair_indices) != r - 1:
-        return False
-    if not E.contains(path.ws[0]) or not F.contains(path.vs[-1]):
-        return False
-    for w, v in zip(path.ws, path.vs):
-        if w.dot(v) == 0:
-            return False
-    for i, idx in enumerate(path.link_pair_indices):
-        if R.pairs[idx] != (path.vs[i], path.ws[i + 1]):
-            return False
-    return True
+def verify_bipath(R: Relation, E: Subspace, F: Subspace, path: BiChain) -> bool:
+    """A bi-chain that starts in E and ends in F."""
+    return (
+        verify_bichain(R, path)
+        and E.contains(path.ws[0])
+        and F.contains(path.vs[-1])
+    )
 
 
 def independent_bipaths_check(R, E, F, paths) -> bool:
@@ -140,31 +123,21 @@ class _Found(Exception):
     pass
 
 
-def _capacity_search(R: Relation, E: Subspace, F: Subspace, budget, stop_at=None):
-    """Exact min over S of rank([p; V_Sc^T] [i, W_S]) with sound pruning.
+def _min_split_rank(int_rows, base_rows: int, base_cols: int, stop_at=None):
+    """Exact min over S of the rank of a split submatrix, with sound pruning.
 
-    The pairing matrix of a partial assignment is a submatrix of every leaf
-    below it, so its rank lower-bounds those leaves and the branch can be
-    cut once it reaches the current best.  `stop_at` (a certified lower
-    bound, e.g. from sampling) allows stopping at the first optimal subset.
-    Returns (value, S, kept_indices).
+    `int_rows` has base_rows + r rows and base_cols + r columns.  Subset S
+    keeps the base rows plus the pair rows base_rows + k for k not in S, and
+    the base columns plus the pair columns base_cols + k for k in S.  The
+    submatrix of a partial assignment is a submatrix of every leaf below
+    it, so its rank lower-bounds those leaves and the branch can be cut once
+    it reaches the current best.  `stop_at` (a certified lower bound, e.g.
+    from sampling) allows stopping at the first optimal subset.
+    Returns (value, S).
     """
-    kept = reduced_indices(R)
-    if len(kept) > budget:
-        raise BudgetExceededError(
-            f"{len(kept)} independent pairs exceed the subset budget {budget}"
-        )
-    pairs = [R.pairs[i] for i in kept]
-    r = len(pairs)
-    row_vecs = list(F.vectors) + [v for v, _ in pairs]
-    col_vecs = list(E.vectors) + [w for _, w in pairs]
-    n_f, n_e = len(F.vectors), len(E.vectors)
-    int_rows = [
-        clear_denominators([rv.dot(cv) for cv in col_vecs]) for rv in row_vecs
-    ]
-
+    r = len(int_rows) - base_rows
     best: int | None = None
-    best_s: list[int] | None = None
+    best_cols: list[int] = []
 
     def node_rank(rows, cols, cutoff):
         ech = IntEchelon(len(cols))
@@ -175,25 +148,44 @@ def _capacity_search(R: Relation, E: Subspace, F: Subspace, budget, stop_at=None
         return ech.rank
 
     def dfs(k, rows, cols):
-        nonlocal best, best_s
-        cutoff = best if best is not None else r + n_e + n_f + 1
+        nonlocal best, best_cols
+        cutoff = best if best is not None else len(int_rows) + base_cols + 1
         rk = node_rank(rows, cols, cutoff)
         if best is not None and rk >= best:
             return
         if k == r:
-            best = rk
-            best_s = [c - n_e for c in cols if c >= n_e]
+            best, best_cols = rk, cols
             if stop_at is not None and best <= stop_at:
                 raise _Found()
             return
-        dfs(k + 1, rows, cols + [n_e + k])  # k in S: w_k joins the C side
-        dfs(k + 1, rows + [n_f + k], cols)  # k not in S: v_k joins the D side
+        dfs(k + 1, rows, cols + [base_cols + k])  # k in S: its column joins
+        dfs(k + 1, rows + [base_rows + k], cols)  # k not in S: its row joins
 
     try:
-        dfs(0, list(range(n_f)), list(range(n_e)))
+        dfs(0, list(range(base_rows)), list(range(base_cols)))
     except _Found:
         pass
-    return best, set(best_s), kept
+    return best, {c - base_cols for c in best_cols if c >= base_cols}
+
+
+def _capacity_search(R: Relation, E: Subspace, F: Subspace, budget, stop_at=None):
+    """Exact min over S of rank([p; V_Sc^T] [i, W_S]).
+
+    Returns (value, S, kept_indices).
+    """
+    kept = reduced_indices(R)
+    if len(kept) > budget:
+        raise BudgetExceededError(
+            f"{len(kept)} independent pairs exceed the subset budget {budget}"
+        )
+    pairs = [R.pairs[i] for i in kept]
+    row_vecs = list(F.vectors) + [v for v, _ in pairs]
+    col_vecs = list(E.vectors) + [w for _, w in pairs]
+    int_rows = [
+        clear_denominators([rv.dot(cv) for cv in col_vecs]) for rv in row_vecs
+    ]
+    value, S = _min_split_rank(int_rows, len(F.vectors), len(E.vectors), stop_at)
+    return value, S, kept
 
 
 def _build_separator(R, E, F, kept, S) -> Separator:
@@ -337,7 +329,8 @@ def generic_rank_sum(A: Mat, pairs, budget: int = DEFAULT_BUDGET) -> int:
     """Generic rank of A + sum_i x_i w_i v_i^T over the subset formula.
 
     Minimizes rank [[A, W_S],[V_Sc^T, 0]] over subsets S by the same
-    monotone branch-and-bound as the capacity search.
+    monotone branch-and-bound as the capacity search, on the integer rows
+    of [[A, W],[V^T, 0]].
     """
     pairs = list(pairs)
     if len(pairs) > budget:
@@ -348,30 +341,12 @@ def generic_rank_sum(A: Mat, pairs, budget: int = DEFAULT_BUDGET) -> int:
         if v.dim != A.cols or w.dim != A.rows:
             raise DimensionError("update pair with mismatched shape")
     r = len(pairs)
-    best: int | None = None
-
-    def node_matrix(w_sel, v_sel) -> Mat:
-        ws = [pairs[i][1] for i in w_sel]
-        vs = [pairs[i][0] for i in v_sel]
-        w_mat = Mat.from_cols(ws, rows=A.rows) if ws else Mat.zeros(A.rows, 0)
-        v_mat = Mat([v.entries for v in vs], A.cols) if vs else Mat.zeros(0, A.cols)
-        top = hstack([A, w_mat])
-        bot = hstack([v_mat, Mat.zeros(v_mat.rows, w_mat.cols)])
-        return vstack([top, bot])
-
-    def dfs(k, w_sel, v_sel):
-        nonlocal best
-        rk = node_matrix(w_sel, v_sel).rank()
-        if best is not None and rk >= best:
-            return
-        if k == r:
-            best = rk
-            return
-        dfs(k + 1, w_sel + [k], v_sel)
-        dfs(k + 1, w_sel, v_sel + [k])
-
-    dfs(0, [], [])
-    return best
+    int_rows = [
+        clear_denominators(list(row) + [w[i] for _, w in pairs])
+        for i, row in enumerate(A.row_tuples())
+    ]
+    int_rows += [clear_denominators(list(v.entries) + [0] * r) for v, _ in pairs]
+    return _min_split_rank(int_rows, A.rows, A.cols)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +401,7 @@ def konig_via_menger(
             raise InvariantViolation("Konig reduction rank identity failed")
 
     capacity = cpc(R2, E, F, sampler, budget)
-    direct = max_matching(R, budget)
+    direct = max_matching(R)
     if capacity.value != direct.value:
         raise InvariantViolation(
             "path capacity disagrees with the matching optimum"

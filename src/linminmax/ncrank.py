@@ -6,8 +6,9 @@ equals n - d where d is the largest defect dim E - dim V[E].  A defect
 subspace is therefore a dual certificate: it bounds every blow-up rank by
 r(n - d), while a sampled blow-up element of that rank is the primal.  The
 escalation below tries r = 1, 2, ... and stops as soon as the two meet; for
-rank-one generated spaces the dual comes from the exact cover enumeration,
-otherwise from a candidate-pool witness search (which can leave the status
+rank-one generated spaces the dual comes from the minimum cover of the
+matroid intersection in `matching_cover`, otherwise from a candidate-pool
+witness search (which can leave the status
 at lower_bound_only, never at a wrong value).
 """
 
@@ -38,10 +39,9 @@ from .matching_cover import (
     PROVED,
     CertifiedValue,
     Cover,
-    DEFAULT_BUDGET,
     min_cover,
 )
-from .menger import Separator, min_separator, _inclusion, _projection
+from .menger import DEFAULT_BUDGET, Separator, min_separator, _inclusion, _projection
 from .relation import (
     GenericSampler,
     MatrixSpace,
@@ -175,16 +175,17 @@ def _candidate_subspaces(V: MatrixSpace, sampler: GenericSampler):
     return first
 
 
-def _defect_search(V: MatrixSpace, sampler: GenericSampler, budget: int) -> DefectCertificate:
+def _defect_search(V: MatrixSpace, sampler: GenericSampler) -> DefectCertificate:
     """Best defect certificate available.
 
-    Exact (via the cover enumeration) when the space records its rank-one
-    generators; otherwise the best candidate from the witness pool.  Either
+    Exact (from the minimum cover of the matroid intersection) when the
+    space records its rank-one generators; otherwise the best candidate
+    from the witness pool.  Either
     way the certified defect is genuine; only maximality may be unproved.
     """
     R = V.source_relation()
     if R is not None:
-        cover = min_cover(R, budget)
+        cover = min_cover(R)
         E = cover.E.orthocomplement()
         defect = E.dim - apply_space(V, E).dim
         if defect != V.n - cover.size:
@@ -213,7 +214,6 @@ def verify_matrix_cover(V: MatrixSpace, c: Cover) -> bool:
 def ncrank(
     V: MatrixSpace,
     sampler: GenericSampler,
-    budget: int = DEFAULT_BUDGET,
     r_max: int | None = None,
 ) -> CertifiedValue:
     """Noncommutative rank with primal blow-up element and defect dual.
@@ -223,7 +223,7 @@ def ncrank(
     """
     n = V.n
     _check_blowup_budget(V, 1)
-    dual = _defect_search(V, sampler, budget)
+    dual = _defect_search(V, sampler)
     bound = n - dual.defect
     if r_max is None:
         r_max = max(1, n - 1)
@@ -242,11 +242,11 @@ def ncrank(
     return CertifiedValue(best_value, best_witness, dual, LOWER_BOUND_ONLY)
 
 
-def has_full_ncrank(V: MatrixSpace, sampler: GenericSampler, budget: int = DEFAULT_BUDGET):
+def has_full_ncrank(V: MatrixSpace, sampler: GenericSampler):
     """(True, rank-rn blow-up element) or (False, shrunk-subspace witness)."""
     if V.m != V.n:
         raise DimensionError("full noncommutative rank is for square spaces")
-    cv = ncrank(V, sampler, budget)
+    cv = ncrank(V, sampler)
     if cv.dual.defect > 0:
         return False, cv.dual
     if cv.proved and cv.value == V.n:
@@ -256,11 +256,9 @@ def has_full_ncrank(V: MatrixSpace, sampler: GenericSampler, budget: int = DEFAU
     )
 
 
-def matrix_min_cover(
-    V: MatrixSpace, sampler: GenericSampler, budget: int = DEFAULT_BUDGET
-) -> CertifiedValue:
+def matrix_min_cover(V: MatrixSpace, sampler: GenericSampler) -> CertifiedValue:
     """Best cover found, proved minimal when it meets the blow-up rank."""
-    cv = ncrank(V, sampler, budget)
+    cv = ncrank(V, sampler)
     dual: DefectCertificate = cv.dual
     cover = cover_from_defect(V, dual)
     if not verify_matrix_cover(V, cover):
@@ -269,9 +267,7 @@ def matrix_min_cover(
     return CertifiedValue(cover.size, cover, cv.primal, status)
 
 
-def matrix_antichain(
-    V: MatrixSpace, sampler: GenericSampler, budget: int = DEFAULT_BUDGET
-) -> Subspace:
+def matrix_antichain(V: MatrixSpace, sampler: GenericSampler) -> Subspace:
     """Largest subspace C with P V P = 0, for a nilpotent algebra V.
 
     Read off a minimum cover as (E + F)^perp; checked by apply_space(V, C)
@@ -279,7 +275,7 @@ def matrix_antichain(
     """
     if not is_nilpotent_algebra(V):
         raise ValueError("matrix antichains are defined for nilpotent algebras")
-    cov = matrix_min_cover(V, sampler, budget)
+    cov = matrix_min_cover(V, sampler)
     cover: Cover = cov.primal
     C = subspace_sum(cover.E, cover.F).orthocomplement()
     perp = C.orthocomplement()
@@ -291,7 +287,7 @@ def matrix_antichain(
 
 
 def matrix_coherent_decomposition(
-    V: MatrixSpace, r: int, sampler: GenericSampler, budget: int = DEFAULT_BUDGET
+    V: MatrixSpace, r: int, sampler: GenericSampler
 ) -> CoherentDecomposition:
     """Coherent decomposition of F^{rn} relative to V (x) M_r.
 
@@ -303,7 +299,7 @@ def matrix_coherent_decomposition(
         raise ValueError("matrix Dilworth is stated for nilpotent algebras")
     n = V.n
     _check_blowup_budget(V, r)
-    cov = matrix_min_cover(V, sampler, budget)
+    cov = matrix_min_cover(V, sampler)
     target = r * cov.value
     if V.dim == 0:
         A = Mat.zeros(n * r, n * r)

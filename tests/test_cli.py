@@ -203,3 +203,38 @@ def test_check_zero_denominator_is_parse_error(tmp_path, capsys):
         assert code == EXIT_PARSE, (theorem, captured.out)
         assert "Traceback" not in captured.out + captured.err
         assert json.loads(captured.out)["error"].startswith("parse:")
+
+
+def test_check_malformed_json_types_are_parse_errors(tmp_path, capsys):
+    zero = [["0", "0"], ["0", "0"]]
+    number_entry = {
+        "m": 2, "n": 2, "basis": [[["1", 1.5], ["0", "0"]]],
+        "E": [["1"], ["0"]], "F": [["0"], ["1"]],
+    }
+    number_in_e = dict(number_entry, basis=[zero], E=[[1.5], ["0"]])
+    cases = [
+        ("matrix-menger", number_entry),
+        ("matrix-menger", number_in_e),
+        ("matrix-menger", [number_entry]),
+        ("ncrank", [number_entry]),
+        ("konig", [1, 2]),
+        ("menger", {"n": 2, "m": 2, "pairs": [], "E": 1.5, "F": zero}),
+        ("rado", {"m": 2, "sets": [[[1.5, "0"]]]}),
+    ]
+    for k, (theorem, data) in enumerate(cases):
+        path = tmp_path / f"case{k}.json"
+        path.write_text(json.dumps(data))
+        code = main(["check", theorem, str(path), "--output", "json"])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE, (theorem, data, captured.out)
+        assert "Traceback" not in captured.out + captured.err
+        assert json.loads(captured.out)["error"].startswith("parse:")
+
+
+def test_gen_bad_parameters_are_parse_errors(capsys):
+    for params in (["n=abc"], ["n"], ["n=3", "m=x"]):
+        code = main(["gen", "relation", *params])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE, params
+        assert captured.out == ""
+        assert "Traceback" not in captured.err

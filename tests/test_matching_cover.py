@@ -7,7 +7,7 @@ import pytest
 
 from linminmax.classical_oracles import BipartiteGraph, bipartite_max_matching, hall_check
 from linminmax.errors import BudgetExceededError, DimensionError
-from linminmax.exact_linalg import Subspace, unit_vec, vec
+from linminmax.exact_linalg import Subspace, Vec, unit_vec, vec
 from linminmax.matching_cover import (
     Matching,
     ShrunkWitness,
@@ -21,6 +21,7 @@ from linminmax.matching_cover import (
     verify_cover,
     verify_matching,
 )
+from linminmax.menger import min_separator
 from linminmax.relation import (
     GenericSampler,
     Relation,
@@ -104,8 +105,48 @@ def test_min_cover_matches_unrestricted_oracle(rng):
 def test_budget_error():
     rng = random.Random(1)
     R = rand_relation(rng, 5, 5, 25)
+    E = Subspace.span(5, [unit_vec(5, 0)])
+    F = Subspace.span(5, [unit_vec(5, 4)])
     with pytest.raises(BudgetExceededError):
-        min_cover(R, budget=10)
+        min_separator(R, E, F, budget=10)
+
+
+def test_max_matching_on_large_graphs():
+    """Graph sizes far beyond any subset enumeration."""
+    rng = random.Random(5)
+    for _ in range(6):
+        n, m = rng.randint(12, 20), rng.randint(12, 20)
+        cells = [(i, j) for i in range(n) for j in range(m)]
+        g = BipartiteGraph(n, m, sorted(rng.sample(cells, rng.randint(50, 150))))
+        size, _, _ = bipartite_max_matching(g)
+        R = embed_bipartite(g)
+        cv = max_matching(R)
+        assert cv.value == cv.primal.size == cv.dual.size == size
+        assert verify_matching(cv.primal) and verify_cover(R, cv.dual)
+
+
+def low_rank_relation(rng, n, m):
+    """Pairs drawn from low-dimensional spans, with zeros and repeats."""
+    vs = [rand_vec(rng, n) for _ in range(rng.randint(1, n))]
+    ws = [rand_vec(rng, m) for _ in range(rng.randint(1, m))]
+    pairs = []
+    for _ in range(rng.randint(1, 12)):
+        v = sum((b.scaled(rng.randint(-2, 2)) for b in vs), Vec([0] * n))
+        w = sum((b.scaled(rng.randint(-2, 2)) for b in ws), Vec([0] * m))
+        pairs.append((v, w))
+        if rng.random() < 0.2:
+            pairs.append((v.scaled(rng.choice([1, -2])), w))
+    return Relation(n, m, pairs)
+
+
+def test_low_rank_primal_equals_dual(rng):
+    for _ in range(60):
+        R = low_rank_relation(rng, rng.randint(1, 6), rng.randint(1, 6))
+        cv = max_matching(R)
+        assert verify_matching(cv.primal) and verify_cover(R, cv.dual)
+        assert cv.value == cv.primal.size == cv.dual.size
+        if len(R.pairs) <= 6:
+            assert cv.value == unrestricted_min_cover(R)
 
 
 def test_weak_duality(rng):

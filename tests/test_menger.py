@@ -14,7 +14,6 @@ from linminmax.exact_linalg import (
 )
 from linminmax.matching_cover import max_matching
 from linminmax.menger import (
-    BiPath,
     bordered_rank,
     cpc,
     generic_rank_rank_one_update,
@@ -26,7 +25,7 @@ from linminmax.menger import (
     verify_separator,
 )
 from linminmax.relation import GenericSampler, Relation, sample_element, to_matrix_space
-from linminmax.dilworth import poset_embed
+from linminmax.dilworth import BiChain, poset_embed
 from linminmax.classical_oracles import Poset
 from conftest import rand_mat, rand_relation, rand_vec
 
@@ -62,14 +61,14 @@ def test_f7_bipaths_beat_separator():
     R, E, F = f7_instance()
     e = [unit_vec(7, i) for i in range(7)]
     paths = [
-        BiPath((e[0], e[2] + e[3], e[5]), (e[0], e[3] + e[4], e[5]), (0, 2)),
-        BiPath((e[1], e[2] - e[3], e[6]), (e[1], e[3] - e[4], e[6]), (1, 3)),
+        BiChain((e[0], e[2] + e[3], e[5]), (e[0], e[3] + e[4], e[5]), (0, 2)),
+        BiChain((e[1], e[2] - e[3], e[6]), (e[1], e[3] - e[4], e[6]), (1, 3)),
     ]
     assert independent_bipaths_check(R, E, F, paths)
     # two independent bi-paths squeeze through a size-1 separator
     assert len(paths) > min_separator(R, E, F).size
     assert not independent_bipaths_check(R, E, F, [paths[0], paths[0]])
-    stray = BiPath((e[2],), (e[5],), ())
+    stray = BiChain((e[2],), (e[5],), ())
     assert not independent_bipaths_check(R, E, F, [stray])
 
 
