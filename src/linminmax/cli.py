@@ -303,8 +303,9 @@ def _linorder_from(data) -> dilworth.Linorder:
 
 def check_dilworth(data, config: RunConfig):
     L = _linorder_from(data)
-    ac = dilworth.max_antichain(L)
-    D = dilworth.bichain_decomposition(L)
+    cv = matching_cover.max_matching(L.relation)
+    ac = dilworth.max_antichain(L, cv.dual)
+    D = dilworth.bichain_decomposition(L, cv.primal)
     ok = (
         dilworth.verify_antichain(L.relation, ac.primal)
         and dilworth.verify_bichain_decomposition(D)
@@ -322,12 +323,11 @@ def check_dilworth(data, config: RunConfig):
 
 def check_coherent(data, config: RunConfig):
     L = _linorder_from(data)
-    ac = dilworth.max_antichain(L)
-    C = dilworth.coherent_decomposition(L, config.sampler())
-    ok = (
-        dilworth.verify_coherent_decomposition(C, to_matrix_space(L.relation))
-        and C.size == ac.value
-    )
+    cover = matching_cover.min_cover(L.relation)
+    space = to_matrix_space(L.relation)
+    ac = dilworth.max_antichain(L, cover)
+    C = dilworth.coherent_decomposition(L, config.sampler(), cover, space)
+    ok = dilworth.verify_coherent_decomposition(C, space) and C.size == ac.value
     report = {
         "antichain_dim": ac.value,
         "coherent_count": C.size,
@@ -368,6 +368,10 @@ def check_lgv(data, config: RunConfig):
         if lhs != rhs:
             return {"identity": "failed", "point": [str(x) for x in xs]}, EXIT_VIOLATION
         checked += 1
+    if checked == 0:
+        raise CertificationError(
+            f"every one of {attempts} sampled points was singular; nothing was checked"
+        )
     report = {"identity": "holds", "points_checked": checked}
     acyclic = lgv.is_acyclic(inst.relation())
     report["acyclic"] = acyclic
@@ -407,8 +411,9 @@ def check_matrix_dilworth(data, config: RunConfig):
     if not ncrank.is_nilpotent_algebra(V):
         raise ParseFailure("matrix Dilworth needs a nilpotent algebra")
     r = max(1, V.n - 1)
-    C = ncrank.matrix_antichain(V, config.sampler())
-    D = ncrank.matrix_coherent_decomposition(V, r, config.sampler())
+    cov = ncrank.matrix_min_cover(V, config.sampler())
+    C = ncrank.matrix_antichain(V, config.sampler(), cov)
+    D = ncrank.matrix_coherent_decomposition(V, r, config.sampler(), cov)
     ok = dilworth.verify_coherent_decomposition(D) and D.size == r * C.dim
     report = {
         "r": r,
@@ -448,24 +453,35 @@ CHECKS = {
 }
 
 
-def run_check(args) -> int:
+def _run(run, args, key: str, name: str) -> int:
+    """Emit the report of `run()` with its exit code, or the error it raised.
+
+    Bad input exits 3, a failed identity 1, and a budget or sampling
+    shortfall 2; this mapping is the same for checks and demos.
+    """
     config = RunConfig(args.seed, args.trials, args.coeff_bound, args.budget)
     try:
-        data = _load(args.instance)
-        report, code = CHECKS[args.theorem](data, config)
+        report, code = run(config)
     except (ParseFailure, DimensionError, ValueError) as ex:
         _emit({"error": f"parse: {ex}"}, args.output)
         return EXIT_PARSE
-    except (InvariantViolation,) as ex:
+    except InvariantViolation as ex:
         _emit({"error": f"invariant: {ex}"}, args.output)
         return EXIT_VIOLATION
     except (BudgetExceededError, CertificationError) as ex:
         _emit({"error": f"bounds: {ex}"}, args.output)
         return EXIT_BOUNDS
-    report["theorem"] = args.theorem
+    report[key] = name
     report["config"] = config.to_json()
     _emit(report, args.output)
     return code
+
+
+def run_check(args) -> int:
+    check = CHECKS[args.theorem]
+    return _run(
+        lambda config: check(_load(args.instance), config), args, "theorem", args.theorem
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +527,10 @@ def demo_linorder_f4(config: RunConfig):
     L = dilworth.validate_linorder(R)
     if not isinstance(L, dilworth.Linorder):
         raise InvariantViolation("demo relation failed linorder validation")
-    ac = dilworth.max_antichain(L)
-    D = dilworth.bichain_decomposition(L)
-    C = dilworth.coherent_decomposition(L, config.sampler())
+    cv = matching_cover.max_matching(R)
+    ac = dilworth.max_antichain(L, cv.dual)
+    D = dilworth.bichain_decomposition(L, cv.primal)
+    C = dilworth.coherent_decomposition(L, config.sampler(), cv.dual)
     e = [unit_vec(4, i) for i in range(4)]
     w_chains = [[e[0], e[1]], [e[0] + e[2], e[3]]]
     anomaly = dilworth.w_chain_check(L, w_chains)
@@ -603,19 +620,10 @@ DEMOS = {
 
 
 def run_demo(args) -> int:
-    config = RunConfig(args.seed, args.trials, args.coeff_bound, args.budget)
     if args.name not in DEMOS:
         print(f"unknown demo {args.name!r}", file=sys.stderr)
         return EXIT_PARSE
-    try:
-        report, code = DEMOS[args.name](config)
-    except (InvariantViolation,) as ex:
-        _emit({"error": f"invariant: {ex}"}, args.output)
-        return EXIT_VIOLATION
-    report["demo"] = args.name
-    report["config"] = config.to_json()
-    _emit(report, args.output)
-    return code
+    return _run(DEMOS[args.name], args, "demo", args.name)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .exact_linalg import (
     Subspace,
     Vec,
     clear_denominators,
-    outer,
+    outer_sum,
     subspace_sum,
     unit_vec,
 )
@@ -31,6 +31,8 @@ from .classical_oracles import Poset
 from .matching_cover import (
     PROVED,
     CertifiedValue,
+    Cover,
+    Matching,
     max_matching,
     min_cover,
 )
@@ -201,14 +203,16 @@ def verify_coherent_decomposition(
     return True
 
 
-def max_antichain(L: Linorder) -> CertifiedValue:
+def max_antichain(L: Linorder, cover: Cover | None = None) -> CertifiedValue:
     """Largest subspace C with every pair orthogonal to C on one side.
 
     C is read off a minimum cover as (E + F)^perp; its dimension is exactly
-    n minus the cover size.
+    n minus the cover size.  `cover`, when given, is a minimum cover of the
+    relation already at hand.
     """
     R = L.relation
-    cover = min_cover(R)
+    if cover is None:
+        cover = min_cover(R)
     C = subspace_sum(cover.E, cover.F).orthocomplement()
     value = R.n - cover.size
     if C.dim != value:
@@ -266,19 +270,23 @@ def _complete_to_basis(vectors, n):
     return out
 
 
-def bichain_decomposition(L: Linorder) -> BiChainDecomposition:
+def bichain_decomposition(
+    L: Linorder, matching: Matching | None = None
+) -> BiChainDecomposition:
     """Decompose F^n into the minimum number of bi-chains.
 
-    Steps: maximum matching; completion of its v's and w's to bases; a
-    bijection phi with w_i never orthogonal to v_{phi(i)}; then the 2n-vertex
-    graph with edges w_i -> v_{phi(i)} and v_i -> w_i (matched i) splits into
-    maximal paths, each of which is a bi-chain.
+    Steps: maximum matching (`matching`, when the caller has one);
+    completion of its v's and w's to bases; a bijection phi with w_i never
+    orthogonal to v_{phi(i)}; then the 2n-vertex graph with edges
+    w_i -> v_{phi(i)} and v_i -> w_i (matched i) splits into maximal paths,
+    each of which is a bi-chain.
     """
     R = L.relation
     n = R.n
-    cv = max_matching(R)
-    s = cv.value
-    matched = list(cv.primal.indices)
+    if matching is None:
+        matching = max_matching(R).primal
+    s = matching.size
+    matched = list(matching.indices)
     vs = [R.pairs[i][0] for i in matched]
     ws = [R.pairs[i][1] for i in matched]
     vs = _complete_to_basis(vs, n)
@@ -389,19 +397,26 @@ def nilpotent_jordan_chains(A: Mat):
 
 
 def coherent_decomposition(
-    L: Linorder, sampler: GenericSampler
+    L: Linorder,
+    sampler: GenericSampler,
+    cover: Cover | None = None,
+    space: MatrixSpace | None = None,
 ) -> CoherentDecomposition:
     """Minimum coherent decomposition via a sampled maximum-rank element.
 
     The implementing matrix is a random combination of the rank-one
     generators certified against the cover dual; its Jordan chains give the
-    decomposition, of size equal to the maximum antichain dimension.
+    decomposition, of size equal to the maximum antichain dimension.  A
+    minimum `cover` and the `space` of the relation, when the caller has
+    them, are used instead of computing them again.
     """
     R = L.relation
     n = R.n
-    cover = min_cover(R)
+    if cover is None:
+        cover = min_cover(R)
+    if space is None:
+        space = to_matrix_space(R)
     target = cover.size
-    space = to_matrix_space(R)
     if target == 0:
         A = Mat.zeros(n, n)
         chains = tuple((unit_vec(n, i), 1) for i in range(n))
@@ -433,13 +448,9 @@ def bichain_to_coherent(D: BiChainDecomposition) -> CoherentDecomposition:
     """
     R = D.relation
     n = R.n
-    A = Mat.zeros(n, n)
-    count = 0
-    for chain in D.chains:
-        for idx in chain.link_pair_indices:
-            v, w = R.pairs[idx]
-            A = A + outer(w, v)
-            count += 1
+    links = [R.pairs[idx] for chain in D.chains for idx in chain.link_pair_indices]
+    A = outer_sum(links, n, n)
+    count = len(links)
     if A.rank() != count:
         raise InvariantViolation("interior rank-one sum lost rank")
     if count == 0:

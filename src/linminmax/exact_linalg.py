@@ -2,15 +2,19 @@
 
 Everything downstream (relations, matchings, chain decompositions, path
 capacities, blow-ups) reduces to dense rational vectors and matrices plus a
-canonical subspace representation.  All arithmetic is exact: scalars are
-`fractions.Fraction`, and there is no tolerance parameter anywhere.
+canonical subspace representation.  All arithmetic is exact, and there is no
+tolerance parameter anywhere.  A vector holds `fractions.Fraction` scalars.
+A matrix holds integer rows over one positive common denominator, reduced so
+that the denominator shares no factor with every entry; sums, products,
+Kronecker products and eliminations run on those integers, and Fractions
+appear only at the accessors.
 
-Every elimination is fraction-free over the integers after clearing
-denominators.  There are two routines: the incremental echelon `IntEchelon`
-(rank, independence, spans, kernels, solving, intersection) and the Bareiss
-determinant.  The only division is the final one by each pivot when the
-canonical reduced rows are emitted.  Intersections are computed with the
-Zassenhaus construction, one echelon of the rows [a | a] and [b | 0].
+Every elimination is fraction-free over the integers.  There are two
+routines: the incremental echelon `IntEchelon` (rank, independence, spans,
+kernels, solving, intersection) and the Bareiss determinant.  The only
+division is the final one by each pivot when the canonical reduced rows are
+emitted.  Intersections are computed with the Zassenhaus construction, one
+echelon of the rows [a | a] and [b | 0].
 
 Subspaces are stored in reduced column echelon form, so two equal subspaces
 are bit-identical and can be compared (and hashed) directly.
@@ -20,14 +24,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import add, mul
 
 from .errors import DimensionError
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def rational_from_string(s: str) -> Fraction:
@@ -130,13 +132,15 @@ def unit_vec(n: int, i: int) -> Vec:
 # integer kernels (fraction-free elimination)
 
 
+def clear_scale(entries) -> tuple[list[int], int]:
+    """(integer row, l): a rational row scaled by l, the lcm of its denominators."""
+    l = lcm(*(x.denominator for x in entries))
+    return [x.numerator * (l // x.denominator) for x in entries], l
+
+
 def clear_denominators(entries) -> list:
     """Scale a rational row by the lcm of its denominators; returns int list."""
-    l = 1
-    for x in entries:
-        d = x.denominator
-        l = l * d // gcd(l, d)
-    return [int(x.numerator) * (l // x.denominator) for x in entries]
+    return clear_scale(entries)[0]
 
 
 class IntEchelon:
@@ -154,13 +158,6 @@ class IntEchelon:
         self.width = width
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
-
-    def copy(self) -> "IntEchelon":
-        other = IntEchelon.__new__(IntEchelon)
-        other.width = self.width
-        other.rows = [r[:] for r in self.rows]
-        other.pivots = self.pivots[:]
-        return other
 
     @property
     def rank(self) -> int:
@@ -194,12 +191,12 @@ class IntEchelon:
     def contains(self, row) -> bool:
         return next((i for i, x in enumerate(self.reduce(row)) if x), None) is None
 
-    def rref(self) -> list[list[Fraction]]:
-        """Canonical reduced row echelon rows of the row space, in pivot order.
+    def back_substituted(self) -> list[list[int]]:
+        """Integer rows of the row space, each zero in every other pivot column.
 
         Clears each pivot column above its pivot with integer row
-        operations, last pivot first, then divides every row by its pivot
-        entry.  The stored rows are left as they were.
+        operations, last pivot first.  The stored rows are left as they
+        were.
         """
         rows = [r[:] for r in self.rows]
         pivots = self.pivots
@@ -215,18 +212,14 @@ class IntEchelon:
                     for x in rj:
                         g = gcd(g, x)
                     rows[j] = [x // g for x in rj] if g > 1 else rj
-        out = []
-        for r, p in zip(rows, pivots):
-            d = r[p]
-            out.append([Fraction(x, d) if x else _ZERO for x in r])
-        return out
+        return rows
 
-
-def rank_of_int_rows(rows, width: int) -> int:
-    ech = IntEchelon(width)
-    for r in rows:
-        ech.add(r)
-    return ech.rank
+    def rref(self) -> list[list[Fraction]]:
+        """Canonical reduced row echelon rows of the row space, in pivot order."""
+        return [
+            [Fraction(x, r[p]) if x else _ZERO for x in r]
+            for r, p in zip(self.back_substituted(), self.pivots)
+        ]
 
 
 def _det_bareiss(a: list[list[int]]) -> int:
@@ -259,13 +252,34 @@ def _det_bareiss(a: list[list[int]]) -> int:
 # matrices
 
 
-class Mat:
-    """Immutable dense rational matrix (row-major)."""
+def _scalar(x):
+    """An int or a Fraction for an int, Fraction or "p/q" string entry."""
+    if type(x) is int or isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return int(x)
+    if isinstance(x, str):
+        return rational_from_string(x)
+    raise TypeError(f"cannot interpret {x!r} as a rational scalar")
 
-    __slots__ = ("_rows", "rows", "cols")
+
+_set = object.__setattr__
+
+
+class Mat:
+    """Immutable dense rational matrix: integer rows over one denominator.
+
+    `_num` is a tuple of integer row tuples and `_den` a positive integer,
+    and entry (i, j) is `_num[i][j] / _den`.  They are reduced so that
+    gcd(`_den`, every entry) = 1, which makes equal matrices equal data.
+    The accessors (`entry`, `row`, `col`, `row_tuples`, `flatten`) return
+    Fractions; the arithmetic and the eliminations run on the integers.
+    """
+
+    __slots__ = ("_num", "_den", "rows", "cols")
 
     def __init__(self, rows_data, cols: int | None = None):
-        data = tuple(tuple(_coerce(x) for x in row) for row in rows_data)
+        data = [[_scalar(x) for x in row] for row in rows_data]
         if data:
             widths = {len(r) for r in data}
             if len(widths) != 1:
@@ -276,9 +290,39 @@ class Mat:
             cols = width
         elif cols is None:
             cols = 0
-        object.__setattr__(self, "_rows", data)
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", cols)
+        # the lcm of reduced denominators leaves no common factor to cancel
+        den = lcm(*(x.denominator for row in data for x in row))
+        num = tuple(
+            tuple([x.numerator * (den // x.denominator) for x in row]) for row in data
+        )
+        self._init(num, den, cols)
+
+    def _init(self, num, den, cols):
+        _set(self, "_num", num)
+        _set(self, "_den", den)
+        _set(self, "rows", len(num))
+        _set(self, "cols", cols)
+
+    @classmethod
+    def _raw(cls, num, den: int, cols: int) -> "Mat":
+        """Mat of rows `num` over `den`, which must already be reduced."""
+        m = cls.__new__(cls)
+        m._init(num, den, cols)
+        return m
+
+    @classmethod
+    def from_int_rows(cls, num, den: int, cols: int) -> "Mat":
+        """The matrix num / den, for a tuple of integer row tuples and den > 0."""
+        if den != 1:
+            g = den
+            for row in num:
+                g = gcd(g, *row)
+                if g == 1:
+                    break
+            if g != 1:
+                num = tuple(tuple([x // g for x in row]) for row in num)
+                den //= g
+        return cls._raw(num, den, cols)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -287,11 +331,13 @@ class Mat:
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
+        return cls._raw(
+            tuple(tuple([int(i == j) for j in range(n)]) for i in range(n)), 1, n
+        )
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Mat":
-        return cls([[0] * cols for _ in range(rows)], cols)
+        return cls._raw(((0,) * cols,) * rows, 1, cols)
 
     @classmethod
     def from_cols(cls, columns, rows: int | None = None) -> "Mat":
@@ -310,42 +356,63 @@ class Mat:
 
     # accessors ----------------------------------------------------------
 
+    @property
+    def den(self) -> int:
+        """The common denominator of the integer rows."""
+        return self._den
+
+    def int_rows(self) -> tuple:
+        """The integer rows: this matrix times `den`."""
+        return self._num
+
+    def int_flat(self) -> list[int]:
+        """The integer rows joined into one row."""
+        return [x for row in self._num for x in row]
+
     def entry(self, i: int, j: int) -> Fraction:
-        return self._rows[i][j]
+        return Fraction(self._num[i][j], self._den)
 
     def row(self, i: int) -> Vec:
-        return Vec(self._rows[i])
+        return Vec(Fraction(x, self._den) for x in self._num[i])
 
     def col(self, j: int) -> Vec:
-        return Vec(r[j] for r in self._rows)
+        return Vec(Fraction(r[j], self._den) for r in self._num)
 
     def row_tuples(self):
-        return self._rows
+        d = self._den
+        return tuple(tuple(Fraction(x, d) for x in row) for row in self._num)
 
     def columns(self) -> list[Vec]:
         return [self.col(j) for j in range(self.cols)]
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self._rows for x in r)
+        return not any(any(r) for r in self._num)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     # arithmetic ---------------------------------------------------------
 
+    def _columns(self) -> tuple:
+        return tuple(zip(*self._num)) if self.rows else ((),) * self.cols
+
     def transpose(self) -> "Mat":
-        return Mat(
-            [[self._rows[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.rows,
-        )
+        return Mat._raw(self._columns(), self._den, self.rows)
 
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("matrix addition with mismatched shapes")
-        return Mat(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)],
-            self.cols,
-        )
+        da, db = self._den, other._den
+        den = lcm(da, db)
+        if da == db:
+            num = tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self._num, other._num))
+        else:
+            sa, sb = den // da, den // db
+            num = tuple(
+                tuple([x * sa + y * sb for x, y in zip(ra, rb)])
+                for ra, rb in zip(self._num, other._num)
+            )
+        return Mat.from_int_rows(num, den, self.cols)
 
     def __sub__(self, other: "Mat") -> "Mat":
         return self + other.scaled(-1)
@@ -355,28 +422,33 @@ class Mat:
 
     def scaled(self, c) -> "Mat":
         c = _coerce(c)
-        return Mat([[x * c for x in r] for r in self._rows], self.cols)
+        p = c.numerator
+        return Mat.from_int_rows(
+            tuple(tuple([x * p for x in row]) for row in self._num),
+            self._den * c.denominator,
+            self.cols,
+        )
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise DimensionError(
                 f"matmul of {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
-        bt = other.transpose()._rows
-        return Mat(
-            [
-                [sum((a * b for a, b in zip(row, col)), _ZERO) for col in bt]
-                for row in self._rows
-            ],
+        bt = other._columns()
+        return Mat.from_int_rows(
+            tuple(
+                tuple([sum(map(mul, row, col)) for col in bt]) for row in self._num
+            ),
+            self._den * other._den,
             other.cols,
         )
 
     def apply(self, v: Vec) -> Vec:
         if self.cols != v.dim:
             raise DimensionError(f"apply of {self.rows}x{self.cols} to dim {v.dim}")
-        return Vec(
-            sum((a * b for a, b in zip(row, v.entries)), _ZERO) for row in self._rows
-        )
+        u, l = clear_scale(v.entries)
+        d = self._den * l
+        return Vec([Fraction(sum(map(mul, row, u)), d) for row in self._num])
 
     def power(self, k: int) -> "Mat":
         if not self.is_square():
@@ -388,54 +460,62 @@ class Mat:
 
     def kron(self, other: "Mat") -> "Mat":
         """Kronecker product; (B kron C)[(i,k),(j,l)] = B[i,j] * C[k,l]."""
-        out = []
-        for i in range(self.rows):
-            for k in range(other.rows):
-                out.append(
-                    [
-                        self._rows[i][j] * other._rows[k][l]
-                        for j in range(self.cols)
-                        for l in range(other.cols)
-                    ]
-                )
-        return Mat(out, self.cols * other.cols)
+        return Mat.from_int_rows(
+            tuple(
+                tuple([x * y for x in ra for y in rb])
+                for ra in self._num
+                for rb in other._num
+            ),
+            self._den * other._den,
+            self.cols * other.cols,
+        )
 
     def flatten(self) -> Vec:
-        return Vec(x for r in self._rows for x in r)
+        d = self._den
+        return Vec(Fraction(x, d) for r in self._num for x in r)
+
+    def submatrix(self, rows, cols) -> "Mat":
+        """The entries in the given rows and columns, in the given order."""
+        cols = list(cols)
+        num = self._num
+        return Mat.from_int_rows(
+            tuple(tuple([num[i][j] for j in cols]) for i in rows), self._den, len(cols)
+        )
 
     # rank / determinant / kernel ---------------------------------------
 
-    def int_rows(self) -> list[list[int]]:
-        return [clear_denominators(r) for r in self._rows]
-
     def rank(self) -> int:
-        return rank_of_int_rows(self.int_rows(), self.cols)
+        return _echelon(self._num, self.cols).rank
 
     def det(self) -> Fraction:
         if not self.is_square():
             raise DimensionError("determinant of a non-square matrix")
-        scale = 1
-        int_rows = []
-        for r in self._rows:
-            # the appended 1 comes back as the factor the row was scaled by
-            *row, l = clear_denominators(r + (_ONE,))
-            int_rows.append(row)
-            scale *= l
-        return Fraction(_det_bareiss(int_rows), scale)
+        return Fraction(
+            _det_bareiss([list(r) for r in self._num]), self._den ** self.rows
+        )
 
     def kernel(self) -> "Subspace":
-        """Right kernel {v : M v = 0} as a canonical subspace of F^cols."""
-        rref_rows, piv_cols = _rref(self._rows, self.cols)
-        pivot_set = set(piv_cols)
-        free = [j for j in range(self.cols) if j not in pivot_set]
+        """Right kernel {v : M v = 0} as a canonical subspace of F^cols.
+
+        With the echelon rows r back-substituted, the free column f gives
+        the kernel vector with l at f and -r[f] * l / r[p] at each pivot p,
+        where l is the lcm of the pivot entries.
+        """
+        n = self.cols
+        ech = _echelon(self._num, n)
+        rows, pivots = ech.back_substituted(), ech.pivots
+        l = lcm(*(r[p] for r, p in zip(rows, pivots)))
+        pivot_set = set(pivots)
         basis = []
-        for f in free:
-            v = [_ZERO] * self.cols
-            v[f] = _ONE
-            for row, p in zip(rref_rows, piv_cols):
-                v[p] = -row[f]
-            basis.append(Vec(v))
-        return Subspace.span(self.cols, basis)
+        for f in range(n):
+            if f in pivot_set:
+                continue
+            v = [0] * n
+            v[f] = l
+            for r, p in zip(rows, pivots):
+                v[p] = -r[f] * (l // r[p])
+            basis.append(v)
+        return Subspace.from_echelon(_echelon(basis, n))
 
     # misc ---------------------------------------------------------------
 
@@ -443,20 +523,22 @@ class Mat:
         return (
             isinstance(other, Mat)
             and self.cols == other.cols
-            and self._rows == other._rows
+            and self._den == other._den
+            and self._num == other._num
         )
 
     def __hash__(self):
-        return hash((self.cols, self._rows))
+        return hash((self.cols, self._den, self._num))
 
     def __repr__(self):
-        body = "; ".join(
-            " ".join(rational_to_string(x) for x in r) for r in self._rows
-        )
+        body = "; ".join(" ".join(r) for r in self.to_json())
         return f"Mat[{self.rows}x{self.cols}]({body})"
 
     def to_json(self):
-        return [[rational_to_string(x) for x in r] for r in self._rows]
+        d = self._den
+        if d == 1:
+            return [[str(x) for x in r] for r in self._num]
+        return [[rational_to_string(Fraction(x, d)) for x in r] for r in self._num]
 
     @classmethod
     def from_json(cls, data, cols: int | None = None) -> "Mat":
@@ -465,7 +547,42 @@ class Mat:
 
 def outer(w: Vec, v: Vec) -> Mat:
     """Rank-one matrix w v^T sending u to (v . u) w."""
-    return Mat([[wi * vj for vj in v.entries] for wi in w.entries], v.dim)
+    wn, a = clear_scale(w.entries)
+    vn, b = clear_scale(v.entries)
+    return Mat.from_int_rows(
+        tuple(tuple([x * y for y in vn]) for x in wn), a * b, v.dim
+    )
+
+
+def outer_sum(pairs, rows: int, cols: int) -> Mat:
+    """sum of w v^T over the (v, w) in `pairs`, accumulated on integers."""
+    terms = []
+    den = 1
+    for v, w in pairs:
+        vn, a = clear_scale(v.entries)
+        wn, b = clear_scale(w.entries)
+        terms.append((vn, wn, a * b))
+        den = lcm(den, a * b)
+    acc = [[0] * cols for _ in range(rows)]
+    for vn, wn, d in terms:
+        s = den // d
+        for i, x in enumerate(wn):
+            if x:
+                x *= s
+                acc[i] = [a + x * y for a, y in zip(acc[i], vn)]
+    return Mat.from_int_rows(tuple(map(tuple, acc)), den, cols)
+
+
+def common_int_rows(mats):
+    """(integer rows of each matrix over one denominator, that denominator)."""
+    den = lcm(*(m.den for m in mats))
+    out = []
+    for m in mats:
+        s = den // m.den
+        out.append(
+            m.int_rows() if s == 1 else tuple(tuple([x * s for x in r]) for r in m.int_rows())
+        )
+    return out, den
 
 
 def hstack(mats) -> Mat:
@@ -473,8 +590,11 @@ def hstack(mats) -> Mat:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise DimensionError("hstack with mismatched row counts")
-    return Mat(
-        [[x for m in mats for x in m.row_tuples()[i]] for i in range(rows)],
+    parts, den = common_int_rows(mats)
+    # over the lcm of reduced denominators the result is already reduced
+    return Mat._raw(
+        tuple(sum((p[i] for p in parts), ()) for i in range(rows)),
+        den,
         sum(m.cols for m in mats),
     )
 
@@ -484,7 +604,8 @@ def vstack(mats) -> Mat:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise DimensionError("vstack with mismatched column counts")
-    return Mat([r for m in mats for r in m.row_tuples()], cols)
+    parts, den = common_int_rows(mats)
+    return Mat._raw(sum(parts, ()), den, cols)
 
 
 def block(rows_of_blocks) -> Mat:
@@ -492,19 +613,30 @@ def block(rows_of_blocks) -> Mat:
 
 
 def solve_exact(M: Mat, B: Mat) -> Mat | None:
-    """Solve M X = B exactly for square M; None when M is singular."""
+    """Solve M X = B exactly for square M; None when M is singular.
+
+    M is invertible exactly when the echelon of the integer rows
+    [d_B M | d_M B] has its first n pivots at columns 0..n-1; row i of X is
+    then the right half of back-substituted row i over its pivot entry.
+    """
     if not M.is_square():
         raise DimensionError("solve_exact needs a square system")
     if M.rows != B.rows:
         raise DimensionError("right-hand side has wrong height")
     n = M.rows
-    # M is invertible exactly when the RREF of [M | B] is [I | X].
-    rows, piv_cols = _rref(
-        [a + b for a, b in zip(M.row_tuples(), B.row_tuples())], n + B.cols
-    )
-    if piv_cols[:n] != list(range(n)):
+    dm, db = M.den, B.den
+    ech = IntEchelon(n + B.cols)
+    for a, b in zip(M.int_rows(), B.int_rows()):
+        ech.add([db * x for x in a] + [dm * x for x in b])
+    if ech.pivots[:n] != list(range(n)):
         return None
-    return Mat([row[n:] for row in rows], B.cols)
+    rows = ech.back_substituted()
+    den = lcm(*(r[i] for i, r in enumerate(rows)))
+    return Mat.from_int_rows(
+        tuple(tuple([x * (den // r[i]) for x in r[n:]]) for i, r in enumerate(rows)),
+        den,
+        B.cols,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -512,19 +644,13 @@ def solve_exact(M: Mat, B: Mat) -> Mat | None:
 
 
 def _echelon(rows, width: int) -> IntEchelon:
-    """Integer echelon of rational rows, each row scaled to integers."""
+    """Integer echelon of integer rows; stops once the rank is full."""
     ech = IntEchelon(width)
     for r in rows:
         if ech.rank == width:
             break
-        ech.add(clear_denominators(r))
+        ech.add(r)
     return ech
-
-
-def _rref(rows, width: int):
-    """Reduced row echelon form of rational rows; returns (nonzero rows, pivot columns)."""
-    ech = _echelon(rows, width)
-    return ech.rref(), ech.pivots
 
 
 class Subspace:
@@ -549,7 +675,9 @@ class Subspace:
         for v in vectors:
             if v.dim != ambient:
                 raise DimensionError("spanning vector with wrong ambient dimension")
-        return cls.from_echelon(_echelon([v.entries for v in vectors], ambient))
+        return cls.from_echelon(
+            _echelon((clear_denominators(v.entries) for v in vectors), ambient)
+        )
 
     @classmethod
     def from_echelon(cls, ech: IntEchelon) -> "Subspace":

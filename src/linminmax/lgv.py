@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import DimensionError, SingularityError
-from .exact_linalg import Mat, outer, solve_exact
+from .errors import DimensionError, InvariantViolation, SingularityError
+from .exact_linalg import Mat, hstack, solve_exact
 from .classical_oracles import Digraph
 from .relation import Relation, space_power_is_zero, to_matrix_space
 
@@ -96,11 +96,7 @@ def _coerce_point(inst: LgvInstance, xs) -> list[Fraction]:
 
 def _weighted_sum(inst: LgvInstance, xs) -> Mat:
     """W diag(x) V^T = sum_i x_i w_i v_i^T."""
-    acc = Mat.zeros(inst.n, inst.n)
-    for i, x in enumerate(xs):
-        if x != 0:
-            acc = acc + outer(inst.W.col(i), inst.V.col(i)).scaled(x)
-    return acc
+    return inst.W @ Mat.diag(xs) @ inst.V.transpose()
 
 
 def lgv_lhs(inst: LgvInstance, xs) -> Fraction:
@@ -113,25 +109,17 @@ def lgv_lhs(inst: LgvInstance, xs) -> Fraction:
     return (inst.B.transpose() @ solved).det()
 
 
-def _subset_tables(inst: LgvInstance):
-    vtw = inst.V.transpose() @ inst.W  # r x r
-    vta = inst.V.transpose() @ inst.A  # r x k
-    btw = inst.B.transpose() @ inst.W  # k x r
-    bta = inst.B.transpose() @ inst.A  # k x k
-    return vtw, vta, btw, bta
+def _subset_table(inst: LgvInstance) -> Mat:
+    """[[V^T W, V^T A], [B^T W, B^T A]]: every G_S is a principal submatrix."""
+    return hstack([inst.V, inst.B]).transpose() @ hstack([inst.W, inst.A])
 
 
-def gs_matrix(inst: LgvInstance, S, tables=None) -> Mat:
+def gs_matrix(inst: LgvInstance, S, table=None) -> Mat:
     """The bordered subset matrix G_S = [[V_S^T W_S, V_S^T A],[B^T W_S, B^T A]]."""
-    vtw, vta, btw, bta = tables or _subset_tables(inst)
-    S = sorted(S)
-    k = inst.k
-    rows = []
-    for i in S:
-        rows.append([vtw.entry(i, j) for j in S] + [vta.entry(i, c) for c in range(k)])
-    for c in range(k):
-        rows.append([btw.entry(c, j) for j in S] + [bta.entry(c, d) for d in range(k)])
-    return Mat(rows, len(S) + k)
+    if table is None:
+        table = _subset_table(inst)
+    idx = sorted(S) + list(range(inst.r, inst.r + inst.k))
+    return table.submatrix(idx, idx)
 
 
 def lgv_rhs(inst: LgvInstance, xs) -> Fraction:
@@ -146,22 +134,19 @@ def lgv_rhs(inst: LgvInstance, xs) -> Fraction:
 def lgv_rhs_parts(inst: LgvInstance, xs):
     """(numerator, denominator) of the subset-sum side at a point."""
     xs = _coerce_point(inst, xs)
-    tables = _subset_tables(inst)
-    vtw = tables[0]
+    table = _subset_table(inst)
     num = Fraction(0)
     den = Fraction(0)
-    indices = [i for i in range(inst.r)]
     for size in range(inst.r + 1):
-        for S in combinations(indices, size):
+        sign = -1 if size % 2 else 1
+        for S in combinations(range(inst.r), size):
             x_s = Fraction(1)
             for i in S:
                 x_s *= xs[i]
             if x_s == 0:
                 continue
-            sign = -1 if size % 2 else 1
-            num += sign * x_s * gs_matrix(inst, S, tables).det()
-            minor = Mat([[vtw.entry(i, j) for j in S] for i in S], size)
-            den += sign * x_s * minor.det()
+            num += sign * x_s * gs_matrix(inst, S, table).det()
+            den += sign * x_s * table.submatrix(S, S).det()
     return num, den
 
 
@@ -172,19 +157,19 @@ def is_acyclic(R: Relation) -> bool:
     return space_power_is_zero(to_matrix_space(R), R.n)
 
 
-def _acyclic_pair_order(inst: LgvInstance):
-    """Topological order of pair indices so that v_i . w_j = 0 for i >= j."""
-    r = inst.r
-    vtw = inst.V.transpose() @ inst.W
-    succ = {
-        i: [j for j in range(r) if vtw.entry(i, j) != 0] for i in range(r)
-    }
+def _acyclic_pair_order(vtw):
+    """Topological order of pair indices so that v_i . w_j = 0 for i >= j.
+
+    `vtw` holds the rows of V^T W, or any nonzero multiple of them.
+    """
+    r = len(vtw)
+    succ = {i: [j for j in range(r) if vtw[i][j]] for i in range(r)}
     order = []
     state = [0] * r  # 0 unseen, 1 on stack, 2 done
 
     def visit(i):
         if state[i] == 1:
-            raise SingularityError("pair graph has a cycle")
+            raise InvariantViolation("pair graph has a cycle")
         if state[i] == 2:
             return
         state[i] = 1
@@ -205,6 +190,8 @@ def lgv_acyclic(inst: LgvInstance, xs):
     The left side uses the truncated geometric sum of W X V^T; the right
     side is the bare numerator because det(I - X V^T W) = 1, which is
     verified both by evaluation and by a strict-triangularity reordering.
+    A failure of any of these is a violated identity (InvariantViolation),
+    not a singular point.
     """
     xs = _coerce_point(inst, xs)
     if not is_acyclic(inst.relation()):
@@ -220,15 +207,15 @@ def lgv_acyclic(inst: LgvInstance, xs):
 
     num, den = lgv_rhs_parts(inst, xs)
     if den != 1:
-        raise SingularityError("acyclic denominator is not identically 1")
-    order = _acyclic_pair_order(inst)  # existence certifies triangularity
-    vtw = inst.V.transpose() @ inst.W
+        raise InvariantViolation("acyclic denominator is not identically 1")
+    vtw = (inst.V.transpose() @ inst.W).int_rows()
+    order = _acyclic_pair_order(vtw)  # existence certifies triangularity
     for pos_i, i in enumerate(order):
         for pos_j, j in enumerate(order):
-            if pos_i >= pos_j and vtw.entry(i, j) != 0:
-                raise SingularityError("triangular reordering failed")
+            if pos_i >= pos_j and vtw[i][j]:
+                raise InvariantViolation("triangular reordering failed")
     if lhs != num:
-        raise SingularityError("acyclic identity failed at an exact point")
+        raise InvariantViolation("acyclic identity failed at an exact point")
     return lhs, num
 
 

@@ -26,7 +26,7 @@ from .exact_linalg import (
     Subspace,
     Vec,
     clear_denominators,
-    outer,
+    outer_sum,
     unit_vec,
 )
 from .relation import (
@@ -58,10 +58,7 @@ class Matching:
         return [self.relation.pairs[i] for i in self.indices]
 
     def rank_one_sum(self) -> Mat:
-        acc = Mat.zeros(self.relation.m, self.relation.n)
-        for v, w in self.pairs():
-            acc = acc + outer(w, v)
-        return acc
+        return outer_sum(self.pairs(), self.relation.m, self.relation.n)
 
     def to_json(self):
         return list(self.indices)

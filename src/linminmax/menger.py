@@ -13,6 +13,7 @@ primal element and an early-exit bound, never the value itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import (
     BudgetExceededError,
@@ -181,8 +182,12 @@ def _capacity_search(R: Relation, E: Subspace, F: Subspace, budget, stop_at=None
     pairs = [R.pairs[i] for i in kept]
     row_vecs = list(F.vectors) + [v for v, _ in pairs]
     col_vecs = list(E.vectors) + [w for _, w in pairs]
+    # Scaling a row or a column by a nonzero factor keeps every submatrix
+    # rank, so the products of the cleared vectors serve as well.
+    cols = [clear_denominators(c.entries) for c in col_vecs]
     int_rows = [
-        clear_denominators([rv.dot(cv) for cv in col_vecs]) for rv in row_vecs
+        [sum(map(mul, row, c)) for c in cols]
+        for row in (clear_denominators(r.entries) for r in row_vecs)
     ]
     value, S = _min_split_rank(int_rows, len(F.vectors), len(E.vectors), stop_at)
     return value, S, kept

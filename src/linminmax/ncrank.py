@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add
 
 from .errors import (
     BudgetExceededError,
@@ -28,7 +29,6 @@ from .exact_linalg import (
     Mat,
     Subspace,
     block,
-    clear_denominators,
     subspace_intersection,
     subspace_sum,
     unit_vec,
@@ -92,12 +92,23 @@ def blow_up(V: MatrixSpace, r: int) -> BlowUp:
 
 
 def _sample_blowup(V: MatrixSpace, r: int, sampler: GenericSampler) -> Mat:
-    """Random integer element of V (x) M_r, assembled blockwise."""
-    acc = Mat.zeros(V.m * r, V.n * r)
-    for b in V.basis:
-        coeffs = Mat([[sampler.coefficient() for _ in range(r)] for _ in range(r)], r)
-        acc = acc + b.kron(coeffs)
-    return acc
+    """Random integer element sum_B B (x) C_B of V (x) M_r, C_B drawn row by row.
+
+    One pass over the integer basis rows: row (i, k) of the element is the
+    sum over B of the Kronecker product of row i of B with row k of C_B.
+    """
+    terms = [
+        (b, [[sampler.coefficient() for _ in range(r)] for _ in range(r)])
+        for b in V.int_basis
+    ]
+    rows = []
+    for i in range(V.m):
+        for k in range(r):
+            acc = [0] * (V.n * r)
+            for b, c in terms:
+                acc = list(map(add, acc, [x * y for x in b[i] for y in c[k]]))
+            rows.append(tuple(acc))
+    return Mat.from_int_rows(tuple(rows), V.den, V.n * r)
 
 
 def _check_blowup_budget(V: MatrixSpace, r: int):
@@ -132,7 +143,7 @@ def _max_rank_blowup_el(V: MatrixSpace, r: int, sampler: GenericSampler):
             best, best_el = rk, el
         extra += 1
     if best % r != 0:
-        raise InvariantViolation(
+        raise CertificationError(
             f"sampled blow-up maximum {best} is not divisible by {r}"
         )
     return best, best_el
@@ -267,15 +278,19 @@ def matrix_min_cover(V: MatrixSpace, sampler: GenericSampler) -> CertifiedValue:
     return CertifiedValue(cover.size, cover, cv.primal, status)
 
 
-def matrix_antichain(V: MatrixSpace, sampler: GenericSampler) -> Subspace:
+def matrix_antichain(
+    V: MatrixSpace, sampler: GenericSampler, cov: CertifiedValue | None = None
+) -> Subspace:
     """Largest subspace C with P V P = 0, for a nilpotent algebra V.
 
     Read off a minimum cover as (E + F)^perp; checked by apply_space(V, C)
-    being orthogonal to C.
+    being orthogonal to C.  `cov`, when given, is the `matrix_min_cover` of
+    V, which the caller has already checked to be a nilpotent algebra.
     """
-    if not is_nilpotent_algebra(V):
-        raise ValueError("matrix antichains are defined for nilpotent algebras")
-    cov = matrix_min_cover(V, sampler)
+    if cov is None:
+        if not is_nilpotent_algebra(V):
+            raise ValueError("matrix antichains are defined for nilpotent algebras")
+        cov = matrix_min_cover(V, sampler)
     cover: Cover = cov.primal
     C = subspace_sum(cover.E, cover.F).orthocomplement()
     perp = C.orthocomplement()
@@ -287,19 +302,25 @@ def matrix_antichain(V: MatrixSpace, sampler: GenericSampler) -> Subspace:
 
 
 def matrix_coherent_decomposition(
-    V: MatrixSpace, r: int, sampler: GenericSampler
+    V: MatrixSpace,
+    r: int,
+    sampler: GenericSampler,
+    cov: CertifiedValue | None = None,
 ) -> CoherentDecomposition:
     """Coherent decomposition of F^{rn} relative to V (x) M_r.
 
     Samples a maximum-rank element of the blow-up (a nilpotent algebra
     again), and extracts its Jordan chains; the size is rn minus that rank,
-    proved minimal when the rank meets r times the cover bound.
+    proved minimal when the rank meets r times the cover bound.  `cov`,
+    when given, is the `matrix_min_cover` of V, which the caller has
+    already checked to be a nilpotent algebra.
     """
-    if not is_nilpotent_algebra(V):
+    if cov is None and not is_nilpotent_algebra(V):
         raise ValueError("matrix Dilworth is stated for nilpotent algebras")
     n = V.n
     _check_blowup_budget(V, r)
-    cov = matrix_min_cover(V, sampler)
+    if cov is None:
+        cov = matrix_min_cover(V, sampler)
     target = r * cov.value
     if V.dim == 0:
         A = Mat.zeros(n * r, n * r)
@@ -342,7 +363,7 @@ def _mpc_space(V: MatrixSpace, E: Subspace, F: Subspace) -> MatrixSpace:
         ]
     )
     ech = IntEchelon(base.rows * base.cols)
-    ech.add(clear_denominators(base.flatten().entries))
+    ech.add(base.int_flat())
     generators = [base]
     for a in V.basis:
         em = block(
@@ -351,7 +372,7 @@ def _mpc_space(V: MatrixSpace, E: Subspace, F: Subspace) -> MatrixSpace:
                 [Mat.zeros(pi.rows, n), Mat.zeros(pi.rows, iota.cols)],
             ]
         )
-        if ech.add(clear_denominators(em.flatten().entries)):
+        if ech.add(em.int_flat()):
             generators.append(em)
     return MatrixSpace(n + pi.rows, n + iota.cols, generators)
 

@@ -20,6 +20,7 @@ from .exact_linalg import (
     Subspace,
     Vec,
     clear_denominators,
+    common_int_rows,
     outer,
 )
 
@@ -82,22 +83,22 @@ class MatrixSpace:
     When the space was built from a relation, `source_pairs` remembers the
     (v, w) pairs behind the kept rank-one generators; the exact enumeration
     routines use them instead of generic witness search.  The basis is also
-    kept as integer rows (each matrix scaled by one integer, which keeps
-    every span) and as the integer echelon of its flattening, which serves
-    the membership tests.
+    kept as integer rows over one common denominator (`int_basis` over
+    `den`, so `int_basis[i]` is `den` times `basis[i]`), and as the integer
+    echelon of their flattenings, which serves the membership tests.
     """
 
-    __slots__ = ("m", "n", "basis", "source_pairs", "_int_basis", "_echelon")
+    __slots__ = ("m", "n", "basis", "source_pairs", "int_basis", "den", "_echelon")
 
     def __init__(self, m: int, n: int, basis, source_pairs=None):
         basis = tuple(basis)
         for b in basis:
             if (b.rows, b.cols) != (m, n):
                 raise DimensionError("basis matrix with wrong shape")
-        flats = [clear_denominators(b.flatten().entries) for b in basis]
+        int_basis, den = common_int_rows(basis)
         ech = IntEchelon(m * n)
-        for flat in flats:
-            if not ech.add(flat):
+        for rows in int_basis:
+            if not ech.add([x for row in rows for x in row]):
                 raise ValueError("matrix space basis is linearly dependent")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
@@ -105,11 +106,8 @@ class MatrixSpace:
         object.__setattr__(
             self, "source_pairs", tuple(source_pairs) if source_pairs else None
         )
-        object.__setattr__(
-            self,
-            "_int_basis",
-            tuple([f[i * n:(i + 1) * n] for i in range(m)] for f in flats),
-        )
+        object.__setattr__(self, "int_basis", tuple(int_basis))
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "_echelon", ech)
 
     def __setattr__(self, name, value):
@@ -122,7 +120,7 @@ class MatrixSpace:
     def contains(self, a: Mat) -> bool:
         if (a.rows, a.cols) != (self.m, self.n):
             raise DimensionError("membership test with wrong shape")
-        return self._echelon.contains(clear_denominators(a.flatten().entries))
+        return self._echelon.contains(a.int_flat())
 
     def source_relation(self) -> Relation | None:
         if self.source_pairs is None:
@@ -174,7 +172,8 @@ def reduced_indices(R: Relation) -> list[int]:
     for i, (v, w) in enumerate(R.pairs):
         if v.is_zero() or w.is_zero():
             continue
-        if ech.add(clear_denominators(outer(w, v).flatten().entries)):
+        vn, wn = clear_denominators(v.entries), clear_denominators(w.entries)
+        if ech.add([x * y for x in wn for y in vn]):  # w v^T, row by row
             kept.append(i)
     return kept
 
@@ -195,7 +194,7 @@ def to_matrix_space(R: Relation) -> MatrixSpace:
 def _image(V: MatrixSpace, rows, cap: int) -> IntEchelon:
     """Echelon of span{B u : B in V, u in rows} on integer rows; stops at rank cap."""
     ech = IntEchelon(V.m)
-    for b in V._int_basis:
+    for b in V.int_basis:
         for u in rows:
             ech.add([sum(map(mul, row, u)) for row in b])
             if ech.rank == cap:
@@ -223,10 +222,12 @@ def neighborhood_span(R: Relation, S) -> Subspace:
 
 def sample_element(V: MatrixSpace, sampler: GenericSampler) -> Mat:
     """Random integer-coefficient combination of the basis."""
-    acc = Mat.zeros(V.m, V.n)
-    for b in V.basis:
-        acc = acc + b.scaled(sampler.coefficient())
-    return acc
+    acc = [[0] * V.n for _ in range(V.m)]
+    for b in V.int_basis:
+        c = sampler.coefficient()
+        if c:
+            acc = [[a + c * x for a, x in zip(ra, rb)] for ra, rb in zip(acc, b)]
+    return Mat.from_int_rows(tuple(map(tuple, acc)), V.den, V.n)
 
 
 def space_power_is_zero(V: MatrixSpace, k: int) -> bool:
@@ -256,8 +257,8 @@ def is_nilpotent_algebra(V: MatrixSpace) -> bool:
     """V^2 contained in V and V^n = {0}."""
     if V.m != V.n:
         return False
-    transposed = [list(zip(*y)) for y in V._int_basis]
-    for x in V._int_basis:
+    transposed = [list(zip(*y)) for y in V.int_basis]
+    for x in V.int_basis:
         for yt in transposed:
             flat = [sum(map(mul, row, col)) for row in x for col in yt]
             if not V._echelon.contains(flat):

@@ -6,6 +6,7 @@ from linminmax.cli import (
     EXIT_BOUNDS,
     EXIT_PARSE,
     EXIT_PROVED,
+    EXIT_VIOLATION,
     main,
 )
 
@@ -238,3 +239,73 @@ def test_gen_bad_parameters_are_parse_errors(capsys):
         assert code == EXIT_PARSE, params
         assert captured.out == ""
         assert "Traceback" not in captured.err
+
+
+def _exit_and_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    return code, json.loads(captured.out).get("error", "")
+
+
+def test_check_lgv_exit_codes_for_failures_and_singular_points(tmp_path, capsys, monkeypatch):
+    from linminmax import lgv
+    from linminmax.errors import SingularityError
+    from linminmax.exact_linalg import unit_vec
+    from linminmax.relation import Relation
+
+    edges = [(0, 1), (0, 2), (1, 3), (2, 3)]
+    R = Relation(4, 4, [(unit_vec(4, i), unit_vec(4, j)) for i, j in edges])
+    inst = lgv.instance_from_relation(R, [unit_vec(4, 0)], [unit_vec(4, 3)])
+    path = tmp_path / "dag.json"
+    path.write_text(json.dumps(inst.to_json()))
+    argv = ["check", "lgv", str(path), "--output", "json", "--trials", "3"]
+    assert _exit_and_error(capsys, argv) == (EXIT_PROVED, "")
+
+    # an identity failure in the acyclic evaluation is a violation, exit 1
+    order = lgv._acyclic_pair_order
+    monkeypatch.setattr(lgv, "_acyclic_pair_order", lambda vtw: order(vtw)[::-1])
+    code, error = _exit_and_error(capsys, argv)
+    assert code == EXIT_VIOLATION and error.startswith("invariant:")
+    monkeypatch.undo()
+
+    # every sampled point singular: nothing was checked, so only bounds, exit 2
+    def singular(inst, xs):
+        raise SingularityError("singular at every point")
+
+    monkeypatch.setattr(lgv, "lgv_lhs", singular)
+    code, error = _exit_and_error(capsys, argv)
+    assert code == EXIT_BOUNDS and error.startswith("bounds:")
+
+
+def test_check_ncrank_sampling_shortfall_exits_2(tmp_path, capsys, monkeypatch):
+    from linminmax import ncrank
+    from linminmax.cli import build_skew3
+    from linminmax.exact_linalg import Mat
+
+    def rank_one(V, r, sampler):
+        side = V.n * r
+        return Mat([[int(i == j == 0) for j in range(side)] for i in range(V.m * r)], side)
+
+    monkeypatch.setattr(ncrank, "_sample_blowup", rank_one)
+    path = tmp_path / "skew3.json"
+    path.write_text(json.dumps(build_skew3().to_json()))
+    code, error = _exit_and_error(capsys, ["check", "ncrank", str(path), "--output", "json"])
+    assert code == EXIT_BOUNDS and error.startswith("bounds:")
+
+
+def test_demo_errors_use_the_check_exit_codes(capsys, monkeypatch):
+    from linminmax import cli
+    from linminmax.errors import CertificationError, InvariantViolation
+
+    for exc, code, prefix in [
+        (InvariantViolation("x"), EXIT_VIOLATION, "invariant:"),
+        (CertificationError("x"), EXIT_BOUNDS, "bounds:"),
+        (ValueError("x"), EXIT_PARSE, "parse:"),
+    ]:
+        def broken(config, exc=exc):
+            raise exc
+
+        monkeypatch.setitem(cli.DEMOS, "skew3", broken)
+        got, error = _exit_and_error(capsys, ["demo", "skew3", "--output", "json"])
+        assert got == code and error.startswith(prefix)

@@ -10,6 +10,9 @@ from linminmax.errors import DimensionError
 from linminmax.exact_linalg import (
     Mat,
     Subspace,
+    block,
+    hstack,
+    outer,
     rational_from_string,
     rational_to_string,
     solve_exact,
@@ -17,6 +20,7 @@ from linminmax.exact_linalg import (
     subspace_sum,
     unit_vec,
     vec,
+    vstack,
 )
 from conftest import rand_mat, rand_vec
 
@@ -379,3 +383,131 @@ def test_rational_from_string_zero_denominator():
             rational_from_string(bad)
     with pytest.raises(ValueError):
         vec("1", "1/0")
+
+
+# ---------------------------------------------------------------------------
+# the integer-backed Mat against Fraction-list references
+
+
+def as_lists(m: Mat):
+    return [[m.entry(i, j) for j in range(m.cols)] for i in range(m.rows)]
+
+
+def ref_matmul(a, b, inner, cols):
+    return [[sum((r[t] * b[t][j] for t in range(inner)), Fraction(0)) for j in range(cols)] for r in a]
+
+
+def ref_kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def ref_transpose(a, cols):
+    return [[r[j] for r in a] for j in range(cols)]
+
+
+def rand_shape_rows(rng, rows, cols):
+    """Mixed-denominator, signed entries; one draw in five is all zeros."""
+    if rng.random() < 0.2:
+        return [[Fraction(0)] * cols for _ in range(rows)]
+    return rand_rational_rows(rng, rows, cols)
+
+
+SHAPES = [(0, 3), (3, 0), (0, 0), (1, 1), (2, 3), (3, 2), (4, 4)]
+
+
+def test_mat_arithmetic_matches_fraction_lists():
+    rng = random.Random(53)
+    for _ in range(40):
+        for rows, cols in SHAPES:
+            a = rand_shape_rows(rng, rows, cols)
+            b = rand_shape_rows(rng, rows, cols)
+            ma, mb = Mat(a, cols), Mat(b, cols)
+            assert as_lists(ma) == a
+            assert as_lists(ma + mb) == [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
+            assert as_lists(ma - mb) == [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]
+            for c in (rng.randint(-3, 3), Fraction(rng.randint(-5, 5), rng.randint(1, 6))):
+                assert as_lists(ma.scaled(c)) == [[x * c for x in r] for r in a]
+            assert as_lists(ma.transpose()) == ref_transpose(a, cols)
+            k = rng.randint(0, 3)
+            c = rand_shape_rows(rng, cols, k)
+            assert as_lists(ma @ Mat(c, k)) == ref_matmul(a, c, cols, k)
+            small = rand_shape_rows(rng, rng.randint(0, 2), rng.randint(0, 2))
+            ms = Mat(small, len(small[0]) if small else 0)
+            assert as_lists(ma.kron(ms)) == ref_kron(a, small)
+            u = [x for x in rand_shape_rows(rng, 1, cols)[0]] if cols else []
+            assert list(ma.apply(vec(*u)).entries) == [
+                sum((x * y for x, y in zip(r, u)), Fraction(0)) for r in a
+            ]
+            w = rand_shape_rows(rng, 1, rows)[0] if rows else []
+            assert as_lists(outer(vec(*w), vec(*u))) == [[x * y for y in u] for x in w]
+
+
+def test_mat_power_and_stacks_match_fraction_lists():
+    rng = random.Random(59)
+    for _ in range(40):
+        n = rng.randint(0, 4)
+        a = rand_shape_rows(rng, n, n)
+        ref = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        k = rng.randint(0, 4)
+        for _ in range(k):
+            ref = ref_matmul(ref, a, n, n)
+        assert as_lists(Mat(a, n).power(k)) == ref
+        r1, r2, c1, c2 = (rng.randint(0, 3) for _ in range(4))
+        blocks = [
+            [rand_shape_rows(rng, r1, c1), rand_shape_rows(rng, r1, c2)],
+            [rand_shape_rows(rng, r2, c1), rand_shape_rows(rng, r2, c2)],
+        ]
+        mats = [[Mat(blocks[i][0], c1), Mat(blocks[i][1], c2)] for i in range(2)]
+        top = [x + y for x, y in zip(*blocks[0])]
+        bottom = [x + y for x, y in zip(*blocks[1])]
+        assert as_lists(hstack(mats[0])) == top
+        assert as_lists(vstack([mats[0][0], mats[1][0]])) == blocks[0][0] + blocks[1][0]
+        assert block(mats) == Mat(top + bottom, c1 + c2)
+
+
+def test_mat_eliminations_match_fraction_references():
+    rng = random.Random(61)
+    for _ in range(60):
+        for rows, cols in SHAPES:
+            a = rand_shape_rows(rng, rows, cols)
+            m = Mat(a, cols)
+            assert m.rank() == len(ref_rref(a)[0])
+            assert m.kernel().vectors == ref_span(cols, ref_kernel_rows(cols, a))
+            if rows == cols:
+                assert m.det() == cofactor_det(m)
+                k = rng.randint(0, 2)
+                b = rand_shape_rows(rng, rows, k)
+                x = solve_exact(m, Mat(b, k))
+                red, piv = ref_rref([r + s for r, s in zip(a, b)]) if rows else ([], [])
+                if piv[:rows] != list(range(rows)):
+                    assert x is None
+                else:
+                    assert as_lists(x) == [r[rows:] for r in red]
+
+
+def test_mat_canonical_form():
+    forms = [
+        Mat([["1/2", "1"]]),
+        Mat([["2/4", "2/2"]]),
+        Mat([[1, 2]]).scaled(Fraction(1, 2)),
+        Mat([[Fraction(3, 6), Fraction(5, 5)]]),
+        Mat([[1, 2]]) @ Mat([["1/2", "0"], ["0", "1/2"]]),
+    ]
+    for m in forms:
+        assert m == forms[0] and hash(m) == hash(forms[0])
+        assert (m.den, m.int_rows()) == (2, ((1, 2),))
+    zero = Mat([["1/3", "2/3"]]) - Mat([["1/3", "2/3"]])
+    assert zero == Mat.zeros(1, 2) and zero.den == 1
+    assert Mat.zeros(0, 2) != Mat.zeros(0, 3) and Mat.zeros(2, 0) != Mat.zeros(3, 0)
+
+
+def test_mat_entries_are_fractions():
+    m = Mat([[1, "3/4"], [Fraction(-2, 6), True]])
+    assert all(type(x) is Fraction for r in m.row_tuples() for x in r)
+    assert type(m.entry(0, 0)) is Fraction and m.entry(1, 0) == Fraction(-1, 3)
+    assert m.to_json() == [["1", "3/4"], ["-1/3", "1"]]
+    assert all(type(x) is Fraction for x in m.flatten().entries + m.row(1).entries + m.col(0).entries)
+    with pytest.raises(TypeError):
+        Mat([[1, 0.5]])
+    with pytest.raises(ValueError):
+        Mat([["1/0"]])

@@ -1,0 +1,39 @@
+"""Golden reports: `check --output json` must reproduce the recorded bytes.
+
+`tests/golden/manifest.json` lists one instance per theorem, the `gen`
+command it came from (and, where a theorem needs more than `gen` emits, how
+the file was derived from that output), the expected exit code and the file
+holding the expected stdout.  A change of exact storage or of a search order
+cannot then alter a report unnoticed.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from linminmax.cli import CHECKS, main
+
+GOLDEN = Path(__file__).parent / "golden"
+MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
+
+
+def _stdout(capsys, argv):
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+def test_manifest_covers_every_theorem():
+    assert sorted(e["theorem"] for e in MANIFEST) == sorted(CHECKS)
+
+
+@pytest.mark.parametrize("entry", MANIFEST, ids=[e["theorem"] for e in MANIFEST])
+def test_golden_report(entry, capsys):
+    path = GOLDEN / entry["instance"]
+    if entry["derived"] is None:
+        _, text = _stdout(capsys, ["gen", *entry["gen"]])
+        assert text == path.read_text()
+    argv = ["check", entry["theorem"], str(path), "--output", "json", "--trials", "10"]
+    code, out = _stdout(capsys, argv)
+    assert code == entry["exit"]
+    assert out == (GOLDEN / entry["report"]).read_text()

@@ -195,3 +195,25 @@ def test_classical_agrees_with_linear_encoding(rng):
 def test_json_round_trip(rng):
     inst = rand_instance(rng, n=3, r=2, k=1)
     assert LgvInstance.from_json(inst.to_json()) == inst
+
+
+def test_acyclic_identity_failures_are_invariant_violations(monkeypatch):
+    from linminmax import lgv
+    from linminmax.errors import InvariantViolation
+
+    with pytest.raises(InvariantViolation):
+        lgv._acyclic_pair_order(((0, 1), (1, 0)))  # a cycle
+    G = Digraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    pairs = [(unit_vec(4, i), unit_vec(4, j)) for i, j in G.edges]
+    inst = instance_from_relation(Relation(4, 4, pairs), [unit_vec(4, 0)], [unit_vec(4, 3)])
+    xs = [Fraction(1)] * 4
+    true_parts = lgv.lgv_rhs_parts(inst, xs)
+    for parts in [(true_parts[0], Fraction(2)), (true_parts[0] + 1, Fraction(1))]:
+        monkeypatch.setattr(lgv, "lgv_rhs_parts", lambda inst, xs, parts=parts: parts)
+        with pytest.raises(InvariantViolation):
+            lgv_acyclic(inst, xs)
+    monkeypatch.undo()
+    order = lgv._acyclic_pair_order
+    monkeypatch.setattr(lgv, "_acyclic_pair_order", lambda vtw: order(vtw)[::-1])
+    with pytest.raises(InvariantViolation):
+        lgv_acyclic(inst, xs)

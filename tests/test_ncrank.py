@@ -244,3 +244,16 @@ def test_mpc_matches_cpc(rng):
         a = mpc(V, E, F, GenericSampler(seed=41))
         b = cpc(R, E, F, GenericSampler(seed=42))
         assert a.value == b.value == min_separator(R, E, F).size
+
+
+def test_blowup_sampling_shortfall_is_a_certification_error(monkeypatch):
+    import linminmax.ncrank as nc
+    from linminmax.errors import CertificationError
+
+    def rank_one(V, r, sampler):
+        side = V.n * r
+        return Mat([[int(i == j == 0) for j in range(side)] for i in range(V.m * r)], side)
+
+    monkeypatch.setattr(nc, "_sample_blowup", rank_one)
+    with pytest.raises(CertificationError):
+        max_rank_blowup(skew3(), 2, GenericSampler(seed=3))
