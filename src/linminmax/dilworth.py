@@ -40,6 +40,7 @@ from .relation import (
     GenericSampler,
     MatrixSpace,
     Relation,
+    doubly_independent,
     sample_element,
     space_power_is_zero,
     to_matrix_space,
@@ -169,18 +170,8 @@ def verify_bichain_decomposition(D: BiChainDecomposition) -> bool:
     R = D.relation
     if not all(verify_bichain(R, c) for c in D.chains):
         return False
-    ech_v = IntEchelon(R.n)
-    ech_w = IntEchelon(R.n)
-    count = 0
-    for c in D.chains:
-        for v in c.vs:
-            if not ech_v.add(clear_denominators(v.entries)):
-                return False
-        for w in c.ws:
-            if not ech_w.add(clear_denominators(w.entries)):
-                return False
-        count += c.length
-    return count == R.n and ech_v.rank == R.n and ech_w.rank == R.n
+    pairs = [(v, w) for c in D.chains for v, w in zip(c.vs, c.ws)]
+    return len(pairs) == R.n and doubly_independent(pairs, R.n, R.n)
 
 
 def verify_coherent_decomposition(

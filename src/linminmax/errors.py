@@ -6,7 +6,7 @@ class DimensionError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration would exceed the configured subset budget."""
+    """A computation would exceed a fixed size limit (blow-up side, oracle size)."""
 
 
 class InvariantViolation(AssertionError):

@@ -222,6 +222,29 @@ class IntEchelon:
         ]
 
 
+def int_kernel(rows, n: int) -> list[list[int]]:
+    """Integer basis of the right kernel {v : r . v = 0 for every row r}.
+
+    With the echelon rows r back-substituted, the free column f gives the
+    kernel vector with l at f and -r[f] * l / r[p] at each pivot p, where l
+    is the lcm of the pivot entries.
+    """
+    ech = _echelon(rows, n)
+    back, pivots = ech.back_substituted(), ech.pivots
+    l = lcm(*(r[p] for r, p in zip(back, pivots)))
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(n):
+        if f in pivot_set:
+            continue
+        v = [0] * n
+        v[f] = l
+        for r, p in zip(back, pivots):
+            v[p] = -r[f] * (l // r[p])
+        basis.append(v)
+    return basis
+
+
 def _det_bareiss(a: list[list[int]]) -> int:
     """Bareiss fraction-free determinant; `a` is consumed."""
     n = len(a)
@@ -495,27 +518,10 @@ class Mat:
         )
 
     def kernel(self) -> "Subspace":
-        """Right kernel {v : M v = 0} as a canonical subspace of F^cols.
-
-        With the echelon rows r back-substituted, the free column f gives
-        the kernel vector with l at f and -r[f] * l / r[p] at each pivot p,
-        where l is the lcm of the pivot entries.
-        """
-        n = self.cols
-        ech = _echelon(self._num, n)
-        rows, pivots = ech.back_substituted(), ech.pivots
-        l = lcm(*(r[p] for r, p in zip(rows, pivots)))
-        pivot_set = set(pivots)
-        basis = []
-        for f in range(n):
-            if f in pivot_set:
-                continue
-            v = [0] * n
-            v[f] = l
-            for r, p in zip(rows, pivots):
-                v[p] = -r[f] * (l // r[p])
-            basis.append(v)
-        return Subspace.from_echelon(_echelon(basis, n))
+        """Right kernel {v : M v = 0} as a canonical subspace of F^cols."""
+        return Subspace.from_echelon(
+            _echelon(int_kernel(self._num, self.cols), self.cols)
+        )
 
     # misc ---------------------------------------------------------------
 

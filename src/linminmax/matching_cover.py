@@ -34,6 +34,7 @@ from .relation import (
     MatrixSpace,
     Relation,
     apply_space,
+    doubly_independent,
     neighborhood_span,
     sample_element,
     to_matrix_space,
@@ -112,13 +113,8 @@ def verify_matching(m: Matching) -> bool:
     if len(set(m.indices)) != len(m.indices):
         return False
     R = m.relation
-    ech_v = IntEchelon(R.n)
-    ech_w = IntEchelon(R.m)
-    for v, w in m.pairs():
-        if not ech_v.add(clear_denominators(v.entries)):
-            return False
-        if not ech_w.add(clear_denominators(w.entries)):
-            return False
+    if not doubly_independent(m.pairs(), R.n, R.m):
+        return False
     # Prop-style sanity: the plain rank-one sum must have full matching rank.
     return m.rank_one_sum().rank() == m.size
 

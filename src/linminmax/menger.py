@@ -3,20 +3,22 @@
 The coherent path capacity between subspaces E and F relative to a relation
 R is the maximum, over A in the induced matrix space, of
 rank [[I - A, i],[p, 0]] - n, with i the inclusion of E and p the projection
-onto F.  It equals the minimum separator size, and both sides are computed
-exactly: the capacity by minimizing the rank of the bordered subset matrix
-over all index subsets (a branch-and-bound whose node ranks only grow), the
-separator by converting the minimizing subset.  Random sampling supplies the
-primal element and an early-exit bound, never the value itself.
+onto F.  It equals the minimum separator size.  Every such bordered matrix
+lies in the routing space spanned by [[I, i],[p, 0]] and the embedded
+[[A, 0],[0, 0]], so the sampled element of largest bordered rank is the
+primal, and the dual is read off the limit U' of its second Wong sequence
+(`relation.wong_limit`): with X the projection of U' onto the first n
+coordinates, F~ = X^perp and E~ = X + E + V[X].  The value is proved when
+the separator size meets the sampled rank, which for a relation happens at
+blow-up order r = 1.  No subset is enumerated, so there is no size limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from itertools import chain
 
 from .errors import (
-    BudgetExceededError,
     DimensionError,
     InvariantViolation,
 )
@@ -44,13 +46,14 @@ from .matching_cover import (
 )
 from .relation import (
     GenericSampler,
+    MatrixSpace,
     Relation,
-    reduced_indices,
+    apply_space,
+    doubly_independent,
     sample_element,
     to_matrix_space,
+    wong_limit,
 )
-
-DEFAULT_BUDGET = 20
 
 
 @dataclass(frozen=True)
@@ -101,119 +104,9 @@ def verify_bipath(R: Relation, E: Subspace, F: Subspace, path: BiChain) -> bool:
 
 def independent_bipaths_check(R, E, F, paths) -> bool:
     """All paths valid, with jointly independent v's and jointly independent w's."""
-    if not all(verify_bipath(R, E, F, p) for p in paths):
-        return False
-    n = R.n
-    ech_v = IntEchelon(n)
-    ech_w = IntEchelon(n)
-    for p in paths:
-        for v in p.vs:
-            if not ech_v.add(clear_denominators(v.entries)):
-                return False
-        for w in p.ws:
-            if not ech_w.add(clear_denominators(w.entries)):
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# the subset minimization behind the path capacities
-
-
-class _Found(Exception):
-    pass
-
-
-def _min_split_rank(int_rows, base_rows: int, base_cols: int, stop_at=None):
-    """Exact min over S of the rank of a split submatrix, with sound pruning.
-
-    `int_rows` has base_rows + r rows and base_cols + r columns.  Subset S
-    keeps the base rows plus the pair rows base_rows + k for k not in S, and
-    the base columns plus the pair columns base_cols + k for k in S.  The
-    submatrix of a partial assignment is a submatrix of every leaf below
-    it, so its rank lower-bounds those leaves and the branch can be cut once
-    it reaches the current best.  `stop_at` (a certified lower bound, e.g.
-    from sampling) allows stopping at the first optimal subset.
-    Returns (value, S).
-    """
-    r = len(int_rows) - base_rows
-    best: int | None = None
-    best_cols: list[int] = []
-
-    def node_rank(rows, cols, cutoff):
-        ech = IntEchelon(len(cols))
-        for a in rows:
-            src = int_rows[a]
-            if ech.add([src[c] for c in cols]) and ech.rank >= cutoff:
-                return ech.rank
-        return ech.rank
-
-    def dfs(k, rows, cols):
-        nonlocal best, best_cols
-        cutoff = best if best is not None else len(int_rows) + base_cols + 1
-        rk = node_rank(rows, cols, cutoff)
-        if best is not None and rk >= best:
-            return
-        if k == r:
-            best, best_cols = rk, cols
-            if stop_at is not None and best <= stop_at:
-                raise _Found()
-            return
-        dfs(k + 1, rows, cols + [base_cols + k])  # k in S: its column joins
-        dfs(k + 1, rows + [base_rows + k], cols)  # k not in S: its row joins
-
-    try:
-        dfs(0, list(range(base_rows)), list(range(base_cols)))
-    except _Found:
-        pass
-    return best, {c - base_cols for c in best_cols if c >= base_cols}
-
-
-def _capacity_search(R: Relation, E: Subspace, F: Subspace, budget, stop_at=None):
-    """Exact min over S of rank([p; V_Sc^T] [i, W_S]).
-
-    Returns (value, S, kept_indices).
-    """
-    kept = reduced_indices(R)
-    if len(kept) > budget:
-        raise BudgetExceededError(
-            f"{len(kept)} independent pairs exceed the subset budget {budget}"
-        )
-    pairs = [R.pairs[i] for i in kept]
-    row_vecs = list(F.vectors) + [v for v, _ in pairs]
-    col_vecs = list(E.vectors) + [w for _, w in pairs]
-    # Scaling a row or a column by a nonzero factor keeps every submatrix
-    # rank, so the products of the cleared vectors serve as well.
-    cols = [clear_denominators(c.entries) for c in col_vecs]
-    int_rows = [
-        [sum(map(mul, row, c)) for c in cols]
-        for row in (clear_denominators(r.entries) for r in row_vecs)
-    ]
-    value, S = _min_split_rank(int_rows, len(F.vectors), len(E.vectors), stop_at)
-    return value, S, kept
-
-
-def _build_separator(R, E, F, kept, S) -> Separator:
-    pairs = [R.pairs[i] for i in kept]
-    C = subspace_sum(E, Subspace.span(R.n, [pairs[i][1] for i in S]))
-    D = subspace_sum(F, Subspace.span(R.n, [pairs[i][0] for i in range(len(pairs)) if i not in S]))
-    e_tilde = subspace_sum(C, D.orthocomplement())
-    sep = Separator(e_tilde, D, E, F)
-    if not verify_separator(R, sep):
-        raise InvariantViolation("subset conversion is not a separator")
-    return sep
-
-
-def min_separator(
-    R: Relation, E: Subspace, F: Subspace, budget: int = DEFAULT_BUDGET
-) -> Separator:
-    """Minimum-size (E, F)-separator from the minimizing index subset."""
-    _check_square(R, E, F)
-    value, S, kept = _capacity_search(R, E, F, budget)
-    sep = _build_separator(R, E, F, kept, S)
-    if sep.size != value:
-        raise InvariantViolation("separator size differs from the subset minimum")
-    return sep
+    return all(verify_bipath(R, E, F, p) for p in paths) and doubly_independent(
+        ((v, w) for p in paths for v, w in zip(p.vs, p.ws)), R.n, R.n
+    )
 
 
 def _check_square(R: Relation, E: Subspace, F: Subspace):
@@ -248,72 +141,95 @@ def bordered_rank(A: Mat, E: Subspace, F: Subspace) -> int:
     return bordered_matrix(A, E, F).rank()
 
 
-def subset_bordered_matrix(R, E, F, kept, S) -> Mat:
-    """[[I, i, W_S],[p, 0, 0],[V_Sc^T, 0, 0]] from the capacity proof."""
-    n = R.n
+# ---------------------------------------------------------------------------
+# the routing space and its Wong separator
+
+
+def _mpc_space(V: MatrixSpace, E: Subspace, F: Subspace) -> MatrixSpace:
+    """Routing space spanned by [[I, i],[p, 0]] and the embedded [[A,0],[0,0]]."""
+    n = V.n
     iota = _inclusion(E, n)
     pi = _projection(F, n)
-    ws = [R.pairs[kept[i]][1] for i in sorted(S)]
-    vs = [R.pairs[kept[i]][0] for i in range(len(kept)) if i not in S]
-    w_mat = Mat.from_cols(ws, rows=n) if ws else Mat.zeros(n, 0)
-    v_mat = (
-        Mat([v.entries for v in vs], n) if vs else Mat.zeros(0, n)
+    base = block(
+        [
+            [Mat.identity(n), iota],
+            [pi, Mat.zeros(pi.rows, iota.cols)],
+        ]
     )
-    top = hstack([Mat.identity(n), iota, w_mat])
-    mid = hstack([pi, Mat.zeros(pi.rows, iota.cols), Mat.zeros(pi.rows, w_mat.cols)])
-    bot = hstack(
-        [v_mat, Mat.zeros(v_mat.rows, iota.cols), Mat.zeros(v_mat.rows, w_mat.cols)]
+    ech = IntEchelon(base.rows * base.cols)
+    ech.add(base.int_flat())
+    generators = [base]
+    for a in V.basis:
+        em = block(
+            [
+                [a, Mat.zeros(n, iota.cols)],
+                [Mat.zeros(pi.rows, n), Mat.zeros(pi.rows, iota.cols)],
+            ]
+        )
+        if ech.add(em.int_flat()):
+            generators.append(em)
+    return MatrixSpace(n + pi.rows, n + iota.cols, generators)
+
+
+def wong_separator(V, routing, E, F, r: int, el: Mat) -> Separator:
+    """The separator read off the Wong limit of `el` in routing (x) M_r.
+
+    `routing` is `_mpc_space(V, E, F)`.  X is the projection of the limit
+    U' onto the first n coordinates, cut to F^perp so that F~ = X^perp
+    contains F; then E~ = X + E + V[X] meets the matrix-sense conditions.
+    """
+    n = V.n
+    U, _ = wong_limit(routing, r, el)
+    X = subspace_intersection(
+        Subspace.span(n, [Vec(u.entries[:n]) for u in U.vectors]),
+        F.orthocomplement(),
     )
-    return vstack([top, mid, bot])
+    e_tilde = subspace_sum(subspace_sum(X, E), apply_space(V, X))
+    return Separator(e_tilde, X.orthocomplement(), E, F)
 
 
 def cpc(
-    R: Relation,
-    E: Subspace,
-    F: Subspace,
-    sampler: GenericSampler,
-    budget: int = DEFAULT_BUDGET,
+    R: Relation, E: Subspace, F: Subspace, sampler: GenericSampler
 ) -> CertifiedValue:
-    """Coherent path capacity with a sampled primal and separator dual.
+    """Coherent path capacity with a sampled primal and a Wong separator dual.
 
-    The value is the exact subset minimum; sampling provides the element
-    whose bordered rank attains it (and an early-exit bound for the
-    enumeration).  Guttman rank additivity is asserted on every sampled A
-    with I - A invertible.
+    The primal is the sampled A (or A = 0) of largest bordered rank.  Its
+    bordered matrix is an element of the routing space, and the separator
+    comes from its Wong limit at r = 1; the value is proved when the rank
+    is n plus the separator size.  Guttman rank additivity is asserted on
+    every sampled A with I - A invertible.
     """
     _check_square(R, E, F)
     n = R.n
     space = to_matrix_space(R)
-    best_A = Mat.zeros(n, n)
-    best_rank = bordered_rank(best_A, E, F) - n
-    _assert_guttman(best_A, E, F)
-    for _ in range(sampler.trials):
-        A = sample_element(space, sampler)
-        _assert_guttman(A, E, F)
-        val = bordered_rank(A, E, F) - n
-        if val > best_rank:
-            best_rank, best_A = val, A
-    value, S, kept = _capacity_search(R, E, F, budget, stop_at=best_rank)
-    if value < best_rank:
-        raise InvariantViolation("sampled rank exceeded the subset minimum")
-    sep = _build_separator(R, E, F, kept, S)
-    if sep.size != value:
-        raise InvariantViolation("separator size differs from capacity")
-    if subset_bordered_matrix(R, E, F, kept, S).rank() != n + value:
-        raise InvariantViolation("subset bordered matrix rank mismatch")
-    status = PROVED if best_rank == value else LOWER_BOUND_ONLY
-    return CertifiedValue(value, best_A, sep, status)
+    best = None
+    samples = (sample_element(space, sampler) for _ in range(sampler.trials))
+    for A in chain([Mat.zeros(n, n)], samples):
+        rank = bordered_rank(A, E, F)
+        _assert_guttman(A, E, F, rank)
+        if best is None or rank > best[0]:
+            best = (rank, A)
+    rank, A = best
+    routing = _mpc_space(space, E, F)
+    sep = wong_separator(space, routing, E, F, 1, bordered_matrix(A, E, F))
+    if not verify_separator(R, sep):
+        raise InvariantViolation("Wong separator fails the separator axioms")
+    if sep.size < rank - n:
+        raise InvariantViolation("sampled rank exceeds the separator size")
+    status = PROVED if sep.size == rank - n else LOWER_BOUND_ONLY
+    return CertifiedValue(rank - n, A, sep, status)
 
 
-def _assert_guttman(A: Mat, E: Subspace, F: Subspace):
-    """rank [[I-A, i],[p, 0]] = n + rank(p (I-A)^{-1} i) when I-A is invertible."""
+def _assert_guttman(A: Mat, E: Subspace, F: Subspace, rank: int):
+    """rank [[I-A, i],[p, 0]] = n + rank(p (I-A)^{-1} i) when I-A is invertible.
+
+    `rank` is the left side, which the caller has computed.
+    """
     n = A.rows
-    m = Mat.identity(n) - A
-    inv_iota = solve_exact(m, _inclusion(E, n))
+    inv_iota = solve_exact(Mat.identity(n) - A, _inclusion(E, n))
     if inv_iota is None:
         return
-    schur_rank = (_projection(F, n) @ inv_iota).rank()
-    if bordered_rank(A, E, F) != n + schur_rank:
+    if rank != n + (_projection(F, n) @ inv_iota).rank():
         raise InvariantViolation("Guttman rank additivity failed")
 
 
@@ -330,28 +246,35 @@ def generic_rank_rank_one_update(A: Mat, v: Vec, w: Vec) -> int:
     return min(col_aug.rank(), row_aug.rank())
 
 
-def generic_rank_sum(A: Mat, pairs, budget: int = DEFAULT_BUDGET) -> int:
-    """Generic rank of A + sum_i x_i w_i v_i^T over the subset formula.
+def generic_rank_sum(A: Mat, pairs) -> int:
+    """Generic rank of A + sum_i x_i w_i v_i^T by the subset formula.
 
-    Minimizes rank [[A, W_S],[V_Sc^T, 0]] over subsets S by the same
-    monotone branch-and-bound as the capacity search, on the integer rows
-    of [[A, W],[V^T, 0]].
+    The minimum over subsets S of rank [[A, W_S],[V_Sc^T, 0]], taken over
+    every subset: exponential in the number of pairs, so meant for a few.
     """
     pairs = list(pairs)
-    if len(pairs) > budget:
-        raise BudgetExceededError(
-            f"{len(pairs)} pairs exceed the subset budget {budget}"
-        )
     for v, w in pairs:
         if v.dim != A.cols or w.dim != A.rows:
             raise DimensionError("update pair with mismatched shape")
-    r = len(pairs)
-    int_rows = [
+    k = len(pairs)
+    # Scaling a row by a nonzero factor keeps every rank, so each row of
+    # [[A, W],[V^T, 0]] is cleared of denominators once, in full.
+    top = [
         clear_denominators(list(row) + [w[i] for _, w in pairs])
         for i, row in enumerate(A.row_tuples())
     ]
-    int_rows += [clear_denominators(list(v.entries) + [0] * r) for v, _ in pairs]
-    return _min_split_rank(int_rows, A.rows, A.cols)[0]
+    bottom = [clear_denominators(v.entries) for v, _ in pairs]
+    best = None
+    for mask in range(1 << k):
+        cols = list(range(A.cols)) + [A.cols + j for j in range(k) if mask >> j & 1]
+        ech = IntEchelon(len(cols))
+        for row in top:
+            ech.add([row[c] for c in cols])
+        for j in range(k):
+            if not mask >> j & 1:
+                ech.add(bottom[j] + [0] * (len(cols) - A.cols))
+        best = ech.rank if best is None else min(best, ech.rank)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +296,7 @@ def graph_instance(G: Digraph, H, K, with_loops: bool = False):
     return Relation(n, n, pairs), E, F
 
 
-def konig_via_menger(
-    R: Relation, sampler: GenericSampler, budget: int = DEFAULT_BUDGET
-) -> CertifiedValue:
+def konig_via_menger(R: Relation, sampler: GenericSampler) -> CertifiedValue:
     """Maximum matching value recovered through the path-capacity machinery.
 
     Embeds R on F^{n+m} as (v + 0, 0 + w), routes from F^n + 0 to 0 + F^m,
@@ -405,7 +326,7 @@ def konig_via_menger(
         if stacked.rank() != A.rank() + n + m:
             raise InvariantViolation("Konig reduction rank identity failed")
 
-    capacity = cpc(R2, E, F, sampler, budget)
+    capacity = cpc(R2, E, F, sampler)
     direct = max_matching(R)
     if capacity.value != direct.value:
         raise InvariantViolation(

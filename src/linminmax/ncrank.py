@@ -4,18 +4,18 @@ The noncommutative rank of a matrix space V in M_{m,n} is (1/r) times the
 maximum rank in the blow-up V (x) M_r, attained for every r >= n-1, and it
 equals n - d where d is the largest defect dim E - dim V[E].  A defect
 subspace is therefore a dual certificate: it bounds every blow-up rank by
-r(n - d), while a sampled blow-up element of that rank is the primal.  The
-escalation below tries r = 1, 2, ... and stops as soon as the two meet; for
-rank-one generated spaces the dual comes from the minimum cover of the
-matroid intersection in `matching_cover`, otherwise from a candidate-pool
-witness search (which can leave the status
-at lower_bound_only, never at a wrong value).
+r(n - d), while a sampled blow-up element of that rank is the primal.  For
+r = 1, 2, ... the loop below samples a maximum-rank element A, takes the
+slice span U' of the limit of its second Wong sequence (`wong_limit`) as the
+dual, and stops once rank A = r(n - defect(U')).  The matricial path
+capacity runs the same loop on the routing space of `menger`, with the
+separator read off the same limit.  An unmet bound leaves the status at
+lower_bound_only, never at a wrong value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from operator import add
 
 from .errors import (
@@ -25,11 +25,8 @@ from .errors import (
     InvariantViolation,
 )
 from .exact_linalg import (
-    IntEchelon,
     Mat,
     Subspace,
-    block,
-    subspace_intersection,
     subspace_sum,
     unit_vec,
 )
@@ -39,15 +36,14 @@ from .matching_cover import (
     PROVED,
     CertifiedValue,
     Cover,
-    min_cover,
 )
-from .menger import DEFAULT_BUDGET, Separator, min_separator, _inclusion, _projection
+from .menger import Separator, _mpc_space, wong_separator
 from .relation import (
     GenericSampler,
     MatrixSpace,
     apply_space,
     is_nilpotent_algebra,
-    sample_element,
+    wong_limit,
 )
 
 BLOWUP_DIM_BUDGET = 26
@@ -149,67 +145,6 @@ def _max_rank_blowup_el(V: MatrixSpace, r: int, sampler: GenericSampler):
     return best, best_el
 
 
-# ---------------------------------------------------------------------------
-# dual witness search
-
-
-def _candidate_subspaces(V: MatrixSpace, sampler: GenericSampler):
-    """Shrunk-subspace candidates: coordinate spans, kernels of samples,
-    and their pairwise sums/intersections (depth 2)."""
-    n = V.n
-    seen = set()
-    first: list[Subspace] = []
-
-    def push(S):
-        if S not in seen:
-            seen.add(S)
-            first.append(S)
-
-    push(Subspace.zero(n))
-    push(Subspace.full(n))
-    if n <= 10:
-        for size in range(1, n):
-            for combo in combinations(range(n), size):
-                push(Subspace.span(n, [unit_vec(n, i) for i in combo]))
-    samples = [sample_element(V, sampler) for _ in range(min(sampler.trials, 8))]
-    kernels = [a.kernel() for a in samples]
-    for k in kernels:
-        push(k)
-    depth1 = list(first)
-    for a, b in combinations(kernels, 2):
-        push(subspace_sum(a, b))
-        push(subspace_intersection(a, b))
-    for k in kernels:
-        for c in depth1:
-            push(subspace_sum(k, c))
-            push(subspace_intersection(k, c))
-    return first
-
-
-def _defect_search(V: MatrixSpace, sampler: GenericSampler) -> DefectCertificate:
-    """Best defect certificate available.
-
-    Exact (from the minimum cover of the matroid intersection) when the
-    space records its rank-one generators; otherwise the best candidate
-    from the witness pool.  Either
-    way the certified defect is genuine; only maximality may be unproved.
-    """
-    R = V.source_relation()
-    if R is not None:
-        cover = min_cover(R)
-        E = cover.E.orthocomplement()
-        defect = E.dim - apply_space(V, E).dim
-        if defect != V.n - cover.size:
-            raise InvariantViolation("cover conversion produced the wrong defect")
-        return DefectCertificate(E, defect)
-    best = DefectCertificate(Subspace.zero(V.n), 0)
-    for E in _candidate_subspaces(V, sampler):
-        defect = E.dim - apply_space(V, E).dim
-        if defect > best.defect:
-            best = DefectCertificate(E, defect)
-    return best
-
-
 def cover_from_defect(V: MatrixSpace, cert: DefectCertificate) -> Cover:
     """The matrix-sense cover (E^perp, V[E]) of size n - defect."""
     E = cert.E.orthocomplement()
@@ -229,15 +164,16 @@ def ncrank(
 ) -> CertifiedValue:
     """Noncommutative rank with primal blow-up element and defect dual.
 
-    Escalates the blow-up order until the sampled rank meets r times the
-    dual bound n - d; the guarantee that this happens is at r = n - 1.
+    For r = 1, 2, ...: sample a maximum-rank A in V (x) M_r and read the
+    defect certificate off its Wong limit; stop once rank A = r(n - defect).
+    By the Wong-sequence theorem of Ivanyos, Karpinski, Qiao and Santha, a
+    sample of maximum rank meets it, at r = n - 1 at the latest.
     """
     n = V.n
     _check_blowup_budget(V, 1)
-    dual = _defect_search(V, sampler)
-    bound = n - dual.defect
     if r_max is None:
         r_max = max(1, n - 1)
+    dual = DefectCertificate(Subspace.zero(n), 0)
     best_value = 0
     best_witness = (1, Mat.zeros(V.m, V.n))
     for r in range(1, r_max + 1):
@@ -245,8 +181,12 @@ def ncrank(
             rank_r, el = _max_rank_blowup_el(V, r, sampler)
         except BudgetExceededError:
             break
-        if rank_r == r * bound:
-            return CertifiedValue(bound, (r, el), dual, PROVED)
+        E, image = wong_limit(V, r, el)
+        cert = DefectCertificate(E, E.dim - image.dim)
+        if rank_r == r * (n - cert.defect):
+            return CertifiedValue(rank_r // r, (r, el), cert, PROVED)
+        if cert.defect > dual.defect:
+            dual = cert
         if rank_r // r > best_value:
             best_value = rank_r // r
             best_witness = (r, el)
@@ -351,50 +291,6 @@ def matrix_coherent_decomposition(
 # matricial path capacity
 
 
-def _mpc_space(V: MatrixSpace, E: Subspace, F: Subspace) -> MatrixSpace:
-    """Routing space spanned by [[I, i],[p, 0]] and the embedded [[A,0],[0,0]]."""
-    n = V.n
-    iota = _inclusion(E, n)
-    pi = _projection(F, n)
-    base = block(
-        [
-            [Mat.identity(n), iota],
-            [pi, Mat.zeros(pi.rows, iota.cols)],
-        ]
-    )
-    ech = IntEchelon(base.rows * base.cols)
-    ech.add(base.int_flat())
-    generators = [base]
-    for a in V.basis:
-        em = block(
-            [
-                [a, Mat.zeros(n, iota.cols)],
-                [Mat.zeros(pi.rows, n), Mat.zeros(pi.rows, iota.cols)],
-            ]
-        )
-        if ech.add(em.int_flat()):
-            generators.append(em)
-    return MatrixSpace(n + pi.rows, n + iota.cols, generators)
-
-
-def _separator_witness_search(V, E, F, sampler) -> Separator:
-    """Smallest separator over a candidate pool of F~ containing F.
-
-    For each F~, the minimal admissible E~ is F~^perp + E + V[F~^perp].
-    """
-    n = V.n
-    pool = [S for S in _candidate_subspaces(V, sampler) if S.contains_subspace(F)]
-    pool.append(Subspace.full(n))
-    best = None
-    for f_tilde in pool:
-        f_perp = f_tilde.orthocomplement()
-        e_tilde = subspace_sum(subspace_sum(f_perp, E), apply_space(V, f_perp))
-        sep = Separator(e_tilde, f_tilde, E, F)
-        if best is None or sep.size < best.size:
-            best = sep
-    return best
-
-
 def verify_matrix_separator(V: MatrixSpace, sep: Separator) -> bool:
     """Matrix-sense condition: V[F~^perp] inside E~ (plus the subspace axioms)."""
     if not sep.E_tilde.contains_subspace(sep.E):
@@ -412,38 +308,33 @@ def mpc(
     E: Subspace,
     F: Subspace,
     sampler: GenericSampler,
-    budget: int = DEFAULT_BUDGET,
 ) -> CertifiedValue:
     """Matricial path capacity: ncrank of the routing space minus n.
 
-    The dual separator is exact for rank-one generated spaces (delegating
-    to the relation-level separator), otherwise a witness search; the
-    primal is a blow-up element of the routing space whose rank meets
-    r(n + value).
+    For r = 1, 2, ...: a sampled maximum-rank element of the routing
+    space's blow-up is the primal, and the separator read off its Wong
+    limit the dual; proved once the rank is r(n + size).
     """
     if V.m != V.n:
         raise DimensionError("matricial path capacity needs a square space")
     n = V.n
     if E.ambient != n or F.ambient != n:
         raise DimensionError("E and F must live in the space's column space")
-    R = V.source_relation()
-    if R is not None:
-        sep = min_separator(R, E, F, budget)
-    else:
-        sep = _separator_witness_search(V, E, F, sampler)
-    if not verify_matrix_separator(V, sep):
-        raise InvariantViolation("separator fails the matrix-sense conditions")
-    w_space = _mpc_space(V, E, F)
-    _check_blowup_budget(w_space, 1)
-    bound = n + sep.size
-    r_cap = max(1, w_space.n - 1)
+    routing = _mpc_space(V, E, F)
+    _check_blowup_budget(routing, 1)
     best_value = 0
-    for r in range(1, r_cap + 1):
+    best_sep = None
+    for r in range(1, max(1, routing.n - 1) + 1):
         try:
-            rank_r, el = _max_rank_blowup_el(w_space, r, sampler)
+            rank_r, el = _max_rank_blowup_el(routing, r, sampler)
         except BudgetExceededError:
             break
-        if rank_r == r * bound:
+        sep = wong_separator(V, routing, E, F, r, el)
+        if not verify_matrix_separator(V, sep):
+            raise InvariantViolation("separator fails the matrix-sense conditions")
+        if rank_r == r * (n + sep.size):
             return CertifiedValue(sep.size, (r, el), sep, PROVED)
+        if best_sep is None or sep.size < best_sep.size:
+            best_sep = sep
         best_value = max(best_value, rank_r // r - n)
-    return CertifiedValue(best_value, None, sep, LOWER_BOUND_ONLY)
+    return CertifiedValue(best_value, None, best_sep, LOWER_BOUND_ONLY)

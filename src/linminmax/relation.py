@@ -21,6 +21,7 @@ from .exact_linalg import (
     Vec,
     clear_denominators,
     common_int_rows,
+    int_kernel,
     outer,
 )
 
@@ -34,6 +35,8 @@ class Relation:
     __slots__ = ("n", "m", "pairs")
 
     def __init__(self, n: int, m: int, pairs):
+        if n < 0 or m < 0:
+            raise DimensionError("relation with a negative dimension")
         pairs = tuple((v, w) for v, w in pairs)
         for v, w in pairs:
             if v.dim != n or w.dim != m:
@@ -91,6 +94,8 @@ class MatrixSpace:
     __slots__ = ("m", "n", "basis", "source_pairs", "int_basis", "den", "_echelon")
 
     def __init__(self, m: int, n: int, basis, source_pairs=None):
+        if m < 0 or n < 0:
+            raise DimensionError("matrix space with a negative dimension")
         basis = tuple(basis)
         for b in basis:
             if (b.rows, b.cols) != (m, n):
@@ -202,12 +207,54 @@ def _image(V: MatrixSpace, rows, cap: int) -> IntEchelon:
     return ech
 
 
+def doubly_independent(pairs, n: int, m: int) -> bool:
+    """Whether the v's of `pairs` are linearly independent in F^n and the w's in F^m."""
+    ech_v, ech_w = IntEchelon(n), IntEchelon(m)
+    return all(
+        ech_v.add(clear_denominators(v.entries))
+        and ech_w.add(clear_denominators(w.entries))
+        for v, w in pairs
+    )
+
+
 def apply_space(V: MatrixSpace, E: Subspace) -> Subspace:
     """V[E] = span{A e : A in V, e in E}."""
     if E.ambient != V.n:
         raise DimensionError("apply_space ambient mismatch")
     rows = [clear_denominators(e.entries) for e in E.vectors]
     return Subspace.from_echelon(_image(V, rows, V.m))
+
+
+def wong_limit(V: MatrixSpace, r: int, A: Mat) -> tuple[Subspace, Subspace]:
+    """Limit of the second Wong sequence of A in V (x) M_r, read on V.
+
+    W_0 = 0, U_i = A^{-1}(W_i) and W_{i+1} = (V (x) M_r)[U_i], to the fixed
+    point.  Since (B (x) E_kl)(x (x) e_j) = [l = j] Bx (x) e_k, the image
+    of U is V[U'] (x) F^r, where U' spans the r slices (u[j r + l])_j of the
+    vectors u of U; so the blow-up basis is never built.  U_i is the kernel
+    of Q A, where the rows q (x) e_k of Q span W_i^perp = V[U']^perp (x) F^r.
+    Returns (U', V[U']) of the limit.  Its defect bounds rank A: when the
+    limit W lies in im A, dim U' - dim V[U'] >= n - rank(A) / r.
+    """
+    n, rows = V.n, A.int_rows()
+    image = IntEchelon(V.m)
+    while True:
+        q_rows = []
+        for q in int_kernel(image.rows, V.m):
+            terms = [(x, i) for i, x in enumerate(q) if x]
+            for k in range(r):
+                acc = [0] * (n * r)
+                for x, i in terms:
+                    acc = [a + x * y for a, y in zip(acc, rows[i * r + k])]
+                q_rows.append(acc)
+        slices = IntEchelon(n)
+        for u in int_kernel(q_rows, n * r):
+            for l in range(r):
+                slices.add(u[l::r])
+        grown = _image(V, slices.rows, V.m)
+        if grown.rank == image.rank:
+            return Subspace.from_echelon(slices), Subspace.from_echelon(grown)
+        image = grown
 
 
 def neighborhood_span(R: Relation, S) -> Subspace:

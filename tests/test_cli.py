@@ -206,6 +206,21 @@ def test_check_zero_denominator_is_parse_error(tmp_path, capsys):
         assert json.loads(captured.out)["error"].startswith("parse:")
 
 
+def test_check_negative_dimensions_are_parse_errors(tmp_path, capsys):
+    cases = [
+        ("konig", {"n": -1, "m": 2, "pairs": []}),
+        ("ncrank", {"m": -2, "n": 2, "basis": []}),
+        ("menger", {"n": -1, "m": -1, "pairs": [], "E": [], "F": []}),
+    ]
+    for theorem, data in cases:
+        path = tmp_path / f"{theorem}.json"
+        path.write_text(json.dumps(data))
+        code = main(["check", theorem, str(path), "--output", "json"])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE, (theorem, captured.out)
+        assert json.loads(captured.out)["error"].startswith("parse:")
+
+
 def test_check_malformed_json_types_are_parse_errors(tmp_path, capsys):
     zero = [["0", "0"], ["0", "0"]]
     number_entry = {

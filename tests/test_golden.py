@@ -13,6 +13,9 @@ from pathlib import Path
 import pytest
 
 from linminmax.cli import CHECKS, main
+from linminmax.exact_linalg import Mat
+from linminmax.ncrank import blow_up
+from linminmax.relation import MatrixSpace
 
 GOLDEN = Path(__file__).parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
@@ -37,3 +40,13 @@ def test_golden_report(entry, capsys):
     code, out = _stdout(capsys, argv)
     assert code == entry["exit"]
     assert out == (GOLDEN / entry["report"]).read_text()
+
+
+def test_ncrank_golden_element_is_a_primal():
+    """The pinned element lies in V (x) M_r and has rank r * ncrank."""
+    V = MatrixSpace.from_json(json.loads((GOLDEN / "ncrank.json").read_text()))
+    report = json.loads((GOLDEN / "ncrank.out").read_text())
+    r = report["element"]["r"]
+    element = Mat.from_json(report["element"]["matrix"])
+    assert blow_up(V, r).space.contains(element)
+    assert element.rank() == r * report["ncrank"]

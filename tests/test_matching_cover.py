@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from linminmax.classical_oracles import BipartiteGraph, bipartite_max_matching, hall_check
-from linminmax.errors import BudgetExceededError, DimensionError
+from linminmax.errors import DimensionError
 from linminmax.exact_linalg import Subspace, Vec, unit_vec, vec
 from linminmax.matching_cover import (
     Matching,
@@ -21,7 +21,7 @@ from linminmax.matching_cover import (
     verify_cover,
     verify_matching,
 )
-from linminmax.menger import min_separator
+from linminmax.menger import cpc, verify_separator
 from linminmax.relation import (
     GenericSampler,
     Relation,
@@ -102,13 +102,18 @@ def test_min_cover_matches_unrestricted_oracle(rng):
         assert cover.size == unrestricted_min_cover(R)
 
 
-def test_budget_error():
+def test_separator_beyond_the_old_subset_budget():
+    """25 independent pairs: more than any subset enumeration took."""
     rng = random.Random(1)
     R = rand_relation(rng, 5, 5, 25)
+    assert to_matrix_space(R).dim == 25
     E = Subspace.span(5, [unit_vec(5, 0)])
     F = Subspace.span(5, [unit_vec(5, 4)])
-    with pytest.raises(BudgetExceededError):
-        min_separator(R, E, F, budget=10)
+    cv = cpc(R, E, F, GenericSampler(seed=10))
+    assert cv.proved
+    assert verify_separator(R, cv.dual)
+    # the pairs span all of M_5, so one path gets from E to F
+    assert cv.value == cv.dual.size == 1
 
 
 def test_max_matching_on_large_graphs():

@@ -1,5 +1,7 @@
 """Path capacities, separators, and the generic rank subset formulas."""
 
+from itertools import combinations
+
 import pytest
 
 from linminmax.classical_oracles import Digraph, vertex_disjoint_paths
@@ -21,13 +23,18 @@ from linminmax.menger import (
     graph_instance,
     independent_bipaths_check,
     konig_via_menger,
-    min_separator,
     verify_separator,
 )
-from linminmax.relation import GenericSampler, Relation, sample_element, to_matrix_space
+from linminmax.relation import (
+    GenericSampler,
+    Relation,
+    reduced_indices,
+    sample_element,
+    to_matrix_space,
+)
 from linminmax.dilworth import BiChain, poset_embed
 from linminmax.classical_oracles import Poset
-from conftest import rand_mat, rand_relation, rand_vec
+from conftest import rand_mat, rand_relation, rand_subspace, rand_vec
 
 
 def f7_instance():
@@ -50,7 +57,7 @@ def test_f7_capacity_and_separator():
     cv = cpc(R, E, F, GenericSampler(seed=5))
     assert cv.value == 1 and cv.proved
     e = [unit_vec(7, i) for i in range(7)]
-    sep = min_separator(R, E, F)
+    sep = cpc(R, E, F, GenericSampler(seed=6)).dual
     assert sep.size == 1
     assert sep.E_tilde == Subspace.span(7, e[0:4])
     assert sep.F_tilde == Subspace.span(7, e[3:7])
@@ -66,7 +73,7 @@ def test_f7_bipaths_beat_separator():
     ]
     assert independent_bipaths_check(R, E, F, paths)
     # two independent bi-paths squeeze through a size-1 separator
-    assert len(paths) > min_separator(R, E, F).size
+    assert len(paths) > cpc(R, E, F, GenericSampler(seed=6)).dual.size
     assert not independent_bipaths_check(R, E, F, [paths[0], paths[0]])
     stray = BiChain((e[2],), (e[5],), ())
     assert not independent_bipaths_check(R, E, F, [stray])
@@ -81,7 +88,7 @@ def test_cpc_trivial_cases():
     zero = Subspace.zero(n)
     cv0 = cpc(empty, zero, zero, GenericSampler(seed=2))
     assert cv0.value == 0
-    sep0 = min_separator(empty, zero, zero)
+    sep0 = cpc(empty, zero, zero, GenericSampler(seed=4)).dual
     assert sep0.size == 0
     with pytest.raises(DimensionError):
         cpc(Relation(2, 3, []), zero, zero, GenericSampler(seed=3))
@@ -94,7 +101,7 @@ def test_capacity_equals_separator_random(rng):
         E = Subspace.span(n, [rand_vec(rng, n) for _ in range(rng.randint(0, 2))])
         F = Subspace.span(n, [rand_vec(rng, n) for _ in range(rng.randint(0, 2))])
         cv = cpc(R, E, F, GenericSampler(seed=7))
-        sep = min_separator(R, E, F)
+        sep = cpc(R, E, F, GenericSampler(seed=8)).dual
         assert cv.value == sep.size == cv.dual.size
         assert verify_separator(R, cv.dual)
 
@@ -191,7 +198,7 @@ def test_graph_instances_match_flow(rng):
             cv = cpc(R, E, F, GenericSampler(seed=100 + trial))
             assert cv.value == count, (edges, H, K, with_loops)
         # with loops the separator size matches the classical one too
-        sep = min_separator(*graph_instance(G, H, K, with_loops=True))
+        sep = cpc(*graph_instance(G, H, K, with_loops=True), GenericSampler(seed=200 + trial)).dual
         assert sep.size == count
 
 
@@ -201,7 +208,7 @@ def test_weak_duality_sampled(rng):
         R = rand_relation(rng, n, n, rng.randint(1, 5))
         E = Subspace.span(n, [rand_vec(rng, n)])
         F = Subspace.span(n, [rand_vec(rng, n)])
-        sep = min_separator(R, E, F)
+        sep = cpc(R, E, F, GenericSampler(seed=22)).dual
         V = to_matrix_space(R)
         s = GenericSampler(seed=23)
         for _ in range(5):
@@ -217,3 +224,64 @@ def test_konig_via_menger(rng):
         R = rand_relation(rng, rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 5))
         cv = konig_via_menger(R, GenericSampler(seed=37))
         assert cv.value == max_matching(R).value
+
+
+def _check_cpc_certificate(R, E, F, cv):
+    """Proved, a separator, and a primal whose bordered rank meets it."""
+    assert cv.proved
+    assert verify_separator(R, cv.dual)
+    assert cv.value == cv.dual.size
+    assert bordered_rank(cv.primal, E, F) == R.n + cv.value
+
+
+def test_cpc_beyond_the_old_subset_budget(rng):
+    """n = 10 and 12 with 24 and 36 independent pairs."""
+    for n, count in ((10, 24), (12, 36)):
+        R = rand_relation(rng, n, n, count)
+        assert len(reduced_indices(R)) == count
+        E = rand_subspace(rng, n, max_dim=3)
+        F = rand_subspace(rng, n, max_dim=3)
+        cv = cpc(R, E, F, GenericSampler(seed=n))
+        _check_cpc_certificate(R, E, F, cv)
+
+
+def test_cpc_matches_disjoint_paths_on_dense_graphs(rng):
+    """Graph encodings with 9..12 vertices and more than 20 edges plus loops."""
+    for trial in range(4):
+        n = rng.randint(9, 12)
+        edges = sorted(
+            {(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < 0.25}
+        )
+        H = rng.sample(range(n), rng.randint(2, 4))
+        K = rng.sample(range(n), rng.randint(2, 4))
+        G = Digraph(n, edges)
+        count, _, _ = vertex_disjoint_paths(G, H, K)
+        R, E, F = graph_instance(G, H, K, with_loops=True)
+        assert len(reduced_indices(R)) > 20
+        cv = cpc(R, E, F, GenericSampler(seed=300 + trial))
+        _check_cpc_certificate(R, E, F, cv)
+        assert cv.value == count
+
+
+def _subset_capacity(R, E, F):
+    """min over S of rank of the pairing of F + {v_k : k not in S} with E + {w_k : k in S}."""
+    kept = [R.pairs[i] for i in reduced_indices(R)]
+    best = None
+    for size in range(len(kept) + 1):
+        for S in combinations(range(len(kept)), size):
+            rows = list(F.vectors) + [v for k, (v, _) in enumerate(kept) if k not in S]
+            cols = list(E.vectors) + [kept[k][1] for k in S]
+            value = Mat([[r.dot(c) for c in cols] for r in rows], len(cols)).rank()
+            best = value if best is None else min(best, value)
+    return best
+
+
+def test_cpc_matches_the_subset_formula(rng):
+    for trial in range(12):
+        n = rng.randint(2, 4)
+        R = rand_relation(rng, n, n, rng.randint(2, 7))
+        E = Subspace.span(n, [rand_vec(rng, n, nonzero=True) for _ in range(rng.randint(1, 2))])
+        F = Subspace.span(n, [rand_vec(rng, n, nonzero=True) for _ in range(rng.randint(1, 2))])
+        cv = cpc(R, E, F, GenericSampler(seed=400 + trial))
+        _check_cpc_certificate(R, E, F, cv)
+        assert cv.value == _subset_capacity(R, E, F)

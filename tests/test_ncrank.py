@@ -1,13 +1,15 @@
 """Blow-ups, noncommutative rank, and the matrix-level min-max theorems."""
 
+import random
+
 import pytest
 
 from linminmax.classical_oracles import Poset
 from linminmax.dilworth import max_antichain, poset_embed
 from linminmax.errors import DimensionError
-from linminmax.exact_linalg import Mat, Subspace, unit_vec
+from linminmax.exact_linalg import Mat, Subspace, Vec, outer, unit_vec
 from linminmax.matching_cover import min_cover
-from linminmax.menger import cpc, min_separator
+from linminmax.menger import cpc
 from linminmax.ncrank import (
     blow_up,
     has_full_ncrank,
@@ -18,16 +20,19 @@ from linminmax.ncrank import (
     mpc,
     ncrank,
     verify_matrix_cover,
+    verify_matrix_separator,
 )
 from linminmax.relation import (
     GenericSampler,
     MatrixSpace,
     Relation,
+    apply_space,
     is_nilpotent_algebra,
     sample_element,
     to_matrix_space,
+    wong_limit,
 )
-from conftest import rand_relation, rand_subspace
+from conftest import rand_mat, rand_relation, rand_subspace, rand_vec
 from test_dilworth import rand_dual_basis_linorder
 
 
@@ -243,7 +248,7 @@ def test_mpc_matches_cpc(rng):
         V = to_matrix_space(R)
         a = mpc(V, E, F, GenericSampler(seed=41))
         b = cpc(R, E, F, GenericSampler(seed=42))
-        assert a.value == b.value == min_separator(R, E, F).size
+        assert a.value == b.value == cpc(R, E, F, GenericSampler(seed=43)).dual.size
 
 
 def test_blowup_sampling_shortfall_is_a_certification_error(monkeypatch):
@@ -257,3 +262,137 @@ def test_blowup_sampling_shortfall_is_a_certification_error(monkeypatch):
     monkeypatch.setattr(nc, "_sample_blowup", rank_one)
     with pytest.raises(CertificationError):
         max_rank_blowup(skew3(), 2, GenericSampler(seed=3))
+
+
+# ---------------------------------------------------------------------------
+# Wong-sequence duals
+
+
+def _slices(U: Subspace, n: int, r: int) -> Subspace:
+    """span of the r slices (u[j r + l])_j of the vectors u of U."""
+    return Subspace.span(
+        n, [Vec(u.entries[l::r]) for u in U.vectors for l in range(r)]
+    )
+
+
+def _tensor_fr(X: Subspace, r: int) -> Subspace:
+    """X (x) F^r, with x (x) e_k at the indices i r + k."""
+    vecs = []
+    for x in X.vectors:
+        for k in range(r):
+            vecs.append(Vec([x[i] if l == k else 0 for i in range(X.ambient) for l in range(r)]))
+    return Subspace.span(X.ambient * r, vecs)
+
+
+def test_blowup_image_is_the_slice_image(rng):
+    """(V (x) M_r)[U] = V[U'] (x) F^r, against the blow-up basis."""
+    for r in (2, 3):
+        for _ in range(4):
+            m, n = rng.randint(1, 3), rng.randint(2, 3)
+            V = MatrixSpace(m, n, [])
+            while V.dim < 2:
+                try:
+                    V = MatrixSpace(m, n, list(V.basis) + [rand_mat(rng, m, n)])
+                except ValueError:
+                    pass
+            U = rand_subspace(rng, n * r, max_dim=2)
+            blown = apply_space(blow_up(V, r).space, U)
+            assert blown == _tensor_fr(apply_space(V, _slices(U, n, r)), r)
+
+
+def test_wong_limit_matches_the_blown_up_sequence(rng):
+    """The slice-level routine against W_{i+1} = (V (x) M_r)[A^{-1}(W_i)] on the blow-up."""
+    for r in (1, 2):
+        for _ in range(4):
+            n = rng.randint(2, 3)
+            V = to_matrix_space(rand_relation(rng, n, n, rng.randint(1, 3)))
+            big = blow_up(V, r).space
+            A = sample_element(big, GenericSampler(seed=50 + r))
+            W = Subspace.zero(n * r)
+            while True:
+                # A^{-1}(W) = kernel of Q A, with the rows of Q spanning W^perp
+                Q = W.orthocomplement()
+                if Q.dim:
+                    U = (Mat([q.entries for q in Q.vectors], n * r) @ A).kernel()
+                else:
+                    U = Subspace.full(n * r)
+                grown = apply_space(big, U)
+                if grown == W:
+                    break
+                W = grown
+            limit, image = wong_limit(V, r, A)
+            assert limit == _slices(U, n, r)
+            assert _tensor_fr(image, r) == W
+
+
+def _check_ncrank_certificate(V, cv):
+    """The dual's defect, the element's membership in V (x) M_r and its rank."""
+    E = cv.dual.E
+    assert cv.dual.defect == E.dim - apply_space(V, E).dim
+    assert cv.value == V.n - cv.dual.defect
+    r, element = cv.primal
+    assert blow_up(V, r).space.contains(element)
+    assert element.rank() == r * cv.value
+
+
+def _planted_space(rng, n, dim, big, small):
+    """dim generators mapping span(e_0..e_{big-1}) into span(e_0..e_{small-1}),
+    under a random change of basis on both sides."""
+
+    def invertible():
+        while True:
+            M = rand_mat(rng, n, n, bound=2)
+            if M.rank() == n:
+                return M
+
+    P, Q = invertible(), invertible()
+    mats = []
+    while len(mats) < dim:
+        B = [
+            [0 if i >= small and j < big else rng.randint(-2, 2) for j in range(n)]
+            for i in range(n)
+        ]
+        cand = P @ Mat(B, n) @ Q
+        try:
+            MatrixSpace(n, n, mats + [cand])
+            mats.append(cand)
+        except ValueError:
+            pass
+    return MatrixSpace(n, n, mats)
+
+
+def test_fault_a_planted_block_is_proved():
+    """n = 5 with a planted 3 -> 2 block: ncrank 4."""
+    V = _planted_space(random.Random("fault-a:1"), 5, 3, 3, 2)
+    cv = ncrank(V, GenericSampler(seed=0, trials=10))
+    assert cv.proved and cv.value == 4
+    _check_ncrank_certificate(V, cv)
+
+
+def test_fault_b_rank_one_space_without_pairs_is_proved():
+    """A rank-one 4x4 space given without its pairs: mpc 1, as cpc on the pairs."""
+    rng = random.Random("fault-b:0")
+    pairs = []
+    while len(pairs) < 3:
+        pair = (rand_vec(rng, 4, 2, nonzero=True), rand_vec(rng, 4, 2, nonzero=True))
+        if to_matrix_space(Relation(4, 4, pairs + [pair])).dim == len(pairs) + 1:
+            pairs.append(pair)
+    V = MatrixSpace(4, 4, [outer(w, v) for v, w in pairs])
+    assert V.source_pairs is None
+    E = Subspace.span(4, [rand_vec(rng, 4, 2, nonzero=True) for _ in range(2)])
+    F = Subspace.span(4, [rand_vec(rng, 4, 2, nonzero=True)])
+    cv = mpc(V, E, F, GenericSampler(seed=0, trials=10))
+    assert cv.proved and cv.value == cv.dual.size == 1
+    assert verify_matrix_separator(V, cv.dual)
+    assert cpc(Relation(4, 4, pairs), E, F, GenericSampler(seed=1)).value == 1
+
+
+def test_hidden_shrunk_spaces_are_proved():
+    rng = random.Random(4321)
+    for n in range(4, 9):
+        for big in (2, n // 2 + 1, n - 1):
+            V = _planted_space(rng, n, 3, big, big - 1)
+            cv = ncrank(V, GenericSampler(seed=n, trials=10))
+            assert cv.proved, (n, big)
+            assert cv.value <= n - 1
+            _check_ncrank_certificate(V, cv)
