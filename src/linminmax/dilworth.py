@@ -22,7 +22,6 @@ from .exact_linalg import (
     Mat,
     Subspace,
     Vec,
-    clear_denominators,
     outer_sum,
     subspace_sum,
     unit_vec,
@@ -183,7 +182,7 @@ def verify_coherent_decomposition(
     for seed, length in D.chains:
         u = seed
         for _ in range(length):
-            if not ech.add(clear_denominators(u.entries)):
+            if not ech.add(u.int_row()):
                 return False
             u = D.A.apply(u)
             count += 1
@@ -252,11 +251,11 @@ def _complete_to_basis(vectors, n):
     ech = IntEchelon(n)
     out = list(vectors)
     for v in out:
-        if not ech.add(clear_denominators(v.entries)):
+        if not ech.add(v.int_row()):
             raise InvariantViolation("basis completion fed dependent vectors")
     for i in range(n):
         e = unit_vec(n, i)
-        if ech.add(clear_denominators(e.entries)):
+        if ech.add(e.int_row()):
             out.append(e)
     return out
 
@@ -342,7 +341,7 @@ def w_chain_check(L: Linorder, chains) -> bool:
             ):
                 return False
         for w in chain:
-            if not ech.add(clear_denominators(w.entries)):
+            if not ech.add(w.int_row()):
                 return False
             total += 1
     return total == n and ech.rank == n
@@ -371,14 +370,14 @@ def nilpotent_jordan_chains(A: Mat):
     carried: list[Vec] = []
     for j in range(p, 0, -1):
         ech = IntEchelon(n)
-        for b in kernels[j - 1].vectors:
-            ech.add(clear_denominators(b.entries))
+        for row in kernels[j - 1].int_rows():
+            ech.add(row)
         for u in carried:
-            if not ech.add(clear_denominators(u.entries)):
+            if not ech.add(u.int_row()):
                 raise InvariantViolation("carried Jordan vectors became dependent")
         new = []
         for b in kernels[j].vectors:
-            if ech.add(clear_denominators(b.entries)):
+            if ech.add(b.int_row()):
                 new.append(b)
         chains.extend((seed, j) for seed in new)
         carried = [A.apply(u) for u in carried + new]

@@ -3,21 +3,24 @@
 Everything downstream (relations, matchings, chain decompositions, path
 capacities, blow-ups) reduces to dense rational vectors and matrices plus a
 canonical subspace representation.  All arithmetic is exact, and there is no
-tolerance parameter anywhere.  A vector holds `fractions.Fraction` scalars.
-A matrix holds integer rows over one positive common denominator, reduced so
-that the denominator shares no factor with every entry; sums, products,
-Kronecker products and eliminations run on those integers, and Fractions
-appear only at the accessors.
+tolerance parameter anywhere.  A vector or a matrix holds integer rows over
+one positive common denominator, reduced so that the denominator shares no
+factor with every entry; equal values are therefore equal data.  A subspace
+holds its canonical basis as primitive integer rows.  Sums, products,
+Kronecker products, membership tests and eliminations run on those
+integers, and Fractions appear only at the accessors (`entries`, indexing,
+`vectors`, `entry`) and when a non-integer string is parsed.
 
 Every elimination is fraction-free over the integers.  There are two
 routines: the incremental echelon `IntEchelon` (rank, independence, spans,
 kernels, solving, intersection) and the Bareiss determinant.  The only
-division is the final one by each pivot when the canonical reduced rows are
-emitted.  Intersections are computed with the Zassenhaus construction, one
-echelon of the rows [a | a] and [b | 0].
+divisions are exact integer ones, by a gcd that keeps the rows small.
+Intersections are computed with the Zassenhaus construction, one echelon
+of the rows [a | a] and [b | 0].
 
-Subspaces are stored in reduced column echelon form, so two equal subspaces
-are bit-identical and can be compared (and hashed) directly.
+A subspace is stored as its reduced row echelon rows, each scaled to a
+primitive integer row with a positive pivot, so two equal subspaces are
+bit-identical and can be compared (and hashed) directly.
 """
 
 from __future__ import annotations
@@ -29,13 +32,20 @@ from operator import add, mul
 
 from .errors import DimensionError
 
-_ZERO = Fraction(0)
 
+def rational_from_string(s: str):
+    """Parse "p/q" or "p" into an exact rational; ValueError if malformed.
 
-def rational_from_string(s: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact rational; ValueError if malformed."""
+    Accepts exactly the strings `Fraction` accepts.  An integer string is
+    read by `int` and returned as an int; any other goes to `Fraction`.
+    """
+    t = s.strip()
     try:
-        return Fraction(s.strip())
+        return int(t)
+    except ValueError:
+        pass
+    try:
+        return Fraction(t)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in rational {s!r}") from None
 
@@ -48,88 +58,18 @@ def rational_to_string(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _coerce(x) -> Fraction:
+def _scalar(x):
+    """An int or a Fraction for an int, Fraction or "p/q" string entry."""
+    # cheap checks first: isinstance against Fraction goes through its ABC
+    if type(x) is int:
+        return x
+    if isinstance(x, str):
+        return rational_from_string(x)
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return rational_from_string(x)
+        return int(x)
     raise TypeError(f"cannot interpret {x!r} as a rational scalar")
-
-
-# ---------------------------------------------------------------------------
-# vectors
-
-
-class Vec:
-    """Immutable dense rational vector."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        object.__setattr__(self, "entries", tuple(_coerce(x) for x in entries))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Vec is immutable")
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def dot(self, other: "Vec") -> Fraction:
-        if self.dim != other.dim:
-            raise DimensionError(f"dot of dim {self.dim} with dim {other.dim}")
-        return sum((a * b for a, b in zip(self.entries, other.entries)), _ZERO)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
-
-    def scaled(self, c) -> "Vec":
-        c = _coerce(c)
-        return Vec(x * c for x in self.entries)
-
-    def __add__(self, other: "Vec") -> "Vec":
-        if self.dim != other.dim:
-            raise DimensionError("vector addition with mismatched dims")
-        return Vec(a + b for a, b in zip(self.entries, other.entries))
-
-    def __sub__(self, other: "Vec") -> "Vec":
-        return self + other.scaled(-1)
-
-    def __neg__(self) -> "Vec":
-        return self.scaled(-1)
-
-    def __getitem__(self, i) -> Fraction:
-        return self.entries[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Vec) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return "Vec(" + ", ".join(rational_to_string(x) for x in self.entries) + ")"
-
-    def to_json(self):
-        return [rational_to_string(x) for x in self.entries]
-
-    @classmethod
-    def from_json(cls, data) -> "Vec":
-        return cls(data)
-
-
-def vec(*entries) -> Vec:
-    return Vec(entries)
-
-
-def unit_vec(n: int, i: int) -> Vec:
-    return Vec([1 if j == i else 0 for j in range(n)])
-
-
-# ---------------------------------------------------------------------------
-# integer kernels (fraction-free elimination)
 
 
 def clear_scale(entries) -> tuple[list[int], int]:
@@ -141,6 +81,141 @@ def clear_scale(entries) -> tuple[list[int], int]:
 def clear_denominators(entries) -> list:
     """Scale a rational row by the lcm of its denominators; returns int list."""
     return clear_scale(entries)[0]
+
+
+_set = object.__setattr__
+
+
+# ---------------------------------------------------------------------------
+# vectors
+
+
+class Vec:
+    """Immutable dense rational vector: an integer row over one denominator.
+
+    `_num` is a tuple of ints and `_den` a positive int, and entry i is
+    `_num[i] / _den`.  They are reduced so that gcd(`_den`, every entry) = 1,
+    which makes equal vectors equal data; `_num` is then the vector scaled
+    by the lcm of its entries' denominators.  `entries`, indexing and
+    `to_json` give Fractions and strings; the arithmetic and `int_row` stay
+    on the integers.
+    """
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, entries):
+        num, den = clear_scale([_scalar(x) for x in entries])
+        _set(self, "_num", tuple(num))
+        _set(self, "_den", den)
+
+    @classmethod
+    def _raw(cls, num: tuple, den: int) -> "Vec":
+        """Vec of `num` over `den`, which must already be reduced."""
+        v = cls.__new__(cls)
+        _set(v, "_num", num)
+        _set(v, "_den", den)
+        return v
+
+    @classmethod
+    def from_ints(cls, num, den: int = 1) -> "Vec":
+        """The vector num / den, for integers `num` and den > 0."""
+        num = tuple(num)
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num = tuple([x // g for x in num])
+                den //= g
+        return cls._raw(num, den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Vec is immutable")
+
+    @property
+    def dim(self) -> int:
+        return len(self._num)
+
+    @property
+    def den(self) -> int:
+        """The denominator of the integer row."""
+        return self._den
+
+    def int_row(self) -> tuple:
+        """The integer row: this vector times `den`."""
+        return self._num
+
+    @property
+    def entries(self) -> tuple:
+        d = self._den
+        return tuple(Fraction(x, d) for x in self._num)
+
+    def dot(self, other: "Vec") -> Fraction:
+        if self.dim != other.dim:
+            raise DimensionError(f"dot of dim {self.dim} with dim {other.dim}")
+        return Fraction(sum(map(mul, self._num, other._num)), self._den * other._den)
+
+    def is_zero(self) -> bool:
+        return not any(self._num)
+
+    def scaled(self, c) -> "Vec":
+        c = _scalar(c)
+        p = c.numerator
+        return Vec.from_ints([x * p for x in self._num], self._den * c.denominator)
+
+    def _combine(self, other: "Vec", sign: int) -> "Vec":
+        """self + sign * other on a common denominator."""
+        if self.dim != other.dim:
+            raise DimensionError("vector addition with mismatched dims")
+        da, db = self._den, other._den
+        den = lcm(da, db)
+        sa, sb = den // da, sign * (den // db)
+        return Vec.from_ints(
+            [x * sa + y * sb for x, y in zip(self._num, other._num)], den
+        )
+
+    def __add__(self, other: "Vec") -> "Vec":
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "Vec") -> "Vec":
+        return self._combine(other, -1)
+
+    def __neg__(self) -> "Vec":
+        return Vec._raw(tuple([-x for x in self._num]), self._den)
+
+    def __getitem__(self, i: int) -> Fraction:
+        return Fraction(self._num[i], self._den)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Vec) and self._den == other._den and self._num == other._num
+        )
+
+    def __hash__(self):
+        return hash((self._den, self._num))
+
+    def __repr__(self):
+        return "Vec(" + ", ".join(self.to_json()) + ")"
+
+    def to_json(self):
+        d = self._den
+        if d == 1:
+            return [str(x) for x in self._num]
+        return [rational_to_string(Fraction(x, d)) for x in self._num]
+
+    @classmethod
+    def from_json(cls, data) -> "Vec":
+        return cls(data)
+
+
+def vec(*entries) -> Vec:
+    return Vec(entries)
+
+
+def unit_vec(n: int, i: int) -> Vec:
+    return Vec._raw(tuple([int(j == i) for j in range(n)]), 1)
+
+
+# ---------------------------------------------------------------------------
+# integer kernels (fraction-free elimination)
 
 
 class IntEchelon:
@@ -214,13 +289,6 @@ class IntEchelon:
                     rows[j] = [x // g for x in rj] if g > 1 else rj
         return rows
 
-    def rref(self) -> list[list[Fraction]]:
-        """Canonical reduced row echelon rows of the row space, in pivot order."""
-        return [
-            [Fraction(x, r[p]) if x else _ZERO for x in r]
-            for r, p in zip(self.back_substituted(), self.pivots)
-        ]
-
 
 def int_kernel(rows, n: int) -> list[list[int]]:
     """Integer basis of the right kernel {v : r . v = 0 for every row r}.
@@ -273,20 +341,6 @@ def _det_bareiss(a: list[list[int]]) -> int:
 
 # ---------------------------------------------------------------------------
 # matrices
-
-
-def _scalar(x):
-    """An int or a Fraction for an int, Fraction or "p/q" string entry."""
-    if type(x) is int or isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return int(x)
-    if isinstance(x, str):
-        return rational_from_string(x)
-    raise TypeError(f"cannot interpret {x!r} as a rational scalar")
-
-
-_set = object.__setattr__
 
 
 class Mat:
@@ -364,12 +418,22 @@ class Mat:
 
     @classmethod
     def from_cols(cls, columns, rows: int | None = None) -> "Mat":
-        columns = [c.entries if isinstance(c, Vec) else tuple(c) for c in columns]
+        columns = [c if isinstance(c, Vec) else Vec(c) for c in columns]
         if columns:
-            rows = len(columns[0])
+            rows = columns[0].dim
         elif rows is None:
             raise DimensionError("from_cols with no columns needs explicit row count")
-        return cls([[col[i] for col in columns] for i in range(rows)], len(columns))
+        if any(c.dim != rows for c in columns):
+            raise DimensionError("ragged matrix columns")
+        den = lcm(*(c.den for c in columns))
+        scaled = [
+            c.int_row() if c.den == den else [x * (den // c.den) for x in c.int_row()]
+            for c in columns
+        ]
+        # over the lcm of reduced denominators the result is already reduced
+        return cls._raw(
+            tuple(zip(*scaled)) if scaled else ((),) * rows, den, len(columns)
+        )
 
     @classmethod
     def diag(cls, entries) -> "Mat":
@@ -396,17 +460,17 @@ class Mat:
         return Fraction(self._num[i][j], self._den)
 
     def row(self, i: int) -> Vec:
-        return Vec(Fraction(x, self._den) for x in self._num[i])
+        return Vec.from_ints(self._num[i], self._den)
 
     def col(self, j: int) -> Vec:
-        return Vec(Fraction(r[j], self._den) for r in self._num)
+        return Vec.from_ints([r[j] for r in self._num], self._den)
 
     def row_tuples(self):
         d = self._den
         return tuple(tuple(Fraction(x, d) for x in row) for row in self._num)
 
     def columns(self) -> list[Vec]:
-        return [self.col(j) for j in range(self.cols)]
+        return [Vec.from_ints(c, self._den) for c in self._columns()]
 
     def is_zero(self) -> bool:
         return not any(any(r) for r in self._num)
@@ -444,7 +508,7 @@ class Mat:
         return self.scaled(-1)
 
     def scaled(self, c) -> "Mat":
-        c = _coerce(c)
+        c = _scalar(c)
         p = c.numerator
         return Mat.from_int_rows(
             tuple(tuple([x * p for x in row]) for row in self._num),
@@ -469,9 +533,10 @@ class Mat:
     def apply(self, v: Vec) -> Vec:
         if self.cols != v.dim:
             raise DimensionError(f"apply of {self.rows}x{self.cols} to dim {v.dim}")
-        u, l = clear_scale(v.entries)
-        d = self._den * l
-        return Vec([Fraction(sum(map(mul, row, u)), d) for row in self._num])
+        u = v.int_row()
+        return Vec.from_ints(
+            [sum(map(mul, row, u)) for row in self._num], self._den * v.den
+        )
 
     def power(self, k: int) -> "Mat":
         if not self.is_square():
@@ -494,8 +559,7 @@ class Mat:
         )
 
     def flatten(self) -> Vec:
-        d = self._den
-        return Vec(Fraction(x, d) for r in self._num for x in r)
+        return Vec._raw(tuple([x for r in self._num for x in r]), self._den)
 
     def submatrix(self, rows, cols) -> "Mat":
         """The entries in the given rows and columns, in the given order."""
@@ -553,10 +617,9 @@ class Mat:
 
 def outer(w: Vec, v: Vec) -> Mat:
     """Rank-one matrix w v^T sending u to (v . u) w."""
-    wn, a = clear_scale(w.entries)
-    vn, b = clear_scale(v.entries)
+    vn = v.int_row()
     return Mat.from_int_rows(
-        tuple(tuple([x * y for y in vn]) for x in wn), a * b, v.dim
+        tuple(tuple([x * y for y in vn]) for x in w.int_row()), w.den * v.den, v.dim
     )
 
 
@@ -565,10 +628,9 @@ def outer_sum(pairs, rows: int, cols: int) -> Mat:
     terms = []
     den = 1
     for v, w in pairs:
-        vn, a = clear_scale(v.entries)
-        wn, b = clear_scale(w.entries)
-        terms.append((vn, wn, a * b))
-        den = lcm(den, a * b)
+        d = v.den * w.den
+        terms.append((v.int_row(), w.int_row(), d))
+        den = lcm(den, d)
     acc = [[0] * cols for _ in range(rows)]
     for vn, wn, d in terms:
         s = den // d
@@ -660,17 +722,22 @@ def _echelon(rows, width: int) -> IntEchelon:
 
 
 class Subspace:
-    """Linear subspace of F^ambient in canonical (reduced column echelon) form.
+    """Linear subspace of F^ambient in canonical form.
 
-    The canonical basis vectors are the RREF rows of any spanning set, so
-    equal subspaces compare equal as data.
+    Basis row i is the i-th RREF row of any spanning set times the lcm of
+    that row's denominators: a primitive integer row with a positive pivot
+    (its first nonzero entry), zero at the pivots of the other rows.  Equal
+    subspaces are therefore equal data.  `vectors` gives the RREF rows as
+    Vecs; membership and the subspace operations run on the integer rows.
     """
 
-    __slots__ = ("ambient", "vectors")
+    __slots__ = ("ambient", "_rows", "_pivots")
 
-    def __init__(self, ambient: int, vectors: tuple):
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "vectors", vectors)
+    def __init__(self, ambient: int, rows: tuple, pivots: tuple):
+        """The subspace with canonical integer `rows` pivoting at `pivots`."""
+        _set(self, "ambient", ambient)
+        _set(self, "_rows", rows)
+        _set(self, "_pivots", pivots)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -681,42 +748,58 @@ class Subspace:
         for v in vectors:
             if v.dim != ambient:
                 raise DimensionError("spanning vector with wrong ambient dimension")
-        return cls.from_echelon(
-            _echelon((clear_denominators(v.entries) for v in vectors), ambient)
-        )
+        return cls.from_echelon(_echelon((v.int_row() for v in vectors), ambient))
 
     @classmethod
     def from_echelon(cls, ech: IntEchelon) -> "Subspace":
         """The row space of an integer echelon, in canonical form."""
-        return cls(ech.width, tuple(Vec(r) for r in ech.rref()))
+        rows = tuple(
+            tuple(r) if r[p] > 0 else tuple([-x for x in r])
+            for r, p in zip(ech.back_substituted(), ech.pivots)
+        )
+        return cls(ech.width, rows, tuple(ech.pivots))
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, ())
+        return cls(ambient, (), ())
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        return cls(ambient, tuple(unit_vec(ambient, i) for i in range(ambient)))
+        return cls(
+            ambient,
+            tuple(unit_vec(ambient, i).int_row() for i in range(ambient)),
+            tuple(range(ambient)),
+        )
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return len(self._rows)
+
+    def int_rows(self) -> tuple:
+        """The canonical integer rows, one per basis vector."""
+        return self._rows
+
+    @property
+    def vectors(self) -> tuple:
+        """The canonical basis: the RREF rows, as Vecs."""
+        # a primitive row over its positive pivot is already reduced
+        return tuple(Vec._raw(r, r[p]) for r, p in zip(self._rows, self._pivots))
 
     @property
     def basis(self) -> Mat:
         """Basis matrix (ambient x dim), reduced column echelon form."""
-        return Mat.from_cols(list(self.vectors), rows=self.ambient)
+        return Mat.from_cols(self.vectors, rows=self.ambient)
 
     def contains(self, v: Vec) -> bool:
         if v.dim != self.ambient:
             raise DimensionError("membership test with wrong ambient dimension")
-        ent = list(v.entries)
-        for b in self.vectors:
-            p = next(i for i, x in enumerate(b.entries) if x != 0)
-            if ent[p] != 0:
-                f = ent[p]
-                ent = [a - f * c for a, c in zip(ent, b.entries)]
-        return all(x == 0 for x in ent)
+        ent = v.int_row()
+        for row, p in zip(self._rows, self._pivots):
+            b = ent[p]
+            if b:
+                a = row[p]
+                ent = [a * x - b * y for x, y in zip(ent, row)]
+        return not any(ent)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.vectors)
@@ -725,17 +808,17 @@ class Subspace:
         """Orthogonal complement under the symmetric dot product."""
         if self.dim == 0:
             return Subspace.full(self.ambient)
-        return Mat([v.entries for v in self.vectors], self.ambient).kernel()
+        return Mat._raw(self._rows, 1, self.ambient).kernel()
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.ambient == other.ambient
-            and self.vectors == other.vectors
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.vectors))
+        return hash((self.ambient, self._rows))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of F^{self.ambient})"
@@ -756,7 +839,7 @@ class Subspace:
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient != b.ambient:
         raise DimensionError("sum of subspaces in different ambient spaces")
-    return Subspace.span(a.ambient, list(a.vectors) + list(b.vectors))
+    return Subspace.from_echelon(_echelon(a.int_rows() + b.int_rows(), a.ambient))
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
@@ -776,12 +859,11 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     if b.dim == n:
         return a
     ech = IntEchelon(2 * n)
-    for v in a.vectors:
-        row = clear_denominators(v.entries)
+    for row in a.int_rows():
         ech.add(row + row)
-    pad = [0] * n
-    for v in b.vectors:
-        ech.add(clear_denominators(v.entries) + pad)
+    pad = (0,) * n
+    for row in b.int_rows():
+        ech.add(row + pad)
     meet = IntEchelon(n)
     for row, p in zip(ech.rows, ech.pivots):
         if p >= n:

@@ -25,7 +25,6 @@ from .exact_linalg import (
     Mat,
     Subspace,
     Vec,
-    clear_denominators,
     outer_sum,
     unit_vec,
 )
@@ -161,8 +160,8 @@ def matroid_intersection(R: Relation):
     ground = [
         i for i, (v, w) in enumerate(R.pairs) if not v.is_zero() and not w.is_zero()
     ]
-    vrows = {i: clear_denominators(R.pairs[i][0].entries) for i in ground}
-    wrows = {i: clear_denominators(R.pairs[i][1].entries) for i in ground}
+    vrows = {i: list(R.pairs[i][0].int_row()) for i in ground}
+    wrows = {i: list(R.pairs[i][1].int_row()) for i in ground}
     # Greedy start: a maximal common independent set.
     ech_v, ech_w = IntEchelon(R.n), IntEchelon(R.m)
     I = []
@@ -263,7 +262,7 @@ def defect_matching(R: Relation, d: int):
         S = cover.E.orthocomplement()
         return ShrunkWitness(S, neighborhood_span(R, S.vectors))
     m2 = R.m + d
-    lifted = [(v, Vec(list(w.entries) + [0] * d)) for v, w in R.pairs]
+    lifted = [(v, Vec.from_ints(w.int_row() + (0,) * d, w.den)) for v, w in R.pairs]
     dummies = [
         (unit_vec(R.n, i), unit_vec(m2, R.m + j))
         for i in range(R.n)
@@ -356,7 +355,7 @@ def rado_transversal(sets, m: int):
     if isinstance(result, ShrunkWitness):
         # The witness span is a coordinate subspace here (all v's are e_i),
         # and the sets it touches have a union of deficient dimension.
-        members = [i for i in range(n) if any(u[i] != 0 for u in result.S.vectors)]
+        members = [i for i in range(n) if any(u[i] for u in result.S.int_rows())]
         union = Subspace.span(m, [v for i in members for v in sets[i]])
         if union.dim >= len(members):
             raise InvariantViolation("Rado witness family is not violating")
@@ -364,7 +363,7 @@ def rado_transversal(sets, m: int):
     transversal: list[Vec | None] = [None] * n
     for idx in result.indices:
         v, w = R.pairs[idx]
-        i = next(j for j, x in enumerate(v.entries) if x != 0)
+        i = next(j for j, x in enumerate(v.int_row()) if x)
         transversal[i] = w
     if any(t is None for t in transversal):
         raise InvariantViolation("saturated matching missed a set")

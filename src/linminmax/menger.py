@@ -28,7 +28,6 @@ from .exact_linalg import (
     Subspace,
     Vec,
     block,
-    clear_denominators,
     hstack,
     solve_exact,
     subspace_intersection,
@@ -181,7 +180,7 @@ def wong_separator(V, routing, E, F, r: int, el: Mat) -> Separator:
     n = V.n
     U, _ = wong_limit(routing, r, el)
     X = subspace_intersection(
-        Subspace.span(n, [Vec(u.entries[:n]) for u in U.vectors]),
+        Subspace.span(n, [Vec.from_ints(row[:n]) for row in U.int_rows()]),
         F.orthocomplement(),
     )
     e_tilde = subspace_sum(subspace_sum(X, E), apply_space(V, X))
@@ -242,7 +241,7 @@ def generic_rank_rank_one_update(A: Mat, v: Vec, w: Vec) -> int:
     if v.dim != A.cols or w.dim != A.rows:
         raise DimensionError("rank-one update with mismatched shapes")
     col_aug = hstack([A, Mat.from_cols([w])])
-    row_aug = vstack([A, Mat([v.entries], A.cols)])
+    row_aug = vstack([A, Mat.from_cols([v]).transpose()])
     return min(col_aug.rank(), row_aug.rank())
 
 
@@ -257,13 +256,10 @@ def generic_rank_sum(A: Mat, pairs) -> int:
         if v.dim != A.cols or w.dim != A.rows:
             raise DimensionError("update pair with mismatched shape")
     k = len(pairs)
-    # Scaling a row by a nonzero factor keeps every rank, so each row of
-    # [[A, W],[V^T, 0]] is cleared of denominators once, in full.
-    top = [
-        clear_denominators(list(row) + [w[i] for _, w in pairs])
-        for i, row in enumerate(A.row_tuples())
-    ]
-    bottom = [clear_denominators(v.entries) for v, _ in pairs]
+    # Scaling a row by a nonzero factor keeps every rank, so [A | W] is
+    # taken once as integer rows over one denominator, and each v^T alone.
+    top = hstack([A, Mat.from_cols([w for _, w in pairs], rows=A.rows)]).int_rows()
+    bottom = [list(v.int_row()) for v, _ in pairs]
     best = None
     for mask in range(1 << k):
         cols = list(range(A.cols)) + [A.cols + j for j in range(k) if mask >> j & 1]
@@ -306,7 +302,10 @@ def konig_via_menger(R: Relation, sampler: GenericSampler) -> CertifiedValue:
     n, m = R.n, R.m
     big = n + m
     lifted = [
-        (Vec(list(v.entries) + [0] * m), Vec([0] * n + list(w.entries)))
+        (
+            Vec.from_ints(v.int_row() + (0,) * m, v.den),
+            Vec.from_ints((0,) * n + w.int_row(), w.den),
+        )
         for v, w in R.pairs
     ]
     R2 = Relation(big, big, lifted)

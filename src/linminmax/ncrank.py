@@ -46,7 +46,7 @@ from .relation import (
     wong_limit,
 )
 
-BLOWUP_DIM_BUDGET = 26
+BLOWUP_DIM_BUDGET = 64
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from .exact_linalg import (
     Mat,
     Subspace,
     Vec,
-    clear_denominators,
     common_int_rows,
     int_kernel,
     outer,
@@ -177,8 +176,8 @@ def reduced_indices(R: Relation) -> list[int]:
     for i, (v, w) in enumerate(R.pairs):
         if v.is_zero() or w.is_zero():
             continue
-        vn, wn = clear_denominators(v.entries), clear_denominators(w.entries)
-        if ech.add([x * y for x in wn for y in vn]):  # w v^T, row by row
+        vn = v.int_row()
+        if ech.add([x * y for x in w.int_row() for y in vn]):  # w v^T, row by row
             kept.append(i)
     return kept
 
@@ -211,8 +210,7 @@ def doubly_independent(pairs, n: int, m: int) -> bool:
     """Whether the v's of `pairs` are linearly independent in F^n and the w's in F^m."""
     ech_v, ech_w = IntEchelon(n), IntEchelon(m)
     return all(
-        ech_v.add(clear_denominators(v.entries))
-        and ech_w.add(clear_denominators(w.entries))
+        ech_v.add(v.int_row()) and ech_w.add(w.int_row())
         for v, w in pairs
     )
 
@@ -221,8 +219,7 @@ def apply_space(V: MatrixSpace, E: Subspace) -> Subspace:
     """V[E] = span{A e : A in V, e in E}."""
     if E.ambient != V.n:
         raise DimensionError("apply_space ambient mismatch")
-    rows = [clear_denominators(e.entries) for e in E.vectors]
-    return Subspace.from_echelon(_image(V, rows, V.m))
+    return Subspace.from_echelon(_image(V, E.int_rows(), V.m))
 
 
 def wong_limit(V: MatrixSpace, r: int, A: Mat) -> tuple[Subspace, Subspace]:

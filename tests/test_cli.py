@@ -324,3 +324,22 @@ def test_demo_errors_use_the_check_exit_codes(capsys, monkeypatch):
         monkeypatch.setitem(cli.DEMOS, "skew3", broken)
         got, error = _exit_and_error(capsys, ["demo", "skew3", "--output", "json"])
         assert got == code and error.startswith(prefix)
+
+
+def test_matrix_dilworth_on_larger_nilpotent_algebras(tmp_path, capsys):
+    from linminmax.dilworth import max_antichain, validate_linorder
+    from linminmax.relation import Relation, to_matrix_space
+
+    for size in (6, 7):
+        lin = tmp_path / f"lin{size}.json"
+        main(["gen", "linorder", f"size={size}", "--seed", "3", "--out", str(lin)])
+        capsys.readouterr()
+        R = Relation.from_json(json.loads(lin.read_text()))
+        space = tmp_path / f"space{size}.json"
+        space.write_text(json.dumps(to_matrix_space(R).to_json()))
+        code, out = run_cli(capsys, "check", "matrix-dilworth", str(space), "--output", "json")
+        report = json.loads(out)
+        assert code == EXIT_PROVED, report
+        assert report["r"] == size - 1
+        assert report["coherent_count"] == report["r"] * report["antichain_dim"]
+        assert report["antichain_dim"] == max_antichain(validate_linorder(R)).value

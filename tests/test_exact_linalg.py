@@ -10,9 +10,11 @@ from linminmax.errors import DimensionError
 from linminmax.exact_linalg import (
     Mat,
     Subspace,
+    Vec,
     block,
     hstack,
     outer,
+    outer_sum,
     rational_from_string,
     rational_to_string,
     solve_exact,
@@ -22,6 +24,8 @@ from linminmax.exact_linalg import (
     vec,
     vstack,
 )
+from linminmax.matching_cover import min_cover, verify_cover
+from linminmax.relation import Relation
 from conftest import rand_mat, rand_vec
 
 
@@ -511,3 +515,156 @@ def test_mat_entries_are_fractions():
         Mat([[1, 0.5]])
     with pytest.raises(ValueError):
         Mat([["1/0"]])
+
+
+# ---------------------------------------------------------------------------
+# the integer-backed Vec and Subspace against Fraction references
+
+
+def reference_parse(s):
+    """Fraction(s), with a zero denominator reported as ValueError."""
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(s) from None
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1_0", " 12 ", "+3", "-0", "١٢", "1.5", "3/-4", "3/ 4", "0x10", "1/0", "-7/21"],
+)
+def test_rational_from_string_accepts_what_fraction_accepts(text):
+    try:
+        expected = reference_parse(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            rational_from_string(text)
+        with pytest.raises(ValueError):
+            vec(text)
+        return
+    assert rational_from_string(text) == expected
+    assert vec(text).entries == (expected,)
+
+
+def test_vec_canonical_form():
+    forms = [vec("1/2", 1), vec("2/4", "2/2"), vec(1, 2).scaled(Fraction(1, 2))]
+    for v in forms:
+        assert v == forms[0] and hash(v) == hash(forms[0])
+        assert (v.den, v.int_row()) == (2, (1, 2))
+    zero = vec("1/3", "-2/3") - vec("1/3", "-2/3")
+    assert zero == vec(0, 0) and zero.den == 1 and zero.is_zero()
+    assert vec() == Vec([]) and vec() != vec(0)
+
+
+def test_vec_arithmetic_matches_fraction_lists():
+    rng = random.Random(59)
+    for _ in range(200):
+        n = rng.randint(0, 6)
+        a, b = rand_rational_rows(rng, 2, n)
+        c = Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 7)))
+        va, vb = vec(*a), vec(*b)
+        assert (va + vb).entries == tuple(x + y for x, y in zip(a, b))
+        assert (va - vb).entries == tuple(x - y for x, y in zip(a, b))
+        assert (-va).entries == tuple(-x for x in a)
+        assert va.scaled(c).entries == tuple(x * c for x in a)
+        assert va.dot(vb) == sum((x * y for x, y in zip(a, b)), Fraction(0))
+        assert va.is_zero() == all(x == 0 for x in a)
+        assert [va[i] for i in range(n)] == a
+        assert va.to_json() == [rational_to_string(x) for x in a]
+        assert Vec.from_json(va.to_json()) == va
+        assert Vec.from_ints(va.int_row(), va.den) == va
+        m = Mat(rand_rational_rows(rng, rng.randint(0, 4), n), n)
+        assert m.apply(va).entries == tuple(
+            sum((x * y for x, y in zip(row, a)), Fraction(0)) for row in m.row_tuples()
+        )
+        assert as_lists(outer(vb, va)) == [[y * x for x in a] for y in b]
+        assert as_lists(outer_sum([(va, vb), (vb, va)], n, n)) == [
+            [y * x + x2 * y2 for x, y2 in zip(a, b)] for y, x2 in zip(b, a)
+        ]
+
+
+def rand_picks(rng, n, k):
+    """Random subspaces of F^n, with zero and full subspaces among them."""
+    out = []
+    for _ in range(k):
+        kind = rng.random()
+        if kind < 0.15:
+            out.append(Subspace.zero(n))
+        elif kind < 0.3:
+            out.append(Subspace.full(n))
+        else:
+            rows = rand_rational_rows(rng, rng.randint(1, n + 1), n)
+            out.append(Subspace.span(n, [vec(*r) for r in rows]))
+    return out
+
+
+def ref_contains(basis_rows, v):
+    return len(ref_rref(list(basis_rows) + [list(v)])[0]) == len(ref_rref(basis_rows)[0])
+
+
+def test_subspace_operations_match_fraction_references():
+    rng = random.Random(61)
+    for _ in range(150):
+        n = rng.randint(0, 6)
+        a, b = rand_picks(rng, n, 2)
+        rows_a = [list(v.entries) for v in a.vectors]
+        rows_b = [list(v.entries) for v in b.vectors]
+        assert a.vectors == ref_span(n, rows_a)
+        assert subspace_sum(a, b).vectors == ref_span(n, rows_a + rows_b)
+        perps = ref_kernel_rows(n, rows_a) + ref_kernel_rows(n, rows_b)
+        assert subspace_intersection(a, b).vectors == ref_span(n, ref_kernel_rows(n, perps))
+        assert a.orthocomplement().vectors == ref_span(n, ref_kernel_rows(n, rows_a))
+        assert a.contains_subspace(b) == all(ref_contains(rows_a, r) for r in rows_b)
+        for v in rand_rational_rows(rng, 3, n) + rows_b:
+            assert a.contains(vec(*v)) == ref_contains(rows_a, v)
+        assert Subspace.from_json(a.to_json(), n) == a
+
+
+def test_vec_and_subspace_accessors_hold_fractions():
+    v = vec(1, "3/4", Fraction(-2, 6), True)
+    assert all(type(x) is Fraction for x in v.entries)
+    assert type(v[0]) is Fraction and v[2] == Fraction(-1, 3)
+    assert v.to_json() == ["1", "3/4", "-1/3", "1"]
+    s = Subspace.span(3, [vec("1/2", 1, 3), vec(0, "2/3", 1)])
+    assert [u.entries for u in s.vectors] == [(1, 0, 3), (0, 1, Fraction(3, 2))]
+    assert all(type(x) is Fraction for u in s.vectors for x in u.entries)
+    assert s.to_json() == [["1", "0"], ["0", "1"], ["3", "3/2"]]
+    with pytest.raises(TypeError):
+        vec(0.5)
+    with pytest.raises(AttributeError):
+        v.x = 1
+
+
+def test_membership_and_spans_build_no_fractions(monkeypatch):
+    rng = random.Random(67)
+    n = 5
+    pairs = [
+        (vec(*rand_rational_rows(rng, 1, n)[0]), vec(*rand_rational_rows(rng, 1, n)[0]))
+        for _ in range(12)
+    ]
+    R = Relation(n, n, pairs)
+    cover = min_cover(R)
+    vectors = [v for v, _ in pairs]
+    a = Subspace.span(n, vectors[:3])
+    b = Subspace.span(n, vectors[2:6])
+    expected = [ref_contains([list(u.entries) for u in b.vectors], v.entries) for v in vectors]
+    assert all(type(t) is int for v in vectors for t in v.int_row() + (v.den,))
+    assert all(
+        type(t) is int for s in (a, b, cover.E) for row in s.int_rows() for t in row
+    )
+
+    made = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    assert verify_cover(R, cover)
+    assert [b.contains(v) for v in vectors] == expected
+    Subspace.span(n, vectors)
+    subspace_intersection(a, b)
+    assert made == []
+    Fraction(1, 3)  # the counter is live
+    assert len(made) == 1
