@@ -10,6 +10,7 @@ configuration that reproduce it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -17,21 +18,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import dilworth, lgv, matching_cover, menger, ncrank
-from .classical_oracles import Digraph, Poset
+from .classical_oracles import Poset
 from .errors import (
     BudgetExceededError,
     CertificationError,
-    DimensionError,
     InvariantViolation,
     SingularityError,
 )
-from .exact_linalg import Mat, Subspace, Vec, rational_to_string, unit_vec
-from .matching_cover import Matching, certificate_to_json
+from .exact_linalg import (
+    Mat,
+    Subspace,
+    Vec,
+    rational_to_string,
+    solve_exact,
+    unit_vec,
+)
+from .matching_cover import Matching
 from .relation import (
     GenericSampler,
     MatrixSpace,
     Relation,
-    sample_element,
+    best_sample,
     to_matrix_space,
 )
 
@@ -107,7 +114,7 @@ def gen_relation(rng, n, m, r) -> dict:
     return Relation(n, m, pairs).to_json()
 
 
-def gen_poset(rng, size) -> dict:
+def gen_poset(rng, size) -> Poset:
     rel = set()
     order = list(range(size))
     rng.shuffle(order)
@@ -123,7 +130,7 @@ def gen_poset(rng, size) -> dict:
                 if j == k and (i, l) not in rel:
                     rel.add((i, l))
                     changed = True
-    return Poset(size, sorted(rel)).to_json()
+    return Poset(size, sorted(rel))
 
 
 def _random_invertible(rng, n) -> Mat:
@@ -139,10 +146,8 @@ def gen_linorder(rng, size) -> dict:
     Rows of an invertible M and columns of its inverse pair to the identity,
     so (row_i, col_j) for i > j in the poset satisfies both linorder axioms.
     """
-    poset = Poset.from_json(gen_poset(rng, size))
+    poset = gen_poset(rng, size)
     m = _random_invertible(rng, size)
-    from .exact_linalg import solve_exact
-
     inv = solve_exact(m, Mat.identity(size))
     pairs = [(m.row(i), inv.col(j)) for i, j in poset.gt]
     R = Relation(size, size, pairs)
@@ -150,27 +155,6 @@ def gen_linorder(rng, size) -> dict:
     if not isinstance(result, dilworth.Linorder):
         raise InvariantViolation("generated relation failed linorder validation")
     return R.to_json()
-
-
-def gen_digraph(rng, size, edges, weighted=False) -> dict:
-    chosen = set()
-    attempts = 0
-    while len(chosen) < edges and attempts < 50 * edges:
-        i, j = rng.randrange(size), rng.randrange(size)
-        if i != j:
-            chosen.add((i, j))
-        attempts += 1
-    weights = (
-        [Fraction(rng.randint(1, 5)) for _ in chosen] if weighted else None
-    )
-    G = Digraph(size, sorted(chosen), weights)
-    data = G.to_json()
-    verts = list(range(size))
-    h = rng.sample(verts, max(1, size // 3))
-    k = rng.sample(verts, max(1, size // 3))
-    data["H"] = sorted(h)
-    data["K"] = sorted(k)
-    return data
 
 
 def gen_matrixspace(rng, m, n, dim) -> dict:
@@ -206,12 +190,6 @@ def run_gen(args) -> int:
         data = gen_relation(rng, p.get("n", 3), p.get("m", 3), p.get("r", 5))
     elif kind == "linorder":
         data = gen_linorder(rng, p.get("size", 4))
-    elif kind == "poset":
-        data = gen_poset(rng, p.get("size", 5))
-    elif kind == "digraph":
-        data = gen_digraph(
-            rng, p.get("size", 6), p.get("edges", 8), bool(p.get("weighted", 0))
-        )
     elif kind == "matrixspace":
         data = gen_matrixspace(rng, p.get("m", 3), p.get("n", 3), p.get("dim", 2))
     elif kind == "lgv":
@@ -259,7 +237,12 @@ def check_konig(data, config: RunConfig):
         and matching_cover.verify_cover(R, cv.dual)
         and cv.primal.size == cv.dual.size == cv.value
     )
-    report = certificate_to_json(cv)
+    report = {
+        "value": cv.value,
+        "status": cv.status,
+        "matching": cv.primal.to_json(),
+        "cover": cv.dual.to_json(),
+    }
     return report, (EXIT_PROVED if ok else EXIT_VIOLATION)
 
 
@@ -462,7 +445,7 @@ def _run(run, args, key: str, name: str) -> int:
     config = RunConfig(args.seed, args.trials, args.coeff_bound, args.budget)
     try:
         report, code = run(config)
-    except (ParseFailure, DimensionError, ValueError) as ex:
+    except (ParseFailure, ValueError) as ex:
         _emit({"error": f"parse: {ex}"}, args.output)
         return EXIT_PARSE
     except InvariantViolation as ex:
@@ -588,10 +571,7 @@ def demo_menger_f7(config: RunConfig):
 
 def demo_skew3(config: RunConfig):
     V = build_skew3()
-    sampler = config.sampler()
-    plain_rank = max(
-        sample_element(V, sampler).rank() for _ in range(config.trials)
-    )
+    plain_rank, _ = best_sample(V, config.sampler())
     blow2 = ncrank.max_rank_blowup(V, 2, config.sampler())
     cv = ncrank.ncrank(V, config.sampler())
     full, witness = ncrank.has_full_ncrank(V, config.sampler())
@@ -639,7 +619,9 @@ def _add_common(parser):
     parser.add_argument("--output", choices=("json", "text"), default="text")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="linminmax",
         description="Exact certificates for linear and matrix min-max dualities.",
@@ -649,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a random instance file")
     p_gen.add_argument(
         "kind",
-        choices=("relation", "linorder", "poset", "digraph", "matrixspace", "lgv"),
+        choices=("relation", "linorder", "matrixspace", "lgv"),
     )
     p_gen.add_argument("params", nargs="*", help="key=value, e.g. n=3 m=3 r=5")
     p_gen.add_argument("--seed", type=int, default=0)

@@ -5,7 +5,11 @@ through nonorthogonal middles and has v orthogonal to w in every pair; its
 rank-one span is then a nilpotent operator algebra.  The maximum antichain
 dimension equals n minus the minimum cover size, and is matched both by
 bi-chain decompositions (alternating w, v sequences) and by coherent
-decompositions (iterate chains of one matrix from the algebra).
+decompositions (iterate chains of one matrix from the algebra).  A coherent
+decomposition is built once, by `coherent_from_sample`: the Jordan chains
+of a sampled element of certified maximum rank, for the algebra of a
+linorder (r = 1) and for the blow-up V (x) M_r of a nilpotent algebra in
+`ncrank`.
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ from .relation import (
     GenericSampler,
     MatrixSpace,
     Relation,
+    best_sample,
     doubly_independent,
-    sample_element,
     space_power_is_zero,
     to_matrix_space,
 )
@@ -49,7 +53,6 @@ from .relation import (
 @dataclass(frozen=True)
 class Linorder:
     relation: Relation
-    validated: bool = True
 
     @property
     def n(self) -> int:
@@ -141,15 +144,6 @@ class CoherentDecomposition:
                 for seed, length in self.chains
             ],
         }
-
-    def iterates(self):
-        vectors = []
-        for seed, length in self.chains:
-            u = seed
-            for _ in range(length):
-                vectors.append(u)
-                u = self.A.apply(u)
-        return vectors
 
 
 def verify_bichain(R: Relation, chain: BiChain) -> bool:
@@ -386,6 +380,29 @@ def nilpotent_jordan_chains(A: Mat):
     return chains
 
 
+def coherent_from_sample(
+    space: MatrixSpace, r: int, target: int, sampler: GenericSampler
+) -> CoherentDecomposition:
+    """Jordan chains of a sampled element of space (x) M_r of rank `target`.
+
+    `target` is a certified maximum rank of the nilpotent space (x) M_r;
+    the element is drawn by `best_sample`, and the decomposition has
+    rn - target chains, checked along with its verification.  The caller
+    checks what else it knows of the element.
+    """
+    rank, A = best_sample(space, sampler, r, target)
+    if rank < target:
+        raise CertificationError(
+            f"no sampled element reached the certified maximum rank {target}"
+        )
+    D = CoherentDecomposition(A, tuple(nilpotent_jordan_chains(A)))
+    if D.size != space.n * r - target:
+        raise InvariantViolation("coherent decomposition has the wrong size")
+    if not verify_coherent_decomposition(D):
+        raise InvariantViolation("coherent decomposition failed verification")
+    return D
+
+
 def coherent_decomposition(
     L: Linorder,
     sampler: GenericSampler,
@@ -395,38 +412,19 @@ def coherent_decomposition(
     """Minimum coherent decomposition via a sampled maximum-rank element.
 
     The implementing matrix is a random combination of the rank-one
-    generators certified against the cover dual; its Jordan chains give the
-    decomposition, of size equal to the maximum antichain dimension.  A
-    minimum `cover` and the `space` of the relation, when the caller has
-    them, are used instead of computing them again.
+    generators of rank equal to the minimum cover size; its Jordan chains
+    give the decomposition, of size equal to the maximum antichain
+    dimension.  A minimum `cover` and the `space` of the relation, when the
+    caller has them, are used instead of computing them again.
     """
     R = L.relation
-    n = R.n
     if cover is None:
         cover = min_cover(R)
     if space is None:
         space = to_matrix_space(R)
-    target = cover.size
-    if target == 0:
-        A = Mat.zeros(n, n)
-        chains = tuple((unit_vec(n, i), 1) for i in range(n))
-    else:
-        A = None
-        for _ in range(sampler.trials):
-            cand = sample_element(space, sampler)
-            if cand.rank() == target:
-                A = cand
-                break
-        if A is None:
-            raise CertificationError(
-                f"no sampled element reached the certified maximum rank {target}"
-            )
-        chains = tuple(nilpotent_jordan_chains(A))
-    D = CoherentDecomposition(A, chains)
-    if D.size != n - target:
-        raise InvariantViolation("coherent decomposition has the wrong size")
-    if not verify_coherent_decomposition(D, space):
-        raise InvariantViolation("coherent decomposition failed verification")
+    D = coherent_from_sample(space, 1, cover.size, sampler)
+    if not space.contains(D.A):
+        raise InvariantViolation("sampled element lies outside the relation's span")
     return D
 
 

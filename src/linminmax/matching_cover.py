@@ -33,9 +33,9 @@ from .relation import (
     MatrixSpace,
     Relation,
     apply_space,
+    best_sample,
     doubly_independent,
     neighborhood_span,
-    sample_element,
     to_matrix_space,
 )
 
@@ -291,12 +291,7 @@ def extract_matching_from_combination(
     """
     if target == 0:
         return Matching(R, ())
-    space = to_matrix_space(R)
-    reached = 0
-    for _ in range(sampler.trials):
-        reached = max(reached, sample_element(space, sampler).rank())
-        if reached >= target:
-            break
+    reached, _ = best_sample(to_matrix_space(R), sampler, target=target)
     if reached < target:
         raise CertificationError(
             f"no sampled combination reached rank {target} (best {reached})"
@@ -368,18 +363,3 @@ def rado_transversal(sets, m: int):
     if any(t is None for t in transversal):
         raise InvariantViolation("saturated matching missed a set")
     return transversal, None
-
-
-def certificate_to_json(cv: CertifiedValue) -> dict:
-    data = {"value": cv.value, "status": cv.status}
-    if isinstance(cv.primal, Matching):
-        data["matching"] = cv.primal.to_json()
-    elif isinstance(cv.primal, Mat):
-        data["element"] = cv.primal.to_json()
-    elif hasattr(cv.primal, "to_json"):
-        data["primal"] = cv.primal.to_json()
-    if isinstance(cv.dual, Cover):
-        data["cover"] = cv.dual.to_json()
-    elif hasattr(cv.dual, "to_json"):
-        data["dual"] = cv.dual.to_json()
-    return data

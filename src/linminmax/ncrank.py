@@ -5,32 +5,30 @@ maximum rank in the blow-up V (x) M_r, attained for every r >= n-1, and it
 equals n - d where d is the largest defect dim E - dim V[E].  A defect
 subspace is therefore a dual certificate: it bounds every blow-up rank by
 r(n - d), while a sampled blow-up element of that rank is the primal.  For
-r = 1, 2, ... the loop below samples a maximum-rank element A, takes the
-slice span U' of the limit of its second Wong sequence (`wong_limit`) as the
-dual, and stops once rank A = r(n - defect(U')).  The matricial path
-capacity runs the same loop on the routing space of `menger`, with the
-separator read off the same limit.  An unmet bound leaves the status at
-lower_bound_only, never at a wrong value.
+r = 1 .. n - 1, as far as the blow-up side max(m, n) r stays within
+BLOWUP_DIM_BUDGET, the loop below draws a maximum-rank element A through
+`relation.best_sample` (the one sampler of V (x) M_r), takes the slice span
+U' of the limit of its second Wong sequence (`wong_limit`) as the dual, and
+stops once rank A = r(n - defect(U')).  The matricial path capacity runs the
+same loop on the routing space of `menger`, with the separator read off the
+same limit, and matrix Dilworth takes the Jordan chains of a blow-up
+element through `dilworth.coherent_from_sample`.  An unmet bound leaves the
+status at lower_bound_only, never at a wrong value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 
+from . import relation
 from .errors import (
     BudgetExceededError,
     CertificationError,
     DimensionError,
     InvariantViolation,
 )
-from .exact_linalg import (
-    Mat,
-    Subspace,
-    subspace_sum,
-    unit_vec,
-)
-from .dilworth import CoherentDecomposition, nilpotent_jordan_chains, verify_coherent_decomposition
+from .exact_linalg import Mat, Subspace, subspace_sum
+from .dilworth import CoherentDecomposition, coherent_from_sample
 from .matching_cover import (
     LOWER_BOUND_ONLY,
     PROVED,
@@ -42,6 +40,7 @@ from .relation import (
     GenericSampler,
     MatrixSpace,
     apply_space,
+    best_sample,
     is_nilpotent_algebra,
     wong_limit,
 )
@@ -87,31 +86,17 @@ def blow_up(V: MatrixSpace, r: int) -> BlowUp:
     return BlowUp(V, r, tuple(cells))
 
 
-def _sample_blowup(V: MatrixSpace, r: int, sampler: GenericSampler) -> Mat:
-    """Random integer element sum_B B (x) C_B of V (x) M_r, C_B drawn row by row.
-
-    One pass over the integer basis rows: row (i, k) of the element is the
-    sum over B of the Kronecker product of row i of B with row k of C_B.
-    """
-    terms = [
-        (b, [[sampler.coefficient() for _ in range(r)] for _ in range(r)])
-        for b in V.int_basis
-    ]
-    rows = []
-    for i in range(V.m):
-        for k in range(r):
-            acc = [0] * (V.n * r)
-            for b, c in terms:
-                acc = list(map(add, acc, [x * y for x in b[i] for y in c[k]]))
-            rows.append(tuple(acc))
-    return Mat.from_int_rows(tuple(rows), V.den, V.n * r)
-
-
 def _check_blowup_budget(V: MatrixSpace, r: int):
     if max(V.m, V.n) * r > BLOWUP_DIM_BUDGET:
         raise BudgetExceededError(
             f"blow-up side {max(V.m, V.n) * r} exceeds {BLOWUP_DIM_BUDGET}"
         )
+
+
+def _orders(V: MatrixSpace) -> range:
+    """Blow-up orders 1 .. n - 1 whose side stays within BLOWUP_DIM_BUDGET."""
+    _check_blowup_budget(V, 1)
+    return range(1, min(max(1, V.n - 1), BLOWUP_DIM_BUDGET // max(V.m, V.n, 1)) + 1)
 
 
 def max_rank_blowup(V: MatrixSpace, r: int, sampler: GenericSampler) -> int:
@@ -122,18 +107,10 @@ def max_rank_blowup(V: MatrixSpace, r: int, sampler: GenericSampler) -> int:
 
 def _max_rank_blowup_el(V: MatrixSpace, r: int, sampler: GenericSampler):
     _check_blowup_budget(V, r)
-    if V.dim == 0:
-        return 0, Mat.zeros(V.m * r, V.n * r)
-    best = -1
-    best_el = None
-    for _ in range(sampler.trials):
-        el = _sample_blowup(V, r, sampler)
-        rk = el.rank()
-        if rk > best:
-            best, best_el = rk, el
+    best, best_el = best_sample(V, sampler, r)
     extra = 0
     while best % r != 0 and extra < 2 * sampler.trials:
-        el = _sample_blowup(V, r, sampler)
+        el = relation.sample_element(V, sampler, r)
         rk = el.rank()
         if rk > best:
             best, best_el = rk, el
@@ -157,30 +134,21 @@ def verify_matrix_cover(V: MatrixSpace, c: Cover) -> bool:
     return c.F.contains_subspace(apply_space(V, c.E.orthocomplement()))
 
 
-def ncrank(
-    V: MatrixSpace,
-    sampler: GenericSampler,
-    r_max: int | None = None,
-) -> CertifiedValue:
+def ncrank(V: MatrixSpace, sampler: GenericSampler) -> CertifiedValue:
     """Noncommutative rank with primal blow-up element and defect dual.
 
-    For r = 1, 2, ...: sample a maximum-rank A in V (x) M_r and read the
-    defect certificate off its Wong limit; stop once rank A = r(n - defect).
-    By the Wong-sequence theorem of Ivanyos, Karpinski, Qiao and Santha, a
-    sample of maximum rank meets it, at r = n - 1 at the latest.
+    For each r of `_orders(V)`: sample a maximum-rank A in V (x) M_r and
+    read the defect certificate off its Wong limit; stop once
+    rank A = r(n - defect).  By the Wong-sequence theorem of Ivanyos,
+    Karpinski, Qiao and Santha, a sample of maximum rank meets it, at
+    r = n - 1 at the latest.
     """
     n = V.n
-    _check_blowup_budget(V, 1)
-    if r_max is None:
-        r_max = max(1, n - 1)
     dual = DefectCertificate(Subspace.zero(n), 0)
     best_value = 0
     best_witness = (1, Mat.zeros(V.m, V.n))
-    for r in range(1, r_max + 1):
-        try:
-            rank_r, el = _max_rank_blowup_el(V, r, sampler)
-        except BudgetExceededError:
-            break
+    for r in _orders(V):
+        rank_r, el = _max_rank_blowup_el(V, r, sampler)
         E, image = wong_limit(V, r, el)
         cert = DefectCertificate(E, E.dim - image.dim)
         if rank_r == r * (n - cert.defect):
@@ -249,41 +217,20 @@ def matrix_coherent_decomposition(
 ) -> CoherentDecomposition:
     """Coherent decomposition of F^{rn} relative to V (x) M_r.
 
-    Samples a maximum-rank element of the blow-up (a nilpotent algebra
-    again), and extracts its Jordan chains; the size is rn minus that rank,
-    proved minimal when the rank meets r times the cover bound.  `cov`,
-    when given, is the `matrix_min_cover` of V, which the caller has
-    already checked to be a nilpotent algebra.
+    The Jordan chains of a sampled element of the blow-up (a nilpotent
+    algebra again) of rank r times the cover bound, built by
+    `coherent_from_sample`; its size is rn minus that rank.  `cov`, when
+    given, is the `matrix_min_cover` of V, which the caller has already
+    checked to be a nilpotent algebra.
     """
     if cov is None and not is_nilpotent_algebra(V):
         raise ValueError("matrix Dilworth is stated for nilpotent algebras")
-    n = V.n
     _check_blowup_budget(V, r)
     if cov is None:
         cov = matrix_min_cover(V, sampler)
-    target = r * cov.value
-    if V.dim == 0:
-        A = Mat.zeros(n * r, n * r)
-        chains = tuple((unit_vec(n * r, i), 1) for i in range(n * r))
-        return CoherentDecomposition(A, chains)
-    A = None
-    for _ in range(sampler.trials):
-        cand = _sample_blowup(V, r, sampler)
-        if cand.rank() == target:
-            A = cand
-            break
-    if A is None:
-        raise CertificationError(
-            f"no sampled blow-up element reached the cover bound {target}"
-        )
-    if not A.power(n).is_zero():
+    D = coherent_from_sample(V, r, r * cov.value, sampler)
+    if not D.A.power(V.n).is_zero():
         raise InvariantViolation("blow-up of a nilpotent algebra is not nilpotent")
-    chains = tuple(nilpotent_jordan_chains(A))
-    D = CoherentDecomposition(A, chains)
-    if D.size != n * r - target:
-        raise InvariantViolation("matrix coherent decomposition has the wrong size")
-    if not verify_coherent_decomposition(D):
-        raise InvariantViolation("matrix coherent decomposition failed verification")
     return D
 
 
@@ -311,9 +258,9 @@ def mpc(
 ) -> CertifiedValue:
     """Matricial path capacity: ncrank of the routing space minus n.
 
-    For r = 1, 2, ...: a sampled maximum-rank element of the routing
-    space's blow-up is the primal, and the separator read off its Wong
-    limit the dual; proved once the rank is r(n + size).
+    For each r of `_orders(routing)`: a sampled maximum-rank element of
+    the routing space's blow-up is the primal, and the separator read off
+    its Wong limit the dual; proved once the rank is r(n + size).
     """
     if V.m != V.n:
         raise DimensionError("matricial path capacity needs a square space")
@@ -321,14 +268,10 @@ def mpc(
     if E.ambient != n or F.ambient != n:
         raise DimensionError("E and F must live in the space's column space")
     routing = _mpc_space(V, E, F)
-    _check_blowup_budget(routing, 1)
     best_value = 0
     best_sep = None
-    for r in range(1, max(1, routing.n - 1) + 1):
-        try:
-            rank_r, el = _max_rank_blowup_el(routing, r, sampler)
-        except BudgetExceededError:
-            break
+    for r in _orders(routing):
+        rank_r, el = _max_rank_blowup_el(routing, r, sampler)
         sep = wong_separator(V, routing, E, F, r, el)
         if not verify_matrix_separator(V, sep):
             raise InvariantViolation("separator fails the matrix-sense conditions")

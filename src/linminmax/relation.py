@@ -161,9 +161,6 @@ class GenericSampler:
     def coefficient(self) -> int:
         return self._rng.randint(-self.coeff_bound, self.coeff_bound)
 
-    def coefficients(self, k: int) -> list[int]:
-        return [self.coefficient() for _ in range(k)]
-
 
 # ---------------------------------------------------------------------------
 # operations
@@ -264,14 +261,49 @@ def neighborhood_span(R: Relation, S) -> Subspace:
     return Subspace.span(R.m, hits)
 
 
-def sample_element(V: MatrixSpace, sampler: GenericSampler) -> Mat:
-    """Random integer-coefficient combination of the basis."""
-    acc = [[0] * V.n for _ in range(V.m)]
-    for b in V.int_basis:
-        c = sampler.coefficient()
-        if c:
-            acc = [[a + c * x for a, x in zip(ra, rb)] for ra, rb in zip(acc, b)]
-    return Mat.from_int_rows(tuple(map(tuple, acc)), V.den, V.n)
+def sample_element(V: MatrixSpace, sampler: GenericSampler, r: int = 1) -> Mat:
+    """Random integer element sum_B B (x) C_B of V (x) M_r, C_B drawn row by row.
+
+    Entry (i k, j l) of the element is sum_B B[i][j] C_B[k][l]: the dot
+    product of the column (B[i][j])_B of the integer basis rows with the
+    coefficients (C_B[k][l])_B.  At r = 1 it is the combination
+    sum_B c_B B.  Every generic element in the package is drawn here.
+    """
+    if V.dim == 0:
+        return Mat.zeros(V.m * r, V.n * r)
+    drawn = [
+        [[sampler.coefficient() for _ in range(r)] for _ in range(r)]
+        for _ in V.int_basis
+    ]
+    cells = [list(zip(*(c[k] for c in drawn))) for k in range(r)]
+    rows = []
+    for i in range(V.m):
+        cols = list(zip(*(b[i] for b in V.int_basis)))
+        for coeffs in cells:
+            rows.append(tuple([sum(map(mul, col, c)) for col in cols for c in coeffs]))
+    return Mat.from_int_rows(tuple(rows), V.den, V.n * r)
+
+
+def best_sample(
+    V: MatrixSpace, sampler: GenericSampler, r: int = 1, target: int | None = None
+) -> tuple[int, Mat]:
+    """(rank, element): the first of largest rank among `sampler.trials` draws.
+
+    Draws from V (x) M_r and stops early once the rank reaches `target`, a
+    certified upper bound.  The zero space draws nothing: its one element
+    is the zero matrix, of rank 0.
+    """
+    if V.dim == 0:
+        return 0, Mat.zeros(V.m * r, V.n * r)
+    best, best_el = -1, None
+    for _ in range(sampler.trials):
+        el = sample_element(V, sampler, r)
+        rank = el.rank()
+        if rank > best:
+            best, best_el = rank, el
+            if target is not None and rank >= target:
+                break
+    return best, best_el
 
 
 def space_power_is_zero(V: MatrixSpace, k: int) -> bool:

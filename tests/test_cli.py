@@ -29,9 +29,7 @@ def test_gen_is_deterministic(tmp_path, capsys):
 def test_gen_kinds_parse_back(tmp_path, capsys):
     cases = [
         (["gen", "relation", "n=2", "m=3", "r=4"], ("n", "m", "pairs")),
-        (["gen", "poset", "size=5"], ("size", "gt")),
         (["gen", "linorder", "size=4"], ("n", "m", "pairs")),
-        (["gen", "digraph", "size=5", "edges=6"], ("size", "edges", "H", "K")),
         (["gen", "matrixspace", "m=2", "n=2", "dim=2"], ("m", "n", "basis")),
         (["gen", "lgv", "n=3", "r=3", "k=2"], ("V", "W", "A", "B")),
     ]
@@ -294,15 +292,15 @@ def test_check_lgv_exit_codes_for_failures_and_singular_points(tmp_path, capsys,
 
 
 def test_check_ncrank_sampling_shortfall_exits_2(tmp_path, capsys, monkeypatch):
-    from linminmax import ncrank
+    from linminmax import relation
     from linminmax.cli import build_skew3
     from linminmax.exact_linalg import Mat
 
-    def rank_one(V, r, sampler):
+    def rank_one(V, sampler, r=1):
         side = V.n * r
         return Mat([[int(i == j == 0) for j in range(side)] for i in range(V.m * r)], side)
 
-    monkeypatch.setattr(ncrank, "_sample_blowup", rank_one)
+    monkeypatch.setattr(relation, "sample_element", rank_one)
     path = tmp_path / "skew3.json"
     path.write_text(json.dumps(build_skew3().to_json()))
     code, error = _exit_and_error(capsys, ["check", "ncrank", str(path), "--output", "json"])

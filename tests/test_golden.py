@@ -4,7 +4,8 @@
 command it came from (and, where a theorem needs more than `gen` emits, how
 the file was derived from that output), the expected exit code and the file
 holding the expected stdout.  A change of exact storage or of a search order
-cannot then alter a report unnoticed.
+cannot then alter a report unnoticed.  The three `demo --output json`
+reports are pinned the same way, in `tests/golden/demo-<name>.out`.
 """
 
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from linminmax.cli import CHECKS, main
+from linminmax.cli import CHECKS, DEMOS, EXIT_PROVED, main
 from linminmax.exact_linalg import Mat
 from linminmax.ncrank import blow_up
 from linminmax.relation import MatrixSpace
@@ -40,6 +41,13 @@ def test_golden_report(entry, capsys):
     code, out = _stdout(capsys, argv)
     assert code == entry["exit"]
     assert out == (GOLDEN / entry["report"]).read_text()
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_golden_demo(name, capsys):
+    code, out = _stdout(capsys, ["demo", name, "--output", "json"])
+    assert code == EXIT_PROVED
+    assert out == (GOLDEN / f"demo-{name}.out").read_text()
 
 
 def test_ncrank_golden_element_is_a_primal():

@@ -252,14 +252,14 @@ def test_mpc_matches_cpc(rng):
 
 
 def test_blowup_sampling_shortfall_is_a_certification_error(monkeypatch):
-    import linminmax.ncrank as nc
+    import linminmax.relation as rel
     from linminmax.errors import CertificationError
 
-    def rank_one(V, r, sampler):
+    def rank_one(V, sampler, r=1):
         side = V.n * r
         return Mat([[int(i == j == 0) for j in range(side)] for i in range(V.m * r)], side)
 
-    monkeypatch.setattr(nc, "_sample_blowup", rank_one)
+    monkeypatch.setattr(rel, "sample_element", rank_one)
     with pytest.raises(CertificationError):
         max_rank_blowup(skew3(), 2, GenericSampler(seed=3))
 

@@ -1,9 +1,11 @@
 """Relations, induced matrix spaces, and the finiteness reduction."""
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from linminmax import relation
 from linminmax.errors import DimensionError
 from linminmax.exact_linalg import IntEchelon, Mat, Subspace, clear_denominators, unit_vec, vec
 from linminmax.relation import (
@@ -11,6 +13,7 @@ from linminmax.relation import (
     MatrixSpace,
     Relation,
     apply_space,
+    best_sample,
     is_nilpotent_algebra,
     neighborhood_span,
     reduce_relation,
@@ -18,6 +21,7 @@ from linminmax.relation import (
     space_power_is_zero,
     to_matrix_space,
 )
+from linminmax.ncrank import blow_up
 from conftest import rand_mat, rand_relation, rand_subspace, rand_vec
 
 
@@ -260,3 +264,105 @@ def test_matrix_space_membership_is_stable():
         assert not V.contains(outside)
     with pytest.raises(DimensionError):
         V.contains(Mat.identity(3))
+
+
+def rand_rational_space(rng, m, n, dim):
+    """A matrix space spanned by `dim` (or fewer) random matrices with p/q entries."""
+    basis = []
+    for _ in range(dim):
+        cand = Mat(
+            [
+                [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+                for _ in range(m)
+            ],
+            n,
+        )
+        try:
+            MatrixSpace(m, n, basis + [cand])
+        except ValueError:
+            continue
+        basis.append(cand)
+    return MatrixSpace(m, n, basis)
+
+
+class CountingSampler(GenericSampler):
+    """A GenericSampler that counts the coefficients it hands out."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.drawn = 0
+
+    def coefficient(self):
+        self.drawn += 1
+        return super().coefficient()
+
+
+def test_sample_element_lies_in_the_blowup(rng):
+    for trial in range(12):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        V = rand_rational_space(rng, m, n, rng.randint(0, 3))
+        for r in (1, 2, 3):
+            A = sample_element(V, GenericSampler(seed=trial, coeff_bound=50), r)
+            assert (A.rows, A.cols) == (m * r, n * r)
+            assert blow_up(V, r).space.contains(A)
+
+
+def test_sample_element_at_order_one_is_the_basis_combination(rng):
+    for trial in range(20):
+        m, n = rng.randint(0, 3), rng.randint(0, 3)
+        V = rand_rational_space(rng, m, n, rng.randint(0, 3) if m * n else 0)
+        coeffs = GenericSampler(seed=trial, coeff_bound=9)
+        expected = Mat.zeros(m, n)
+        for b in V.basis:
+            expected = expected + b.scaled(coeffs.coefficient())
+        assert sample_element(V, GenericSampler(seed=trial, coeff_bound=9)) == expected
+
+
+def test_best_sample_returns_the_first_maximum_and_stops_at_target(monkeypatch):
+    V = MatrixSpace(2, 2, [Mat([[1, 0], [0, 0]]), Mat([[0, 0], [0, 1]])])
+    draws = [
+        Mat([[1, 0], [0, 0]]),
+        Mat([[2, 0], [0, 3]]),
+        Mat([[5, 0], [0, 7]]),
+        Mat([[0, 0], [0, 1]]),
+    ]
+    calls = []
+
+    def scripted(space, sampler, r=1):
+        calls.append(r)
+        return draws[len(calls) - 1]
+
+    monkeypatch.setattr(relation, "sample_element", scripted)
+    sampler = GenericSampler(seed=0, trials=4)
+    assert best_sample(V, sampler) == (2, draws[1])
+    assert len(calls) == 4
+    calls.clear()
+    assert best_sample(V, sampler, target=2) == (2, draws[1])
+    assert len(calls) == 2
+
+
+def test_best_sample_draws_match_the_sampler_stream(rng):
+    for trial in range(8):
+        V = rand_rational_space(rng, 3, 3, rng.randint(1, 3))
+        for r in (1, 2):
+            s = CountingSampler(seed=trial, trials=5)
+            rank, el = best_sample(V, s, r)
+            assert s.drawn == 5 * V.dim * r * r
+            ref = GenericSampler(seed=trial, trials=5)
+            seen = [sample_element(V, ref, r) for _ in range(5)]
+            ranks = [a.rank() for a in seen]
+            assert rank == max(ranks)
+            assert el == seen[ranks.index(rank)]
+            s = CountingSampler(seed=trial, trials=5)
+            rank, el = best_sample(V, s, r, target=ranks[0])
+            assert (rank, el) == (ranks[0], seen[0])
+            assert s.drawn == V.dim * r * r
+
+
+def test_best_sample_on_the_zero_space_draws_nothing():
+    for m, n, r in [(3, 2, 1), (2, 2, 3), (0, 4, 2), (2, 0, 1)]:
+        s = CountingSampler(seed=1)
+        rank, el = best_sample(MatrixSpace(m, n, []), s, r)
+        assert rank == 0
+        assert el == Mat.zeros(m * r, n * r)
+        assert s.drawn == 0
