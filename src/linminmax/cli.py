@@ -356,9 +356,8 @@ def check_lgv(data, config: RunConfig):
             f"every one of {attempts} sampled points was singular; nothing was checked"
         )
     report = {"identity": "holds", "points_checked": checked}
-    acyclic = lgv.is_acyclic(inst.relation())
-    report["acyclic"] = acyclic
-    if acyclic:
+    report["acyclic"] = inst.acyclic
+    if inst.acyclic:
         xs = [Fraction(rng.randint(-5, 5)) for _ in range(inst.r)]
         lhs, rhs = lgv.lgv_acyclic(inst, xs)
         report["acyclic_value"] = rational_to_string(lhs)
@@ -574,7 +573,7 @@ def demo_skew3(config: RunConfig):
     plain_rank, _ = best_sample(V, config.sampler())
     blow2 = ncrank.max_rank_blowup(V, 2, config.sampler())
     cv = ncrank.ncrank(V, config.sampler())
-    full, witness = ncrank.has_full_ncrank(V, config.sampler())
+    full, _ = ncrank.full_ncrank_verdict(V, cv)
     ok = (
         plain_rank == 2
         and blow2 == 6

@@ -313,7 +313,7 @@ def int_kernel(rows, n: int) -> list[list[int]]:
     return basis
 
 
-def _det_bareiss(a: list[list[int]]) -> int:
+def det_bareiss(a: list[list[int]]) -> int:
     """Bareiss fraction-free determinant; `a` is consumed."""
     n = len(a)
     if n == 0:
@@ -578,7 +578,7 @@ class Mat:
         if not self.is_square():
             raise DimensionError("determinant of a non-square matrix")
         return Fraction(
-            _det_bareiss([list(r) for r in self._num]), self._den ** self.rows
+            det_bareiss([list(r) for r in self._num]), self._den ** self.rows
         )
 
     def kernel(self) -> "Subspace":

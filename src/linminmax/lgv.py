@@ -7,16 +7,26 @@ subset expansion of det(I - X V^T W).  When the pair family is acyclic the
 denominator is identically 1 and the inverse truncates to a finite
 geometric sum.  Both sides are evaluated exactly at rational points; there
 is no symbolic polynomial arithmetic anywhere.
+
+None of the subset determinants depends on the point, only the monomials
+x_S do.  So each instance computes its minor table once (`LgvInstance.minors`):
+for every subset S, the Bareiss determinants of the integer rows of G_S
+and of V_S^T W_S, signed by (-1)^|S| and scaled to the common denominator
+of all subsets.  A point, cleared to integers a_i over q, then costs one
+integer pass: each side is the sum of its table entries times
+a_S q^(r-|S|), over one integer denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
+from operator import mul
 
 from .errors import DimensionError, InvariantViolation, SingularityError
-from .exact_linalg import Mat, hstack, solve_exact
+from .exact_linalg import Mat, clear_scale, det_bareiss, hstack, solve_exact
 from .classical_oracles import Digraph
 from .relation import Relation, space_power_is_zero, to_matrix_space
 
@@ -50,6 +60,15 @@ class LgvInstance:
     @property
     def k(self) -> int:
         return self.A.cols
+
+    @cached_property
+    def minors(self):
+        """The point-free subset minor table; see `_subset_minors`."""
+        return _subset_minors(self)
+
+    @cached_property
+    def acyclic(self) -> bool:
+        return is_acyclic(self.relation())
 
     def relation(self) -> Relation:
         return Relation(
@@ -114,12 +133,10 @@ def _subset_table(inst: LgvInstance) -> Mat:
     return hstack([inst.V, inst.B]).transpose() @ hstack([inst.W, inst.A])
 
 
-def gs_matrix(inst: LgvInstance, S, table=None) -> Mat:
+def gs_matrix(inst: LgvInstance, S) -> Mat:
     """The bordered subset matrix G_S = [[V_S^T W_S, V_S^T A],[B^T W_S, B^T A]]."""
-    if table is None:
-        table = _subset_table(inst)
     idx = sorted(S) + list(range(inst.r, inst.r + inst.k))
-    return table.submatrix(idx, idx)
+    return _subset_table(inst).submatrix(idx, idx)
 
 
 def lgv_rhs(inst: LgvInstance, xs) -> Fraction:
@@ -131,22 +148,46 @@ def lgv_rhs(inst: LgvInstance, xs) -> Fraction:
     return num / den
 
 
-def lgv_rhs_parts(inst: LgvInstance, xs):
-    """(numerator, denominator) of the subset-sum side at a point."""
-    xs = _coerce_point(inst, xs)
+def _subset_minors(inst: LgvInstance):
+    """(g, e, d): the signed subset minors of the table, over its denominator d.
+
+    With N the integer rows of `_subset_table` (the table times d), entry
+    S of g (indexed by the bitmask of S) is (-1)^|S| d^(r-|S|) det N[G_S],
+    and entry S of e is (-1)^|S| d^(r-|S|) det N[V_S^T W_S].  Then
+    (-1)^|S| det G_S = g_S / d^(r+k) and (-1)^|S| det(V^T W)_S = e_S / d^r.
+    """
     table = _subset_table(inst)
-    num = Fraction(0)
-    den = Fraction(0)
-    for size in range(inst.r + 1):
-        sign = -1 if size % 2 else 1
-        for S in combinations(range(inst.r), size):
-            x_s = Fraction(1)
-            for i in S:
-                x_s *= xs[i]
-            if x_s == 0:
-                continue
-            num += sign * x_s * gs_matrix(inst, S, table).det()
-            den += sign * x_s * table.submatrix(S, S).det()
+    rows, d = table.int_rows(), table.den
+    r = inst.r
+    border = list(range(r, r + inst.k))
+    g = []
+    e = []
+    for mask in range(1 << r):
+        S = [i for i in range(r) if mask >> i & 1]
+        scale = (-1) ** len(S) * d ** (r - len(S))
+        idx = S + border
+        g.append(scale * det_bareiss([[rows[i][j] for j in idx] for i in idx]))
+        e.append(scale * det_bareiss([[rows[i][j] for j in S] for i in S]))
+    return g, e, d
+
+
+def lgv_rhs_parts(inst: LgvInstance, xs):
+    """(numerator, denominator) of the subset-sum side at a point.
+
+    sum_S (-1)^|S| x_S det G_S and sum_S (-1)^|S| x_S det (V^T W)_S, read
+    off the instance's minor table: with x_i = a_i / q, the monomial x_S is
+    a_S q^(r-|S|) / q^r.
+    """
+    xs = _coerce_point(inst, xs)
+    a, q = clear_scale(xs)
+    g, e, d = inst.minors
+    # weights[mask] = prod over i of (a_i if bit i of mask is set else q)
+    weights = [1]
+    for ai in a:
+        weights = [w * q for w in weights] + [w * ai for w in weights]
+    scale = d ** inst.r * q ** inst.r
+    num = Fraction(sum(map(mul, g, weights)), scale * d ** inst.k)
+    den = Fraction(sum(map(mul, e, weights)), scale)
     return num, den
 
 
@@ -194,7 +235,7 @@ def lgv_acyclic(inst: LgvInstance, xs):
     not a singular point.
     """
     xs = _coerce_point(inst, xs)
-    if not is_acyclic(inst.relation()):
+    if not inst.acyclic:
         raise ValueError("instance is not acyclic")
     n = inst.n
     step = _weighted_sum(inst, xs)

@@ -123,17 +123,31 @@ def _projection(F: Subspace, n: int) -> Mat:
     return F.basis.transpose() if F.dim else Mat.zeros(0, n)
 
 
-def bordered_matrix(A: Mat, E: Subspace, F: Subspace) -> Mat:
-    """[[I - A, i],[p, 0]] with i = basis of E, p = transposed basis of F."""
-    n = A.rows
+def _border(E: Subspace, F: Subspace, n: int) -> tuple[Mat, Mat, Mat]:
+    """(i, p, [[I, i],[p, 0]]) with i = basis of E, p = transposed basis of F."""
     iota = _inclusion(E, n)
     pi = _projection(F, n)
-    return block(
+    base = block(
         [
-            [Mat.identity(n) - A, iota],
+            [Mat.identity(n), iota],
             [pi, Mat.zeros(pi.rows, iota.cols)],
         ]
     )
+    return iota, pi, base
+
+
+def _top_left(A: Mat, like: Mat) -> Mat:
+    """[[A, 0],[0, 0]] in the shape of `like`."""
+    pad = (0,) * (like.cols - A.cols)
+    rows = tuple(row + pad for row in A.int_rows())
+    zero_rows = ((0,) * like.cols,) * (like.rows - A.rows)
+    return Mat.from_int_rows(rows + zero_rows, A.den, like.cols)
+
+
+def bordered_matrix(A: Mat, E: Subspace, F: Subspace) -> Mat:
+    """[[I - A, i],[p, 0]] with i = basis of E, p = transposed basis of F."""
+    base = _border(E, F, A.rows)[2]
+    return base - _top_left(A, base)
 
 
 def bordered_rank(A: Mat, E: Subspace, F: Subspace) -> int:
@@ -144,30 +158,19 @@ def bordered_rank(A: Mat, E: Subspace, F: Subspace) -> int:
 # the routing space and its Wong separator
 
 
-def _mpc_space(V: MatrixSpace, E: Subspace, F: Subspace) -> MatrixSpace:
-    """Routing space spanned by [[I, i],[p, 0]] and the embedded [[A,0],[0,0]]."""
-    n = V.n
-    iota = _inclusion(E, n)
-    pi = _projection(F, n)
-    base = block(
-        [
-            [Mat.identity(n), iota],
-            [pi, Mat.zeros(pi.rows, iota.cols)],
-        ]
-    )
+def _mpc_space(V: MatrixSpace, base: Mat) -> MatrixSpace:
+    """Routing space spanned by the border `base` and the embedded [[A,0],[0,0]].
+
+    `base` is [[I, i],[p, 0]], the third entry of `_border`.
+    """
     ech = IntEchelon(base.rows * base.cols)
     ech.add(base.int_flat())
     generators = [base]
     for a in V.basis:
-        em = block(
-            [
-                [a, Mat.zeros(n, iota.cols)],
-                [Mat.zeros(pi.rows, n), Mat.zeros(pi.rows, iota.cols)],
-            ]
-        )
+        em = _top_left(a, base)
         if ech.add(em.int_flat()):
             generators.append(em)
-    return MatrixSpace(n + pi.rows, n + iota.cols, generators)
+    return MatrixSpace(base.rows, base.cols, generators)
 
 
 def wong_separator(V, routing, E, F, r: int, el: Mat) -> Separator:
@@ -201,16 +204,18 @@ def cpc(
     _check_square(R, E, F)
     n = R.n
     space = to_matrix_space(R)
+    iota, pi, base = _border(E, F, n)
     best = None
     samples = (sample_element(space, sampler) for _ in range(sampler.trials))
     for A in chain([Mat.zeros(n, n)], samples):
-        rank = bordered_rank(A, E, F)
-        _assert_guttman(A, E, F, rank)
+        bordered = base - _top_left(A, base)
+        rank = bordered.rank()
+        _assert_guttman(A, iota, pi, rank)
         if best is None or rank > best[0]:
-            best = (rank, A)
-    rank, A = best
-    routing = _mpc_space(space, E, F)
-    sep = wong_separator(space, routing, E, F, 1, bordered_matrix(A, E, F))
+            best = (rank, A, bordered)
+    rank, A, bordered = best
+    routing = _mpc_space(space, base)
+    sep = wong_separator(space, routing, E, F, 1, bordered)
     if not verify_separator(R, sep):
         raise InvariantViolation("Wong separator fails the separator axioms")
     if sep.size < rank - n:
@@ -219,16 +224,16 @@ def cpc(
     return CertifiedValue(rank - n, A, sep, status)
 
 
-def _assert_guttman(A: Mat, E: Subspace, F: Subspace, rank: int):
+def _assert_guttman(A: Mat, iota: Mat, pi: Mat, rank: int):
     """rank [[I-A, i],[p, 0]] = n + rank(p (I-A)^{-1} i) when I-A is invertible.
 
     `rank` is the left side, which the caller has computed.
     """
     n = A.rows
-    inv_iota = solve_exact(Mat.identity(n) - A, _inclusion(E, n))
+    inv_iota = solve_exact(Mat.identity(n) - A, iota)
     if inv_iota is None:
         return
-    if rank != n + (_projection(F, n) @ inv_iota).rank():
+    if rank != n + (pi @ inv_iota).rank():
         raise InvariantViolation("Guttman rank additivity failed")
 
 

@@ -35,7 +35,7 @@ from .matching_cover import (
     CertifiedValue,
     Cover,
 )
-from .menger import Separator, _mpc_space, wong_separator
+from .menger import Separator, _border, _mpc_space, wong_separator
 from .relation import (
     GenericSampler,
     MatrixSpace,
@@ -165,7 +165,11 @@ def has_full_ncrank(V: MatrixSpace, sampler: GenericSampler):
     """(True, rank-rn blow-up element) or (False, shrunk-subspace witness)."""
     if V.m != V.n:
         raise DimensionError("full noncommutative rank is for square spaces")
-    cv = ncrank(V, sampler)
+    return full_ncrank_verdict(V, ncrank(V, sampler))
+
+
+def full_ncrank_verdict(V: MatrixSpace, cv: CertifiedValue):
+    """`has_full_ncrank` read off an `ncrank(V, ...)` result, for square V."""
     if cv.dual.defect > 0:
         return False, cv.dual
     if cv.proved and cv.value == V.n:
@@ -267,7 +271,7 @@ def mpc(
     n = V.n
     if E.ambient != n or F.ambient != n:
         raise DimensionError("E and F must live in the space's column space")
-    routing = _mpc_space(V, E, F)
+    routing = _mpc_space(V, _border(E, F, n)[2])
     best_value = 0
     best_sep = None
     for r in _orders(routing):

@@ -181,6 +181,26 @@ def test_demo_determinism(capsys):
     assert out1 == out2
 
 
+def test_demos_run_ncrank_at_most_once(capsys, monkeypatch):
+    from linminmax import ncrank
+
+    calls = []
+    original = ncrank.ncrank
+
+    def counting(V, sampler):
+        calls.append(V)
+        return original(V, sampler)
+
+    monkeypatch.setattr(ncrank, "ncrank", counting)
+    counts = {}
+    for name in ("linorder-f4", "menger-f7", "skew3"):
+        calls.clear()
+        code, _ = run_cli(capsys, "demo", name, "--output", "json")
+        assert code == EXIT_PROVED
+        counts[name] = len(calls)
+    assert counts == {"linorder-f4": 0, "menger-f7": 0, "skew3": 1}
+
+
 def test_check_zero_denominator_is_parse_error(tmp_path, capsys):
     rel = {"n": 2, "m": 2, "pairs": [[["1/0", "0"], ["1", "0"]]]}
     space = {"m": 2, "n": 2, "basis": [[["0", "1/0"], ["0", "0"]]]}
@@ -289,6 +309,32 @@ def test_check_lgv_exit_codes_for_failures_and_singular_points(tmp_path, capsys,
     monkeypatch.setattr(lgv, "lgv_lhs", singular)
     code, error = _exit_and_error(capsys, argv)
     assert code == EXIT_BOUNDS and error.startswith("bounds:")
+
+
+def test_check_lgv_tests_nilpotency_once(tmp_path, capsys, monkeypatch):
+    from linminmax import lgv
+    from linminmax.exact_linalg import unit_vec
+    from linminmax.relation import Relation
+
+    calls = []
+    original = lgv.is_acyclic
+
+    def counting(R):
+        calls.append(R)
+        return original(R)
+
+    monkeypatch.setattr(lgv, "is_acyclic", counting)
+    e = [unit_vec(3, i) for i in range(3)]
+    dag = Relation(3, 3, [(e[0], e[1]), (e[1], e[2])])
+    cycle = Relation(3, 3, [(e[0], e[1]), (e[1], e[0])])
+    for R, acyclic in [(dag, True), (cycle, False)]:
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(lgv.instance_from_relation(R, [e[0]], [e[2]]).to_json()))
+        calls.clear()
+        code, out = run_cli(capsys, "check", "lgv", str(path), "--output", "json")
+        assert code == EXIT_PROVED
+        assert json.loads(out)["acyclic"] is acyclic
+        assert len(calls) == 1
 
 
 def test_check_ncrank_sampling_shortfall_exits_2(tmp_path, capsys, monkeypatch):

@@ -1,12 +1,15 @@
 """The path-determinant identity, its acyclic form, and the classical case."""
 
+import random
+from dataclasses import fields
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from linminmax.classical_oracles import Digraph
 from linminmax.errors import SingularityError
-from linminmax.exact_linalg import Mat, unit_vec, vec
+from linminmax.exact_linalg import Mat, hstack, unit_vec, vec
 from linminmax.lgv import (
     LgvInstance,
     classical_lgv,
@@ -197,6 +200,15 @@ def test_json_round_trip(rng):
     assert LgvInstance.from_json(inst.to_json()) == inst
 
 
+def test_cached_tables_leave_fields_equality_and_json(rng):
+    inst = rand_instance(rng, n=3, r=2, k=1)
+    fresh = LgvInstance.from_json(inst.to_json())
+    inst.minors, inst.acyclic  # fill both caches
+    assert [f.name for f in fields(inst)] == ["V", "W", "A", "B"]
+    assert inst == fresh and hash(inst) == hash(fresh)
+    assert inst.to_json() == fresh.to_json()
+
+
 def test_acyclic_identity_failures_are_invariant_violations(monkeypatch):
     from linminmax import lgv
     from linminmax.errors import InvariantViolation
@@ -217,3 +229,92 @@ def test_acyclic_identity_failures_are_invariant_violations(monkeypatch):
     monkeypatch.setattr(lgv, "_acyclic_pair_order", lambda vtw: order(vtw)[::-1])
     with pytest.raises(InvariantViolation):
         lgv_acyclic(inst, xs)
+
+
+# ---------------------------------------------------------------------------
+# the point-free minor table against the per-point Fraction expansion
+
+
+def ref_rhs_parts(inst, xs):
+    """sum_S (-1)^|S| x_S det G_S and sum_S (-1)^|S| x_S det (V^T W)_S."""
+    table = hstack([inst.V, inst.B]).transpose() @ hstack([inst.W, inst.A])
+    num = Fraction(0)
+    den = Fraction(0)
+    for size in range(inst.r + 1):
+        for S in combinations(range(inst.r), size):
+            x_s = Fraction((-1) ** size)
+            for i in S:
+                x_s *= xs[i]
+            num += x_s * gs_matrix(inst, S).det()
+            den += x_s * table.submatrix(S, S).det()
+    return num, den
+
+
+def rand_rational(rng, bound=4):
+    return Fraction(rng.randint(-bound, bound), rng.choice([1, 1, 2, 3, 5, 6]))
+
+
+def rand_rational_instance(rng, n, r, k) -> LgvInstance:
+    def block(cols):
+        return Mat([[rand_rational(rng, 2) for _ in range(cols)] for _ in range(n)], cols)
+
+    return LgvInstance(block(r), block(r), block(k), block(k))
+
+
+def test_rhs_parts_match_per_point_reference():
+    rng = random.Random(61)
+    shapes = [(3, 0, 2), (3, 2, 0), (1, 0, 0), (4, 4, 2), (2, 3, 1), (5, 5, 3)]
+    shapes += [(rng.randint(1, 5), rng.randint(0, 5), rng.randint(0, 3)) for _ in range(24)]
+    seen_zero = 0
+    for n, r, k in shapes:
+        inst = rand_rational_instance(rng, n, r, k)
+        for _ in range(8):
+            xs = [rand_rational(rng) if rng.random() > 0.25 else Fraction(0) for _ in range(r)]
+            seen_zero += 0 in xs
+            assert lgv_rhs_parts(inst, xs) == ref_rhs_parts(inst, xs)
+    assert seen_zero > 20
+
+
+def test_subset_minors_once_per_instance(monkeypatch):
+    from linminmax import lgv
+
+    rng = random.Random(67)
+    calls = []
+    original = lgv.det_bareiss
+
+    def counting(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(lgv, "det_bareiss", counting)
+    for n, r, k in [(4, 4, 2), (3, 0, 2), (3, 3, 0)]:
+        inst = rand_rational_instance(rng, n, r, k)
+        calls.clear()
+        for _ in range(10):
+            lgv_rhs_parts(inst, [rand_rational(rng) for _ in range(r)])
+        assert len(calls) == 2 * 2**r
+
+
+def test_rhs_parts_build_no_fraction_per_subset(monkeypatch):
+    rng = random.Random(71)
+    inst = rand_rational_instance(rng, 5, 6, 2)
+    points = [[rand_rational(rng) for _ in range(inst.r)] for _ in range(5)]
+    expected = [ref_rhs_parts(inst, xs) for xs in points]
+    inst.minors  # the table is built once, before counting
+
+    made = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    for xs, parts in zip(points, expected):
+        made.clear()
+        got = lgv_rhs_parts(inst, xs)
+        # one per coordinate and one per side: none of the 2^r subsets
+        assert len(made) <= inst.r + 2 < 2**inst.r
+        assert got == parts
+    Fraction(1, 3)  # the counter is live
+    assert made
