@@ -26,6 +26,7 @@ from .errors import (
     SingularityError,
 )
 from .exact_linalg import (
+    IntEchelon,
     Mat,
     Subspace,
     Vec,
@@ -39,7 +40,6 @@ from .relation import (
     MatrixSpace,
     Relation,
     best_sample,
-    to_matrix_space,
 )
 
 EXIT_PROVED = 0
@@ -158,15 +158,14 @@ def gen_linorder(rng, size) -> dict:
 
 
 def gen_matrixspace(rng, m, n, dim) -> dict:
+    """`dim` independent random m x n matrices, each draw kept if it adds rank."""
+    ech = IntEchelon(m * n)
     basis = []
     while len(basis) < dim:
         cand = Mat([[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)], n)
-        try:
-            MatrixSpace(m, n, basis + [cand])
+        if ech.add(cand.int_flat()):
             basis.append(cand)
-        except ValueError:
-            continue
-    return MatrixSpace(m, n, basis).to_json()
+    return {"m": m, "n": n, "basis": [b.to_json() for b in basis]}
 
 
 def gen_lgv(rng, n, r, k) -> dict:
@@ -178,25 +177,39 @@ def gen_lgv(rng, n, r, k) -> dict:
     ).to_json()
 
 
+GENERATORS = {
+    "relation": (gen_relation, {"n": 3, "m": 3, "r": 5}),
+    "linorder": (gen_linorder, {"size": 4}),
+    "matrixspace": (gen_matrixspace, {"m": 3, "n": 3, "dim": 2}),
+    "lgv": (gen_lgv, {"n": 4, "r": 4, "k": 2}),
+}
+
+
+def _gen_size_error(kind: str, sizes: dict) -> str | None:
+    """Why no instance of these sizes can be generated, or None."""
+    if min(sizes.values()) < 0:
+        return "sizes must be nonnegative"
+    if kind == "relation" and sizes["r"] and not sizes["n"] * sizes["m"]:
+        return "pairs of nonzero vectors need n >= 1 and m >= 1"
+    if kind == "matrixspace" and sizes["dim"] > sizes["m"] * sizes["n"]:
+        return "dim exceeds m*n"
+    return None
+
+
 def run_gen(args) -> int:
     rng = random.Random(args.seed)
-    kind = args.kind
+    gen, defaults = GENERATORS[args.kind]
     try:
         p = {k: int(v) for k, v in (kv.split("=", 1) for kv in args.params)}
     except ValueError as ex:
         print(f"bad parameters (expected key=integer): {ex}", file=sys.stderr)
         return EXIT_PARSE
-    if kind == "relation":
-        data = gen_relation(rng, p.get("n", 3), p.get("m", 3), p.get("r", 5))
-    elif kind == "linorder":
-        data = gen_linorder(rng, p.get("size", 4))
-    elif kind == "matrixspace":
-        data = gen_matrixspace(rng, p.get("m", 3), p.get("n", 3), p.get("dim", 2))
-    elif kind == "lgv":
-        data = gen_lgv(rng, p.get("n", 4), p.get("r", 4), p.get("k", 2))
-    else:
-        print(f"unknown kind {kind!r}", file=sys.stderr)
+    sizes = {k: p.get(k, d) for k, d in defaults.items()}
+    error = _gen_size_error(args.kind, sizes)
+    if error:
+        print(f"bad {args.kind} sizes {sizes}: {error}", file=sys.stderr)
         return EXIT_PARSE
+    data = gen(rng, **sizes)
     text = json.dumps(data, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
@@ -307,10 +320,9 @@ def check_dilworth(data, config: RunConfig):
 def check_coherent(data, config: RunConfig):
     L = _linorder_from(data)
     cover = matching_cover.min_cover(L.relation)
-    space = to_matrix_space(L.relation)
     ac = dilworth.max_antichain(L, cover)
-    C = dilworth.coherent_decomposition(L, config.sampler(), cover, space)
-    ok = dilworth.verify_coherent_decomposition(C, space) and C.size == ac.value
+    C = dilworth.coherent_decomposition(L, config.sampler(), cover)
+    ok = dilworth.verify_coherent_decomposition(C, L.space) and C.size == ac.value
     report = {
         "antichain_dim": ac.value,
         "coherent_count": C.size,
@@ -630,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a random instance file")
     p_gen.add_argument(
         "kind",
-        choices=("relation", "linorder", "matrixspace", "lgv"),
+        choices=tuple(GENERATORS),
     )
     p_gen.add_argument("params", nargs="*", help="key=value, e.g. n=3 m=3 r=5")
     p_gen.add_argument("--seed", type=int, default=0)

@@ -14,7 +14,7 @@ linorder (r = 1) and for the blow-up V (x) M_r of a nilpotent algebra in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     CertificationError,
@@ -53,6 +53,7 @@ from .relation import (
 @dataclass(frozen=True)
 class Linorder:
     relation: Relation
+    space: MatrixSpace = field(compare=False, repr=False)  # the rank-one span
 
     @property
     def n(self) -> int:
@@ -71,7 +72,7 @@ def validate_linorder(R: Relation):
     """Check both linorder axioms; returns a Linorder or the first violation.
 
     Also sanity-checks that the induced rank-one span is nilpotent, which
-    the axioms guarantee.
+    the axioms guarantee; the Linorder keeps that span.
     """
     if R.n != R.m:
         raise DimensionError("a linorder lives on F^n x F^n")
@@ -83,9 +84,10 @@ def validate_linorder(R: Relation):
         for j, (v2, w2) in enumerate(R.pairs):
             if w.dot(v2) != 0 and (v, w2) not in pair_set:
                 return LinorderViolation("transitivity", (i, j))
-    if not space_power_is_zero(to_matrix_space(R), R.n):
+    space = to_matrix_space(R)
+    if not space_power_is_zero(space, R.n):
         raise InvariantViolation("linorder axioms hold but the span is not nilpotent")
-    return Linorder(R)
+    return Linorder(R, space)
 
 
 @dataclass(frozen=True)
@@ -404,26 +406,20 @@ def coherent_from_sample(
 
 
 def coherent_decomposition(
-    L: Linorder,
-    sampler: GenericSampler,
-    cover: Cover | None = None,
-    space: MatrixSpace | None = None,
+    L: Linorder, sampler: GenericSampler, cover: Cover | None = None
 ) -> CoherentDecomposition:
     """Minimum coherent decomposition via a sampled maximum-rank element.
 
     The implementing matrix is a random combination of the rank-one
     generators of rank equal to the minimum cover size; its Jordan chains
     give the decomposition, of size equal to the maximum antichain
-    dimension.  A minimum `cover` and the `space` of the relation, when the
-    caller has them, are used instead of computing them again.
+    dimension.  A minimum `cover`, when the caller has one, is used
+    instead of computing it again.
     """
-    R = L.relation
     if cover is None:
-        cover = min_cover(R)
-    if space is None:
-        space = to_matrix_space(R)
-    D = coherent_from_sample(space, 1, cover.size, sampler)
-    if not space.contains(D.A):
+        cover = min_cover(L.relation)
+    D = coherent_from_sample(L.space, 1, cover.size, sampler)
+    if not L.space.contains(D.A):
         raise InvariantViolation("sampled element lies outside the relation's span")
     return D
 

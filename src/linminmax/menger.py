@@ -16,6 +16,7 @@ blow-up order r = 1.  No subset is enumerated, so there is no size limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 from .errors import (
@@ -60,7 +61,7 @@ class Separator:
     """Pair (E~, F~) pinching every relation path from E to F.
 
     E is inside E~, F inside F~, the orthocomplement of F~ inside E~, and no
-    pair jumps from F~^perp past E~; the size is dim(E~ n F~).
+    pair jumps from F~^perp past E~; the size dim(E~ n F~) is computed once.
     """
 
     E_tilde: Subspace
@@ -68,7 +69,7 @@ class Separator:
     E: Subspace
     F: Subspace
 
-    @property
+    @cached_property
     def size(self) -> int:
         return subspace_intersection(self.E_tilde, self.F_tilde).dim
 
@@ -163,14 +164,7 @@ def _mpc_space(V: MatrixSpace, base: Mat) -> MatrixSpace:
 
     `base` is [[I, i],[p, 0]], the third entry of `_border`.
     """
-    ech = IntEchelon(base.rows * base.cols)
-    ech.add(base.int_flat())
-    generators = [base]
-    for a in V.basis:
-        em = _top_left(a, base)
-        if ech.add(em.int_flat()):
-            generators.append(em)
-    return MatrixSpace(base.rows, base.cols, generators)
+    return MatrixSpace.spanned(base.rows, base.cols, [base] + [_top_left(a, base) for a in V.basis])
 
 
 def wong_separator(V, routing, E, F, r: int, el: Mat) -> Separator:

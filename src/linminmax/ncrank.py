@@ -196,12 +196,11 @@ def matrix_antichain(
     """Largest subspace C with P V P = 0, for a nilpotent algebra V.
 
     Read off a minimum cover as (E + F)^perp; checked by apply_space(V, C)
-    being orthogonal to C.  `cov`, when given, is the `matrix_min_cover` of
-    V, which the caller has already checked to be a nilpotent algebra.
+    being orthogonal to C.  `cov`, when given, is V's `matrix_min_cover`.
     """
+    if not is_nilpotent_algebra(V):
+        raise ValueError("matrix antichains are defined for nilpotent algebras")
     if cov is None:
-        if not is_nilpotent_algebra(V):
-            raise ValueError("matrix antichains are defined for nilpotent algebras")
         cov = matrix_min_cover(V, sampler)
     cover: Cover = cov.primal
     C = subspace_sum(cover.E, cover.F).orthocomplement()
@@ -224,10 +223,9 @@ def matrix_coherent_decomposition(
     The Jordan chains of a sampled element of the blow-up (a nilpotent
     algebra again) of rank r times the cover bound, built by
     `coherent_from_sample`; its size is rn minus that rank.  `cov`, when
-    given, is the `matrix_min_cover` of V, which the caller has already
-    checked to be a nilpotent algebra.
+    given, is the `matrix_min_cover` of V.
     """
-    if cov is None and not is_nilpotent_algebra(V):
+    if not is_nilpotent_algebra(V):
         raise ValueError("matrix Dilworth is stated for nilpotent algebras")
     _check_blowup_budget(V, r)
     if cov is None:

@@ -80,39 +80,48 @@ class Relation:
 
 
 class MatrixSpace:
-    """Span of a linearly independent list of m x n matrices.
+    """Span of a list of m x n matrices, kept on its independent generators.
 
-    When the space was built from a relation, `source_pairs` remembers the
-    (v, w) pairs behind the kept rank-one generators; the exact enumeration
-    routines use them instead of generic witness search.  The basis is also
-    kept as integer rows over one common denominator (`int_basis` over
-    `den`, so `int_basis[i]` is `den` times `basis[i]`), and as the integer
-    echelon of their flattenings, which serves the membership tests.
+    Every space is built by `_span`: the prefix-greedy independent sub-list
+    of the generators is the basis, and the integer echelon that chose it
+    serves the membership tests.  `MatrixSpace(m, n, basis)` refuses a
+    dependent basis; `MatrixSpace.spanned` keeps what a spanning list spans.
+    `source_pairs` holds the (v, w) pairs behind the kept rank-one
+    generators of a relation's space, for the exact enumeration routines.
+    The basis is also kept as integer rows over one common denominator
+    (`int_basis[i]` is `den` times `basis[i]`).
     """
 
-    __slots__ = ("m", "n", "basis", "source_pairs", "int_basis", "den", "_echelon")
+    __slots__ = ("m", "n", "basis", "source_pairs", "int_basis", "den", "_echelon", "_nilpotent")
 
-    def __init__(self, m: int, n: int, basis, source_pairs=None):
+    def __init__(self, m: int, n: int, basis):
+        basis = tuple(basis)
+        self._span(m, n, basis, None)
+        if len(self.basis) != len(basis):
+            raise ValueError("matrix space basis is linearly dependent")
+
+    @classmethod
+    def spanned(cls, m: int, n: int, generators, source_pairs=None) -> "MatrixSpace":
+        """The span of `generators`; `source_pairs[i]` is the pair behind the i-th."""
+        space = cls.__new__(cls)
+        space._span(m, n, tuple(generators), source_pairs)
+        return space
+
+    def _span(self, m: int, n: int, generators: tuple, source_pairs):
         if m < 0 or n < 0:
             raise DimensionError("matrix space with a negative dimension")
-        basis = tuple(basis)
-        for b in basis:
-            if (b.rows, b.cols) != (m, n):
+        for g in generators:
+            if (g.rows, g.cols) != (m, n):
                 raise DimensionError("basis matrix with wrong shape")
-        int_basis, den = common_int_rows(basis)
         ech = IntEchelon(m * n)
-        for rows in int_basis:
-            if not ech.add([x for row in rows for x in row]):
-                raise ValueError("matrix space basis is linearly dependent")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(
-            self, "source_pairs", tuple(source_pairs) if source_pairs else None
-        )
-        object.__setattr__(self, "int_basis", tuple(int_basis))
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_echelon", ech)
+        kept = [i for i, g in enumerate(generators) if ech.add(g.int_flat())]
+        basis = tuple(generators[i] for i in kept)
+        int_basis, den = common_int_rows(basis)
+        if source_pairs is not None:
+            source_pairs = tuple(source_pairs[i] for i in kept) or None
+        values = (m, n, basis, source_pairs, tuple(int_basis), den, ech, None)
+        for name, value in zip(MatrixSpace.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixSpace is immutable")
@@ -166,30 +175,21 @@ class GenericSampler:
 # operations
 
 
+def to_matrix_space(R: Relation) -> MatrixSpace:
+    """Independent rank-one generators of span{w v^T : (v, w) in R}, prefix-greedy."""
+    return MatrixSpace.spanned(R.m, R.n, [outer(w, v) for v, w in R.pairs], R.pairs)
+
+
 def reduced_indices(R: Relation) -> list[int]:
-    """Indices of a maximal prefix-greedy sub-list with independent rank-ones."""
-    ech = IntEchelon(R.n * R.m)
-    kept = []
-    for i, (v, w) in enumerate(R.pairs):
-        if v.is_zero() or w.is_zero():
-            continue
-        vn = v.int_row()
-        if ech.add([x * y for x in w.int_row() for y in vn]):  # w v^T, row by row
-            kept.append(i)
-    return kept
+    """Indices of the pairs `to_matrix_space` keeps: independent rank-ones."""
+    # the kept source pairs are R's own pair objects
+    kept = {id(p) for p in to_matrix_space(R).source_pairs or ()}
+    return [i for i, p in enumerate(R.pairs) if id(p) in kept]
 
 
 def reduce_relation(R: Relation) -> Relation:
     """Sub-list of at most n*m pairs spanning the same matrix space."""
-    return Relation(R.n, R.m, [R.pairs[i] for i in reduced_indices(R)])
-
-
-def to_matrix_space(R: Relation) -> MatrixSpace:
-    """Independent rank-one generators of span{w v^T : (v, w) in R}."""
-    kept = [R.pairs[i] for i in reduced_indices(R)]
-    return MatrixSpace(
-        R.m, R.n, [outer(w, v) for v, w in kept], source_pairs=kept
-    )
+    return Relation(R.n, R.m, to_matrix_space(R).source_pairs or ())
 
 
 def _image(V: MatrixSpace, rows, cap: int) -> IntEchelon:
@@ -330,13 +330,13 @@ def space_power_is_zero(V: MatrixSpace, k: int) -> bool:
 
 
 def is_nilpotent_algebra(V: MatrixSpace) -> bool:
-    """V^2 contained in V and V^n = {0}."""
-    if V.m != V.n:
-        return False
-    transposed = [list(zip(*y)) for y in V.int_basis]
-    for x in V.int_basis:
-        for yt in transposed:
-            flat = [sum(map(mul, row, col)) for row in x for col in yt]
-            if not V._echelon.contains(flat):
-                return False
-    return space_power_is_zero(V, V.n)
+    """V^2 contained in V and V^n = {0}; decided once per space."""
+    if V._nilpotent is None:
+        transposed = [list(zip(*y)) for y in V.int_basis]
+        closed = V.m == V.n and all(
+            V._echelon.contains([sum(map(mul, row, col)) for row in x for col in yt])
+            for x in V.int_basis
+            for yt in transposed
+        )
+        object.__setattr__(V, "_nilpotent", closed and space_power_is_zero(V, V.n))
+    return V._nilpotent

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from linminmax.exact_linalg import Mat, Subspace, Vec
+from linminmax.exact_linalg import IntEchelon, Mat, Subspace, Vec
 from linminmax.relation import Relation
 
 
@@ -35,3 +35,17 @@ def rand_subspace(rng, n, max_dim=None, bound=2):
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture
+def echelon_widths(monkeypatch):
+    """The widths of the IntEchelons built during the test, in order."""
+    widths = []
+    init = IntEchelon.__init__
+
+    def counting(self, width):
+        widths.append(width)
+        init(self, width)
+
+    monkeypatch.setattr(IntEchelon, "__init__", counting)
+    return widths

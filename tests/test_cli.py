@@ -266,12 +266,60 @@ def test_check_malformed_json_types_are_parse_errors(tmp_path, capsys):
 
 
 def test_gen_bad_parameters_are_parse_errors(capsys):
-    for params in (["n=abc"], ["n"], ["n=3", "m=x"]):
-        code = main(["gen", "relation", *params])
+    for kind, params in (
+        ("relation", ["n=abc"]),
+        ("relation", ["n"]),
+        ("relation", ["n=3", "m=x"]),
+        # sizes with no instance
+        ("lgv", ["n=-1"]),
+        ("relation", ["r=-3"]),
+        ("linorder", ["size=-1"]),
+        ("lgv", ["n=2", "r=-1", "k=1"]),
+        ("relation", ["n=0", "m=3", "r=1"]),
+        ("relation", ["n=-1", "m=3", "r=1"]),
+        ("matrixspace", ["m=1", "n=1", "dim=2"]),
+    ):
+        code = main(["gen", kind, *params])
         captured = capsys.readouterr()
-        assert code == EXIT_PARSE, params
+        assert code == EXIT_PARSE, (kind, params)
         assert captured.out == ""
-        assert "Traceback" not in captured.err
+        assert captured.err and "Traceback" not in captured.err
+
+
+def test_gen_zero_sizes_with_an_instance(capsys):
+    for kind, params in (
+        ("relation", ["n=0", "m=3", "r=0"]),
+        ("linorder", ["size=0"]),
+        ("lgv", ["n=0"]),
+        ("matrixspace", ["m=2", "n=3", "dim=6"]),
+    ):
+        assert main(["gen", kind, *params]) == EXIT_PROVED, (kind, params)
+        capsys.readouterr()
+
+
+def test_gen_matrixspace_keeps_one_running_echelon(capsys, echelon_widths):
+    assert main(["gen", "matrixspace", "m=2", "n=3", "dim=4", "--seed", "5"]) == EXIT_PROVED
+    capsys.readouterr()
+    assert echelon_widths == [6]
+
+
+def test_check_coherent_builds_the_space_once(tmp_path, capsys, monkeypatch):
+    from linminmax import relation
+
+    made = []
+
+    class Counted(relation.MatrixSpace):
+        def __new__(cls, *args, **kwargs):
+            made.append(cls)
+            return super().__new__(cls)
+
+    monkeypatch.setattr(relation, "MatrixSpace", Counted)
+    lin = tmp_path / "lin.json"
+    main(["gen", "linorder", "size=5", "--seed", "4", "--out", str(lin)])
+    made.clear()
+    assert main(["check", "coherent", str(lin)]) == EXIT_PROVED
+    capsys.readouterr()
+    assert len(made) == 1
 
 
 def _exit_and_error(capsys, argv):

@@ -205,3 +205,12 @@ def test_random_linorders_all_equal():
         assert ac.value == L.n - max_matching(L.relation).value
         mc, ma, _, _ = poset_dilworth(poset)
         assert ac.value == ma
+
+
+def test_linorder_carries_its_space():
+    import inspect
+
+    L = f4_linorder()
+    assert L.space.dim == 3 and L.space.source_pairs == L.relation.pairs
+    assert validate_linorder(L.relation) == L  # the space takes no part in equality
+    assert "space" not in inspect.signature(coherent_decomposition).parameters

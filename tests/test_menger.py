@@ -285,3 +285,51 @@ def test_cpc_matches_the_subset_formula(rng):
         cv = cpc(R, E, F, GenericSampler(seed=400 + trial))
         _check_cpc_certificate(R, E, F, cv)
         assert cv.value == _subset_capacity(R, E, F)
+
+
+def test_routing_space_echelons_once(echelon_widths):
+    """cpc and mpc each build their routing space on one echelon."""
+    from linminmax.ncrank import mpc
+
+    R, E, F = f7_instance()
+    V = to_matrix_space(R)
+    width = (7 + F.dim) * (7 + E.dim)
+    for run in (cpc, lambda R, E, F, s: mpc(V, E, F, s)):
+        echelon_widths.clear()
+        assert run(R, E, F, GenericSampler(seed=3)).proved
+        assert echelon_widths.count(width) == 1
+
+
+def test_separator_size_is_computed_once(monkeypatch, capsys):
+    """A menger check intersects E~ and F~ once, however often it reads the size."""
+    from pathlib import Path
+
+    from linminmax import menger
+    from linminmax.cli import main
+
+    calls = []
+    meet = menger.subspace_intersection
+
+    def counting(a, b):
+        calls.append(1)
+        return meet(a, b)
+
+    monkeypatch.setattr(menger, "subspace_intersection", counting)
+    golden = Path(__file__).parent / "golden"
+    for theorem in ("menger", "matrix-menger"):
+        calls.clear()
+        assert main(["check", theorem, str(golden / f"{theorem}.json")]) == 0
+        capsys.readouterr()
+        assert len(calls) == 2  # the Wong separator's X, then the size
+
+
+def test_path_capacities_on_the_zero_space():
+    """The 0 x 0 border spans nothing; its routing space is the zero space."""
+    from linminmax.ncrank import mpc
+    from linminmax.relation import MatrixSpace
+
+    zero = Subspace.zero(0)
+    cv = cpc(Relation(0, 0, []), zero, zero, GenericSampler(seed=1))
+    assert cv.proved and cv.value == cv.dual.size == 0
+    cv = mpc(MatrixSpace(0, 0, []), zero, zero, GenericSampler(seed=1))
+    assert cv.proved and cv.value == cv.dual.size == 0

@@ -396,3 +396,15 @@ def test_hidden_shrunk_spaces_are_proved():
             assert cv.proved, (n, big)
             assert cv.value <= n - 1
             _check_ncrank_certificate(V, cv)
+
+
+def test_matrix_dilworth_checks_nilpotency_even_with_a_cover():
+    """Every element of span{e12, e23} is nilpotent, but e12 e23 = e13 is outside it."""
+    e12 = Mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    e23 = Mat([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
+    V = MatrixSpace(3, 3, [e12, e23])
+    cov = matrix_min_cover(V, GenericSampler(seed=40))
+    with pytest.raises(ValueError, match="nilpotent algebras"):
+        matrix_antichain(V, GenericSampler(seed=41), cov)
+    with pytest.raises(ValueError, match="nilpotent algebras"):
+        matrix_coherent_decomposition(V, 2, GenericSampler(seed=42), cov)

@@ -366,3 +366,40 @@ def test_best_sample_on_the_zero_space_draws_nothing():
         assert rank == 0
         assert el == Mat.zeros(m * r, n * r)
         assert s.drawn == 0
+
+
+def test_to_matrix_space_echelons_once(rng, echelon_widths):
+    """One echelon chooses the kept pairs and then serves `contains`."""
+    R = rand_relation(rng, 3, 4, 9)
+    V = to_matrix_space(R)
+    assert echelon_widths == [12]
+    assert 0 < V.dim == len(V.source_pairs) <= 9
+    assert all(V.contains(b) for b in V.basis)
+    assert echelon_widths == [12]
+
+
+def test_spanned_keeps_the_prefix_greedy_generators():
+    a, b = Mat([[1, 2], [0, 0]]), Mat([[0, 0], [3, 4]])
+    V = MatrixSpace.spanned(2, 2, [Mat.zeros(2, 2), a, a.scaled(2), b, a + b], "vwxyz")
+    assert V.basis == (a, b) and V.source_pairs == ("w", "y")
+    assert MatrixSpace.spanned(2, 2, [Mat.zeros(2, 2)], "v").source_pairs is None
+    with pytest.raises(ValueError):
+        MatrixSpace(2, 2, [a, b, a + b])
+
+
+def test_nilpotent_verdict_is_decided_once_per_space(monkeypatch):
+    calls = []
+    power_is_zero = relation.space_power_is_zero
+
+    def counting(V, k):
+        calls.append(k)
+        return power_is_zero(V, k)
+
+    monkeypatch.setattr(relation, "space_power_is_zero", counting)
+    e12, e23 = Mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]]), Mat([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
+    basis = [e12, e23, e12 @ e23]
+    V = MatrixSpace(3, 3, basis)
+    assert is_nilpotent_algebra(V) and is_nilpotent_algebra(V)
+    assert calls == [3]
+    assert is_nilpotent_algebra(MatrixSpace(3, 3, basis))
+    assert calls == [3, 3]
