@@ -39,6 +39,7 @@ from .relation import (
     GenericSampler,
     MatrixSpace,
     Relation,
+    apply_space,
     best_sample,
 )
 
@@ -281,12 +282,31 @@ def check_rado(data, config: RunConfig):
         lambda: (int(data["m"]), [[Vec.from_json(v) for v in s] for s in data["sets"]]),
     )
     transversal, witness = matching_cover.rado_transversal(sets, m)
+    ok = _rado_report_holds(sets, m, transversal, witness)
     if transversal is not None:
-        return (
-            {"transversal": [v.to_json() for v in transversal]},
-            EXIT_PROVED,
+        report = {"transversal": [v.to_json() for v in transversal]}
+    else:
+        report = {"violating_sets": witness}
+    return report, (EXIT_PROVED if ok else EXIT_VIOLATION)
+
+
+def _rado_report_holds(sets, m: int, transversal, witness) -> bool:
+    """Re-check a Rado report from the sets alone.
+
+    A transversal holds when each w_i is one of the vectors of set i and
+    the w_i are independent; a witness, when the union of its sets spans
+    fewer dimensions than there are sets.
+    """
+    if transversal is not None:
+        ech = IntEchelon(m)
+        return len(transversal) == len(sets) and all(
+            w in S and ech.add(w.int_row()) for w, S in zip(transversal, sets)
         )
-    return {"violating_sets": witness}, EXIT_PROVED
+    members = set(witness)
+    if not members <= set(range(len(sets))):
+        return False
+    union = Subspace.span(m, [v for i in members for v in sets[i]])
+    return union.dim < len(members)
 
 
 def _linorder_from(data) -> dilworth.Linorder:
@@ -387,7 +407,26 @@ def check_ncrank(data, config: RunConfig):
         "witness": cv.dual.to_json(),
         "element": {"r": r, "matrix": element.to_json()},
     }
+    if not _ncrank_report_holds(V, cv):
+        return report, EXIT_VIOLATION
     return report, (EXIT_PROVED if cv.proved else EXIT_BOUNDS)
+
+
+def _ncrank_report_holds(V: MatrixSpace, cv) -> bool:
+    """Re-check an `ncrank` result from V alone.
+
+    The defect is dim E - dim V[E], the element has rank r * value (and,
+    at r = 1, lies in V), and a proved value is n - defect.
+    """
+    r, element = cv.primal
+    E = cv.dual.E
+    return (
+        (element.rows, element.cols) == (V.m * r, V.n * r)
+        and E.dim - apply_space(V, E).dim == cv.dual.defect
+        and element.rank() == r * cv.value
+        and (r > 1 or V.contains(element))
+        and (not cv.proved or cv.value == V.n - cv.dual.defect)
+    )
 
 
 def check_matrix_konig(data, config: RunConfig):

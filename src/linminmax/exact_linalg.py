@@ -245,9 +245,7 @@ class IntEchelon:
             if row[p]:
                 a, b = r[p], row[p]
                 row = [a * x - b * y for x, y in zip(row, r)]
-        g = 0
-        for x in row:
-            g = gcd(g, x)
+        g = gcd(*row)
         if g > 1:
             row = [x // g for x in row]
         return row
@@ -283,9 +281,7 @@ class IntEchelon:
                 b = rj[p]
                 if b:
                     rj = [a * x - b * y for x, y in zip(rj, ri)]
-                    g = 0
-                    for x in rj:
-                        g = gcd(g, x)
+                    g = gcd(*rj)
                     rows[j] = [x // g for x in rj] if g > 1 else rj
         return rows
 

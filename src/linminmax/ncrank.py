@@ -6,21 +6,23 @@ equals n - d where d is the largest defect dim E - dim V[E].  A defect
 subspace is therefore a dual certificate: it bounds every blow-up rank by
 r(n - d), while a sampled blow-up element of that rank is the primal.  For
 r = 1 .. n - 1, as far as the blow-up side max(m, n) r stays within
-BLOWUP_DIM_BUDGET, the loop below draws a maximum-rank element A through
-`relation.best_sample` (the one sampler of V (x) M_r), takes the slice span
-U' of the limit of its second Wong sequence (`wong_limit`) as the dual, and
-stops once rank A = r(n - defect(U')).  The matricial path capacity runs the
-same loop on the routing space of `menger`, with the separator read off the
-same limit, and matrix Dilworth takes the Jordan chains of a blow-up
-element through `dilworth.coherent_from_sample`.  An unmet bound leaves the
-status at lower_bound_only, never at a wrong value.
+BLOWUP_DIM_BUDGET, the loop below draws blow-up elements A through
+`relation.best_sample` (the one sampler of V (x) M_r).  Each draw that
+beats the best so far gets its dual: the slice span U' of the limit of its
+second Wong sequence (`wong_limit`), which bounds every rank by
+r(n - defect(U')).  The order is proved, and drawing stops, at the first
+draw with rank A = r(n - defect(U')); an order that is not proved draws
+all `trials` and keeps the dual of its first maximum.  The matricial path
+capacity runs the same loop on the routing space of `menger`, with the
+separator read off the same limit, and matrix Dilworth takes the Jordan
+chains of a blow-up element through `dilworth.coherent_from_sample`.  An
+unmet bound leaves the status at lower_bound_only, never at a wrong value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import relation
 from .errors import (
     BudgetExceededError,
     CertificationError,
@@ -101,25 +103,30 @@ def _orders(V: MatrixSpace) -> range:
 
 def max_rank_blowup(V: MatrixSpace, r: int, sampler: GenericSampler) -> int:
     """Maximum sampled rank in V (x) M_r; asserted divisible by r."""
-    value, _ = _max_rank_blowup_el(V, r, sampler)
+    value, _, _ = _max_rank_blowup_el(V, r, sampler, _defect_dual(V, r))
     return value
 
 
-def _max_rank_blowup_el(V: MatrixSpace, r: int, sampler: GenericSampler):
+def _defect_dual(V: MatrixSpace, r: int):
+    """el -> (defect certificate of its Wong limit, bound r(n - defect))."""
+
+    def dual(el: Mat):
+        E, image = wong_limit(V, r, el)
+        cert = DefectCertificate(E, E.dim - image.dim)
+        return cert, r * (V.n - cert.defect)
+
+    return dual
+
+
+def _max_rank_blowup_el(V: MatrixSpace, r: int, sampler: GenericSampler, dual):
+    """(rank, element, cert) of `best_sample` with `dual`; rank divisible by r."""
     _check_blowup_budget(V, r)
-    best, best_el = best_sample(V, sampler, r)
-    extra = 0
-    while best % r != 0 and extra < 2 * sampler.trials:
-        el = relation.sample_element(V, sampler, r)
-        rk = el.rank()
-        if rk > best:
-            best, best_el = rk, el
-        extra += 1
+    best, best_el, cert = best_sample(V, sampler, r, dual=dual)
     if best % r != 0:
         raise CertificationError(
             f"sampled blow-up maximum {best} is not divisible by {r}"
         )
-    return best, best_el
+    return best, best_el, cert
 
 
 def cover_from_defect(V: MatrixSpace, cert: DefectCertificate) -> Cover:
@@ -137,9 +144,9 @@ def verify_matrix_cover(V: MatrixSpace, c: Cover) -> bool:
 def ncrank(V: MatrixSpace, sampler: GenericSampler) -> CertifiedValue:
     """Noncommutative rank with primal blow-up element and defect dual.
 
-    For each r of `_orders(V)`: sample a maximum-rank A in V (x) M_r and
-    read the defect certificate off its Wong limit; stop once
-    rank A = r(n - defect).  By the Wong-sequence theorem of Ivanyos,
+    For each r of `_orders(V)`: sample A in V (x) M_r until rank A meets
+    r(n - defect) for the defect certificate read off its own Wong limit,
+    or the trials run out.  By the Wong-sequence theorem of Ivanyos,
     Karpinski, Qiao and Santha, a sample of maximum rank meets it, at
     r = n - 1 at the latest.
     """
@@ -148,9 +155,7 @@ def ncrank(V: MatrixSpace, sampler: GenericSampler) -> CertifiedValue:
     best_value = 0
     best_witness = (1, Mat.zeros(V.m, V.n))
     for r in _orders(V):
-        rank_r, el = _max_rank_blowup_el(V, r, sampler)
-        E, image = wong_limit(V, r, el)
-        cert = DefectCertificate(E, E.dim - image.dim)
+        rank_r, el, cert = _max_rank_blowup_el(V, r, sampler, _defect_dual(V, r))
         if rank_r == r * (n - cert.defect):
             return CertifiedValue(rank_r // r, (r, el), cert, PROVED)
         if cert.defect > dual.defect:
@@ -252,6 +257,18 @@ def verify_matrix_separator(V: MatrixSpace, sep: Separator) -> bool:
     return sep.E_tilde.contains_subspace(apply_space(V, f_perp))
 
 
+def _separator_dual(V: MatrixSpace, routing: MatrixSpace, E, F, r: int):
+    """el -> (Wong separator, bound r(n + size)), or (None, None) if it fails."""
+
+    def dual(el: Mat):
+        sep = wong_separator(V, routing, E, F, r, el)
+        if not verify_matrix_separator(V, sep):
+            return None, None
+        return sep, r * (V.n + sep.size)
+
+    return dual
+
+
 def mpc(
     V: MatrixSpace,
     E: Subspace,
@@ -260,9 +277,11 @@ def mpc(
 ) -> CertifiedValue:
     """Matricial path capacity: ncrank of the routing space minus n.
 
-    For each r of `_orders(routing)`: a sampled maximum-rank element of
-    the routing space's blow-up is the primal, and the separator read off
-    its Wong limit the dual; proved once the rank is r(n + size).
+    For each r of `_orders(routing)`: a sampled element of the routing
+    space's blow-up is the primal, and the separator read off its Wong
+    limit the dual; drawing stops, proved, once the rank of a draw is
+    r(n + size) for its own separator, checked by
+    `verify_matrix_separator` first.
     """
     if V.m != V.n:
         raise DimensionError("matricial path capacity needs a square space")
@@ -273,9 +292,9 @@ def mpc(
     best_value = 0
     best_sep = None
     for r in _orders(routing):
-        rank_r, el = _max_rank_blowup_el(routing, r, sampler)
-        sep = wong_separator(V, routing, E, F, r, el)
-        if not verify_matrix_separator(V, sep):
+        dual = _separator_dual(V, routing, E, F, r)
+        rank_r, el, sep = _max_rank_blowup_el(routing, r, sampler, dual)
+        if sep is None:
             raise InvariantViolation("separator fails the matrix-sense conditions")
         if rank_r == r * (n + sep.size):
             return CertifiedValue(sep.size, (r, el), sep, PROVED)

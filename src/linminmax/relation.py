@@ -285,25 +285,42 @@ def sample_element(V: MatrixSpace, sampler: GenericSampler, r: int = 1) -> Mat:
 
 
 def best_sample(
-    V: MatrixSpace, sampler: GenericSampler, r: int = 1, target: int | None = None
-) -> tuple[int, Mat]:
+    V: MatrixSpace,
+    sampler: GenericSampler,
+    r: int = 1,
+    target: int | None = None,
+    dual=None,
+) -> tuple:
     """(rank, element): the first of largest rank among `sampler.trials` draws.
 
     Draws from V (x) M_r and stops early once the rank reaches `target`, a
     certified upper bound.  The zero space draws nothing: its one element
     is the zero matrix, of rank 0.
+
+    With `dual`, a callable el -> (cert, bound), each draw that beats the
+    best so far is passed to it, and its `bound` (an upper bound on every
+    rank of V (x) M_r read off that draw, or None) takes the place of
+    `target`: a draw that meets its own dual stops the loop.  The maximum
+    rank of V (x) M_r is a multiple of r, so after the trials up to
+    2 * trials more draws follow while the best rank is not.  Returns
+    (rank, element, cert), the cert of the returned element.
     """
     if V.dim == 0:
-        return 0, Mat.zeros(V.m * r, V.n * r)
-    best, best_el = -1, None
-    for _ in range(sampler.trials):
+        zero = Mat.zeros(V.m * r, V.n * r)
+        return (0, zero) if dual is None else (0, zero, dual(zero)[0])
+    best, best_el, cert = -1, None, None
+    for i in range(sampler.trials if dual is None else 3 * sampler.trials):
+        if i >= sampler.trials and best % r == 0:
+            break
         el = sample_element(V, sampler, r)
         rank = el.rank()
         if rank > best:
             best, best_el = rank, el
+            if dual is not None:
+                cert, target = dual(el)
             if target is not None and rank >= target:
                 break
-    return best, best_el
+    return (best, best_el) if dual is None else (best, best_el, cert)
 
 
 def space_power_is_zero(V: MatrixSpace, k: int) -> bool:

@@ -435,3 +435,55 @@ def test_matrix_dilworth_on_larger_nilpotent_algebras(tmp_path, capsys):
         assert report["r"] == size - 1
         assert report["coherent_count"] == report["r"] * report["antichain_dim"]
         assert report["antichain_dim"] == max_antichain(validate_linorder(R)).value
+
+
+def test_check_ncrank_rechecks_defect_rank_and_membership(tmp_path, capsys, monkeypatch):
+    from dataclasses import replace
+
+    from linminmax import ncrank
+    from linminmax.cli import build_skew3
+    from linminmax.exact_linalg import Mat
+    from linminmax.relation import MatrixSpace
+
+    original = ncrank.ncrank
+    path = tmp_path / "space.json"
+
+    def exit_with(space, tamper):
+        monkeypatch.setattr(ncrank, "ncrank", lambda V, sampler: tamper(original(V, sampler)))
+        path.write_text(json.dumps(space.to_json()))
+        code, _ = run_cli(capsys, "check", "ncrank", str(path), "--output", "json")
+        return code
+
+    skew = build_skew3()
+    assert exit_with(skew, lambda cv: cv) == EXIT_PROVED
+    wrong_defect = lambda cv: replace(cv, dual=replace(cv.dual, defect=cv.dual.defect + 1))
+    assert exit_with(skew, wrong_defect) == EXIT_VIOLATION
+    low_rank = lambda cv: replace(cv, primal=(cv.primal[0], Mat.zeros(6, 6)))
+    assert exit_with(skew, low_rank) == EXIT_VIOLATION
+
+    diagonal = MatrixSpace(2, 2, [Mat([[1, 0], [0, 0]]), Mat([[0, 0], [0, 1]])])
+    assert exit_with(diagonal, lambda cv: cv) == EXIT_PROVED
+    outside = lambda cv: replace(cv, primal=(1, Mat([[0, 1], [1, 0]])))
+    assert exit_with(diagonal, outside) == EXIT_VIOLATION
+
+
+def test_check_rado_rechecks_its_report(tmp_path, capsys, monkeypatch):
+    from linminmax import matching_cover
+    from linminmax.exact_linalg import unit_vec
+
+    e = [unit_vec(3, i) for i in range(3)]
+    inst = {"m": 3, "sets": [[v.to_json() for v in (e[0], e[1])], [v.to_json() for v in (e[0], e[2])]]}
+    path = tmp_path / "rado.json"
+    path.write_text(json.dumps(inst))
+
+    def exit_with(result):
+        monkeypatch.setattr(matching_cover, "rado_transversal", lambda sets, m: result)
+        code, _ = run_cli(capsys, "check", "rado", str(path), "--output", "json")
+        return code
+
+    assert exit_with(([e[1], e[0]], None)) == EXIT_PROVED
+    assert exit_with(([e[0], e[0]], None)) == EXIT_VIOLATION  # dependent
+    assert exit_with(([e[2], e[0]], None)) == EXIT_VIOLATION  # e_2 is not in set 0
+    assert exit_with(([e[1]], None)) == EXIT_VIOLATION  # set 1 unrepresented
+    assert exit_with((None, [0, 1])) == EXIT_VIOLATION  # the union spans F^3
+    assert exit_with((None, [2])) == EXIT_VIOLATION  # no such set

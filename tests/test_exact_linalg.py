@@ -8,6 +8,7 @@ import pytest
 
 from linminmax.errors import DimensionError
 from linminmax.exact_linalg import (
+    IntEchelon,
     Mat,
     Subspace,
     Vec,
@@ -668,3 +669,19 @@ def test_membership_and_spans_build_no_fractions(monkeypatch):
     assert made == []
     Fraction(1, 3)  # the counter is live
     assert len(made) == 1
+
+
+def test_int_echelon_rows_are_primitive(rng):
+    """Stored and back-substituted rows have gcd 1; width 0 and zero rows work."""
+    from math import gcd
+
+    for _ in range(40):
+        n = rng.randint(0, 5)
+        rows = [[6 * rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, 6))]
+        ech = IntEchelon(n)
+        for row in rows:
+            ech.add(row)
+        assert all(gcd(*row) == 1 for row in ech.rows)
+        assert all(gcd(*row) == 1 for row in ech.back_substituted())
+        assert all(ech.contains(row) for row in rows)
+        assert ech.reduce([0] * n) == [0] * n

@@ -1,10 +1,15 @@
 """Blow-ups, noncommutative rank, and the matrix-level min-max theorems."""
 
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from linminmax import menger, relation
+from linminmax import ncrank as ncrank_module
 from linminmax.classical_oracles import Poset
+from linminmax.cli import EXIT_PROVED, main
 from linminmax.dilworth import max_antichain, poset_embed
 from linminmax.errors import DimensionError
 from linminmax.exact_linalg import Mat, Subspace, Vec, outer, unit_vec
@@ -408,3 +413,68 @@ def test_matrix_dilworth_checks_nilpotency_even_with_a_cover():
         matrix_antichain(V, GenericSampler(seed=41), cov)
     with pytest.raises(ValueError, match="nilpotent algebras"):
         matrix_coherent_decomposition(V, 2, GenericSampler(seed=42), cov)
+
+
+# ---------------------------------------------------------------------------
+# one draw per proved order: sampling stops once the primal meets its dual
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _record_draws_and_wong_limits(monkeypatch):
+    """Patch the sampler and the Wong limits to record the order r of each call."""
+    draws, limits = [], []
+    sample = relation.sample_element
+
+    def counting_sample(V, sampler, r=1):
+        draws.append(r)
+        return sample(V, sampler, r)
+
+    monkeypatch.setattr(relation, "sample_element", counting_sample)
+    for module in (ncrank_module, menger):
+        limit = module.wong_limit
+
+        def counting_limit(V, r, A, limit=limit):
+            limits.append(r)
+            return limit(V, r, A)
+
+        monkeypatch.setattr(module, "wong_limit", counting_limit)
+    return draws, limits
+
+
+@pytest.mark.parametrize("theorem", ["ncrank", "matrix-menger"])
+def test_golden_checks_draw_one_element_per_proved_order(theorem, monkeypatch, capsys):
+    draws, limits = _record_draws_and_wong_limits(monkeypatch)
+    argv = ["check", theorem, str(GOLDEN / f"{theorem}.json"), "--output", "json", "--trials", "10"]
+    assert main(argv) == EXIT_PROVED
+    assert capsys.readouterr().out == (GOLDEN / f"{theorem}.out").read_text()
+    tried = sorted(set(draws))
+    per_order = Counter(draws)
+    assert per_order[tried[-1]] == 1
+    assert all(per_order[r] == 10 for r in tried[:-1])
+    assert limits == tried
+
+
+def test_an_order_that_is_not_proved_draws_every_trial(monkeypatch):
+    """skew3 has commutative rank 2 and ncrank 3: r = 1 is not proved, r = 2 is."""
+    draws, limits = _record_draws_and_wong_limits(monkeypatch)
+    cv = ncrank(skew3(), GenericSampler(seed=3, trials=7))
+    assert cv.proved and cv.value == 3 and cv.primal[0] == 2
+    assert Counter(draws) == {1: 7, 2: 1}
+    assert limits == [1, 2]
+
+
+def test_wong_limit_runs_once_per_order_tried(monkeypatch, rng):
+    draws, limits = _record_draws_and_wong_limits(monkeypatch)
+    for trial in range(6):
+        V = MatrixSpace.spanned(3, 3, [rand_mat(rng, 3, 3, 1) for _ in range(rng.randint(1, 3))])
+        draws.clear()
+        limits.clear()
+        cv = ncrank(V, GenericSampler(seed=trial, trials=5))
+        assert cv.proved
+        assert limits == sorted(set(draws)) == list(range(1, cv.primal[0] + 1))
+        draws.clear()
+        limits.clear()
+        E, F = rand_subspace(rng, 3, 2), rand_subspace(rng, 3, 2)
+        assert mpc(V, E, F, GenericSampler(seed=trial, trials=5)).proved
+        assert limits == sorted(set(draws))

@@ -403,3 +403,80 @@ def test_nilpotent_verdict_is_decided_once_per_space(monkeypatch):
     assert calls == [3]
     assert is_nilpotent_algebra(MatrixSpace(3, 3, basis))
     assert calls == [3, 3]
+
+
+def _scripted(monkeypatch, draws):
+    """Make `sample_element` hand out `draws` in order; returns the calls made."""
+    calls = []
+
+    def scripted(space, sampler, r=1):
+        calls.append(r)
+        return draws[len(calls) - 1]
+
+    monkeypatch.setattr(relation, "sample_element", scripted)
+    return calls
+
+
+def test_best_sample_stops_at_the_first_draw_that_meets_its_own_dual(monkeypatch):
+    V = MatrixSpace(2, 2, [Mat([[1, 0], [0, 0]]), Mat([[0, 0], [0, 1]])])
+    draws = [
+        Mat([[1, 0], [0, 0]]),
+        Mat([[0, 0], [0, 4]]),
+        Mat([[2, 0], [0, 3]]),
+        Mat([[5, 0], [0, 7]]),
+    ]
+    calls = _scripted(monkeypatch, draws)
+    duals = []
+
+    def dual(el):
+        duals.append(el)
+        return ("cert", el), 2
+
+    sampler = GenericSampler(seed=0, trials=4)
+    assert best_sample(V, sampler, dual=dual) == (2, draws[2], ("cert", draws[2]))
+    assert len(calls) == 3
+    assert duals == [draws[0], draws[2]]
+
+    # a bound of None proves nothing: every trial is drawn, and the first
+    # maximum comes back with its own dual
+    calls.clear()
+    duals.clear()
+
+    def unproved(el):
+        duals.append(el)
+        return ("cert", el), None
+
+    assert best_sample(V, sampler, dual=unproved) == (2, draws[2], ("cert", draws[2]))
+    assert len(calls) == 4
+    assert duals == [draws[0], draws[2]]
+
+
+def test_best_sample_with_a_dual_draws_on_while_the_rank_is_not_a_multiple_of_r(monkeypatch):
+    V = MatrixSpace(1, 1, [Mat([[1]])])
+    one, two = Mat([[1, 0], [0, 0]]), Mat([[1, 0], [0, 1]])
+    draws = [one, one, one, two, two, one, one]
+    calls = _scripted(monkeypatch, draws)
+    sampler = GenericSampler(seed=0, trials=2)
+    assert best_sample(V, sampler, 2) == (1, one)
+    assert len(calls) == 2
+    calls.clear()
+    assert best_sample(V, sampler, 2, dual=lambda el: (el.rank(), None)) == (2, two, 2)
+    assert len(calls) == 4
+    # at most 2 * trials more draws
+    draws[3] = draws[4] = one
+    calls.clear()
+    assert best_sample(V, sampler, 2, dual=lambda el: (el.rank(), None)) == (1, one, 1)
+    assert len(calls) == 6
+
+
+def test_best_sample_with_a_dual_on_the_zero_space_draws_nothing():
+    s = CountingSampler(seed=1)
+    seen = []
+
+    def dual(el):
+        seen.append(el)
+        return "cert", 0
+
+    assert best_sample(MatrixSpace(2, 3, []), s, 2, dual=dual) == (0, Mat.zeros(4, 6), "cert")
+    assert seen == [Mat.zeros(4, 6)]
+    assert s.drawn == 0
