@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import BudgetExceededError, InvariantViolation
+from .errors import CertificationError, InvariantViolation
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ def bipartite_max_matching(G: BipartiteGraph):
 def hall_check(G: BipartiteGraph):
     """Exhaustive Hall condition; returns (ok, violating subset or None)."""
     if G.n > 16:
-        raise BudgetExceededError("hall_check is exhaustive; n must be <= 16")
+        raise CertificationError("hall_check is exhaustive; n must be <= 16")
     adj = G.adjacency()
     neigh_bits = [0] * G.n
     for i in range(G.n):
@@ -191,7 +191,7 @@ def poset_dilworth(P: Poset):
     are asserted equal.
     """
     if P.size > 10:
-        raise BudgetExceededError("poset_dilworth is exhaustive; size must be <= 10")
+        raise CertificationError("poset_dilworth is exhaustive; size must be <= 10")
     n = P.size
     # Min chain partition = n - max matching in the comparability digraph.
     G = BipartiteGraph(n, n, [(i, j) for i, j in P.gt])
@@ -232,7 +232,7 @@ def vertex_disjoint_paths(G: Digraph, H, K):
     vertices in both H and K.  Returns (count, paths, separator).
     """
     if G.size > 12:
-        raise BudgetExceededError("vertex_disjoint_paths budget is size <= 12")
+        raise CertificationError("vertex_disjoint_paths budget is size <= 12")
     H = sorted(set(H))
     K = sorted(set(K))
     n = G.size

@@ -1,10 +1,11 @@
 """Command-line front end: instance generation, duality checks, demos.
 
+A check passes every certificate its exit 0 depends on to `verify`, once.
 Exit codes are a contract: 0 means every certificate verified and primal
-met dual, 2 means only bounds were certified, 1 means a proved identity
-failed to hold, 3 means the instance file did not parse.  All randomness
-flows through one seeded sampler, and every report embeds the seed and
-configuration that reproduce it.
+met dual, 2 means only bounds were certified, 1 means a certificate or a
+proved identity failed to hold, 3 means the instance file did not parse.
+All randomness flows through one seeded sampler, and every report embeds
+the seed and configuration that reproduce it.
 """
 
 from __future__ import annotations
@@ -17,14 +18,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import dilworth, lgv, matching_cover, menger, ncrank
+from . import dilworth, lgv, matching_cover, menger, ncrank, verify
 from .classical_oracles import Poset
-from .errors import (
-    BudgetExceededError,
-    CertificationError,
-    InvariantViolation,
-    SingularityError,
-)
+from .errors import CertificationError, InvariantViolation, SingularityError
 from .exact_linalg import (
     IntEchelon,
     Mat,
@@ -39,7 +35,6 @@ from .relation import (
     GenericSampler,
     MatrixSpace,
     Relation,
-    apply_space,
     best_sample,
 )
 
@@ -247,8 +242,8 @@ def check_konig(data, config: RunConfig):
     R = _relation_from(data)
     cv = matching_cover.max_matching(R)
     ok = (
-        matching_cover.verify_matching(cv.primal)
-        and matching_cover.verify_cover(R, cv.dual)
+        verify.verify_matching(cv.primal)
+        and verify.verify_cover(R, cv.dual)
         and cv.primal.size == cv.dual.size == cv.value
     )
     report = {
@@ -264,16 +259,12 @@ def check_hall(data, config: RunConfig):
     R = _relation_from(data)
     result = matching_cover.saturated_matching(R)
     if isinstance(result, Matching):
-        ok = matching_cover.verify_matching(result) and result.size == R.n
-        return (
-            {"saturated": True, "matching": result.to_json()},
-            EXIT_PROVED if ok else EXIT_VIOLATION,
-        )
-    ok = result.defect > 0
-    return (
-        {"saturated": False, "witness": result.to_json()},
-        EXIT_PROVED if ok else EXIT_VIOLATION,
-    )
+        ok = verify.verify_matching(result) and result.size == R.n
+        report = {"saturated": True, "matching": result.to_json()}
+    else:
+        ok = verify.verify_shrunk_witness(R, result)
+        report = {"saturated": False, "witness": result.to_json()}
+    return report, (EXIT_PROVED if ok else EXIT_VIOLATION)
 
 
 def check_rado(data, config: RunConfig):
@@ -282,31 +273,12 @@ def check_rado(data, config: RunConfig):
         lambda: (int(data["m"]), [[Vec.from_json(v) for v in s] for s in data["sets"]]),
     )
     transversal, witness = matching_cover.rado_transversal(sets, m)
-    ok = _rado_report_holds(sets, m, transversal, witness)
+    ok = verify.verify_rado_report(sets, m, transversal, witness)
     if transversal is not None:
         report = {"transversal": [v.to_json() for v in transversal]}
     else:
         report = {"violating_sets": witness}
     return report, (EXIT_PROVED if ok else EXIT_VIOLATION)
-
-
-def _rado_report_holds(sets, m: int, transversal, witness) -> bool:
-    """Re-check a Rado report from the sets alone.
-
-    A transversal holds when each w_i is one of the vectors of set i and
-    the w_i are independent; a witness, when the union of its sets spans
-    fewer dimensions than there are sets.
-    """
-    if transversal is not None:
-        ech = IntEchelon(m)
-        return len(transversal) == len(sets) and all(
-            w in S and ech.add(w.int_row()) for w, S in zip(transversal, sets)
-        )
-    members = set(witness)
-    if not members <= set(range(len(sets))):
-        return False
-    union = Subspace.span(m, [v for i in members for v in sets[i]])
-    return union.dim < len(members)
 
 
 def _linorder_from(data) -> dilworth.Linorder:
@@ -323,8 +295,8 @@ def check_dilworth(data, config: RunConfig):
     ac = dilworth.max_antichain(L, cv.dual)
     D = dilworth.bichain_decomposition(L, cv.primal)
     ok = (
-        dilworth.verify_antichain(L.relation, ac.primal)
-        and dilworth.verify_bichain_decomposition(D)
+        verify.verify_antichain(L.relation, ac.primal)
+        and verify.verify_bichain_decomposition(D)
         and ac.value == D.size == ac.primal.dim
     )
     report = {
@@ -342,7 +314,11 @@ def check_coherent(data, config: RunConfig):
     cover = matching_cover.min_cover(L.relation)
     ac = dilworth.max_antichain(L, cover)
     C = dilworth.coherent_decomposition(L, config.sampler(), cover)
-    ok = dilworth.verify_coherent_decomposition(C, L.space) and C.size == ac.value
+    ok = (
+        verify.verify_antichain(L.relation, ac.primal)
+        and verify.verify_coherent_decomposition(C, L.space)
+        and ac.value == C.size == ac.primal.dim
+    )
     report = {
         "antichain_dim": ac.value,
         "coherent_count": C.size,
@@ -356,7 +332,7 @@ def check_menger(data, config: RunConfig):
     R = _relation_from(data)
     E, F = _subspaces_from(data, R.n)
     cv = menger.cpc(R, E, F, config.sampler())
-    ok = menger.verify_separator(R, cv.dual) and cv.dual.size >= cv.value
+    ok = verify.verify_separator(R, cv.dual) and cv.dual.size >= cv.value
     report = {
         "cpc": cv.value,
         "status": cv.status,
@@ -407,32 +383,23 @@ def check_ncrank(data, config: RunConfig):
         "witness": cv.dual.to_json(),
         "element": {"r": r, "matrix": element.to_json()},
     }
-    if not _ncrank_report_holds(V, cv):
-        return report, EXIT_VIOLATION
-    return report, (EXIT_PROVED if cv.proved else EXIT_BOUNDS)
-
-
-def _ncrank_report_holds(V: MatrixSpace, cv) -> bool:
-    """Re-check an `ncrank` result from V alone.
-
-    The defect is dim E - dim V[E], the element has rank r * value (and,
-    at r = 1, lies in V), and a proved value is n - defect.
-    """
-    r, element = cv.primal
-    E = cv.dual.E
-    return (
-        (element.rows, element.cols) == (V.m * r, V.n * r)
-        and E.dim - apply_space(V, E).dim == cv.dual.defect
-        and element.rank() == r * cv.value
-        and (r > 1 or V.contains(element))
+    ok = (
+        verify.verify_blowup_element(V, r, element, r * cv.value)
+        and verify.verify_defect_certificate(V, cv.dual)
         and (not cv.proved or cv.value == V.n - cv.dual.defect)
     )
+    if not ok:
+        return report, EXIT_VIOLATION
+    return report, (EXIT_PROVED if cv.proved else EXIT_BOUNDS)
 
 
 def check_matrix_konig(data, config: RunConfig):
     V = _space_from(data)
     cov = ncrank.matrix_min_cover(V, config.sampler())
-    ok = ncrank.verify_matrix_cover(V, cov.primal)
+    r, element = cov.dual
+    ok = verify.verify_matrix_cover(V, cov.primal) and (
+        not cov.proved or verify.verify_blowup_element(V, r, element, r * cov.value)
+    )
     report = {"cover_size": cov.value, "status": cov.status}
     if not ok:
         return report, EXIT_VIOLATION
@@ -447,7 +414,11 @@ def check_matrix_dilworth(data, config: RunConfig):
     cov = ncrank.matrix_min_cover(V, config.sampler())
     C = ncrank.matrix_antichain(V, config.sampler(), cov)
     D = ncrank.matrix_coherent_decomposition(V, r, config.sampler(), cov)
-    ok = dilworth.verify_coherent_decomposition(D) and D.size == r * C.dim
+    ok = (
+        verify.verify_matrix_antichain(V, C)
+        and verify.verify_coherent_decomposition(D, V, r)
+        and D.size == r * C.dim
+    )
     report = {
         "r": r,
         "antichain_dim": C.dim,
@@ -460,7 +431,7 @@ def check_matrix_menger(data, config: RunConfig):
     V = _space_from(data)
     E, F = _subspaces_from(data, V.n)
     cv = ncrank.mpc(V, E, F, config.sampler())
-    ok = ncrank.verify_matrix_separator(V, cv.dual)
+    ok = verify.verify_matrix_separator(V, cv.dual)
     report = {
         "mpc": cv.value,
         "status": cv.status,
@@ -489,7 +460,7 @@ CHECKS = {
 def _run(run, args, key: str, name: str) -> int:
     """Emit the report of `run()` with its exit code, or the error it raised.
 
-    Bad input exits 3, a failed identity 1, and a budget or sampling
+    Bad input exits 3, a failed identity 1, and a size limit or sampling
     shortfall 2; this mapping is the same for checks and demos.
     """
     config = RunConfig(args.seed, args.trials, args.coeff_bound, args.budget)
@@ -501,7 +472,7 @@ def _run(run, args, key: str, name: str) -> int:
     except InvariantViolation as ex:
         _emit({"error": f"invariant: {ex}"}, args.output)
         return EXIT_VIOLATION
-    except (BudgetExceededError, CertificationError) as ex:
+    except CertificationError as ex:
         _emit({"error": f"bounds: {ex}"}, args.output)
         return EXIT_BOUNDS
     report[key] = name
@@ -572,8 +543,9 @@ def demo_linorder_f4(config: RunConfig):
         and D.size == 3
         and C.size == 3
         and anomaly
-        and dilworth.verify_bichain_decomposition(D)
-        and dilworth.verify_coherent_decomposition(C)
+        and verify.verify_antichain(R, ac.primal)
+        and verify.verify_bichain_decomposition(D)
+        and verify.verify_coherent_decomposition(C, L.space)
     )
     report = {
         "antichain_dim": ac.value,
@@ -598,13 +570,13 @@ def demo_menger_f7(config: RunConfig):
             (e[1], e[2] - e[3], e[6]), (e[1], e[3] - e[4], e[6]), (1, 3)
         ),
     ]
-    independent = menger.independent_bipaths_check(R, E, F, paths)
+    independent = verify.independent_bipaths_check(R, E, F, paths)
     expected_et = Subspace.span(7, e[0:4])
     expected_ft = Subspace.span(7, e[3:7])
     ok = (
         cv.value == 1
         and cv.proved
-        and menger.verify_separator(R, cv.dual)
+        and verify.verify_separator(R, cv.dual)
         and cv.dual.E_tilde == expected_et
         and cv.dual.F_tilde == expected_ft
         and independent
@@ -625,12 +597,15 @@ def demo_skew3(config: RunConfig):
     blow2 = ncrank.max_rank_blowup(V, 2, config.sampler())
     cv = ncrank.ncrank(V, config.sampler())
     full, _ = ncrank.full_ncrank_verdict(V, cv)
+    r, element = cv.primal
     ok = (
         plain_rank == 2
         and blow2 == 6
         and cv.value == 3
         and cv.proved
         and full
+        and verify.verify_blowup_element(V, r, element, r * cv.value)
+        and verify.verify_defect_certificate(V, cv.dual)
     )
     report = {
         "max_rank": plain_rank,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import verify
 from .errors import (
     CertificationError,
     DimensionError,
@@ -24,7 +25,6 @@ from .errors import (
 from .exact_linalg import (
     IntEchelon,
     Mat,
-    Subspace,
     Vec,
     outer_sum,
     subspace_sum,
@@ -44,7 +44,6 @@ from .relation import (
     MatrixSpace,
     Relation,
     best_sample,
-    doubly_independent,
     space_power_is_zero,
     to_matrix_space,
 )
@@ -148,47 +147,6 @@ class CoherentDecomposition:
         }
 
 
-def verify_bichain(R: Relation, chain: BiChain) -> bool:
-    r = chain.length
-    if len(chain.vs) != r or len(chain.link_pair_indices) != r - 1:
-        return False
-    for w, v in zip(chain.ws, chain.vs):
-        if w.dot(v) == 0:
-            return False
-    for i, idx in enumerate(chain.link_pair_indices):
-        if R.pairs[idx] != (chain.vs[i], chain.ws[i + 1]):
-            return False
-    return True
-
-
-def verify_bichain_decomposition(D: BiChainDecomposition) -> bool:
-    R = D.relation
-    if not all(verify_bichain(R, c) for c in D.chains):
-        return False
-    pairs = [(v, w) for c in D.chains for v, w in zip(c.vs, c.ws)]
-    return len(pairs) == R.n and doubly_independent(pairs, R.n, R.n)
-
-
-def verify_coherent_decomposition(
-    D: CoherentDecomposition, space: MatrixSpace | None = None
-) -> bool:
-    n = D.A.rows
-    ech = IntEchelon(n)
-    count = 0
-    for seed, length in D.chains:
-        u = seed
-        for _ in range(length):
-            if not ech.add(u.int_row()):
-                return False
-            u = D.A.apply(u)
-            count += 1
-    if count != n or ech.rank != n:
-        return False
-    if space is not None and not space.contains(D.A):
-        return False
-    return True
-
-
 def max_antichain(L: Linorder, cover: Cover | None = None) -> CertifiedValue:
     """Largest subspace C with every pair orthogonal to C on one side.
 
@@ -200,17 +158,7 @@ def max_antichain(L: Linorder, cover: Cover | None = None) -> CertifiedValue:
     if cover is None:
         cover = min_cover(R)
     C = subspace_sum(cover.E, cover.F).orthocomplement()
-    value = R.n - cover.size
-    if C.dim != value:
-        raise InvariantViolation("minimum cover with overlapping sides")
-    if not verify_antichain(R, C):
-        raise InvariantViolation("cover conversion is not an antichain")
-    return CertifiedValue(value, C, cover, PROVED)
-
-
-def verify_antichain(R: Relation, C: Subspace) -> bool:
-    perp = C.orthocomplement()
-    return all(perp.contains(v) or perp.contains(w) for v, w in R.pairs)
+    return CertifiedValue(R.n - cover.size, C, cover, PROVED)
 
 
 def _perfect_nonorthogonal_bijection(ws, vs):
@@ -310,12 +258,7 @@ def bichain_decomposition(
             else:
                 break
         chains.append(BiChain(tuple(chain_ws), tuple(chain_vs), tuple(links)))
-    D = BiChainDecomposition(R, tuple(chains))
-    if D.size != n - s:
-        raise InvariantViolation("path extraction produced the wrong chain count")
-    if not verify_bichain_decomposition(D):
-        raise InvariantViolation("bi-chain decomposition failed verification")
-    return D
+    return BiChainDecomposition(R, tuple(chains))
 
 
 def w_chain_check(L: Linorder, chains) -> bool:
@@ -389,20 +332,14 @@ def coherent_from_sample(
 
     `target` is a certified maximum rank of the nilpotent space (x) M_r;
     the element is drawn by `best_sample`, and the decomposition has
-    rn - target chains, checked along with its verification.  The caller
-    checks what else it knows of the element.
+    rn - target chains.
     """
     rank, A = best_sample(space, sampler, r, target)
     if rank < target:
         raise CertificationError(
             f"no sampled element reached the certified maximum rank {target}"
         )
-    D = CoherentDecomposition(A, tuple(nilpotent_jordan_chains(A)))
-    if D.size != space.n * r - target:
-        raise InvariantViolation("coherent decomposition has the wrong size")
-    if not verify_coherent_decomposition(D):
-        raise InvariantViolation("coherent decomposition failed verification")
-    return D
+    return CoherentDecomposition(A, tuple(nilpotent_jordan_chains(A)))
 
 
 def coherent_decomposition(
@@ -418,10 +355,7 @@ def coherent_decomposition(
     """
     if cover is None:
         cover = min_cover(L.relation)
-    D = coherent_from_sample(L.space, 1, cover.size, sampler)
-    if not L.space.contains(D.A):
-        raise InvariantViolation("sampled element lies outside the relation's span")
-    return D
+    return coherent_from_sample(L.space, 1, cover.size, sampler)
 
 
 def bichain_to_coherent(D: BiChainDecomposition) -> CoherentDecomposition:
@@ -444,7 +378,7 @@ def bichain_to_coherent(D: BiChainDecomposition) -> CoherentDecomposition:
     out = CoherentDecomposition(A, chains)
     if out.size != D.size:
         raise InvariantViolation("coherent conversion changed the size")
-    if not verify_coherent_decomposition(out):
+    if not verify.verify_coherent_decomposition(out):
         raise InvariantViolation("converted decomposition failed verification")
     return out
 

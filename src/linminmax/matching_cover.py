@@ -7,7 +7,7 @@ linear matroids of the v's and of the w's, and both optima come from one
 polynomial augmenting-path run: the final common independent set is the
 matching, and the set reachable in the last exchange graph gives a cover
 of the same size.  Every returned value carries a primal and a dual
-certificate of equal size.
+certificate of equal size; `verify` checks them.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from . import verify
 from .errors import (
     CertificationError,
     DimensionError,
@@ -34,7 +35,6 @@ from .relation import (
     Relation,
     apply_space,
     best_sample,
-    doubly_independent,
     neighborhood_span,
     to_matrix_space,
 )
@@ -106,22 +106,6 @@ class CertifiedValue:
     @property
     def proved(self) -> bool:
         return self.status == PROVED
-
-
-def verify_matching(m: Matching) -> bool:
-    if len(set(m.indices)) != len(m.indices):
-        return False
-    R = m.relation
-    if not doubly_independent(m.pairs(), R.n, R.m):
-        return False
-    # Prop-style sanity: the plain rank-one sum must have full matching rank.
-    return m.rank_one_sum().rank() == m.size
-
-
-def verify_cover(R: Relation, c: Cover) -> bool:
-    if c.E.ambient != R.n or c.F.ambient != R.m:
-        return False
-    return all(c.E.contains(v) or c.F.contains(w) for v, w in R.pairs)
 
 
 def _circuits(rows, I, outside, width):
@@ -205,14 +189,7 @@ def matroid_intersection(R: Relation):
         I = sorted(members ^ path)
     E = Subspace.span(R.n, [R.pairs[i][0] for i in ground if i not in parent])
     F = Subspace.span(R.m, [R.pairs[i][1] for i in parent])
-    matching, cover = Matching(R, tuple(I)), Cover(E, F)
-    if not verify_matching(matching):
-        raise InvariantViolation("matching certificate failed verification")
-    if not verify_cover(R, cover):
-        raise InvariantViolation("reachable-set cover misses a pair")
-    if cover.size != matching.size:
-        raise InvariantViolation("cover and matching sizes differ; duality violated")
-    return matching, cover
+    return Matching(R, tuple(I)), Cover(E, F)
 
 
 def min_cover(R: Relation) -> Cover:
@@ -238,11 +215,7 @@ def saturated_matching(R: Relation):
     if matching.size == R.n:
         return matching
     S = cover.E.orthocomplement()
-    nb = neighborhood_span(R, S.vectors)
-    witness = ShrunkWitness(S, nb)
-    if witness.defect <= 0:
-        raise InvariantViolation("shrunk witness has no defect")
-    return witness
+    return ShrunkWitness(S, neighborhood_span(R, S.vectors))
 
 
 def defect_matching(R: Relation, d: int):
@@ -276,7 +249,7 @@ def defect_matching(R: Relation, d: int):
     if len(original) < R.n - d:
         raise InvariantViolation("augmentation kept more than d dummy pairs")
     matching = Matching(R, original[: R.n - d])
-    if not verify_matching(matching):
+    if not verify.verify_matching(matching):
         raise InvariantViolation("defect matching failed verification")
     return matching
 
@@ -302,7 +275,7 @@ def extract_matching_from_combination(
             "sampled rank reached the target but no index set does"
         )
     matching = Matching(R, best.indices[:target])
-    if matching.rank_one_sum().rank() != target:
+    if not verify.verify_matching(matching):
         raise InvariantViolation("extracted index set lost rank")
     return matching
 
@@ -350,16 +323,10 @@ def rado_transversal(sets, m: int):
     if isinstance(result, ShrunkWitness):
         # The witness span is a coordinate subspace here (all v's are e_i),
         # and the sets it touches have a union of deficient dimension.
-        members = [i for i in range(n) if any(u[i] for u in result.S.int_rows())]
-        union = Subspace.span(m, [v for i in members for v in sets[i]])
-        if union.dim >= len(members):
-            raise InvariantViolation("Rado witness family is not violating")
-        return None, members
+        return None, [i for i in range(n) if any(u[i] for u in result.S.int_rows())]
     transversal: list[Vec | None] = [None] * n
     for idx in result.indices:
         v, w = R.pairs[idx]
         i = next(j for j, x in enumerate(v.int_row()) if x)
         transversal[i] = w
-    if any(t is None for t in transversal):
-        raise InvariantViolation("saturated matching missed a set")
     return transversal, None

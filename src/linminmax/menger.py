@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
+from . import verify
 from .errors import (
     DimensionError,
     InvariantViolation,
@@ -37,7 +38,6 @@ from .exact_linalg import (
     vstack,
 )
 from .classical_oracles import Digraph
-from .dilworth import BiChain, verify_bichain
 from .matching_cover import (
     LOWER_BOUND_ONLY,
     PROVED,
@@ -49,7 +49,6 @@ from .relation import (
     MatrixSpace,
     Relation,
     apply_space,
-    doubly_independent,
     sample_element,
     to_matrix_space,
     wong_limit,
@@ -79,34 +78,6 @@ class Separator:
             "F_tilde": self.F_tilde.to_json(),
             "size": self.size,
         }
-
-
-def verify_separator(R: Relation, sep: Separator) -> bool:
-    if not sep.E_tilde.contains_subspace(sep.E):
-        return False
-    if not sep.F_tilde.contains_subspace(sep.F):
-        return False
-    if not sep.E_tilde.contains_subspace(sep.F_tilde.orthocomplement()):
-        return False
-    return all(
-        sep.F_tilde.contains(v) or sep.E_tilde.contains(w) for v, w in R.pairs
-    )
-
-
-def verify_bipath(R: Relation, E: Subspace, F: Subspace, path: BiChain) -> bool:
-    """A bi-chain that starts in E and ends in F."""
-    return (
-        verify_bichain(R, path)
-        and E.contains(path.ws[0])
-        and F.contains(path.vs[-1])
-    )
-
-
-def independent_bipaths_check(R, E, F, paths) -> bool:
-    """All paths valid, with jointly independent v's and jointly independent w's."""
-    return all(verify_bipath(R, E, F, p) for p in paths) and doubly_independent(
-        ((v, w) for p in paths for v, w in zip(p.vs, p.ws)), R.n, R.n
-    )
 
 
 def _check_square(R: Relation, E: Subspace, F: Subspace):
@@ -210,10 +181,6 @@ def cpc(
     rank, A, bordered = best
     routing = _mpc_space(space, base)
     sep = wong_separator(space, routing, E, F, 1, bordered)
-    if not verify_separator(R, sep):
-        raise InvariantViolation("Wong separator fails the separator axioms")
-    if sep.size < rank - n:
-        raise InvariantViolation("sampled rank exceeds the separator size")
     status = PROVED if sep.size == rank - n else LOWER_BOUND_ONLY
     return CertifiedValue(rank - n, A, sep, status)
 
@@ -325,6 +292,8 @@ def konig_via_menger(R: Relation, sampler: GenericSampler) -> CertifiedValue:
             raise InvariantViolation("Konig reduction rank identity failed")
 
     capacity = cpc(R2, E, F, sampler)
+    if not verify.verify_separator(R2, capacity.dual):
+        raise InvariantViolation("Wong separator fails the separator axioms")
     direct = max_matching(R)
     if capacity.value != direct.value:
         raise InvariantViolation(

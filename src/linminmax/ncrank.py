@@ -23,12 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    BudgetExceededError,
-    CertificationError,
-    DimensionError,
-    InvariantViolation,
-)
+from .errors import CertificationError, DimensionError
 from .exact_linalg import Mat, Subspace, subspace_sum
 from .dilworth import CoherentDecomposition, coherent_from_sample
 from .matching_cover import (
@@ -37,7 +32,7 @@ from .matching_cover import (
     CertifiedValue,
     Cover,
 )
-from .menger import Separator, _border, _mpc_space, wong_separator
+from .menger import _border, _mpc_space, wong_separator
 from .relation import (
     GenericSampler,
     MatrixSpace,
@@ -51,17 +46,6 @@ BLOWUP_DIM_BUDGET = 64
 
 
 @dataclass(frozen=True)
-class BlowUp:
-    base: MatrixSpace
-    r: int
-    basis: tuple
-
-    @property
-    def space(self) -> MatrixSpace:
-        return MatrixSpace(self.base.m * self.r, self.base.n * self.r, self.basis)
-
-
-@dataclass(frozen=True)
 class DefectCertificate:
     """Subspace E with dim V[E] = dim E - defect; bounds ncrank by n - defect."""
 
@@ -72,25 +56,9 @@ class DefectCertificate:
         return {"E": self.E.to_json(), "defect": self.defect}
 
 
-def blow_up(V: MatrixSpace, r: int) -> BlowUp:
-    """Basis {B (x) E_kl} of V (x) M_r."""
-    if r < 1:
-        raise ValueError("blow-up order must be at least 1")
-    cells = []
-    for b in V.basis:
-        for k in range(r):
-            for l in range(r):
-                unit = Mat(
-                    [[1 if (i, j) == (k, l) else 0 for j in range(r)] for i in range(r)],
-                    r,
-                )
-                cells.append(b.kron(unit))
-    return BlowUp(V, r, tuple(cells))
-
-
 def _check_blowup_budget(V: MatrixSpace, r: int):
     if max(V.m, V.n) * r > BLOWUP_DIM_BUDGET:
-        raise BudgetExceededError(
+        raise CertificationError(
             f"blow-up side {max(V.m, V.n) * r} exceeds {BLOWUP_DIM_BUDGET}"
         )
 
@@ -127,18 +95,6 @@ def _max_rank_blowup_el(V: MatrixSpace, r: int, sampler: GenericSampler, dual):
             f"sampled blow-up maximum {best} is not divisible by {r}"
         )
     return best, best_el, cert
-
-
-def cover_from_defect(V: MatrixSpace, cert: DefectCertificate) -> Cover:
-    """The matrix-sense cover (E^perp, V[E]) of size n - defect."""
-    E = cert.E.orthocomplement()
-    F = apply_space(V, cert.E)
-    return Cover(E, F)
-
-
-def verify_matrix_cover(V: MatrixSpace, c: Cover) -> bool:
-    """V[E^perp] inside F."""
-    return c.F.contains_subspace(apply_space(V, c.E.orthocomplement()))
 
 
 def ncrank(V: MatrixSpace, sampler: GenericSampler) -> CertifiedValue:
@@ -185,12 +141,9 @@ def full_ncrank_verdict(V: MatrixSpace, cv: CertifiedValue):
 
 
 def matrix_min_cover(V: MatrixSpace, sampler: GenericSampler) -> CertifiedValue:
-    """Best cover found, proved minimal when it meets the blow-up rank."""
+    """The cover (E^perp, V[E]) of the defect dual; proved when it meets the blow-up rank."""
     cv = ncrank(V, sampler)
-    dual: DefectCertificate = cv.dual
-    cover = cover_from_defect(V, dual)
-    if not verify_matrix_cover(V, cover):
-        raise InvariantViolation("defect conversion is not a cover")
+    cover = Cover(cv.dual.E.orthocomplement(), apply_space(V, cv.dual.E))
     status = PROVED if cv.proved and cover.size == cv.value else LOWER_BOUND_ONLY
     return CertifiedValue(cover.size, cover, cv.primal, status)
 
@@ -200,21 +153,14 @@ def matrix_antichain(
 ) -> Subspace:
     """Largest subspace C with P V P = 0, for a nilpotent algebra V.
 
-    Read off a minimum cover as (E + F)^perp; checked by apply_space(V, C)
-    being orthogonal to C.  `cov`, when given, is V's `matrix_min_cover`.
+    Read off a minimum cover as (E + F)^perp.  `cov`, when given, is V's
+    `matrix_min_cover`.
     """
     if not is_nilpotent_algebra(V):
         raise ValueError("matrix antichains are defined for nilpotent algebras")
     if cov is None:
         cov = matrix_min_cover(V, sampler)
-    cover: Cover = cov.primal
-    C = subspace_sum(cover.E, cover.F).orthocomplement()
-    perp = C.orthocomplement()
-    if not perp.contains_subspace(apply_space(V, C)):
-        raise InvariantViolation("cover conversion is not a matrix antichain")
-    if cov.proved and C.dim != V.n - cov.value:
-        raise InvariantViolation("antichain dimension differs from n - cover size")
-    return C
+    return subspace_sum(cov.primal.E, cov.primal.F).orthocomplement()
 
 
 def matrix_coherent_decomposition(
@@ -235,35 +181,22 @@ def matrix_coherent_decomposition(
     _check_blowup_budget(V, r)
     if cov is None:
         cov = matrix_min_cover(V, sampler)
-    D = coherent_from_sample(V, r, r * cov.value, sampler)
-    if not D.A.power(V.n).is_zero():
-        raise InvariantViolation("blow-up of a nilpotent algebra is not nilpotent")
-    return D
+    return coherent_from_sample(V, r, r * cov.value, sampler)
 
 
 # ---------------------------------------------------------------------------
 # matricial path capacity
 
 
-def verify_matrix_separator(V: MatrixSpace, sep: Separator) -> bool:
-    """Matrix-sense condition: V[F~^perp] inside E~ (plus the subspace axioms)."""
-    if not sep.E_tilde.contains_subspace(sep.E):
-        return False
-    if not sep.F_tilde.contains_subspace(sep.F):
-        return False
-    f_perp = sep.F_tilde.orthocomplement()
-    if not sep.E_tilde.contains_subspace(f_perp):
-        return False
-    return sep.E_tilde.contains_subspace(apply_space(V, f_perp))
-
-
 def _separator_dual(V: MatrixSpace, routing: MatrixSpace, E, F, r: int):
-    """el -> (Wong separator, bound r(n + size)), or (None, None) if it fails."""
+    """el -> (Wong separator, bound r(n + size)).
+
+    The Wong separator meets the matrix-sense conditions by construction:
+    X lies in F^perp, F~ = X^perp and E~ = X + E + V[X].
+    """
 
     def dual(el: Mat):
         sep = wong_separator(V, routing, E, F, r, el)
-        if not verify_matrix_separator(V, sep):
-            return None, None
         return sep, r * (V.n + sep.size)
 
     return dual
@@ -280,8 +213,7 @@ def mpc(
     For each r of `_orders(routing)`: a sampled element of the routing
     space's blow-up is the primal, and the separator read off its Wong
     limit the dual; drawing stops, proved, once the rank of a draw is
-    r(n + size) for its own separator, checked by
-    `verify_matrix_separator` first.
+    r(n + size) for its own separator.
     """
     if V.m != V.n:
         raise DimensionError("matricial path capacity needs a square space")
@@ -294,8 +226,6 @@ def mpc(
     for r in _orders(routing):
         dual = _separator_dual(V, routing, E, F, r)
         rank_r, el, sep = _max_rank_blowup_el(routing, r, sampler, dual)
-        if sep is None:
-            raise InvariantViolation("separator fails the matrix-sense conditions")
         if rank_r == r * (n + sep.size):
             return CertifiedValue(sep.size, (r, el), sep, PROVED)
         if best_sep is None or sep.size < best_sep.size:

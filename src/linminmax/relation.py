@@ -130,10 +130,20 @@ class MatrixSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, a: Mat) -> bool:
-        if (a.rows, a.cols) != (self.m, self.n):
+    def contains(self, a: Mat, r: int = 1) -> bool:
+        """Whether a lies in V (x) M_r, the layout `sample_element` draws.
+
+        It does exactly when each of its r^2 slices (a[i r + k][j r + l])_{i,j}
+        lies in V; each slice is one reduction against the echelon of V.
+        """
+        if (a.rows, a.cols) != (self.m * r, self.n * r):
             raise DimensionError("membership test with wrong shape")
-        return self._echelon.contains(a.int_flat())
+        rows = a.int_rows()
+        return all(
+            self._echelon.contains([x for row in rows[k::r] for x in row[l::r]])
+            for k in range(r)
+            for l in range(r)
+        )
 
     def source_relation(self) -> Relation | None:
         if self.source_pairs is None:

@@ -1,11 +1,12 @@
-"""Shared seeded generators for randomized property tests."""
+"""Shared seeded generators for randomized property tests, and the blow-up reference."""
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from linminmax.exact_linalg import IntEchelon, Mat, Subspace, Vec
-from linminmax.relation import Relation
+from linminmax.relation import MatrixSpace, Relation
 
 
 def rand_vec(rng, n, bound=3, nonzero=False):
@@ -30,6 +31,33 @@ def rand_relation(rng, n, m, r, bound=2):
 def rand_subspace(rng, n, max_dim=None, bound=2):
     k = rng.randint(0, n if max_dim is None else max_dim)
     return Subspace.span(n, [rand_vec(rng, n, bound) for _ in range(k)])
+
+
+@dataclass(frozen=True)
+class BlowUp:
+    base: MatrixSpace
+    r: int
+    basis: tuple
+
+    @property
+    def space(self) -> MatrixSpace:
+        return MatrixSpace(self.base.m * self.r, self.base.n * self.r, self.basis)
+
+
+def blow_up(V: MatrixSpace, r: int) -> BlowUp:
+    """Basis {B (x) E_kl} of V (x) M_r: the reference for slice membership and `wong_limit`."""
+    if r < 1:
+        raise ValueError("blow-up order must be at least 1")
+    cells = []
+    for b in V.basis:
+        for k in range(r):
+            for l in range(r):
+                unit = Mat(
+                    [[1 if (i, j) == (k, l) else 0 for j in range(r)] for i in range(r)],
+                    r,
+                )
+                cells.append(b.kron(unit))
+    return BlowUp(V, r, tuple(cells))
 
 
 @pytest.fixture

@@ -44,8 +44,6 @@ from linminmax.matching_cover import (
     max_matching,
     min_cover,
     saturated_matching,
-    verify_cover,
-    verify_matching,
 )
 from linminmax.menger import (
     bordered_rank,
@@ -63,6 +61,7 @@ from linminmax.relation import (
     sample_element,
     to_matrix_space,
 )
+from linminmax.verify import verify_cover, verify_matching
 from test_dilworth import rand_dual_basis_linorder
 from test_oracles import rand_poset
 

@@ -15,15 +15,17 @@ from linminmax.dilworth import (
     nilpotent_jordan_chains,
     poset_embed,
     validate_linorder,
-    verify_antichain,
-    verify_bichain_decomposition,
-    verify_coherent_decomposition,
     w_chain_check,
 )
 from linminmax.errors import DimensionError
 from linminmax.exact_linalg import Mat, Subspace, solve_exact, unit_vec, vec
 from linminmax.matching_cover import max_matching
 from linminmax.relation import GenericSampler, Relation, to_matrix_space
+from linminmax.verify import (
+    verify_antichain,
+    verify_bichain_decomposition,
+    verify_coherent_decomposition,
+)
 from test_oracles import rand_poset
 
 

@@ -25,7 +25,8 @@ from linminmax.exact_linalg import (
     vec,
     vstack,
 )
-from linminmax.matching_cover import min_cover, verify_cover
+from linminmax.matching_cover import min_cover
+from linminmax.verify import verify_cover
 from linminmax.relation import Relation
 from conftest import rand_mat, rand_vec
 

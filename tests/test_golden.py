@@ -15,8 +15,8 @@ import pytest
 
 from linminmax.cli import CHECKS, DEMOS, EXIT_PROVED, main
 from linminmax.exact_linalg import Mat
-from linminmax.ncrank import blow_up
 from linminmax.relation import MatrixSpace
+from conftest import blow_up
 
 GOLDEN = Path(__file__).parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())

@@ -18,16 +18,15 @@ from linminmax.matching_cover import (
     min_cover,
     rado_transversal,
     saturated_matching,
-    verify_cover,
-    verify_matching,
 )
-from linminmax.menger import cpc, verify_separator
+from linminmax.menger import cpc
 from linminmax.relation import (
     GenericSampler,
     Relation,
     sample_element,
     to_matrix_space,
 )
+from linminmax.verify import verify_cover, verify_matching, verify_separator
 from conftest import rand_relation, rand_vec
 
 

@@ -21,9 +21,7 @@ from linminmax.menger import (
     generic_rank_rank_one_update,
     generic_rank_sum,
     graph_instance,
-    independent_bipaths_check,
     konig_via_menger,
-    verify_separator,
 )
 from linminmax.relation import (
     GenericSampler,
@@ -33,6 +31,7 @@ from linminmax.relation import (
     to_matrix_space,
 )
 from linminmax.dilworth import BiChain, poset_embed
+from linminmax.verify import independent_bipaths_check, verify_separator
 from linminmax.classical_oracles import Poset
 from conftest import rand_mat, rand_relation, rand_subspace, rand_vec
 

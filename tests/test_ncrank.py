@@ -16,7 +16,6 @@ from linminmax.exact_linalg import Mat, Subspace, Vec, outer, unit_vec
 from linminmax.matching_cover import min_cover
 from linminmax.menger import cpc
 from linminmax.ncrank import (
-    blow_up,
     has_full_ncrank,
     matrix_antichain,
     matrix_coherent_decomposition,
@@ -24,8 +23,6 @@ from linminmax.ncrank import (
     max_rank_blowup,
     mpc,
     ncrank,
-    verify_matrix_cover,
-    verify_matrix_separator,
 )
 from linminmax.relation import (
     GenericSampler,
@@ -37,7 +34,8 @@ from linminmax.relation import (
     to_matrix_space,
     wong_limit,
 )
-from conftest import rand_mat, rand_relation, rand_subspace, rand_vec
+from linminmax.verify import verify_matrix_cover, verify_matrix_separator
+from conftest import blow_up, rand_mat, rand_relation, rand_subspace, rand_vec
 from test_dilworth import rand_dual_basis_linorder
 
 

@@ -13,7 +13,7 @@ from linminmax.classical_oracles import (
     poset_dilworth,
     vertex_disjoint_paths,
 )
-from linminmax.errors import BudgetExceededError
+from linminmax.errors import CertificationError
 
 
 def rand_bipartite(rng, n, m, p=0.4):
@@ -67,7 +67,7 @@ def test_hall_examples():
     ok, wit = hall_check(shared)
     assert not ok and sorted(wit) == [0, 1]
 
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(CertificationError):
         hall_check(BipartiteGraph(17, 1, []))
 
 

@@ -21,8 +21,7 @@ from linminmax.relation import (
     space_power_is_zero,
     to_matrix_space,
 )
-from linminmax.ncrank import blow_up
-from conftest import rand_mat, rand_relation, rand_subspace, rand_vec
+from conftest import blow_up, rand_mat, rand_relation, rand_subspace, rand_vec
 
 
 def spans_same(space_a, space_b):

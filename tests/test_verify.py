@@ -1,0 +1,212 @@
+"""The one certificate verifier: what it rejects, how often a check calls it, what it imports."""
+
+import ast
+import copy
+import json
+import random
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from linminmax import dilworth, matching_cover, ncrank, verify
+from linminmax.cli import (
+    CHECKS,
+    EXIT_BOUNDS,
+    EXIT_PARSE,
+    EXIT_PROVED,
+    EXIT_VIOLATION,
+    build_skew3,
+    main,
+)
+from linminmax.exact_linalg import Mat, Subspace, unit_vec
+from linminmax.relation import GenericSampler, MatrixSpace, Relation, sample_element
+from conftest import blow_up, rand_mat
+
+GOLDEN = Path(__file__).parent / "golden"
+MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
+INSTANCES = {e["theorem"]: GOLDEN / e["instance"] for e in MANIFEST}
+
+
+def _check(capsys, theorem, path):
+    code = main(["check", theorem, str(path), "--output", "json", "--trials", "10"])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    return code, captured.out
+
+
+# ---------------------------------------------------------------------------
+# tampered certificates exit 1
+
+
+def test_check_ncrank_rejects_an_element_outside_the_blowup(tmp_path, capsys, monkeypatch):
+    """The identity has rank 6 = 2 * ncrank(skew3), but is not in skew3 (x) M_2."""
+    path = tmp_path / "skew3.json"
+    path.write_text(json.dumps(build_skew3().to_json()))
+    original = ncrank.ncrank
+    assert _check(capsys, "ncrank", path)[0] == EXIT_PROVED
+    identity = lambda V, sampler: replace(original(V, sampler), primal=(2, Mat.identity(6)))
+    monkeypatch.setattr(ncrank, "ncrank", identity)
+    assert _check(capsys, "ncrank", path)[0] == EXIT_VIOLATION
+
+
+def _shift(n: int) -> Mat:
+    """The cyclic coordinate shift e_i -> e_{i+1 mod n}."""
+    return Mat([[int(j == (i - 1) % n) for j in range(n)] for i in range(n)], n)
+
+
+def test_check_matrix_dilworth_rejects_a_decomposition_outside_the_blowup(capsys, monkeypatch):
+    """Conjugating by a shift keeps the chains a basis, but moves A out of V (x) M_r."""
+    original = ncrank.matrix_coherent_decomposition
+
+    def shifted(V, r, sampler, cov=None):
+        D = original(V, r, sampler, cov)
+        P = _shift(D.A.rows)
+        A = P @ D.A @ P.transpose()
+        return dilworth.CoherentDecomposition(A, tuple((P.apply(s), l) for s, l in D.chains))
+
+    path = INSTANCES["matrix-dilworth"]
+    monkeypatch.setattr(ncrank, "matrix_coherent_decomposition", shifted)
+    code, out = _check(capsys, "matrix-dilworth", path)
+    assert code == EXIT_VIOLATION
+    assert json.loads(out)["coherent_count"] == 6  # the chains still count
+
+
+def test_check_hall_recomputes_the_witness_neighborhood(tmp_path, capsys, monkeypatch):
+    """e_0 and e_1 both meet only w = e_0: S = span{e_0, e_1} has a 1-dimensional neighborhood."""
+    e = [unit_vec(3, i) for i in range(3)]
+    path = tmp_path / "hall.json"
+    path.write_text(json.dumps(Relation(3, 3, [(e[0], e[0]), (e[1], e[0]), (e[2], e[1])]).to_json()))
+    original = matching_cover.saturated_matching
+
+    def shrunk(R):
+        w = original(R)
+        assert w.neighborhood.dim == 1
+        return replace(w, neighborhood=Subspace.zero(3))
+
+    assert _check(capsys, "hall", path)[0] == EXIT_PROVED
+    monkeypatch.setattr(matching_cover, "saturated_matching", shrunk)
+    assert _check(capsys, "hall", path)[0] == EXIT_VIOLATION
+
+
+# ---------------------------------------------------------------------------
+# one verification per certificate
+
+CERTIFICATES = {
+    "konig": ["verify_cover", "verify_matching"],
+    "hall": ["verify_shrunk_witness"],
+    "rado": ["verify_rado_report"],
+    "dilworth": ["verify_antichain", "verify_bichain_decomposition"],
+    "coherent": ["verify_antichain", "verify_coherent_decomposition"],
+    "menger": ["verify_separator"],
+    "lgv": [],
+    "ncrank": ["verify_blowup_element", "verify_defect_certificate"],
+    "matrix-konig": ["verify_blowup_element", "verify_matrix_cover"],
+    "matrix-dilworth": ["verify_coherent_decomposition", "verify_matrix_antichain"],
+    "matrix-menger": ["verify_matrix_separator"],
+}
+
+
+def test_every_theorem_names_its_certificates():
+    assert sorted(CERTIFICATES) == sorted(CHECKS)
+
+
+@pytest.mark.parametrize("theorem", sorted(CERTIFICATES))
+def test_golden_checks_verify_each_certificate_once(theorem, capsys, monkeypatch):
+    calls = []
+    for name, fn in vars(verify).items():
+        if callable(fn) and getattr(fn, "__module__", None) == verify.__name__ and not name.startswith("_"):
+
+            def counting(*args, name=name, fn=fn, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(verify, name, counting)
+    assert _check(capsys, theorem, INSTANCES[theorem])[0] == EXIT_PROVED
+    assert sorted(calls) == CERTIFICATES[theorem]
+
+
+# ---------------------------------------------------------------------------
+# membership in a blow-up, slice by slice
+
+
+def test_blowup_membership_agrees_with_the_blown_up_basis(rng):
+    for r in (1, 2, 3):
+        for trial in range(5):
+            m, n = rng.randint(1, 3), rng.randint(1, 3)
+            V = MatrixSpace.spanned(m, n, [rand_mat(rng, m, n, 2) for _ in range(rng.randint(0, 2))])
+            big = blow_up(V, r).space
+            A = sample_element(V, GenericSampler(seed=trial, coeff_bound=20), r)
+            rows = [list(row) for row in A.int_rows()]
+            rows[rng.randrange(m * r)][rng.randrange(n * r)] += 1
+            for el in (A, Mat.from_int_rows(tuple(map(tuple, rows)), A.den, n * r)):
+                assert V.contains(el, r) == big.contains(el)
+            assert V.contains(A, r)
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under malformed input
+
+BAD_VALUES = ["1/0", "x", "", 1.5, None, True, [], {}, -1, -7, 10**9, [["1/0"]], "-3"]
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, prefix + (i,))
+
+
+def _mutate(rng, data):
+    """One change: a bad or huge value, or a deleted key, somewhere in the instance."""
+    data = copy.deepcopy(data)
+    path = rng.choice(list(_paths(data))[1:])
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and rng.random() < 0.2:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = rng.choice(BAD_VALUES)
+    return data
+
+
+def test_malformed_instances_never_exit_1(tmp_path, capsys):
+    rng = random.Random(20261018)
+    golden = {t: json.loads(p.read_text()) for t, p in INSTANCES.items()}
+    theorems = sorted(golden)
+    path = tmp_path / "instance.json"
+    seen = set()
+    for _ in range(150):
+        source = rng.choice(theorems)
+        if rng.random() < 0.15:
+            theorem, data = rng.choice(theorems), golden[source]
+        else:
+            theorem, data = source, _mutate(rng, golden[source])
+        path.write_text(json.dumps(data))
+        code, out = _check(capsys, theorem, path)
+        assert code in (EXIT_PROVED, EXIT_BOUNDS, EXIT_PARSE), (theorem, data, out)
+        json.loads(out)
+        seen.add(code)
+    assert {EXIT_PROVED, EXIT_PARSE} <= seen
+
+
+# ---------------------------------------------------------------------------
+# the verifier depends on the kernels only
+
+
+def test_verify_imports_only_the_kernels():
+    tree = ast.parse(Path(verify.__file__).read_text())
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            inside.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module.split(".")[0] in sys.stdlib_module_names
+        elif isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] in sys.stdlib_module_names for a in node.names)
+    assert inside <= {"exact_linalg", "relation", "errors"}
