@@ -36,6 +36,8 @@ from .relation import (
     MatrixSpace,
     Relation,
     best_sample,
+    routing_space,
+    to_matrix_space,
 )
 
 EXIT_PROVED = 0
@@ -328,19 +330,33 @@ def check_coherent(data, config: RunConfig):
     return report, (EXIT_PROVED if ok else EXIT_VIOLATION)
 
 
+def _path_capacity_report(key: str, cv, V: MatrixSpace, E, F, separator_ok: bool):
+    """Report and exit code of a path capacity `cv` from E to F relative to V.
+
+    The primal (r, el) must be an element of rank r(n + value) in the
+    routing space rebuilt from the instance; a proved value must equal the
+    separator size.  The element stays out of the report.
+    """
+    r, element = cv.primal
+    routing = routing_space(V, E, F)
+    ok = (
+        separator_ok
+        and verify.verify_blowup_element(routing, r, element, r * (V.n + cv.value))
+        and cv.value <= cv.dual.size
+        and (not cv.proved or cv.value == cv.dual.size)
+    )
+    report = {key: cv.value, "status": cv.status, "separator": cv.dual.to_json()}
+    if not ok:
+        return report, EXIT_VIOLATION
+    return report, (EXIT_PROVED if cv.proved else EXIT_BOUNDS)
+
+
 def check_menger(data, config: RunConfig):
     R = _relation_from(data)
     E, F = _subspaces_from(data, R.n)
     cv = menger.cpc(R, E, F, config.sampler())
-    ok = verify.verify_separator(R, cv.dual) and cv.dual.size >= cv.value
-    report = {
-        "cpc": cv.value,
-        "status": cv.status,
-        "separator": cv.dual.to_json(),
-    }
-    if not ok:
-        return report, EXIT_VIOLATION
-    return report, (EXIT_PROVED if cv.proved else EXIT_BOUNDS)
+    ok = verify.verify_separator(R, cv.dual)
+    return _path_capacity_report("cpc", cv, to_matrix_space(R), E, F, ok)
 
 
 def check_lgv(data, config: RunConfig):
@@ -430,16 +446,9 @@ def check_matrix_dilworth(data, config: RunConfig):
 def check_matrix_menger(data, config: RunConfig):
     V = _space_from(data)
     E, F = _subspaces_from(data, V.n)
-    cv = ncrank.mpc(V, E, F, config.sampler())
+    cv = menger.mpc(V, E, F, config.sampler())
     ok = verify.verify_matrix_separator(V, cv.dual)
-    report = {
-        "mpc": cv.value,
-        "status": cv.status,
-        "separator": cv.dual.to_json(),
-    }
-    if not ok:
-        return report, EXIT_VIOLATION
-    return report, (EXIT_PROVED if cv.proved else EXIT_BOUNDS)
+    return _path_capacity_report("mpc", cv, V, E, F, ok)
 
 
 CHECKS = {

@@ -78,11 +78,6 @@ def clear_scale(entries) -> tuple[list[int], int]:
     return [x.numerator * (l // x.denominator) for x in entries], l
 
 
-def clear_denominators(entries) -> list:
-    """Scale a rational row by the lcm of its denominators; returns int list."""
-    return clear_scale(entries)[0]
-
-
 _set = object.__setattr__
 
 

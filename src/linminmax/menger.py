@@ -1,29 +1,33 @@
-"""Linear Menger: coherent path capacity and separator certificates.
+"""Linear and matricial Menger: path capacities and separator certificates.
 
-The coherent path capacity between subspaces E and F relative to a relation
-R is the maximum, over A in the induced matrix space, of
-rank [[I - A, i],[p, 0]] - n, with i the inclusion of E and p the projection
-onto F.  It equals the minimum separator size.  Every such bordered matrix
-lies in the routing space spanned by [[I, i],[p, 0]] and the embedded
-[[A, 0],[0, 0]], so the sampled element of largest bordered rank is the
-primal, and the dual is read off the limit U' of its second Wong sequence
-(`relation.wong_limit`): with X the projection of U' onto the first n
-coordinates, F~ = X^perp and E~ = X + E + V[X].  The value is proved when
-the separator size meets the sampled rank, which for a relation happens at
-blow-up order r = 1.  No subset is enumerated, so there is no size limit.
+The matricial path capacity from E to F relative to a square space V is
+the maximum, over A in the blow-ups of V, of the rank of
+[[I - A, i],[p, 0]] minus n, with i the inclusion of E and p the
+projection onto F; it equals the minimum size dim(E~ n F~) of a separator
+(E~, F~) with V[F~^perp] inside E~.  Every such bordered matrix lies in
+the routing space of V (`relation.routing_space`), so `mpc` is the
+noncommutative rank of that space minus n, found by `ncrank.wong_rank`:
+a sampled routing element of order r is the primal, and the dual is read
+off the limit U' of its second Wong sequence (`relation.wong_limit`):
+with X the projection of U' onto the first n coordinates, cut to F^perp,
+F~ = X^perp and E~ = X + E + V[X].  The value is proved when the rank of
+the element is r(n + size).
+
+The coherent path capacity of a relation R is the matricial one of its
+space V_R (`cpc`).  Since V_R is spanned by the rank-ones w v^T,
+V_R[F~^perp] lies inside E~ exactly when every pair has v in F~ or w in
+E~, so the separator is one in the relation sense too, and it meets the
+sampled rank at order r = 1.  No subset is enumerated, and order 1 needs
+no blow-up budget, so linear Menger has no size limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 from . import verify
-from .errors import (
-    DimensionError,
-    InvariantViolation,
-)
+from .errors import DimensionError, InvariantViolation
 from .exact_linalg import (
     IntEchelon,
     Mat,
@@ -31,24 +35,21 @@ from .exact_linalg import (
     Vec,
     block,
     hstack,
-    solve_exact,
     subspace_intersection,
     subspace_sum,
     unit_vec,
     vstack,
 )
 from .classical_oracles import Digraph
-from .matching_cover import (
-    LOWER_BOUND_ONLY,
-    PROVED,
-    CertifiedValue,
-    max_matching,
-)
+from .matching_cover import CertifiedValue, max_matching
+from .ncrank import wong_rank
 from .relation import (
     GenericSampler,
     MatrixSpace,
     Relation,
     apply_space,
+    bordered_matrix,
+    routing_space,
     sample_element,
     to_matrix_space,
     wong_limit,
@@ -80,122 +81,37 @@ class Separator:
         }
 
 
-def _check_square(R: Relation, E: Subspace, F: Subspace):
-    if R.n != R.m:
-        raise DimensionError("path capacities need a relation on F^n x F^n")
-    if E.ambient != R.n or F.ambient != R.n:
-        raise DimensionError("E and F must live in the relation's space")
-
-
-def _inclusion(E: Subspace, n: int) -> Mat:
-    return E.basis if E.dim else Mat.zeros(n, 0)
-
-
-def _projection(F: Subspace, n: int) -> Mat:
-    return F.basis.transpose() if F.dim else Mat.zeros(0, n)
-
-
-def _border(E: Subspace, F: Subspace, n: int) -> tuple[Mat, Mat, Mat]:
-    """(i, p, [[I, i],[p, 0]]) with i = basis of E, p = transposed basis of F."""
-    iota = _inclusion(E, n)
-    pi = _projection(F, n)
-    base = block(
-        [
-            [Mat.identity(n), iota],
-            [pi, Mat.zeros(pi.rows, iota.cols)],
-        ]
-    )
-    return iota, pi, base
-
-
-def _top_left(A: Mat, like: Mat) -> Mat:
-    """[[A, 0],[0, 0]] in the shape of `like`."""
-    pad = (0,) * (like.cols - A.cols)
-    rows = tuple(row + pad for row in A.int_rows())
-    zero_rows = ((0,) * like.cols,) * (like.rows - A.rows)
-    return Mat.from_int_rows(rows + zero_rows, A.den, like.cols)
-
-
-def bordered_matrix(A: Mat, E: Subspace, F: Subspace) -> Mat:
-    """[[I - A, i],[p, 0]] with i = basis of E, p = transposed basis of F."""
-    base = _border(E, F, A.rows)[2]
-    return base - _top_left(A, base)
-
-
 def bordered_rank(A: Mat, E: Subspace, F: Subspace) -> int:
     return bordered_matrix(A, E, F).rank()
 
 
-# ---------------------------------------------------------------------------
-# the routing space and its Wong separator
+def mpc(V: MatrixSpace, E: Subspace, F: Subspace, sampler: GenericSampler) -> CertifiedValue:
+    """Matricial path capacity: ncrank of the routing space minus n.
 
-
-def _mpc_space(V: MatrixSpace, base: Mat) -> MatrixSpace:
-    """Routing space spanned by the border `base` and the embedded [[A,0],[0,0]].
-
-    `base` is [[I, i],[p, 0]], the third entry of `_border`.
+    The primal is a routing element (r, el) of rank r(n + value), and the
+    dual the Wong separator of the draw behind the value.
     """
-    return MatrixSpace.spanned(base.rows, base.cols, [base] + [_top_left(a, base) for a in V.basis])
-
-
-def wong_separator(V, routing, E, F, r: int, el: Mat) -> Separator:
-    """The separator read off the Wong limit of `el` in routing (x) M_r.
-
-    `routing` is `_mpc_space(V, E, F)`.  X is the projection of the limit
-    U' onto the first n coordinates, cut to F^perp so that F~ = X^perp
-    contains F; then E~ = X + E + V[X] meets the matrix-sense conditions.
-    """
+    routing = routing_space(V, E, F)
     n = V.n
-    U, _ = wong_limit(routing, r, el)
-    X = subspace_intersection(
-        Subspace.span(n, [Vec.from_ints(row[:n]) for row in U.int_rows()]),
-        F.orthocomplement(),
-    )
-    e_tilde = subspace_sum(subspace_sum(X, E), apply_space(V, X))
-    return Separator(e_tilde, X.orthocomplement(), E, F)
+
+    def separator(r: int, el: Mat):
+        U, _ = wong_limit(routing, r, el)
+        X = subspace_intersection(
+            Subspace.span(n, [Vec.from_ints(row[:n]) for row in U.int_rows()]),
+            F.orthocomplement(),
+        )
+        e_tilde = subspace_sum(subspace_sum(X, E), apply_space(V, X))
+        sep = Separator(e_tilde, X.orthocomplement(), E, F)
+        return sep, n + sep.size
+
+    full = Subspace.full(n)
+    cv = wong_rank(routing, sampler, separator, (Separator(full, full, E, F), 2 * n))
+    return CertifiedValue(cv.value - n, cv.primal, cv.dual, cv.status)
 
 
-def cpc(
-    R: Relation, E: Subspace, F: Subspace, sampler: GenericSampler
-) -> CertifiedValue:
-    """Coherent path capacity with a sampled primal and a Wong separator dual.
-
-    The primal is the sampled A (or A = 0) of largest bordered rank.  Its
-    bordered matrix is an element of the routing space, and the separator
-    comes from its Wong limit at r = 1; the value is proved when the rank
-    is n plus the separator size.  Guttman rank additivity is asserted on
-    every sampled A with I - A invertible.
-    """
-    _check_square(R, E, F)
-    n = R.n
-    space = to_matrix_space(R)
-    iota, pi, base = _border(E, F, n)
-    best = None
-    samples = (sample_element(space, sampler) for _ in range(sampler.trials))
-    for A in chain([Mat.zeros(n, n)], samples):
-        bordered = base - _top_left(A, base)
-        rank = bordered.rank()
-        _assert_guttman(A, iota, pi, rank)
-        if best is None or rank > best[0]:
-            best = (rank, A, bordered)
-    rank, A, bordered = best
-    routing = _mpc_space(space, base)
-    sep = wong_separator(space, routing, E, F, 1, bordered)
-    status = PROVED if sep.size == rank - n else LOWER_BOUND_ONLY
-    return CertifiedValue(rank - n, A, sep, status)
-
-
-def _assert_guttman(A: Mat, iota: Mat, pi: Mat, rank: int):
-    """rank [[I-A, i],[p, 0]] = n + rank(p (I-A)^{-1} i) when I-A is invertible.
-
-    `rank` is the left side, which the caller has computed.
-    """
-    n = A.rows
-    inv_iota = solve_exact(Mat.identity(n) - A, iota)
-    if inv_iota is None:
-        return
-    if rank != n + (pi @ inv_iota).rank():
-        raise InvariantViolation("Guttman rank additivity failed")
+def cpc(R: Relation, E: Subspace, F: Subspace, sampler: GenericSampler) -> CertifiedValue:
+    """Coherent path capacity of R: the matricial one of its space."""
+    return mpc(to_matrix_space(R), E, F, sampler)
 
 
 # ---------------------------------------------------------------------------

@@ -4,19 +4,20 @@ The noncommutative rank of a matrix space V in M_{m,n} is (1/r) times the
 maximum rank in the blow-up V (x) M_r, attained for every r >= n-1, and it
 equals n - d where d is the largest defect dim E - dim V[E].  A defect
 subspace is therefore a dual certificate: it bounds every blow-up rank by
-r(n - d), while a sampled blow-up element of that rank is the primal.  For
-r = 1 .. n - 1, as far as the blow-up side max(m, n) r stays within
-BLOWUP_DIM_BUDGET, the loop below draws blow-up elements A through
-`relation.best_sample` (the one sampler of V (x) M_r).  Each draw that
-beats the best so far gets its dual: the slice span U' of the limit of its
-second Wong sequence (`wong_limit`), which bounds every rank by
+r(n - d), while a sampled blow-up element of that rank is the primal.
+`wong_rank` is the one loop behind every blow-up value: for r = 1 .. n - 1,
+as far as the blow-up side max(m, n) r stays within BLOWUP_DIM_BUDGET (order
+1 of a nonzero space is the space itself and always runs), it draws blow-up
+elements A through `relation.best_sample` (the one sampler of V (x) M_r).  Each draw that beats the best so far gets its dual, read off
+the limit of its second Wong sequence (`wong_limit`): for `ncrank` the
+slice span U' of that limit, which bounds every rank by
 r(n - defect(U')).  The order is proved, and drawing stops, at the first
-draw with rank A = r(n - defect(U')); an order that is not proved draws
-all `trials` and keeps the dual of its first maximum.  The matricial path
-capacity runs the same loop on the routing space of `menger`, with the
-separator read off the same limit, and matrix Dilworth takes the Jordan
-chains of a blow-up element through `dilworth.coherent_from_sample`.  An
-unmet bound leaves the status at lower_bound_only, never at a wrong value.
+draw whose rank meets its own bound; an order that is not proved draws all
+`trials` and keeps the dual of its first maximum.  The path capacities of
+`menger` run the same loop on a routing space, with a separator as the
+dual, and matrix Dilworth takes the Jordan chains of a blow-up element
+through `dilworth.coherent_from_sample`.  An unmet bound leaves the status
+at lower_bound_only, never at a wrong value.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .matching_cover import (
     CertifiedValue,
     Cover,
 )
-from .menger import _border, _mpc_space, wong_separator
 from .relation import (
     GenericSampler,
     MatrixSpace,
@@ -57,38 +57,51 @@ class DefectCertificate:
 
 
 def _check_blowup_budget(V: MatrixSpace, r: int):
-    if max(V.m, V.n) * r > BLOWUP_DIM_BUDGET:
-        raise CertificationError(
-            f"blow-up side {max(V.m, V.n) * r} exceeds {BLOWUP_DIM_BUDGET}"
-        )
+    """Refuse a blow-up side beyond BLOWUP_DIM_BUDGET.
+
+    Order 1 of a nonzero space is V itself, no larger than its own basis,
+    so it is always allowed.
+    """
+    side = max(V.m, V.n) * r
+    if side > BLOWUP_DIM_BUDGET and (r > 1 or V.dim == 0):
+        raise CertificationError(f"blow-up side {side} exceeds {BLOWUP_DIM_BUDGET}")
 
 
 def _orders(V: MatrixSpace) -> range:
-    """Blow-up orders 1 .. n - 1 whose side stays within BLOWUP_DIM_BUDGET."""
+    """Order 1, then the orders up to n - 1 whose side stays within BLOWUP_DIM_BUDGET."""
     _check_blowup_budget(V, 1)
-    return range(1, min(max(1, V.n - 1), BLOWUP_DIM_BUDGET // max(V.m, V.n, 1)) + 1)
+    return range(1, max(1, min(V.n - 1, BLOWUP_DIM_BUDGET // max(V.m, V.n, 1))) + 1)
 
 
 def max_rank_blowup(V: MatrixSpace, r: int, sampler: GenericSampler) -> int:
     """Maximum sampled rank in V (x) M_r; asserted divisible by r."""
-    value, _, _ = _max_rank_blowup_el(V, r, sampler, _defect_dual(V, r))
+    value, _, _ = _max_rank_blowup_el(V, r, sampler, _defect_bound(V))
     return value
 
 
-def _defect_dual(V: MatrixSpace, r: int):
-    """el -> (defect certificate of its Wong limit, bound r(n - defect))."""
+def _defect_bound(V: MatrixSpace):
+    """(r, el) -> (defect certificate of el's Wong limit, bound n - defect on ncrank V)."""
 
-    def dual(el: Mat):
+    def certify(r: int, el: Mat):
         E, image = wong_limit(V, r, el)
         cert = DefectCertificate(E, E.dim - image.dim)
-        return cert, r * (V.n - cert.defect)
+        return cert, V.n - cert.defect
 
-    return dual
+    return certify
 
 
-def _max_rank_blowup_el(V: MatrixSpace, r: int, sampler: GenericSampler, dual):
-    """(rank, element, cert) of `best_sample` with `dual`; rank divisible by r."""
+def _max_rank_blowup_el(V: MatrixSpace, r: int, sampler: GenericSampler, certify):
+    """(rank, element, (cert, bound)) of `best_sample` on V (x) M_r; rank divisible by r.
+
+    Each draw that beats the best so far is certified by `certify(r, el)`,
+    and a draw of rank r * bound stops the loop.
+    """
     _check_blowup_budget(V, r)
+
+    def dual(el: Mat):
+        cert, bound = certify(r, el)
+        return (cert, bound), r * bound
+
     best, best_el, cert = best_sample(V, sampler, r, dual=dual)
     if best % r != 0:
         raise CertificationError(
@@ -97,29 +110,38 @@ def _max_rank_blowup_el(V: MatrixSpace, r: int, sampler: GenericSampler, dual):
     return best, best_el, cert
 
 
+def wong_rank(V: MatrixSpace, sampler: GenericSampler, certify, trivial) -> CertifiedValue:
+    """Noncommutative rank of V with a sampled primal and a Wong-limit dual.
+
+    `certify(r, el)` reads a certificate off the Wong limit of el in
+    V (x) M_r, with the bound on ncrank V that it proves.  For each r of
+    `_orders(V)`: sample until rank el meets r times its own bound, proved,
+    or the trials run out.  Unproved, the value is the largest sampled
+    rank over r, with its draw (r, el) as the primal, and the dual is the
+    first certificate of smallest bound, or the `trivial` (cert, bound)
+    pair, which holds for every draw, when none bounds lower.
+    """
+    best, primal, dual = -1, None, trivial
+    for r in _orders(V):
+        rank_r, el, (cert, bound) = _max_rank_blowup_el(V, r, sampler, certify)
+        if rank_r == r * bound:
+            return CertifiedValue(bound, (r, el), cert, PROVED)
+        if bound < dual[1]:
+            dual = (cert, bound)
+        if rank_r // r > best:
+            best, primal = rank_r // r, (r, el)
+    return CertifiedValue(best, primal, dual[0], LOWER_BOUND_ONLY)
+
+
 def ncrank(V: MatrixSpace, sampler: GenericSampler) -> CertifiedValue:
     """Noncommutative rank with primal blow-up element and defect dual.
 
-    For each r of `_orders(V)`: sample A in V (x) M_r until rank A meets
-    r(n - defect) for the defect certificate read off its own Wong limit,
-    or the trials run out.  By the Wong-sequence theorem of Ivanyos,
-    Karpinski, Qiao and Santha, a sample of maximum rank meets it, at
-    r = n - 1 at the latest.
+    By the Wong-sequence theorem of Ivanyos, Karpinski, Qiao and Santha, a
+    sample of maximum rank meets the defect bound of its own Wong limit,
+    at r = n - 1 at the latest.
     """
-    n = V.n
-    dual = DefectCertificate(Subspace.zero(n), 0)
-    best_value = 0
-    best_witness = (1, Mat.zeros(V.m, V.n))
-    for r in _orders(V):
-        rank_r, el, cert = _max_rank_blowup_el(V, r, sampler, _defect_dual(V, r))
-        if rank_r == r * (n - cert.defect):
-            return CertifiedValue(rank_r // r, (r, el), cert, PROVED)
-        if cert.defect > dual.defect:
-            dual = cert
-        if rank_r // r > best_value:
-            best_value = rank_r // r
-            best_witness = (r, el)
-    return CertifiedValue(best_value, best_witness, dual, LOWER_BOUND_ONLY)
+    zero = DefectCertificate(Subspace.zero(V.n), 0)
+    return wong_rank(V, sampler, _defect_bound(V), (zero, V.n))
 
 
 def has_full_ncrank(V: MatrixSpace, sampler: GenericSampler):
@@ -182,53 +204,3 @@ def matrix_coherent_decomposition(
     if cov is None:
         cov = matrix_min_cover(V, sampler)
     return coherent_from_sample(V, r, r * cov.value, sampler)
-
-
-# ---------------------------------------------------------------------------
-# matricial path capacity
-
-
-def _separator_dual(V: MatrixSpace, routing: MatrixSpace, E, F, r: int):
-    """el -> (Wong separator, bound r(n + size)).
-
-    The Wong separator meets the matrix-sense conditions by construction:
-    X lies in F^perp, F~ = X^perp and E~ = X + E + V[X].
-    """
-
-    def dual(el: Mat):
-        sep = wong_separator(V, routing, E, F, r, el)
-        return sep, r * (V.n + sep.size)
-
-    return dual
-
-
-def mpc(
-    V: MatrixSpace,
-    E: Subspace,
-    F: Subspace,
-    sampler: GenericSampler,
-) -> CertifiedValue:
-    """Matricial path capacity: ncrank of the routing space minus n.
-
-    For each r of `_orders(routing)`: a sampled element of the routing
-    space's blow-up is the primal, and the separator read off its Wong
-    limit the dual; drawing stops, proved, once the rank of a draw is
-    r(n + size) for its own separator.
-    """
-    if V.m != V.n:
-        raise DimensionError("matricial path capacity needs a square space")
-    n = V.n
-    if E.ambient != n or F.ambient != n:
-        raise DimensionError("E and F must live in the space's column space")
-    routing = _mpc_space(V, _border(E, F, n)[2])
-    best_value = 0
-    best_sep = None
-    for r in _orders(routing):
-        dual = _separator_dual(V, routing, E, F, r)
-        rank_r, el, sep = _max_rank_blowup_el(routing, r, sampler, dual)
-        if rank_r == r * (n + sep.size):
-            return CertifiedValue(sep.size, (r, el), sep, PROVED)
-        if best_sep is None or sep.size < best_sep.size:
-            best_sep = sep
-        best_value = max(best_value, rank_r // r - n)
-    return CertifiedValue(best_value, None, best_sep, LOWER_BOUND_ONLY)

@@ -4,13 +4,16 @@ A relation is a finite list of vector pairs (v, w) in F^n x F^m.  Each pair
 induces the rank-one map w v^T, and the span of those maps is the matrix
 space the min-max machinery actually works with.  Because only that span
 matters, any relation can be thinned to at most n*m pairs without changing
-any neighborhood span; `reduce_relation` does exactly that.
+any neighborhood span; `reduce_relation` does exactly that.  The routing
+space of a path capacity (`routing_space`) is built here too, so that a
+solver and a check build it from the instance the same way.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import lcm
 from operator import mul
 
 from .errors import DimensionError
@@ -367,3 +370,50 @@ def is_nilpotent_algebra(V: MatrixSpace) -> bool:
         )
         object.__setattr__(V, "_nilpotent", closed and space_power_is_zero(V, V.n))
     return V._nilpotent
+
+
+# ---------------------------------------------------------------------------
+# the routing space of a path capacity
+
+
+def _border(E: Subspace, F: Subspace, n: int) -> Mat:
+    """[[I, i],[p, 0]] with i the basis of E as columns and p that of F as rows.
+
+    Built on integer rows over the lcm of the basis denominators.
+    """
+    if E.ambient != n or F.ambient != n:
+        raise DimensionError("E and F must live in the space's column space")
+    es, fs = E.vectors, F.vectors
+    den = lcm(*(v.den for v in es + fs))
+    iota = [[x * (den // v.den) for x in v.int_row()] for v in es]
+    top = tuple(tuple([den * (i == j) for j in range(n)] + [c[i] for c in iota]) for i in range(n))
+    pad = (0,) * len(es)
+    bottom = tuple(tuple([x * (den // w.den) for x in w.int_row()]) + pad for w in fs)
+    return Mat.from_int_rows(top + bottom, den, n + len(es))
+
+
+def _top_left(A: Mat, like: Mat) -> Mat:
+    """[[A, 0],[0, 0]] in the shape of `like`."""
+    pad = (0,) * (like.cols - A.cols)
+    rows = tuple(row + pad for row in A.int_rows())
+    zero_rows = ((0,) * like.cols,) * (like.rows - A.rows)
+    return Mat.from_int_rows(rows + zero_rows, A.den, like.cols)
+
+
+def bordered_matrix(A: Mat, E: Subspace, F: Subspace) -> Mat:
+    """[[I - A, i],[p, 0]], the element of the routing space at A."""
+    base = _border(E, F, A.rows)
+    return base - _top_left(A, base)
+
+
+def routing_space(V: MatrixSpace, E: Subspace, F: Subspace) -> MatrixSpace:
+    """Span of [[I, i],[p, 0]] and every [[A, 0],[0, 0]] with A in V.
+
+    The path capacity from E to F relative to the square space V is its
+    noncommutative rank minus n; a relation's routing space is that of
+    `to_matrix_space(R)`.
+    """
+    if V.m != V.n:
+        raise DimensionError("path capacities need a square space")
+    base = _border(E, F, V.n)
+    return MatrixSpace.spanned(base.rows, base.cols, [base] + [_top_left(a, base) for a in V.basis])

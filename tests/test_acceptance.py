@@ -51,10 +51,11 @@ from linminmax.menger import (
     generic_rank_rank_one_update,
     generic_rank_sum,
     graph_instance,
+    mpc,
 )
 from linminmax.lgv import LgvInstance, classical_lgv, lgv_acyclic, lgv_lhs, lgv_rhs_parts, lgv_rhs
 from linminmax.errors import SingularityError
-from linminmax.ncrank import matrix_coherent_decomposition, max_rank_blowup, mpc
+from linminmax.ncrank import matrix_coherent_decomposition, max_rank_blowup
 from linminmax.relation import (
     GenericSampler,
     Relation,

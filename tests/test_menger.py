@@ -22,16 +22,18 @@ from linminmax.menger import (
     generic_rank_sum,
     graph_instance,
     konig_via_menger,
+    mpc,
 )
 from linminmax.relation import (
     GenericSampler,
     Relation,
     reduced_indices,
+    routing_space,
     sample_element,
     to_matrix_space,
 )
 from linminmax.dilworth import BiChain, poset_embed
-from linminmax.verify import independent_bipaths_check, verify_separator
+from linminmax.verify import independent_bipaths_check, verify_blowup_element, verify_separator
 from linminmax.classical_oracles import Poset
 from conftest import rand_mat, rand_relation, rand_subspace, rand_vec
 
@@ -230,7 +232,9 @@ def _check_cpc_certificate(R, E, F, cv):
     assert cv.proved
     assert verify_separator(R, cv.dual)
     assert cv.value == cv.dual.size
-    assert bordered_rank(cv.primal, E, F) == R.n + cv.value
+    r, el = cv.primal
+    routing = routing_space(to_matrix_space(R), E, F)
+    assert verify_blowup_element(routing, r, el, r * (R.n + cv.value))
 
 
 def test_cpc_beyond_the_old_subset_budget(rng):
@@ -262,6 +266,30 @@ def test_cpc_matches_disjoint_paths_on_dense_graphs(rng):
         assert cv.value == count
 
 
+def test_an_unproved_capacity_returns_the_draw_behind_its_value(monkeypatch):
+    """Drawing only the border [[I, i],[p, 0]] proves nothing; the value still has its element."""
+    from linminmax import relation
+
+    monkeypatch.setattr(relation, "sample_element", lambda V, s, r=1: V.basis[0].kron(Mat.identity(r)))
+    R, E, F = f7_instance()
+    cv = cpc(R, E, F, GenericSampler(seed=0, trials=2))
+    assert not cv.proved and cv.value == 0 < cv.dual.size
+    assert verify_separator(R, cv.dual)
+    r, el = cv.primal
+    routing = routing_space(to_matrix_space(R), E, F)
+    assert verify_blowup_element(routing, r, el, r * (R.n + cv.value))
+
+
+def test_cpc_has_no_size_limit():
+    """A circulant digraph on 66 vertices: its routing space is wider than any blow-up budget."""
+    n = 66
+    G = Digraph(n, sorted({(i, (i + d) % n) for i in range(n) for d in (1, 5)}))
+    R, E, F = graph_instance(G, [0, 1], [33, 40])
+    cv = cpc(R, E, F, GenericSampler(seed=1))
+    _check_cpc_certificate(R, E, F, cv)
+    assert cv.value == 2 and cv.primal[0] == 1
+
+
 def _subset_capacity(R, E, F):
     """min over S of rank of the pairing of F + {v_k : k not in S} with E + {w_k : k in S}."""
     kept = [R.pairs[i] for i in reduced_indices(R)]
@@ -288,8 +316,6 @@ def test_cpc_matches_the_subset_formula(rng):
 
 def test_routing_space_echelons_once(echelon_widths):
     """cpc and mpc each build their routing space on one echelon."""
-    from linminmax.ncrank import mpc
-
     R, E, F = f7_instance()
     V = to_matrix_space(R)
     width = (7 + F.dim) * (7 + E.dim)
@@ -324,7 +350,6 @@ def test_separator_size_is_computed_once(monkeypatch, capsys):
 
 def test_path_capacities_on_the_zero_space():
     """The 0 x 0 border spans nothing; its routing space is the zero space."""
-    from linminmax.ncrank import mpc
     from linminmax.relation import MatrixSpace
 
     zero = Subspace.zero(0)

@@ -14,14 +14,13 @@ from linminmax.dilworth import max_antichain, poset_embed
 from linminmax.errors import DimensionError
 from linminmax.exact_linalg import Mat, Subspace, Vec, outer, unit_vec
 from linminmax.matching_cover import min_cover
-from linminmax.menger import cpc
+from linminmax.menger import cpc, mpc
 from linminmax.ncrank import (
     has_full_ncrank,
     matrix_antichain,
     matrix_coherent_decomposition,
     matrix_min_cover,
     max_rank_blowup,
-    mpc,
     ncrank,
 )
 from linminmax.relation import (
@@ -265,6 +264,19 @@ def test_blowup_sampling_shortfall_is_a_certification_error(monkeypatch):
     monkeypatch.setattr(rel, "sample_element", rank_one)
     with pytest.raises(CertificationError):
         max_rank_blowup(skew3(), 2, GenericSampler(seed=3))
+
+
+def test_order_one_of_a_nonzero_space_needs_no_budget():
+    """Order 1 is the space itself; only a blow-up, or the zero space, meets the side limit."""
+    from linminmax.errors import CertificationError
+
+    column = MatrixSpace(70, 1, [Mat([[1]] * 70, 1)])
+    cv = ncrank(column, GenericSampler(seed=1))
+    assert cv.proved and cv.value == 1 and cv.primal[0] == 1
+    with pytest.raises(CertificationError, match="blow-up side 140"):
+        max_rank_blowup(column, 2, GenericSampler(seed=1))
+    with pytest.raises(CertificationError, match="blow-up side 70"):
+        ncrank(MatrixSpace(70, 1, []), GenericSampler(seed=1))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from linminmax import relation
 from linminmax.errors import DimensionError
-from linminmax.exact_linalg import IntEchelon, Mat, Subspace, clear_denominators, unit_vec, vec
+from linminmax.exact_linalg import IntEchelon, Mat, Subspace, unit_vec, vec
 from linminmax.relation import (
     GenericSampler,
     MatrixSpace,
@@ -30,16 +30,16 @@ def spans_same(space_a, space_b):
     width = space_a.m * space_a.n
     ech = IntEchelon(width)
     for b in space_a.basis:
-        ech.add(clear_denominators(b.flatten().entries))
+        ech.add(b.int_flat())
     if not all(
-        ech.contains(clear_denominators(b.flatten().entries)) for b in space_b.basis
+        ech.contains(b.int_flat()) for b in space_b.basis
     ):
         return False
     ech2 = IntEchelon(width)
     for b in space_b.basis:
-        ech2.add(clear_denominators(b.flatten().entries))
+        ech2.add(b.int_flat())
     return all(
-        ech2.contains(clear_denominators(b.flatten().entries)) for b in space_a.basis
+        ech2.contains(b.int_flat()) for b in space_a.basis
     )
 
 
@@ -174,7 +174,7 @@ def ref_power_dims(V, kmax):
     dims = []
     for _ in range(kmax):
         ech = IntEchelon(width)
-        kept = [p for p in level if ech.add(clear_denominators(p.flatten().entries))]
+        kept = [p for p in level if ech.add(p.int_flat())]
         dims.append(len(kept))
         level = [p @ b for p, b in product(kept, V.basis)]
     return dims
@@ -202,7 +202,7 @@ def random_nilpotent_space(rng, n):
         mats.append(Mat(rows, n))
     mats = conjugated(rng, mats, n)
     ech = IntEchelon(n * n)
-    kept = [m for m in mats if ech.add(clear_denominators(m.flatten().entries))]
+    kept = [m for m in mats if ech.add(m.int_flat())]
     return MatrixSpace(n, n, kept) if kept else random_nilpotent_space(rng, n)
 
 

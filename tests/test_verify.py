@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from linminmax import dilworth, matching_cover, ncrank, verify
+from linminmax import dilworth, matching_cover, menger, ncrank, verify
 from linminmax.cli import (
     CHECKS,
     EXIT_BOUNDS,
@@ -90,6 +90,24 @@ def test_check_hall_recomputes_the_witness_neighborhood(tmp_path, capsys, monkey
     assert _check(capsys, "hall", path)[0] == EXIT_VIOLATION
 
 
+@pytest.mark.parametrize("tamper", ["zero", "wrong order"])
+@pytest.mark.parametrize("theorem, solver", [("menger", "cpc"), ("matrix-menger", "mpc")])
+def test_path_capacity_checks_verify_their_primal(theorem, solver, tamper, capsys, monkeypatch):
+    """The separator still meets the value, but the element behind it does not."""
+    original = getattr(menger, solver)
+
+    def tampered(*args):
+        cv = original(*args)
+        r, el = cv.primal
+        primal = (r, Mat.zeros(el.rows, el.cols)) if tamper == "zero" else (r + 1, el)
+        return replace(cv, primal=primal)
+
+    code, report = _check(capsys, theorem, INSTANCES[theorem])
+    assert code == EXIT_PROVED
+    monkeypatch.setattr(menger, solver, tampered)
+    assert _check(capsys, theorem, INSTANCES[theorem]) == (EXIT_VIOLATION, report)
+
+
 # ---------------------------------------------------------------------------
 # one verification per certificate
 
@@ -99,12 +117,12 @@ CERTIFICATES = {
     "rado": ["verify_rado_report"],
     "dilworth": ["verify_antichain", "verify_bichain_decomposition"],
     "coherent": ["verify_antichain", "verify_coherent_decomposition"],
-    "menger": ["verify_separator"],
+    "menger": ["verify_blowup_element", "verify_separator"],
     "lgv": [],
     "ncrank": ["verify_blowup_element", "verify_defect_certificate"],
     "matrix-konig": ["verify_blowup_element", "verify_matrix_cover"],
     "matrix-dilworth": ["verify_coherent_decomposition", "verify_matrix_antichain"],
-    "matrix-menger": ["verify_matrix_separator"],
+    "matrix-menger": ["verify_blowup_element", "verify_matrix_separator"],
 }
 
 
