@@ -582,9 +582,13 @@ def demo_menger_f7(config: RunConfig):
     independent = verify.independent_bipaths_check(R, E, F, paths)
     expected_et = Subspace.span(7, e[0:4])
     expected_ft = Subspace.span(7, e[3:7])
+    r, element = cv.primal
     ok = (
         cv.value == 1
         and cv.proved
+        and verify.verify_blowup_element(
+            routing_space(to_matrix_space(R), E, F), r, element, r * (R.n + cv.value)
+        )
         and verify.verify_separator(R, cv.dual)
         and cv.dual.E_tilde == expected_et
         and cv.dual.F_tilde == expected_ft

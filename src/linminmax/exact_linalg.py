@@ -11,12 +11,12 @@ Kronecker products, membership tests and eliminations run on those
 integers, and Fractions appear only at the accessors (`entries`, indexing,
 `vectors`, `entry`) and when a non-integer string is parsed.
 
-Every elimination is fraction-free over the integers.  There are two
-routines: the incremental echelon `IntEchelon` (rank, independence, spans,
-kernels, solving, intersection) and the Bareiss determinant.  The only
-divisions are exact integer ones, by a gcd that keeps the rows small.
-Intersections are computed with the Zassenhaus construction, one echelon
-of the rows [a | a] and [b | 0].
+Every elimination is fraction-free over the integers, and there is one
+routine: the incremental Bareiss echelon `IntEchelon` (rank, independence,
+determinants, spans, kernels, solving, intersection).  Its divisions are
+exact, so every entry it holds is a minor of its input, and a determinant
+is its last pivot.  Intersections are computed with the Zassenhaus
+construction, one echelon of the rows [a | a] and [b | 0].
 
 A subspace is stored as its reduced row echelon rows, each scaled to a
 primitive integer row with a positive pivot, so two equal subspaces are
@@ -25,7 +25,6 @@ bit-identical and can be compared (and hashed) directly.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
@@ -214,12 +213,14 @@ def unit_vec(n: int, i: int) -> Vec:
 
 
 class IntEchelon:
-    """Incremental fraction-free row echelon form over the integers.
+    """Incremental fraction-free (Bareiss) row echelon form over the integers.
 
-    Rows are cross-multiplied against stored pivot rows and gcd-normalized,
-    so entries stay small and no Fraction is ever created.  `add` reports
-    whether the candidate row increased the rank, which is exactly the
-    independence test every span/matching search below needs.
+    Rows stay in insertion order; `pivots[i]` is the first nonzero column of
+    row i.  With D_i the minor of the first i rows at their pivot columns
+    (D_0 = 1), a row is reduced against each stored row R_i by the Bareiss
+    step row <- (D_(i+1) row - row[p_i] R_i) / D_i.  The division is exact,
+    so every entry is a minor of the input and no gcd is taken; the pivot
+    entry of stored row i is D_(i+1).  `add` reports whether the rank grew.
     """
 
     __slots__ = ("width", "rows", "pivots")
@@ -233,101 +234,101 @@ class IntEchelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, row) -> list[int]:
-        """Eliminate `row` against the stored pivots (gcd-normalized)."""
+    def _eliminate(self, row) -> tuple[list[int], int]:
+        """(x, d): x is `row` reduced against the k stored rows, times d / D_k.
+
+        A step at row[p_i] = 0 would only scale by D_(i+1) / D_i, so it is
+        skipped; the next division is by the last pivot d actually used.
+        """
         row = list(row)
+        d = 1
         for r, p in zip(self.rows, self.pivots):
-            if row[p]:
-                a, b = r[p], row[p]
-                row = [a * x - b * y for x, y in zip(row, r)]
-        g = gcd(*row)
-        if g > 1:
-            row = [x // g for x in row]
-        return row
+            b = row[p]
+            if b:
+                a = r[p]
+                if d == 1:
+                    row = [a * x - b * y for x, y in zip(row, r)]
+                else:
+                    row = [(a * x - b * y) // d for x, y in zip(row, r)]
+                d = a
+        return row, d
+
+    def reduce(self, row) -> list[int]:
+        """`row` reduced against the stored rows, up to a nonzero factor."""
+        return self._eliminate(row)[0]
 
     def add(self, row) -> bool:
         """Insert a row; returns True iff the rank grew."""
-        row = self.reduce(row)
-        p = next((i for i, x in enumerate(row) if x), None)
-        if p is None:
+        row, d = self._eliminate(row)
+        lead = next(filter(None, row), 0)
+        if not lead:
             return False
-        pos = bisect_left(self.pivots, p)
-        self.rows.insert(pos, row)
-        self.pivots.insert(pos, p)
+        last = self.rows[-1][self.pivots[-1]] if self.rows else 1
+        self.pivots.append(row.index(lead))
+        self.rows.append(row if d == last else [x * last // d for x in row])
         return True
 
     def contains(self, row) -> bool:
-        return next((i for i, x in enumerate(self.reduce(row)) if x), None) is None
+        return not any(self.reduce(row))
 
-    def back_substituted(self) -> list[list[int]]:
-        """Integer rows of the row space, each zero in every other pivot column.
+    def back_substituted(self) -> tuple[list[list[int]], list[int]]:
+        """(rows, pivots) of the row space, sorted by pivot.
 
-        Clears each pivot column above its pivot with integer row
-        operations, last pivot first.  The stored rows are left as they
-        were.
+        Each row is primitive, positive at its pivot and zero in every other
+        pivot column: the rows are cleared above each pivot with integer row
+        operations, last pivot first.  The stored rows are left as they were.
         """
-        rows = [r[:] for r in self.rows]
-        pivots = self.pivots
+        order = sorted(range(self.rank), key=self.pivots.__getitem__)
+        pivots = [self.pivots[i] for i in order]
+        rows = [_primitive(self.rows[i]) for i in order]
         for i in range(len(rows) - 1, 0, -1):
             ri, p = rows[i], pivots[i]
             a = ri[p]
             for j in range(i):
-                rj = rows[j]
-                b = rj[p]
+                b = rows[j][p]
                 if b:
-                    rj = [a * x - b * y for x, y in zip(rj, ri)]
-                    g = gcd(*rj)
-                    rows[j] = [x // g for x in rj] if g > 1 else rj
-        return rows
+                    rows[j] = _primitive([a * x - b * y for x, y in zip(rows[j], ri)])
+        return [r if r[p] > 0 else [-x for x in r] for r, p in zip(rows, pivots)], pivots
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """A nonzero integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def int_kernel(rows, n: int) -> list[list[int]]:
-    """Integer basis of the right kernel {v : r . v = 0 for every row r}.
+    """Primitive integer basis of the right kernel {v : r . v = 0 for every row r}.
 
     With the echelon rows r back-substituted, the free column f gives the
     kernel vector with l at f and -r[f] * l / r[p] at each pivot p, where l
     is the lcm of the pivot entries.
     """
-    ech = _echelon(rows, n)
-    back, pivots = ech.back_substituted(), ech.pivots
+    back, pivots = _echelon(rows, n).back_substituted()
     l = lcm(*(r[p] for r, p in zip(back, pivots)))
-    pivot_set = set(pivots)
     basis = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
+    for f in sorted(set(range(n)) - set(pivots)):
         v = [0] * n
         v[f] = l
         for r, p in zip(back, pivots):
             v[p] = -r[f] * (l // r[p])
-        basis.append(v)
+        basis.append(_primitive(v))
     return basis
 
 
 def det_bareiss(a: list[list[int]]) -> int:
-    """Bareiss fraction-free determinant; `a` is consumed."""
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        akk = a[k][k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            row_k = a[k]
-            aik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * akk - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = akk
-    return sign * a[-1][-1]
+    """Determinant of the square integer matrix with rows `a`.
+
+    0 once a row depends on those before it; otherwise the echelon's last
+    pivot, the minor at the pivot columns in their order of arrival, times
+    the sign of that order.
+    """
+    ech = IntEchelon(len(a))
+    if not all(ech.add(row) for row in a):
+        return 0
+    p = ech.pivots
+    inversions = sum(x > y for i, x in enumerate(p) for y in p[i + 1 :])
+    return (-1) ** inversions * ech.rows[-1][p[-1]] if a else 1
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +569,7 @@ class Mat:
     def det(self) -> Fraction:
         if not self.is_square():
             raise DimensionError("determinant of a non-square matrix")
-        return Fraction(
-            det_bareiss([list(r) for r in self._num]), self._den ** self.rows
-        )
+        return Fraction(det_bareiss(self._num), self._den ** self.rows)
 
     def kernel(self) -> "Subspace":
         """Right kernel {v : M v = 0} as a canonical subspace of F^cols."""
@@ -675,8 +674,8 @@ def solve_exact(M: Mat, B: Mat) -> Mat | None:
     """Solve M X = B exactly for square M; None when M is singular.
 
     M is invertible exactly when the echelon of the integer rows
-    [d_B M | d_M B] has its first n pivots at columns 0..n-1; row i of X is
-    then the right half of back-substituted row i over its pivot entry.
+    [d_B M | d_M B] has a pivot at each of the columns 0..n-1; row i of X
+    is then the right half of back-substituted row i over its pivot entry.
     """
     if not M.is_square():
         raise DimensionError("solve_exact needs a square system")
@@ -687,9 +686,9 @@ def solve_exact(M: Mat, B: Mat) -> Mat | None:
     ech = IntEchelon(n + B.cols)
     for a, b in zip(M.int_rows(), B.int_rows()):
         ech.add([db * x for x in a] + [dm * x for x in b])
-    if ech.pivots[:n] != list(range(n)):
+    if sum(p < n for p in ech.pivots) < n:
         return None
-    rows = ech.back_substituted()
+    rows, _ = ech.back_substituted()
     den = lcm(*(r[i] for i, r in enumerate(rows)))
     return Mat.from_int_rows(
         tuple(tuple([x * (den // r[i]) for x in r[n:]]) for i, r in enumerate(rows)),
@@ -744,11 +743,8 @@ class Subspace:
     @classmethod
     def from_echelon(cls, ech: IntEchelon) -> "Subspace":
         """The row space of an integer echelon, in canonical form."""
-        rows = tuple(
-            tuple(r) if r[p] > 0 else tuple([-x for x in r])
-            for r, p in zip(ech.back_substituted(), ech.pivots)
-        )
-        return cls(ech.width, rows, tuple(ech.pivots))
+        rows, pivots = ech.back_substituted()
+        return cls(ech.width, tuple(map(tuple, rows)), tuple(pivots))
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
@@ -784,13 +780,15 @@ class Subspace:
     def contains(self, v: Vec) -> bool:
         if v.dim != self.ambient:
             raise DimensionError("membership test with wrong ambient dimension")
+        # v must be the sum of v[p] / row[p] * row; l clears the denominators
         ent = v.int_row()
-        for row, p in zip(self._rows, self._pivots):
-            b = ent[p]
-            if b:
-                a = row[p]
-                ent = [a * x - b * y for x, y in zip(ent, row)]
-        return not any(ent)
+        terms = [(ent[p], row[p], row) for row, p in zip(self._rows, self._pivots) if ent[p]]
+        l = lcm(*(a for _, a, _ in terms))
+        acc = [x * l for x in ent]
+        for b, a, row in terms:
+            c = b * (l // a)
+            acc = [x - c * y for x, y in zip(acc, row)]
+        return not any(acc)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.vectors)
@@ -849,14 +847,7 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
         return b
     if b.dim == n:
         return a
-    ech = IntEchelon(2 * n)
-    for row in a.int_rows():
-        ech.add(row + row)
     pad = (0,) * n
-    for row in b.int_rows():
-        ech.add(row + pad)
-    meet = IntEchelon(n)
-    for row, p in zip(ech.rows, ech.pivots):
-        if p >= n:
-            meet.add(row[n:])
-    return Subspace.from_echelon(meet)
+    ech = _echelon([r + r for r in a.int_rows()] + [r + pad for r in b.int_rows()], 2 * n)
+    meet = [_primitive(r[n:]) for r, p in zip(ech.rows, ech.pivots) if p >= n]
+    return Subspace.from_echelon(_echelon(meet, n))

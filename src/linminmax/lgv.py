@@ -133,12 +133,6 @@ def _subset_table(inst: LgvInstance) -> Mat:
     return hstack([inst.V, inst.B]).transpose() @ hstack([inst.W, inst.A])
 
 
-def gs_matrix(inst: LgvInstance, S) -> Mat:
-    """The bordered subset matrix G_S = [[V_S^T W_S, V_S^T A],[B^T W_S, B^T A]]."""
-    idx = sorted(S) + list(range(inst.r, inst.r + inst.k))
-    return _subset_table(inst).submatrix(idx, idx)
-
-
 def lgv_rhs(inst: LgvInstance, xs) -> Fraction:
     """Subset-sum evaluation: numerator over denominator, both explicit."""
     xs = _coerce_point(inst, xs)

@@ -193,13 +193,6 @@ def to_matrix_space(R: Relation) -> MatrixSpace:
     return MatrixSpace.spanned(R.m, R.n, [outer(w, v) for v, w in R.pairs], R.pairs)
 
 
-def reduced_indices(R: Relation) -> list[int]:
-    """Indices of the pairs `to_matrix_space` keeps: independent rank-ones."""
-    # the kept source pairs are R's own pair objects
-    kept = {id(p) for p in to_matrix_space(R).source_pairs or ()}
-    return [i for i, p in enumerate(R.pairs) if id(p) in kept]
-
-
 def reduce_relation(R: Relation) -> Relation:
     """Sub-list of at most n*m pairs spanning the same matrix space."""
     return Relation(R.n, R.m, to_matrix_space(R).source_pairs or ())
@@ -244,10 +237,10 @@ def wong_limit(V: MatrixSpace, r: int, A: Mat) -> tuple[Subspace, Subspace]:
     limit W lies in im A, dim U' - dim V[U'] >= n - rank(A) / r.
     """
     n, rows = V.n, A.int_rows()
-    image = IntEchelon(V.m)
+    W = Subspace.zero(V.m)
     while True:
         q_rows = []
-        for q in int_kernel(image.rows, V.m):
+        for q in int_kernel(W.int_rows(), V.m):
             terms = [(x, i) for i, x in enumerate(q) if x]
             for k in range(r):
                 acc = [0] * (n * r)
@@ -258,10 +251,11 @@ def wong_limit(V: MatrixSpace, r: int, A: Mat) -> tuple[Subspace, Subspace]:
         for u in int_kernel(q_rows, n * r):
             for l in range(r):
                 slices.add(u[l::r])
-        grown = _image(V, slices.rows, V.m)
-        if grown.rank == image.rank:
-            return Subspace.from_echelon(slices), Subspace.from_echelon(grown)
-        image = grown
+        U = Subspace.from_echelon(slices)
+        grown = apply_space(V, U)
+        if grown.dim == W.dim:
+            return U, grown
+        W = grown
 
 
 def neighborhood_span(R: Relation, S) -> Subspace:
@@ -355,7 +349,7 @@ def space_power_is_zero(V: MatrixSpace, k: int) -> bool:
             return False
         if ech.rank == 0:
             return True
-        U = ech.rows
+        U = ech.back_substituted()[0]
     return False
 
 

@@ -1,12 +1,12 @@
-"""Shared seeded generators for randomized property tests, and the blow-up reference."""
+"""Shared seeded generators for randomized property tests, and test-only references."""
 
 import random
 from dataclasses import dataclass
 
 import pytest
 
-from linminmax.exact_linalg import IntEchelon, Mat, Subspace, Vec
-from linminmax.relation import MatrixSpace, Relation
+from linminmax.exact_linalg import IntEchelon, Mat, Subspace, Vec, hstack
+from linminmax.relation import MatrixSpace, Relation, to_matrix_space
 
 
 def rand_vec(rng, n, bound=3, nonzero=False):
@@ -58,6 +58,20 @@ def blow_up(V: MatrixSpace, r: int) -> BlowUp:
                 )
                 cells.append(b.kron(unit))
     return BlowUp(V, r, tuple(cells))
+
+
+def reduced_indices(R: Relation) -> list[int]:
+    """Indices of the pairs `to_matrix_space` keeps: independent rank-ones."""
+    # the kept source pairs are R's own pair objects
+    kept = {id(p) for p in to_matrix_space(R).source_pairs or ()}
+    return [i for i, p in enumerate(R.pairs) if id(p) in kept]
+
+
+def gs_matrix(inst, S) -> Mat:
+    """The bordered subset matrix G_S = [[V_S^T W_S, V_S^T A],[B^T W_S, B^T A]]."""
+    table = hstack([inst.V, inst.B]).transpose() @ hstack([inst.W, inst.A])
+    idx = sorted(S) + list(range(inst.r, inst.r + inst.k))
+    return table.submatrix(idx, idx)
 
 
 @pytest.fixture

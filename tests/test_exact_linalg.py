@@ -13,6 +13,7 @@ from linminmax.exact_linalg import (
     Subspace,
     Vec,
     block,
+    det_bareiss,
     hstack,
     outer,
     outer_sum,
@@ -673,7 +674,7 @@ def test_membership_and_spans_build_no_fractions(monkeypatch):
 
 
 def test_int_echelon_rows_are_primitive(rng):
-    """Stored and back-substituted rows have gcd 1; width 0 and zero rows work."""
+    """Back-substituted rows have gcd 1; width 0 and zero rows work."""
     from math import gcd
 
     for _ in range(40):
@@ -682,7 +683,64 @@ def test_int_echelon_rows_are_primitive(rng):
         ech = IntEchelon(n)
         for row in rows:
             ech.add(row)
-        assert all(gcd(*row) == 1 for row in ech.rows)
-        assert all(gcd(*row) == 1 for row in ech.back_substituted())
+        assert all(gcd(*row) == 1 for row in ech.back_substituted()[0])
         assert all(ech.contains(row) for row in rows)
         assert ech.reduce([0] * n) == [0] * n
+
+
+def _int_rows(rng, rows, n, zero_share):
+    return [
+        [0 if rng.random() < zero_share else rng.randint(-4, 4) for _ in range(n)]
+        for _ in range(rows)
+    ]
+
+
+def test_int_echelon_pivots_are_leading_minors():
+    """After each add, pivot entry i is the minor of kept rows 0..i at pivot columns 0..i.
+
+    The columns are taken in the order the pivots arrived; rows with zeros
+    at earlier pivots exercise the skipped Bareiss steps.
+    """
+    rng = random.Random(83)
+    cases = [[[0, 1, 1], [2, 0, 1], [1, 0, 0]]]
+    cases += [_int_rows(rng, rng.randint(1, 8), rng.randint(1, 6), 0.4) for _ in range(80)]
+    for rows in cases:
+        ech = IntEchelon(len(rows[0]))
+        kept = []
+        for row in rows:
+            if ech.add(row):
+                kept.append(row)
+            assert len(kept) == ech.rank
+            for i, p in enumerate(ech.pivots):
+                cols = ech.pivots[: i + 1]
+                minor = Mat([[r[c] for c in cols] for r in kept[: i + 1]], i + 1)
+                assert ech.rows[i][p] == cofactor_det(minor)
+        assert all(ech.contains(row) for row in rows)
+
+
+def test_det_bareiss_is_the_echelon_last_pivot(echelon_widths):
+    """Out-of-order pivots, leading zeros, singular, 1x1 and 0x0 match the Fraction reference."""
+    rng = random.Random(89)
+    cases = [[], [[5]], [[0]], [[-3]], [[0, 1], [1, 0]], [[0, 0, 2], [0, 3, 1], [4, 1, 1]]]
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        diagonal = [rng.choice([-2, -1, 1, 3]) for _ in range(n)]
+        upper = [
+            [rng.randint(-4, 4) if j > i else diagonal[i] * (j == i) for j in range(n)]
+            for i in range(n)
+        ]
+        cases.append(rng.sample(upper, n))
+        rows = _int_rows(rng, n, n, 0.5)
+        cases.append(rows)
+        if n > 1:
+            cases.append(rows[:-1] + [[2 * x - y for x, y in zip(rows[0], rows[-2])]])
+    singular = 0
+    for a in cases:
+        before = [row[:] for row in a]
+        echelon_widths.clear()
+        det = det_bareiss(a)
+        assert det == cofactor_det(Mat(a, len(a)))
+        singular += det == 0
+        assert a == before
+        assert echelon_widths == [len(a)]
+    assert singular > 20

@@ -13,7 +13,6 @@ from linminmax.exact_linalg import Mat, hstack, unit_vec, vec
 from linminmax.lgv import (
     LgvInstance,
     classical_lgv,
-    gs_matrix,
     instance_from_relation,
     is_acyclic,
     lgv_acyclic,
@@ -22,7 +21,7 @@ from linminmax.lgv import (
     lgv_rhs_parts,
 )
 from linminmax.relation import Relation
-from conftest import rand_mat
+from conftest import gs_matrix, rand_mat
 
 
 def rand_instance(rng, n=None, r=None, k=None) -> LgvInstance:

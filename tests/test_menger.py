@@ -27,7 +27,6 @@ from linminmax.menger import (
 from linminmax.relation import (
     GenericSampler,
     Relation,
-    reduced_indices,
     routing_space,
     sample_element,
     to_matrix_space,
@@ -35,7 +34,7 @@ from linminmax.relation import (
 from linminmax.dilworth import BiChain, poset_embed
 from linminmax.verify import independent_bipaths_check, verify_blowup_element, verify_separator
 from linminmax.classical_oracles import Poset
-from conftest import rand_mat, rand_relation, rand_subspace, rand_vec
+from conftest import rand_mat, rand_relation, rand_subspace, rand_vec, reduced_indices
 
 
 def f7_instance():

@@ -90,22 +90,37 @@ def test_check_hall_recomputes_the_witness_neighborhood(tmp_path, capsys, monkey
     assert _check(capsys, "hall", path)[0] == EXIT_VIOLATION
 
 
-@pytest.mark.parametrize("tamper", ["zero", "wrong order"])
-@pytest.mark.parametrize("theorem, solver", [("menger", "cpc"), ("matrix-menger", "mpc")])
-def test_path_capacity_checks_verify_their_primal(theorem, solver, tamper, capsys, monkeypatch):
-    """The separator still meets the value, but the element behind it does not."""
-    original = getattr(menger, solver)
+def _tampered_primal(solver, tamper):
+    """`solver` with its primal (r, el) replaced by a zero el or by order r + 1."""
 
     def tampered(*args):
-        cv = original(*args)
+        cv = solver(*args)
         r, el = cv.primal
         primal = (r, Mat.zeros(el.rows, el.cols)) if tamper == "zero" else (r + 1, el)
         return replace(cv, primal=primal)
 
+    return tampered
+
+
+@pytest.mark.parametrize("tamper", ["zero", "wrong order"])
+@pytest.mark.parametrize("theorem, solver", [("menger", "cpc"), ("matrix-menger", "mpc")])
+def test_path_capacity_checks_verify_their_primal(theorem, solver, tamper, capsys, monkeypatch):
+    """The separator still meets the value, but the element behind it does not."""
     code, report = _check(capsys, theorem, INSTANCES[theorem])
     assert code == EXIT_PROVED
-    monkeypatch.setattr(menger, solver, tampered)
+    monkeypatch.setattr(menger, solver, _tampered_primal(getattr(menger, solver), tamper))
     assert _check(capsys, theorem, INSTANCES[theorem]) == (EXIT_VIOLATION, report)
+
+
+@pytest.mark.parametrize("tamper", ["zero", "wrong order"])
+def test_demo_menger_f7_verifies_its_primal(tamper, capsys, monkeypatch):
+    """The demo's separator and bi-paths still hold, but the element behind its value does not."""
+    argv = ["demo", "menger-f7", "--output", "json"]
+    assert main(argv) == EXIT_PROVED
+    report = capsys.readouterr().out
+    monkeypatch.setattr(menger, "cpc", _tampered_primal(menger.cpc, tamper))
+    assert main(argv) == EXIT_VIOLATION
+    assert capsys.readouterr().out == report
 
 
 # ---------------------------------------------------------------------------
