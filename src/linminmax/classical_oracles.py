@@ -67,9 +67,7 @@ class Digraph:
     def to_json(self):
         data = {"size": self.size, "edges": [list(e) for e in self.edges]}
         if self.weights is not None:
-            from .exact_linalg import rational_to_string
-
-            data["weights"] = [rational_to_string(w) for w in self.weights]
+            data["weights"] = [str(w) for w in self.weights]
         return data
 
     @classmethod

@@ -1,9 +1,11 @@
 """Command-line front end: instance generation, duality checks, demos.
 
 A check passes every certificate its exit 0 depends on to `verify`, once.
-Exit codes are a contract: 0 means every certificate verified and primal
-met dual, 2 means only bounds were certified, 1 means a certificate or a
-proved identity failed to hold, 3 means the instance file did not parse.
+A demo runs the checks on its worked example and compares their reports
+with the paper's values.  Exit codes are a contract: 0 means every
+certificate verified and primal met dual, 2 means only bounds were
+certified, 1 means a certificate, identity or paper value failed to hold,
+3 means the command line or the instance was malformed.
 All randomness flows through one seeded sampler, and every report embeds
 the seed and configuration that reproduce it.
 """
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import dilworth, lgv, matching_cover, menger, ncrank, verify
-from .classical_oracles import Poset
 from .errors import CertificationError, InvariantViolation, SingularityError
 from .exact_linalg import (
     IntEchelon,
@@ -51,24 +52,15 @@ class RunConfig:
     seed: int = 0
     trials: int = 25
     coeff_bound: int = 10**6
-    budget: int = 20
 
     def sampler(self) -> GenericSampler:
         return GenericSampler(
             seed=self.seed, coeff_bound=self.coeff_bound, trials=self.trials
         )
 
-    def to_json(self):
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "coeff_bound": self.coeff_bound,
-            "budget": self.budget,
-        }
-
 
 class ParseFailure(Exception):
-    pass
+    """Bad input: the one error that exits 3."""
 
 
 def _parse(what: str, build):
@@ -77,6 +69,12 @@ def _parse(what: str, build):
         return build()
     except (KeyError, TypeError, ValueError) as ex:
         raise ParseFailure(f"bad {what}: {ex}") from ex
+
+
+def _require(holds: bool, why: str):
+    """Reject a parsed instance that breaks a precondition of its theorem."""
+    if not holds:
+        raise ParseFailure(why)
 
 
 def _load(path: str) -> dict:
@@ -112,7 +110,8 @@ def gen_relation(rng, n, m, r) -> dict:
     return Relation(n, m, pairs).to_json()
 
 
-def gen_poset(rng, size) -> Poset:
+def gen_poset(rng, size) -> list[tuple[int, int]]:
+    """The sorted, transitively closed strict order (i, j) meaning p_i > p_j."""
     rel = set()
     order = list(range(size))
     rng.shuffle(order)
@@ -128,7 +127,7 @@ def gen_poset(rng, size) -> Poset:
                 if j == k and (i, l) not in rel:
                     rel.add((i, l))
                     changed = True
-    return Poset(size, sorted(rel))
+    return sorted(rel)
 
 
 def _random_invertible(rng, n) -> Mat:
@@ -144,10 +143,10 @@ def gen_linorder(rng, size) -> dict:
     Rows of an invertible M and columns of its inverse pair to the identity,
     so (row_i, col_j) for i > j in the poset satisfies both linorder axioms.
     """
-    poset = gen_poset(rng, size)
+    gt = gen_poset(rng, size)
     m = _random_invertible(rng, size)
     inv = solve_exact(m, Mat.identity(size))
-    pairs = [(m.row(i), inv.col(j)) for i, j in poset.gt]
+    pairs = [(m.row(i), inv.col(j)) for i, j in gt]
     R = Relation(size, size, pairs)
     result = dilworth.validate_linorder(R)
     if not isinstance(result, dilworth.Linorder):
@@ -259,6 +258,7 @@ def check_konig(data, config: RunConfig):
 
 def check_hall(data, config: RunConfig):
     R = _relation_from(data)
+    _require(R.m >= R.n >= 1, "Hall's theorem needs m >= n >= 1")
     result = matching_cover.saturated_matching(R)
     if isinstance(result, Matching):
         ok = verify.verify_matching(result) and result.size == R.n
@@ -274,6 +274,8 @@ def check_rado(data, config: RunConfig):
         "set family",
         lambda: (int(data["m"]), [[Vec.from_json(v) for v in s] for s in data["sets"]]),
     )
+    _require(1 <= len(sets) <= m, "a family needs at least one set and at most m sets")
+    _require(all(v.dim == m for s in sets for v in s), "set vectors must have dimension m")
     transversal, witness = matching_cover.rado_transversal(sets, m)
     ok = verify.verify_rado_report(sets, m, transversal, witness)
     if transversal is not None:
@@ -285,6 +287,7 @@ def check_rado(data, config: RunConfig):
 
 def _linorder_from(data) -> dilworth.Linorder:
     R = _relation_from(data)
+    _require(R.n == R.m, "a linorder lives on F^n x F^n")
     result = dilworth.validate_linorder(R)
     if not isinstance(result, dilworth.Linorder):
         raise ParseFailure(f"relation is not a linorder: {result}")
@@ -353,6 +356,7 @@ def _path_capacity_report(key: str, cv, V: MatrixSpace, E, F, separator_ok: bool
 
 def check_menger(data, config: RunConfig):
     R = _relation_from(data)
+    _require(R.n == R.m, "path capacities need a square relation")
     E, F = _subspaces_from(data, R.n)
     cv = menger.cpc(R, E, F, config.sampler())
     ok = verify.verify_separator(R, cv.dual)
@@ -445,6 +449,7 @@ def check_matrix_dilworth(data, config: RunConfig):
 
 def check_matrix_menger(data, config: RunConfig):
     V = _space_from(data)
+    _require(V.m == V.n, "path capacities need a square space")
     E, F = _subspaces_from(data, V.n)
     cv = menger.mpc(V, E, F, config.sampler())
     ok = verify.verify_matrix_separator(V, cv.dual)
@@ -470,12 +475,13 @@ def _run(run, args, key: str, name: str) -> int:
     """Emit the report of `run()` with its exit code, or the error it raised.
 
     Bad input exits 3, a failed identity 1, and a size limit or sampling
-    shortfall 2; this mapping is the same for checks and demos.
+    shortfall 2; this mapping is the same for checks and demos.  Any other
+    exception is a bug and propagates: exit 1 with a traceback.
     """
-    config = RunConfig(args.seed, args.trials, args.coeff_bound, args.budget)
+    config = RunConfig(args.seed, args.trials, args.coeff_bound)
     try:
         report, code = run(config)
-    except (ParseFailure, ValueError) as ex:
+    except ParseFailure as ex:
         _emit({"error": f"parse: {ex}"}, args.output)
         return EXIT_PARSE
     except InvariantViolation as ex:
@@ -485,7 +491,7 @@ def _run(run, args, key: str, name: str) -> int:
         _emit({"error": f"bounds: {ex}"}, args.output)
         return EXIT_BOUNDS
     report[key] = name
-    report["config"] = config.to_json()
+    report["config"] = vars(config)
     _emit(report, args.output)
     return code
 
@@ -535,41 +541,37 @@ def build_skew3() -> MatrixSpace:
     )
 
 
+def _demo_exit(codes, meets_paper: bool) -> int:
+    """A violation in any check exits 1, then bounds only 2; a proved run must meet the paper."""
+    worst = EXIT_VIOLATION if EXIT_VIOLATION in codes else max(codes)
+    if worst == EXIT_PROVED and not meets_paper:
+        return EXIT_VIOLATION
+    return worst
+
+
 def demo_linorder_f4(config: RunConfig):
-    R = build_linorder_f4()
-    L = dilworth.validate_linorder(R)
-    if not isinstance(L, dilworth.Linorder):
-        raise InvariantViolation("demo relation failed linorder validation")
-    cv = matching_cover.max_matching(R)
-    ac = dilworth.max_antichain(L, cv.dual)
-    D = dilworth.bichain_decomposition(L, cv.primal)
-    C = dilworth.coherent_decomposition(L, config.sampler(), cv.dual)
+    data = build_linorder_f4().to_json()
+    dil, dil_code = check_dilworth(data, config)
+    coh, coh_code = check_coherent(data, config)
     e = [unit_vec(4, i) for i in range(4)]
     w_chains = [[e[0], e[1]], [e[0] + e[2], e[3]]]
-    anomaly = dilworth.w_chain_check(L, w_chains)
-    ok = (
-        ac.value == 3
-        and D.size == 3
-        and C.size == 3
-        and anomaly
-        and verify.verify_antichain(R, ac.primal)
-        and verify.verify_bichain_decomposition(D)
-        and verify.verify_coherent_decomposition(C, L.space)
-    )
+    anomaly = dilworth.w_chain_check(_linorder_from(data), w_chains)
     report = {
-        "antichain_dim": ac.value,
-        "antichain": ac.primal.to_json(),
-        "bichain_count": D.size,
-        "coherent_count": C.size,
+        "antichain_dim": dil["antichain_dim"],
+        "antichain": dil["antichain"],
+        "bichain_count": dil["bichain_count"],
+        "coherent_count": coh["coherent_count"],
         "w_chains_span_basis": anomaly,
         "w_chain_count": len(w_chains),
     }
-    return report, (EXIT_PROVED if ok else EXIT_VIOLATION)
+    meets = dil["antichain_dim"] == dil["bichain_count"] == coh["coherent_count"] == 3 and anomaly
+    return report, _demo_exit([dil_code, coh_code], meets)
 
 
 def demo_menger_f7(config: RunConfig):
     R, E, F = build_menger_f7()
-    cv = menger.cpc(R, E, F, config.sampler())
+    check, code = check_menger(dict(R.to_json(), E=E.to_json(), F=F.to_json()), config)
+    separator = check["separator"]
     e = [unit_vec(7, i) for i in range(7)]
     paths = [
         dilworth.BiChain(
@@ -580,54 +582,36 @@ def demo_menger_f7(config: RunConfig):
         ),
     ]
     independent = verify.independent_bipaths_check(R, E, F, paths)
-    expected_et = Subspace.span(7, e[0:4])
-    expected_ft = Subspace.span(7, e[3:7])
-    r, element = cv.primal
-    ok = (
-        cv.value == 1
-        and cv.proved
-        and verify.verify_blowup_element(
-            routing_space(to_matrix_space(R), E, F), r, element, r * (R.n + cv.value)
-        )
-        and verify.verify_separator(R, cv.dual)
-        and cv.dual.E_tilde == expected_et
-        and cv.dual.F_tilde == expected_ft
-        and independent
-    )
     report = {
-        "cpc": cv.value,
-        "separator_size": cv.dual.size,
-        "E_tilde": cv.dual.E_tilde.to_json(),
-        "F_tilde": cv.dual.F_tilde.to_json(),
+        "cpc": check["cpc"],
+        "separator_size": separator["size"],
+        "E_tilde": separator["E_tilde"],
+        "F_tilde": separator["F_tilde"],
         "independent_bipaths": len(paths) if independent else 0,
     }
-    return report, (EXIT_PROVED if ok else EXIT_VIOLATION)
+    meets = (
+        check["cpc"] == 1
+        and separator["E_tilde"] == Subspace.span(7, e[0:4]).to_json()
+        and separator["F_tilde"] == Subspace.span(7, e[3:7]).to_json()
+        and independent
+    )
+    return report, _demo_exit([code], meets)
 
 
 def demo_skew3(config: RunConfig):
     V = build_skew3()
+    check, code = check_ncrank(V.to_json(), config)
     plain_rank, _ = best_sample(V, config.sampler())
     blow2 = ncrank.max_rank_blowup(V, 2, config.sampler())
-    cv = ncrank.ncrank(V, config.sampler())
-    full, _ = ncrank.full_ncrank_verdict(V, cv)
-    r, element = cv.primal
-    ok = (
-        plain_rank == 2
-        and blow2 == 6
-        and cv.value == 3
-        and cv.proved
-        and full
-        and verify.verify_blowup_element(V, r, element, r * cv.value)
-        and verify.verify_defect_certificate(V, cv.dual)
-    )
     report = {
         "max_rank": plain_rank,
         "blowup_rank_r2": blow2,
-        "ncrank": cv.value,
-        "full_ncrank": full,
+        "ncrank": check["ncrank"],
+        "full_ncrank": check["ncrank"] == V.n,
         "divisible_by_r": blow2 % 2 == 0,
     }
-    return report, (EXIT_PROVED if ok else EXIT_VIOLATION)
+    meets = plain_rank == 2 and blow2 == 6 and check["ncrank"] == 3
+    return report, _demo_exit([code], meets)
 
 
 DEMOS = {
@@ -638,29 +622,39 @@ DEMOS = {
 
 
 def run_demo(args) -> int:
-    if args.name not in DEMOS:
-        print(f"unknown demo {args.name!r}", file=sys.stderr)
-        return EXIT_PARSE
     return _run(DEMOS[args.name], args, "demo", args.name)
 
 
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 3, like any other bad input."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=25)
-    parser.add_argument("--coeff-bound", type=int, default=10**6)
-    parser.add_argument(
-        "--budget", type=int, default=20, help="accepted for compatibility; no effect"
-    )
+    parser.add_argument("--trials", type=_positive_int, default=25)
+    parser.add_argument("--coeff-bound", type=_positive_int, default=10**6)
+    # accepted and ignored, so that old command lines still run
+    parser.add_argument("--budget", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--output", choices=("json", "text"), default="text")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and kept for the process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="linminmax",
         description="Exact certificates for linear and matrix min-max dualities.",
     )
@@ -682,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_check)
     p_check.set_defaults(func=run_check)
 
-    p_demo = sub.add_parser("demo", help="reproduce a worked example")
+    p_demo = sub.add_parser("demo", help="reproduce a worked example by running the checks")
     p_demo.add_argument("name", choices=sorted(DEMOS))
     _add_common(p_demo)
     p_demo.set_defaults(func=run_demo)

@@ -30,7 +30,6 @@ from .exact_linalg import (
     subspace_sum,
     unit_vec,
 )
-from .classical_oracles import Poset
 from .matching_cover import (
     PROVED,
     CertifiedValue,
@@ -383,8 +382,8 @@ def bichain_to_coherent(D: BiChainDecomposition) -> CoherentDecomposition:
     return out
 
 
-def poset_embed(P: Poset) -> Linorder:
-    """Standard-basis linorder with a pair (e_i, e_j) for each p_i > p_j."""
+def poset_embed(P) -> Linorder:
+    """Standard-basis linorder with a pair (e_i, e_j) for each (i, j) in `P.gt`."""
     n = P.size
     pairs = [(unit_vec(n, i), unit_vec(n, j)) for i, j in P.gt]
     result = validate_linorder(Relation(n, n, pairs))

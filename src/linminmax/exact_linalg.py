@@ -553,14 +553,6 @@ class Mat:
     def flatten(self) -> Vec:
         return Vec._raw(tuple([x for r in self._num for x in r]), self._den)
 
-    def submatrix(self, rows, cols) -> "Mat":
-        """The entries in the given rows and columns, in the given order."""
-        cols = list(cols)
-        num = self._num
-        return Mat.from_int_rows(
-            tuple(tuple([num[i][j] for j in cols]) for i in rows), self._den, len(cols)
-        )
-
     # rank / determinant / kernel ---------------------------------------
 
     def rank(self) -> int:

@@ -27,7 +27,6 @@ from operator import mul
 
 from .errors import DimensionError, InvariantViolation, SingularityError
 from .exact_linalg import Mat, clear_scale, det_bareiss, hstack, solve_exact
-from .classical_oracles import Digraph
 from .relation import Relation, space_power_is_zero, to_matrix_space
 
 
@@ -258,8 +257,10 @@ def lgv_acyclic(inst: LgvInstance, xs):
 # classical reduction
 
 
-def classical_lgv(G: Digraph, H, K):
+def classical_lgv(G, H, K):
     """det of the path-weight matrix vs the signed vertex-disjoint path sum.
+
+    G has `size`, `edges` and `weights` (None for all 1).
 
     M[i][j] sums path weights from H[i] to K[j] by dynamic programming over
     a topological order; the signed sum enumerates all k-tuples of

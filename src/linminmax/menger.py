@@ -40,7 +40,6 @@ from .exact_linalg import (
     unit_vec,
     vstack,
 )
-from .classical_oracles import Digraph
 from .matching_cover import CertifiedValue, max_matching
 from .ncrank import wong_rank
 from .relation import (
@@ -159,8 +158,8 @@ def generic_rank_sum(A: Mat, pairs) -> int:
 # graph encoding and the Konig reduction
 
 
-def graph_instance(G: Digraph, H, K, with_loops: bool = False):
-    """Standard-basis encoding of a digraph with source and sink vertex sets.
+def graph_instance(G, H, K, with_loops: bool = False):
+    """Standard-basis encoding of a digraph (`size`, `edges`) with source and sink sets.
 
     Returns (R, E, F); with_loops adds a pair (e_i, e_i) per vertex, the
     augmentation used by the classical separator correspondence.

@@ -148,11 +148,7 @@ def has_full_ncrank(V: MatrixSpace, sampler: GenericSampler):
     """(True, rank-rn blow-up element) or (False, shrunk-subspace witness)."""
     if V.m != V.n:
         raise DimensionError("full noncommutative rank is for square spaces")
-    return full_ncrank_verdict(V, ncrank(V, sampler))
-
-
-def full_ncrank_verdict(V: MatrixSpace, cv: CertifiedValue):
-    """`has_full_ncrank` read off an `ncrank(V, ...)` result, for square V."""
+    cv = ncrank(V, sampler)
     if cv.dual.defect > 0:
         return False, cv.dual
     if cv.proved and cv.value == V.n:

@@ -67,11 +67,20 @@ def reduced_indices(R: Relation) -> list[int]:
     return [i for i, p in enumerate(R.pairs) if id(p) in kept]
 
 
+def submatrix(M: Mat, rows, cols) -> Mat:
+    """The entries of M in the given rows and columns, in the given order."""
+    cols = list(cols)
+    num = M.int_rows()
+    return Mat.from_int_rows(
+        tuple(tuple([num[i][j] for j in cols]) for i in rows), M.den, len(cols)
+    )
+
+
 def gs_matrix(inst, S) -> Mat:
     """The bordered subset matrix G_S = [[V_S^T W_S, V_S^T A],[B^T W_S, B^T A]]."""
     table = hstack([inst.V, inst.B]).transpose() @ hstack([inst.W, inst.A])
     idx = sorted(S) + list(range(inst.r, inst.r + inst.k))
-    return table.submatrix(idx, idx)
+    return submatrix(table, idx, idx)
 
 
 @pytest.fixture

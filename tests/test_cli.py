@@ -1,14 +1,22 @@
 """CLI contract: generation determinism, exit codes, demo reports."""
 
+import ast
 import json
+from pathlib import Path
 
+import pytest
+
+from linminmax import cli
 from linminmax.cli import (
     EXIT_BOUNDS,
     EXIT_PARSE,
     EXIT_PROVED,
     EXIT_VIOLATION,
+    ParseFailure,
     main,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -61,7 +69,7 @@ def test_check_reports_embed_config(tmp_path, capsys):
         capsys, "check", "konig", str(inst), "--output", "json", "--seed", "77"
     )
     report = json.loads(out)
-    assert report["config"]["seed"] == 77
+    assert report["config"] == {"seed": 77, "trials": 25, "coeff_bound": 10**6}
     assert code == EXIT_PROVED
 
 
@@ -402,13 +410,12 @@ def test_check_ncrank_sampling_shortfall_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_demo_errors_use_the_check_exit_codes(capsys, monkeypatch):
-    from linminmax import cli
     from linminmax.errors import CertificationError, InvariantViolation
 
     for exc, code, prefix in [
         (InvariantViolation("x"), EXIT_VIOLATION, "invariant:"),
         (CertificationError("x"), EXIT_BOUNDS, "bounds:"),
-        (ValueError("x"), EXIT_PARSE, "parse:"),
+        (ParseFailure("x"), EXIT_PARSE, "parse:"),
     ]:
         def broken(config, exc=exc):
             raise exc
@@ -416,6 +423,89 @@ def test_demo_errors_use_the_check_exit_codes(capsys, monkeypatch):
         monkeypatch.setitem(cli.DEMOS, "skew3", broken)
         got, error = _exit_and_error(capsys, ["demo", "skew3", "--output", "json"])
         assert got == code and error.startswith(prefix)
+
+    # any other error is a bug: it propagates (a traceback, exit 1), never "parse:"
+    def internal(config):
+        raise ValueError("x")
+
+    monkeypatch.setitem(cli.DEMOS, "skew3", internal)
+    with pytest.raises(ValueError):
+        main(["demo", "skew3", "--output", "json"])
+    assert "parse:" not in capsys.readouterr().out
+
+
+def test_demos_verify_through_the_checks():
+    """Each demo calls a check_*, and no verify predicate but the bi-path check."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    demos = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.startswith("demo_")]
+    assert sorted(f.name for f in demos) == sorted(fn.__name__ for fn in cli.DEMOS.values())
+    for fn in demos:
+        nodes = list(ast.walk(fn))
+        calls = {n.func.id for n in nodes if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+        assert any(name.startswith("check_") for name in calls), fn.name
+        verified = {
+            n.attr for n in nodes
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "verify"
+        }
+        assert verified <= {"independent_bipaths_check"}, fn.name
+
+
+_KONIG = str(GOLDEN / "konig.json")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nosuch"],
+        ["check", "nosuch", "x"],
+        ["check", "konig", _KONIG, "--seed", "x"],
+        ["check", "konig", _KONIG, "--budget", "x"],
+        ["demo", "nosuch"],
+        ["check", "lgv", str(GOLDEN / "lgv.json"), "--coeff-bound", "-4"],
+        *(
+            ["check", theorem, str(GOLDEN / f"{theorem}.json"), option, "0"]
+            for theorem in ("konig", "lgv", "ncrank")
+            for option in ("--trials", "--coeff-bound")
+        ),
+    ],
+)
+def test_malformed_command_lines_exit_3(argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    captured = capsys.readouterr()
+    assert stop.value.code == EXIT_PARSE
+    assert captured.out == ""
+    assert "error:" in captured.err and "Traceback" not in captured.err
+
+
+def test_help_exits_0_and_budget_is_ignored(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["check", "--help"])
+    assert stop.value.code == 0
+    assert "--budget" not in capsys.readouterr().out
+    code, out = run_cli(capsys, "check", "konig", _KONIG, "--budget", "30", "--output", "json")
+    assert code == EXIT_PROVED and "budget" not in out
+
+
+def test_theorem_preconditions_are_parse_errors(tmp_path, capsys):
+    """Inputs a solver would reject with a DimensionError are rejected where they parse."""
+    one, two, three = ["1"], ["1", "0"], ["1", "0", "0"]
+    cases = [
+        ("hall", {"n": 3, "m": 2, "pairs": [[three, two]]}),
+        ("hall", {"n": 0, "m": 2, "pairs": []}),
+        ("dilworth", {"n": 2, "m": 3, "pairs": [[two, three]]}),
+        ("coherent", {"n": 2, "m": 3, "pairs": []}),
+        ("menger", {"n": 2, "m": 3, "pairs": [], "E": [["1"], ["0"]], "F": [["0"], ["1"]]}),
+        ("matrix-menger", {"m": 2, "n": 3, "basis": [], "E": [one] * 3, "F": [one] * 3}),
+        ("rado", {"m": 2, "sets": []}),
+        ("rado", {"m": 1, "sets": [[one], [one]]}),
+        ("rado", {"m": 2, "sets": [[three]]}),
+    ]
+    for k, (theorem, data) in enumerate(cases):
+        path = tmp_path / f"case{k}.json"
+        path.write_text(json.dumps(data))
+        code, error = _exit_and_error(capsys, ["check", theorem, str(path), "--output", "json"])
+        assert code == EXIT_PARSE and error.startswith("parse:"), (theorem, data, error)
 
 
 def test_matrix_dilworth_on_larger_nilpotent_algebras(tmp_path, capsys):

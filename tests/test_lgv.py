@@ -21,7 +21,7 @@ from linminmax.lgv import (
     lgv_rhs_parts,
 )
 from linminmax.relation import Relation
-from conftest import gs_matrix, rand_mat
+from conftest import gs_matrix, rand_mat, submatrix
 
 
 def rand_instance(rng, n=None, r=None, k=None) -> LgvInstance:
@@ -245,7 +245,7 @@ def ref_rhs_parts(inst, xs):
             for i in S:
                 x_s *= xs[i]
             num += x_s * gs_matrix(inst, S).det()
-            den += x_s * table.submatrix(S, S).det()
+            den += x_s * submatrix(table, S, S).det()
     return num, den
 
 

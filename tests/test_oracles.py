@@ -1,9 +1,14 @@
 """Self-checks for the classical combinatorial oracles."""
 
+import ast
 import random
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from linminmax import classical_oracles
 from linminmax.classical_oracles import (
     BipartiteGraph,
     Digraph,
@@ -133,3 +138,31 @@ def test_vertex_disjoint_random_duality():
         assert count == len(sep) == len(paths)
         for p in paths:
             assert p[0] in h and p[-1] in k
+
+
+def _imports(path):
+    """(level, module) of every import in a source file; level 0 is absolute."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from ((0, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.level, node.module
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((node.level, a.name) for a in node.names)
+
+
+def test_oracles_share_no_code():
+    """The oracles import only the stdlib and `errors`, and no other module imports them."""
+    src = Path(classical_oracles.__file__).parent
+    own = set(_imports(src / "classical_oracles.py"))
+    assert {module for level, module in own if level} == {"errors"}
+    assert all(module.split(".")[0] in sys.stdlib_module_names for level, module in own if not level)
+    for path in src.glob("*.py"):
+        if path.stem != "classical_oracles":
+            assert all("classical_oracles" not in m.split(".") for _, m in _imports(path)), path.name
+
+
+def test_digraph_weights_round_trip_as_rationals():
+    G = Digraph(3, [(0, 1), (1, 2)], [Fraction(-3, 2), 4])
+    assert G.to_json()["weights"] == ["-3/2", "4"]
+    assert Digraph.from_json(G.to_json()) == G

@@ -123,6 +123,19 @@ def test_demo_menger_f7_verifies_its_primal(tamper, capsys, monkeypatch):
     assert capsys.readouterr().out == report
 
 
+def test_demo_linorder_f4_checks_its_antichain(capsys, monkeypatch):
+    """A 2-dimensional antichain behind the value 3 fails the demo's Dilworth check."""
+    original = dilworth.max_antichain
+
+    def shrunk(L, cover=None):
+        ac = original(L, cover)
+        return replace(ac, primal=Subspace.span(ac.primal.ambient, ac.primal.vectors[:2]))
+
+    monkeypatch.setattr(dilworth, "max_antichain", shrunk)
+    assert main(["demo", "linorder-f4", "--output", "json"]) == EXIT_VIOLATION
+    assert json.loads(capsys.readouterr().out)["antichain_dim"] == 3
+
+
 # ---------------------------------------------------------------------------
 # one verification per certificate
 
