@@ -27,6 +27,7 @@ from .exact_linalg import (
     Mat,
     Subspace,
     Vec,
+    json_int,
     rational_to_string,
     solve_exact,
     unit_vec,
@@ -272,7 +273,7 @@ def check_hall(data, config: RunConfig):
 def check_rado(data, config: RunConfig):
     m, sets = _parse(
         "set family",
-        lambda: (int(data["m"]), [[Vec.from_json(v) for v in s] for s in data["sets"]]),
+        lambda: (json_int(data["m"]), [[Vec.from_json(v) for v in s] for s in data["sets"]]),
     )
     _require(1 <= len(sets) <= m, "a family needs at least one set and at most m sets")
     _require(all(v.dim == m for s in sets for v in s), "set vectors must have dimension m")
@@ -296,9 +297,8 @@ def _linorder_from(data) -> dilworth.Linorder:
 
 def check_dilworth(data, config: RunConfig):
     L = _linorder_from(data)
-    cv = matching_cover.max_matching(L.relation)
-    ac = dilworth.max_antichain(L, cv.dual)
-    D = dilworth.bichain_decomposition(L, cv.primal)
+    ac = dilworth.max_antichain(L)
+    D = dilworth.bichain_decomposition(L)
     ok = (
         verify.verify_antichain(L.relation, ac.primal)
         and verify.verify_bichain_decomposition(D)
@@ -316,9 +316,8 @@ def check_dilworth(data, config: RunConfig):
 
 def check_coherent(data, config: RunConfig):
     L = _linorder_from(data)
-    cover = matching_cover.min_cover(L.relation)
-    ac = dilworth.max_antichain(L, cover)
-    C = dilworth.coherent_decomposition(L, config.sampler(), cover)
+    ac = dilworth.max_antichain(L)
+    C = dilworth.coherent_decomposition(L, config.sampler())
     ok = (
         verify.verify_antichain(L.relation, ac.primal)
         and verify.verify_coherent_decomposition(C, L.space)

@@ -9,12 +9,16 @@ decompositions (iterate chains of one matrix from the algebra).  A coherent
 decomposition is built once, by `coherent_from_sample`: the Jordan chains
 of a sampled element of certified maximum rank, for the algebra of a
 linorder (r = 1) and for the blow-up V (x) M_r of a nilpotent algebra in
-`ncrank`.
+`ncrank`.  A `Linorder` holds its relation: the antichain, the bi-chains
+and the coherent decomposition all read its one cached matroid-intersection
+run, and its rank-one span is built on first use, where an element is
+sampled.  Validation tests nilpotency on the relation's neighborhood spans.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from . import verify
 from .errors import (
@@ -30,14 +34,7 @@ from .exact_linalg import (
     subspace_sum,
     unit_vec,
 )
-from .matching_cover import (
-    PROVED,
-    CertifiedValue,
-    Cover,
-    Matching,
-    max_matching,
-    min_cover,
-)
+from .matching_cover import PROVED, CertifiedValue, matroid_intersection
 from .relation import (
     GenericSampler,
     MatrixSpace,
@@ -50,12 +47,23 @@ from .relation import (
 
 @dataclass(frozen=True)
 class Linorder:
+    """A validated linorder; its span and its one min-max run are built on first use."""
+
     relation: Relation
-    space: MatrixSpace = field(compare=False, repr=False)  # the rank-one span
 
     @property
     def n(self) -> int:
         return self.relation.n
+
+    @cached_property
+    def space(self) -> MatrixSpace:
+        """The rank-one span, for sampling and membership."""
+        return to_matrix_space(self.relation)
+
+    @cached_property
+    def optimum(self):
+        """(maximum matching, minimum cover) of the relation, of equal size."""
+        return matroid_intersection(self.relation)
 
 
 @dataclass(frozen=True)
@@ -70,7 +78,7 @@ def validate_linorder(R: Relation):
     """Check both linorder axioms; returns a Linorder or the first violation.
 
     Also sanity-checks that the induced rank-one span is nilpotent, which
-    the axioms guarantee; the Linorder keeps that span.
+    the axioms guarantee, on the relation's neighborhood spans.
     """
     if R.n != R.m:
         raise DimensionError("a linorder lives on F^n x F^n")
@@ -82,10 +90,9 @@ def validate_linorder(R: Relation):
         for j, (v2, w2) in enumerate(R.pairs):
             if w.dot(v2) != 0 and (v, w2) not in pair_set:
                 return LinorderViolation("transitivity", (i, j))
-    space = to_matrix_space(R)
-    if not space_power_is_zero(space, R.n):
+    if not space_power_is_zero(R, R.n):
         raise InvariantViolation("linorder axioms hold but the span is not nilpotent")
-    return Linorder(R, space)
+    return Linorder(R)
 
 
 @dataclass(frozen=True)
@@ -146,18 +153,15 @@ class CoherentDecomposition:
         }
 
 
-def max_antichain(L: Linorder, cover: Cover | None = None) -> CertifiedValue:
+def max_antichain(L: Linorder) -> CertifiedValue:
     """Largest subspace C with every pair orthogonal to C on one side.
 
-    C is read off a minimum cover as (E + F)^perp; its dimension is exactly
-    n minus the cover size.  `cover`, when given, is a minimum cover of the
-    relation already at hand.
+    C is read off the minimum cover of `L.optimum` as (E + F)^perp; its
+    dimension is exactly n minus the cover size.
     """
-    R = L.relation
-    if cover is None:
-        cover = min_cover(R)
+    _, cover = L.optimum
     C = subspace_sum(cover.E, cover.F).orthocomplement()
-    return CertifiedValue(R.n - cover.size, C, cover, PROVED)
+    return CertifiedValue(L.n - cover.size, C, cover, PROVED)
 
 
 def _perfect_nonorthogonal_bijection(ws, vs):
@@ -203,21 +207,18 @@ def _complete_to_basis(vectors, n):
     return out
 
 
-def bichain_decomposition(
-    L: Linorder, matching: Matching | None = None
-) -> BiChainDecomposition:
+def bichain_decomposition(L: Linorder) -> BiChainDecomposition:
     """Decompose F^n into the minimum number of bi-chains.
 
-    Steps: maximum matching (`matching`, when the caller has one);
-    completion of its v's and w's to bases; a bijection phi with w_i never
-    orthogonal to v_{phi(i)}; then the 2n-vertex graph with edges
+    Steps: the maximum matching of `L.optimum`; completion of its v's and
+    w's to bases; a bijection phi with w_i never orthogonal to
+    v_{phi(i)}; then the 2n-vertex graph with edges
     w_i -> v_{phi(i)} and v_i -> w_i (matched i) splits into maximal paths,
     each of which is a bi-chain.
     """
     R = L.relation
     n = R.n
-    if matching is None:
-        matching = max_matching(R).primal
+    matching, _ = L.optimum
     s = matching.size
     matched = list(matching.indices)
     vs = [R.pairs[i][0] for i in matched]
@@ -341,20 +342,15 @@ def coherent_from_sample(
     return CoherentDecomposition(A, tuple(nilpotent_jordan_chains(A)))
 
 
-def coherent_decomposition(
-    L: Linorder, sampler: GenericSampler, cover: Cover | None = None
-) -> CoherentDecomposition:
+def coherent_decomposition(L: Linorder, sampler: GenericSampler) -> CoherentDecomposition:
     """Minimum coherent decomposition via a sampled maximum-rank element.
 
     The implementing matrix is a random combination of the rank-one
-    generators of rank equal to the minimum cover size; its Jordan chains
-    give the decomposition, of size equal to the maximum antichain
-    dimension.  A minimum `cover`, when the caller has one, is used
-    instead of computing it again.
+    generators of rank equal to the minimum cover size of `L.optimum`;
+    its Jordan chains give the decomposition, of size equal to the
+    maximum antichain dimension.
     """
-    if cover is None:
-        cover = min_cover(L.relation)
-    return coherent_from_sample(L.space, 1, cover.size, sampler)
+    return coherent_from_sample(L.space, 1, L.optimum[1].size, sampler)
 
 
 def bichain_to_coherent(D: BiChainDecomposition) -> CoherentDecomposition:

@@ -49,6 +49,20 @@ def rational_from_string(s: str):
         raise ValueError(f"zero denominator in rational {s!r}") from None
 
 
+def json_int(x) -> int:
+    """An integer field of a JSON instance; TypeError unless a JSON integer."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _json_entries(entries):
+    """A JSON row, refused if it holds a bool; `_scalar` refuses floats."""
+    if bool in map(type, entries):
+        raise TypeError("a boolean is not a rational entry")
+    return entries
+
+
 def rational_to_string(q: Fraction) -> str:
     """Render as "p/q", or just "p" when the denominator is 1."""
     q = Fraction(q)
@@ -197,7 +211,7 @@ class Vec:
 
     @classmethod
     def from_json(cls, data) -> "Vec":
-        return cls(data)
+        return cls(_json_entries(data))
 
 
 def vec(*entries) -> Vec:
@@ -594,7 +608,7 @@ class Mat:
 
     @classmethod
     def from_json(cls, data, cols: int | None = None) -> "Mat":
-        return cls(data, cols)
+        return cls([_json_entries(row) for row in data], cols)
 
 
 def outer(w: Vec, v: Vec) -> Mat:

@@ -27,7 +27,7 @@ from operator import mul
 
 from .errors import DimensionError, InvariantViolation, SingularityError
 from .exact_linalg import Mat, clear_scale, det_bareiss, hstack, solve_exact
-from .relation import Relation, space_power_is_zero, to_matrix_space
+from .relation import Relation, space_power_is_zero
 
 
 @dataclass(frozen=True)
@@ -185,10 +185,10 @@ def lgv_rhs_parts(inst: LgvInstance, xs):
 
 
 def is_acyclic(R: Relation) -> bool:
-    """Whether the induced matrix space satisfies V_R^n = {0}."""
+    """Whether the induced matrix space satisfies V_R^n = {0}, on neighborhood spans."""
     if R.n != R.m:
         raise DimensionError("acyclicity is defined for relations on F^n x F^n")
-    return space_power_is_zero(to_matrix_space(R), R.n)
+    return space_power_is_zero(R, R.n)
 
 
 def _acyclic_pair_order(vtw):

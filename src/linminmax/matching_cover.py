@@ -6,8 +6,11 @@ the relation).  This is Edmonds' matroid-intersection min-max for the
 linear matroids of the v's and of the w's, and both optima come from one
 polynomial augmenting-path run: the final common independent set is the
 matching, and the set reachable in the last exchange graph gives a cover
-of the same size.  Every returned value carries a primal and a dual
-certificate of equal size; `verify` checks them.
+of the same size.  Hall's saturated matchings, defect matchings and
+Lovász's maximum rank read that one run too: a prefix of the matching, or
+the shrunk witness (E^perp, N(E^perp)) of the cover.  Every returned value
+carries a primal and a dual certificate of equal size; `verify` checks
+them.
 """
 
 from __future__ import annotations
@@ -15,12 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from . import verify
-from .errors import (
-    CertificationError,
-    DimensionError,
-    InvariantViolation,
-)
+from .errors import CertificationError, DimensionError
 from .exact_linalg import (
     IntEchelon,
     Mat,
@@ -29,15 +27,7 @@ from .exact_linalg import (
     outer_sum,
     unit_vec,
 )
-from .relation import (
-    GenericSampler,
-    MatrixSpace,
-    Relation,
-    apply_space,
-    best_sample,
-    neighborhood_span,
-    to_matrix_space,
-)
+from .relation import Relation, neighborhood_span
 
 PROVED = "proved"
 LOWER_BOUND_ONLY = "lower_bound_only"
@@ -203,102 +193,61 @@ def max_matching(R: Relation) -> CertifiedValue:
     return CertifiedValue(cover.size, matching, cover, PROVED)
 
 
-def saturated_matching(R: Relation):
-    """A matching whose v's form a basis of F^n, or a shrunk-subspace witness.
+def _shrunk_witness(R: Relation, cover: Cover) -> ShrunkWitness:
+    """(E^perp, N(E^perp)) for a cover (E, F), of defect at least n - |cover|.
 
-    The witness is a basis S of E^perp for a cover (E, F) of size < n; its
-    neighborhood span then has dimension at most dim F < dim span S.
+    A pair whose v meets E^perp has v outside E, so its w lies in F: the
+    neighborhood span has dimension at most dim F.
     """
-    if not (R.m >= R.n >= 1):
-        raise DimensionError("saturated matchings need m >= n >= 1")
-    matching, cover = matroid_intersection(R)
-    if matching.size == R.n:
-        return matching
     S = cover.E.orthocomplement()
     return ShrunkWitness(S, neighborhood_span(R, S.vectors))
 
 
-def defect_matching(R: Relation, d: int):
-    """Matching of size n - d via the dummy-coordinate augmentation.
+def saturated_matching(R: Relation):
+    """A matching whose v's form a basis of F^n, or a shrunk-subspace witness."""
+    if not (R.m >= R.n >= 1):
+        raise DimensionError("saturated matchings need m >= n >= 1")
+    return defect_matching(R, 0)
 
-    Appends d coordinates to F^m, links every e_i to each new coordinate,
-    extracts a saturated matching there, and discards the dummy pairs.  When
-    the deficiency condition fails the shrunk witness is returned instead.
+
+def defect_matching(R: Relation, d: int):
+    """Matching of size n - d, or a shrunk witness of defect more than d.
+
+    The matching is the first n - d pairs of a maximum matching; when the
+    minimum cover is smaller than n - d, the witness comes from it.
     """
     if d < 0:
         raise ValueError("defect must be nonnegative")
-    if d >= R.n:
-        return Matching(R, ())
-    cover = min_cover(R)
+    matching, cover = matroid_intersection(R)
     if cover.size < R.n - d:
-        # Deficiency condition fails; E^perp is more than d short.
-        S = cover.E.orthocomplement()
-        return ShrunkWitness(S, neighborhood_span(R, S.vectors))
-    m2 = R.m + d
-    lifted = [(v, Vec.from_ints(w.int_row() + (0,) * d, w.den)) for v, w in R.pairs]
-    dummies = [
-        (unit_vec(R.n, i), unit_vec(m2, R.m + j))
-        for i in range(R.n)
-        for j in range(d)
-    ]
-    aug = Relation(R.n, m2, lifted + dummies)
-    result = saturated_matching(aug)
-    if isinstance(result, ShrunkWitness):
-        raise InvariantViolation("augmentation failed to restore the Hall condition")
-    original = tuple(i for i in result.indices if i < len(R.pairs))
-    if len(original) < R.n - d:
-        raise InvariantViolation("augmentation kept more than d dummy pairs")
-    matching = Matching(R, original[: R.n - d])
-    if not verify.verify_matching(matching):
-        raise InvariantViolation("defect matching failed verification")
-    return matching
+        return _shrunk_witness(R, cover)
+    return Matching(R, matching.indices[: max(R.n - d, 0)])
 
 
-def extract_matching_from_combination(
-    R: Relation, target: int, sampler: GenericSampler
-) -> Matching:
+def extract_matching_from_combination(R: Relation, target: int) -> Matching:
     """`target` distinct indices whose plain rank-one sum has rank `target`.
 
-    The precondition (some combination reaches the target rank) is checked
-    by sampling; the indices are the first `target` of a maximum matching.
+    They are the first `target` of a maximum matching; CertificationError
+    when no combination of R reaches that rank.
     """
-    if target == 0:
-        return Matching(R, ())
-    reached, _ = best_sample(to_matrix_space(R), sampler, target=target)
-    if reached < target:
+    matching = matroid_intersection(R)[0]
+    if matching.size < target:
         raise CertificationError(
-            f"no sampled combination reached rank {target} (best {reached})"
+            f"no combination reaches rank {target} (maximum {matching.size})"
         )
-    best = max_matching(R).primal
-    if best.size < target:
-        raise InvariantViolation(
-            "sampled rank reached the target but no index set does"
-        )
-    matching = Matching(R, best.indices[:target])
-    if not verify.verify_matching(matching):
-        raise InvariantViolation("extracted index set lost rank")
-    return matching
+    return Matching(R, matching.indices[:target])
 
 
-def lovasz_max_rank(V: MatrixSpace, sampler: GenericSampler) -> CertifiedValue:
-    """Maximum rank in a rank-one generated space, with a shrunk-subspace dual.
+def lovasz_max_rank(R: Relation) -> CertifiedValue:
+    """Maximum rank in the span of R, with a shrunk-subspace dual.
 
     The value is n - d where d is the largest dimension defect dim E -
-    dim V[E]; the primal is an explicit matrix of that rank, the dual the
-    maximizing subspace (read off the minimum cover).
+    dim N(E); the primal is the rank-one sum of a maximum matching, the
+    dual the maximizing subspace read off the minimum cover.
     """
-    R = V.source_relation()
-    if R is None:
-        raise ValueError("lovasz_max_rank needs recorded rank-one generators")
-    cover = min_cover(R)
-    value = cover.size
-    matching = extract_matching_from_combination(R, value, sampler)
-    element = matching.rank_one_sum()
-    shrunk = cover.E.orthocomplement()
-    witness = ShrunkWitness(shrunk, apply_space(V, shrunk))
-    if witness.defect != R.n - value:
-        raise InvariantViolation("cover conversion produced the wrong defect")
-    return CertifiedValue(value, element, witness, PROVED)
+    matching, cover = matroid_intersection(R)
+    witness = _shrunk_witness(R, cover)
+    return CertifiedValue(cover.size, matching.rank_one_sum(), witness, PROVED)
 
 
 def rado_transversal(sets, m: int):

@@ -4,7 +4,10 @@ A relation is a finite list of vector pairs (v, w) in F^n x F^m.  Each pair
 induces the rank-one map w v^T, and the span of those maps is the matrix
 space the min-max machinery actually works with.  Because only that span
 matters, any relation can be thinned to at most n*m pairs without changing
-any neighborhood span; `reduce_relation` does exactly that.  The routing
+any neighborhood span; `reduce_relation` does exactly that.  The span is
+built only where an element is sampled or membership is tested: the image
+V_R[U] of a subspace is the neighborhood span N(U), so the nilpotency
+flag of `space_power_is_zero` runs on the relation itself.  The routing
 space of a path capacity (`routing_space`) is built here too, so that a
 solver and a check build it from the instance the same way.
 """
@@ -24,6 +27,7 @@ from .exact_linalg import (
     Vec,
     common_int_rows,
     int_kernel,
+    json_int,
     outer,
 )
 
@@ -76,8 +80,8 @@ class Relation:
     @classmethod
     def from_json(cls, data) -> "Relation":
         return cls(
-            int(data["n"]),
-            int(data["m"]),
+            json_int(data["n"]),
+            json_int(data["m"]),
             [(Vec.from_json(v), Vec.from_json(w)) for v, w in data["pairs"]],
         )
 
@@ -89,40 +93,35 @@ class MatrixSpace:
     of the generators is the basis, and the integer echelon that chose it
     serves the membership tests.  `MatrixSpace(m, n, basis)` refuses a
     dependent basis; `MatrixSpace.spanned` keeps what a spanning list spans.
-    `source_pairs` holds the (v, w) pairs behind the kept rank-one
-    generators of a relation's space, for the exact enumeration routines.
     The basis is also kept as integer rows over one common denominator
     (`int_basis[i]` is `den` times `basis[i]`).
     """
 
-    __slots__ = ("m", "n", "basis", "source_pairs", "int_basis", "den", "_echelon", "_nilpotent")
+    __slots__ = ("m", "n", "basis", "int_basis", "den", "_echelon", "_nilpotent")
 
     def __init__(self, m: int, n: int, basis):
         basis = tuple(basis)
-        self._span(m, n, basis, None)
+        self._span(m, n, basis)
         if len(self.basis) != len(basis):
             raise ValueError("matrix space basis is linearly dependent")
 
     @classmethod
-    def spanned(cls, m: int, n: int, generators, source_pairs=None) -> "MatrixSpace":
-        """The span of `generators`; `source_pairs[i]` is the pair behind the i-th."""
+    def spanned(cls, m: int, n: int, generators) -> "MatrixSpace":
+        """The span of `generators`."""
         space = cls.__new__(cls)
-        space._span(m, n, tuple(generators), source_pairs)
+        space._span(m, n, tuple(generators))
         return space
 
-    def _span(self, m: int, n: int, generators: tuple, source_pairs):
+    def _span(self, m: int, n: int, generators: tuple):
         if m < 0 or n < 0:
             raise DimensionError("matrix space with a negative dimension")
         for g in generators:
             if (g.rows, g.cols) != (m, n):
                 raise DimensionError("basis matrix with wrong shape")
         ech = IntEchelon(m * n)
-        kept = [i for i, g in enumerate(generators) if ech.add(g.int_flat())]
-        basis = tuple(generators[i] for i in kept)
+        basis = tuple(g for g in generators if ech.add(g.int_flat()))
         int_basis, den = common_int_rows(basis)
-        if source_pairs is not None:
-            source_pairs = tuple(source_pairs[i] for i in kept) or None
-        values = (m, n, basis, source_pairs, tuple(int_basis), den, ech, None)
+        values = (m, n, basis, tuple(int_basis), den, ech, None)
         for name, value in zip(MatrixSpace.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -148,17 +147,12 @@ class MatrixSpace:
             for l in range(r)
         )
 
-    def source_relation(self) -> Relation | None:
-        if self.source_pairs is None:
-            return None
-        return Relation(self.n, self.m, self.source_pairs)
-
     def to_json(self):
         return {"m": self.m, "n": self.n, "basis": [b.to_json() for b in self.basis]}
 
     @classmethod
     def from_json(cls, data) -> "MatrixSpace":
-        m, n = int(data["m"]), int(data["n"])
+        m, n = json_int(data["m"]), json_int(data["n"])
         return cls(m, n, [Mat.from_json(b, cols=n) for b in data["basis"]])
 
 
@@ -190,22 +184,40 @@ class GenericSampler:
 
 def to_matrix_space(R: Relation) -> MatrixSpace:
     """Independent rank-one generators of span{w v^T : (v, w) in R}, prefix-greedy."""
-    return MatrixSpace.spanned(R.m, R.n, [outer(w, v) for v, w in R.pairs], R.pairs)
+    return MatrixSpace.spanned(R.m, R.n, [outer(w, v) for v, w in R.pairs])
 
 
 def reduce_relation(R: Relation) -> Relation:
-    """Sub-list of at most n*m pairs spanning the same matrix space."""
-    return Relation(R.n, R.m, to_matrix_space(R).source_pairs or ())
+    """Sub-list of at most n*m pairs spanning the same matrix space.
+
+    Keeps the pairs whose w v^T the prefix-greedy echelon takes, those
+    behind the basis of `to_matrix_space(R)`.
+    """
+    ech = IntEchelon(R.n * R.m)
+    kept = [(v, w) for v, w in R.pairs if ech.add(outer(w, v).int_flat())]
+    return Relation(R.n, R.m, kept)
 
 
-def _image(V: MatrixSpace, rows, cap: int) -> IntEchelon:
-    """Echelon of span{B u : B in V, u in rows} on integer rows; stops at rank cap."""
+def _image(V, rows, cap: int) -> IntEchelon:
+    """Echelon of V[U] on integer rows, U spanned by `rows`; stops at rank cap.
+
+    V is a matrix space, or a relation R standing for its span V_R: then
+    V_R[U] is the neighborhood span N(U), the w's of the pairs whose v
+    meets U, and the n*m-wide span is never built.
+    """
     ech = IntEchelon(V.m)
-    for b in V.int_basis:
-        for u in rows:
-            ech.add([sum(map(mul, row, u)) for row in b])
-            if ech.rank == cap:
-                return ech
+    if isinstance(V, Relation):
+        images = (
+            w.int_row()
+            for v, w in V.pairs
+            if any(sum(map(mul, v.int_row(), u)) for u in rows)
+        )
+    else:
+        images = ([sum(map(mul, row, u)) for row in b] for b in V.int_basis for u in rows)
+    for image in images:
+        ech.add(image)
+        if ech.rank == cap:
+            break
     return ech
 
 
@@ -330,25 +342,25 @@ def best_sample(
     return (best, best_el) if dual is None else (best, best_el, cert)
 
 
-def space_power_is_zero(V: MatrixSpace, k: int) -> bool:
-    """Whether V^k = {0} (V must be square).
+def space_power_is_zero(V, k: int) -> bool:
+    """Whether V^k = {0} (V must be square); true at every k when V = {0}.
 
-    Runs the flag U_0 = F^n, U_{i+1} = V[U_i] on integer rows: U_k is
-    V^k F^n, so V^k = 0 exactly when U_k = 0.  The U_i only shrink, so a
-    step that keeps the dimension has reached a nonzero fixed point.
+    V is a matrix space or a relation, read through its neighborhood spans
+    (see `_image`).  Runs the flag U_0 = F^n, U_{i+1} = V[U_i] on integer
+    rows: U_k is V^k F^n, so V^k = 0 exactly when U_k = 0, and V = 0
+    exactly when U_1 = 0.  The U_i only shrink, so a step that keeps the
+    dimension has reached a nonzero fixed point.
     """
     if V.m != V.n:
         raise DimensionError("powers of a non-square matrix space")
-    if V.dim == 0:
-        return True
     n = V.n
     U = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(k):
+    for _ in range(max(k, 1)):
         ech = _image(V, U, len(U))
-        if ech.rank == len(U):
-            return False
         if ech.rank == 0:
             return True
+        if ech.rank == len(U):
+            return False
         U = ech.back_substituted()[0]
     return False
 

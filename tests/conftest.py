@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from linminmax.exact_linalg import IntEchelon, Mat, Subspace, Vec, hstack
+from linminmax.exact_linalg import IntEchelon, Mat, Subspace, Vec, hstack, outer
 from linminmax.relation import MatrixSpace, Relation, to_matrix_space
 
 
@@ -61,10 +61,9 @@ def blow_up(V: MatrixSpace, r: int) -> BlowUp:
 
 
 def reduced_indices(R: Relation) -> list[int]:
-    """Indices of the pairs `to_matrix_space` keeps: independent rank-ones."""
-    # the kept source pairs are R's own pair objects
-    kept = {id(p) for p in to_matrix_space(R).source_pairs or ()}
-    return [i for i, p in enumerate(R.pairs) if id(p) in kept]
+    """Indices of the pairs whose rank-ones w v^T the prefix-greedy echelon keeps."""
+    ech = IntEchelon(R.n * R.m)
+    return [i for i, (v, w) in enumerate(R.pairs) if ech.add(outer(w, v).int_flat())]
 
 
 def submatrix(M: Mat, rows, cols) -> Mat:

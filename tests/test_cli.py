@@ -262,10 +262,18 @@ def test_check_malformed_json_types_are_parse_errors(tmp_path, capsys):
         ("konig", [1, 2]),
         ("menger", {"n": 2, "m": 2, "pairs": [], "E": 1.5, "F": zero}),
         ("rado", {"m": 2, "sets": [[[1.5, "0"]]]}),
+        # integer fields are JSON integers, and entries are never bools
+        ("konig", {"n": 3.9, "m": 3, "pairs": []}),
+        ("konig", {"n": "3", "m": 3, "pairs": []}),
+        ("konig", '{"n": 1e309, "m": 3, "pairs": []}'),
+        ("konig", {"n": 1, "m": 1, "pairs": [[[True], ["1"]]]}),
+        ("ncrank", {"m": 2.5, "n": 2, "basis": []}),
+        ("ncrank", {"m": 1, "n": 1, "basis": [[[False]]]}),
+        ("rado", {"m": 2.5, "sets": [[["1", "0"]]]}),
     ]
     for k, (theorem, data) in enumerate(cases):
         path = tmp_path / f"case{k}.json"
-        path.write_text(json.dumps(data))
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
         code = main(["check", theorem, str(path), "--output", "json"])
         captured = capsys.readouterr()
         assert code == EXIT_PARSE, (theorem, data, captured.out)

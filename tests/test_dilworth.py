@@ -18,7 +18,7 @@ from linminmax.dilworth import (
     w_chain_check,
 )
 from linminmax.errors import DimensionError
-from linminmax.exact_linalg import Mat, Subspace, solve_exact, unit_vec, vec
+from linminmax.exact_linalg import Mat, Subspace, outer, solve_exact, unit_vec, vec
 from linminmax.matching_cover import max_matching
 from linminmax.relation import GenericSampler, Relation, to_matrix_space
 from linminmax.verify import (
@@ -213,6 +213,8 @@ def test_linorder_carries_its_space():
     import inspect
 
     L = f4_linorder()
-    assert L.space.dim == 3 and L.space.source_pairs == L.relation.pairs
-    assert validate_linorder(L.relation) == L  # the space takes no part in equality
+    assert "space" not in vars(L)  # built on first use, then kept
+    assert L.space.dim == 3 and L.space is L.space
+    assert L.space.basis == tuple(outer(w, v) for v, w in L.relation.pairs)
+    assert validate_linorder(L.relation) == L  # equality reads the relation alone
     assert "space" not in inspect.signature(coherent_decomposition).parameters

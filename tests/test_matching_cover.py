@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from linminmax.classical_oracles import BipartiteGraph, bipartite_max_matching, hall_check
-from linminmax.errors import DimensionError
+from linminmax.errors import CertificationError, DimensionError
 from linminmax.exact_linalg import Subspace, Vec, unit_vec, vec
 from linminmax.matching_cover import (
     Matching,
@@ -231,26 +231,26 @@ def test_defect_matching(rng):
 
 def test_extract_matching(rng):
     diag = Relation(3, 3, [(unit_vec(3, i), unit_vec(3, i)) for i in range(3)])
-    s = GenericSampler(seed=2)
-    m = extract_matching_from_combination(diag, 3, s)
+    m = extract_matching_from_combination(diag, 3)
     assert sorted(m.indices) == [0, 1, 2]
-    assert extract_matching_from_combination(diag, 0, s).size == 0
+    assert extract_matching_from_combination(diag, 0).size == 0
+    with pytest.raises(CertificationError):
+        extract_matching_from_combination(diag, 4)
     for _ in range(15):
         R = rand_relation(rng, rng.randint(2, 4), rng.randint(2, 4), rng.randint(2, 6))
         target = max_matching(R).value
-        m = extract_matching_from_combination(R, target, GenericSampler(seed=3))
+        m = extract_matching_from_combination(R, target)
         assert m.size == target
         assert m.rank_one_sum().rank() == target
 
 
 def test_lovasz_max_rank(rng):
-    V1 = to_matrix_space(Relation(2, 2, [(unit_vec(2, 0), unit_vec(2, 0))]))
-    cv = lovasz_max_rank(V1, GenericSampler(seed=4))
+    cv = lovasz_max_rank(Relation(2, 2, [(unit_vec(2, 0), unit_vec(2, 0))]))
     assert cv.value == 1
 
     e = lambda i: unit_vec(4, i)
     shared = Relation(4, 4, [(e(0), e(1)), (e(0), e(2)), (e(0), e(3))])
-    cv = lovasz_max_rank(to_matrix_space(shared), GenericSampler(seed=5))
+    cv = lovasz_max_rank(shared)
     assert cv.value == 1
     assert cv.dual.S == Subspace.span(4, [e(1), e(2), e(3)])
     assert cv.dual.defect == 3
@@ -258,7 +258,7 @@ def test_lovasz_max_rank(rng):
     for _ in range(10):
         R = rand_relation(rng, rng.randint(2, 4), rng.randint(2, 4), rng.randint(1, 6))
         V = to_matrix_space(R)
-        cv = lovasz_max_rank(V, GenericSampler(seed=6))
+        cv = lovasz_max_rank(R)
         s = GenericSampler(seed=7)
         sampled = max(sample_element(V, s).rank() for _ in range(50))
         assert cv.value == sampled

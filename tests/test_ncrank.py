@@ -393,7 +393,6 @@ def test_fault_b_rank_one_space_without_pairs_is_proved():
         if to_matrix_space(Relation(4, 4, pairs + [pair])).dim == len(pairs) + 1:
             pairs.append(pair)
     V = MatrixSpace(4, 4, [outer(w, v) for v, w in pairs])
-    assert V.source_pairs is None
     E = Subspace.span(4, [rand_vec(rng, 4, 2, nonzero=True) for _ in range(2)])
     F = Subspace.span(4, [rand_vec(rng, 4, 2, nonzero=True)])
     cv = mpc(V, E, F, GenericSampler(seed=0, trials=10))

@@ -1,0 +1,68 @@
+"""One matroid-intersection run per relation theorem; the span only where it is sampled."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from linminmax import lgv, matching_cover, relation
+from linminmax.cli import EXIT_PROVED, main
+from linminmax.exact_linalg import unit_vec
+from linminmax.matching_cover import (
+    defect_matching,
+    extract_matching_from_combination,
+    lovasz_max_rank,
+)
+from linminmax.relation import Relation
+from conftest import rand_relation
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def count_calls(monkeypatch, fn):
+    """Calls of `fn` through every linminmax module that holds it, as a list."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("linminmax") and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+@pytest.mark.parametrize("theorem", ["konig", "hall", "rado", "dilworth", "coherent"])
+def test_each_check_runs_the_intersection_once(theorem, monkeypatch, capsys):
+    runs = count_calls(monkeypatch, matching_cover.matroid_intersection)
+    spans = count_calls(monkeypatch, relation.to_matrix_space)
+    assert main(["check", theorem, str(GOLDEN / f"{theorem}.json")]) == EXIT_PROVED
+    capsys.readouterr()
+    assert len(runs) == 1
+    if theorem == "dilworth":
+        assert spans == []
+
+
+def test_solvers_run_the_intersection_once_and_sample_nothing(rng, monkeypatch):
+    runs = count_calls(monkeypatch, matching_cover.matroid_intersection)
+    draws = count_calls(monkeypatch, relation.sample_element)
+    for _ in range(10):
+        R = rand_relation(rng, rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 6))
+        runs.clear()
+        value = lovasz_max_rank(R).value
+        assert len(runs) == 1
+        extract_matching_from_combination(R, value)
+        assert len(runs) == 2
+        for d in range(R.n + 1):
+            defect_matching(R, d)
+        assert len(runs) == 3 + R.n
+        assert draws == []
+
+
+def test_acyclicity_builds_no_span(monkeypatch):
+    spans = count_calls(monkeypatch, relation.to_matrix_space)
+    e = [unit_vec(3, i) for i in range(3)]
+    assert lgv.is_acyclic(Relation(3, 3, [(e[0], e[1]), (e[1], e[2])]))
+    assert not lgv.is_acyclic(Relation(3, 3, [(e[0], e[1]), (e[1], e[0])]))
+    assert spans == []

@@ -234,10 +234,42 @@ def test_space_power_is_zero_matches_products(rng):
     assert space_power_is_zero(MatrixSpace(3, 3, []), 0)
 
 
+def test_relation_power_is_zero_matches_its_span(rng):
+    """On a relation the flag runs on neighborhood spans, with the span's verdicts."""
+    import random
+
+    from linminmax.cli import gen_linorder
+
+    e = [unit_vec(2, i) for i in range(2)]
+    zero = vec(0, 0)
+    relations = [
+        Relation(0, 0, []),
+        Relation(0, 0, [(vec(), vec())]),
+        Relation(3, 3, []),
+        Relation(2, 2, [(zero, e[0]), (e[1], zero)]),  # pairs whose rank-ones vanish
+        Relation(2, 2, [(e[0], e[1]), (e[1], e[0])]),  # a 2-cycle
+        Relation(2, 2, [(e[0], e[0])]),  # a loop
+        Relation(2, 2, [(e[0], e[1])]),
+    ]
+    relations += [Relation.from_json(gen_linorder(random.Random(s), s % 6)) for s in range(12)]
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        relations.append(rand_relation(rng, n, n, rng.randint(1, 4)))
+    nilpotent = 0
+    for R in relations:
+        V = to_matrix_space(R)
+        for k in range(R.n + 2):
+            assert space_power_is_zero(R, k) == space_power_is_zero(V, k), (R.to_json(), k)
+        nilpotent += space_power_is_zero(R, R.n)
+    assert 15 < nilpotent < len(relations)
+
+
 def test_space_power_is_zero_needs_square():
     V = MatrixSpace(2, 3, [Mat([[0, 1, 0], [0, 0, 0]])])
     with pytest.raises(DimensionError):
         space_power_is_zero(V, 2)
+    with pytest.raises(DimensionError):
+        space_power_is_zero(Relation(3, 2, []), 2)
     assert not is_nilpotent_algebra(V)
 
 
@@ -372,16 +404,20 @@ def test_to_matrix_space_echelons_once(rng, echelon_widths):
     R = rand_relation(rng, 3, 4, 9)
     V = to_matrix_space(R)
     assert echelon_widths == [12]
-    assert 0 < V.dim == len(V.source_pairs) <= 9
+    assert 0 < V.dim <= 9
     assert all(V.contains(b) for b in V.basis)
     assert echelon_widths == [12]
 
 
 def test_spanned_keeps_the_prefix_greedy_generators():
     a, b = Mat([[1, 2], [0, 0]]), Mat([[0, 0], [3, 4]])
-    V = MatrixSpace.spanned(2, 2, [Mat.zeros(2, 2), a, a.scaled(2), b, a + b], "vwxyz")
-    assert V.basis == (a, b) and V.source_pairs == ("w", "y")
-    assert MatrixSpace.spanned(2, 2, [Mat.zeros(2, 2)], "v").source_pairs is None
+    V = MatrixSpace.spanned(2, 2, [Mat.zeros(2, 2), a, a.scaled(2), b, a + b])
+    assert V.basis == (a, b)
+    assert MatrixSpace.spanned(2, 2, [Mat.zeros(2, 2)]).dim == 0
+    # reduce_relation keeps the pairs behind the same prefix-greedy generators
+    e0, e1 = unit_vec(2, 0), unit_vec(2, 1)
+    pairs = [(e0, vec(0, 0)), (e0, e0), (e0.scaled(2), e0), (e1, e0), (e0 + e1, e0)]
+    assert reduce_relation(Relation(2, 2, pairs)).pairs == (pairs[1], pairs[3])
     with pytest.raises(ValueError):
         MatrixSpace(2, 2, [a, b, a + b])
 

@@ -127,8 +127,8 @@ def test_demo_linorder_f4_checks_its_antichain(capsys, monkeypatch):
     """A 2-dimensional antichain behind the value 3 fails the demo's Dilworth check."""
     original = dilworth.max_antichain
 
-    def shrunk(L, cover=None):
-        ac = original(L, cover)
+    def shrunk(L):
+        ac = original(L)
         return replace(ac, primal=Subspace.span(ac.primal.ambient, ac.primal.vectors[:2]))
 
     monkeypatch.setattr(dilworth, "max_antichain", shrunk)
