@@ -202,6 +202,13 @@ def run_gen(args) -> int:
     except ValueError as ex:
         print(f"bad parameters (expected key=integer): {ex}", file=sys.stderr)
         return EXIT_PARSE
+    unknown = sorted(set(p) - set(defaults))
+    if unknown:
+        print(
+            f"unknown {args.kind} parameters {unknown}; allowed: {', '.join(defaults)}",
+            file=sys.stderr,
+        )
+        return EXIT_PARSE
     sizes = {k: p.get(k, d) for k, d in defaults.items()}
     error = _gen_size_error(args.kind, sizes)
     if error:
@@ -209,11 +216,15 @@ def run_gen(args) -> int:
         return EXIT_PARSE
     data = gen(rng, **sizes)
     text = json.dumps(data, indent=2, sort_keys=True)
-    if args.out:
+    if not args.out:
+        print(text)
+        return EXIT_PROVED
+    try:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as ex:
+        print(f"cannot write {args.out}: {ex}", file=sys.stderr)
+        return EXIT_PARSE
     return EXIT_PROVED
 
 
@@ -317,10 +328,12 @@ def check_dilworth(data, config: RunConfig):
 def check_coherent(data, config: RunConfig):
     L = _linorder_from(data)
     ac = dilworth.max_antichain(L)
-    C = dilworth.coherent_decomposition(L, config.sampler())
+    C = dilworth.coherent_decomposition(L)
+    pairs = L.optimum[0].indices
     ok = (
         verify.verify_antichain(L.relation, ac.primal)
-        and verify.verify_coherent_decomposition(C, L.space)
+        and verify.verify_pair_sum(L.relation, pairs, C.A)
+        and verify.verify_coherent_decomposition(C)
         and ac.value == C.size == ac.primal.dim
     )
     report = {
@@ -328,6 +341,7 @@ def check_coherent(data, config: RunConfig):
         "coherent_count": C.size,
         "chain_lengths": [l for _, l in C.chains],
         "decomposition": C.to_json(),
+        "pairs": list(pairs),
     }
     return report, (EXIT_PROVED if ok else EXIT_VIOLATION)
 
@@ -431,7 +445,7 @@ def check_matrix_dilworth(data, config: RunConfig):
         raise ParseFailure("matrix Dilworth needs a nilpotent algebra")
     r = max(1, V.n - 1)
     cov = ncrank.matrix_min_cover(V, config.sampler())
-    C = ncrank.matrix_antichain(V, config.sampler(), cov)
+    C = ncrank.matrix_antichain(V, cov)
     D = ncrank.matrix_coherent_decomposition(V, r, config.sampler(), cov)
     ok = (
         verify.verify_matrix_antichain(V, C)

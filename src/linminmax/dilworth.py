@@ -5,14 +5,13 @@ through nonorthogonal middles and has v orthogonal to w in every pair; its
 rank-one span is then a nilpotent operator algebra.  The maximum antichain
 dimension equals n minus the minimum cover size, and is matched both by
 bi-chain decompositions (alternating w, v sequences) and by coherent
-decompositions (iterate chains of one matrix from the algebra).  A coherent
-decomposition is built once, by `coherent_from_sample`: the Jordan chains
-of a sampled element of certified maximum rank, for the algebra of a
-linorder (r = 1) and for the blow-up V (x) M_r of a nilpotent algebra in
-`ncrank`.  A `Linorder` holds its relation: the antichain, the bi-chains
-and the coherent decomposition all read its one cached matroid-intersection
-run, and its rank-one span is built on first use, where an element is
-sampled.  Validation tests nilpotency on the relation's neighborhood spans.
+decompositions (iterate chains of one matrix from the algebra).  A
+`Linorder` holds its relation, and the antichain, the bi-chains and the
+coherent decomposition all read its one cached matroid-intersection run.
+The coherent decomposition is the Jordan chains of the maximum matching's
+rank-one sum, an element of maximum rank in the span (Lovász), so no span
+is built and nothing is sampled.  Validation tests nilpotency on the
+relation's neighborhood spans.
 """
 
 from __future__ import annotations
@@ -20,45 +19,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import verify
-from .errors import (
-    CertificationError,
-    DimensionError,
-    InvariantViolation,
-)
+from .errors import DimensionError, InvariantViolation
 from .exact_linalg import (
     IntEchelon,
     Mat,
     Vec,
-    outer_sum,
     subspace_sum,
     unit_vec,
 )
 from .matching_cover import PROVED, CertifiedValue, matroid_intersection
-from .relation import (
-    GenericSampler,
-    MatrixSpace,
-    Relation,
-    best_sample,
-    space_power_is_zero,
-    to_matrix_space,
-)
+from .relation import Relation, space_power_is_zero
 
 
 @dataclass(frozen=True)
 class Linorder:
-    """A validated linorder; its span and its one min-max run are built on first use."""
+    """A validated linorder; its one min-max run is made on first use."""
 
     relation: Relation
 
     @property
     def n(self) -> int:
         return self.relation.n
-
-    @cached_property
-    def space(self) -> MatrixSpace:
-        """The rank-one span, for sampling and membership."""
-        return to_matrix_space(self.relation)
 
     @cached_property
     def optimum(self):
@@ -325,57 +306,16 @@ def nilpotent_jordan_chains(A: Mat):
     return chains
 
 
-def coherent_from_sample(
-    space: MatrixSpace, r: int, target: int, sampler: GenericSampler
-) -> CoherentDecomposition:
-    """Jordan chains of a sampled element of space (x) M_r of rank `target`.
+def coherent_decomposition(L: Linorder) -> CoherentDecomposition:
+    """Minimum coherent decomposition: Jordan chains of one maximum-rank element.
 
-    `target` is a certified maximum rank of the nilpotent space (x) M_r;
-    the element is drawn by `best_sample`, and the decomposition has
-    rn - target chains.
+    The implementing matrix is the rank-one sum of the maximum matching of
+    `L.optimum`, whose rank is the matching size; its Jordan chains number
+    n minus that rank, the maximum antichain dimension.  It is also the sum
+    of the interior links of `bichain_decomposition(L)`.
     """
-    rank, A = best_sample(space, sampler, r, target)
-    if rank < target:
-        raise CertificationError(
-            f"no sampled element reached the certified maximum rank {target}"
-        )
+    A = L.optimum[0].rank_one_sum()
     return CoherentDecomposition(A, tuple(nilpotent_jordan_chains(A)))
-
-
-def coherent_decomposition(L: Linorder, sampler: GenericSampler) -> CoherentDecomposition:
-    """Minimum coherent decomposition via a sampled maximum-rank element.
-
-    The implementing matrix is a random combination of the rank-one
-    generators of rank equal to the minimum cover size of `L.optimum`;
-    its Jordan chains give the decomposition, of size equal to the
-    maximum antichain dimension.
-    """
-    return coherent_from_sample(L.space, 1, L.optimum[1].size, sampler)
-
-
-def bichain_to_coherent(D: BiChainDecomposition) -> CoherentDecomposition:
-    """Sum the interior links w v^T of every bi-chain and take Jordan chains.
-
-    Double independence makes the sum's rank equal the number of interior
-    pairs, so the coherent decomposition has the same size as D.
-    """
-    R = D.relation
-    n = R.n
-    links = [R.pairs[idx] for chain in D.chains for idx in chain.link_pair_indices]
-    A = outer_sum(links, n, n)
-    count = len(links)
-    if A.rank() != count:
-        raise InvariantViolation("interior rank-one sum lost rank")
-    if count == 0:
-        chains = tuple((unit_vec(n, i), 1) for i in range(n))
-    else:
-        chains = tuple(nilpotent_jordan_chains(A))
-    out = CoherentDecomposition(A, chains)
-    if out.size != D.size:
-        raise InvariantViolation("coherent conversion changed the size")
-    if not verify.verify_coherent_decomposition(out):
-        raise InvariantViolation("converted decomposition failed verification")
-    return out
 
 
 def poset_embed(P) -> Linorder:

@@ -182,11 +182,6 @@ def matroid_intersection(R: Relation):
     return Matching(R, tuple(I)), Cover(E, F)
 
 
-def min_cover(R: Relation) -> Cover:
-    """Minimum-size cover, the dual half of the matroid intersection."""
-    return matroid_intersection(R)[1]
-
-
 def max_matching(R: Relation) -> CertifiedValue:
     """Maximum matching with the minimum cover as its dual certificate."""
     matching, cover = matroid_intersection(R)

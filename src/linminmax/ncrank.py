@@ -8,15 +8,17 @@ r(n - d), while a sampled blow-up element of that rank is the primal.
 `wong_rank` is the one loop behind every blow-up value: for r = 1 .. n - 1,
 as far as the blow-up side max(m, n) r stays within BLOWUP_DIM_BUDGET (order
 1 of a nonzero space is the space itself and always runs), it draws blow-up
-elements A through `relation.best_sample` (the one sampler of V (x) M_r).  Each draw that beats the best so far gets its dual, read off
-the limit of its second Wong sequence (`wong_limit`): for `ncrank` the
-slice span U' of that limit, which bounds every rank by
-r(n - defect(U')).  The order is proved, and drawing stops, at the first
-draw whose rank meets its own bound; an order that is not proved draws all
-`trials` and keeps the dual of its first maximum.  The path capacities of
-`menger` run the same loop on a routing space, with a separator as the
-dual, and matrix Dilworth takes the Jordan chains of a blow-up element
-through `dilworth.coherent_from_sample`.  An unmet bound leaves the status
+elements A through `relation.best_sample` (the one sampler of V (x) M_r).
+Each draw that beats the best so far gets its dual, read off the limit of
+its second Wong sequence (`wong_limit`): for `ncrank` the slice span U' of
+that limit, which bounds every rank by r(n - defect(U')).  The order is
+proved, and drawing stops, at the first draw whose rank meets its own
+bound; an order that is not proved draws all `trials` and keeps the dual
+of its first maximum.  The path capacities of `menger` run the same loop on
+a routing space, with a separator as the dual.  Matrix Dilworth takes the
+Jordan chains of a blow-up element that `best_sample` draws at r times the
+cover bound: the one coherent decomposition that samples, since a
+linorder's reads its maximum matching.  An unmet bound leaves the status
 at lower_bound_only, never at a wrong value.
 """
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 from .errors import CertificationError, DimensionError
 from .exact_linalg import Mat, Subspace, subspace_sum
-from .dilworth import CoherentDecomposition, coherent_from_sample
+from .dilworth import CoherentDecomposition, nilpotent_jordan_chains
 from .matching_cover import (
     LOWER_BOUND_ONLY,
     PROVED,
@@ -166,37 +168,33 @@ def matrix_min_cover(V: MatrixSpace, sampler: GenericSampler) -> CertifiedValue:
     return CertifiedValue(cover.size, cover, cv.primal, status)
 
 
-def matrix_antichain(
-    V: MatrixSpace, sampler: GenericSampler, cov: CertifiedValue | None = None
-) -> Subspace:
+def matrix_antichain(V: MatrixSpace, cov: CertifiedValue) -> Subspace:
     """Largest subspace C with P V P = 0, for a nilpotent algebra V.
 
-    Read off a minimum cover as (E + F)^perp.  `cov`, when given, is V's
-    `matrix_min_cover`.
+    Read off the minimum cover `cov`, V's `matrix_min_cover`, as
+    (E + F)^perp.
     """
     if not is_nilpotent_algebra(V):
         raise ValueError("matrix antichains are defined for nilpotent algebras")
-    if cov is None:
-        cov = matrix_min_cover(V, sampler)
     return subspace_sum(cov.primal.E, cov.primal.F).orthocomplement()
 
 
 def matrix_coherent_decomposition(
-    V: MatrixSpace,
-    r: int,
-    sampler: GenericSampler,
-    cov: CertifiedValue | None = None,
+    V: MatrixSpace, r: int, sampler: GenericSampler, cov: CertifiedValue
 ) -> CoherentDecomposition:
     """Coherent decomposition of F^{rn} relative to V (x) M_r.
 
-    The Jordan chains of a sampled element of the blow-up (a nilpotent
-    algebra again) of rank r times the cover bound, built by
-    `coherent_from_sample`; its size is rn minus that rank.  `cov`, when
-    given, is the `matrix_min_cover` of V.
+    The Jordan chains of an element of the blow-up (a nilpotent algebra
+    again) of rank r times the bound of `cov`, V's `matrix_min_cover`,
+    drawn by `best_sample`; its size is rn minus that rank.
     """
     if not is_nilpotent_algebra(V):
         raise ValueError("matrix Dilworth is stated for nilpotent algebras")
     _check_blowup_budget(V, r)
-    if cov is None:
-        cov = matrix_min_cover(V, sampler)
-    return coherent_from_sample(V, r, r * cov.value, sampler)
+    target = r * cov.value
+    rank, A = best_sample(V, sampler, r, target)
+    if rank < target:
+        raise CertificationError(
+            f"no sampled element reached the certified maximum rank {target}"
+        )
+    return CoherentDecomposition(A, tuple(nilpotent_jordan_chains(A)))

@@ -96,6 +96,15 @@ def verify_bichain_decomposition(D) -> bool:
     return len(pairs) == R.n and doubly_independent(pairs, R.n, R.n)
 
 
+def verify_pair_sum(R, indices, A) -> bool:
+    """A is the plain sum of w v^T over the distinct pairs of R at `indices`."""
+    if len(set(indices)) != len(indices):
+        return False
+    if not all(0 <= i < len(R.pairs) for i in indices):
+        return False
+    return A == outer_sum([R.pairs[i] for i in indices], R.m, R.n)
+
+
 def verify_coherent_decomposition(D, space=None, r: int = 1) -> bool:
     """The chains (seed, A seed, ..., A^{len-1} seed) form a basis.
 

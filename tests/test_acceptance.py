@@ -41,8 +41,8 @@ from linminmax.exact_linalg import (
 )
 from linminmax.matching_cover import (
     Matching,
+    matroid_intersection,
     max_matching,
-    min_cover,
     saturated_matching,
 )
 from linminmax.menger import (
@@ -55,7 +55,7 @@ from linminmax.menger import (
 )
 from linminmax.lgv import LgvInstance, classical_lgv, lgv_acyclic, lgv_lhs, lgv_rhs_parts, lgv_rhs
 from linminmax.errors import SingularityError
-from linminmax.ncrank import matrix_coherent_decomposition, max_rank_blowup
+from linminmax.ncrank import matrix_coherent_decomposition, matrix_min_cover, max_rank_blowup
 from linminmax.relation import (
     GenericSampler,
     Relation,
@@ -132,7 +132,7 @@ def test_criterion_4_linear_konig_200():
         n, m = rng.randint(1, 5), rng.randint(1, 5)
         r = rng.randint(1, 12)
         R = _rand_relation(rng, n, m, r)
-        cover = min_cover(R)
+        cover = matroid_intersection(R)[1]
         cv = max_matching(R)
         assert cv.value == cover.size == cv.primal.size == cv.dual.size
         assert verify_matching(cv.primal)
@@ -309,14 +309,15 @@ def test_criterion_8_matrix_theorems():
         V = to_matrix_space(R)
         r = n - 1
         blown = max_rank_blowup(V, r, GenericSampler(seed=81500 + i))
-        assert blown == r * min_cover(R).size
+        assert blown == r * matroid_intersection(R)[1].size
     # linorder algebras: matrix coherent decomposition size = r * antichain.
     for i in range(12):
         rng = random.Random(82000 + i)
         L, _ = rand_dual_basis_linorder(rng, rng.randint(2, 4))
         V = to_matrix_space(L.relation)
         r = max(1, V.n - 1)
-        D = matrix_coherent_decomposition(V, r, GenericSampler(seed=82500 + i))
+        sampler = GenericSampler(seed=82500 + i)
+        D = matrix_coherent_decomposition(V, r, sampler, matrix_min_cover(V, sampler))
         assert D.size == r * max_antichain(L).value
     # matricial and coherent path capacities agree on rank-one spaces.
     for i in range(20):

@@ -281,7 +281,7 @@ def test_check_malformed_json_types_are_parse_errors(tmp_path, capsys):
         assert json.loads(captured.out)["error"].startswith("parse:")
 
 
-def test_gen_bad_parameters_are_parse_errors(capsys):
+def test_gen_bad_parameters_are_parse_errors(capsys, tmp_path):
     for kind, params in (
         ("relation", ["n=abc"]),
         ("relation", ["n"]),
@@ -294,12 +294,17 @@ def test_gen_bad_parameters_are_parse_errors(capsys):
         ("relation", ["n=0", "m=3", "r=1"]),
         ("relation", ["n=-1", "m=3", "r=1"]),
         ("matrixspace", ["m=1", "n=1", "dim=2"]),
+        # a key the kind does not take, and a file that cannot be written
+        ("relation", ["size=16"]),
+        ("relation", ["--out", str(tmp_path / "no-such-dir" / "x.json")]),
     ):
         code = main(["gen", kind, *params])
         captured = capsys.readouterr()
         assert code == EXIT_PARSE, (kind, params)
         assert captured.out == ""
         assert captured.err and "Traceback" not in captured.err
+    main(["gen", "relation", "size=16"])
+    assert "allowed: n, m, r" in capsys.readouterr().err
 
 
 def test_gen_zero_sizes_with_an_instance(capsys):
@@ -317,25 +322,6 @@ def test_gen_matrixspace_keeps_one_running_echelon(capsys, echelon_widths):
     assert main(["gen", "matrixspace", "m=2", "n=3", "dim=4", "--seed", "5"]) == EXIT_PROVED
     capsys.readouterr()
     assert echelon_widths == [6]
-
-
-def test_check_coherent_builds_the_space_once(tmp_path, capsys, monkeypatch):
-    from linminmax import relation
-
-    made = []
-
-    class Counted(relation.MatrixSpace):
-        def __new__(cls, *args, **kwargs):
-            made.append(cls)
-            return super().__new__(cls)
-
-    monkeypatch.setattr(relation, "MatrixSpace", Counted)
-    lin = tmp_path / "lin.json"
-    main(["gen", "linorder", "size=5", "--seed", "4", "--out", str(lin)])
-    made.clear()
-    assert main(["check", "coherent", str(lin)]) == EXIT_PROVED
-    capsys.readouterr()
-    assert len(made) == 1
 
 
 def _exit_and_error(capsys, argv):

@@ -1,5 +1,6 @@
 """Linorders, bi-chains, coherent chains, and the classical Dilworth reduction."""
 
+import dataclasses
 import random
 
 import pytest
@@ -9,7 +10,6 @@ from linminmax.dilworth import (
     Linorder,
     LinorderViolation,
     bichain_decomposition,
-    bichain_to_coherent,
     coherent_decomposition,
     max_antichain,
     nilpotent_jordan_chains,
@@ -18,13 +18,14 @@ from linminmax.dilworth import (
     w_chain_check,
 )
 from linminmax.errors import DimensionError
-from linminmax.exact_linalg import Mat, Subspace, outer, solve_exact, unit_vec, vec
+from linminmax.exact_linalg import Mat, Subspace, outer_sum, solve_exact, unit_vec, vec
 from linminmax.matching_cover import max_matching
-from linminmax.relation import GenericSampler, Relation, to_matrix_space
+from linminmax.relation import Relation, to_matrix_space
 from linminmax.verify import (
     verify_antichain,
     verify_bichain_decomposition,
     verify_coherent_decomposition,
+    verify_pair_sum,
 )
 from test_oracles import rand_poset
 
@@ -158,26 +159,34 @@ def test_jordan_chains_match_rank_profile():
 
 def test_coherent_decomposition_examples():
     empty = validate_linorder(Relation(3, 3, []))
-    C = coherent_decomposition(empty, GenericSampler(seed=1))
+    C = coherent_decomposition(empty)
     assert C.size == 3 and C.A.is_zero()
 
     L = f4_linorder()
-    C = coherent_decomposition(L, GenericSampler(seed=2))
+    C = coherent_decomposition(L)
     assert C.size == 3
     assert verify_coherent_decomposition(C, to_matrix_space(L.relation))
+    assert verify_pair_sum(L.relation, L.optimum[0].indices, C.A)
 
 
-def test_bichain_to_coherent():
+def interior_link_sum(D) -> Mat:
+    """The sum of w v^T over the interior links (v_i, w_{i+1}) of every bi-chain of D."""
+    R = D.relation
+    links = [R.pairs[i] for chain in D.chains for i in chain.link_pair_indices]
+    return outer_sum(links, R.n, R.n)
+
+
+def test_coherent_matrix_is_the_interior_link_sum():
     L = f4_linorder()
     D = bichain_decomposition(L)
-    C = bichain_to_coherent(D)
+    C = coherent_decomposition(L)
+    assert C.A == interior_link_sum(D)
     assert C.size == D.size == 3
-    assert to_matrix_space(L.relation).contains(C.A)
 
     empty = validate_linorder(Relation(2, 2, []))
-    D0 = bichain_decomposition(empty)
-    C0 = bichain_to_coherent(D0)
-    assert C0.size == 2 and C0.A.is_zero()
+    C0 = coherent_decomposition(empty)
+    assert C0.A == interior_link_sum(bichain_decomposition(empty)) == Mat.zeros(2, 2)
+    assert C0.size == 2 and verify_coherent_decomposition(C0)
 
 
 def test_poset_embedding_reduction():
@@ -188,7 +197,7 @@ def test_poset_embedding_reduction():
         mc, ma, _, _ = poset_dilworth(p)
         ac = max_antichain(L)
         D = bichain_decomposition(L)
-        C = coherent_decomposition(L, GenericSampler(seed=9))
+        C = coherent_decomposition(L)
         assert ac.value == ma
         assert D.size == mc
         assert C.size == ma
@@ -201,20 +210,20 @@ def test_random_linorders_all_equal():
         L, poset = rand_dual_basis_linorder(rng, rng.randint(2, 5))
         ac = max_antichain(L)
         D = bichain_decomposition(L)
-        C = coherent_decomposition(L, GenericSampler(seed=13))
-        C2 = bichain_to_coherent(D)
-        assert ac.value == D.size == C.size == C2.size
+        C = coherent_decomposition(L)
+        assert C.A == interior_link_sum(D)
+        assert ac.value == D.size == C.size
         assert ac.value == L.n - max_matching(L.relation).value
         mc, ma, _, _ = poset_dilworth(poset)
         assert ac.value == ma
 
 
-def test_linorder_carries_its_space():
+def test_linorder_holds_its_relation_and_one_run():
     import inspect
 
     L = f4_linorder()
-    assert "space" not in vars(L)  # built on first use, then kept
-    assert L.space.dim == 3 and L.space is L.space
-    assert L.space.basis == tuple(outer(w, v) for v, w in L.relation.pairs)
+    assert [f.name for f in dataclasses.fields(L)] == ["relation"]
+    assert "optimum" not in vars(L)  # made on first use, then kept
+    assert L.optimum is L.optimum
     assert validate_linorder(L.relation) == L  # equality reads the relation alone
-    assert "space" not in inspect.signature(coherent_decomposition).parameters
+    assert list(inspect.signature(coherent_decomposition).parameters) == ["L"]

@@ -26,7 +26,7 @@ from linminmax.exact_linalg import (
     vec,
     vstack,
 )
-from linminmax.matching_cover import min_cover
+from linminmax.matching_cover import matroid_intersection
 from linminmax.verify import verify_cover
 from linminmax.relation import Relation
 from conftest import rand_mat, rand_vec
@@ -646,7 +646,7 @@ def test_membership_and_spans_build_no_fractions(monkeypatch):
         for _ in range(12)
     ]
     R = Relation(n, n, pairs)
-    cover = min_cover(R)
+    cover = matroid_intersection(R)[1]
     vectors = [v for v, _ in pairs]
     a = Subspace.span(n, vectors[:3])
     b = Subspace.span(n, vectors[2:6])

@@ -14,8 +14,8 @@ from linminmax.matching_cover import (
     defect_matching,
     extract_matching_from_combination,
     lovasz_max_rank,
+    matroid_intersection,
     max_matching,
-    min_cover,
     rado_transversal,
     saturated_matching,
 )
@@ -87,16 +87,16 @@ def test_max_matching_agrees_with_classical(rng):
 
 def test_min_cover_examples():
     empty = Relation(3, 4, [])
-    assert min_cover(empty).size == 0
+    assert matroid_intersection(empty)[1].size == 0
     single = Relation(2, 2, [(vec(1, 1), vec(1, -1))])
-    assert min_cover(single).size == 1
+    assert matroid_intersection(single)[1].size == 1
 
 
 def test_min_cover_matches_unrestricted_oracle(rng):
     for _ in range(12):
         n, m = rng.randint(2, 4), rng.randint(2, 4)
         R = rand_relation(rng, n, m, rng.randint(1, 7))
-        cover = min_cover(R)
+        cover = matroid_intersection(R)[1]
         assert verify_cover(R, cover)
         assert cover.size == unrestricted_min_cover(R)
 

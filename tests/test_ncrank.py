@@ -13,7 +13,7 @@ from linminmax.cli import EXIT_PROVED, main
 from linminmax.dilworth import max_antichain, poset_embed
 from linminmax.errors import DimensionError
 from linminmax.exact_linalg import Mat, Subspace, Vec, outer, unit_vec
-from linminmax.matching_cover import min_cover
+from linminmax.matching_cover import matroid_intersection
 from linminmax.menger import cpc, mpc
 from linminmax.ncrank import (
     has_full_ncrank,
@@ -123,7 +123,7 @@ def test_rank_one_regularity(rng):
         V = to_matrix_space(R)
         cv = ncrank(V, GenericSampler(seed=19))
         assert cv.proved
-        assert cv.value == min_cover(R).size
+        assert cv.value == matroid_intersection(R)[1].size
         s = GenericSampler(seed=20)
         plain = max(sample_element(V, s).rank() for _ in range(20))
         assert plain == cv.value
@@ -136,7 +136,7 @@ def test_matrix_konig_blowup_equality(rng):
         V = to_matrix_space(R)
         r = max(1, n - 1)
         blown = max_rank_blowup(V, r, GenericSampler(seed=21))
-        assert blown == r * min_cover(R).size
+        assert blown == r * matroid_intersection(R)[1].size
 
 
 def test_matrix_min_cover(rng):
@@ -152,13 +152,13 @@ def test_matrix_min_cover(rng):
         R = rand_relation(rng, rng.randint(2, 4), rng.randint(2, 4), rng.randint(1, 5))
         V = to_matrix_space(R)
         cov = matrix_min_cover(V, GenericSampler(seed=25))
-        assert cov.value == min_cover(R).size
+        assert cov.value == matroid_intersection(R)[1].size
         assert verify_matrix_cover(V, cov.primal)
 
 
 def test_matrix_antichain():
     v0 = MatrixSpace(3, 3, [])
-    assert matrix_antichain(v0, GenericSampler(seed=27)) == Subspace.full(3)
+    assert matrix_antichain(v0, matrix_min_cover(v0, GenericSampler(seed=27))) == Subspace.full(3)
 
     upper = MatrixSpace(
         3,
@@ -170,11 +170,13 @@ def test_matrix_antichain():
         ],
     )
     assert is_nilpotent_algebra(upper)
-    c = matrix_antichain(upper, GenericSampler(seed=28))
+    c = matrix_antichain(upper, matrix_min_cover(upper, GenericSampler(seed=28)))
     assert c.dim == 1
 
+    identity = MatrixSpace(2, 2, [Mat.identity(2)])
+    cov = matrix_min_cover(identity, GenericSampler(seed=29))
     with pytest.raises(ValueError):
-        matrix_antichain(MatrixSpace(2, 2, [Mat.identity(2)]), GenericSampler(seed=29))
+        matrix_antichain(identity, cov)
 
 
 def test_matrix_antichain_matches_linorder(rng):
@@ -182,26 +184,32 @@ def test_matrix_antichain_matches_linorder(rng):
         L, _ = rand_dual_basis_linorder(rng, rng.randint(2, 4))
         V = to_matrix_space(L.relation)
         assert is_nilpotent_algebra(V)
-        c = matrix_antichain(V, GenericSampler(seed=31))
+        c = matrix_antichain(V, matrix_min_cover(V, GenericSampler(seed=31)))
         assert c.dim == max_antichain(L).value
+
+
+def _coherent(V, r, seed):
+    """`matrix_coherent_decomposition` at r, with the cover drawn from the same sampler."""
+    sampler = GenericSampler(seed=seed)
+    return matrix_coherent_decomposition(V, r, sampler, matrix_min_cover(V, sampler))
 
 
 def test_matrix_coherent_decomposition(rng):
     v0 = MatrixSpace(2, 2, [])
-    D = matrix_coherent_decomposition(v0, 1, GenericSampler(seed=33))
+    D = _coherent(v0, 1, 33)
     assert D.size == 2
 
     e = [unit_vec(4, i) for i in range(4)]
     L = poset_embed(Poset(4, [(0, 1), (0, 2), (0, 3)]))
     V = to_matrix_space(L.relation)
-    D = matrix_coherent_decomposition(V, 3, GenericSampler(seed=34))
+    D = _coherent(V, 3, 34)
     assert D.size == 9  # 3 * antichain dimension 3
 
     for _ in range(4):
         L, _ = rand_dual_basis_linorder(rng, rng.randint(2, 4))
         V = to_matrix_space(L.relation)
         r = max(1, V.n - 1)
-        D = matrix_coherent_decomposition(V, r, GenericSampler(seed=35))
+        D = _coherent(V, r, 35)
         assert D.size == r * max_antichain(L).value
 
 
@@ -419,7 +427,7 @@ def test_matrix_dilworth_checks_nilpotency_even_with_a_cover():
     V = MatrixSpace(3, 3, [e12, e23])
     cov = matrix_min_cover(V, GenericSampler(seed=40))
     with pytest.raises(ValueError, match="nilpotent algebras"):
-        matrix_antichain(V, GenericSampler(seed=41), cov)
+        matrix_antichain(V, cov)
     with pytest.raises(ValueError, match="nilpotent algebras"):
         matrix_coherent_decomposition(V, 2, GenericSampler(seed=42), cov)
 

@@ -1,5 +1,6 @@
-"""One matroid-intersection run per relation theorem; the span only where it is sampled."""
+"""One matroid-intersection run per relation theorem; no span and no draw for linorders."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -37,11 +38,23 @@ def count_calls(monkeypatch, fn):
 def test_each_check_runs_the_intersection_once(theorem, monkeypatch, capsys):
     runs = count_calls(monkeypatch, matching_cover.matroid_intersection)
     spans = count_calls(monkeypatch, relation.to_matrix_space)
+    draws = count_calls(monkeypatch, relation.sample_element)
     assert main(["check", theorem, str(GOLDEN / f"{theorem}.json")]) == EXIT_PROVED
     capsys.readouterr()
     assert len(runs) == 1
-    if theorem == "dilworth":
-        assert spans == []
+    if theorem in ("dilworth", "coherent"):
+        assert spans == [] and draws == []
+
+
+def test_coherent_on_a_16_dimensional_linorder_builds_no_span(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "linorder-16.json"
+    assert main(["gen", "linorder", "size=16", "--seed", "3", "--out", str(path)]) == EXIT_PROVED
+    spans = count_calls(monkeypatch, relation.to_matrix_space)
+    draws = count_calls(monkeypatch, relation.sample_element)
+    assert main(["check", "coherent", str(path), "--output", "json"]) == EXIT_PROVED
+    report = json.loads(capsys.readouterr().out)
+    assert report["antichain_dim"] == report["coherent_count"] == 5
+    assert spans == [] and draws == []
 
 
 def test_solvers_run_the_intersection_once_and_sample_nothing(rng, monkeypatch):

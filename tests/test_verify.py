@@ -20,7 +20,7 @@ from linminmax.cli import (
     build_skew3,
     main,
 )
-from linminmax.exact_linalg import Mat, Subspace, unit_vec
+from linminmax.exact_linalg import Mat, Subspace, outer_sum, unit_vec
 from linminmax.relation import GenericSampler, MatrixSpace, Relation, sample_element
 from conftest import blow_up, rand_mat
 
@@ -71,6 +71,40 @@ def test_check_matrix_dilworth_rejects_a_decomposition_outside_the_blowup(capsys
     code, out = _check(capsys, "matrix-dilworth", path)
     assert code == EXIT_VIOLATION
     assert json.loads(out)["coherent_count"] == 6  # the chains still count
+
+
+def test_check_coherent_rejects_a_matrix_that_is_not_the_pair_sum(capsys, monkeypatch):
+    """Conjugating by a shift keeps the chains a basis, but A is no longer the matching's sum."""
+    original = dilworth.coherent_decomposition
+
+    def shifted(L):
+        C = original(L)
+        P = _shift(C.A.rows)
+        A = P @ C.A @ P.transpose()
+        return dilworth.CoherentDecomposition(A, tuple((P.apply(s), l) for s, l in C.chains))
+
+    path = INSTANCES["coherent"]
+    code, out = _check(capsys, "coherent", path)
+    assert code == EXIT_PROVED
+    monkeypatch.setattr(dilworth, "coherent_decomposition", shifted)
+    code, tampered = _check(capsys, "coherent", path)
+    assert code == EXIT_VIOLATION
+    # the chains still count, and they are still a basis
+    assert json.loads(tampered)["coherent_count"] == json.loads(out)["coherent_count"] == 2
+    L = dilworth.validate_linorder(Relation.from_json(json.loads(path.read_text())))
+    assert verify.verify_coherent_decomposition(shifted(L))
+
+
+def test_pair_sum_needs_distinct_indices_in_range():
+    e = [unit_vec(2, i) for i in range(2)]
+    R = Relation(2, 2, [(e[0], e[1]), (e[1], e[1])])
+    A = outer_sum(R.pairs, 2, 2)
+    assert verify.verify_pair_sum(R, (0, 1), A)
+    assert verify.verify_pair_sum(R, (), Mat.zeros(2, 2))
+    assert not verify.verify_pair_sum(R, (0,), A)
+    assert not verify.verify_pair_sum(R, (0, 0), outer_sum(R.pairs[:1] * 2, 2, 2))
+    assert not verify.verify_pair_sum(R, (-1,), outer_sum(R.pairs[1:], 2, 2))
+    assert not verify.verify_pair_sum(R, (0, 2), A)
 
 
 def test_check_hall_recomputes_the_witness_neighborhood(tmp_path, capsys, monkeypatch):
@@ -144,7 +178,7 @@ CERTIFICATES = {
     "hall": ["verify_shrunk_witness"],
     "rado": ["verify_rado_report"],
     "dilworth": ["verify_antichain", "verify_bichain_decomposition"],
-    "coherent": ["verify_antichain", "verify_coherent_decomposition"],
+    "coherent": ["verify_antichain", "verify_coherent_decomposition", "verify_pair_sum"],
     "menger": ["verify_blowup_element", "verify_separator"],
     "lgv": [],
     "ncrank": ["verify_blowup_element", "verify_defect_certificate"],
