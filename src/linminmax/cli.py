@@ -191,6 +191,8 @@ def _gen_size_error(kind: str, sizes: dict) -> str | None:
         return "pairs of nonzero vectors need n >= 1 and m >= 1"
     if kind == "matrixspace" and sizes["dim"] > sizes["m"] * sizes["n"]:
         return "dim exceeds m*n"
+    if kind == "lgv" and not sizes["n"] and (sizes["r"] or sizes["k"]):
+        return "r or k positive needs n >= 1"
     return None
 
 
@@ -255,7 +257,7 @@ def check_konig(data, config: RunConfig):
     R = _relation_from(data)
     cv = matching_cover.max_matching(R)
     ok = (
-        verify.verify_matching(cv.primal)
+        verify.verify_matching(R, cv.primal)
         and verify.verify_cover(R, cv.dual)
         and cv.primal.size == cv.dual.size == cv.value
     )
@@ -273,10 +275,10 @@ def check_hall(data, config: RunConfig):
     _require(R.m >= R.n >= 1, "Hall's theorem needs m >= n >= 1")
     result = matching_cover.saturated_matching(R)
     if isinstance(result, Matching):
-        ok = verify.verify_matching(result) and result.size == R.n
+        ok = verify.verify_matching(R, result) and result.size == R.n
         report = {"saturated": True, "matching": result.to_json()}
     else:
-        ok = verify.verify_shrunk_witness(R, result)
+        ok = verify.verify_shrunk_witness(R, result) and result.defect > 0
         report = {"saturated": False, "witness": result.to_json()}
     return report, (EXIT_PROVED if ok else EXIT_VIOLATION)
 
@@ -312,7 +314,7 @@ def check_dilworth(data, config: RunConfig):
     D = dilworth.bichain_decomposition(L)
     ok = (
         verify.verify_antichain(L.relation, ac.primal)
-        and verify.verify_bichain_decomposition(D)
+        and verify.verify_bichain_decomposition(L.relation, D)
         and ac.value == D.size == ac.primal.dim
     )
     report = {
@@ -372,7 +374,7 @@ def check_menger(data, config: RunConfig):
     _require(R.n == R.m, "path capacities need a square relation")
     E, F = _subspaces_from(data, R.n)
     cv = menger.cpc(R, E, F, config.sampler())
-    ok = verify.verify_separator(R, cv.dual)
+    ok = verify.verify_separator(R, E, F, cv.dual)
     return _path_capacity_report("cpc", cv, to_matrix_space(R), E, F, ok)
 
 
@@ -413,12 +415,12 @@ def check_ncrank(data, config: RunConfig):
         "ncrank": cv.value,
         "status": cv.status,
         "defect": cv.dual.defect,
-        "witness": cv.dual.to_json(),
+        "witness": {"E": cv.dual.S.to_json(), "defect": cv.dual.defect},
         "element": {"r": r, "matrix": element.to_json()},
     }
     ok = (
         verify.verify_blowup_element(V, r, element, r * cv.value)
-        and verify.verify_defect_certificate(V, cv.dual)
+        and verify.verify_shrunk_witness(V, cv.dual)
         and (not cv.proved or cv.value == V.n - cv.dual.defect)
     )
     if not ok:
@@ -430,7 +432,7 @@ def check_matrix_konig(data, config: RunConfig):
     V = _space_from(data)
     cov = ncrank.matrix_min_cover(V, config.sampler())
     r, element = cov.dual
-    ok = verify.verify_matrix_cover(V, cov.primal) and (
+    ok = verify.verify_cover(V, cov.primal) and (
         not cov.proved or verify.verify_blowup_element(V, r, element, r * cov.value)
     )
     report = {"cover_size": cov.value, "status": cov.status}
@@ -448,7 +450,7 @@ def check_matrix_dilworth(data, config: RunConfig):
     C = ncrank.matrix_antichain(V, cov)
     D = ncrank.matrix_coherent_decomposition(V, r, config.sampler(), cov)
     ok = (
-        verify.verify_matrix_antichain(V, C)
+        verify.verify_antichain(V, C)
         and verify.verify_coherent_decomposition(D, V, r)
         and D.size == r * C.dim
     )
@@ -465,7 +467,7 @@ def check_matrix_menger(data, config: RunConfig):
     _require(V.m == V.n, "path capacities need a square space")
     E, F = _subspaces_from(data, V.n)
     cv = menger.mpc(V, E, F, config.sampler())
-    ok = verify.verify_matrix_separator(V, cv.dual)
+    ok = verify.verify_separator(V, E, F, cv.dual)
     return _path_capacity_report("mpc", cv, V, E, F, ok)
 
 

@@ -24,7 +24,6 @@ from .exact_linalg import (
     IntEchelon,
     Mat,
     Vec,
-    subspace_sum,
     unit_vec,
 )
 from .matching_cover import PROVED, CertifiedValue, matroid_intersection
@@ -102,7 +101,6 @@ class BiChain:
 
 @dataclass(frozen=True)
 class BiChainDecomposition:
-    relation: Relation
     chains: tuple
 
     @property
@@ -141,8 +139,7 @@ def max_antichain(L: Linorder) -> CertifiedValue:
     dimension is exactly n minus the cover size.
     """
     _, cover = L.optimum
-    C = subspace_sum(cover.E, cover.F).orthocomplement()
-    return CertifiedValue(L.n - cover.size, C, cover, PROVED)
+    return CertifiedValue(L.n - cover.size, cover.antichain(), cover, PROVED)
 
 
 def _perfect_nonorthogonal_bijection(ws, vs):
@@ -239,7 +236,7 @@ def bichain_decomposition(L: Linorder) -> BiChainDecomposition:
             else:
                 break
         chains.append(BiChain(tuple(chain_ws), tuple(chain_vs), tuple(links)))
-    return BiChainDecomposition(R, tuple(chains))
+    return BiChainDecomposition(tuple(chains))
 
 
 def w_chain_check(L: Linorder, chains) -> bool:

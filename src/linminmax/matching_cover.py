@@ -8,9 +8,11 @@ polynomial augmenting-path run: the final common independent set is the
 matching, and the set reachable in the last exchange graph gives a cover
 of the same size.  Hall's saturated matchings, defect matchings and
 Lovász's maximum rank read that one run too: a prefix of the matching, or
-the shrunk witness (E^perp, N(E^perp)) of the cover.  Every returned value
+the shrunk witness (E^perp, N(E^perp)) of the cover.  A `Cover` and a
+`ShrunkWitness` are the same certificates for a matrix space, with V[U]
+in place of N(U), so `ncrank` uses them too.  Every returned value
 carries a primal and a dual certificate of equal size; `verify` checks
-them.
+them against the instance.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ from .exact_linalg import (
     Subspace,
     Vec,
     outer_sum,
+    subspace_sum,
     unit_vec,
 )
-from .relation import Relation, neighborhood_span
+from .relation import Relation, apply_space
 
 PROVED = "proved"
 LOWER_BOUND_ONLY = "lower_bound_only"
@@ -65,13 +68,20 @@ class Cover:
     def size(self) -> int:
         return self.E.dim + self.F.dim
 
+    def antichain(self) -> Subspace:
+        """(E + F)^perp: the maximum antichain, for a minimum cover of a nilpotent space."""
+        return subspace_sum(self.E, self.F).orthocomplement()
+
     def to_json(self):
         return {"E": self.E.to_json(), "F": self.F.to_json()}
 
 
 @dataclass(frozen=True)
 class ShrunkWitness:
-    """A subspace whose neighborhood span has strictly smaller dimension."""
+    """A subspace S with its image V[S] (for a relation, its neighborhood span N(S)).
+
+    Its defect dim S - dim V[S] bounds the maximum rank in V by n - defect.
+    """
 
     S: Subspace
     neighborhood: Subspace
@@ -195,7 +205,7 @@ def _shrunk_witness(R: Relation, cover: Cover) -> ShrunkWitness:
     neighborhood span has dimension at most dim F.
     """
     S = cover.E.orthocomplement()
-    return ShrunkWitness(S, neighborhood_span(R, S.vectors))
+    return ShrunkWitness(S, apply_space(R, S))
 
 
 def saturated_matching(R: Relation):

@@ -15,10 +15,12 @@ the element is r(n + size).
 
 The coherent path capacity of a relation R is the matricial one of its
 space V_R (`cpc`).  Since V_R is spanned by the rank-ones w v^T,
-V_R[F~^perp] lies inside E~ exactly when every pair has v in F~ or w in
-E~, so the separator is one in the relation sense too, and it meets the
-sampled rank at order r = 1.  No subset is enumerated, and order 1 needs
-no blow-up budget, so linear Menger has no size limit.
+V_R[F~^perp] is the neighborhood span N(F~^perp), which lies inside E~
+exactly when every pair has v in F~ or w in E~.  So the separator is one
+in the relation sense too, `verify.verify_separator` checks both senses
+on the same image, and it meets the sampled rank at order r = 1.  No
+subset is enumerated, and order 1 needs no blow-up budget, so linear
+Menger has no size limit.
 """
 
 from __future__ import annotations
@@ -57,16 +59,15 @@ from .relation import (
 
 @dataclass(frozen=True)
 class Separator:
-    """Pair (E~, F~) pinching every relation path from E to F.
+    """Pair (E~, F~) pinching every path from E to F relative to a space V.
 
-    E is inside E~, F inside F~, the orthocomplement of F~ inside E~, and no
-    pair jumps from F~^perp past E~; the size dim(E~ n F~) is computed once.
+    E is inside E~, F inside F~, and F~^perp and V[F~^perp] inside E~; the
+    instance (V, E, F) is not stored, and the size dim(E~ n F~) is
+    computed once.
     """
 
     E_tilde: Subspace
     F_tilde: Subspace
-    E: Subspace
-    F: Subspace
 
     @cached_property
     def size(self) -> int:
@@ -100,11 +101,11 @@ def mpc(V: MatrixSpace, E: Subspace, F: Subspace, sampler: GenericSampler) -> Ce
             F.orthocomplement(),
         )
         e_tilde = subspace_sum(subspace_sum(X, E), apply_space(V, X))
-        sep = Separator(e_tilde, X.orthocomplement(), E, F)
+        sep = Separator(e_tilde, X.orthocomplement())
         return sep, n + sep.size
 
     full = Subspace.full(n)
-    cv = wong_rank(routing, sampler, separator, (Separator(full, full, E, F), 2 * n))
+    cv = wong_rank(routing, sampler, separator, (Separator(full, full), 2 * n))
     return CertifiedValue(cv.value - n, cv.primal, cv.dual, cv.status)
 
 
@@ -207,7 +208,7 @@ def konig_via_menger(R: Relation, sampler: GenericSampler) -> CertifiedValue:
             raise InvariantViolation("Konig reduction rank identity failed")
 
     capacity = cpc(R2, E, F, sampler)
-    if not verify.verify_separator(R2, capacity.dual):
+    if not verify.verify_separator(R2, E, F, capacity.dual):
         raise InvariantViolation("Wong separator fails the separator axioms")
     direct = max_matching(R)
     if capacity.value != direct.value:

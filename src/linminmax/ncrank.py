@@ -2,60 +2,49 @@
 
 The noncommutative rank of a matrix space V in M_{m,n} is (1/r) times the
 maximum rank in the blow-up V (x) M_r, attained for every r >= n-1, and it
-equals n - d where d is the largest defect dim E - dim V[E].  A defect
-subspace is therefore a dual certificate: it bounds every blow-up rank by
-r(n - d), while a sampled blow-up element of that rank is the primal.
-`wong_rank` is the one loop behind every blow-up value: for r = 1 .. n - 1,
-as far as the blow-up side max(m, n) r stays within BLOWUP_DIM_BUDGET (order
-1 of a nonzero space is the space itself and always runs), it draws blow-up
-elements A through `relation.best_sample` (the one sampler of V (x) M_r).
-Each draw that beats the best so far gets its dual, read off the limit of
-its second Wong sequence (`wong_limit`): for `ncrank` the slice span U' of
-that limit, which bounds every rank by r(n - defect(U')).  The order is
-proved, and drawing stops, at the first draw whose rank meets its own
-bound; an order that is not proved draws all `trials` and keeps the dual
-of its first maximum.  The path capacities of `menger` run the same loop on
-a routing space, with a separator as the dual.  Matrix Dilworth takes the
-Jordan chains of a blow-up element that `best_sample` draws at r times the
-cover bound: the one coherent decomposition that samples, since a
-linorder's reads its maximum matching.  An unmet bound leaves the status
-at lower_bound_only, never at a wrong value.
+equals n - d where d is the largest defect dim U - dim V[U].  A shrunk
+witness (U, V[U]) is therefore a dual certificate: it bounds every blow-up
+rank by r(n - d), while a sampled blow-up element of that rank is the
+primal.  `wong_rank` is the one loop behind every blow-up value: for
+r = 1 .. n - 1, as far as the blow-up side max(m, n) r stays within
+BLOWUP_DIM_BUDGET (order 1 of a nonzero space is the space itself and
+always runs), it draws blow-up elements A through `relation.best_sample`
+(the one sampler of V (x) M_r).  Each draw that beats the best so far gets
+its dual, read off the limit of its second Wong sequence (`wong_limit`):
+for `ncrank` the shrunk witness (U', V[U']) of that limit, which bounds
+every rank by r(n - defect).  The order is proved, and drawing stops, at
+the first draw whose rank meets its own bound; an order that is not proved
+draws all `trials` and keeps the dual of its first maximum.  The matrix
+cover is (U'^perp, V[U']), read off the witness.  The path capacities of
+`menger` run the same loop on a routing space, with a separator as the
+dual.  Matrix Dilworth takes the Jordan chains of a blow-up element that
+`best_sample` draws at r times the cover bound: the one coherent
+decomposition that samples, since a linorder's reads its maximum
+matching.  An unmet bound leaves the status at lower_bound_only, never at
+a wrong value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CertificationError, DimensionError
-from .exact_linalg import Mat, Subspace, subspace_sum
+from .exact_linalg import Mat, Subspace
 from .dilworth import CoherentDecomposition, nilpotent_jordan_chains
 from .matching_cover import (
     LOWER_BOUND_ONLY,
     PROVED,
     CertifiedValue,
     Cover,
+    ShrunkWitness,
 )
 from .relation import (
     GenericSampler,
     MatrixSpace,
-    apply_space,
     best_sample,
     is_nilpotent_algebra,
     wong_limit,
 )
 
 BLOWUP_DIM_BUDGET = 64
-
-
-@dataclass(frozen=True)
-class DefectCertificate:
-    """Subspace E with dim V[E] = dim E - defect; bounds ncrank by n - defect."""
-
-    E: Subspace
-    defect: int
-
-    def to_json(self):
-        return {"E": self.E.to_json(), "defect": self.defect}
 
 
 def _check_blowup_budget(V: MatrixSpace, r: int):
@@ -82,12 +71,11 @@ def max_rank_blowup(V: MatrixSpace, r: int, sampler: GenericSampler) -> int:
 
 
 def _defect_bound(V: MatrixSpace):
-    """(r, el) -> (defect certificate of el's Wong limit, bound n - defect on ncrank V)."""
+    """(r, el) -> (shrunk witness (U', V[U']) of el's Wong limit, bound n - defect on ncrank V)."""
 
     def certify(r: int, el: Mat):
-        E, image = wong_limit(V, r, el)
-        cert = DefectCertificate(E, E.dim - image.dim)
-        return cert, V.n - cert.defect
+        witness = ShrunkWitness(*wong_limit(V, r, el))
+        return witness, V.n - witness.defect
 
     return certify
 
@@ -136,13 +124,13 @@ def wong_rank(V: MatrixSpace, sampler: GenericSampler, certify, trivial) -> Cert
 
 
 def ncrank(V: MatrixSpace, sampler: GenericSampler) -> CertifiedValue:
-    """Noncommutative rank with primal blow-up element and defect dual.
+    """Noncommutative rank with primal blow-up element and shrunk-witness dual.
 
     By the Wong-sequence theorem of Ivanyos, Karpinski, Qiao and Santha, a
     sample of maximum rank meets the defect bound of its own Wong limit,
     at r = n - 1 at the latest.
     """
-    zero = DefectCertificate(Subspace.zero(V.n), 0)
+    zero = ShrunkWitness(Subspace.zero(V.n), Subspace.zero(V.m))
     return wong_rank(V, sampler, _defect_bound(V), (zero, V.n))
 
 
@@ -161,9 +149,9 @@ def has_full_ncrank(V: MatrixSpace, sampler: GenericSampler):
 
 
 def matrix_min_cover(V: MatrixSpace, sampler: GenericSampler) -> CertifiedValue:
-    """The cover (E^perp, V[E]) of the defect dual; proved when it meets the blow-up rank."""
+    """The cover (U^perp, V[U]) of the shrunk-witness dual; proved when it meets the blow-up rank."""
     cv = ncrank(V, sampler)
-    cover = Cover(cv.dual.E.orthocomplement(), apply_space(V, cv.dual.E))
+    cover = Cover(cv.dual.S.orthocomplement(), cv.dual.neighborhood)
     status = PROVED if cv.proved and cover.size == cv.value else LOWER_BOUND_ONLY
     return CertifiedValue(cover.size, cover, cv.primal, status)
 
@@ -176,7 +164,7 @@ def matrix_antichain(V: MatrixSpace, cov: CertifiedValue) -> Subspace:
     """
     if not is_nilpotent_algebra(V):
         raise ValueError("matrix antichains are defined for nilpotent algebras")
-    return subspace_sum(cov.primal.E, cov.primal.F).orthocomplement()
+    return cov.primal.antichain()
 
 
 def matrix_coherent_decomposition(

@@ -6,10 +6,10 @@ space the min-max machinery actually works with.  Because only that span
 matters, any relation can be thinned to at most n*m pairs without changing
 any neighborhood span; `reduce_relation` does exactly that.  The span is
 built only where an element is sampled or membership is tested: the image
-V_R[U] of a subspace is the neighborhood span N(U), so the nilpotency
-flag of `space_power_is_zero` runs on the relation itself.  The routing
-space of a path capacity (`routing_space`) is built here too, so that a
-solver and a check build it from the instance the same way.
+V_R[U] of a subspace is the neighborhood span N(U), so `apply_space` and
+the nilpotency flag of `space_power_is_zero` run on the relation itself.
+The routing space of a path capacity (`routing_space`) is built here too,
+so that a solver and a check build it from the instance the same way.
 """
 
 from __future__ import annotations
@@ -230,8 +230,8 @@ def doubly_independent(pairs, n: int, m: int) -> bool:
     )
 
 
-def apply_space(V: MatrixSpace, E: Subspace) -> Subspace:
-    """V[E] = span{A e : A in V, e in E}."""
+def apply_space(V, E: Subspace) -> Subspace:
+    """V[E] = span{A e : A in V, e in E}; on a relation, the neighborhood span N(E) (see `_image`)."""
     if E.ambient != V.n:
         raise DimensionError("apply_space ambient mismatch")
     return Subspace.from_echelon(_image(V, E.int_rows(), V.m))
@@ -268,16 +268,6 @@ def wong_limit(V: MatrixSpace, r: int, A: Mat) -> tuple[Subspace, Subspace]:
         if grown.dim == W.dim:
             return U, grown
         W = grown
-
-
-def neighborhood_span(R: Relation, S) -> Subspace:
-    """span N(S): the w's of pairs whose v meets some element of S."""
-    S = list(S)
-    for u in S:
-        if u.dim != R.n:
-            raise DimensionError("neighborhood of a vector with wrong dimension")
-    hits = [w for v, w in R.pairs if any(u.dot(v) != 0 for u in S)]
-    return Subspace.span(R.m, hits)
 
 
 def sample_element(V: MatrixSpace, sampler: GenericSampler, r: int = 1) -> Mat:

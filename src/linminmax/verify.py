@@ -1,25 +1,29 @@
 """Certificate verification: the one place that decides whether a certificate is valid.
 
 Solvers build certificates and do not test them; `cli` passes each
-certificate that a check's exit 0 depends on to one predicate here, once.
-A predicate re-derives what it needs from the instance (a relation, a
-matrix space, a set family) and the certificate alone, with the kernels of
-`exact_linalg` and `relation`.  It imports no solver: certificates are read
-by their fields, so a solver's mistake cannot vouch for itself.
+certificate that a check's exit 0 depends on to one predicate here, once,
+with the instance that the check parsed.  The instance comes from the
+arguments and the certificate is read by its fields alone, so no
+certificate carries the data it is checked against, and no solver is
+imported.  A relation R is checked as its rank-one space V_R: the image
+V_R[U] is the neighborhood span N(U), which `relation.apply_space` reads
+off the pairs without building the n*m-wide span.  So one predicate
+serves the relation and the matrix form of each theorem: "every pair has
+v in E or w in F" is V_R[E^perp] inside F.  A certificate whose ambient
+dimension does not fit the instance is invalid, never an error.
 """
 
 from __future__ import annotations
 
 from .exact_linalg import IntEchelon, Subspace, outer_sum
-from .relation import apply_space, doubly_independent, neighborhood_span
+from .relation import apply_space, doubly_independent
 
 # ---------------------------------------------------------------------------
-# relations: matchings, covers, shrunk subspaces, transversals
+# relations and matrix spaces: matchings, covers, shrunk subspaces, transversals
 
 
-def verify_matching(m) -> bool:
-    """Distinct pair indices with independent v's and w's, whose rank-one sum has rank |m|."""
-    R = m.relation
+def verify_matching(R, m) -> bool:
+    """Distinct pair indices of R with independent v's and w's, whose rank-one sum has rank |m|."""
     if len(set(m.indices)) != len(m.indices):
         return False
     if not all(0 <= i < len(R.pairs) for i in m.indices):
@@ -30,19 +34,16 @@ def verify_matching(m) -> bool:
     return outer_sum(pairs, R.m, R.n).rank() == len(pairs)
 
 
-def verify_cover(R, c) -> bool:
-    """(E, F) with v in E or w in F for every pair (v, w) of R."""
-    if c.E.ambient != R.n or c.F.ambient != R.m:
+def verify_cover(V, c) -> bool:
+    """V[E^perp] inside F: for a relation, every pair has v in E or w in F."""
+    if (c.E.ambient, c.F.ambient) != (V.n, V.m):
         return False
-    return all(c.E.contains(v) or c.F.contains(w) for v, w in R.pairs)
+    return c.F.contains_subspace(apply_space(V, c.E.orthocomplement()))
 
 
-def verify_shrunk_witness(R, w) -> bool:
-    """S spans more dimensions than its neighborhood span, recomputed from R and stored."""
-    if w.S.ambient != R.n:
-        return False
-    neighborhood = neighborhood_span(R, w.S.vectors)
-    return w.neighborhood == neighborhood and w.S.dim > neighborhood.dim
+def verify_shrunk_witness(V, w) -> bool:
+    """The stored image of S is V[S], recomputed: for a relation, the neighborhood span N(S)."""
+    return w.S.ambient == V.n and apply_space(V, w.S) == w.neighborhood
 
 
 def verify_rado_report(sets, m: int, transversal, witness) -> bool:
@@ -65,19 +66,22 @@ def verify_rado_report(sets, m: int, transversal, witness) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# linorders: antichains, bi-chains, coherent decompositions
+# linorders and nilpotent algebras: antichains, bi-chains, coherent decompositions
 
 
-def verify_antichain(R, C) -> bool:
-    """Every pair of R has v or w orthogonal to C."""
-    perp = C.orthocomplement()
-    return all(perp.contains(v) or perp.contains(w) for v, w in R.pairs)
+def verify_antichain(V, C) -> bool:
+    """V[C] orthogonal to C: for a relation, every pair has v or w orthogonal to C."""
+    if not C.ambient == V.n == V.m:
+        return False
+    return C.orthocomplement().contains_subspace(apply_space(V, C))
 
 
 def _bichain_holds(R, chain) -> bool:
     """w_i never orthogonal to v_i, and (v_i, w_{i+1}) the R-pair its link names."""
     r = chain.length
     if len(chain.vs) != r or len(chain.link_pair_indices) != r - 1:
+        return False
+    if any(x.dim != R.n for x in chain.ws + chain.vs):
         return False
     if any(w.dot(v) == 0 for w, v in zip(chain.ws, chain.vs)):
         return False
@@ -87,9 +91,8 @@ def _bichain_holds(R, chain) -> bool:
     )
 
 
-def verify_bichain_decomposition(D) -> bool:
-    """Bi-chains of D's relation whose (v, w) pairs are n doubly independent pairs."""
-    R = D.relation
+def verify_bichain_decomposition(R, D) -> bool:
+    """Bi-chains of R whose (v, w) pairs are n doubly independent pairs."""
     if not all(_bichain_holds(R, c) for c in D.chains):
         return False
     pairs = [(v, w) for c in D.chains for v, w in zip(c.vs, c.ws)]
@@ -111,6 +114,10 @@ def verify_coherent_decomposition(D, space=None, r: int = 1) -> bool:
     With `space`, the implementing matrix A must also lie in space (x) M_r.
     """
     n = D.A.rows
+    if D.A.cols != n or any(seed.dim != n for seed, _ in D.chains):
+        return False
+    if space is not None and (space.m * r, space.n * r) != (n, n):
+        return False
     ech = IntEchelon(n)
     count = 0
     for seed, length in D.chains:
@@ -126,34 +133,23 @@ def verify_coherent_decomposition(D, space=None, r: int = 1) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# separators and bi-paths
+# separators, bi-paths and blow-up elements
 
 
-def _separator_holds(sep, absorbs) -> bool:
-    """E inside E~, F inside F~ and F~^perp inside E~, and `absorbs(F~^perp)`."""
+def verify_separator(V, E, F, sep) -> bool:
+    """E inside E~, F inside F~, and F~^perp and V[F~^perp] inside E~.
+
+    For a relation the last condition says that every pair has v in F~ or
+    w in E~.
+    """
+    if not sep.E_tilde.ambient == sep.F_tilde.ambient == V.n:
+        return False
     f_perp = sep.F_tilde.orthocomplement()
     return (
-        sep.E_tilde.contains_subspace(sep.E)
-        and sep.F_tilde.contains_subspace(sep.F)
+        sep.E_tilde.contains_subspace(E)
+        and sep.F_tilde.contains_subspace(F)
         and sep.E_tilde.contains_subspace(f_perp)
-        and absorbs(f_perp)
-    )
-
-
-def verify_separator(R, sep) -> bool:
-    """Relation sense: every pair of R has v in F~ or w in E~."""
-    return _separator_holds(
-        sep,
-        lambda f_perp: all(
-            sep.F_tilde.contains(v) or sep.E_tilde.contains(w) for v, w in R.pairs
-        ),
-    )
-
-
-def verify_matrix_separator(V, sep) -> bool:
-    """Matrix sense: V[F~^perp] inside E~."""
-    return _separator_holds(
-        sep, lambda f_perp: sep.E_tilde.contains_subspace(apply_space(V, f_perp))
+        and sep.E_tilde.contains_subspace(apply_space(V, f_perp))
     )
 
 
@@ -164,16 +160,6 @@ def independent_bipaths_check(R, E, F, paths) -> bool:
     ) and doubly_independent(((v, w) for p in paths for v, w in zip(p.vs, p.ws)), R.n, R.n)
 
 
-# ---------------------------------------------------------------------------
-# matrix spaces: defects, blow-up elements, covers, antichains
-
-
-def verify_defect_certificate(V, cert) -> bool:
-    """cert.defect is dim E - dim V[E], recomputed from V."""
-    E = cert.E
-    return E.ambient == V.n and E.dim - apply_space(V, E).dim == cert.defect
-
-
 def verify_blowup_element(V, r: int, element, rank: int) -> bool:
     """An element of V (x) M_r of rank `rank`."""
     return (
@@ -181,13 +167,3 @@ def verify_blowup_element(V, r: int, element, rank: int) -> bool:
         and V.contains(element, r)
         and element.rank() == rank
     )
-
-
-def verify_matrix_cover(V, c) -> bool:
-    """V[E^perp] inside F."""
-    return c.F.contains_subspace(apply_space(V, c.E.orthocomplement()))
-
-
-def verify_matrix_antichain(V, C) -> bool:
-    """V[C] orthogonal to C, that is P A P = 0 for every A in V and P onto C."""
-    return C.orthocomplement().contains_subspace(apply_space(V, C))

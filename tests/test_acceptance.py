@@ -135,7 +135,7 @@ def test_criterion_4_linear_konig_200():
         cover = matroid_intersection(R)[1]
         cv = max_matching(R)
         assert cv.value == cover.size == cv.primal.size == cv.dual.size
-        assert verify_matching(cv.primal)
+        assert verify_matching(R, cv.primal)
         assert verify_cover(R, cv.dual)
         passed += 1
     elapsed = time.monotonic() - start

@@ -294,6 +294,8 @@ def test_gen_bad_parameters_are_parse_errors(capsys, tmp_path):
         ("relation", ["n=0", "m=3", "r=1"]),
         ("relation", ["n=-1", "m=3", "r=1"]),
         ("matrixspace", ["m=1", "n=1", "dim=2"]),
+        ("lgv", ["n=0", "r=3", "k=1"]),
+        ("lgv", ["n=0"]),
         # a key the kind does not take, and a file that cannot be written
         ("relation", ["size=16"]),
         ("relation", ["--out", str(tmp_path / "no-such-dir" / "x.json")]),
@@ -311,7 +313,7 @@ def test_gen_zero_sizes_with_an_instance(capsys):
     for kind, params in (
         ("relation", ["n=0", "m=3", "r=0"]),
         ("linorder", ["size=0"]),
-        ("lgv", ["n=0"]),
+        ("lgv", ["n=0", "r=0", "k=0"]),
         ("matrixspace", ["m=2", "n=3", "dim=6"]),
     ):
         assert main(["gen", kind, *params]) == EXIT_PROVED, (kind, params)
@@ -526,7 +528,7 @@ def test_check_ncrank_rechecks_defect_rank_and_membership(tmp_path, capsys, monk
 
     from linminmax import ncrank
     from linminmax.cli import build_skew3
-    from linminmax.exact_linalg import Mat
+    from linminmax.exact_linalg import Mat, Subspace, unit_vec
     from linminmax.relation import MatrixSpace
 
     original = ncrank.ncrank
@@ -540,7 +542,8 @@ def test_check_ncrank_rechecks_defect_rank_and_membership(tmp_path, capsys, monk
 
     skew = build_skew3()
     assert exit_with(skew, lambda cv: cv) == EXIT_PROVED
-    wrong_defect = lambda cv: replace(cv, dual=replace(cv.dual, defect=cv.dual.defect + 1))
+    # the dual claims defect 1 with S = span{e_0}, whose image skew3[S] is 2-dimensional
+    wrong_defect = lambda cv: replace(cv, dual=replace(cv.dual, S=Subspace.span(3, [unit_vec(3, 0)])))
     assert exit_with(skew, wrong_defect) == EXIT_VIOLATION
     low_rank = lambda cv: replace(cv, primal=(cv.primal[0], Mat.zeros(6, 6)))
     assert exit_with(skew, low_rank) == EXIT_VIOLATION

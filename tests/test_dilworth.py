@@ -92,7 +92,7 @@ def test_bichain_decomposition_examples():
     L = f4_linorder()
     D = bichain_decomposition(L)
     assert D.size == 3
-    assert verify_bichain_decomposition(D)
+    assert verify_bichain_decomposition(L.relation, D)
     assert sum(c.length for c in D.chains) == 4
 
 
@@ -169,9 +169,8 @@ def test_coherent_decomposition_examples():
     assert verify_pair_sum(L.relation, L.optimum[0].indices, C.A)
 
 
-def interior_link_sum(D) -> Mat:
-    """The sum of w v^T over the interior links (v_i, w_{i+1}) of every bi-chain of D."""
-    R = D.relation
+def interior_link_sum(R, D) -> Mat:
+    """The sum of w v^T over the interior links (v_i, w_{i+1}) of every bi-chain of D, on R."""
     links = [R.pairs[i] for chain in D.chains for i in chain.link_pair_indices]
     return outer_sum(links, R.n, R.n)
 
@@ -180,12 +179,12 @@ def test_coherent_matrix_is_the_interior_link_sum():
     L = f4_linorder()
     D = bichain_decomposition(L)
     C = coherent_decomposition(L)
-    assert C.A == interior_link_sum(D)
+    assert C.A == interior_link_sum(L.relation, D)
     assert C.size == D.size == 3
 
     empty = validate_linorder(Relation(2, 2, []))
     C0 = coherent_decomposition(empty)
-    assert C0.A == interior_link_sum(bichain_decomposition(empty)) == Mat.zeros(2, 2)
+    assert C0.A == interior_link_sum(empty.relation, bichain_decomposition(empty)) == Mat.zeros(2, 2)
     assert C0.size == 2 and verify_coherent_decomposition(C0)
 
 
@@ -211,7 +210,7 @@ def test_random_linorders_all_equal():
         ac = max_antichain(L)
         D = bichain_decomposition(L)
         C = coherent_decomposition(L)
-        assert C.A == interior_link_sum(D)
+        assert C.A == interior_link_sum(L.relation, D)
         assert ac.value == D.size == C.size
         assert ac.value == L.n - max_matching(L.relation).value
         mc, ma, _, _ = poset_dilworth(poset)

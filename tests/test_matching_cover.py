@@ -72,7 +72,7 @@ def test_max_matching_examples():
     shared = Relation(4, 4, [(e(0), e(1)), (e(0), e(2)), (e(0), e(3))])
     cv = max_matching(shared)
     assert cv.value == 1
-    assert verify_matching(cv.primal) and verify_cover(shared, cv.dual)
+    assert verify_matching(shared, cv.primal) and verify_cover(shared, cv.dual)
 
 
 def test_max_matching_agrees_with_classical(rng):
@@ -110,7 +110,7 @@ def test_separator_beyond_the_old_subset_budget():
     F = Subspace.span(5, [unit_vec(5, 4)])
     cv = cpc(R, E, F, GenericSampler(seed=10))
     assert cv.proved
-    assert verify_separator(R, cv.dual)
+    assert verify_separator(R, E, F, cv.dual)
     # the pairs span all of M_5, so one path gets from E to F
     assert cv.value == cv.dual.size == 1
 
@@ -126,7 +126,7 @@ def test_max_matching_on_large_graphs():
         R = embed_bipartite(g)
         cv = max_matching(R)
         assert cv.value == cv.primal.size == cv.dual.size == size
-        assert verify_matching(cv.primal) and verify_cover(R, cv.dual)
+        assert verify_matching(R, cv.primal) and verify_cover(R, cv.dual)
 
 
 def low_rank_relation(rng, n, m):
@@ -147,7 +147,7 @@ def test_low_rank_primal_equals_dual(rng):
     for _ in range(60):
         R = low_rank_relation(rng, rng.randint(1, 6), rng.randint(1, 6))
         cv = max_matching(R)
-        assert verify_matching(cv.primal) and verify_cover(R, cv.dual)
+        assert verify_matching(R, cv.primal) and verify_cover(R, cv.dual)
         assert cv.value == cv.primal.size == cv.dual.size
         if len(R.pairs) <= 6:
             assert cv.value == unrestricted_min_cover(R)
@@ -160,7 +160,7 @@ def test_weak_duality(rng):
         # any sub-matching vs any subset-generated cover
         indices = list(cv.primal.indices)
         sub = Matching(R, tuple(indices[: len(indices) // 2]))
-        assert verify_matching(sub)
+        assert verify_matching(R, sub)
         assert sub.size <= cv.dual.size
 
 
@@ -177,7 +177,7 @@ def test_prop_lafact_both_directions(rng):
             doubled = Relation(R.n, R.m, list(R.pairs) + [(v.scaled(3), w)])
             dep = Matching(doubled, (0, r))
             dep_sum = dep.rank_one_sum()
-            assert dep_sum.rank() < 2 or not verify_matching(dep)
+            assert dep_sum.rank() < 2 or not verify_matching(doubled, dep)
 
 
 def test_saturated_matching_examples():

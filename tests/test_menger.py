@@ -61,7 +61,7 @@ def test_f7_capacity_and_separator():
     assert sep.size == 1
     assert sep.E_tilde == Subspace.span(7, e[0:4])
     assert sep.F_tilde == Subspace.span(7, e[3:7])
-    assert verify_separator(R, sep)
+    assert verify_separator(R, E, F, sep)
 
 
 def test_f7_bipaths_beat_separator():
@@ -103,7 +103,7 @@ def test_capacity_equals_separator_random(rng):
         cv = cpc(R, E, F, GenericSampler(seed=7))
         sep = cpc(R, E, F, GenericSampler(seed=8)).dual
         assert cv.value == sep.size == cv.dual.size
-        assert verify_separator(R, cv.dual)
+        assert verify_separator(R, E, F, cv.dual)
 
 
 def test_guttman_and_transfer_matrix():
@@ -229,7 +229,7 @@ def test_konig_via_menger(rng):
 def _check_cpc_certificate(R, E, F, cv):
     """Proved, a separator, and a primal whose bordered rank meets it."""
     assert cv.proved
-    assert verify_separator(R, cv.dual)
+    assert verify_separator(R, E, F, cv.dual)
     assert cv.value == cv.dual.size
     r, el = cv.primal
     routing = routing_space(to_matrix_space(R), E, F)
@@ -273,7 +273,7 @@ def test_an_unproved_capacity_returns_the_draw_behind_its_value(monkeypatch):
     R, E, F = f7_instance()
     cv = cpc(R, E, F, GenericSampler(seed=0, trials=2))
     assert not cv.proved and cv.value == 0 < cv.dual.size
-    assert verify_separator(R, cv.dual)
+    assert verify_separator(R, E, F, cv.dual)
     r, el = cv.primal
     routing = routing_space(to_matrix_space(R), E, F)
     assert verify_blowup_element(routing, r, el, r * (R.n + cv.value))

@@ -33,7 +33,7 @@ from linminmax.relation import (
     to_matrix_space,
     wong_limit,
 )
-from linminmax.verify import verify_matrix_cover, verify_matrix_separator
+from linminmax.verify import verify_cover, verify_separator
 from conftest import blow_up, rand_mat, rand_relation, rand_subspace, rand_vec
 from test_dilworth import rand_dual_basis_linorder
 
@@ -97,7 +97,7 @@ def test_ncrank_examples():
     assert cv.value == 1 and cv.dual.defect == 1
     full, witness = has_full_ncrank(e11, GenericSampler(seed=12))
     assert not full and witness.defect == 1
-    assert witness.E.contains(unit_vec(2, 1))
+    assert witness.S.contains(unit_vec(2, 1))
 
     v0 = MatrixSpace(3, 3, [])
     cv = ncrank(v0, GenericSampler(seed=13))
@@ -146,14 +146,14 @@ def test_matrix_min_cover(rng):
 
     sk = matrix_min_cover(skew3(), GenericSampler(seed=24))
     assert sk.value == 3 and sk.proved
-    assert verify_matrix_cover(skew3(), sk.primal)
+    assert verify_cover(skew3(), sk.primal)
 
     for _ in range(6):
         R = rand_relation(rng, rng.randint(2, 4), rng.randint(2, 4), rng.randint(1, 5))
         V = to_matrix_space(R)
         cov = matrix_min_cover(V, GenericSampler(seed=25))
         assert cov.value == matroid_intersection(R)[1].size
-        assert verify_matrix_cover(V, cov.primal)
+        assert verify_cover(V, cov.primal)
 
 
 def test_matrix_antichain():
@@ -350,8 +350,9 @@ def test_wong_limit_matches_the_blown_up_sequence(rng):
 
 def _check_ncrank_certificate(V, cv):
     """The dual's defect, the element's membership in V (x) M_r and its rank."""
-    E = cv.dual.E
-    assert cv.dual.defect == E.dim - apply_space(V, E).dim
+    U = cv.dual.S
+    assert cv.dual.neighborhood == apply_space(V, U)
+    assert cv.dual.defect == U.dim - apply_space(V, U).dim
     assert cv.value == V.n - cv.dual.defect
     r, element = cv.primal
     assert blow_up(V, r).space.contains(element)
@@ -405,7 +406,7 @@ def test_fault_b_rank_one_space_without_pairs_is_proved():
     F = Subspace.span(4, [rand_vec(rng, 4, 2, nonzero=True)])
     cv = mpc(V, E, F, GenericSampler(seed=0, trials=10))
     assert cv.proved and cv.value == cv.dual.size == 1
-    assert verify_matrix_separator(V, cv.dual)
+    assert verify_separator(V, E, F, cv.dual)
     assert cpc(Relation(4, 4, pairs), E, F, GenericSampler(seed=1)).value == 1
 
 

@@ -11,6 +11,9 @@ from pathlib import Path
 import pytest
 
 from linminmax import dilworth, matching_cover, menger, ncrank, verify
+from linminmax.dilworth import BiChain, BiChainDecomposition, CoherentDecomposition
+from linminmax.matching_cover import Cover, Matching, ShrunkWitness
+from linminmax.menger import Separator
 from linminmax.cli import (
     CHECKS,
     EXIT_BOUNDS,
@@ -21,7 +24,13 @@ from linminmax.cli import (
     main,
 )
 from linminmax.exact_linalg import Mat, Subspace, outer_sum, unit_vec
-from linminmax.relation import GenericSampler, MatrixSpace, Relation, sample_element
+from linminmax.relation import (
+    GenericSampler,
+    MatrixSpace,
+    Relation,
+    sample_element,
+    to_matrix_space,
+)
 from conftest import blow_up, rand_mat
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -122,6 +131,10 @@ def test_check_hall_recomputes_the_witness_neighborhood(tmp_path, capsys, monkey
     assert _check(capsys, "hall", path)[0] == EXIT_PROVED
     monkeypatch.setattr(matching_cover, "saturated_matching", shrunk)
     assert _check(capsys, "hall", path)[0] == EXIT_VIOLATION
+    # a true image of S, but of the same dimension: no defect, so no witness
+    unshrunk = lambda R: replace(original(R), S=Subspace.span(3, e[:1]), neighborhood=Subspace.span(3, e[:1]))
+    monkeypatch.setattr(matching_cover, "saturated_matching", unshrunk)
+    assert _check(capsys, "hall", path)[0] == EXIT_VIOLATION
 
 
 def _tampered_primal(solver, tamper):
@@ -170,8 +183,78 @@ def test_demo_linorder_f4_checks_its_antichain(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["antichain_dim"] == 3
 
 
+def _unit_pairs(R: Relation, indices) -> Relation:
+    """A copy of R whose pairs at `indices` are (e_k, e_k), k = 0, 1, ...: independent there."""
+    pairs = list(R.pairs)
+    for k, i in enumerate(indices):
+        pairs[i] = (unit_vec(R.n, k), unit_vec(R.m, k))
+    return Relation(R.n, R.m, pairs)
+
+
+def test_check_konig_reads_the_matching_against_the_instance(capsys, monkeypatch):
+    """Pairs 0, 1 and 4 of the instance have dependent v's (v_4 = 2 v_0 - v_1)."""
+    original = matching_cover.max_matching
+
+    def tailored(R):
+        return replace(original(R), primal=Matching(_unit_pairs(R, (0, 1, 4)), (0, 1, 4)))
+
+    monkeypatch.setattr(matching_cover, "max_matching", tailored)
+    code, out = _check(capsys, "konig", INSTANCES["konig"])
+    assert code == EXIT_VIOLATION
+    assert json.loads(out)["matching"] == [0, 1, 4]
+
+
+def test_check_hall_reads_the_matching_against_the_instance(capsys, monkeypatch):
+    """The instance has no saturated matching: every v is orthogonal to (0, 1, 1)."""
+    assert _check(capsys, "hall", INSTANCES["hall"])[0] == EXIT_PROVED
+    monkeypatch.setattr(
+        matching_cover, "saturated_matching", lambda R: Matching(_unit_pairs(R, (0, 1, 2)), (0, 1, 2))
+    )
+    code, out = _check(capsys, "hall", INSTANCES["hall"])
+    assert code == EXIT_VIOLATION
+    assert json.loads(out)["matching"] == [0, 1, 2]
+
+
+def test_check_dilworth_reads_the_bichains_against_the_instance(capsys, monkeypatch):
+    """Bi-chains of the instance under a coordinate shift, a linorder with the same antichain size."""
+    original = dilworth.bichain_decomposition
+
+    def shifted(L):
+        P = _shift(L.n)
+        moved = Relation(L.n, L.n, [(P.apply(v), P.apply(w)) for v, w in L.relation.pairs])
+        return original(dilworth.validate_linorder(moved))
+
+    code, out = _check(capsys, "dilworth", INSTANCES["dilworth"])
+    assert code == EXIT_PROVED
+    monkeypatch.setattr(dilworth, "bichain_decomposition", shifted)
+    code, tampered = _check(capsys, "dilworth", INSTANCES["dilworth"])
+    assert code == EXIT_VIOLATION
+    assert json.loads(tampered)["bichain_count"] == json.loads(out)["bichain_count"]
+
+
+def test_check_menger_reads_the_separator_against_the_instance(capsys, monkeypatch):
+    """A minimum separator from a line of E, of the same size, that leaves the rest of E out."""
+    original = menger.cpc
+
+    def narrowed(R, E, F, sampler):
+        line = Subspace.span(E.ambient, E.vectors[:1])
+        return replace(original(R, E, F, sampler), dual=original(R, line, F, sampler).dual)
+
+    assert _check(capsys, "menger", INSTANCES["menger"])[0] == EXIT_PROVED
+    monkeypatch.setattr(menger, "cpc", narrowed)
+    code, out = _check(capsys, "menger", INSTANCES["menger"])
+    assert code == EXIT_VIOLATION
+    assert json.loads(out)["separator"]["size"] == json.loads(out)["cpc"] == 1
+
+
 # ---------------------------------------------------------------------------
 # one verification per certificate
+
+PREDICATES = {
+    name: fn
+    for name, fn in vars(verify).items()
+    if callable(fn) and getattr(fn, "__module__", None) == verify.__name__ and not name.startswith("_")
+}
 
 CERTIFICATES = {
     "konig": ["verify_cover", "verify_matching"],
@@ -181,10 +264,10 @@ CERTIFICATES = {
     "coherent": ["verify_antichain", "verify_coherent_decomposition", "verify_pair_sum"],
     "menger": ["verify_blowup_element", "verify_separator"],
     "lgv": [],
-    "ncrank": ["verify_blowup_element", "verify_defect_certificate"],
-    "matrix-konig": ["verify_blowup_element", "verify_matrix_cover"],
-    "matrix-dilworth": ["verify_coherent_decomposition", "verify_matrix_antichain"],
-    "matrix-menger": ["verify_blowup_element", "verify_matrix_separator"],
+    "ncrank": ["verify_blowup_element", "verify_shrunk_witness"],
+    "matrix-konig": ["verify_blowup_element", "verify_cover"],
+    "matrix-dilworth": ["verify_antichain", "verify_coherent_decomposition"],
+    "matrix-menger": ["verify_blowup_element", "verify_separator"],
 }
 
 
@@ -192,19 +275,75 @@ def test_every_theorem_names_its_certificates():
     assert sorted(CERTIFICATES) == sorted(CHECKS)
 
 
+@pytest.mark.parametrize(
+    "linear, matrix, predicate",
+    [
+        ("konig", "matrix-konig", "verify_cover"),
+        ("dilworth", "matrix-dilworth", "verify_antichain"),
+        ("menger", "matrix-menger", "verify_separator"),
+        ("hall", "ncrank", "verify_shrunk_witness"),
+    ],
+)
+def test_relation_and_matrix_theorems_share_their_predicate(linear, matrix, predicate):
+    assert predicate in CERTIFICATES[linear] and predicate in CERTIFICATES[matrix]
+
+
 @pytest.mark.parametrize("theorem", sorted(CERTIFICATES))
 def test_golden_checks_verify_each_certificate_once(theorem, capsys, monkeypatch):
     calls = []
-    for name, fn in vars(verify).items():
-        if callable(fn) and getattr(fn, "__module__", None) == verify.__name__ and not name.startswith("_"):
+    for name, fn in PREDICATES.items():
 
-            def counting(*args, name=name, fn=fn, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
+        def counting(*args, name=name, fn=fn, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
 
-            monkeypatch.setattr(verify, name, counting)
+        monkeypatch.setattr(verify, name, counting)
     assert _check(capsys, theorem, INSTANCES[theorem])[0] == EXIT_PROVED
     assert sorted(calls) == CERTIFICATES[theorem]
+
+
+# ---------------------------------------------------------------------------
+# a certificate of the wrong ambient dimension is invalid, never an error
+
+
+def _ambient_cases():
+    """(predicate, arguments): instances on F^2, certificates one dimension too large."""
+    e2, e3 = (lambda i: unit_vec(2, i)), (lambda i: unit_vec(3, i))
+    R = Relation(2, 2, [(e2(0), e2(1))])
+    V = to_matrix_space(R)
+    zero, full3 = Subspace.zero(2), Subspace.full(3)
+    stray = BiChain((e3(0),), (e3(0),), ())
+    cases = [
+        ("verify_cover", (Cover(full3, zero),)),
+        ("verify_cover", (Cover(zero, full3),)),
+        ("verify_antichain", (full3,)),
+        ("verify_shrunk_witness", (ShrunkWitness(full3, zero),)),
+        ("verify_separator", (zero, zero, Separator(full3, full3))),
+    ]
+    out = [(name, (inst,) + args) for name, args in cases for inst in (R, V)]
+    chains3 = CoherentDecomposition(Mat.zeros(3, 3), tuple((e3(i), 1) for i in range(3)))
+    return out + [
+        ("verify_bichain_decomposition", (R, BiChainDecomposition((stray, stray)))),
+        ("verify_pair_sum", (R, (0,), Mat.zeros(3, 3))),
+        ("verify_coherent_decomposition", (CoherentDecomposition(Mat.zeros(2, 2), ((e3(0), 2),)),)),
+        ("verify_coherent_decomposition", (chains3, V, 1)),
+        ("verify_blowup_element", (V, 1, Mat.zeros(3, 3), 0)),
+        ("verify_rado_report", ([[e2(0)]], 2, [e3(0)], None)),
+        ("independent_bipaths_check", (R, zero, zero, [stray])),
+    ]
+
+
+AMBIENT_CASES = _ambient_cases()
+
+
+def test_ambient_cases_cover_every_predicate():
+    """Each predicate is exercised, except `verify_matching`, whose certificate is indices."""
+    assert {name for name, _ in AMBIENT_CASES} == set(PREDICATES) - {"verify_matching"}
+
+
+@pytest.mark.parametrize("name, args", AMBIENT_CASES, ids=[n for n, _ in AMBIENT_CASES])
+def test_a_wrong_ambient_dimension_is_false(name, args):
+    assert getattr(verify, name)(*args) is False
 
 
 # ---------------------------------------------------------------------------
