@@ -39,7 +39,6 @@ from .relation import (
     Relation,
     best_sample,
     routing_space,
-    to_matrix_space,
 )
 
 EXIT_PROVED = 0
@@ -348,17 +347,21 @@ def check_coherent(data, config: RunConfig):
     return report, (EXIT_PROVED if ok else EXIT_VIOLATION)
 
 
-def _path_capacity_report(key: str, cv, V: MatrixSpace, E, F, separator_ok: bool):
-    """Report and exit code of a path capacity `cv` from E to F relative to V.
+def _path_capacity(key: str, V, data, config: RunConfig):
+    """Report and exit code of the path capacity from E to F relative to V.
 
-    The primal (r, el) must be an element of rank r(n + value) in the
-    routing space rebuilt from the instance; a proved value must equal the
-    separator size.  The element stays out of the report.
+    V is a square relation or matrix space.  The routing space is built
+    once from the instance: the solver routes in it, and its primal (r, el)
+    must be an element of rank r(n + value) there.  The separator is
+    checked against V, and a proved value must equal its size.  The
+    element stays out of the report.
     """
-    r, element = cv.primal
+    E, F = _subspaces_from(data, V.n)
     routing = routing_space(V, E, F)
+    cv = menger.mpc(V, E, F, routing, config.sampler())
+    r, element = cv.primal
     ok = (
-        separator_ok
+        verify.verify_separator(V, E, F, cv.dual)
         and verify.verify_blowup_element(routing, r, element, r * (V.n + cv.value))
         and cv.value <= cv.dual.size
         and (not cv.proved or cv.value == cv.dual.size)
@@ -372,10 +375,7 @@ def _path_capacity_report(key: str, cv, V: MatrixSpace, E, F, separator_ok: bool
 def check_menger(data, config: RunConfig):
     R = _relation_from(data)
     _require(R.n == R.m, "path capacities need a square relation")
-    E, F = _subspaces_from(data, R.n)
-    cv = menger.cpc(R, E, F, config.sampler())
-    ok = verify.verify_separator(R, E, F, cv.dual)
-    return _path_capacity_report("cpc", cv, to_matrix_space(R), E, F, ok)
+    return _path_capacity("cpc", R, data, config)
 
 
 def check_lgv(data, config: RunConfig):
@@ -465,10 +465,7 @@ def check_matrix_dilworth(data, config: RunConfig):
 def check_matrix_menger(data, config: RunConfig):
     V = _space_from(data)
     _require(V.m == V.n, "path capacities need a square space")
-    E, F = _subspaces_from(data, V.n)
-    cv = menger.mpc(V, E, F, config.sampler())
-    ok = verify.verify_separator(V, E, F, cv.dual)
-    return _path_capacity_report("mpc", cv, V, E, F, ok)
+    return _path_capacity("mpc", V, data, config)
 
 
 CHECKS = {

@@ -5,22 +5,22 @@ the maximum, over A in the blow-ups of V, of the rank of
 [[I - A, i],[p, 0]] minus n, with i the inclusion of E and p the
 projection onto F; it equals the minimum size dim(E~ n F~) of a separator
 (E~, F~) with V[F~^perp] inside E~.  Every such bordered matrix lies in
-the routing space of V (`relation.routing_space`), so `mpc` is the
-noncommutative rank of that space minus n, found by `ncrank.wong_rank`:
-a sampled routing element of order r is the primal, and the dual is read
-off the limit U' of its second Wong sequence (`relation.wong_limit`):
-with X the projection of U' onto the first n coordinates, cut to F^perp,
-F~ = X^perp and E~ = X + E + V[X].  The value is proved when the rank of
-the element is r(n + size).
+the routing space of V (`relation.routing_space`), which the caller builds
+once from the instance, so `mpc` is the noncommutative rank of that space
+minus n, found by `ncrank.wong_rank`: a sampled routing element of order
+r is the primal, and the dual is read off the limit U' of its second Wong
+sequence (`relation.wong_limit`): with X the projection of U' onto the
+first n coordinates, cut to F^perp, F~ = X^perp and E~ = X + E + V[X].
+The value is proved when the rank of the element is r(n + size).
 
 The coherent path capacity of a relation R is the matricial one of its
-space V_R (`cpc`).  Since V_R is spanned by the rank-ones w v^T,
-V_R[F~^perp] is the neighborhood span N(F~^perp), which lies inside E~
-exactly when every pair has v in F~ or w in E~.  So the separator is one
-in the relation sense too, `verify.verify_separator` checks both senses
-on the same image, and it meets the sampled rank at order r = 1.  No
-subset is enumerated, and order 1 needs no blow-up budget, so linear
-Menger has no size limit.
+space V_R, and `mpc` takes R itself: the routing space of R is spanned
+by the border and the embedded rank-ones w v^T, and V_R[X] is the
+neighborhood span N(X), so the n*m-wide span V_R is never built.
+V_R[F~^perp] lies inside E~ exactly when every pair has v in F~ or w in
+E~, so the separator is one in the relation sense too, and it meets the
+sampled rank at order r = 1.  No subset is enumerated, and order 1 needs
+no blow-up budget, so linear Menger has no size limit.
 """
 
 from __future__ import annotations
@@ -85,13 +85,15 @@ def bordered_rank(A: Mat, E: Subspace, F: Subspace) -> int:
     return bordered_matrix(A, E, F).rank()
 
 
-def mpc(V: MatrixSpace, E: Subspace, F: Subspace, sampler: GenericSampler) -> CertifiedValue:
-    """Matricial path capacity: ncrank of the routing space minus n.
+def mpc(
+    V, E: Subspace, F: Subspace, routing: MatrixSpace, sampler: GenericSampler
+) -> CertifiedValue:
+    """Matricial path capacity: ncrank of `routing`, the routing space of V, minus n.
 
-    The primal is a routing element (r, el) of rank r(n + value), and the
-    dual the Wong separator of the draw behind the value.
+    V is a square matrix space or relation.  The primal is a routing
+    element (r, el) of rank r(n + value), and the dual the Wong separator
+    of the draw behind the value.
     """
-    routing = routing_space(V, E, F)
     n = V.n
 
     def separator(r: int, el: Mat):
@@ -107,11 +109,6 @@ def mpc(V: MatrixSpace, E: Subspace, F: Subspace, sampler: GenericSampler) -> Ce
     full = Subspace.full(n)
     cv = wong_rank(routing, sampler, separator, (Separator(full, full), 2 * n))
     return CertifiedValue(cv.value - n, cv.primal, cv.dual, cv.status)
-
-
-def cpc(R: Relation, E: Subspace, F: Subspace, sampler: GenericSampler) -> CertifiedValue:
-    """Coherent path capacity of R: the matricial one of its space."""
-    return mpc(to_matrix_space(R), E, F, sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +204,7 @@ def konig_via_menger(R: Relation, sampler: GenericSampler) -> CertifiedValue:
         if stacked.rank() != A.rank() + n + m:
             raise InvariantViolation("Konig reduction rank identity failed")
 
-    capacity = cpc(R2, E, F, sampler)
+    capacity = mpc(R2, E, F, routing_space(R2, E, F), sampler)
     if not verify.verify_separator(R2, E, F, capacity.dual):
         raise InvariantViolation("Wong separator fails the separator axioms")
     direct = max_matching(R)

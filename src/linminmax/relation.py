@@ -9,7 +9,8 @@ built only where an element is sampled or membership is tested: the image
 V_R[U] of a subspace is the neighborhood span N(U), so `apply_space` and
 the nilpotency flag of `space_power_is_zero` run on the relation itself.
 The routing space of a path capacity (`routing_space`) is built here too,
-so that a solver and a check build it from the instance the same way.
+on a relation from the border and its rank-ones, with the basis the span
+would give; a check builds it once and its solver routes in that space.
 """
 
 from __future__ import annotations
@@ -402,14 +403,17 @@ def bordered_matrix(A: Mat, E: Subspace, F: Subspace) -> Mat:
     return base - _top_left(A, base)
 
 
-def routing_space(V: MatrixSpace, E: Subspace, F: Subspace) -> MatrixSpace:
+def routing_space(V, E: Subspace, F: Subspace) -> MatrixSpace:
     """Span of [[I, i],[p, 0]] and every [[A, 0],[0, 0]] with A in V.
 
     The path capacity from E to F relative to the square space V is its
-    noncommutative rank minus n; a relation's routing space is that of
-    `to_matrix_space(R)`.
+    noncommutative rank minus n.  V is a matrix space, or a relation R
+    whose generators are then the border and each w v^T in pair order: a
+    pair that depends on earlier pairs depends on the border and them, so
+    the prefix-greedy basis is the one built on `to_matrix_space(R)`.
     """
     if V.m != V.n:
         raise DimensionError("path capacities need a square space")
     base = _border(E, F, V.n)
-    return MatrixSpace.spanned(base.rows, base.cols, [base] + [_top_left(a, base) for a in V.basis])
+    gens = (outer(w, v) for v, w in V.pairs) if isinstance(V, Relation) else V.basis
+    return MatrixSpace.spanned(base.rows, base.cols, [base] + [_top_left(a, base) for a in gens])

@@ -23,15 +23,16 @@ from .relation import apply_space, doubly_independent
 
 
 def verify_matching(R, m) -> bool:
-    """Distinct pair indices of R with independent v's and w's, whose rank-one sum has rank |m|."""
+    """Distinct pair indices of R with independent v's and w's.
+
+    Independent v's and w's make both factors of the rank-one sum W V^T
+    full column rank, so its rank is |m| without computing it.
+    """
     if len(set(m.indices)) != len(m.indices):
         return False
     if not all(0 <= i < len(R.pairs) for i in m.indices):
         return False
-    pairs = [R.pairs[i] for i in m.indices]
-    if not doubly_independent(pairs, R.n, R.m):
-        return False
-    return outer_sum(pairs, R.m, R.n).rank() == len(pairs)
+    return doubly_independent([R.pairs[i] for i in m.indices], R.n, R.m)
 
 
 def verify_cover(V, c) -> bool:

@@ -47,7 +47,6 @@ from linminmax.matching_cover import (
 )
 from linminmax.menger import (
     bordered_rank,
-    cpc,
     generic_rank_rank_one_update,
     generic_rank_sum,
     graph_instance,
@@ -59,6 +58,7 @@ from linminmax.ncrank import matrix_coherent_decomposition, matrix_min_cover, ma
 from linminmax.relation import (
     GenericSampler,
     Relation,
+    routing_space,
     sample_element,
     to_matrix_space,
 )
@@ -182,7 +182,7 @@ def test_criterion_5_classical_reductions():
         K = rng.sample(range(n), rng.randint(1, max(1, n // 2)))
         count, _, _ = vertex_disjoint_paths(G, H, K)
         R, E, F = graph_instance(G, H, K, with_loops=True)
-        cv = cpc(R, E, F, GenericSampler(seed=54500 + i))
+        cv = mpc(R, E, F, routing_space(R, E, F), GenericSampler(seed=54500 + i))
         assert cv.value == count == cv.dual.size
     elapsed = time.monotonic() - start
     _report(
@@ -327,8 +327,8 @@ def test_criterion_8_matrix_theorems():
         V = to_matrix_space(R)
         E = Subspace.span(n, [_rand_vec(rng, n) for _ in range(rng.randint(0, 2))])
         F = Subspace.span(n, [_rand_vec(rng, n) for _ in range(rng.randint(0, 2))])
-        a = mpc(V, E, F, GenericSampler(seed=83500 + i))
-        b = cpc(R, E, F, GenericSampler(seed=83700 + i))
+        a = mpc(V, E, F, routing_space(V, E, F), GenericSampler(seed=83500 + i))
+        b = mpc(R, E, F, routing_space(R, E, F), GenericSampler(seed=83700 + i))
         assert a.value == b.value
     elapsed = time.monotonic() - start
     _report(

@@ -19,10 +19,11 @@ from linminmax.matching_cover import (
     rado_transversal,
     saturated_matching,
 )
-from linminmax.menger import cpc
+from linminmax.menger import mpc
 from linminmax.relation import (
     GenericSampler,
     Relation,
+    routing_space,
     sample_element,
     to_matrix_space,
 )
@@ -108,7 +109,7 @@ def test_separator_beyond_the_old_subset_budget():
     assert to_matrix_space(R).dim == 25
     E = Subspace.span(5, [unit_vec(5, 0)])
     F = Subspace.span(5, [unit_vec(5, 4)])
-    cv = cpc(R, E, F, GenericSampler(seed=10))
+    cv = mpc(R, E, F, routing_space(R, E, F), GenericSampler(seed=10))
     assert cv.proved
     assert verify_separator(R, E, F, cv.dual)
     # the pairs span all of M_5, so one path gets from E to F

@@ -17,7 +17,6 @@ from linminmax.exact_linalg import (
 from linminmax.matching_cover import max_matching
 from linminmax.menger import (
     bordered_rank,
-    cpc,
     generic_rank_rank_one_update,
     generic_rank_sum,
     graph_instance,
@@ -54,10 +53,10 @@ def f7_instance():
 
 def test_f7_capacity_and_separator():
     R, E, F = f7_instance()
-    cv = cpc(R, E, F, GenericSampler(seed=5))
+    cv = mpc(R, E, F, routing_space(R, E, F), GenericSampler(seed=5))
     assert cv.value == 1 and cv.proved
     e = [unit_vec(7, i) for i in range(7)]
-    sep = cpc(R, E, F, GenericSampler(seed=6)).dual
+    sep = mpc(R, E, F, routing_space(R, E, F), GenericSampler(seed=6)).dual
     assert sep.size == 1
     assert sep.E_tilde == Subspace.span(7, e[0:4])
     assert sep.F_tilde == Subspace.span(7, e[3:7])
@@ -73,7 +72,7 @@ def test_f7_bipaths_beat_separator():
     ]
     assert independent_bipaths_check(R, E, F, paths)
     # two independent bi-paths squeeze through a size-1 separator
-    assert len(paths) > cpc(R, E, F, GenericSampler(seed=6)).dual.size
+    assert len(paths) > mpc(R, E, F, routing_space(R, E, F), GenericSampler(seed=6)).dual.size
     assert not independent_bipaths_check(R, E, F, [paths[0], paths[0]])
     stray = BiChain((e[2],), (e[5],), ())
     assert not independent_bipaths_check(R, E, F, [stray])
@@ -83,15 +82,15 @@ def test_cpc_trivial_cases():
     n = 3
     empty = Relation(n, n, [])
     full = Subspace.full(n)
-    cv = cpc(empty, full, full, GenericSampler(seed=1))
+    cv = mpc(empty, full, full, routing_space(empty, full, full), GenericSampler(seed=1))
     assert cv.value == n
     zero = Subspace.zero(n)
-    cv0 = cpc(empty, zero, zero, GenericSampler(seed=2))
+    cv0 = mpc(empty, zero, zero, routing_space(empty, zero, zero), GenericSampler(seed=2))
     assert cv0.value == 0
-    sep0 = cpc(empty, zero, zero, GenericSampler(seed=4)).dual
+    sep0 = mpc(empty, zero, zero, routing_space(empty, zero, zero), GenericSampler(seed=4)).dual
     assert sep0.size == 0
     with pytest.raises(DimensionError):
-        cpc(Relation(2, 3, []), zero, zero, GenericSampler(seed=3))
+        routing_space(Relation(2, 3, []), zero, zero)
 
 
 def test_capacity_equals_separator_random(rng):
@@ -100,8 +99,8 @@ def test_capacity_equals_separator_random(rng):
         R = rand_relation(rng, n, n, rng.randint(1, 6))
         E = Subspace.span(n, [rand_vec(rng, n) for _ in range(rng.randint(0, 2))])
         F = Subspace.span(n, [rand_vec(rng, n) for _ in range(rng.randint(0, 2))])
-        cv = cpc(R, E, F, GenericSampler(seed=7))
-        sep = cpc(R, E, F, GenericSampler(seed=8)).dual
+        cv = mpc(R, E, F, routing_space(R, E, F), GenericSampler(seed=7))
+        sep = mpc(R, E, F, routing_space(R, E, F), GenericSampler(seed=8)).dual
         assert cv.value == sep.size == cv.dual.size
         assert verify_separator(R, E, F, cv.dual)
 
@@ -179,7 +178,7 @@ def test_graph_instances_match_flow(rng):
     G = Digraph(2, [(0, 1)])
     R, E, F = graph_instance(G, [0], [1])
     assert R.pairs == ((unit_vec(2, 0), unit_vec(2, 1)),)
-    assert cpc(R, E, F, GenericSampler(seed=17)).value == 1
+    assert mpc(R, E, F, routing_space(R, E, F), GenericSampler(seed=17)).value == 1
 
     for trial in range(10):
         n = rng.randint(2, 6)
@@ -195,10 +194,11 @@ def test_graph_instances_match_flow(rng):
         count, _, _ = vertex_disjoint_paths(G, H, K)
         for with_loops in (False, True):
             R, E, F = graph_instance(G, H, K, with_loops=with_loops)
-            cv = cpc(R, E, F, GenericSampler(seed=100 + trial))
+            cv = mpc(R, E, F, routing_space(R, E, F), GenericSampler(seed=100 + trial))
             assert cv.value == count, (edges, H, K, with_loops)
         # with loops the separator size matches the classical one too
-        sep = cpc(*graph_instance(G, H, K, with_loops=True), GenericSampler(seed=200 + trial)).dual
+        R, E, F = graph_instance(G, H, K, with_loops=True)
+        sep = mpc(R, E, F, routing_space(R, E, F), GenericSampler(seed=200 + trial)).dual
         assert sep.size == count
 
 
@@ -208,7 +208,7 @@ def test_weak_duality_sampled(rng):
         R = rand_relation(rng, n, n, rng.randint(1, 5))
         E = Subspace.span(n, [rand_vec(rng, n)])
         F = Subspace.span(n, [rand_vec(rng, n)])
-        sep = cpc(R, E, F, GenericSampler(seed=22)).dual
+        sep = mpc(R, E, F, routing_space(R, E, F), GenericSampler(seed=22)).dual
         V = to_matrix_space(R)
         s = GenericSampler(seed=23)
         for _ in range(5):
@@ -243,7 +243,7 @@ def test_cpc_beyond_the_old_subset_budget(rng):
         assert len(reduced_indices(R)) == count
         E = rand_subspace(rng, n, max_dim=3)
         F = rand_subspace(rng, n, max_dim=3)
-        cv = cpc(R, E, F, GenericSampler(seed=n))
+        cv = mpc(R, E, F, routing_space(R, E, F), GenericSampler(seed=n))
         _check_cpc_certificate(R, E, F, cv)
 
 
@@ -260,7 +260,7 @@ def test_cpc_matches_disjoint_paths_on_dense_graphs(rng):
         count, _, _ = vertex_disjoint_paths(G, H, K)
         R, E, F = graph_instance(G, H, K, with_loops=True)
         assert len(reduced_indices(R)) > 20
-        cv = cpc(R, E, F, GenericSampler(seed=300 + trial))
+        cv = mpc(R, E, F, routing_space(R, E, F), GenericSampler(seed=300 + trial))
         _check_cpc_certificate(R, E, F, cv)
         assert cv.value == count
 
@@ -271,7 +271,7 @@ def test_an_unproved_capacity_returns_the_draw_behind_its_value(monkeypatch):
 
     monkeypatch.setattr(relation, "sample_element", lambda V, s, r=1: V.basis[0].kron(Mat.identity(r)))
     R, E, F = f7_instance()
-    cv = cpc(R, E, F, GenericSampler(seed=0, trials=2))
+    cv = mpc(R, E, F, routing_space(R, E, F), GenericSampler(seed=0, trials=2))
     assert not cv.proved and cv.value == 0 < cv.dual.size
     assert verify_separator(R, E, F, cv.dual)
     r, el = cv.primal
@@ -284,7 +284,7 @@ def test_cpc_has_no_size_limit():
     n = 66
     G = Digraph(n, sorted({(i, (i + d) % n) for i in range(n) for d in (1, 5)}))
     R, E, F = graph_instance(G, [0, 1], [33, 40])
-    cv = cpc(R, E, F, GenericSampler(seed=1))
+    cv = mpc(R, E, F, routing_space(R, E, F), GenericSampler(seed=1))
     _check_cpc_certificate(R, E, F, cv)
     assert cv.value == 2 and cv.primal[0] == 1
 
@@ -308,19 +308,21 @@ def test_cpc_matches_the_subset_formula(rng):
         R = rand_relation(rng, n, n, rng.randint(2, 7))
         E = Subspace.span(n, [rand_vec(rng, n, nonzero=True) for _ in range(rng.randint(1, 2))])
         F = Subspace.span(n, [rand_vec(rng, n, nonzero=True) for _ in range(rng.randint(1, 2))])
-        cv = cpc(R, E, F, GenericSampler(seed=400 + trial))
+        cv = mpc(R, E, F, routing_space(R, E, F), GenericSampler(seed=400 + trial))
         _check_cpc_certificate(R, E, F, cv)
         assert cv.value == _subset_capacity(R, E, F)
 
 
 def test_routing_space_echelons_once(echelon_widths):
-    """cpc and mpc each build their routing space on one echelon."""
+    """A relation's routing space and its span's are each one echelon; mpc builds none."""
     R, E, F = f7_instance()
     V = to_matrix_space(R)
     width = (7 + F.dim) * (7 + E.dim)
-    for run in (cpc, lambda R, E, F, s: mpc(V, E, F, s)):
+    for space in (R, V):
         echelon_widths.clear()
-        assert run(R, E, F, GenericSampler(seed=3)).proved
+        routing = routing_space(space, E, F)
+        assert echelon_widths.count(width) == 1
+        assert mpc(space, E, F, routing, GenericSampler(seed=3)).proved
         assert echelon_widths.count(width) == 1
 
 
@@ -352,7 +354,6 @@ def test_path_capacities_on_the_zero_space():
     from linminmax.relation import MatrixSpace
 
     zero = Subspace.zero(0)
-    cv = cpc(Relation(0, 0, []), zero, zero, GenericSampler(seed=1))
-    assert cv.proved and cv.value == cv.dual.size == 0
-    cv = mpc(MatrixSpace(0, 0, []), zero, zero, GenericSampler(seed=1))
-    assert cv.proved and cv.value == cv.dual.size == 0
+    for space in (Relation(0, 0, []), MatrixSpace(0, 0, [])):
+        cv = mpc(space, zero, zero, routing_space(space, zero, zero), GenericSampler(seed=1))
+        assert cv.proved and cv.value == cv.dual.size == 0

@@ -14,7 +14,7 @@ from linminmax.dilworth import max_antichain, poset_embed
 from linminmax.errors import DimensionError
 from linminmax.exact_linalg import Mat, Subspace, Vec, outer, unit_vec
 from linminmax.matching_cover import matroid_intersection
-from linminmax.menger import cpc, mpc
+from linminmax.menger import mpc
 from linminmax.ncrank import (
     has_full_ncrank,
     matrix_antichain,
@@ -29,6 +29,7 @@ from linminmax.relation import (
     Relation,
     apply_space,
     is_nilpotent_algebra,
+    routing_space,
     sample_element,
     to_matrix_space,
     wong_limit,
@@ -225,7 +226,7 @@ def test_blowup_of_nilpotent_algebra_is_one(rng):
 def test_mpc_examples():
     v0 = MatrixSpace(3, 3, [])
     full = Subspace.full(3)
-    cv = mpc(v0, full, full, GenericSampler(seed=37))
+    cv = mpc(v0, full, full, routing_space(v0, full, full), GenericSampler(seed=37))
     assert cv.value == 3 and cv.proved
 
     e = [unit_vec(7, i) for i in range(7)]
@@ -242,11 +243,11 @@ def test_mpc_examples():
     V = to_matrix_space(R)
     E = Subspace.span(7, [e[0], e[1]])
     F = Subspace.span(7, [e[5], e[6]])
-    cv = mpc(V, E, F, GenericSampler(seed=38))
+    cv = mpc(V, E, F, routing_space(V, E, F), GenericSampler(seed=38))
     assert cv.value == 1 and cv.proved
 
     with pytest.raises(DimensionError):
-        mpc(MatrixSpace(2, 3, []), Subspace.zero(3), Subspace.zero(3), GenericSampler(seed=39))
+        routing_space(MatrixSpace(2, 3, []), Subspace.zero(3), Subspace.zero(3))
 
 
 def test_mpc_matches_cpc(rng):
@@ -256,9 +257,10 @@ def test_mpc_matches_cpc(rng):
         E = rand_subspace(rng, n, max_dim=1)
         F = rand_subspace(rng, n, max_dim=1)
         V = to_matrix_space(R)
-        a = mpc(V, E, F, GenericSampler(seed=41))
-        b = cpc(R, E, F, GenericSampler(seed=42))
-        assert a.value == b.value == cpc(R, E, F, GenericSampler(seed=43)).dual.size
+        a = mpc(V, E, F, routing_space(V, E, F), GenericSampler(seed=41))
+        routing = routing_space(R, E, F)
+        b = mpc(R, E, F, routing, GenericSampler(seed=42))
+        assert a.value == b.value == mpc(R, E, F, routing, GenericSampler(seed=43)).dual.size
 
 
 def test_blowup_sampling_shortfall_is_a_certification_error(monkeypatch):
@@ -404,10 +406,11 @@ def test_fault_b_rank_one_space_without_pairs_is_proved():
     V = MatrixSpace(4, 4, [outer(w, v) for v, w in pairs])
     E = Subspace.span(4, [rand_vec(rng, 4, 2, nonzero=True) for _ in range(2)])
     F = Subspace.span(4, [rand_vec(rng, 4, 2, nonzero=True)])
-    cv = mpc(V, E, F, GenericSampler(seed=0, trials=10))
+    cv = mpc(V, E, F, routing_space(V, E, F), GenericSampler(seed=0, trials=10))
     assert cv.proved and cv.value == cv.dual.size == 1
     assert verify_separator(V, E, F, cv.dual)
-    assert cpc(Relation(4, 4, pairs), E, F, GenericSampler(seed=1)).value == 1
+    R = Relation(4, 4, pairs)
+    assert mpc(R, E, F, routing_space(R, E, F), GenericSampler(seed=1)).value == 1
 
 
 def test_hidden_shrunk_spaces_are_proved():
@@ -494,5 +497,5 @@ def test_wong_limit_runs_once_per_order_tried(monkeypatch, rng):
         draws.clear()
         limits.clear()
         E, F = rand_subspace(rng, 3, 2), rand_subspace(rng, 3, 2)
-        assert mpc(V, E, F, GenericSampler(seed=trial, trials=5)).proved
+        assert mpc(V, E, F, routing_space(V, E, F), GenericSampler(seed=trial, trials=5)).proved
         assert limits == sorted(set(draws))

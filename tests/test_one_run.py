@@ -1,4 +1,7 @@
-"""One matroid-intersection run per relation theorem; no span and no draw for linorders."""
+"""One matroid-intersection run per relation theorem, one routing space per path check.
+
+No span and no draw for linorders, and no span for a relation's path capacity.
+"""
 
 import json
 import sys
@@ -55,6 +58,25 @@ def test_coherent_on_a_16_dimensional_linorder_builds_no_span(tmp_path, monkeypa
     report = json.loads(capsys.readouterr().out)
     assert report["antichain_dim"] == report["coherent_count"] == 5
     assert spans == [] and draws == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "menger", str(GOLDEN / "menger.json")],
+        ["demo", "menger-f7"],
+        ["check", "matrix-menger", str(GOLDEN / "matrix-menger.json")],
+    ],
+)
+def test_path_capacities_build_one_routing_space(argv, monkeypatch, capsys):
+    """The solver routes in the space the check builds; a relation is never spanned."""
+    routings = count_calls(monkeypatch, relation.routing_space)
+    spans = count_calls(monkeypatch, relation.to_matrix_space)
+    assert main(argv) == EXIT_PROVED
+    capsys.readouterr()
+    assert len(routings) == 1
+    if argv[1] != "matrix-menger":
+        assert spans == []
 
 
 def test_solvers_run_the_intersection_once_and_sample_nothing(rng, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from linminmax import relation
 from linminmax.errors import DimensionError
-from linminmax.exact_linalg import IntEchelon, Mat, Subspace, unit_vec, vec
+from linminmax.exact_linalg import IntEchelon, Mat, Subspace, Vec, unit_vec, vec
 from linminmax.relation import (
     GenericSampler,
     MatrixSpace,
@@ -16,6 +16,7 @@ from linminmax.relation import (
     best_sample,
     is_nilpotent_algebra,
     reduce_relation,
+    routing_space,
     sample_element,
     space_power_is_zero,
     to_matrix_space,
@@ -262,6 +263,39 @@ def test_relation_power_is_zero_matches_its_span(rng):
             assert space_power_is_zero(R, k) == space_power_is_zero(V, k), (R.to_json(), k)
         nilpotent += space_power_is_zero(R, R.n)
     assert 15 < nilpotent < len(relations)
+
+
+def test_relation_routing_space_matches_its_span(rng):
+    """Routing R keeps the basis, int_basis and den of routing V_R, and its members."""
+    e = [unit_vec(3, i) for i in range(3)]
+    zero, line = Subspace.zero(3), Subspace.span(3, [e[0]])
+    cases = [
+        (Relation(0, 0, []), Subspace.zero(0), Subspace.zero(0)),
+        (Relation(3, 3, []), zero, zero),
+        (Relation(3, 3, []), Subspace.full(3), line),
+        (Relation(3, 3, [(x, x) for x in e]), zero, zero),  # the border I lies in the span
+        (
+            Relation(3, 3, [(e[0], e[1]), (e[0], e[1]), (vec(0, 0, 0), e[2]), (e[1], e[0])]),
+            line,
+            zero,
+        ),  # a repeated pair and a pair with a zero vector
+    ]
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        pairs = list(rand_relation(rng, n, n, rng.randint(0, 6), bound=1).pairs)
+        if pairs and rng.random() < 0.5:
+            pairs.append(rng.choice(pairs))
+        if rng.random() < 0.3:
+            pairs.insert(rng.randint(0, len(pairs)), (Vec([0] * n), rand_vec(rng, n)))
+        E, F = rand_subspace(rng, n, max_dim=2), rand_subspace(rng, n, max_dim=2)
+        cases.append((Relation(n, n, pairs), E, F))
+    sampler = GenericSampler(seed=5)
+    for R, E, F in cases:
+        a, b = routing_space(R, E, F), routing_space(to_matrix_space(R), E, F)
+        assert (a.basis, a.int_basis, a.den) == (b.basis, b.int_basis, b.den), R.to_json()
+        elements = [sample_element(a, sampler), sample_element(b, sampler), rand_mat(rng, a.m, a.n, 1)]
+        assert [a.contains(el) for el in elements] == [b.contains(el) for el in elements]
+    assert routing_space(*cases[3]).dim == 3
 
 
 def test_space_power_is_zero_needs_square():

@@ -28,6 +28,7 @@ from linminmax.relation import (
     GenericSampler,
     MatrixSpace,
     Relation,
+    routing_space,
     sample_element,
     to_matrix_space,
 )
@@ -150,12 +151,13 @@ def _tampered_primal(solver, tamper):
 
 
 @pytest.mark.parametrize("tamper", ["zero", "wrong order"])
-@pytest.mark.parametrize("theorem, solver", [("menger", "cpc"), ("matrix-menger", "mpc")])
-def test_path_capacity_checks_verify_their_primal(theorem, solver, tamper, capsys, monkeypatch):
+@pytest.mark.parametrize("theorem, key", [("menger", "cpc"), ("matrix-menger", "mpc")])
+def test_path_capacity_checks_verify_their_primal(theorem, key, tamper, capsys, monkeypatch):
     """The separator still meets the value, but the element behind it does not."""
     code, report = _check(capsys, theorem, INSTANCES[theorem])
     assert code == EXIT_PROVED
-    monkeypatch.setattr(menger, solver, _tampered_primal(getattr(menger, solver), tamper))
+    assert json.loads(report)[key] == json.loads(report)["separator"]["size"]
+    monkeypatch.setattr(menger, "mpc", _tampered_primal(menger.mpc, tamper))
     assert _check(capsys, theorem, INSTANCES[theorem]) == (EXIT_VIOLATION, report)
 
 
@@ -165,7 +167,7 @@ def test_demo_menger_f7_verifies_its_primal(tamper, capsys, monkeypatch):
     argv = ["demo", "menger-f7", "--output", "json"]
     assert main(argv) == EXIT_PROVED
     report = capsys.readouterr().out
-    monkeypatch.setattr(menger, "cpc", _tampered_primal(menger.cpc, tamper))
+    monkeypatch.setattr(menger, "mpc", _tampered_primal(menger.mpc, tamper))
     assert main(argv) == EXIT_VIOLATION
     assert capsys.readouterr().out == report
 
@@ -234,14 +236,15 @@ def test_check_dilworth_reads_the_bichains_against_the_instance(capsys, monkeypa
 
 def test_check_menger_reads_the_separator_against_the_instance(capsys, monkeypatch):
     """A minimum separator from a line of E, of the same size, that leaves the rest of E out."""
-    original = menger.cpc
+    original = menger.mpc
 
-    def narrowed(R, E, F, sampler):
+    def narrowed(R, E, F, routing, sampler):
         line = Subspace.span(E.ambient, E.vectors[:1])
-        return replace(original(R, E, F, sampler), dual=original(R, line, F, sampler).dual)
+        cv = original(R, E, F, routing, sampler)
+        return replace(cv, dual=original(R, line, F, routing_space(R, line, F), sampler).dual)
 
     assert _check(capsys, "menger", INSTANCES["menger"])[0] == EXIT_PROVED
-    monkeypatch.setattr(menger, "cpc", narrowed)
+    monkeypatch.setattr(menger, "mpc", narrowed)
     code, out = _check(capsys, "menger", INSTANCES["menger"])
     assert code == EXIT_VIOLATION
     assert json.loads(out)["separator"]["size"] == json.loads(out)["cpc"] == 1
