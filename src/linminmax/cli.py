@@ -28,6 +28,7 @@ from .exact_linalg import (
     Subspace,
     Vec,
     json_int,
+    json_list,
     rational_to_string,
     solve_exact,
     unit_vec,
@@ -277,15 +278,19 @@ def check_hall(data, config: RunConfig):
         ok = verify.verify_matching(R, result) and result.size == R.n
         report = {"saturated": True, "matching": result.to_json()}
     else:
-        ok = verify.verify_shrunk_witness(R, result) and result.defect > 0
-        report = {"saturated": False, "witness": result.to_json()}
+        ok = verify.verify_cover(R, result) and result.size < R.n
+        witness = {"S": result.E.orthocomplement().to_json(), "neighborhood": result.F.to_json()}
+        report = {"saturated": False, "witness": witness}
     return report, (EXIT_PROVED if ok else EXIT_VIOLATION)
 
 
 def check_rado(data, config: RunConfig):
     m, sets = _parse(
         "set family",
-        lambda: (json_int(data["m"]), [[Vec.from_json(v) for v in s] for s in data["sets"]]),
+        lambda: (
+            json_int(data["m"]),
+            [[Vec.from_json(v) for v in json_list(s)] for s in json_list(data["sets"])],
+        ),
     )
     _require(1 <= len(sets) <= m, "a family needs at least one set and at most m sets")
     _require(all(v.dim == m for s in sets for v in s), "set vectors must have dimension m")
@@ -411,17 +416,18 @@ def check_ncrank(data, config: RunConfig):
     V = _space_from(data)
     cv = ncrank.ncrank(V, config.sampler())
     r, element = cv.primal
+    defect = V.n - cv.dual.size
     report = {
         "ncrank": cv.value,
         "status": cv.status,
-        "defect": cv.dual.defect,
-        "witness": {"E": cv.dual.S.to_json(), "defect": cv.dual.defect},
+        "defect": defect,
+        "witness": {"E": cv.dual.E.orthocomplement().to_json(), "defect": defect},
         "element": {"r": r, "matrix": element.to_json()},
     }
     ok = (
         verify.verify_blowup_element(V, r, element, r * cv.value)
-        and verify.verify_shrunk_witness(V, cv.dual)
-        and (not cv.proved or cv.value == V.n - cv.dual.defect)
+        and verify.verify_cover(V, cv.dual)
+        and (not cv.proved or cv.value == cv.dual.size)
     )
     if not ok:
         return report, EXIT_VIOLATION
@@ -430,15 +436,15 @@ def check_ncrank(data, config: RunConfig):
 
 def check_matrix_konig(data, config: RunConfig):
     V = _space_from(data)
-    cov = ncrank.matrix_min_cover(V, config.sampler())
-    r, element = cov.dual
-    ok = verify.verify_cover(V, cov.primal) and (
-        not cov.proved or verify.verify_blowup_element(V, r, element, r * cov.value)
+    cv = ncrank.ncrank(V, config.sampler())
+    r, element = cv.primal
+    ok = verify.verify_cover(V, cv.dual) and (
+        not cv.proved or verify.verify_blowup_element(V, r, element, r * cv.dual.size)
     )
-    report = {"cover_size": cov.value, "status": cov.status}
+    report = {"cover_size": cv.dual.size, "status": cv.status}
     if not ok:
         return report, EXIT_VIOLATION
-    return report, (EXIT_PROVED if cov.proved else EXIT_BOUNDS)
+    return report, (EXIT_PROVED if cv.proved else EXIT_BOUNDS)
 
 
 def check_matrix_dilworth(data, config: RunConfig):
@@ -446,9 +452,9 @@ def check_matrix_dilworth(data, config: RunConfig):
     if not ncrank.is_nilpotent_algebra(V):
         raise ParseFailure("matrix Dilworth needs a nilpotent algebra")
     r = max(1, V.n - 1)
-    cov = ncrank.matrix_min_cover(V, config.sampler())
-    C = ncrank.matrix_antichain(V, cov)
-    D = ncrank.matrix_coherent_decomposition(V, r, config.sampler(), cov)
+    cover = ncrank.ncrank(V, config.sampler()).dual
+    C = cover.antichain()
+    D = ncrank.matrix_coherent_decomposition(V, r, config.sampler(), cover)
     ok = (
         verify.verify_antichain(V, C)
         and verify.verify_coherent_decomposition(D, V, r)

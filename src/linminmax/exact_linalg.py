@@ -56,9 +56,16 @@ def json_int(x) -> int:
     return x
 
 
+def json_list(x) -> list:
+    """An array field of a JSON instance; TypeError unless a JSON array."""
+    if type(x) is not list:
+        raise TypeError(f"expected an array, got {type(x).__name__}")
+    return x
+
+
 def _json_entries(entries):
-    """A JSON row, refused if it holds a bool; `_scalar` refuses floats."""
-    if bool in map(type, entries):
+    """A JSON row, refused unless an array, or if it holds a bool; `_scalar` refuses floats."""
+    if bool in map(type, json_list(entries)):
         raise TypeError("a boolean is not a rational entry")
     return entries
 
@@ -608,7 +615,7 @@ class Mat:
 
     @classmethod
     def from_json(cls, data, cols: int | None = None) -> "Mat":
-        return cls([_json_entries(row) for row in data], cols)
+        return cls([_json_entries(row) for row in json_list(data)], cols)
 
 
 def outer(w: Vec, v: Vec) -> Mat:
@@ -727,13 +734,14 @@ class Subspace:
     Vecs; membership and the subspace operations run on the integer rows.
     """
 
-    __slots__ = ("ambient", "_rows", "_pivots")
+    __slots__ = ("ambient", "_rows", "_pivots", "_perp")
 
     def __init__(self, ambient: int, rows: tuple, pivots: tuple):
         """The subspace with canonical integer `rows` pivoting at `pivots`."""
         _set(self, "ambient", ambient)
         _set(self, "_rows", rows)
         _set(self, "_pivots", pivots)
+        _set(self, "_perp", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -800,10 +808,18 @@ class Subspace:
         return all(self.contains(v) for v in other.vectors)
 
     def orthocomplement(self) -> "Subspace":
-        """Orthogonal complement under the symmetric dot product."""
-        if self.dim == 0:
-            return Subspace.full(self.ambient)
-        return Mat._raw(self._rows, 1, self.ambient).kernel()
+        """Orthogonal complement under the symmetric dot product, computed once.
+
+        The complement keeps this subspace as its own, so (S^perp)^perp is S.
+        """
+        if self._perp is None:
+            if self.dim == 0:
+                perp = Subspace.full(self.ambient)
+            else:
+                perp = Mat._raw(self._rows, 1, self.ambient).kernel()
+            _set(self, "_perp", perp)
+            _set(perp, "_perp", self)
+        return self._perp
 
     def __eq__(self, other) -> bool:
         return (
@@ -823,6 +839,7 @@ class Subspace:
 
     @classmethod
     def from_json(cls, data, ambient: int | None = None) -> "Subspace":
+        data = json_list(data)
         if ambient is None:
             ambient = len(data)
         m = Mat.from_json(data) if data else Mat.zeros(ambient, 0)

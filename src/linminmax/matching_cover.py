@@ -8,11 +8,13 @@ polynomial augmenting-path run: the final common independent set is the
 matching, and the set reachable in the last exchange graph gives a cover
 of the same size.  Hall's saturated matchings, defect matchings and
 Lovász's maximum rank read that one run too: a prefix of the matching, or
-the shrunk witness (E^perp, N(E^perp)) of the cover.  A `Cover` and a
-`ShrunkWitness` are the same certificates for a matrix space, with V[U]
-in place of N(U), so `ncrank` uses them too.  Every returned value
-carries a primal and a dual certificate of equal size; `verify` checks
-them against the instance.
+the minimum cover itself.  A minimum cover (E, F) is exact: F is the
+neighborhood span N(E^perp), because (E, N(E^perp)) is a cover too and
+lies inside F.  So E^perp is a shrunk subspace, of defect n - |cover|.
+For a matrix space the same `Cover` has F = V[E^perp], and `ncrank`
+returns it as its dual.  Every returned value carries a primal and a
+dual certificate of equal size; `verify` checks them against the
+instance.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .exact_linalg import (
     subspace_sum,
     unit_vec,
 )
-from .relation import Relation, apply_space
+from .relation import Relation
 
 PROVED = "proved"
 LOWER_BOUND_ONLY = "lower_bound_only"
@@ -59,7 +61,11 @@ class Matching:
 
 @dataclass(frozen=True)
 class Cover:
-    """Subspace pair (E, F) with v in E or w in F for every relation pair."""
+    """Subspace pair (E, F) with F = V[E^perp]: each pair of R has v in E or w in F.
+
+    E^perp is a shrunk subspace of defect n - size, so the size bounds
+    the rank of every element of V, and of V (x) M_r over r.
+    """
 
     E: Subspace
     F: Subspace
@@ -74,24 +80,6 @@ class Cover:
 
     def to_json(self):
         return {"E": self.E.to_json(), "F": self.F.to_json()}
-
-
-@dataclass(frozen=True)
-class ShrunkWitness:
-    """A subspace S with its image V[S] (for a relation, its neighborhood span N(S)).
-
-    Its defect dim S - dim V[S] bounds the maximum rank in V by n - defect.
-    """
-
-    S: Subspace
-    neighborhood: Subspace
-
-    @property
-    def defect(self) -> int:
-        return self.S.dim - self.neighborhood.dim
-
-    def to_json(self):
-        return {"S": self.S.to_json(), "neighborhood": self.neighborhood.to_json()}
 
 
 @dataclass(frozen=True)
@@ -198,34 +186,24 @@ def max_matching(R: Relation) -> CertifiedValue:
     return CertifiedValue(cover.size, matching, cover, PROVED)
 
 
-def _shrunk_witness(R: Relation, cover: Cover) -> ShrunkWitness:
-    """(E^perp, N(E^perp)) for a cover (E, F), of defect at least n - |cover|.
-
-    A pair whose v meets E^perp has v outside E, so its w lies in F: the
-    neighborhood span has dimension at most dim F.
-    """
-    S = cover.E.orthocomplement()
-    return ShrunkWitness(S, apply_space(R, S))
-
-
 def saturated_matching(R: Relation):
-    """A matching whose v's form a basis of F^n, or a shrunk-subspace witness."""
+    """A matching whose v's form a basis of F^n, or a minimum cover smaller than n."""
     if not (R.m >= R.n >= 1):
         raise DimensionError("saturated matchings need m >= n >= 1")
     return defect_matching(R, 0)
 
 
 def defect_matching(R: Relation, d: int):
-    """Matching of size n - d, or a shrunk witness of defect more than d.
+    """Matching of size n - d, or a minimum cover of size less than n - d.
 
-    The matching is the first n - d pairs of a maximum matching; when the
-    minimum cover is smaller than n - d, the witness comes from it.
+    The matching is the first n - d pairs of a maximum matching; the
+    cover's E^perp is a shrunk subspace of defect more than d.
     """
     if d < 0:
         raise ValueError("defect must be nonnegative")
     matching, cover = matroid_intersection(R)
     if cover.size < R.n - d:
-        return _shrunk_witness(R, cover)
+        return cover
     return Matching(R, matching.indices[: max(R.n - d, 0)])
 
 
@@ -244,23 +222,22 @@ def extract_matching_from_combination(R: Relation, target: int) -> Matching:
 
 
 def lovasz_max_rank(R: Relation) -> CertifiedValue:
-    """Maximum rank in the span of R, with a shrunk-subspace dual.
+    """Maximum rank in the span of R, with the minimum cover as its dual.
 
-    The value is n - d where d is the largest dimension defect dim E -
-    dim N(E); the primal is the rank-one sum of a maximum matching, the
-    dual the maximizing subspace read off the minimum cover.
+    The value is n - d where d is the largest dimension defect dim S -
+    dim N(S); the primal is the rank-one sum of a maximum matching, and
+    the cover's E^perp is a maximizing S.
     """
     matching, cover = matroid_intersection(R)
-    witness = _shrunk_witness(R, cover)
-    return CertifiedValue(cover.size, matching.rank_one_sum(), witness, PROVED)
+    return CertifiedValue(cover.size, matching.rank_one_sum(), cover, PROVED)
 
 
 def rado_transversal(sets, m: int):
     """Independent representatives w_i in S_i, or a violating subfamily.
 
     Encodes the families as the relation {(e_i, v) : v in S_i}; a failed
-    saturated matching converts into indices of k sets whose union spans
-    fewer than k dimensions.
+    saturated matching's cover converts into indices of k sets whose union
+    spans fewer than k dimensions.
     """
     sets = [list(s) for s in sets]
     n = len(sets)
@@ -274,10 +251,11 @@ def rado_transversal(sets, m: int):
             pairs.append((unit_vec(n, i), v))
     R = Relation(n, m, pairs)
     result = saturated_matching(R)
-    if isinstance(result, ShrunkWitness):
-        # The witness span is a coordinate subspace here (all v's are e_i),
-        # and the sets it touches have a union of deficient dimension.
-        return None, [i for i in range(n) if any(u[i] for u in result.S.int_rows())]
+    if isinstance(result, Cover):
+        # The shrunk subspace E^perp is a coordinate subspace here (all v's
+        # are e_i), and the sets it touches have a union of deficient dimension.
+        S = result.E.orthocomplement()
+        return None, [i for i in range(n) if any(u[i] for u in S.int_rows())]
     transversal: list[Vec | None] = [None] * n
     for idx in result.indices:
         v, w = R.pairs[idx]

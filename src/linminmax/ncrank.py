@@ -1,27 +1,26 @@
-"""Noncommutative rank via blow-ups, with shrunk-subspace dual certificates.
+"""Noncommutative rank via blow-ups, with covers as dual certificates.
 
 The noncommutative rank of a matrix space V in M_{m,n} is (1/r) times the
-maximum rank in the blow-up V (x) M_r, attained for every r >= n-1, and it
-equals n - d where d is the largest defect dim U - dim V[U].  A shrunk
-witness (U, V[U]) is therefore a dual certificate: it bounds every blow-up
-rank by r(n - d), while a sampled blow-up element of that rank is the
-primal.  `wong_rank` is the one loop behind every blow-up value: for
-r = 1 .. n - 1, as far as the blow-up side max(m, n) r stays within
-BLOWUP_DIM_BUDGET (order 1 of a nonzero space is the space itself and
-always runs), it draws blow-up elements A through `relation.best_sample`
-(the one sampler of V (x) M_r).  Each draw that beats the best so far gets
-its dual, read off the limit of its second Wong sequence (`wong_limit`):
-for `ncrank` the shrunk witness (U', V[U']) of that limit, which bounds
-every rank by r(n - defect).  The order is proved, and drawing stops, at
-the first draw whose rank meets its own bound; an order that is not proved
-draws all `trials` and keeps the dual of its first maximum.  The matrix
-cover is (U'^perp, V[U']), read off the witness.  The path capacities of
-`menger` run the same loop on a routing space, with a separator as the
-dual.  Matrix Dilworth takes the Jordan chains of a blow-up element that
-`best_sample` draws at r times the cover bound: the one coherent
-decomposition that samples, since a linorder's reads its maximum
-matching.  An unmet bound leaves the status at lower_bound_only, never at
-a wrong value.
+maximum rank in the blow-up V (x) M_r, attained for every r >= n-1, and by
+Fortin and Reutenauer the minimum size of a cover (E, F), V[E^perp] in F.
+The exact `Cover` (U^perp, V[U]) has size n minus the defect dim U -
+dim V[U], and bounds every blow-up rank by r times that size, while a
+sampled blow-up element of that rank is the primal.  `wong_rank` is the
+one loop behind every blow-up value: for r = 1 .. n - 1, as far as the
+blow-up side max(m, n) r stays within BLOWUP_DIM_BUDGET (order 1 of a
+nonzero space is the space itself and always runs), it draws blow-up
+elements A through `relation.best_sample` (the one sampler of V (x) M_r).
+Each draw that beats the best so far gets its dual, read off the limit U'
+of its second Wong sequence (`wong_limit`): for `ncrank` the cover
+(U'^perp, V[U']), which matrix Kőnig reports as its minimum cover.  The
+order is proved, and drawing stops, at the first draw whose rank meets its
+own bound; an order that is not proved draws all `trials` and keeps the
+dual of its first maximum.  The path capacities of `menger` run the same
+loop on a routing space, with a separator as the dual.  Matrix Dilworth
+takes the Jordan chains of a blow-up element that `best_sample` draws at r
+times the cover size: the one coherent decomposition that samples, since
+a linorder's reads its maximum matching.  An unmet bound leaves the status
+at lower_bound_only, never at a wrong value.
 """
 
 from __future__ import annotations
@@ -29,13 +28,7 @@ from __future__ import annotations
 from .errors import CertificationError, DimensionError
 from .exact_linalg import Mat, Subspace
 from .dilworth import CoherentDecomposition, nilpotent_jordan_chains
-from .matching_cover import (
-    LOWER_BOUND_ONLY,
-    PROVED,
-    CertifiedValue,
-    Cover,
-    ShrunkWitness,
-)
+from .matching_cover import LOWER_BOUND_ONLY, PROVED, CertifiedValue, Cover
 from .relation import (
     GenericSampler,
     MatrixSpace,
@@ -71,11 +64,12 @@ def max_rank_blowup(V: MatrixSpace, r: int, sampler: GenericSampler) -> int:
 
 
 def _defect_bound(V: MatrixSpace):
-    """(r, el) -> (shrunk witness (U', V[U']) of el's Wong limit, bound n - defect on ncrank V)."""
+    """(r, el) -> (cover (U'^perp, V[U']) of el's Wong limit U', its size: a bound on ncrank V)."""
 
     def certify(r: int, el: Mat):
-        witness = ShrunkWitness(*wong_limit(V, r, el))
-        return witness, V.n - witness.defect
+        U, image = wong_limit(V, r, el)
+        cover = Cover(U.orthocomplement(), image)
+        return cover, cover.size
 
     return certify
 
@@ -124,62 +118,43 @@ def wong_rank(V: MatrixSpace, sampler: GenericSampler, certify, trivial) -> Cert
 
 
 def ncrank(V: MatrixSpace, sampler: GenericSampler) -> CertifiedValue:
-    """Noncommutative rank with primal blow-up element and shrunk-witness dual.
+    """Noncommutative rank with primal blow-up element and minimum-cover dual.
 
     By the Wong-sequence theorem of Ivanyos, Karpinski, Qiao and Santha, a
-    sample of maximum rank meets the defect bound of its own Wong limit,
-    at r = n - 1 at the latest.
+    sample of maximum rank meets the cover bound of its own Wong limit, at
+    r = n - 1 at the latest.  The trivial dual is the cover (F^n, 0).
     """
-    zero = ShrunkWitness(Subspace.zero(V.n), Subspace.zero(V.m))
-    return wong_rank(V, sampler, _defect_bound(V), (zero, V.n))
+    trivial = Cover(Subspace.full(V.n), Subspace.zero(V.m))
+    return wong_rank(V, sampler, _defect_bound(V), (trivial, V.n))
 
 
 def has_full_ncrank(V: MatrixSpace, sampler: GenericSampler):
-    """(True, rank-rn blow-up element) or (False, shrunk-subspace witness)."""
+    """(True, rank-rn blow-up element) or (False, cover smaller than n)."""
     if V.m != V.n:
         raise DimensionError("full noncommutative rank is for square spaces")
     cv = ncrank(V, sampler)
-    if cv.dual.defect > 0:
+    if cv.dual.size < V.n:
         return False, cv.dual
     if cv.proved and cv.value == V.n:
         return True, cv.primal
     raise CertificationError(
-        "no shrunk subspace found but sampling did not reach full blow-up rank"
+        "no cover smaller than n found but sampling did not reach full blow-up rank"
     )
 
 
-def matrix_min_cover(V: MatrixSpace, sampler: GenericSampler) -> CertifiedValue:
-    """The cover (U^perp, V[U]) of the shrunk-witness dual; proved when it meets the blow-up rank."""
-    cv = ncrank(V, sampler)
-    cover = Cover(cv.dual.S.orthocomplement(), cv.dual.neighborhood)
-    status = PROVED if cv.proved and cover.size == cv.value else LOWER_BOUND_ONLY
-    return CertifiedValue(cover.size, cover, cv.primal, status)
-
-
-def matrix_antichain(V: MatrixSpace, cov: CertifiedValue) -> Subspace:
-    """Largest subspace C with P V P = 0, for a nilpotent algebra V.
-
-    Read off the minimum cover `cov`, V's `matrix_min_cover`, as
-    (E + F)^perp.
-    """
-    if not is_nilpotent_algebra(V):
-        raise ValueError("matrix antichains are defined for nilpotent algebras")
-    return cov.primal.antichain()
-
-
 def matrix_coherent_decomposition(
-    V: MatrixSpace, r: int, sampler: GenericSampler, cov: CertifiedValue
+    V: MatrixSpace, r: int, sampler: GenericSampler, cover: Cover
 ) -> CoherentDecomposition:
     """Coherent decomposition of F^{rn} relative to V (x) M_r.
 
     The Jordan chains of an element of the blow-up (a nilpotent algebra
-    again) of rank r times the bound of `cov`, V's `matrix_min_cover`,
+    again) of rank r times the size of `cover`, the dual of `ncrank`,
     drawn by `best_sample`; its size is rn minus that rank.
     """
     if not is_nilpotent_algebra(V):
         raise ValueError("matrix Dilworth is stated for nilpotent algebras")
     _check_blowup_budget(V, r)
-    target = r * cov.value
+    target = r * cover.size
     rank, A = best_sample(V, sampler, r, target)
     if rank < target:
         raise CertificationError(

@@ -29,6 +29,7 @@ from .exact_linalg import (
     common_int_rows,
     int_kernel,
     json_int,
+    json_list,
     outer,
 )
 
@@ -83,7 +84,7 @@ class Relation:
         return cls(
             json_int(data["n"]),
             json_int(data["m"]),
-            [(Vec.from_json(v), Vec.from_json(w)) for v, w in data["pairs"]],
+            [(Vec.from_json(v), Vec.from_json(w)) for v, w in json_list(data["pairs"])],
         )
 
 
@@ -154,7 +155,7 @@ class MatrixSpace:
     @classmethod
     def from_json(cls, data) -> "MatrixSpace":
         m, n = json_int(data["m"]), json_int(data["n"])
-        return cls(m, n, [Mat.from_json(b, cols=n) for b in data["basis"]])
+        return cls(m, n, [Mat.from_json(b, cols=n) for b in json_list(data["basis"])])
 
 
 @dataclass

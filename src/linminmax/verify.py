@@ -8,9 +8,12 @@ certificate carries the data it is checked against, and no solver is
 imported.  A relation R is checked as its rank-one space V_R: the image
 V_R[U] is the neighborhood span N(U), which `relation.apply_space` reads
 off the pairs without building the n*m-wide span.  So one predicate
-serves the relation and the matrix form of each theorem: "every pair has
-v in E or w in F" is V_R[E^perp] inside F.  A certificate whose ambient
-dimension does not fit the instance is invalid, never an error.
+serves the relation and the matrix form of each theorem.  The dual of
+Kőnig, Hall, Lovász, ncrank and matrix Kőnig is one exact cover (E, F)
+with F = V[E^perp]: for a relation, F is the span of the w's of the
+pairs with v outside E, and E^perp is the shrunk subspace.  A
+certificate whose ambient dimension does not fit the instance is
+invalid, never an error.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .exact_linalg import IntEchelon, Subspace, outer_sum
 from .relation import apply_space, doubly_independent
 
 # ---------------------------------------------------------------------------
-# relations and matrix spaces: matchings, covers, shrunk subspaces, transversals
+# relations and matrix spaces: matchings, covers, transversals
 
 
 def verify_matching(R, m) -> bool:
@@ -36,15 +39,10 @@ def verify_matching(R, m) -> bool:
 
 
 def verify_cover(V, c) -> bool:
-    """V[E^perp] inside F: for a relation, every pair has v in E or w in F."""
+    """F is V[E^perp] exactly, recomputed: for a relation, each pair has v in E or w in F."""
     if (c.E.ambient, c.F.ambient) != (V.n, V.m):
         return False
-    return c.F.contains_subspace(apply_space(V, c.E.orthocomplement()))
-
-
-def verify_shrunk_witness(V, w) -> bool:
-    """The stored image of S is V[S], recomputed: for a relation, the neighborhood span N(S)."""
-    return w.S.ambient == V.n and apply_space(V, w.S) == w.neighborhood
+    return apply_space(V, c.E.orthocomplement()) == c.F
 
 
 def verify_rado_report(sets, m: int, transversal, witness) -> bool:

@@ -54,7 +54,7 @@ from linminmax.menger import (
 )
 from linminmax.lgv import LgvInstance, classical_lgv, lgv_acyclic, lgv_lhs, lgv_rhs_parts, lgv_rhs
 from linminmax.errors import SingularityError
-from linminmax.ncrank import matrix_coherent_decomposition, matrix_min_cover, max_rank_blowup
+from linminmax.ncrank import matrix_coherent_decomposition, max_rank_blowup, ncrank
 from linminmax.relation import (
     GenericSampler,
     Relation,
@@ -317,7 +317,7 @@ def test_criterion_8_matrix_theorems():
         V = to_matrix_space(L.relation)
         r = max(1, V.n - 1)
         sampler = GenericSampler(seed=82500 + i)
-        D = matrix_coherent_decomposition(V, r, sampler, matrix_min_cover(V, sampler))
+        D = matrix_coherent_decomposition(V, r, sampler, ncrank(V, sampler).dual)
         assert D.size == r * max_antichain(L).value
     # matricial and coherent path capacities agree on rank-one spaces.
     for i in range(20):

@@ -270,6 +270,17 @@ def test_check_malformed_json_types_are_parse_errors(tmp_path, capsys):
         ("ncrank", {"m": 2.5, "n": 2, "basis": []}),
         ("ncrank", {"m": 1, "n": 1, "basis": [[[False]]]}),
         ("rado", {"m": 2.5, "sets": [[["1", "0"]]]}),
+        # arrays are JSON arrays: never read as empty, and a string is not split into entries
+        *(
+            ("menger", {"n": 2, "m": 2, "pairs": [], "E": bad, "F": zero})
+            for bad in ({}, None, 0, False, "")
+        ),
+        ("konig", {"n": 2, "m": 2, "pairs": {}}),
+        ("konig", {"n": 2, "m": 2, "pairs": ""}),
+        ("konig", {"n": 2, "m": 2, "pairs": [["10", "01"]]}),
+        ("ncrank", {"m": 2, "n": 2, "basis": {}}),
+        ("rado", {"m": 2, "sets": [{}]}),
+        ("lgv", dict(json.loads((GOLDEN / "lgv.json").read_text()), V={})),
     ]
     for k, (theorem, data) in enumerate(cases):
         path = tmp_path / f"case{k}.json"
@@ -504,6 +515,16 @@ def test_theorem_preconditions_are_parse_errors(tmp_path, capsys):
         assert code == EXIT_PARSE and error.startswith("parse:"), (theorem, data, error)
 
 
+def test_check_matrix_dilworth_needs_a_space_closed_under_products(tmp_path, capsys):
+    """Every element of span{e12, e23} is nilpotent, but e12 e23 = e13 is outside it."""
+    e12 = [["0", "1", "0"], ["0", "0", "0"], ["0", "0", "0"]]
+    e23 = [["0", "0", "0"], ["0", "0", "1"], ["0", "0", "0"]]
+    path = tmp_path / "span.json"
+    path.write_text(json.dumps({"m": 3, "n": 3, "basis": [e12, e23]}))
+    code, error = _exit_and_error(capsys, ["check", "matrix-dilworth", str(path), "--output", "json"])
+    assert code == EXIT_PARSE and error.startswith("parse:"), error
+
+
 def test_matrix_dilworth_on_larger_nilpotent_algebras(tmp_path, capsys):
     from linminmax.dilworth import max_antichain, validate_linorder
     from linminmax.relation import Relation, to_matrix_space
@@ -542,8 +563,9 @@ def test_check_ncrank_rechecks_defect_rank_and_membership(tmp_path, capsys, monk
 
     skew = build_skew3()
     assert exit_with(skew, lambda cv: cv) == EXIT_PROVED
-    # the dual claims defect 1 with S = span{e_0}, whose image skew3[S] is 2-dimensional
-    wrong_defect = lambda cv: replace(cv, dual=replace(cv.dual, S=Subspace.span(3, [unit_vec(3, 0)])))
+    # the dual claims defect 1 with E^perp = span{e_0}, whose image skew3[E^perp] is 2-dimensional
+    e12 = Subspace.span(3, [unit_vec(3, 1), unit_vec(3, 2)])
+    wrong_defect = lambda cv: replace(cv, dual=replace(cv.dual, E=e12))
     assert exit_with(skew, wrong_defect) == EXIT_VIOLATION
     low_rank = lambda cv: replace(cv, primal=(cv.primal[0], Mat.zeros(6, 6)))
     assert exit_with(skew, low_rank) == EXIT_VIOLATION

@@ -9,8 +9,8 @@ from linminmax.classical_oracles import BipartiteGraph, bipartite_max_matching, 
 from linminmax.errors import CertificationError, DimensionError
 from linminmax.exact_linalg import Subspace, Vec, unit_vec, vec
 from linminmax.matching_cover import (
+    Cover,
     Matching,
-    ShrunkWitness,
     defect_matching,
     extract_matching_from_combination,
     lovasz_max_rank,
@@ -23,6 +23,7 @@ from linminmax.menger import mpc
 from linminmax.relation import (
     GenericSampler,
     Relation,
+    apply_space,
     routing_space,
     sample_element,
     to_matrix_space,
@@ -181,6 +182,27 @@ def test_prop_lafact_both_directions(rng):
             assert dep_sum.rank() < 2 or not verify_matching(doubled, dep)
 
 
+def test_the_minimum_cover_is_exact(rng):
+    """F = N(E^perp) for the cover of every run, so E^perp is a shrunk subspace of defect n - |cover|.
+
+    Among the relations: zero vectors, repeated pairs, unsaturated ones, no pairs, and n = 0.
+    """
+    relations = [Relation(0, 2, []), Relation(0, 0, []), Relation(3, 3, []), Relation(2, 3, [])]
+    for _ in range(45):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        pairs = [(rand_vec(rng, n, 1), rand_vec(rng, m, 1)) for _ in range(rng.randint(1, 5))]
+        pairs += rng.sample(pairs, rng.randint(0, len(pairs)))
+        relations.append(Relation(n, m, pairs))
+    unsaturated = 0
+    for R in relations:
+        cover = matroid_intersection(R)[1]
+        S = cover.E.orthocomplement()
+        assert cover.F == apply_space(R, S)
+        assert S.dim - cover.F.dim == R.n - cover.size
+        unsaturated += cover.size < R.n
+    assert unsaturated >= 20
+
+
 def test_saturated_matching_examples():
     diag = Relation(3, 3, [(unit_vec(3, i), unit_vec(3, i)) for i in range(3)])
     result = saturated_matching(diag)
@@ -189,9 +211,10 @@ def test_saturated_matching_examples():
     e = lambda i: unit_vec(4, i)
     shared = Relation(4, 4, [(e(0), e(1)), (e(0), e(2)), (e(0), e(3))])
     witness = saturated_matching(shared)
-    assert isinstance(witness, ShrunkWitness)
-    assert witness.S.dim > witness.neighborhood.dim
-    assert witness.S.contains(e(1))
+    assert isinstance(witness, Cover) and verify_cover(shared, witness)
+    S = witness.E.orthocomplement()
+    assert S.dim > witness.F.dim
+    assert S.contains(e(1))
 
     with pytest.raises(DimensionError):
         saturated_matching(Relation(3, 2, []))
@@ -226,8 +249,8 @@ def test_defect_matching(rng):
         # too-small defect yields a witness
         if d >= 1:
             w = defect_matching(R, d - 1)
-            assert isinstance(w, ShrunkWitness)
-            assert w.S.dim - w.neighborhood.dim > d - 1
+            assert isinstance(w, Cover) and verify_cover(R, w)
+            assert w.E.orthocomplement().dim - w.F.dim > d - 1
 
 
 def test_extract_matching(rng):
@@ -253,8 +276,8 @@ def test_lovasz_max_rank(rng):
     shared = Relation(4, 4, [(e(0), e(1)), (e(0), e(2)), (e(0), e(3))])
     cv = lovasz_max_rank(shared)
     assert cv.value == 1
-    assert cv.dual.S == Subspace.span(4, [e(1), e(2), e(3)])
-    assert cv.dual.defect == 3
+    assert cv.dual.E.orthocomplement() == Subspace.span(4, [e(1), e(2), e(3)])
+    assert shared.n - cv.dual.size == 3
 
     for _ in range(10):
         R = rand_relation(rng, rng.randint(2, 4), rng.randint(2, 4), rng.randint(1, 6))

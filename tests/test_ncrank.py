@@ -17,9 +17,7 @@ from linminmax.matching_cover import matroid_intersection
 from linminmax.menger import mpc
 from linminmax.ncrank import (
     has_full_ncrank,
-    matrix_antichain,
     matrix_coherent_decomposition,
-    matrix_min_cover,
     max_rank_blowup,
     ncrank,
 )
@@ -81,7 +79,7 @@ def test_skew3_chain():
     s = GenericSampler(seed=7)
     assert max(sample_element(V, s).rank() for _ in range(10)) == 2
     cv = ncrank(V, GenericSampler(seed=8))
-    assert cv.value == 3 and cv.proved and cv.dual.defect == 0
+    assert cv.value == 3 and cv.proved and V.n - cv.dual.size == 0
     full, witness = has_full_ncrank(V, GenericSampler(seed=9))
     assert full
     r, element = witness
@@ -91,18 +89,18 @@ def test_skew3_chain():
 def test_ncrank_examples():
     vi = MatrixSpace(4, 4, [Mat.identity(4)])
     cv = ncrank(vi, GenericSampler(seed=10))
-    assert cv.value == 4 and cv.dual.defect == 0
+    assert cv.value == 4 and vi.n - cv.dual.size == 0
 
     e11 = MatrixSpace(2, 2, [Mat([[1, 0], [0, 0]])])
     cv = ncrank(e11, GenericSampler(seed=11))
-    assert cv.value == 1 and cv.dual.defect == 1
+    assert cv.value == 1 and e11.n - cv.dual.size == 1
     full, witness = has_full_ncrank(e11, GenericSampler(seed=12))
-    assert not full and witness.defect == 1
-    assert witness.S.contains(unit_vec(2, 1))
+    assert not full and e11.n - witness.size == 1
+    assert witness.E.orthocomplement().contains(unit_vec(2, 1))
 
     v0 = MatrixSpace(3, 3, [])
     cv = ncrank(v0, GenericSampler(seed=13))
-    assert cv.value == 0 and cv.dual.defect == 3
+    assert cv.value == 0 and v0.n - cv.dual.size == 3
 
 
 def test_plateau_at_n_minus_1(rng):
@@ -141,25 +139,40 @@ def test_matrix_konig_blowup_equality(rng):
 
 
 def test_matrix_min_cover(rng):
+    """The dual of `ncrank` is the minimum cover of matrix Kőnig."""
     v0 = MatrixSpace(2, 2, [])
-    cov = matrix_min_cover(v0, GenericSampler(seed=23))
-    assert cov.value == 0 and cov.proved
+    cov = ncrank(v0, GenericSampler(seed=23))
+    assert cov.dual.size == 0 and cov.proved
 
-    sk = matrix_min_cover(skew3(), GenericSampler(seed=24))
-    assert sk.value == 3 and sk.proved
-    assert verify_cover(skew3(), sk.primal)
+    sk = ncrank(skew3(), GenericSampler(seed=24))
+    assert sk.dual.size == 3 and sk.proved
+    assert verify_cover(skew3(), sk.dual)
 
     for _ in range(6):
         R = rand_relation(rng, rng.randint(2, 4), rng.randint(2, 4), rng.randint(1, 5))
         V = to_matrix_space(R)
-        cov = matrix_min_cover(V, GenericSampler(seed=25))
-        assert cov.value == matroid_intersection(R)[1].size
-        assert verify_cover(V, cov.primal)
+        cov = ncrank(V, GenericSampler(seed=25))
+        assert cov.dual.size == matroid_intersection(R)[1].size
+        assert verify_cover(V, cov.dual)
+
+
+def test_the_ncrank_dual_is_an_exact_cover(rng):
+    """F = V[E^perp] for the dual of `ncrank`: random spaces, skew3 and zero spaces."""
+    spaces = [skew3(), MatrixSpace(3, 3, []), MatrixSpace(2, 3, [])]
+    for _ in range(15):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        gens = [rand_mat(rng, m, n, bound=1) for _ in range(rng.randint(0, 3))]
+        spaces.append(MatrixSpace.spanned(m, n, gens))
+    for seed, V in enumerate(spaces):
+        cv = ncrank(V, GenericSampler(seed=seed))
+        assert cv.dual.F == apply_space(V, cv.dual.E.orthocomplement())
+        assert cv.value <= cv.dual.size
 
 
 def test_matrix_antichain():
+    """(E + F)^perp of the minimum cover; the identity has no coherent decomposition."""
     v0 = MatrixSpace(3, 3, [])
-    assert matrix_antichain(v0, matrix_min_cover(v0, GenericSampler(seed=27))) == Subspace.full(3)
+    assert ncrank(v0, GenericSampler(seed=27)).dual.antichain() == Subspace.full(3)
 
     upper = MatrixSpace(
         3,
@@ -171,13 +184,13 @@ def test_matrix_antichain():
         ],
     )
     assert is_nilpotent_algebra(upper)
-    c = matrix_antichain(upper, matrix_min_cover(upper, GenericSampler(seed=28)))
+    c = ncrank(upper, GenericSampler(seed=28)).dual.antichain()
     assert c.dim == 1
 
     identity = MatrixSpace(2, 2, [Mat.identity(2)])
-    cov = matrix_min_cover(identity, GenericSampler(seed=29))
+    cov = ncrank(identity, GenericSampler(seed=29)).dual
     with pytest.raises(ValueError):
-        matrix_antichain(identity, cov)
+        matrix_coherent_decomposition(identity, 1, GenericSampler(seed=30), cov)
 
 
 def test_matrix_antichain_matches_linorder(rng):
@@ -185,14 +198,14 @@ def test_matrix_antichain_matches_linorder(rng):
         L, _ = rand_dual_basis_linorder(rng, rng.randint(2, 4))
         V = to_matrix_space(L.relation)
         assert is_nilpotent_algebra(V)
-        c = matrix_antichain(V, matrix_min_cover(V, GenericSampler(seed=31)))
+        c = ncrank(V, GenericSampler(seed=31)).dual.antichain()
         assert c.dim == max_antichain(L).value
 
 
 def _coherent(V, r, seed):
     """`matrix_coherent_decomposition` at r, with the cover drawn from the same sampler."""
     sampler = GenericSampler(seed=seed)
-    return matrix_coherent_decomposition(V, r, sampler, matrix_min_cover(V, sampler))
+    return matrix_coherent_decomposition(V, r, sampler, ncrank(V, sampler).dual)
 
 
 def test_matrix_coherent_decomposition(rng):
@@ -352,10 +365,10 @@ def test_wong_limit_matches_the_blown_up_sequence(rng):
 
 def _check_ncrank_certificate(V, cv):
     """The dual's defect, the element's membership in V (x) M_r and its rank."""
-    U = cv.dual.S
-    assert cv.dual.neighborhood == apply_space(V, U)
-    assert cv.dual.defect == U.dim - apply_space(V, U).dim
-    assert cv.value == V.n - cv.dual.defect
+    U = cv.dual.E.orthocomplement()
+    assert cv.dual.F == apply_space(V, U)
+    assert V.n - cv.dual.size == U.dim - apply_space(V, U).dim
+    assert cv.value == cv.dual.size
     r, element = cv.primal
     assert blow_up(V, r).space.contains(element)
     assert element.rank() == r * cv.value
@@ -429,9 +442,8 @@ def test_matrix_dilworth_checks_nilpotency_even_with_a_cover():
     e12 = Mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     e23 = Mat([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
     V = MatrixSpace(3, 3, [e12, e23])
-    cov = matrix_min_cover(V, GenericSampler(seed=40))
-    with pytest.raises(ValueError, match="nilpotent algebras"):
-        matrix_antichain(V, cov)
+    cov = ncrank(V, GenericSampler(seed=40)).dual
+    assert not is_nilpotent_algebra(V)
     with pytest.raises(ValueError, match="nilpotent algebras"):
         matrix_coherent_decomposition(V, 2, GenericSampler(seed=42), cov)
 

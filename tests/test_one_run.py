@@ -1,6 +1,7 @@
 """One matroid-intersection run per relation theorem, one routing space per path check.
 
 No span and no draw for linorders, and no span for a relation's path capacity.
+A subspace's complement is computed once per check.
 """
 
 import json
@@ -11,7 +12,7 @@ import pytest
 
 from linminmax import lgv, matching_cover, relation
 from linminmax.cli import EXIT_PROVED, main
-from linminmax.exact_linalg import unit_vec
+from linminmax.exact_linalg import Mat, unit_vec
 from linminmax.matching_cover import (
     defect_matching,
     extract_matching_from_combination,
@@ -101,3 +102,35 @@ def test_acyclicity_builds_no_span(monkeypatch):
     assert lgv.is_acyclic(Relation(3, 3, [(e[0], e[1]), (e[1], e[2])]))
     assert not lgv.is_acyclic(Relation(3, 3, [(e[0], e[1]), (e[1], e[0])]))
     assert spans == []
+
+
+# At most this many `Mat.kernel` calls per golden check: a cover's E^perp,
+# computed by the solver or the verifier, serves the other and the report.
+KERNEL_CALLS = {
+    "coherent": 5,
+    "dilworth": 1,
+    "hall": 1,
+    "konig": 1,
+    "lgv": 0,
+    "matrix-dilworth": 6,
+    "matrix-konig": 0,
+    "matrix-menger": 1,
+    "menger": 2,
+    "ncrank": 0,
+    "rado": 0,
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(KERNEL_CALLS))
+def test_golden_checks_compute_few_kernels(theorem, monkeypatch, capsys):
+    calls = []
+    kernel = Mat.kernel
+
+    def counted(self):
+        calls.append(self)
+        return kernel(self)
+
+    monkeypatch.setattr(Mat, "kernel", counted)
+    assert main(["check", theorem, str(GOLDEN / f"{theorem}.json")]) == EXIT_PROVED
+    capsys.readouterr()
+    assert len(calls) <= KERNEL_CALLS[theorem]

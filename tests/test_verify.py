@@ -12,7 +12,7 @@ import pytest
 
 from linminmax import dilworth, matching_cover, menger, ncrank, verify
 from linminmax.dilworth import BiChain, BiChainDecomposition, CoherentDecomposition
-from linminmax.matching_cover import Cover, Matching, ShrunkWitness
+from linminmax.matching_cover import Cover, Matching
 from linminmax.menger import Separator
 from linminmax.cli import (
     CHECKS,
@@ -126,16 +126,30 @@ def test_check_hall_recomputes_the_witness_neighborhood(tmp_path, capsys, monkey
 
     def shrunk(R):
         w = original(R)
-        assert w.neighborhood.dim == 1
-        return replace(w, neighborhood=Subspace.zero(3))
+        assert w.E.orthocomplement() == Subspace.span(3, e[:2]) and w.F.dim == 1
+        return replace(w, F=Subspace.zero(3))
 
     assert _check(capsys, "hall", path)[0] == EXIT_PROVED
     monkeypatch.setattr(matching_cover, "saturated_matching", shrunk)
     assert _check(capsys, "hall", path)[0] == EXIT_VIOLATION
-    # a true image of S, but of the same dimension: no defect, so no witness
-    unshrunk = lambda R: replace(original(R), S=Subspace.span(3, e[:1]), neighborhood=Subspace.span(3, e[:1]))
+    # a true image of S = span{e_0}, but of the same dimension: no defect, so no witness
+    unshrunk = lambda R: replace(original(R), E=Subspace.span(3, e[1:]), F=Subspace.span(3, e[:1]))
     monkeypatch.setattr(matching_cover, "saturated_matching", unshrunk)
     assert _check(capsys, "hall", path)[0] == EXIT_VIOLATION
+
+
+def test_a_cover_must_be_exactly_the_image():
+    """E^perp = span{e_0, e_1} meets only w = e_0: F = span{e_0} and nothing larger or smaller."""
+    e = [unit_vec(3, i) for i in range(3)]
+    R = Relation(3, 3, [(e[0], e[0]), (e[1], e[0]), (e[2], e[1])])
+    E = Subspace.span(3, e[2:])
+    for V in (R, to_matrix_space(R)):
+        assert verify.verify_cover(V, Cover(E, Subspace.span(3, e[:1])))
+        # a cover with a larger F, but not the image of E^perp
+        assert not verify.verify_cover(V, Cover(E, Subspace.span(3, e[:2])))
+        # F misses the image vector e_0
+        assert not verify.verify_cover(V, Cover(E, Subspace.span(3, e[1:2])))
+        assert not verify.verify_cover(V, Cover(E, Subspace.zero(3)))
 
 
 def _tampered_primal(solver, tamper):
@@ -261,13 +275,13 @@ PREDICATES = {
 
 CERTIFICATES = {
     "konig": ["verify_cover", "verify_matching"],
-    "hall": ["verify_shrunk_witness"],
+    "hall": ["verify_cover"],
     "rado": ["verify_rado_report"],
     "dilworth": ["verify_antichain", "verify_bichain_decomposition"],
     "coherent": ["verify_antichain", "verify_coherent_decomposition", "verify_pair_sum"],
     "menger": ["verify_blowup_element", "verify_separator"],
     "lgv": [],
-    "ncrank": ["verify_blowup_element", "verify_shrunk_witness"],
+    "ncrank": ["verify_blowup_element", "verify_cover"],
     "matrix-konig": ["verify_blowup_element", "verify_cover"],
     "matrix-dilworth": ["verify_antichain", "verify_coherent_decomposition"],
     "matrix-menger": ["verify_blowup_element", "verify_separator"],
@@ -284,7 +298,7 @@ def test_every_theorem_names_its_certificates():
         ("konig", "matrix-konig", "verify_cover"),
         ("dilworth", "matrix-dilworth", "verify_antichain"),
         ("menger", "matrix-menger", "verify_separator"),
-        ("hall", "ncrank", "verify_shrunk_witness"),
+        ("hall", "ncrank", "verify_cover"),
     ],
 )
 def test_relation_and_matrix_theorems_share_their_predicate(linear, matrix, predicate):
@@ -320,7 +334,6 @@ def _ambient_cases():
         ("verify_cover", (Cover(full3, zero),)),
         ("verify_cover", (Cover(zero, full3),)),
         ("verify_antichain", (full3,)),
-        ("verify_shrunk_witness", (ShrunkWitness(full3, zero),)),
         ("verify_separator", (zero, zero, Separator(full3, full3))),
     ]
     out = [(name, (inst,) + args) for name, args in cases for inst in (R, V)]
