@@ -26,7 +26,7 @@ from .exact_linalg import (
     Vec,
     unit_vec,
 )
-from .matching_cover import PROVED, CertifiedValue, matroid_intersection
+from .matching_cover import CertifiedValue, matroid_intersection
 from .relation import Relation, space_power_is_zero
 
 
@@ -139,7 +139,7 @@ def max_antichain(L: Linorder) -> CertifiedValue:
     dimension is exactly n minus the cover size.
     """
     _, cover = L.optimum
-    return CertifiedValue(L.n - cover.size, cover.antichain(), cover, PROVED)
+    return CertifiedValue(L.n - cover.size, cover.antichain(), cover)
 
 
 def _perfect_nonorthogonal_bijection(ws, vs):

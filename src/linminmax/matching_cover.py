@@ -34,9 +34,6 @@ from .exact_linalg import (
 )
 from .relation import Relation
 
-PROVED = "proved"
-LOWER_BOUND_ONLY = "lower_bound_only"
-
 
 @dataclass(frozen=True)
 class Matching:
@@ -84,16 +81,11 @@ class Cover:
 
 @dataclass(frozen=True)
 class CertifiedValue:
-    """An optimum together with primal and dual witnesses that meet."""
+    """A value with its primal and dual witnesses; `verify` decides whether they meet."""
 
     value: int
     primal: object
     dual: object
-    status: str = PROVED
-
-    @property
-    def proved(self) -> bool:
-        return self.status == PROVED
 
 
 def _circuits(rows, I, outside, width):
@@ -183,7 +175,7 @@ def matroid_intersection(R: Relation):
 def max_matching(R: Relation) -> CertifiedValue:
     """Maximum matching with the minimum cover as its dual certificate."""
     matching, cover = matroid_intersection(R)
-    return CertifiedValue(cover.size, matching, cover, PROVED)
+    return CertifiedValue(cover.size, matching, cover)
 
 
 def saturated_matching(R: Relation):
@@ -229,7 +221,7 @@ def lovasz_max_rank(R: Relation) -> CertifiedValue:
     the cover's E^perp is a maximizing S.
     """
     matching, cover = matroid_intersection(R)
-    return CertifiedValue(cover.size, matching.rank_one_sum(), cover, PROVED)
+    return CertifiedValue(cover.size, matching.rank_one_sum(), cover)
 
 
 def rado_transversal(sets, m: int):

@@ -108,7 +108,7 @@ def mpc(
 
     full = Subspace.full(n)
     cv = wong_rank(routing, sampler, separator, (Separator(full, full), 2 * n))
-    return CertifiedValue(cv.value - n, cv.primal, cv.dual, cv.status)
+    return CertifiedValue(cv.value - n, cv.primal, cv.dual)
 
 
 # ---------------------------------------------------------------------------

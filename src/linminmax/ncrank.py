@@ -19,8 +19,8 @@ dual of its first maximum.  The path capacities of `menger` run the same
 loop on a routing space, with a separator as the dual.  Matrix Dilworth
 takes the Jordan chains of a blow-up element that `best_sample` draws at r
 times the cover size: the one coherent decomposition that samples, since
-a linorder's reads its maximum matching.  An unmet bound leaves the status
-at lower_bound_only, never at a wrong value.
+a linorder's reads its maximum matching.  An unmet bound leaves the value
+below the size of its dual, never at a wrong value.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from .errors import CertificationError, DimensionError
 from .exact_linalg import Mat, Subspace
 from .dilworth import CoherentDecomposition, nilpotent_jordan_chains
-from .matching_cover import LOWER_BOUND_ONLY, PROVED, CertifiedValue, Cover
+from .matching_cover import CertifiedValue, Cover
 from .relation import (
     GenericSampler,
     MatrixSpace,
@@ -109,12 +109,12 @@ def wong_rank(V: MatrixSpace, sampler: GenericSampler, certify, trivial) -> Cert
     for r in _orders(V):
         rank_r, el, (cert, bound) = _max_rank_blowup_el(V, r, sampler, certify)
         if rank_r == r * bound:
-            return CertifiedValue(bound, (r, el), cert, PROVED)
+            return CertifiedValue(bound, (r, el), cert)
         if bound < dual[1]:
             dual = (cert, bound)
         if rank_r // r > best:
             best, primal = rank_r // r, (r, el)
-    return CertifiedValue(best, primal, dual[0], LOWER_BOUND_ONLY)
+    return CertifiedValue(best, primal, dual[0])
 
 
 def ncrank(V: MatrixSpace, sampler: GenericSampler) -> CertifiedValue:
@@ -135,7 +135,7 @@ def has_full_ncrank(V: MatrixSpace, sampler: GenericSampler):
     cv = ncrank(V, sampler)
     if cv.dual.size < V.n:
         return False, cv.dual
-    if cv.proved and cv.value == V.n:
+    if cv.value == V.n:
         return True, cv.primal
     raise CertificationError(
         "no cover smaller than n found but sampling did not reach full blow-up rank"

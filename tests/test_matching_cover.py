@@ -68,7 +68,7 @@ def unrestricted_min_cover(R: Relation) -> int:
 def test_max_matching_examples():
     diag = Relation(3, 3, [(unit_vec(3, i), unit_vec(3, i)) for i in range(3)])
     cv = max_matching(diag)
-    assert cv.value == 3 and cv.proved
+    assert cv.value == cv.dual.size == 3
 
     e = lambda i: unit_vec(4, i)
     shared = Relation(4, 4, [(e(0), e(1)), (e(0), e(2)), (e(0), e(3))])
@@ -111,7 +111,7 @@ def test_separator_beyond_the_old_subset_budget():
     E = Subspace.span(5, [unit_vec(5, 0)])
     F = Subspace.span(5, [unit_vec(5, 4)])
     cv = mpc(R, E, F, routing_space(R, E, F), GenericSampler(seed=10))
-    assert cv.proved
+    assert cv.value == cv.dual.size
     assert verify_separator(R, E, F, cv.dual)
     # the pairs span all of M_5, so one path gets from E to F
     assert cv.value == cv.dual.size == 1

@@ -79,7 +79,7 @@ def test_skew3_chain():
     s = GenericSampler(seed=7)
     assert max(sample_element(V, s).rank() for _ in range(10)) == 2
     cv = ncrank(V, GenericSampler(seed=8))
-    assert cv.value == 3 and cv.proved and V.n - cv.dual.size == 0
+    assert cv.value == cv.dual.size == 3 and V.n - cv.dual.size == 0
     full, witness = has_full_ncrank(V, GenericSampler(seed=9))
     assert full
     r, element = witness
@@ -121,7 +121,7 @@ def test_rank_one_regularity(rng):
         R = rand_relation(rng, n, m, rng.randint(1, 6))
         V = to_matrix_space(R)
         cv = ncrank(V, GenericSampler(seed=19))
-        assert cv.proved
+        assert cv.value == cv.dual.size
         assert cv.value == matroid_intersection(R)[1].size
         s = GenericSampler(seed=20)
         plain = max(sample_element(V, s).rank() for _ in range(20))
@@ -142,10 +142,10 @@ def test_matrix_min_cover(rng):
     """The dual of `ncrank` is the minimum cover of matrix Kőnig."""
     v0 = MatrixSpace(2, 2, [])
     cov = ncrank(v0, GenericSampler(seed=23))
-    assert cov.dual.size == 0 and cov.proved
+    assert cov.dual.size == 0 and cov.value == cov.dual.size
 
     sk = ncrank(skew3(), GenericSampler(seed=24))
-    assert sk.dual.size == 3 and sk.proved
+    assert sk.dual.size == 3 and sk.value == sk.dual.size
     assert verify_cover(skew3(), sk.dual)
 
     for _ in range(6):
@@ -240,7 +240,7 @@ def test_mpc_examples():
     v0 = MatrixSpace(3, 3, [])
     full = Subspace.full(3)
     cv = mpc(v0, full, full, routing_space(v0, full, full), GenericSampler(seed=37))
-    assert cv.value == 3 and cv.proved
+    assert cv.value == cv.dual.size == 3
 
     e = [unit_vec(7, i) for i in range(7)]
     R = Relation(
@@ -257,7 +257,7 @@ def test_mpc_examples():
     E = Subspace.span(7, [e[0], e[1]])
     F = Subspace.span(7, [e[5], e[6]])
     cv = mpc(V, E, F, routing_space(V, E, F), GenericSampler(seed=38))
-    assert cv.value == 1 and cv.proved
+    assert cv.value == cv.dual.size == 1
 
     with pytest.raises(DimensionError):
         routing_space(MatrixSpace(2, 3, []), Subspace.zero(3), Subspace.zero(3))
@@ -295,7 +295,7 @@ def test_order_one_of_a_nonzero_space_needs_no_budget():
 
     column = MatrixSpace(70, 1, [Mat([[1]] * 70, 1)])
     cv = ncrank(column, GenericSampler(seed=1))
-    assert cv.proved and cv.value == 1 and cv.primal[0] == 1
+    assert cv.value == cv.dual.size == 1 and cv.primal[0] == 1
     with pytest.raises(CertificationError, match="blow-up side 140"):
         max_rank_blowup(column, 2, GenericSampler(seed=1))
     with pytest.raises(CertificationError, match="blow-up side 70"):
@@ -404,7 +404,7 @@ def test_fault_a_planted_block_is_proved():
     """n = 5 with a planted 3 -> 2 block: ncrank 4."""
     V = _planted_space(random.Random("fault-a:1"), 5, 3, 3, 2)
     cv = ncrank(V, GenericSampler(seed=0, trials=10))
-    assert cv.proved and cv.value == 4
+    assert cv.value == cv.dual.size == 4
     _check_ncrank_certificate(V, cv)
 
 
@@ -420,7 +420,7 @@ def test_fault_b_rank_one_space_without_pairs_is_proved():
     E = Subspace.span(4, [rand_vec(rng, 4, 2, nonzero=True) for _ in range(2)])
     F = Subspace.span(4, [rand_vec(rng, 4, 2, nonzero=True)])
     cv = mpc(V, E, F, routing_space(V, E, F), GenericSampler(seed=0, trials=10))
-    assert cv.proved and cv.value == cv.dual.size == 1
+    assert cv.value == cv.dual.size == 1
     assert verify_separator(V, E, F, cv.dual)
     R = Relation(4, 4, pairs)
     assert mpc(R, E, F, routing_space(R, E, F), GenericSampler(seed=1)).value == 1
@@ -432,7 +432,7 @@ def test_hidden_shrunk_spaces_are_proved():
         for big in (2, n // 2 + 1, n - 1):
             V = _planted_space(rng, n, 3, big, big - 1)
             cv = ncrank(V, GenericSampler(seed=n, trials=10))
-            assert cv.proved, (n, big)
+            assert cv.value == cv.dual.size, (n, big)
             assert cv.value <= n - 1
             _check_ncrank_certificate(V, cv)
 
@@ -492,7 +492,7 @@ def test_an_order_that_is_not_proved_draws_every_trial(monkeypatch):
     """skew3 has commutative rank 2 and ncrank 3: r = 1 is not proved, r = 2 is."""
     draws, limits = _record_draws_and_wong_limits(monkeypatch)
     cv = ncrank(skew3(), GenericSampler(seed=3, trials=7))
-    assert cv.proved and cv.value == 3 and cv.primal[0] == 2
+    assert cv.value == cv.dual.size == 3 and cv.primal[0] == 2
     assert Counter(draws) == {1: 7, 2: 1}
     assert limits == [1, 2]
 
@@ -504,10 +504,11 @@ def test_wong_limit_runs_once_per_order_tried(monkeypatch, rng):
         draws.clear()
         limits.clear()
         cv = ncrank(V, GenericSampler(seed=trial, trials=5))
-        assert cv.proved
+        assert cv.value == cv.dual.size
         assert limits == sorted(set(draws)) == list(range(1, cv.primal[0] + 1))
         draws.clear()
         limits.clear()
         E, F = rand_subspace(rng, 3, 2), rand_subspace(rng, 3, 2)
-        assert mpc(V, E, F, routing_space(V, E, F), GenericSampler(seed=trial, trials=5)).proved
+        cv = mpc(V, E, F, routing_space(V, E, F), GenericSampler(seed=trial, trials=5))
+        assert cv.value == cv.dual.size
         assert limits == sorted(set(draws))

@@ -20,6 +20,8 @@ from linminmax.cli import (
     EXIT_PARSE,
     EXIT_PROVED,
     EXIT_VIOLATION,
+    build_linorder_f4,
+    build_menger_f7,
     build_skew3,
     main,
 )
@@ -262,6 +264,104 @@ def test_check_menger_reads_the_separator_against_the_instance(capsys, monkeypat
     code, out = _check(capsys, "menger", INSTANCES["menger"])
     assert code == EXIT_VIOLATION
     assert json.loads(out)["separator"]["size"] == json.loads(out)["cpc"] == 1
+
+
+# ---------------------------------------------------------------------------
+# a kept complement is confirmed before it is read; a verified gap exits 2
+
+
+def _skew(n: int, side: int) -> MatrixSpace:
+    """The n x n skew-symmetric matrices, padded with zeros to side x side."""
+
+    def e(i, j):
+        rows = [[int((a, b) == (i, j)) - int((a, b) == (j, i)) for b in range(side)] for a in range(side)]
+        return Mat(rows, side)
+
+    return MatrixSpace(side, side, [e(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def _stale(S: Subspace) -> Subspace:
+    """S without its last basis row, still keeping the complement of S."""
+    smaller = Subspace.span(S.ambient, S.vectors[:-1])
+    object.__setattr__(smaller, "_perp", S.orthocomplement())
+    return smaller
+
+
+def _space_file(tmp_path, V: MatrixSpace):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(V.to_json()))
+    return path
+
+
+def test_verify_cover_confirms_the_kept_complement():
+    V = _skew(15, 15)
+    cover = ncrank.ncrank(V, GenericSampler(seed=0)).dual
+    assert verify.verify_cover(V, cover)
+    assert not verify.verify_cover(V, replace(cover, E=_stale(cover.E)))
+
+
+def test_verify_antichain_confirms_the_kept_complement():
+    L = dilworth.validate_linorder(build_linorder_f4())
+    C = dilworth.max_antichain(L).primal
+    for V in (L.relation, to_matrix_space(L.relation)):
+        assert verify.verify_antichain(V, C)
+        assert not verify.verify_antichain(V, _stale(C))
+
+
+def test_verify_separator_confirms_the_kept_complement():
+    R, E, _ = build_menger_f7()
+    F = Subspace.span(7, [unit_vec(7, 5)])
+    for V in (R, to_matrix_space(R)):
+        sep = menger.mpc(V, E, F, routing_space(V, E, F), GenericSampler(seed=0)).dual
+        assert verify.verify_separator(V, E, F, sep)
+        assert not verify.verify_separator(V, E, F, replace(sep, F_tilde=_stale(sep.F_tilde)))
+
+
+@pytest.mark.parametrize("theorem", ["ncrank", "matrix-konig"])
+def test_a_cover_with_a_stale_complement_exits_1(theorem, tmp_path, capsys, monkeypatch):
+    """Each cover's E loses its last row: the value 15 outgrows a cover of 14 that is not one."""
+    path = _space_file(tmp_path, _skew(15, 15))
+    assert _check(capsys, theorem, path)[0] == EXIT_PROVED
+    original = ncrank._defect_bound
+
+    def stale_bound(V):
+        certify = original(V)
+
+        def stale(r, el):
+            cover, _ = certify(r, el)
+            cover = replace(cover, E=_stale(cover.E))
+            return cover, cover.size
+
+        return stale
+
+    monkeypatch.setattr(ncrank, "_defect_bound", stale_bound)
+    assert _check(capsys, theorem, path)[0] == EXIT_VIOLATION
+
+
+def test_a_verified_gap_exits_2(tmp_path, capsys):
+    """skew3 padded to 33 x 33: order 2 would have side 66 > 64, and order 1 reaches rank 2 < 3."""
+    path = _space_file(tmp_path, _skew(3, 33))
+    code, out = _check(capsys, "ncrank", path)
+    report = json.loads(out)
+    assert code == EXIT_BOUNDS
+    assert (report["status"], report["ncrank"], report["defect"]) == ("lower_bound_only", 2, 30)
+    code, out = _check(capsys, "matrix-konig", path)
+    report = json.loads(out)
+    assert code == EXIT_BOUNDS
+    assert (report["status"], report["cover_size"]) == ("lower_bound_only", 3)
+
+
+def test_check_matrix_konig_verifies_the_element_behind_a_bound(tmp_path, capsys, monkeypatch):
+    path = _space_file(tmp_path, _skew(3, 33))
+    original = ncrank.ncrank
+
+    def zero_element(V, sampler):
+        cv = original(V, sampler)
+        r, el = cv.primal
+        return replace(cv, primal=(r, Mat.zeros(el.rows, el.cols)))
+
+    monkeypatch.setattr(ncrank, "ncrank", zero_element)
+    assert _check(capsys, "matrix-konig", path)[0] == EXIT_VIOLATION
 
 
 # ---------------------------------------------------------------------------
