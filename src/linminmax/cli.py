@@ -257,17 +257,19 @@ def _verdict(report: dict, verified: bool, value: int, bound: int):
     """The report with its status, and the exit code, of a primal and a dual.
 
     `verified` says whether `verify` accepted both certificates, and
-    `value` and `bound` are their sizes.  The status, placed after the
-    report's first key, says whether the sizes meet: "proved" or
-    "lower_bound_only".  A failed certificate, or a value above its bound,
-    is a bug and exits 1; otherwise the exit is 0 when they meet, else 2.
+    `value` and `bound` are their sizes.  A failed certificate, or a value
+    above its bound, is a bug: status "failed", exit 1.  Otherwise the
+    status is "proved" (exit 0) when the sizes meet, else
+    "lower_bound_only" (exit 2).  It is placed after the report's first key.
     """
-    proved = value == bound
-    first, *rest = report.items()
-    report = dict([first, ("status", "proved" if proved else "lower_bound_only"), *rest])
     if not verified or value > bound:
-        return report, EXIT_VIOLATION
-    return report, (EXIT_PROVED if proved else EXIT_BOUNDS)
+        status, code = "failed", EXIT_VIOLATION
+    elif value == bound:
+        status, code = "proved", EXIT_PROVED
+    else:
+        status, code = "lower_bound_only", EXIT_BOUNDS
+    first, *rest = report.items()
+    return dict([first, ("status", status), *rest]), code
 
 
 def check_konig(data, config: RunConfig):
@@ -619,7 +621,7 @@ def demo_menger_f7(config: RunConfig):
 def demo_skew3(config: RunConfig):
     V = build_skew3()
     check, code = check_ncrank(V.to_json(), config)
-    plain_rank, _ = best_sample(V, config.sampler())
+    plain_rank, _, _ = best_sample(V, config.sampler(), 1, lambda el: (None, None))
     blow2 = ncrank.max_rank_blowup(V, 2, config.sampler())
     report = {
         "max_rank": plain_rank,

@@ -5,31 +5,33 @@ maximum rank in the blow-up V (x) M_r, attained for every r >= n-1, and by
 Fortin and Reutenauer the minimum size of a cover (E, F), V[E^perp] in F.
 The exact `Cover` (U^perp, V[U]) has size n minus the defect dim U -
 dim V[U], and bounds every blow-up rank by r times that size, while a
-sampled blow-up element of that rank is the primal.  `wong_rank` is the
-one loop behind every blow-up value: for r = 1 .. n - 1, as far as the
-blow-up side max(m, n) r stays within BLOWUP_DIM_BUDGET (order 1 of a
-nonzero space is the space itself and always runs), it draws blow-up
-elements A through `relation.best_sample` (the one sampler of V (x) M_r).
-Each draw that beats the best so far gets its dual, read off the limit U'
-of its second Wong sequence (`wong_limit`): for `ncrank` the cover
-(U'^perp, V[U']), which matrix Kőnig reports as its minimum cover.  The
-order is proved, and drawing stops, at the first draw whose rank meets its
-own bound; an order that is not proved draws all `trials` and keeps the
-dual of its first maximum.  The path capacities of `menger` run the same
-loop on a routing space, with a separator as the dual.  Matrix Dilworth
-takes the Jordan chains of a blow-up element that `best_sample` draws at r
-times the cover size: the one coherent decomposition that samples, since
-a linorder's reads its maximum matching.  An unmet bound leaves the value
-below the size of its dual, never at a wrong value.
+sampled blow-up element of that rank is the primal.  Every blow-up draw
+goes through one loop, `relation.best_sample`, which enforces the side
+limit BLOWUP_DIM_BUDGET (order 1 of a nonzero space is the space itself
+and always runs) and stops at the first draw whose rank meets r times its
+own bound.  `wong_rank` runs it for r = 1 .. n - 1 as far as the side
+allows, with the dual of each draw that beats the best so far read off
+the limit U' of its second Wong sequence (`wong_limit`): for `ncrank` the
+cover (U'^perp, V[U']), which matrix Kőnig reports as its minimum cover.
+An order that is not proved draws all `trials` and keeps the dual of its
+first maximum.  The path capacities of `menger` run the same orders on a
+routing space, with a separator as the dual.  Matrix Dilworth takes the
+Jordan chains of a blow-up element that the same loop draws with the
+cover size as its bound: the one coherent decomposition that samples,
+since a linorder's reads its maximum matching.  An unmet bound leaves the
+value below the size of its dual, never at a wrong value.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .errors import CertificationError, DimensionError
 from .exact_linalg import Mat, Subspace
 from .dilworth import CoherentDecomposition, nilpotent_jordan_chains
 from .matching_cover import CertifiedValue, Cover
 from .relation import (
+    BLOWUP_DIM_BUDGET,
     GenericSampler,
     MatrixSpace,
     best_sample,
@@ -37,30 +39,10 @@ from .relation import (
     wong_limit,
 )
 
-BLOWUP_DIM_BUDGET = 64
-
-
-def _check_blowup_budget(V: MatrixSpace, r: int):
-    """Refuse a blow-up side beyond BLOWUP_DIM_BUDGET.
-
-    Order 1 of a nonzero space is V itself, no larger than its own basis,
-    so it is always allowed.
-    """
-    side = max(V.m, V.n) * r
-    if side > BLOWUP_DIM_BUDGET and (r > 1 or V.dim == 0):
-        raise CertificationError(f"blow-up side {side} exceeds {BLOWUP_DIM_BUDGET}")
-
-
-def _orders(V: MatrixSpace) -> range:
-    """Order 1, then the orders up to n - 1 whose side stays within BLOWUP_DIM_BUDGET."""
-    _check_blowup_budget(V, 1)
-    return range(1, max(1, min(V.n - 1, BLOWUP_DIM_BUDGET // max(V.m, V.n, 1))) + 1)
-
 
 def max_rank_blowup(V: MatrixSpace, r: int, sampler: GenericSampler) -> int:
-    """Maximum sampled rank in V (x) M_r; asserted divisible by r."""
-    value, _, _ = _max_rank_blowup_el(V, r, sampler, _defect_bound(V))
-    return value
+    """Maximum sampled rank in V (x) M_r; a multiple of r."""
+    return best_sample(V, sampler, r, partial(_defect_bound(V), r))[0]
 
 
 def _defect_bound(V: MatrixSpace):
@@ -74,40 +56,21 @@ def _defect_bound(V: MatrixSpace):
     return certify
 
 
-def _max_rank_blowup_el(V: MatrixSpace, r: int, sampler: GenericSampler, certify):
-    """(rank, element, (cert, bound)) of `best_sample` on V (x) M_r; rank divisible by r.
-
-    Each draw that beats the best so far is certified by `certify(r, el)`,
-    and a draw of rank r * bound stops the loop.
-    """
-    _check_blowup_budget(V, r)
-
-    def dual(el: Mat):
-        cert, bound = certify(r, el)
-        return (cert, bound), r * bound
-
-    best, best_el, cert = best_sample(V, sampler, r, dual=dual)
-    if best % r != 0:
-        raise CertificationError(
-            f"sampled blow-up maximum {best} is not divisible by {r}"
-        )
-    return best, best_el, cert
-
-
 def wong_rank(V: MatrixSpace, sampler: GenericSampler, certify, trivial) -> CertifiedValue:
     """Noncommutative rank of V with a sampled primal and a Wong-limit dual.
 
     `certify(r, el)` reads a certificate off the Wong limit of el in
-    V (x) M_r, with the bound on ncrank V that it proves.  For each r of
-    `_orders(V)`: sample until rank el meets r times its own bound, proved,
+    V (x) M_r, with the bound on ncrank V that it proves.  For r = 1, then
+    each r up to n - 1 whose blow-up side stays within BLOWUP_DIM_BUDGET,
+    `best_sample` draws until rank el meets r times its own bound, proved,
     or the trials run out.  Unproved, the value is the largest sampled
     rank over r, with its draw (r, el) as the primal, and the dual is the
     first certificate of smallest bound, or the `trivial` (cert, bound)
     pair, which holds for every draw, when none bounds lower.
     """
     best, primal, dual = -1, None, trivial
-    for r in _orders(V):
-        rank_r, el, (cert, bound) = _max_rank_blowup_el(V, r, sampler, certify)
+    for r in range(1, max(1, min(V.n - 1, BLOWUP_DIM_BUDGET // max(V.m, V.n, 1))) + 1):
+        rank_r, el, (cert, bound) = best_sample(V, sampler, r, partial(certify, r))
         if rank_r == r * bound:
             return CertifiedValue(bound, (r, el), cert)
         if bound < dual[1]:
@@ -153,11 +116,9 @@ def matrix_coherent_decomposition(
     """
     if not is_nilpotent_algebra(V):
         raise ValueError("matrix Dilworth is stated for nilpotent algebras")
-    _check_blowup_budget(V, r)
-    target = r * cover.size
-    rank, A = best_sample(V, sampler, r, target)
-    if rank < target:
+    rank, A, _ = best_sample(V, sampler, r, lambda el: (None, cover.size))
+    if rank < r * cover.size:
         raise CertificationError(
-            f"no sampled element reached the certified maximum rank {target}"
+            f"no sampled element reached the certified maximum rank {r * cover.size}"
         )
     return CoherentDecomposition(A, tuple(nilpotent_jordan_chains(A)))

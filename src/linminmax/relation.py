@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from math import lcm
 from operator import mul
 
-from .errors import DimensionError
+from .errors import CertificationError, DimensionError
 from .exact_linalg import (
     IntEchelon,
     Mat,
@@ -32,6 +32,10 @@ from .exact_linalg import (
     json_list,
     outer,
 )
+
+
+# The largest blow-up side max(m, n) r that `best_sample` draws at.
+BLOWUP_DIM_BUDGET = 64
 
 
 class Relation:
@@ -295,43 +299,39 @@ def sample_element(V: MatrixSpace, sampler: GenericSampler, r: int = 1) -> Mat:
     return Mat.from_int_rows(tuple(rows), V.den, V.n * r)
 
 
-def best_sample(
-    V: MatrixSpace,
-    sampler: GenericSampler,
-    r: int = 1,
-    target: int | None = None,
-    dual=None,
-) -> tuple:
-    """(rank, element): the first of largest rank among `sampler.trials` draws.
+def best_sample(V: MatrixSpace, sampler: GenericSampler, r: int, bound) -> tuple:
+    """(rank, el, bound(el)) of the first draw of largest rank in V (x) M_r.
 
-    Draws from V (x) M_r and stops early once the rank reaches `target`, a
-    certified upper bound.  The zero space draws nothing: its one element
-    is the zero matrix, of rank 0.
-
-    With `dual`, a callable el -> (cert, bound), each draw that beats the
-    best so far is passed to it, and its `bound` (an upper bound on every
-    rank of V (x) M_r read off that draw, or None) takes the place of
-    `target`: a draw that meets its own dual stops the loop.  The maximum
-    rank of V (x) M_r is a multiple of r, so after the trials up to
-    2 * trials more draws follow while the best rank is not.  Returns
-    (rank, element, cert), the cert of the returned element.
+    `bound(el)` returns (cert, b): a certificate read off a draw and the
+    bound b on rank / r over all of V (x) M_r that it proves, or None.
+    Each draw that beats the best so far is passed to it, and the first
+    whose rank reaches r * b ends the loop; else `sampler.trials` draws
+    are made.  The maximum rank of V (x) M_r is a multiple of r, so up to
+    2 * trials more draws follow while the best rank is not, and a
+    CertificationError if it still is not.  A blow-up side max(m, n) r
+    beyond BLOWUP_DIM_BUDGET is refused, except at order 1 of a nonzero
+    space, which is V itself.  The zero space draws nothing: its one
+    element is the zero matrix, of rank 0.
     """
+    side = max(V.m, V.n) * r
+    if side > BLOWUP_DIM_BUDGET and (r > 1 or V.dim == 0):
+        raise CertificationError(f"blow-up side {side} exceeds {BLOWUP_DIM_BUDGET}")
     if V.dim == 0:
         zero = Mat.zeros(V.m * r, V.n * r)
-        return (0, zero) if dual is None else (0, zero, dual(zero)[0])
-    best, best_el, cert = -1, None, None
-    for i in range(sampler.trials if dual is None else 3 * sampler.trials):
+        return 0, zero, bound(zero)
+    best = -1
+    for i in range(3 * sampler.trials):
         if i >= sampler.trials and best % r == 0:
             break
         el = sample_element(V, sampler, r)
         rank = el.rank()
         if rank > best:
-            best, best_el = rank, el
-            if dual is not None:
-                cert, target = dual(el)
-            if target is not None and rank >= target:
+            best, best_el, found = rank, el, bound(el)
+            if found[1] is not None and rank >= r * found[1]:
                 break
-    return (best, best_el) if dual is None else (best, best_el, cert)
+    if best % r != 0:
+        raise CertificationError(f"sampled blow-up maximum {best} is not divisible by {r}")
+    return best, best_el, found
 
 
 def space_power_is_zero(V, k: int) -> bool:

@@ -525,23 +525,38 @@ def test_check_matrix_dilworth_needs_a_space_closed_under_products(tmp_path, cap
     assert code == EXIT_PARSE and error.startswith("parse:"), error
 
 
-def test_matrix_dilworth_on_larger_nilpotent_algebras(tmp_path, capsys):
-    from linminmax.dilworth import max_antichain, validate_linorder
+def _linorder_space(tmp_path, capsys, size):
+    """(relation, file of its matrix space) of `gen linorder size=<size> --seed 3`."""
     from linminmax.relation import Relation, to_matrix_space
 
+    lin = tmp_path / f"lin{size}.json"
+    main(["gen", "linorder", f"size={size}", "--seed", "3", "--out", str(lin)])
+    capsys.readouterr()
+    R = Relation.from_json(json.loads(lin.read_text()))
+    space = tmp_path / f"space{size}.json"
+    space.write_text(json.dumps(to_matrix_space(R).to_json()))
+    return R, space
+
+
+def test_matrix_dilworth_on_larger_nilpotent_algebras(tmp_path, capsys):
+    from linminmax.dilworth import max_antichain, validate_linorder
+
     for size in (6, 7):
-        lin = tmp_path / f"lin{size}.json"
-        main(["gen", "linorder", f"size={size}", "--seed", "3", "--out", str(lin)])
-        capsys.readouterr()
-        R = Relation.from_json(json.loads(lin.read_text()))
-        space = tmp_path / f"space{size}.json"
-        space.write_text(json.dumps(to_matrix_space(R).to_json()))
+        R, space = _linorder_space(tmp_path, capsys, size)
         code, out = run_cli(capsys, "check", "matrix-dilworth", str(space), "--output", "json")
         report = json.loads(out)
         assert code == EXIT_PROVED, report
         assert report["r"] == size - 1
         assert report["coherent_count"] == report["r"] * report["antichain_dim"]
         assert report["antichain_dim"] == max_antichain(validate_linorder(R)).value
+
+
+def test_matrix_dilworth_at_n_9_meets_the_blowup_side_limit(tmp_path, capsys):
+    """Its decomposition is drawn at r = n - 1 = 8, side 72 > 64: only bounds, exit 2."""
+    _, space = _linorder_space(tmp_path, capsys, 9)
+    code, out = run_cli(capsys, "check", "matrix-dilworth", str(space), "--output", "json")
+    assert code == EXIT_BOUNDS
+    assert json.loads(out)["error"] == "bounds: blow-up side 72 exceeds 64"
 
 
 def test_check_ncrank_rechecks_defect_rank_and_membership(tmp_path, capsys, monkeypatch):

@@ -227,6 +227,29 @@ def test_matrix_coherent_decomposition(rng):
         assert D.size == r * max_antichain(L).value
 
 
+def test_matrix_coherent_decomposition_draws_on_while_the_rank_is_not_a_multiple_of_r(monkeypatch):
+    """Two rank-1 draws of span{e12} (x) M_2 miss the maximum 2; the loop draws on to it."""
+    V = MatrixSpace(2, 2, [Mat([[0, 1], [0, 0]])])
+    cover = ncrank(V, GenericSampler(seed=0)).dual
+    assert cover.size == 1
+
+    def blown(c):
+        """e12 (x) c in the layout of `sample_element`: [[0, c], [0, 0]]."""
+        return Mat([[0, 0] + c[0], [0, 0] + c[1], [0] * 4, [0] * 4])
+
+    draws = [blown([[1, 0], [0, 0]]), blown([[2, 0], [0, 0]]), blown([[1, 2], [3, 4]])]
+    calls = []
+
+    def scripted(space, sampler, r=1):
+        calls.append(r)
+        return draws[len(calls) - 1]
+
+    monkeypatch.setattr(relation, "sample_element", scripted)
+    D = matrix_coherent_decomposition(V, 2, GenericSampler(seed=0, trials=2), cover)
+    assert calls == [2, 2, 2]
+    assert D.A == draws[2] and D.size == 2
+
+
 def test_blowup_of_nilpotent_algebra_is_one(rng):
     for _ in range(4):
         L, _ = rand_dual_basis_linorder(rng, rng.randint(2, 3))

@@ -1,7 +1,8 @@
 """One matroid-intersection run per relation theorem, one routing space per path check.
 
 No span and no draw for linorders, and no span for a relation's path capacity.
-A subspace's complement is computed once per check.
+A subspace's complement is computed once per check, and a proved blow-up order
+is drawn once.
 """
 
 import json
@@ -119,6 +120,36 @@ KERNEL_CALLS = {
     "ncrank": 0,
     "rado": 0,
 }
+
+
+# At most this many `relation.sample_element` draws per golden check and
+# demo: a proved blow-up order costs one draw, and only an order that is not
+# proved (skew3's order 1) draws every trial.
+DRAW_CALLS = {
+    "coherent": 0,
+    "dilworth": 0,
+    "hall": 0,
+    "konig": 0,
+    "lgv": 0,
+    "matrix-dilworth": 2,
+    "matrix-konig": 1,
+    "matrix-menger": 1,
+    "menger": 1,
+    "ncrank": 1,
+    "rado": 0,
+    "demo linorder-f4": 0,
+    "demo menger-f7": 1,
+    "demo skew3": 52,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_CALLS))
+def test_golden_checks_and_demos_draw_few_elements(name, monkeypatch, capsys):
+    draws = count_calls(monkeypatch, relation.sample_element)
+    argv = name.split() if name.startswith("demo ") else ["check", name, str(GOLDEN / f"{name}.json")]
+    assert main(argv) == EXIT_PROVED
+    capsys.readouterr()
+    assert len(draws) <= DRAW_CALLS[name]
 
 
 @pytest.mark.parametrize("theorem", sorted(KERNEL_CALLS))

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from linminmax import relation
-from linminmax.errors import DimensionError
+from linminmax.errors import CertificationError, DimensionError
 from linminmax.exact_linalg import IntEchelon, Mat, Subspace, Vec, unit_vec, vec
 from linminmax.relation import (
     GenericSampler,
@@ -383,6 +383,11 @@ def test_sample_element_at_order_one_is_the_basis_combination(rng):
         assert sample_element(V, GenericSampler(seed=trial, coeff_bound=9)) == expected
 
 
+def _unbounded(el):
+    """A `best_sample` bound that proves nothing."""
+    return None, None
+
+
 def test_best_sample_returns_the_first_maximum_and_stops_at_target(monkeypatch):
     V = MatrixSpace(2, 2, [Mat([[1, 0], [0, 0]]), Mat([[0, 0], [0, 1]])])
     draws = [
@@ -399,10 +404,10 @@ def test_best_sample_returns_the_first_maximum_and_stops_at_target(monkeypatch):
 
     monkeypatch.setattr(relation, "sample_element", scripted)
     sampler = GenericSampler(seed=0, trials=4)
-    assert best_sample(V, sampler) == (2, draws[1])
+    assert best_sample(V, sampler, 1, _unbounded) == (2, draws[1], (None, None))
     assert len(calls) == 4
     calls.clear()
-    assert best_sample(V, sampler, target=2) == (2, draws[1])
+    assert best_sample(V, sampler, 1, lambda el: (None, 2)) == (2, draws[1], (None, 2))
     assert len(calls) == 2
 
 
@@ -411,7 +416,7 @@ def test_best_sample_draws_match_the_sampler_stream(rng):
         V = rand_rational_space(rng, 3, 3, rng.randint(1, 3))
         for r in (1, 2):
             s = CountingSampler(seed=trial, trials=5)
-            rank, el = best_sample(V, s, r)
+            rank, el, _ = best_sample(V, s, r, _unbounded)
             assert s.drawn == 5 * V.dim * r * r
             ref = GenericSampler(seed=trial, trials=5)
             seen = [sample_element(V, ref, r) for _ in range(5)]
@@ -419,7 +424,7 @@ def test_best_sample_draws_match_the_sampler_stream(rng):
             assert rank == max(ranks)
             assert el == seen[ranks.index(rank)]
             s = CountingSampler(seed=trial, trials=5)
-            rank, el = best_sample(V, s, r, target=ranks[0])
+            rank, el, _ = best_sample(V, s, r, lambda el: (None, Fraction(ranks[0], r)))
             assert (rank, el) == (ranks[0], seen[0])
             assert s.drawn == V.dim * r * r
 
@@ -427,7 +432,7 @@ def test_best_sample_draws_match_the_sampler_stream(rng):
 def test_best_sample_on_the_zero_space_draws_nothing():
     for m, n, r in [(3, 2, 1), (2, 2, 3), (0, 4, 2), (2, 0, 1)]:
         s = CountingSampler(seed=1)
-        rank, el = best_sample(MatrixSpace(m, n, []), s, r)
+        rank, el, _ = best_sample(MatrixSpace(m, n, []), s, r, _unbounded)
         assert rank == 0
         assert el == Mat.zeros(m * r, n * r)
         assert s.drawn == 0
@@ -497,12 +502,12 @@ def test_best_sample_stops_at_the_first_draw_that_meets_its_own_dual(monkeypatch
     calls = _scripted(monkeypatch, draws)
     duals = []
 
-    def dual(el):
+    def bound(el):
         duals.append(el)
         return ("cert", el), 2
 
     sampler = GenericSampler(seed=0, trials=4)
-    assert best_sample(V, sampler, dual=dual) == (2, draws[2], ("cert", draws[2]))
+    assert best_sample(V, sampler, 1, bound) == (2, draws[2], (("cert", draws[2]), 2))
     assert len(calls) == 3
     assert duals == [draws[0], draws[2]]
 
@@ -515,7 +520,7 @@ def test_best_sample_stops_at_the_first_draw_that_meets_its_own_dual(monkeypatch
         duals.append(el)
         return ("cert", el), None
 
-    assert best_sample(V, sampler, dual=unproved) == (2, draws[2], ("cert", draws[2]))
+    assert best_sample(V, sampler, 1, unproved) == (2, draws[2], (("cert", draws[2]), None))
     assert len(calls) == 4
     assert duals == [draws[0], draws[2]]
 
@@ -526,15 +531,14 @@ def test_best_sample_with_a_dual_draws_on_while_the_rank_is_not_a_multiple_of_r(
     draws = [one, one, one, two, two, one, one]
     calls = _scripted(monkeypatch, draws)
     sampler = GenericSampler(seed=0, trials=2)
-    assert best_sample(V, sampler, 2) == (1, one)
-    assert len(calls) == 2
-    calls.clear()
-    assert best_sample(V, sampler, 2, dual=lambda el: (el.rank(), None)) == (2, two, 2)
+    rank_cert = lambda el: (el.rank(), None)
+    assert best_sample(V, sampler, 2, rank_cert) == (2, two, (2, None))
     assert len(calls) == 4
-    # at most 2 * trials more draws
+    # at most 2 * trials more draws, then a maximum that is no multiple of r fails
     draws[3] = draws[4] = one
     calls.clear()
-    assert best_sample(V, sampler, 2, dual=lambda el: (el.rank(), None)) == (1, one, 1)
+    with pytest.raises(CertificationError, match="maximum 1 is not divisible by 2"):
+        best_sample(V, sampler, 2, rank_cert)
     assert len(calls) == 6
 
 
@@ -542,10 +546,10 @@ def test_best_sample_with_a_dual_on_the_zero_space_draws_nothing():
     s = CountingSampler(seed=1)
     seen = []
 
-    def dual(el):
+    def bound(el):
         seen.append(el)
         return "cert", 0
 
-    assert best_sample(MatrixSpace(2, 3, []), s, 2, dual=dual) == (0, Mat.zeros(4, 6), "cert")
+    assert best_sample(MatrixSpace(2, 3, []), s, 2, bound) == (0, Mat.zeros(4, 6), ("cert", 0))
     assert seen == [Mat.zeros(4, 6)]
     assert s.drawn == 0

@@ -169,12 +169,17 @@ def _tampered_primal(solver, tamper):
 @pytest.mark.parametrize("tamper", ["zero", "wrong order"])
 @pytest.mark.parametrize("theorem, key", [("menger", "cpc"), ("matrix-menger", "mpc")])
 def test_path_capacity_checks_verify_their_primal(theorem, key, tamper, capsys, monkeypatch):
-    """The separator still meets the value, but the element behind it does not."""
+    """The separator still meets the value, but the element behind it does not.
+
+    The report stays the same but for its status, which says the check failed.
+    """
     code, report = _check(capsys, theorem, INSTANCES[theorem])
     assert code == EXIT_PROVED
     assert json.loads(report)[key] == json.loads(report)["separator"]["size"]
+    assert report.count('"status": "proved"') == 1
+    failed = report.replace('"status": "proved"', '"status": "failed"')
     monkeypatch.setattr(menger, "mpc", _tampered_primal(menger.mpc, tamper))
-    assert _check(capsys, theorem, INSTANCES[theorem]) == (EXIT_VIOLATION, report)
+    assert _check(capsys, theorem, INSTANCES[theorem]) == (EXIT_VIOLATION, failed)
 
 
 @pytest.mark.parametrize("tamper", ["zero", "wrong order"])
