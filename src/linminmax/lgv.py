@@ -3,10 +3,10 @@
 For source columns A, sink columns B, and pair columns (v_i, w_i) carrying
 formal weights x_i, the determinant det(B^T (I - W X V^T)^{-1} A) equals a
 signed subset sum of small bordered determinants divided by the matching
-subset expansion of det(I - X V^T W).  When the pair family is acyclic the
-denominator is identically 1 and the inverse truncates to a finite
-geometric sum.  Both sides are evaluated exactly at rational points; there
-is no symbolic polynomial arithmetic anywhere.
+subset expansion of det(I - X V^T W).  When the pair family is acyclic,
+which `is_acyclic` (V_R^n = 0) alone decides, W X V^T is nilpotent and the
+denominator is identically 1.  Both sides are evaluated exactly at
+rational points; there is no symbolic polynomial arithmetic anywhere.
 
 None of the subset determinants depends on the point, only the monomials
 x_S do.  So each instance computes its minor table once (`LgvInstance.minors`):
@@ -191,63 +191,22 @@ def is_acyclic(R: Relation) -> bool:
     return space_power_is_zero(R, R.n)
 
 
-def _acyclic_pair_order(vtw):
-    """Topological order of pair indices so that v_i . w_j = 0 for i >= j.
-
-    `vtw` holds the rows of V^T W, or any nonzero multiple of them.
-    """
-    r = len(vtw)
-    succ = {i: [j for j in range(r) if vtw[i][j]] for i in range(r)}
-    order = []
-    state = [0] * r  # 0 unseen, 1 on stack, 2 done
-
-    def visit(i):
-        if state[i] == 1:
-            raise InvariantViolation("pair graph has a cycle")
-        if state[i] == 2:
-            return
-        state[i] = 1
-        for j in succ[i]:
-            visit(j)
-        state[i] = 2
-        order.append(i)
-
-    for i in range(r):
-        visit(i)
-    order.reverse()
-    return order
-
-
 def lgv_acyclic(inst: LgvInstance, xs):
     """Both sides of the identity in the acyclic case; asserts equality.
 
-    The left side uses the truncated geometric sum of W X V^T; the right
-    side is the bare numerator because det(I - X V^T W) = 1, which is
-    verified both by evaluation and by a strict-triangularity reordering.
-    A failure of any of these is a violated identity (InvariantViolation),
-    not a singular point.
+    `LgvInstance.acyclic` alone decides acyclicity; then I - W X V^T is
+    unipotent, so `lgv_lhs` meets no singular point, and the right side is
+    the bare numerator because det(I - X V^T W) = 1.  A failure of either
+    equality is a violated identity (InvariantViolation), not a singular
+    point.
     """
     xs = _coerce_point(inst, xs)
     if not inst.acyclic:
         raise ValueError("instance is not acyclic")
-    n = inst.n
-    step = _weighted_sum(inst, xs)
-    total = Mat.zeros(n, n)
-    power = Mat.identity(n)
-    for _ in range(n):
-        total = total + power
-        power = power @ step
-    lhs = (inst.B.transpose() @ total @ inst.A).det()
-
+    lhs = lgv_lhs(inst, xs)
     num, den = lgv_rhs_parts(inst, xs)
     if den != 1:
         raise InvariantViolation("acyclic denominator is not identically 1")
-    vtw = (inst.V.transpose() @ inst.W).int_rows()
-    order = _acyclic_pair_order(vtw)  # existence certifies triangularity
-    for pos_i, i in enumerate(order):
-        for pos_j, j in enumerate(order):
-            if pos_i >= pos_j and vtw[i][j]:
-                raise InvariantViolation("triangular reordering failed")
     if lhs != num:
         raise InvariantViolation("acyclic identity failed at an exact point")
     return lhs, num

@@ -358,11 +358,19 @@ def test_check_lgv_exit_codes_for_failures_and_singular_points(tmp_path, capsys,
     argv = ["check", "lgv", str(path), "--output", "json", "--trials", "3"]
     assert _exit_and_error(capsys, argv) == (EXIT_PROVED, "")
 
-    # an identity failure in the acyclic evaluation is a violation, exit 1
-    order = lgv._acyclic_pair_order
-    monkeypatch.setattr(lgv, "_acyclic_pair_order", lambda vtw: order(vtw)[::-1])
+    # an identity failure in the acyclic evaluation is a violation, exit 1:
+    # the left side is off by one on the call after the 3 sampled points
+    lhs = lgv.lgv_lhs
+    calls = []
+
+    def off_after_the_points(inst, xs):
+        calls.append(xs)
+        return lhs(inst, xs) + (len(calls) > 3)
+
+    monkeypatch.setattr(lgv, "lgv_lhs", off_after_the_points)
     code, error = _exit_and_error(capsys, argv)
     assert code == EXIT_VIOLATION and error.startswith("invariant:")
+    assert len(calls) == 4
     monkeypatch.undo()
 
     # every sampled point singular: nothing was checked, so only bounds, exit 2

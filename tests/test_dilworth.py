@@ -2,10 +2,12 @@
 
 import dataclasses
 import random
+from itertools import product
 
 import pytest
 
 from linminmax.classical_oracles import Poset, poset_dilworth
+from linminmax.cli import gen_linorder
 from linminmax.dilworth import (
     Linorder,
     LinorderViolation,
@@ -20,13 +22,14 @@ from linminmax.dilworth import (
 from linminmax.errors import DimensionError
 from linminmax.exact_linalg import Mat, Subspace, outer_sum, solve_exact, unit_vec, vec
 from linminmax.matching_cover import max_matching
-from linminmax.relation import Relation, to_matrix_space
+from linminmax.relation import Relation, space_power_is_zero, to_matrix_space
 from linminmax.verify import (
     verify_antichain,
     verify_bichain_decomposition,
     verify_coherent_decomposition,
     verify_pair_sum,
 )
+from conftest import rand_vec
 from test_oracles import rand_poset
 
 
@@ -69,6 +72,37 @@ def test_validate_examples():
 
     with pytest.raises(DimensionError):
         validate_linorder(Relation(2, 3, []))
+
+
+def _closed_under_composition(rng, n, limit=10) -> Relation:
+    """Sparse random pairs, closed under (v, w), (v2, w2) -> (v, w2) when w . v2 != 0."""
+    pairs = [(rand_vec(rng, n, 1), rand_vec(rng, n, 1)) for _ in range(rng.randint(0, 3))]
+    grown = True
+    while grown and len(pairs) < limit:
+        grown = False
+        for (v, w), (v2, w2) in product(pairs, repeat=2):
+            if w.dot(v2) != 0 and (v, w2) not in pairs:
+                pairs.append((v, w2))
+                grown = True
+    return Relation(n, n, pairs)
+
+
+def test_the_linorder_axioms_force_a_nilpotent_span():
+    """Every relation `validate_linorder` accepts has V_R^n = 0: the axioms decide it."""
+    rng = random.Random(53)
+    accepted = []
+    for _ in range(300):
+        R = _closed_under_composition(rng, rng.randint(1, 3))
+        if isinstance(validate_linorder(R), Linorder):
+            accepted.append(R)
+    assert len({R.pairs for R in accepted if R.pairs}) >= 30
+    for seed in range(12):
+        data = gen_linorder(random.Random(seed), 1 + seed % 6)
+        accepted.append(validate_linorder(Relation.from_json(data)).relation)
+    for _ in range(12):
+        accepted.append(poset_embed(rand_poset(rng, rng.randint(1, 6))).relation)
+    for R in accepted:
+        assert space_power_is_zero(R, R.n), R.to_json()
 
 
 def test_antichain_examples():

@@ -3,13 +3,13 @@
 import random
 from dataclasses import fields
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
 from linminmax.classical_oracles import Digraph
 from linminmax.errors import SingularityError
-from linminmax.exact_linalg import Mat, hstack, unit_vec, vec
+from linminmax.exact_linalg import Mat, hstack, solve_exact, unit_vec, vec
 from linminmax.lgv import (
     LgvInstance,
     classical_lgv,
@@ -21,7 +21,7 @@ from linminmax.lgv import (
     lgv_rhs_parts,
 )
 from linminmax.relation import Relation
-from conftest import gs_matrix, rand_mat, submatrix
+from conftest import gs_matrix, rand_mat, rand_vec, submatrix
 
 
 def rand_instance(rng, n=None, r=None, k=None) -> LgvInstance:
@@ -95,6 +95,67 @@ def test_acyclicity():
     assert not is_acyclic(loop)
     cycle = Relation(2, 2, [(e2 := unit_vec(2, 0), unit_vec(2, 1)), (unit_vec(2, 1), e2)])
     assert not is_acyclic(cycle)
+
+
+def _pair_digraph_has_cycle(R) -> bool:
+    """Depth-first search of the digraph with an arc i -> j when v_i . w_j != 0."""
+    r = len(R.pairs)
+    succ = [[j for j in range(r) if R.pairs[i][0].dot(R.pairs[j][1]) != 0] for i in range(r)]
+    state = [0] * r  # 0 unseen, 1 on the stack, 2 done
+
+    def cycle_from(i):
+        state[i] = 1
+        for j in succ[i]:
+            if state[j] == 1 or (state[j] == 0 and cycle_from(j)):
+                return True
+        state[i] = 2
+        return False
+
+    return any(state[i] == 0 and cycle_from(i) for i in range(r))
+
+
+def _rand_pair_relation(rng, n, trial) -> Relation:
+    """Sparse random pairs (zero vectors, loops, 2-cycles) or a digraph's encoding.
+
+    The encodings put the pair (e_i, e_j) on each edge of a random DAG,
+    sometimes with one back edge or loop, in the standard basis or through
+    a random dual basis pair (rows of M and columns of M^-1).
+    """
+    if trial % 3 == 0:
+        pairs = [(rand_vec(rng, n, 1), rand_vec(rng, n, 1)) for _ in range(rng.randint(0, 5))]
+        return Relation(n, n, pairs)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+    if rng.random() < 0.3:
+        i, j = sorted((rng.randrange(n), rng.randrange(n)))
+        edges.append((j, i))
+    if trial % 3 == 1:
+        return Relation(n, n, [(unit_vec(n, i), unit_vec(n, j)) for i, j in edges])
+    while (m := rand_mat(rng, n, n, 2)).det() == 0:
+        pass
+    inv = solve_exact(m, Mat.identity(n))
+    return Relation(n, n, [(m.row(i), inv.col(j)) for i, j in edges])
+
+
+def test_is_acyclic_is_a_pair_digraph_without_a_cycle(rng):
+    """V_R^n = 0 exactly when the pair digraph has no cycle; then the denominator is 1."""
+    outcomes = {True: 0, False: 0}
+    e0, e1 = unit_vec(2, 0), unit_vec(2, 1)
+    fixed = [
+        Relation(2, 2, [(e0, e0)]),
+        Relation(2, 2, [(e0, e1), (e1, e0)]),
+        Relation(2, 2, [(vec(0, 0), e0), (e0, vec(0, 0)), (e0, e1)]),
+    ]
+    randoms = (_rand_pair_relation(rng, rng.randint(1, 4), trial) for trial in range(150))
+    for R in chain(fixed, randoms):
+        acyclic = is_acyclic(R)
+        assert acyclic == (not _pair_digraph_has_cycle(R)), R.to_json()
+        outcomes[acyclic] += 1
+        if acyclic:
+            inst = instance_from_relation(R, [unit_vec(R.n, 0)], [unit_vec(R.n, R.n - 1)])
+            for _ in range(3):
+                xs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(inst.r)]
+                assert lgv_rhs_parts(inst, xs)[1] == 1, (R.to_json(), xs)
+    assert min(outcomes.values()) >= 40, outcomes
 
 
 def test_acyclic_identity_and_denominator(rng):
@@ -212,8 +273,6 @@ def test_acyclic_identity_failures_are_invariant_violations(monkeypatch):
     from linminmax import lgv
     from linminmax.errors import InvariantViolation
 
-    with pytest.raises(InvariantViolation):
-        lgv._acyclic_pair_order(((0, 1), (1, 0)))  # a cycle
     G = Digraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     pairs = [(unit_vec(4, i), unit_vec(4, j)) for i, j in G.edges]
     inst = instance_from_relation(Relation(4, 4, pairs), [unit_vec(4, 0)], [unit_vec(4, 3)])
@@ -223,11 +282,6 @@ def test_acyclic_identity_failures_are_invariant_violations(monkeypatch):
         monkeypatch.setattr(lgv, "lgv_rhs_parts", lambda inst, xs, parts=parts: parts)
         with pytest.raises(InvariantViolation):
             lgv_acyclic(inst, xs)
-    monkeypatch.undo()
-    order = lgv._acyclic_pair_order
-    monkeypatch.setattr(lgv, "_acyclic_pair_order", lambda vtw: order(vtw)[::-1])
-    with pytest.raises(InvariantViolation):
-        lgv_acyclic(inst, xs)
 
 
 # ---------------------------------------------------------------------------

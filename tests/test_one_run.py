@@ -1,6 +1,7 @@
 """One matroid-intersection run per relation theorem, one routing space per path check.
 
-No span and no draw for linorders, and no span for a relation's path capacity.
+No span, no draw and no nilpotency flag for linorders, and no span for a
+relation's path capacity.
 A subspace's complement is computed once per check, and a proved blow-up order
 is drawn once.
 """
@@ -49,6 +50,15 @@ def test_each_check_runs_the_intersection_once(theorem, monkeypatch, capsys):
     assert len(runs) == 1
     if theorem in ("dilworth", "coherent"):
         assert spans == [] and draws == []
+
+
+@pytest.mark.parametrize("theorem", ["dilworth", "coherent"])
+def test_linorder_checks_run_no_nilpotency_flag(theorem, monkeypatch, capsys):
+    """The linorder axioms decide nilpotency, so validation runs no V^n flag."""
+    flags = count_calls(monkeypatch, relation.space_power_is_zero)
+    assert main(["check", theorem, str(GOLDEN / f"{theorem}.json")]) == EXIT_PROVED
+    capsys.readouterr()
+    assert flags == []
 
 
 def test_coherent_on_a_16_dimensional_linorder_builds_no_span(tmp_path, monkeypatch, capsys):

@@ -255,6 +255,22 @@ def test_check_dilworth_reads_the_bichains_against_the_instance(capsys, monkeypa
     assert json.loads(tampered)["bichain_count"] == json.loads(out)["bichain_count"]
 
 
+def test_check_dilworth_reports_a_cyclic_bijection_as_a_failed_decomposition(capsys, monkeypatch):
+    """phi swapping the two matched indices leaves that cycle out of every walk.
+
+    The walks from the unmatched starts still end, and the decomposition
+    misses the cycle's vectors, so the count in `verify_bichain_decomposition`
+    rejects it: exit 1 with a report, not an error.
+    """
+    monkeypatch.setattr(
+        dilworth, "_perfect_nonorthogonal_bijection", lambda ws, vs: [1, 0, *range(2, len(ws))]
+    )
+    code, out = _check(capsys, "dilworth", INSTANCES["dilworth"])
+    report = json.loads(out)
+    assert code == EXIT_VIOLATION and "error" not in report
+    assert report["antichain_dim"] == 3 and report["chain_lengths"] == [1, 1, 1]
+
+
 def test_check_menger_reads_the_separator_against_the_instance(capsys, monkeypatch):
     """A minimum separator from a line of E, of the same size, that leaves the rest of E out."""
     original = menger.mpc
