@@ -396,11 +396,15 @@ def check_menger(data, config: RunConfig):
 def check_lgv(data, config: RunConfig):
     inst = _parse("path instance", lambda: lgv.LgvInstance.from_json(data))
     rng = random.Random(config.seed)
+
+    def point():
+        return [Fraction(rng.randint(-config.coeff_bound, config.coeff_bound)) for _ in range(inst.r)]
+
     checked = 0
     attempts = 0
     while checked < config.trials and attempts < 4 * config.trials:
         attempts += 1
-        xs = [Fraction(rng.randint(-config.coeff_bound, config.coeff_bound)) for _ in range(inst.r)]
+        xs = point()
         try:
             lhs = lgv.lgv_lhs(inst, xs)
             rhs = lgv.lgv_rhs(inst, xs)
@@ -416,8 +420,7 @@ def check_lgv(data, config: RunConfig):
     report = {"identity": "holds", "points_checked": checked}
     report["acyclic"] = inst.acyclic
     if inst.acyclic:
-        xs = [Fraction(rng.randint(-5, 5)) for _ in range(inst.r)]
-        lhs, rhs = lgv.lgv_acyclic(inst, xs)
+        lhs, rhs = lgv.lgv_acyclic(inst, point())
         report["acyclic_value"] = rational_to_string(lhs)
     return report, EXIT_PROVED
 

@@ -9,7 +9,9 @@ factor with every entry; equal values are therefore equal data.  A subspace
 holds its canonical basis as primitive integer rows.  Sums, products,
 Kronecker products, membership tests and eliminations run on those
 integers, and Fractions appear only at the accessors (`entries`, indexing,
-`vectors`, `entry`) and when a non-integer string is parsed.
+`vectors`, `entry`).  A JSON row loads straight to an integer row: each
+string entry is read as an integer pair (p, q), by `int` for the plain
+forms -?digits and -?digits/digits, and by `Fraction` for any other.
 
 Every elimination is fraction-free over the integers, and there is one
 routine: the incremental Bareiss echelon `IntEchelon` (rank, independence,
@@ -33,20 +35,12 @@ from .errors import DimensionError
 
 
 def rational_from_string(s: str):
-    """Parse "p/q" or "p" into an exact rational; ValueError if malformed.
+    """Parse "p/q" or "p" into an exact rational: an int or a Fraction.
 
-    Accepts exactly the strings `Fraction` accepts.  An integer string is
-    read by `int` and returned as an int; any other goes to `Fraction`.
+    Accepts exactly the strings `Fraction` accepts; see `_pair`.
     """
-    t = s.strip()
-    try:
-        return int(t)
-    except ValueError:
-        pass
-    try:
-        return Fraction(t)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in rational {s!r}") from None
+    p, q = _pair(s)
+    return p if q == 1 else Fraction(p, q)
 
 
 def json_int(x) -> int:
@@ -64,7 +58,7 @@ def json_list(x) -> list:
 
 
 def _json_entries(entries):
-    """A JSON row, refused unless an array, or if it holds a bool; `_scalar` refuses floats."""
+    """A JSON row, refused unless an array, or if it holds a bool; `_pair` refuses floats."""
     if bool in map(type, json_list(entries)):
         raise TypeError("a boolean is not a rational entry")
     return entries
@@ -78,24 +72,52 @@ def rational_to_string(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _scalar(x):
-    """An int or a Fraction for an int, Fraction or "p/q" string entry."""
+def _pair(x) -> tuple[int, int]:
+    """(p, q) with q > 0 for an int, Fraction or rational string entry p / q.
+
+    A string is refused with ValueError unless `Fraction` accepts it.  The
+    forms -?digits and -?digits/digits with a nonzero denominator are read
+    by `int`, and the pair is left unreduced; any other string goes to
+    `Fraction`.
+    """
     # cheap checks first: isinstance against Fraction goes through its ABC
     if type(x) is int:
-        return x
+        return x, 1
     if isinstance(x, str):
-        return rational_from_string(x)
+        num, slash, den = x.partition("/")
+        # isdecimal holds exactly for the digit strings `int` reads
+        if num.removeprefix("-").isdecimal():
+            if not slash:
+                return int(num), 1
+            if den.isdecimal() and (q := int(den)):
+                return int(num), q
+        try:
+            x = Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in rational {x!r}") from None
+        return x.numerator, x.denominator
     if isinstance(x, Fraction):
-        return x
+        return x.numerator, x.denominator
     if isinstance(x, int):
-        return int(x)
+        return int(x), 1
     raise TypeError(f"cannot interpret {x!r} as a rational scalar")
 
 
-def clear_scale(entries) -> tuple[list[int], int]:
-    """(integer row, l): a rational row scaled by l, the lcm of its denominators."""
-    l = lcm(*(x.denominator for x in entries))
-    return [x.numerator * (l // x.denominator) for x in entries], l
+def clear_scale(pairs) -> tuple[list[int], int]:
+    """(integer row, l): the rationals p / q of (p, q) pairs, times l.
+
+    l is the lcm of the q's, divided by the gcd of l and the scaled row, so
+    that l and the row share no factor.
+    """
+    l = lcm(*[q for _, q in pairs])
+    if l == 1:
+        return [p for p, _ in pairs], 1
+    num = [p * (l // q) for p, q in pairs]
+    g = gcd(l, *num)
+    if g != 1:
+        num = [x // g for x in num]
+        l //= g
+    return num, l
 
 
 _set = object.__setattr__
@@ -119,7 +141,7 @@ class Vec:
     __slots__ = ("_num", "_den")
 
     def __init__(self, entries):
-        num, den = clear_scale([_scalar(x) for x in entries])
+        num, den = clear_scale([_pair(x) for x in entries])
         _set(self, "_num", tuple(num))
         _set(self, "_den", den)
 
@@ -172,9 +194,8 @@ class Vec:
         return not any(self._num)
 
     def scaled(self, c) -> "Vec":
-        c = _scalar(c)
-        p = c.numerator
-        return Vec.from_ints([x * p for x in self._num], self._den * c.denominator)
+        p, q = _pair(c)
+        return Vec.from_ints([x * p for x in self._num], self._den * q)
 
     def _combine(self, other: "Vec", sign: int) -> "Vec":
         """self + sign * other on a common denominator."""
@@ -369,7 +390,7 @@ class Mat:
     __slots__ = ("_num", "_den", "rows", "cols")
 
     def __init__(self, rows_data, cols: int | None = None):
-        data = [[_scalar(x) for x in row] for row in rows_data]
+        data = [[_pair(x) for x in row] for row in rows_data]
         if data:
             widths = {len(r) for r in data}
             if len(widths) != 1:
@@ -380,11 +401,8 @@ class Mat:
             cols = width
         elif cols is None:
             cols = 0
-        # the lcm of reduced denominators leaves no common factor to cancel
-        den = lcm(*(x.denominator for row in data for x in row))
-        num = tuple(
-            tuple([x.numerator * (den // x.denominator) for x in row]) for row in data
-        )
+        flat, den = clear_scale([x for row in data for x in row])
+        num = tuple(tuple(flat[i * cols : (i + 1) * cols]) for i in range(len(data)))
         self._init(num, den, cols)
 
     def _init(self, num, den, cols):
@@ -521,11 +539,10 @@ class Mat:
         return self.scaled(-1)
 
     def scaled(self, c) -> "Mat":
-        c = _scalar(c)
-        p = c.numerator
+        p, q = _pair(c)
         return Mat.from_int_rows(
             tuple(tuple([x * p for x in row]) for row in self._num),
-            self._den * c.denominator,
+            self._den * q,
             self.cols,
         )
 

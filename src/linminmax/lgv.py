@@ -172,7 +172,7 @@ def lgv_rhs_parts(inst: LgvInstance, xs):
     a_S q^(r-|S|) / q^r.
     """
     xs = _coerce_point(inst, xs)
-    a, q = clear_scale(xs)
+    a, q = clear_scale([(x.numerator, x.denominator) for x in xs])
     g, e, d = inst.minors
     # weights[mask] = prod over i of (a_i if bit i of mask is set else q)
     weights = [1]

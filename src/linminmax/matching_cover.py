@@ -6,11 +6,13 @@ the relation).  This is Edmonds' matroid-intersection min-max for the
 linear matroids of the v's and of the w's, and both optima come from one
 polynomial augmenting-path run: the final common independent set is the
 matching, and the set reachable in the last exchange graph gives a cover
-of the same size.  Hall's saturated matchings, defect matchings and
-Lovász's maximum rank read that one run too: a prefix of the matching, or
-the minimum cover itself.  A minimum cover (E, F) is exact: F is the
-neighborhood span N(E^perp), because (E, N(E^perp)) is a cover too and
-lies inside F.  So E^perp is a shrunk subspace, of defect n - |cover|.
+of the same size.  The run stops as soon as the matching spans the v's:
+nothing is then reachable, and (span of the v's, 0) is the cover.  Hall's
+saturated matchings, defect matchings and Lovász's maximum rank read that
+one run too: a prefix of the matching, or the minimum cover itself.  A
+minimum cover (E, F) is exact: F is the neighborhood span N(E^perp),
+because (E, N(E^perp)) is a cover too and lies inside F.  So E^perp is a
+shrunk subspace, of defect n - |cover|.
 For a matrix space the same `Cover` has F = V[E^perp], and `ncrank`
 returns it as its dual.  Every returned value carries a primal and a
 dual certificate of equal size; `verify` checks them against the
@@ -119,7 +121,8 @@ def matroid_intersection(R: Relation):
     augments along a shortest path from X1 (I + x keeps the v's
     independent) to X2 (I + x keeps the w's independent).  When no path is
     left, the set Q reachable from X1 gives the cover
-    (span{v_i : i not in Q}, span{w_i : i in Q}) of size |I|.
+    (span{v_i : i not in Q}, span{w_i : i in Q}) of size |I|.  Once I spans
+    the v's, X1 and Q are empty, so no round is run to find that.
     """
     ground = [
         i for i, (v, w) in enumerate(R.pairs) if not v.is_zero() and not w.is_zero()
@@ -128,13 +131,23 @@ def matroid_intersection(R: Relation):
     wrows = {i: list(R.pairs[i][1].int_row()) for i in ground}
     # Greedy start: a maximal common independent set.
     ech_v, ech_w = IntEchelon(R.n), IntEchelon(R.m)
-    I = []
+    I, skipped = [], []
     for i in ground:
-        if not ech_v.contains(vrows[i]) and not ech_w.contains(wrows[i]):
-            ech_v.add(vrows[i])
-            ech_w.add(wrows[i])
-            I.append(i)
-    while True:
+        if ech_v.rank == R.n:
+            break  # every later v is dependent: it joins neither I nor skipped
+        if not ech_v.contains(vrows[i]):
+            if ech_w.contains(wrows[i]):
+                skipped.append(i)
+            else:
+                ech_v.add(vrows[i])
+                ech_w.add(wrows[i])
+                I.append(i)
+    # ech_v then spans every v: any v not skipped for its w lies in the
+    # span of I's v's already.
+    for i in skipped:
+        ech_v.add(vrows[i])
+    Q = {}
+    while len(I) < ech_v.rank:
         members = set(I)
         outside = [x for x in ground if x not in members]
         circ_v = _circuits(vrows, I, outside, R.n)
@@ -161,14 +174,15 @@ def matroid_intersection(R: Relation):
                     break
                 queue.append(z)
         if sink is None:
+            Q = parent
             break
         path = set()
         while sink is not None:
             path.add(sink)
             sink = parent[sink]
         I = sorted(members ^ path)
-    E = Subspace.span(R.n, [R.pairs[i][0] for i in ground if i not in parent])
-    F = Subspace.span(R.m, [R.pairs[i][1] for i in parent])
+    E = Subspace.span(R.n, [R.pairs[i][0] for i in ground if i not in Q])
+    F = Subspace.span(R.m, [R.pairs[i][1] for i in Q])
     return Matching(R, tuple(I)), Cover(E, F)
 
 

@@ -408,6 +408,39 @@ def test_check_lgv_tests_nilpotency_once(tmp_path, capsys, monkeypatch):
         assert len(calls) == 1
 
 
+def test_check_lgv_draws_the_acyclic_point_from_the_coefficient_bound(tmp_path, capsys, monkeypatch):
+    """CI's chorded 12-vertex path digraph: at --seed 0 the acyclic value is not 0.
+
+    A point drawn from [-5, 5] had a zero weight on every source-sink path
+    there, so the evaluation checked nothing.
+    """
+    from linminmax import lgv
+    from linminmax.exact_linalg import unit_vec as e
+    from linminmax.relation import Relation
+
+    n = 12
+    edges = [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in (0, 2, 4)]
+    R = Relation(n, n, [(e(n, i), e(n, j)) for i, j in edges])
+    path = tmp_path / "lgv-path-12.json"
+    path.write_text(json.dumps(lgv.instance_from_relation(R, [e(n, 0)], [e(n, n - 1)]).to_json()))
+    code, out = run_cli(capsys, "check", "lgv", str(path), "--output", "json", "--seed", "0")
+    report = json.loads(out)
+    assert code == EXIT_PROVED and report["acyclic"] is True
+    assert report["acyclic_value"] != "0"
+
+    points = []
+    acyclic = lgv.lgv_acyclic
+
+    def recording(inst, xs):
+        points.append(xs)
+        return acyclic(inst, xs)
+
+    monkeypatch.setattr(lgv, "lgv_acyclic", recording)
+    argv = ["check", "lgv", str(path), "--trials", "2", "--coeff-bound", "1"]
+    assert run_cli(capsys, *argv)[0] == EXIT_PROVED
+    assert len(points) == 1 and {abs(x) for x in points[0]} <= {0, 1}
+
+
 def test_check_ncrank_sampling_shortfall_exits_2(tmp_path, capsys, monkeypatch):
     from linminmax import relation
     from linminmax.cli import build_skew3

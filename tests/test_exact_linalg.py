@@ -549,21 +549,75 @@ def reference_parse(s):
         raise ValueError(s) from None
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["1_0", " 12 ", "+3", "-0", "١٢", "1.5", "3/-4", "3/ 4", "0x10", "1/0", "-7/21"],
-)
+ODD_FORMS = [
+    "1_0", " 12 ", "+3", "-0", "١٢", "-٣/٤", "²", "--2", "-", "/3", "1.5", "3/-4", "3/ 4",
+    "0x10", "1/0", "-7/21",
+]
+
+
+@pytest.mark.parametrize("text", ODD_FORMS)
 def test_rational_from_string_accepts_what_fraction_accepts(text):
+    """The string parser and every JSON loader built on it accept Fraction's strings."""
+    loaders = [
+        lambda: vec(text),
+        lambda: Mat.from_json([[text, "1"]]),
+        lambda: Relation.from_json({"n": 1, "m": 2, "pairs": [[[text], ["1", text]]]}),
+        lambda: Subspace.from_json([[text], ["1"]]),
+    ]
     try:
         expected = reference_parse(text)
     except ValueError:
         with pytest.raises(ValueError):
             rational_from_string(text)
-        with pytest.raises(ValueError):
-            vec(text)
+        for load in loaders:
+            with pytest.raises(ValueError):
+                load()
         return
+    v, m, R, S = (load() for load in loaders)
     assert rational_from_string(text) == expected
-    assert vec(text).entries == (expected,)
+    assert v.entries == (expected,)
+    assert m.row_tuples() == ((expected, 1),)
+    assert R.pairs == ((Vec([expected]), Vec([1, expected])),)
+    assert S == Subspace.span(2, [Vec([expected, 1])])
+
+
+def _fuzz_entry(rng):
+    """A rational string: 40 digits, leading zeros, unreduced, "-0/q", "p/0" or an odd form."""
+    if rng.random() < 0.15:
+        return rng.choice(ODD_FORMS)
+    k = rng.randint(1, 6)
+    form = rng.choice(
+        [
+            str(rng.randrange(10**39, 10**40)),
+            "0" * rng.randint(1, 3) + str(rng.randint(0, 99)),
+            f"{rng.randint(0, 9) * k}/{rng.randint(1, 9) * k}",
+            f"0/{rng.randint(1, 9)}",
+            f"{rng.randint(0, 99)}/0{rng.randint(0, 9)}",
+            f"{rng.randint(0, 9)}/{rng.randint(1, 9)}",
+            str(rng.randint(0, 9)),
+        ]
+    )
+    return rng.choice(("", "-")) + form
+
+
+def test_vec_from_json_equals_the_fraction_row():
+    """Seeded fuzz: a JSON row loads to the data of the row of Fraction(s)."""
+    rng = random.Random(24)
+    loaded = refused = 0
+    for _ in range(600):
+        row = [_fuzz_entry(rng) for _ in range(rng.randint(1, 5))]
+        try:
+            expected = Vec([reference_parse(s) for s in row])
+        except ValueError:
+            with pytest.raises(ValueError):
+                Vec.from_json(row)
+            refused += 1
+            continue
+        v = Vec.from_json(row)
+        assert (v._num, v._den) == (expected._num, expected._den)
+        assert all(type(x) is int for x in v._num) and type(v._den) is int
+        loaded += 1
+    assert loaded >= 400 and refused >= 20
 
 
 def test_vec_canonical_form():

@@ -13,15 +13,18 @@ from pathlib import Path
 import pytest
 
 from linminmax import lgv, matching_cover, relation
+from linminmax.classical_oracles import BipartiteGraph, bipartite_max_matching
 from linminmax.cli import EXIT_PROVED, main
-from linminmax.exact_linalg import Mat, unit_vec
+from linminmax.exact_linalg import Mat, Subspace, Vec, unit_vec
 from linminmax.matching_cover import (
     defect_matching,
     extract_matching_from_combination,
     lovasz_max_rank,
+    matroid_intersection,
 )
 from linminmax.relation import Relation
-from conftest import rand_relation
+from linminmax.verify import verify_cover, verify_matching
+from conftest import rand_relation, rand_vec
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -160,6 +163,75 @@ def test_golden_checks_and_demos_draw_few_elements(name, monkeypatch, capsys):
     assert main(argv) == EXIT_PROVED
     capsys.readouterr()
     assert len(draws) <= DRAW_CALLS[name]
+
+
+# At most this many `matching_cover._circuits` calls per golden check: two
+# per round of the exchange graph, and no round once the matching spans the
+# v's.  Only coherent's relation needs a round to find its cover.
+CIRCUIT_CALLS = {
+    "coherent": 2,
+    "dilworth": 0,
+    "hall": 0,
+    "konig": 0,
+    "rado": 0,
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(CIRCUIT_CALLS))
+def test_golden_checks_run_few_exchange_rounds(theorem, monkeypatch, capsys):
+    circuits = count_calls(monkeypatch, matching_cover._circuits)
+    assert main(["check", theorem, str(GOLDEN / f"{theorem}.json")]) == EXIT_PROVED
+    capsys.readouterr()
+    assert len(circuits) <= CIRCUIT_CALLS[theorem]
+
+
+def _intersection_cases(rng):
+    """(relation, graph or None): 0/1 graphs and relations of deficient v or w rank.
+
+    The relations mix in zero vectors and repeated pairs; the graphs have
+    isolated vertices and repeated edges.
+    """
+
+    def draw(basis, dim):
+        return sum((b.scaled(rng.randint(-1, 1)) for b in basis), Vec([0] * dim))
+
+    for k in range(240):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        if k % 2:
+            edges = [(i, j) for i in range(n) for j in range(m) if rng.random() < 0.35]
+            edges += rng.sample(edges, rng.randint(0, len(edges)) // 3)
+            pairs = [(unit_vec(n, i), unit_vec(m, j)) for i, j in edges]
+            yield Relation(n, m, pairs), BipartiteGraph(n, m, edges)
+            continue
+        bv = [rand_vec(rng, n, 1) for _ in range(rng.randint(0, n))]
+        bw = [rand_vec(rng, m, 1) for _ in range(rng.randint(0, m))]
+        pairs = [(draw(bv, n), draw(bw, m)) for _ in range(rng.randint(0, 8))]
+        pairs += rng.sample(pairs, rng.randint(0, len(pairs)))
+        yield Relation(n, m, pairs), None
+
+
+def test_the_intersection_stops_exactly_when_the_matching_spans_the_vs(rng, monkeypatch):
+    """No exchange round runs once |I| = dim span of the v's, and one always
+    runs on the final I otherwise; either way the matching meets the cover."""
+    circuits = count_calls(monkeypatch, matching_cover._circuits)
+    stopped = searched = 0
+    for R, graph in _intersection_cases(rng):
+        circuits.clear()
+        matching, cover = matroid_intersection(R)
+        assert matching.size == cover.size
+        assert verify_matching(R, matching) and verify_cover(R, cover)
+        if graph is not None:
+            assert cover.size == bipartite_max_matching(graph)[0]
+        span_v = Subspace.span(R.n, [v for v, w in R.pairs if not w.is_zero()])
+        rounds = [tuple(args[1]) for args in circuits]
+        assert all(len(I) < span_v.dim for I in rounds)
+        if matching.size == span_v.dim:
+            assert (cover.E, cover.F) == (span_v, Subspace.zero(R.m))
+            stopped += 1
+        else:
+            assert rounds[-1] == matching.indices
+            searched += 1
+    assert stopped >= 100 and searched >= 40
 
 
 @pytest.mark.parametrize("theorem", sorted(KERNEL_CALLS))
