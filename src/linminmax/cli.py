@@ -18,7 +18,6 @@ import json
 import random
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import dilworth, lgv, matching_cover, menger, ncrank, verify
 from .errors import CertificationError, InvariantViolation, SingularityError
@@ -398,7 +397,7 @@ def check_lgv(data, config: RunConfig):
     rng = random.Random(config.seed)
 
     def point():
-        return [Fraction(rng.randint(-config.coeff_bound, config.coeff_bound)) for _ in range(inst.r)]
+        return [rng.randint(-config.coeff_bound, config.coeff_bound) for _ in range(inst.r)]
 
     checked = 0
     attempts = 0

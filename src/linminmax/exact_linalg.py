@@ -9,9 +9,12 @@ factor with every entry; equal values are therefore equal data.  A subspace
 holds its canonical basis as primitive integer rows.  Sums, products,
 Kronecker products, membership tests and eliminations run on those
 integers, and Fractions appear only at the accessors (`entries`, indexing,
-`vectors`, `entry`).  A JSON row loads straight to an integer row: each
-string entry is read as an integer pair (p, q), by `int` for the plain
-forms -?digits and -?digits/digits, and by `Fraction` for any other.
+`vectors`, `entry`).  A JSON row loads straight to an integer row: a row
+of strings made of decimal digits and "-" alone by one `int` per entry,
+and any other row entry by entry, each string read as an integer pair
+(p, q), by `int` for the plain forms -?digits and -?digits/digits, and by
+`Fraction` for any other.  A report writes each entry x / d of a row with
+one gcd, as `rational_to_string` writes the Fraction x / d.
 
 Every elimination is fraction-free over the integers, and there is one
 routine: the incremental Bareiss echelon `IntEchelon` (rank, independence,
@@ -57,11 +60,46 @@ def json_list(x) -> list:
     return x
 
 
-def _json_entries(entries):
-    """A JSON row, refused unless an array, or if it holds a bool; `_pair` refuses floats."""
-    if bool in map(type, json_list(entries)):
-        raise TypeError("a boolean is not a rational entry")
-    return entries
+def _json_rows(data) -> tuple[list[list[int]], int]:
+    """(integer rows, l): a JSON array of rows of rationals, times l.
+
+    l is the lcm of the entries' denominators, reduced as in `clear_scale`,
+    and every row must be an array.  A row whose entries are strings of
+    decimal digits and "-" alone is read by one `int` per entry: on such a
+    string `int` succeeds exactly for -?digits, which `Fraction` reads to
+    the same value.  Any other row, or one that `int` refuses, is refused
+    if it holds a bool, and is read entry by entry by `_pair` once every
+    row has passed those checks.
+    """
+    rows, pending = [], []
+    for entries in json_list(data):
+        json_list(entries)
+        try:
+            if "".join(entries).replace("-", "").isdecimal():
+                rows.append((list(map(int, entries)), 1))
+                continue
+        except (TypeError, ValueError):
+            pass
+        if bool in map(type, entries):
+            raise TypeError("a boolean is not a rational entry")
+        pending.append(len(rows))
+        rows.append(entries)
+    for i in pending:
+        rows[i] = clear_scale([_pair(x) for x in rows[i]])
+    l = lcm(*(d for _, d in rows))
+    # over the lcm of reduced denominators the rows are already reduced
+    return [num if d == l else [x * (l // d) for x in num] for num, d in rows], l
+
+
+def _rational_strings(row, d: int) -> list[str]:
+    """The entries x / d of an integer row, as `rational_to_string` renders them."""
+    if d == 1:
+        return [str(x) for x in row]
+    out = []
+    for x in row:
+        g = gcd(x, d)
+        out.append(str(x // g) if g == d else f"{x // g}/{d // g}")
+    return out
 
 
 def rational_to_string(q: Fraction) -> str:
@@ -232,14 +270,12 @@ class Vec:
         return "Vec(" + ", ".join(self.to_json()) + ")"
 
     def to_json(self):
-        d = self._den
-        if d == 1:
-            return [str(x) for x in self._num]
-        return [rational_to_string(Fraction(x, d)) for x in self._num]
+        return _rational_strings(self._num, self._den)
 
     @classmethod
     def from_json(cls, data) -> "Vec":
-        return cls(_json_entries(data))
+        (num,), den = _json_rows([data])
+        return cls._raw(tuple(num), den)
 
 
 def vec(*entries) -> Vec:
@@ -298,6 +334,11 @@ class IntEchelon:
     def reduce(self, row) -> list[int]:
         """`row` reduced against the stored rows, up to a nonzero factor."""
         return self._eliminate(row)[0]
+
+    def pop(self) -> None:
+        """Remove the last row added, undoing its `add`."""
+        self.rows.pop()
+        self.pivots.pop()
 
     def add(self, row) -> bool:
         """Insert a row; returns True iff the rank grew."""
@@ -368,13 +409,29 @@ def det_bareiss(a: list[list[int]]) -> int:
     ech = IntEchelon(len(a))
     if not all(ech.add(row) for row in a):
         return 0
-    p = ech.pivots
-    inversions = sum(x > y for i, x in enumerate(p) for y in p[i + 1 :])
-    return (-1) ** inversions * ech.rows[-1][p[-1]] if a else 1
+    return permutation_sign(ech.pivots) * ech.rows[-1][ech.pivots[-1]] if a else 1
+
+
+def permutation_sign(p) -> int:
+    """(-1) to the number of inversions of the sequence p."""
+    return (-1) ** sum(x > y for i, x in enumerate(p) for y in p[i + 1 :])
 
 
 # ---------------------------------------------------------------------------
 # matrices
+
+
+def _width(rows, cols: int | None) -> int:
+    """The common length of `rows`, which must agree with `cols` if given."""
+    if not rows:
+        return 0 if cols is None else cols
+    widths = {len(r) for r in rows}
+    if len(widths) != 1:
+        raise DimensionError("ragged matrix rows")
+    width = widths.pop()
+    if cols is not None and cols != width:
+        raise DimensionError("explicit cols disagrees with row width")
+    return width
 
 
 class Mat:
@@ -391,16 +448,7 @@ class Mat:
 
     def __init__(self, rows_data, cols: int | None = None):
         data = [[_pair(x) for x in row] for row in rows_data]
-        if data:
-            widths = {len(r) for r in data}
-            if len(widths) != 1:
-                raise DimensionError("ragged matrix rows")
-            width = widths.pop()
-            if cols is not None and cols != width:
-                raise DimensionError("explicit cols disagrees with row width")
-            cols = width
-        elif cols is None:
-            cols = 0
+        cols = _width(data, cols)
         flat, den = clear_scale([x for row in data for x in row])
         num = tuple(tuple(flat[i * cols : (i + 1) * cols]) for i in range(len(data)))
         self._init(num, den, cols)
@@ -465,12 +513,6 @@ class Mat:
         return cls._raw(
             tuple(zip(*scaled)) if scaled else ((),) * rows, den, len(columns)
         )
-
-    @classmethod
-    def diag(cls, entries) -> "Mat":
-        entries = list(entries)
-        n = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     # accessors ----------------------------------------------------------
 
@@ -625,14 +667,12 @@ class Mat:
         return f"Mat[{self.rows}x{self.cols}]({body})"
 
     def to_json(self):
-        d = self._den
-        if d == 1:
-            return [[str(x) for x in r] for r in self._num]
-        return [[rational_to_string(Fraction(x, d)) for x in r] for r in self._num]
+        return [_rational_strings(r, self._den) for r in self._num]
 
     @classmethod
     def from_json(cls, data, cols: int | None = None) -> "Mat":
-        return cls([_json_entries(row) for row in json_list(data)], cols)
+        rows, den = _json_rows(data)
+        return cls._raw(tuple(map(tuple, rows)), den, _width(rows, cols))
 
 
 def outer(w: Vec, v: Vec) -> Mat:

@@ -15,6 +15,12 @@ and of V_S^T W_S, signed by (-1)^|S| and scaled to the common denominator
 of all subsets.  A point, cleared to integers a_i over q, then costs one
 integer pass: each side is the sum of its table entries times
 a_S q^(r-|S|), over one integer denominator.
+
+The left side is one bordered integer determinant per point.  With s the
+product of the denominators of V, W and the point, sM = s (I - W X V^T)
+is an integer matrix, and the Schur complement gives
+det[[sM, A_int], [B_int^T, 0]] = det(sM) (-1)^k det(B_int^T (sM)^-1 A_int);
+one fraction-free echelon of the bordered rows yields both determinants.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from itertools import combinations
 from operator import mul
 
 from .errors import DimensionError, InvariantViolation, SingularityError
-from .exact_linalg import Mat, clear_scale, det_bareiss, hstack, solve_exact
+from .exact_linalg import IntEchelon, Mat, clear_scale, det_bareiss, hstack, permutation_sign
 from .relation import Relation, space_power_is_zero
 
 
@@ -105,26 +111,48 @@ def instance_from_relation(R: Relation, sources, sinks) -> LgvInstance:
     )
 
 
-def _coerce_point(inst: LgvInstance, xs) -> list[Fraction]:
-    xs = [Fraction(x) for x in xs]
+def _coerce_point(inst: LgvInstance, xs) -> list:
+    """The weights as ints and Fractions, which both have a numerator and a denominator."""
+    xs = [x if type(x) is int else Fraction(x) for x in xs]
     if len(xs) != inst.r:
         raise DimensionError("one weight per pair column required")
     return xs
 
 
-def _weighted_sum(inst: LgvInstance, xs) -> Mat:
-    """W diag(x) V^T = sum_i x_i w_i v_i^T."""
-    return inst.W @ Mat.diag(xs) @ inst.V.transpose()
-
-
 def lgv_lhs(inst: LgvInstance, xs) -> Fraction:
-    """det(B^T (I - W X V^T)^{-1} A), exactly, at the given point."""
+    """det(B^T (I - W X V^T)^{-1} A), exactly, at the given point.
+
+    With the point cleared to a_i / q and s = d_V d_W q, the integer matrix
+    sM = s I - W_int diag(a) V_int^T is s (I - W X V^T), and by the Schur
+    complement det[[sM, A_int], [B_int^T, 0]] is det(sM) (-1)^k times
+    det(B_int^T (sM)^{-1} A_int) = (d_A d_B / s)^k det(B^T M^{-1} A).
+    One echelon of the bordered rows gives both determinants: sM is
+    invertible exactly when its n rows pivot in the first n columns, and
+    the ratio is the last pivot over the n-th, times the sign of the order
+    of the k last pivot columns.
+    """
     xs = _coerce_point(inst, xs)
-    m = Mat.identity(inst.n) - _weighted_sum(inst, xs)
-    solved = solve_exact(m, inst.A)
-    if solved is None:
-        raise SingularityError("I - W X V^T is singular at this point")
-    return (inst.B.transpose() @ solved).det()
+    a, q = clear_scale([(x.numerator, x.denominator) for x in xs])
+    n, k = inst.n, inst.k
+    s = inst.V.den * inst.W.den * q
+    V = inst.V.int_rows()
+    ech = IntEchelon(n + k)
+    for i, (w, border) in enumerate(zip(inst.W.int_rows(), inst.A.int_rows())):
+        wa = list(map(mul, w, a))
+        row = [-sum(map(mul, wa, v)) for v in V]
+        row[i] += s
+        if not ech.add(row + list(border)) or ech.pivots[-1] >= n:
+            raise SingularityError("I - W X V^T is singular at this point")
+    det_m = ech.rows[-1][ech.pivots[-1]] if n else 1
+    zeros = [0] * k
+    for b in inst.B.transpose().int_rows():
+        if not ech.add(list(b) + zeros):
+            return Fraction(0)
+    last = ech.rows[-1][ech.pivots[-1]] if n + k else 1
+    return Fraction(
+        (-1) ** k * permutation_sign(ech.pivots[n:]) * s**k * last,
+        (inst.A.den * inst.B.den) ** k * det_m,
+    )
 
 
 def _subset_table(inst: LgvInstance) -> Mat:

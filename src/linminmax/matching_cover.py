@@ -135,13 +135,12 @@ def matroid_intersection(R: Relation):
     for i in ground:
         if ech_v.rank == R.n:
             break  # every later v is dependent: it joins neither I nor skipped
-        if not ech_v.contains(vrows[i]):
-            if ech_w.contains(wrows[i]):
-                skipped.append(i)
-            else:
-                ech_v.add(vrows[i])
-                ech_w.add(wrows[i])
+        if ech_v.add(vrows[i]):
+            if ech_w.add(wrows[i]):
                 I.append(i)
+            else:
+                ech_v.pop()
+                skipped.append(i)
     # ech_v then spans every v: any v not skipped for its w lies in the
     # span of I's v's already.
     for i in skipped:

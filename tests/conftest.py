@@ -66,6 +66,12 @@ def reduced_indices(R: Relation) -> list[int]:
     return [i for i, (v, w) in enumerate(R.pairs) if ech.add(outer(w, v).int_flat())]
 
 
+def diag(entries) -> Mat:
+    """The square diagonal matrix of `entries`."""
+    n = len(entries)
+    return Mat([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)], n)
+
+
 def submatrix(M: Mat, rows, cols) -> Mat:
     """The entries of M in the given rows and columns, in the given order."""
     cols = list(cols)

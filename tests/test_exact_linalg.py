@@ -15,6 +15,7 @@ from linminmax.exact_linalg import (
     block,
     det_bareiss,
     hstack,
+    json_list,
     outer,
     outer_sum,
     rational_from_string,
@@ -28,7 +29,8 @@ from linminmax.exact_linalg import (
 )
 from linminmax.matching_cover import matroid_intersection
 from linminmax.verify import verify_cover
-from linminmax.relation import Relation
+from linminmax.lgv import LgvInstance
+from linminmax.relation import MatrixSpace, Relation
 from conftest import rand_mat, rand_vec
 
 
@@ -551,7 +553,7 @@ def reference_parse(s):
 
 ODD_FORMS = [
     "1_0", " 12 ", "+3", "-0", "١٢", "-٣/٤", "²", "--2", "-", "/3", "1.5", "3/-4", "3/ 4",
-    "0x10", "1/0", "-7/21",
+    "0x10", "1/0", "-7/21", "1-2", "--1", "", "-0-", " 1", "+1", "٣",
 ]
 
 
@@ -618,6 +620,135 @@ def test_vec_from_json_equals_the_fraction_row():
         assert all(type(x) is int for x in v._num) and type(v._den) is int
         loaded += 1
     assert loaded >= 400 and refused >= 20
+
+
+def _reference_rows(data):
+    """Every row an array holding no bool, as the per-entry loader refuses them."""
+    rows = json_list(data)
+    for row in rows:
+        if bool in map(type, json_list(row)):
+            raise TypeError("a boolean is not a rational entry")
+    return rows
+
+
+def _reference_mat(data, cols=None):
+    """The per-entry loader: the rows checked, then `_pair` per entry."""
+    return Mat(_reference_rows(data), cols)
+
+
+def _outcome(load):
+    """("loaded", value), or ("refused", type, message) of the exception raised."""
+    try:
+        return "loaded", load()
+    except Exception as ex:
+        return "refused", type(ex), str(ex)
+
+
+def _boundary_entry(rng):
+    """A plain integer string most of the time, else a form that one `int` pass must not take."""
+    if rng.random() < 0.6:
+        return rng.choice(("", "-")) + str(rng.choice((0, 7, 12, 10**25 + 3)))
+    return rng.choice(
+        ["1-2", "--1", "-", "", "-0-", "1_0", " 1", "+1", "٣", "-٣", "3/4", "-6/4", "1/0", 5, -2]
+        + [True, 1.5, None, [], {"a": 1}]
+    )
+
+
+def _boundary_loaders(row, plain):
+    """(program loader, per-entry reference) pairs that read `row` above the row `plain`."""
+    w = len(row)
+    data = [row, plain]
+
+    def lgv_json(key):
+        blocks = {"V": [["0"] * w] * 2, "W": [["0"] * w] * 2, "A": [["1"]] * 2, "B": [["1"]] * 2}
+        return dict(blocks, **{key: data})
+
+    key = "A" if w == 1 else "V"
+    return [
+        (lambda: Vec.from_json(row), lambda: Vec(_reference_rows([row])[0])),
+        (lambda: Mat.from_json(data), lambda: _reference_mat(data)),
+        (lambda: Mat.from_json(data, cols=w + 1), lambda: _reference_mat(data, w + 1)),
+        (
+            lambda: MatrixSpace.from_json({"m": 2, "n": w, "basis": [data]}).basis,
+            lambda: MatrixSpace(2, w, [_reference_mat(data, w)]).basis,
+        ),
+        (
+            lambda: Subspace.from_json(data),
+            lambda: Subspace.span(2, _reference_mat(data).columns()),
+        ),
+        (
+            lambda: LgvInstance.from_json(lgv_json(key)),
+            lambda: LgvInstance(
+                *(_reference_mat(lgv_json(key)[name]) for name in "VWAB")
+            ),
+        ),
+    ]
+
+
+def test_json_rows_load_as_the_per_entry_parse():
+    """Seeded fuzz: every loader's value, or error type and message, is the per-entry loader's.
+
+    The rows mix plain integers with strings that pass the digit-and-"-"
+    guard but fail `int`, strings that `int` would take but the guard
+    refuses, fractions, JSON numbers, bools, nulls and nested values.
+    """
+    rng = random.Random(25)
+    seen = {"loaded": 0, "refused": 0}
+    for _ in range(300):
+        w = rng.randint(1, 4)
+        row = [_boundary_entry(rng) for _ in range(w)]
+        plain = [str(rng.randint(-9, 9)) for _ in range(w)]
+        if rng.random() < 0.3:
+            plain = [_boundary_entry(rng) for _ in range(w)]
+        if rng.random() < 0.1:
+            plain = plain[:-1]  # ragged
+        for load, reference in _boundary_loaders(row, plain):
+            got, expected = _outcome(load), _outcome(reference)
+            assert got == expected, (row, plain)
+            seen[got[0]] += 1
+    assert min(seen.values()) >= 300, seen
+
+
+def test_json_rows_load_plain_integers_to_integer_data():
+    rows = [["-12", "0", "007", "-0"], ["٣", "-٣", "1", str(10**40)]]
+    m = Mat.from_json(rows)
+    assert (m.den, m.int_rows()) == (1, ((-12, 0, 7, 0), (3, -3, 1, 10**40)))
+    assert all(type(x) is int for row in m.int_rows() for x in row)
+    mixed = Mat.from_json([["1", "2"], ["3/4", "1"]])
+    assert (mixed.den, mixed.int_rows()) == (4, ((4, 8), (3, 4)))
+    assert Vec.from_json(["3", "-0"]) == vec(3, 0)
+    for bad in (["1-2"], ["--1"], ["-"], [""], ["-0-"], ["1", "-0-"]):
+        with pytest.raises(ValueError):
+            Vec.from_json(bad)
+    # every row is checked for its shape and for bools before any entry is parsed
+    with pytest.raises(TypeError, match="boolean"):
+        Mat.from_json([["1-2"], [True]])
+    with pytest.raises(TypeError, match="array"):
+        Mat.from_json([["1/0"], "12"])
+
+
+def test_to_json_renders_each_entry_as_its_fraction():
+    """Seeded Vec, Mat and Subspace rows, with negative entries and large denominators."""
+    rng = random.Random(26)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        dens = [1, 2, 6, 9, 2**61 - 1, 10**30 + 1]
+        rows = [
+            [
+                Fraction(rng.randint(-(10**rng.randint(1, 35)), 10**rng.randint(1, 35)), rng.choice(dens))
+                for _ in range(n)
+            ]
+            for _ in range(rng.randint(1, 4))
+        ]
+        v, m = Vec(rows[0]), Mat(rows, n)
+        S = Subspace.span(n, [Vec(r) for r in rows])
+        assert v.to_json() == [rational_to_string(Fraction(x, v.den)) for x in v.int_row()]
+        for shown in (m, S.basis):
+            assert shown.to_json() == [
+                [rational_to_string(Fraction(x, shown.den)) for x in row] for row in shown.int_rows()
+            ]
+        assert S.to_json() == S.basis.to_json()
+        assert Mat.from_json(m.to_json()) == m and Vec.from_json(v.to_json()) == v
 
 
 def test_vec_canonical_form():

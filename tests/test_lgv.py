@@ -21,7 +21,7 @@ from linminmax.lgv import (
     lgv_rhs_parts,
 )
 from linminmax.relation import Relation
-from conftest import gs_matrix, rand_mat, rand_vec, submatrix
+from conftest import diag, gs_matrix, rand_mat, rand_vec, submatrix
 
 
 def rand_instance(rng, n=None, r=None, k=None) -> LgvInstance:
@@ -76,7 +76,7 @@ def test_principal_minor_expansion(rng):
         _, den = lgv_rhs_parts(inst, xs)
         direct = (
             Mat.identity(inst.r)
-            - Mat.diag(xs) @ inst.V.transpose() @ inst.W
+            - diag(xs) @ inst.V.transpose() @ inst.W
         ).det()
         assert den == direct
 
@@ -326,6 +326,54 @@ def test_rhs_parts_match_per_point_reference():
             seen_zero += 0 in xs
             assert lgv_rhs_parts(inst, xs) == ref_rhs_parts(inst, xs)
     assert seen_zero > 20
+
+
+# ---------------------------------------------------------------------------
+# the bordered integer determinant against the Fraction solve
+
+
+def ref_lhs(inst, xs):
+    """det(B^T (I - W X V^T)^{-1} A) by a Fraction solve of (I - W X V^T) Y = A."""
+    m = Mat.identity(inst.n) - inst.W @ diag(xs) @ inst.V.transpose()
+    solved = solve_exact(m, inst.A)
+    if solved is None:
+        raise SingularityError("I - W X V^T is singular at this point")
+    return (inst.B.transpose() @ solved).det()
+
+
+def _singular_point(inst, rng):
+    """A point where I - W X V^T is singular, or None: x_i = 1 / (v_i . w_i), the rest 0."""
+    pairs = [i for i in range(inst.r) if inst.V.col(i).dot(inst.W.col(i))]
+    if not pairs:
+        return None
+    i = rng.choice(pairs)
+    xs = [Fraction(0)] * inst.r
+    xs[i] = 1 / inst.V.col(i).dot(inst.W.col(i))
+    return xs
+
+
+def test_lhs_matches_the_fraction_solve():
+    """Seeded rational instances, with k = 0, r = 0 and n = 0, and singular points."""
+    rng = random.Random(73)
+    shapes = [(0, 0, 0), (0, 3, 0), (0, 2, 2), (3, 0, 2), (3, 2, 0), (1, 1, 1), (5, 5, 3)]
+    shapes += [(rng.randint(1, 6), rng.randint(0, 6), rng.randint(0, 3)) for _ in range(40)]
+    checked = singular = 0
+    for n, r, k in shapes:
+        inst = rand_rational_instance(rng, n, r, k)
+        points = [[rand_rational(rng) for _ in range(r)] for _ in range(6)]
+        points.append([rng.randint(-9, 9) for _ in range(r)])
+        points.append(_singular_point(inst, rng))
+        for xs in (p for p in points if p is not None):
+            try:
+                expected = ref_lhs(inst, xs)
+            except SingularityError:
+                with pytest.raises(SingularityError):
+                    lgv_lhs(inst, xs)
+                singular += 1
+                continue
+            assert lgv_lhs(inst, xs) == expected, (inst.to_json(), xs)
+            checked += 1
+    assert checked >= 250 and singular >= 30
 
 
 def test_subset_minors_once_per_instance(monkeypatch):

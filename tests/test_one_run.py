@@ -12,10 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from linminmax import lgv, matching_cover, relation
+from linminmax import exact_linalg, lgv, matching_cover, relation
 from linminmax.classical_oracles import BipartiteGraph, bipartite_max_matching
 from linminmax.cli import EXIT_PROVED, main
-from linminmax.exact_linalg import Mat, Subspace, Vec, unit_vec
+from linminmax.exact_linalg import IntEchelon, Mat, Subspace, Vec, unit_vec
 from linminmax.matching_cover import (
     defect_matching,
     extract_matching_from_combination,
@@ -232,6 +232,32 @@ def test_the_intersection_stops_exactly_when_the_matching_spans_the_vs(rng, monk
             assert rounds[-1] == matching.indices
             searched += 1
     assert stopped >= 100 and searched >= 40
+
+
+def test_the_greedy_start_reduces_each_row_once(rng, monkeypatch):
+    """The greedy start adds each row once, and pops a v whose w is dependent."""
+    calls = []
+    monkeypatch.setattr(IntEchelon, "contains", lambda self, row: calls.append(row))
+    for R, _ in _intersection_cases(rng):
+        matching, cover = matroid_intersection(R)
+        assert verify_matching(R, matching) and verify_cover(R, cover)
+    assert calls == []
+
+
+@pytest.mark.parametrize("acyclic", [False, True])
+def test_the_lgv_check_runs_no_fraction_solve(acyclic, tmp_path, monkeypatch, capsys):
+    """A point costs one integer echelon: no `solve_exact` and no `Mat.det`."""
+    path = GOLDEN / "lgv.json"
+    if not acyclic:
+        path = tmp_path / "lgv.json"
+        assert main(["gen", "lgv", "n=4", "r=4", "k=2", "--seed", "1", "--out", str(path)]) == 0
+    solves = count_calls(monkeypatch, exact_linalg.solve_exact)
+    dets = []
+    det = Mat.det
+    monkeypatch.setattr(Mat, "det", lambda self: dets.append(self) or det(self))
+    assert main(["check", "lgv", str(path), "--output", "json"]) == EXIT_PROVED
+    assert json.loads(capsys.readouterr().out)["acyclic"] is acyclic
+    assert solves == [] and dets == []
 
 
 @pytest.mark.parametrize("theorem", sorted(KERNEL_CALLS))
