@@ -300,13 +300,3 @@ def coherent_decomposition(L: Linorder) -> CoherentDecomposition:
     """
     A = L.optimum[0].rank_one_sum()
     return CoherentDecomposition(A, tuple(nilpotent_jordan_chains(A)))
-
-
-def poset_embed(P) -> Linorder:
-    """Standard-basis linorder with a pair (e_i, e_j) for each (i, j) in `P.gt`."""
-    n = P.size
-    pairs = [(unit_vec(n, i), unit_vec(n, j)) for i, j in P.gt]
-    result = validate_linorder(Relation(n, n, pairs))
-    if isinstance(result, LinorderViolation):
-        raise InvariantViolation("poset embedding violated a linorder axiom")
-    return result

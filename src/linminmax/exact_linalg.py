@@ -7,13 +7,12 @@ tolerance parameter anywhere.  A vector or a matrix holds integer rows over
 one positive common denominator, reduced so that the denominator shares no
 factor with every entry; equal values are therefore equal data.  A subspace
 holds its canonical basis as primitive integer rows.  Sums, products,
-Kronecker products, membership tests and eliminations run on those
-integers, and Fractions appear only at the accessors (`entries`, indexing,
-`vectors`, `entry`).  A JSON row loads straight to an integer row: a row
-of strings made of decimal digits and "-" alone by one `int` per entry,
-and any other row entry by entry, each string read as an integer pair
-(p, q), by `int` for the plain forms -?digits and -?digits/digits, and by
-`Fraction` for any other.  A report writes each entry x / d of a row with
+membership tests and eliminations run on those integers, and Fractions
+appear only at the accessors (`entries`, indexing and `vectors`).  A JSON
+row loads straight to an integer row: a row of strings made of decimal
+digits and "-" alone by one `int` per entry, and any other row entry by
+entry, each string read as an integer pair (p, q), by `int` for the plain
+forms -?digits and -?digits/digits, and by `Fraction` for any other.  A report writes each entry x / d of a row with
 one gcd, as `rational_to_string` writes the Fraction x / d.
 
 Every elimination is fraction-free over the integers, and there is one
@@ -35,15 +34,6 @@ from math import gcd, lcm
 from operator import add, mul
 
 from .errors import DimensionError
-
-
-def rational_from_string(s: str):
-    """Parse "p/q" or "p" into an exact rational: an int or a Fraction.
-
-    Accepts exactly the strings `Fraction` accepts; see `_pair`.
-    """
-    p, q = _pair(s)
-    return p if q == 1 else Fraction(p, q)
 
 
 def json_int(x) -> int:
@@ -278,10 +268,6 @@ class Vec:
         return cls._raw(tuple(num), den)
 
 
-def vec(*entries) -> Vec:
-    return Vec(entries)
-
-
 def unit_vec(n: int, i: int) -> Vec:
     return Vec._raw(tuple([int(j == i) for j in range(n)]), 1)
 
@@ -440,8 +426,8 @@ class Mat:
     `_num` is a tuple of integer row tuples and `_den` a positive integer,
     and entry (i, j) is `_num[i][j] / _den`.  They are reduced so that
     gcd(`_den`, every entry) = 1, which makes equal matrices equal data.
-    The accessors (`entry`, `row`, `col`, `row_tuples`, `flatten`) return
-    Fractions; the arithmetic and the eliminations run on the integers.
+    The accessors (`row`, `col`, `columns`) return Vecs, whose `entries`
+    are Fractions; the arithmetic and the eliminations run on the integers.
     """
 
     __slots__ = ("_num", "_den", "rows", "cols")
@@ -529,18 +515,11 @@ class Mat:
         """The integer rows joined into one row."""
         return [x for row in self._num for x in row]
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(self._num[i][j], self._den)
-
     def row(self, i: int) -> Vec:
         return Vec.from_ints(self._num[i], self._den)
 
     def col(self, j: int) -> Vec:
         return Vec.from_ints([r[j] for r in self._num], self._den)
-
-    def row_tuples(self):
-        d = self._den
-        return tuple(tuple(Fraction(x, d) for x in row) for row in self._num)
 
     def columns(self) -> list[Vec]:
         return [Vec.from_ints(c, self._den) for c in self._columns()]
@@ -609,29 +588,6 @@ class Mat:
         return Vec.from_ints(
             [sum(map(mul, row, u)) for row in self._num], self._den * v.den
         )
-
-    def power(self, k: int) -> "Mat":
-        if not self.is_square():
-            raise DimensionError("power of a non-square matrix")
-        result = Mat.identity(self.rows)
-        for _ in range(k):
-            result = result @ self
-        return result
-
-    def kron(self, other: "Mat") -> "Mat":
-        """Kronecker product; (B kron C)[(i,k),(j,l)] = B[i,j] * C[k,l]."""
-        return Mat.from_int_rows(
-            tuple(
-                tuple([x * y for x in ra for y in rb])
-                for ra in self._num
-                for rb in other._num
-            ),
-            self._den * other._den,
-            self.cols * other.cols,
-        )
-
-    def flatten(self) -> Vec:
-        return Vec._raw(tuple([x for r in self._num for x in r]), self._den)
 
     # rank / determinant / kernel ---------------------------------------
 
@@ -725,19 +681,6 @@ def hstack(mats) -> Mat:
         den,
         sum(m.cols for m in mats),
     )
-
-
-def vstack(mats) -> Mat:
-    mats = list(mats)
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise DimensionError("vstack with mismatched column counts")
-    parts, den = common_int_rows(mats)
-    return Mat._raw(sum(parts, ()), den, cols)
-
-
-def block(rows_of_blocks) -> Mat:
-    return vstack([hstack(row) for row in rows_of_blocks])
 
 
 def solve_exact(M: Mat, B: Mat) -> Mat | None:

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from operator import mul
 
 from .errors import DimensionError, InvariantViolation, SingularityError
@@ -98,17 +97,6 @@ class LgvInstance:
             Mat.from_json(data["A"]),
             Mat.from_json(data["B"]),
         )
-
-
-def instance_from_relation(R: Relation, sources, sinks) -> LgvInstance:
-    if R.n != R.m:
-        raise DimensionError("path instances need a relation on F^n x F^n")
-    return LgvInstance(
-        Mat.from_cols([v for v, _ in R.pairs], rows=R.n),
-        Mat.from_cols([w for _, w in R.pairs], rows=R.n),
-        Mat.from_cols(list(sources), rows=R.n),
-        Mat.from_cols(list(sinks), rows=R.n),
-    )
 
 
 def _coerce_point(inst: LgvInstance, xs) -> list:
@@ -238,98 +226,3 @@ def lgv_acyclic(inst: LgvInstance, xs):
     if lhs != num:
         raise InvariantViolation("acyclic identity failed at an exact point")
     return lhs, num
-
-
-# ---------------------------------------------------------------------------
-# classical reduction
-
-
-def classical_lgv(G, H, K):
-    """det of the path-weight matrix vs the signed vertex-disjoint path sum.
-
-    G has `size`, `edges` and `weights` (None for all 1).
-
-    M[i][j] sums path weights from H[i] to K[j] by dynamic programming over
-    a topological order; the signed sum enumerates all k-tuples of
-    vertex-disjoint paths explicitly.  Returns (det M, signed sum).
-    """
-    H = list(H)
-    K = list(K)
-    if len(H) != len(K):
-        raise DimensionError("need equally many sources and sinks")
-    n = G.size
-    weights = (
-        list(G.weights)
-        if G.weights is not None
-        else [Fraction(1)] * len(G.edges)
-    )
-    succ: dict[int, list[tuple[int, Fraction]]] = {u: [] for u in range(n)}
-    indeg = [0] * n
-    for (u, v), w in zip(G.edges, weights):
-        if u == v:
-            raise ValueError("acyclic graph cannot carry loops")
-        succ[u].append((v, w))
-        indeg[v] += 1
-    order = [u for u in range(n) if indeg[u] == 0]
-    head = 0
-    indeg_work = indeg[:]
-    while head < len(order):
-        u = order[head]
-        head += 1
-        for v, _ in succ[u]:
-            indeg_work[v] -= 1
-            if indeg_work[v] == 0:
-                order.append(v)
-    if len(order) != n:
-        raise ValueError("graph has a cycle")
-
-    def path_weights_from(src):
-        acc = [Fraction(0)] * n
-        acc[src] = Fraction(1)
-        for u in order:
-            if acc[u] == 0:
-                continue
-            for v, w in succ[u]:
-                acc[v] += acc[u] * w
-        return acc
-
-    table = [path_weights_from(h) for h in H]
-    M = Mat([[table[i][k] for k in K] for i in range(len(H))], len(K))
-    det_m = M.det()
-
-    # Exhaustive signed sum over vertex-disjoint path tuples.
-    all_paths: dict[int, list[tuple[tuple[int, ...], Fraction]]] = {}
-
-    def paths_from(u):
-        if u in all_paths:
-            return all_paths[u]
-        result = [((u,), Fraction(1))]
-        for v, w in succ[u]:
-            for tail, tw in paths_from(v):
-                result.append(((u,) + tail, w * tw))
-        all_paths[u] = result
-        return result
-
-    k = len(H)
-    sink_pos = {v: j for j, v in enumerate(K)}
-    signed = Fraction(0)
-
-    def extend(i, used, acc, ends):
-        nonlocal signed
-        if i == k:
-            perm = [sink_pos[e] for e in ends]
-            sign = 1
-            for a, b in combinations(range(k), 2):
-                if perm[a] > perm[b]:
-                    sign = -sign
-            signed += sign * acc
-            return
-        for path, w in paths_from(H[i]):
-            if path[-1] not in sink_pos:
-                continue
-            if used & set(path):
-                continue
-            extend(i + 1, used | set(path), acc * w, ends + [path[-1]])
-
-    extend(0, set(), Fraction(1), [])
-    return det_m, signed

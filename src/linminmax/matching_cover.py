@@ -8,11 +8,11 @@ polynomial augmenting-path run: the final common independent set is the
 matching, and the set reachable in the last exchange graph gives a cover
 of the same size.  The run stops as soon as the matching spans the v's:
 nothing is then reachable, and (span of the v's, 0) is the cover.  Hall's
-saturated matchings, defect matchings and Lovász's maximum rank read that
-one run too: a prefix of the matching, or the minimum cover itself.  A
-minimum cover (E, F) is exact: F is the neighborhood span N(E^perp),
-because (E, N(E^perp)) is a cover too and lies inside F.  So E^perp is a
-shrunk subspace, of defect n - |cover|.
+saturated matchings and defect matchings read that one run too: a prefix
+of the matching, or the minimum cover itself.  A minimum cover (E, F) is
+exact: F is the neighborhood span N(E^perp), because (E, N(E^perp)) is a
+cover too and lies inside F.  So E^perp is a shrunk subspace, of defect
+n - |cover|.
 For a matrix space the same `Cover` has F = V[E^perp], and `ncrank`
 returns it as its dual.  Every returned value carries a primal and a
 dual certificate of equal size; `verify` checks them against the
@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import CertificationError, DimensionError
+from .errors import DimensionError
 from .exact_linalg import (
     IntEchelon,
     Mat,
@@ -210,31 +210,6 @@ def defect_matching(R: Relation, d: int):
     if cover.size < R.n - d:
         return cover
     return Matching(R, matching.indices[: max(R.n - d, 0)])
-
-
-def extract_matching_from_combination(R: Relation, target: int) -> Matching:
-    """`target` distinct indices whose plain rank-one sum has rank `target`.
-
-    They are the first `target` of a maximum matching; CertificationError
-    when no combination of R reaches that rank.
-    """
-    matching = matroid_intersection(R)[0]
-    if matching.size < target:
-        raise CertificationError(
-            f"no combination reaches rank {target} (maximum {matching.size})"
-        )
-    return Matching(R, matching.indices[:target])
-
-
-def lovasz_max_rank(R: Relation) -> CertifiedValue:
-    """Maximum rank in the span of R, with the minimum cover as its dual.
-
-    The value is n - d where d is the largest dimension defect dim S -
-    dim N(S); the primal is the rank-one sum of a maximum matching, and
-    the cover's E^perp is a maximizing S.
-    """
-    matching, cover = matroid_intersection(R)
-    return CertifiedValue(cover.size, matching.rank_one_sum(), cover)
 
 
 def rado_transversal(sets, m: int):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .errors import CertificationError, DimensionError
+from .errors import CertificationError
 from .exact_linalg import Mat, Subspace
 from .dilworth import CoherentDecomposition, nilpotent_jordan_chains
 from .matching_cover import CertifiedValue, Cover
@@ -38,11 +38,6 @@ from .relation import (
     is_nilpotent_algebra,
     wong_limit,
 )
-
-
-def max_rank_blowup(V: MatrixSpace, r: int, sampler: GenericSampler) -> int:
-    """Maximum sampled rank in V (x) M_r; a multiple of r."""
-    return best_sample(V, sampler, r, partial(_defect_bound(V), r))[0]
 
 
 def _defect_bound(V: MatrixSpace):
@@ -89,20 +84,6 @@ def ncrank(V: MatrixSpace, sampler: GenericSampler) -> CertifiedValue:
     """
     trivial = Cover(Subspace.full(V.n), Subspace.zero(V.m))
     return wong_rank(V, sampler, _defect_bound(V), (trivial, V.n))
-
-
-def has_full_ncrank(V: MatrixSpace, sampler: GenericSampler):
-    """(True, rank-rn blow-up element) or (False, cover smaller than n)."""
-    if V.m != V.n:
-        raise DimensionError("full noncommutative rank is for square spaces")
-    cv = ncrank(V, sampler)
-    if cv.dual.size < V.n:
-        return False, cv.dual
-    if cv.value == V.n:
-        return True, cv.primal
-    raise CertificationError(
-        "no cover smaller than n found but sampling did not reach full blow-up rank"
-    )
 
 
 def matrix_coherent_decomposition(

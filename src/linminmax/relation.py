@@ -2,15 +2,13 @@
 
 A relation is a finite list of vector pairs (v, w) in F^n x F^m.  Each pair
 induces the rank-one map w v^T, and the span of those maps is the matrix
-space the min-max machinery actually works with.  Because only that span
-matters, any relation can be thinned to at most n*m pairs without changing
-any neighborhood span; `reduce_relation` does exactly that.  The span is
-built only where an element is sampled or membership is tested: the image
-V_R[U] of a subspace is the neighborhood span N(U), so `apply_space` and
-the nilpotency flag of `space_power_is_zero` run on the relation itself.
-The routing space of a path capacity (`routing_space`) is built here too,
-on a relation from the border and its rank-ones, with the basis the span
-would give; a check builds it once and its solver routes in that space.
+space the min-max machinery actually works with.  No check builds the
+span of a relation: the image V_R[U] of a subspace is the neighborhood
+span N(U), so `apply_space` and the nilpotency flag of
+`space_power_is_zero` run on the relation itself.  The routing space of
+a path capacity (`routing_space`) is built here too, on a relation from
+the border and its rank-ones, with the basis the span would give; a
+check builds it once and its solver routes in that space.
 """
 
 from __future__ import annotations
@@ -186,22 +184,6 @@ class GenericSampler:
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def to_matrix_space(R: Relation) -> MatrixSpace:
-    """Independent rank-one generators of span{w v^T : (v, w) in R}, prefix-greedy."""
-    return MatrixSpace.spanned(R.m, R.n, [outer(w, v) for v, w in R.pairs])
-
-
-def reduce_relation(R: Relation) -> Relation:
-    """Sub-list of at most n*m pairs spanning the same matrix space.
-
-    Keeps the pairs whose w v^T the prefix-greedy echelon takes, those
-    behind the basis of `to_matrix_space(R)`.
-    """
-    ech = IntEchelon(R.n * R.m)
-    kept = [(v, w) for v, w in R.pairs if ech.add(outer(w, v).int_flat())]
-    return Relation(R.n, R.m, kept)
 
 
 def _image(V, rows, cap: int) -> IntEchelon:
@@ -398,12 +380,6 @@ def _top_left(A: Mat, like: Mat) -> Mat:
     return Mat.from_int_rows(rows + zero_rows, A.den, like.cols)
 
 
-def bordered_matrix(A: Mat, E: Subspace, F: Subspace) -> Mat:
-    """[[I - A, i],[p, 0]], the element of the routing space at A."""
-    base = _border(E, F, A.rows)
-    return base - _top_left(A, base)
-
-
 def routing_space(V, E: Subspace, F: Subspace) -> MatrixSpace:
     """Span of [[I, i],[p, 0]] and every [[A, 0],[0, 0]] with A in V.
 
@@ -411,7 +387,7 @@ def routing_space(V, E: Subspace, F: Subspace) -> MatrixSpace:
     noncommutative rank minus n.  V is a matrix space, or a relation R
     whose generators are then the border and each w v^T in pair order: a
     pair that depends on earlier pairs depends on the border and them, so
-    the prefix-greedy basis is the one built on `to_matrix_space(R)`.
+    the prefix-greedy basis is the one built on the span of the w v^T.
     """
     if V.m != V.n:
         raise DimensionError("path capacities need a square space")

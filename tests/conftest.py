@@ -2,11 +2,27 @@
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 
 from linminmax.exact_linalg import IntEchelon, Mat, Subspace, Vec, hstack, outer
-from linminmax.relation import MatrixSpace, Relation, to_matrix_space
+from linminmax.relation import MatrixSpace, Relation
+
+
+def vec(*entries) -> Vec:
+    return Vec(entries)
+
+
+def as_lists(m: Mat):
+    """The entries of m as lists of Fractions."""
+    return [[Fraction(x, m.den) for x in row] for row in m.int_rows()]
+
+
+def kron(a: Mat, b: Mat) -> Mat:
+    """Kronecker product: (a kron b)[(i, k), (j, l)] = a[i, j] b[k, l]."""
+    rows = [[x * y for x in ra for y in rb] for ra in as_lists(a) for rb in as_lists(b)]
+    return Mat(rows, a.cols * b.cols)
 
 
 def rand_vec(rng, n, bound=3, nonzero=False):
@@ -56,7 +72,7 @@ def blow_up(V: MatrixSpace, r: int) -> BlowUp:
                     [[1 if (i, j) == (k, l) else 0 for j in range(r)] for i in range(r)],
                     r,
                 )
-                cells.append(b.kron(unit))
+                cells.append(kron(b, unit))
     return BlowUp(V, r, tuple(cells))
 
 

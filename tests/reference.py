@@ -1,0 +1,645 @@
+"""Independent references that the tests compare the solvers against.
+
+None of this is run by `linminmax gen|check|demo`, so none of it ships in
+`src/`.  The classical oracles come first: augmenting paths, exhaustive
+subset checks and BFS max-flow on plain graphs and posets, written with
+the standard library and the package's error types alone, so that they
+share no code with the exact-arithmetic modules they validate.  Every
+oracle returns a primal/dual pair of equal size (an inequality is a hard
+failure of the oracle itself).  Then come the references built on the
+package: the rank-one span of a relation, the bordered matrix of a path
+capacity, the subset formulas for generic ranks, Kőnig through Menger,
+Lovász's maximum rank, the poset and graph encodings, and the classical
+Lindström–Gessel–Viennot identity by explicit path enumeration.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import partial
+from itertools import combinations
+
+from linminmax import verify
+from linminmax.dilworth import Linorder, LinorderViolation, validate_linorder
+from linminmax.errors import CertificationError, DimensionError, InvariantViolation
+from linminmax.exact_linalg import IntEchelon, Mat, Subspace, Vec, hstack, outer, unit_vec
+from linminmax.lgv import LgvInstance
+from linminmax.matching_cover import CertifiedValue, matroid_intersection, max_matching
+from linminmax.menger import mpc
+from linminmax.ncrank import _defect_bound
+from linminmax.relation import (
+    GenericSampler,
+    MatrixSpace,
+    Relation,
+    _border,
+    _top_left,
+    best_sample,
+    routing_space,
+    sample_element,
+)
+
+
+# ---------------------------------------------------------------------------
+# classical oracles
+
+
+@dataclass(frozen=True)
+class BipartiteGraph:
+    n: int
+    m: int
+    edges: tuple
+
+    def __init__(self, n, m, edges):
+        edges = tuple((int(i), int(j)) for i, j in edges)
+        for i, j in edges:
+            if not (0 <= i < n and 0 <= j < m):
+                raise ValueError("edge endpoint out of range")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "edges", edges)
+
+    def adjacency(self):
+        adj = [[] for _ in range(self.n)]
+        for i, j in self.edges:
+            if j not in adj[i]:
+                adj[i].append(j)
+        return adj
+
+    def to_json(self):
+        return {"n": self.n, "m": self.m, "edges": [list(e) for e in self.edges]}
+
+    @classmethod
+    def from_json(cls, data):
+        return cls(int(data["n"]), int(data["m"]), data["edges"])
+
+
+@dataclass(frozen=True)
+class Digraph:
+    size: int
+    edges: tuple
+    weights: tuple | None = None
+
+    def __init__(self, size, edges, weights=None):
+        edges = tuple((int(i), int(j)) for i, j in edges)
+        for i, j in edges:
+            if not (0 <= i < size and 0 <= j < size):
+                raise ValueError("edge endpoint out of range")
+        if weights is not None:
+            weights = tuple(Fraction(w) for w in weights)
+            if len(weights) != len(edges):
+                raise ValueError("one weight per edge required")
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "weights", weights)
+
+    def to_json(self):
+        data = {"size": self.size, "edges": [list(e) for e in self.edges]}
+        if self.weights is not None:
+            data["weights"] = [str(w) for w in self.weights]
+        return data
+
+    @classmethod
+    def from_json(cls, data):
+        return cls(int(data["size"]), data["edges"], data.get("weights"))
+
+
+# ---------------------------------------------------------------------------
+# bipartite matching + Konig cover
+
+
+def bipartite_max_matching(G: BipartiteGraph):
+    """Augmenting-path maximum matching with a vertex cover of equal size.
+
+    Returns (size, matching edges, (left cover, right cover)).
+    """
+    adj = G.adjacency()
+    match_left = [None] * G.n
+    match_right = [None] * G.m
+
+    def try_augment(u, seen):
+        for v in adj[u]:
+            if v in seen:
+                continue
+            seen.add(v)
+            if match_right[v] is None or try_augment(match_right[v], seen):
+                match_left[u] = v
+                match_right[v] = u
+                return True
+        return False
+
+    for u in range(G.n):
+        try_augment(u, set())
+
+    size = sum(1 for v in match_left if v is not None)
+    matching = [(u, match_left[u]) for u in range(G.n) if match_left[u] is not None]
+
+    # Konig: alternating reachability from unmatched left vertices.
+    reach_left = set(u for u in range(G.n) if match_left[u] is None)
+    reach_right = set()
+    frontier = list(reach_left)
+    while frontier:
+        u = frontier.pop()
+        for v in adj[u]:
+            if v not in reach_right:
+                reach_right.add(v)
+                w = match_right[v]
+                if w is not None and w not in reach_left:
+                    reach_left.add(w)
+                    frontier.append(w)
+    cover_left = [u for u in range(G.n) if u not in reach_left]
+    cover_right = sorted(reach_right)
+    if len(cover_left) + len(cover_right) != size:
+        raise InvariantViolation("Konig cover size differs from matching size")
+    for i, j in G.edges:
+        if i not in cover_left and j not in cover_right:
+            raise InvariantViolation("Konig cover misses an edge")
+    return size, matching, (cover_left, cover_right)
+
+
+def hall_check(G: BipartiteGraph):
+    """Exhaustive Hall condition; returns (ok, violating subset or None)."""
+    if G.n > 16:
+        raise CertificationError("hall_check is exhaustive; n must be <= 16")
+    adj = G.adjacency()
+    neigh_bits = [0] * G.n
+    for i in range(G.n):
+        for j in adj[i]:
+            neigh_bits[i] |= 1 << j
+    for mask in range(1, 1 << G.n):
+        members = [i for i in range(G.n) if mask >> i & 1]
+        bits = 0
+        for i in members:
+            bits |= neigh_bits[i]
+        if bin(bits).count("1") < len(members):
+            return False, members
+    return True, None
+
+
+# ---------------------------------------------------------------------------
+# posets and Dilworth
+
+
+@dataclass(frozen=True)
+class Poset:
+    size: int
+    gt: tuple  # (i, j) meaning p_i > p_j, strict and transitively closed
+
+    def __init__(self, size, gt):
+        gt = tuple(sorted(set((int(i), int(j)) for i, j in gt)))
+        for i, j in gt:
+            if not (0 <= i < size and 0 <= j < size):
+                raise ValueError("poset relation out of range")
+            if i == j:
+                raise ValueError("strict order cannot be reflexive")
+        rel = set(gt)
+        for i, j in gt:
+            for k, l in gt:
+                if j == k and (i, l) not in rel:
+                    raise ValueError("strict order is not transitively closed")
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "gt", gt)
+
+    def comparable(self, i, j):
+        return (i, j) in self.gt or (j, i) in self.gt
+
+    def to_json(self):
+        return {"size": self.size, "gt": [list(p) for p in self.gt]}
+
+    @classmethod
+    def from_json(cls, data):
+        return cls(int(data["size"]), data["gt"])
+
+
+def poset_dilworth(P: Poset):
+    """Minimum chain partition and maximum antichain of a small poset.
+
+    Returns (min_chains, max_antichain, chains, antichain); the two values
+    are asserted equal.
+    """
+    if P.size > 10:
+        raise CertificationError("poset_dilworth is exhaustive; size must be <= 10")
+    n = P.size
+    # Min chain partition = n - max matching in the comparability digraph.
+    G = BipartiteGraph(n, n, [(i, j) for i, j in P.gt])
+    msize, matching, _ = bipartite_max_matching(G)
+    succ = {i: j for i, j in matching}
+    starts = set(range(n)) - set(succ.values())
+    chains = []
+    for s in sorted(starts):
+        chain = [s]
+        while chain[-1] in succ:
+            chain.append(succ[chain[-1]])
+        chains.append(chain)
+    min_chains = len(chains)
+    if min_chains != n - msize:
+        raise InvariantViolation("chain extraction lost a chain")
+
+    best = []
+    for k in range(n, 0, -1):
+        for cand in combinations(range(n), k):
+            if all(not P.comparable(a, b) for a, b in combinations(cand, 2)):
+                best = list(cand)
+                break
+        if best:
+            break
+    if len(best) != min_chains:
+        raise InvariantViolation("Dilworth equality failed in the oracle")
+    return min_chains, len(best), chains, best
+
+
+# ---------------------------------------------------------------------------
+# vertex-disjoint paths (Menger) via unit-capacity max flow
+
+
+def vertex_disjoint_paths(G: Digraph, H, K):
+    """Max fully-vertex-disjoint H->K paths and a minimum vertex separator.
+
+    Vertex splitting + BFS augmentation; counts one-vertex paths for
+    vertices in both H and K.  Returns (count, paths, separator).
+    """
+    if G.size > 12:
+        raise CertificationError("vertex_disjoint_paths budget is size <= 12")
+    H = sorted(set(H))
+    K = sorted(set(K))
+    n = G.size
+    # Nodes: 0 = source, 1 = sink, vertex v -> in 2+2v, out 3+2v.
+    source, sink = 0, 1
+    cap: dict[tuple[int, int], int] = {}
+
+    def add_edge(a, b, c):
+        cap[(a, b)] = cap.get((a, b), 0) + c
+        cap.setdefault((b, a), 0)
+
+    big = n + 1
+    for v in range(n):
+        add_edge(2 + 2 * v, 3 + 2 * v, 1)
+    for i, j in set(G.edges):
+        if i != j:
+            add_edge(3 + 2 * i, 2 + 2 * j, big)
+    for h in H:
+        add_edge(source, 2 + 2 * h, 1)
+    for k in K:
+        add_edge(3 + 2 * k, sink, 1)
+
+    adj: dict[int, list[int]] = {}
+    for a, b in cap:
+        adj.setdefault(a, []).append(b)
+
+    flow: dict[tuple[int, int], int] = {e: 0 for e in cap}
+
+    def bfs_path():
+        prev = {source: None}
+        queue = [source]
+        while queue:
+            u = queue.pop(0)
+            if u == sink:
+                break
+            for v in adj.get(u, []):
+                if v not in prev and cap[(u, v)] - flow[(u, v)] > 0:
+                    prev[v] = u
+                    queue.append(v)
+        if sink not in prev:
+            return None
+        path = []
+        v = sink
+        while prev[v] is not None:
+            path.append((prev[v], v))
+            v = prev[v]
+        return path[::-1]
+
+    count = 0
+    while True:
+        path = bfs_path()
+        if path is None:
+            break
+        for a, b in path:
+            flow[(a, b)] += 1
+            flow[(b, a)] -= 1
+        count += 1
+
+    # Min cut: split edges crossing the residual-reachable set.
+    reach = {source}
+    queue = [source]
+    while queue:
+        u = queue.pop(0)
+        for v in adj.get(u, []):
+            if v not in reach and cap[(u, v)] - flow[(u, v)] > 0:
+                reach.add(v)
+                queue.append(v)
+    separator = [
+        v for v in range(n) if 2 + 2 * v in reach and 3 + 2 * v not in reach
+    ]
+    # Source/sink edges in the cut correspond to H/K vertices whose split
+    # edge is saturated inside; with unit vertex capacities the reachable
+    # analysis above already charges those to the vertex itself.
+    for h in H:
+        if source in reach and 2 + 2 * h not in reach:
+            separator.append(h)
+    for k in K:
+        if 3 + 2 * k in reach and sink not in reach:
+            separator.append(k)
+    separator = sorted(set(separator))
+    if len(separator) != count:
+        raise InvariantViolation("max-flow min-cut mismatch in the oracle")
+
+    # Decompose the flow into vertex paths.
+    paths = []
+    used = {e: f for e, f in flow.items() if f > 0}
+    for h in H:
+        if used.get((source, 2 + 2 * h), 0) <= 0:
+            continue
+        used[(source, 2 + 2 * h)] -= 1
+        node = 2 + 2 * h
+        path = []
+        while True:
+            v = (node - 2) // 2
+            path.append(v)
+            out = 3 + 2 * v
+            used[(node, out)] -= 1
+            if used.get((out, sink), 0) > 0:
+                used[(out, sink)] -= 1
+                break
+            nxt = next(
+                b for b in adj.get(out, []) if used.get((out, b), 0) > 0 and b != sink
+            )
+            used[(out, nxt)] -= 1
+            node = nxt
+        paths.append(path)
+    if len(paths) != count:
+        raise InvariantViolation("flow decomposition lost a path")
+    for a, b in combinations(range(len(paths)), 2):
+        if set(paths[a]) & set(paths[b]):
+            raise InvariantViolation("flow decomposition paths are not disjoint")
+    return count, paths, separator
+
+
+# ---------------------------------------------------------------------------
+# relations and matrix spaces
+
+
+def to_matrix_space(R: Relation) -> MatrixSpace:
+    """Independent rank-one generators of span{w v^T : (v, w) in R}, prefix-greedy."""
+    return MatrixSpace.spanned(R.m, R.n, [outer(w, v) for v, w in R.pairs])
+
+
+def bordered_matrix(A: Mat, E: Subspace, F: Subspace) -> Mat:
+    """[[I - A, i],[p, 0]], the element of the routing space at A."""
+    base = _border(E, F, A.rows)
+    return base - _top_left(A, base)
+
+
+# ---------------------------------------------------------------------------
+# matchings, blow-ups and linorders
+
+
+def lovasz_max_rank(R: Relation) -> CertifiedValue:
+    """Maximum rank in the span of R, with the minimum cover as its dual.
+
+    The value is n - d where d is the largest dimension defect dim S -
+    dim N(S); the primal is the rank-one sum of a maximum matching, and
+    the cover's E^perp is a maximizing S.
+    """
+    matching, cover = matroid_intersection(R)
+    return CertifiedValue(cover.size, matching.rank_one_sum(), cover)
+
+
+def max_rank_blowup(V: MatrixSpace, r: int, sampler: GenericSampler) -> int:
+    """Maximum sampled rank in V (x) M_r; a multiple of r."""
+    return best_sample(V, sampler, r, partial(_defect_bound(V), r))[0]
+
+
+def poset_embed(P) -> Linorder:
+    """Standard-basis linorder with a pair (e_i, e_j) for each (i, j) in `P.gt`."""
+    n = P.size
+    pairs = [(unit_vec(n, i), unit_vec(n, j)) for i, j in P.gt]
+    result = validate_linorder(Relation(n, n, pairs))
+    if isinstance(result, LinorderViolation):
+        raise InvariantViolation("poset embedding violated a linorder axiom")
+    return result
+
+
+# ---------------------------------------------------------------------------
+# path capacities: the bordered rank and the subset formulas for generic ranks
+
+
+def _block(rows_of_blocks) -> Mat:
+    """The block matrix of a grid of matrices, assembled entry by entry."""
+    return Mat(
+        [
+            [Fraction(x, b.den) for b in blocks for x in b.int_rows()[i]]
+            for blocks in rows_of_blocks
+            for i in range(blocks[0].rows)
+        ],
+        sum(b.cols for b in rows_of_blocks[0]),
+    )
+
+
+def bordered_rank(A: Mat, E: Subspace, F: Subspace) -> int:
+    return bordered_matrix(A, E, F).rank()
+
+
+def generic_rank_rank_one_update(A: Mat, v: Vec, w: Vec) -> int:
+    """Generic rank of A + x w v^T: min(rank [A | w], rank [A ; v^T])."""
+    if v.dim != A.cols or w.dim != A.rows:
+        raise DimensionError("rank-one update with mismatched shapes")
+    col_aug = hstack([A, Mat.from_cols([w])])
+    row_aug = _block([[A], [Mat.from_cols([v]).transpose()]])
+    return min(col_aug.rank(), row_aug.rank())
+
+
+def generic_rank_sum(A: Mat, pairs) -> int:
+    """Generic rank of A + sum_i x_i w_i v_i^T by the subset formula.
+
+    The minimum over subsets S of rank [[A, W_S],[V_Sc^T, 0]], taken over
+    every subset: exponential in the number of pairs, so meant for a few.
+    """
+    pairs = list(pairs)
+    for v, w in pairs:
+        if v.dim != A.cols or w.dim != A.rows:
+            raise DimensionError("update pair with mismatched shape")
+    k = len(pairs)
+    # Scaling a row by a nonzero factor keeps every rank, so [A | W] is
+    # taken once as integer rows over one denominator, and each v^T alone.
+    top = hstack([A, Mat.from_cols([w for _, w in pairs], rows=A.rows)]).int_rows()
+    bottom = [list(v.int_row()) for v, _ in pairs]
+    best = None
+    for mask in range(1 << k):
+        cols = list(range(A.cols)) + [A.cols + j for j in range(k) if mask >> j & 1]
+        ech = IntEchelon(len(cols))
+        for row in top:
+            ech.add([row[c] for c in cols])
+        for j in range(k):
+            if not mask >> j & 1:
+                ech.add(bottom[j] + [0] * (len(cols) - A.cols))
+        best = ech.rank if best is None else min(best, ech.rank)
+    return best
+
+
+# ---------------------------------------------------------------------------
+# graph encoding and the Konig reduction
+
+
+def graph_instance(G, H, K, with_loops: bool = False):
+    """Standard-basis encoding of a digraph (`size`, `edges`) with source and sink sets.
+
+    Returns (R, E, F); with_loops adds a pair (e_i, e_i) per vertex, the
+    augmentation used by the classical separator correspondence.
+    """
+    n = G.size
+    pairs = [(unit_vec(n, i), unit_vec(n, j)) for i, j in G.edges]
+    if with_loops:
+        pairs += [(unit_vec(n, i), unit_vec(n, i)) for i in range(n)]
+    E = Subspace.span(n, [unit_vec(n, i) for i in H])
+    F = Subspace.span(n, [unit_vec(n, i) for i in K])
+    return Relation(n, n, pairs), E, F
+
+
+def konig_via_menger(R: Relation, sampler: GenericSampler) -> CertifiedValue:
+    """Maximum matching value recovered through the path-capacity machinery.
+
+    Embeds R on F^{n+m} as (v + 0, 0 + w), routes from F^n + 0 to 0 + F^m,
+    and checks the block rank identity that makes the capacity collapse to
+    rank(A) + n + m on sampled elements.
+    """
+    n, m = R.n, R.m
+    big = n + m
+    lifted = [
+        (
+            Vec.from_ints(v.int_row() + (0,) * m, v.den),
+            Vec.from_ints((0,) * n + w.int_row(), w.den),
+        )
+        for v, w in R.pairs
+    ]
+    R2 = Relation(big, big, lifted)
+    E = Subspace.span(big, [unit_vec(big, i) for i in range(n)])
+    F = Subspace.span(big, [unit_vec(big, n + j) for j in range(m)])
+
+    space = to_matrix_space(R)
+    for _ in range(3):
+        A = sample_element(space, sampler)
+        stacked = _block(
+            [
+                [Mat.identity(n), Mat.zeros(n, m), Mat.identity(n)],
+                [-A, Mat.identity(m), Mat.zeros(m, n)],
+                [Mat.zeros(m, n), Mat.identity(m), Mat.zeros(m, n)],
+            ]
+        )
+        if stacked.rank() != A.rank() + n + m:
+            raise InvariantViolation("Konig reduction rank identity failed")
+
+    capacity = mpc(R2, E, F, routing_space(R2, E, F), sampler)
+    if not verify.verify_separator(R2, E, F, capacity.dual):
+        raise InvariantViolation("Wong separator fails the separator axioms")
+    direct = max_matching(R)
+    if capacity.value != direct.value:
+        raise InvariantViolation(
+            "path capacity disagrees with the matching optimum"
+        )
+    return capacity
+
+
+# ---------------------------------------------------------------------------
+# path determinants
+
+
+def instance_from_relation(R: Relation, sources, sinks) -> LgvInstance:
+    if R.n != R.m:
+        raise DimensionError("path instances need a relation on F^n x F^n")
+    return LgvInstance(
+        Mat.from_cols([v for v, _ in R.pairs], rows=R.n),
+        Mat.from_cols([w for _, w in R.pairs], rows=R.n),
+        Mat.from_cols(list(sources), rows=R.n),
+        Mat.from_cols(list(sinks), rows=R.n),
+    )
+
+
+def classical_lgv(G, H, K):
+    """det of the path-weight matrix vs the signed vertex-disjoint path sum.
+
+    G has `size`, `edges` and `weights` (None for all 1).
+
+    M[i][j] sums path weights from H[i] to K[j] by dynamic programming over
+    a topological order; the signed sum enumerates all k-tuples of
+    vertex-disjoint paths explicitly.  Returns (det M, signed sum).
+    """
+    H = list(H)
+    K = list(K)
+    if len(H) != len(K):
+        raise DimensionError("need equally many sources and sinks")
+    n = G.size
+    weights = (
+        list(G.weights)
+        if G.weights is not None
+        else [Fraction(1)] * len(G.edges)
+    )
+    succ: dict[int, list[tuple[int, Fraction]]] = {u: [] for u in range(n)}
+    indeg = [0] * n
+    for (u, v), w in zip(G.edges, weights):
+        if u == v:
+            raise ValueError("acyclic graph cannot carry loops")
+        succ[u].append((v, w))
+        indeg[v] += 1
+    order = [u for u in range(n) if indeg[u] == 0]
+    head = 0
+    indeg_work = indeg[:]
+    while head < len(order):
+        u = order[head]
+        head += 1
+        for v, _ in succ[u]:
+            indeg_work[v] -= 1
+            if indeg_work[v] == 0:
+                order.append(v)
+    if len(order) != n:
+        raise ValueError("graph has a cycle")
+
+    def path_weights_from(src):
+        acc = [Fraction(0)] * n
+        acc[src] = Fraction(1)
+        for u in order:
+            if acc[u] == 0:
+                continue
+            for v, w in succ[u]:
+                acc[v] += acc[u] * w
+        return acc
+
+    table = [path_weights_from(h) for h in H]
+    M = Mat([[table[i][k] for k in K] for i in range(len(H))], len(K))
+    det_m = M.det()
+
+    # Exhaustive signed sum over vertex-disjoint path tuples.
+    all_paths: dict[int, list[tuple[tuple[int, ...], Fraction]]] = {}
+
+    def paths_from(u):
+        if u in all_paths:
+            return all_paths[u]
+        result = [((u,), Fraction(1))]
+        for v, w in succ[u]:
+            for tail, tw in paths_from(v):
+                result.append(((u,) + tail, w * tw))
+        all_paths[u] = result
+        return result
+
+    k = len(H)
+    sink_pos = {v: j for j, v in enumerate(K)}
+    signed = Fraction(0)
+
+    def extend(i, used, acc, ends):
+        nonlocal signed
+        if i == k:
+            perm = [sink_pos[e] for e in ends]
+            sign = 1
+            for a, b in combinations(range(k), 2):
+                if perm[a] > perm[b]:
+                    sign = -sign
+            signed += sign * acc
+            return
+        for path, w in paths_from(H[i]):
+            if path[-1] not in sink_pos:
+                continue
+            if used & set(path):
+                continue
+            extend(i + 1, used | set(path), acc * w, ends + [path[-1]])
+
+    extend(0, set(), Fraction(1), [])
+    return det_m, signed

@@ -9,14 +9,6 @@ import random
 import time
 from fractions import Fraction
 
-from linminmax.classical_oracles import (
-    BipartiteGraph,
-    Digraph,
-    bipartite_max_matching,
-    hall_check,
-    poset_dilworth,
-    vertex_disjoint_paths,
-)
 from linminmax.cli import (
     EXIT_PROVED,
     RunConfig,
@@ -24,11 +16,7 @@ from linminmax.cli import (
     demo_menger_f7,
     demo_skew3,
 )
-from linminmax.dilworth import (
-    bichain_decomposition,
-    max_antichain,
-    poset_embed,
-)
+from linminmax.dilworth import bichain_decomposition, max_antichain
 from linminmax.exact_linalg import (
     Mat,
     Subspace,
@@ -45,24 +33,28 @@ from linminmax.matching_cover import (
     max_matching,
     saturated_matching,
 )
-from linminmax.menger import (
+from linminmax.menger import mpc
+from linminmax.lgv import LgvInstance, lgv_acyclic, lgv_lhs, lgv_rhs_parts, lgv_rhs
+from linminmax.errors import SingularityError
+from linminmax.ncrank import matrix_coherent_decomposition, ncrank
+from linminmax.relation import GenericSampler, Relation, routing_space, sample_element
+from linminmax.verify import verify_cover, verify_matching
+from reference import (
+    BipartiteGraph,
+    Digraph,
+    bipartite_max_matching,
     bordered_rank,
+    classical_lgv,
     generic_rank_rank_one_update,
     generic_rank_sum,
     graph_instance,
-    mpc,
-)
-from linminmax.lgv import LgvInstance, classical_lgv, lgv_acyclic, lgv_lhs, lgv_rhs_parts, lgv_rhs
-from linminmax.errors import SingularityError
-from linminmax.ncrank import matrix_coherent_decomposition, max_rank_blowup, ncrank
-from linminmax.relation import (
-    GenericSampler,
-    Relation,
-    routing_space,
-    sample_element,
+    hall_check,
+    max_rank_blowup,
+    poset_dilworth,
+    poset_embed,
     to_matrix_space,
+    vertex_disjoint_paths,
 )
-from linminmax.verify import verify_cover, verify_matching
 from test_dilworth import rand_dual_basis_linorder
 from test_oracles import rand_poset
 

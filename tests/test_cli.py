@@ -15,6 +15,7 @@ from linminmax.cli import (
     ParseFailure,
     main,
 )
+from reference import instance_from_relation, to_matrix_space
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -107,7 +108,7 @@ def test_check_all_theorems_on_generated(tmp_path, capsys):
     ]:
         if theorem == "matrix-dilworth":
             # needs a nilpotent algebra: feed the linorder's matrix space
-            from linminmax.relation import Relation, to_matrix_space
+            from linminmax.relation import Relation
 
             data = json.loads(lin.read_text())
             space = to_matrix_space(Relation.from_json(data))
@@ -132,9 +133,6 @@ def test_check_menger_instance(tmp_path, capsys):
     code, out = run_cli(capsys, "check", "menger", str(path), "--output", "json")
     assert code == EXIT_PROVED
     assert json.loads(out)["cpc"] == 1
-
-    ms_data = {"m": 7, "n": 7, "basis": []}
-    from linminmax.relation import to_matrix_space
 
     ms_data = to_matrix_space(R).to_json()
     ms_data["E"] = E.to_json()
@@ -292,6 +290,26 @@ def test_check_malformed_json_types_are_parse_errors(tmp_path, capsys):
         assert json.loads(captured.out)["error"].startswith("parse:")
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"[" * 5000 + b"]" * 5000,
+        b"\xff\xfe{}",
+        b'{"n": ' + b"9" * 5000 + b', "m": 1, "pairs": []}',
+    ],
+    ids=["nested-too-deep", "not-utf-8", "integer-too-long"],
+)
+def test_undecodable_instance_files_are_parse_errors(content, tmp_path, capsys):
+    """A file that `json.load` cannot read exits 3 with a parse report, never a traceback."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code = main(["check", "konig", str(path), "--output", "json"])
+    captured = capsys.readouterr()
+    assert code == EXIT_PARSE
+    assert "Traceback" not in captured.out + captured.err
+    assert json.loads(captured.out)["error"].startswith("parse: ")
+
+
 def test_gen_bad_parameters_are_parse_errors(capsys, tmp_path):
     for kind, params in (
         ("relation", ["n=abc"]),
@@ -352,7 +370,7 @@ def test_check_lgv_exit_codes_for_failures_and_singular_points(tmp_path, capsys,
 
     edges = [(0, 1), (0, 2), (1, 3), (2, 3)]
     R = Relation(4, 4, [(unit_vec(4, i), unit_vec(4, j)) for i, j in edges])
-    inst = lgv.instance_from_relation(R, [unit_vec(4, 0)], [unit_vec(4, 3)])
+    inst = instance_from_relation(R, [unit_vec(4, 0)], [unit_vec(4, 3)])
     path = tmp_path / "dag.json"
     path.write_text(json.dumps(inst.to_json()))
     argv = ["check", "lgv", str(path), "--output", "json", "--trials", "3"]
@@ -400,7 +418,7 @@ def test_check_lgv_tests_nilpotency_once(tmp_path, capsys, monkeypatch):
     cycle = Relation(3, 3, [(e[0], e[1]), (e[1], e[0])])
     for R, acyclic in [(dag, True), (cycle, False)]:
         path = tmp_path / "inst.json"
-        path.write_text(json.dumps(lgv.instance_from_relation(R, [e[0]], [e[2]]).to_json()))
+        path.write_text(json.dumps(instance_from_relation(R, [e[0]], [e[2]]).to_json()))
         calls.clear()
         code, out = run_cli(capsys, "check", "lgv", str(path), "--output", "json")
         assert code == EXIT_PROVED
@@ -422,7 +440,7 @@ def test_check_lgv_draws_the_acyclic_point_from_the_coefficient_bound(tmp_path, 
     edges = [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in (0, 2, 4)]
     R = Relation(n, n, [(e(n, i), e(n, j)) for i, j in edges])
     path = tmp_path / "lgv-path-12.json"
-    path.write_text(json.dumps(lgv.instance_from_relation(R, [e(n, 0)], [e(n, n - 1)]).to_json()))
+    path.write_text(json.dumps(instance_from_relation(R, [e(n, 0)], [e(n, n - 1)]).to_json()))
     code, out = run_cli(capsys, "check", "lgv", str(path), "--output", "json", "--seed", "0")
     report = json.loads(out)
     assert code == EXIT_PROVED and report["acyclic"] is True
@@ -568,7 +586,7 @@ def test_check_matrix_dilworth_needs_a_space_closed_under_products(tmp_path, cap
 
 def _linorder_space(tmp_path, capsys, size):
     """(relation, file of its matrix space) of `gen linorder size=<size> --seed 3`."""
-    from linminmax.relation import Relation, to_matrix_space
+    from linminmax.relation import Relation
 
     lin = tmp_path / f"lin{size}.json"
     main(["gen", "linorder", f"size={size}", "--seed", "3", "--out", str(lin)])

@@ -7,13 +7,10 @@ from itertools import chain, combinations
 
 import pytest
 
-from linminmax.classical_oracles import Digraph
 from linminmax.errors import SingularityError
-from linminmax.exact_linalg import Mat, hstack, solve_exact, unit_vec, vec
+from linminmax.exact_linalg import Mat, hstack, solve_exact, unit_vec
 from linminmax.lgv import (
     LgvInstance,
-    classical_lgv,
-    instance_from_relation,
     is_acyclic,
     lgv_acyclic,
     lgv_lhs,
@@ -21,7 +18,8 @@ from linminmax.lgv import (
     lgv_rhs_parts,
 )
 from linminmax.relation import Relation
-from conftest import diag, gs_matrix, rand_mat, rand_vec, submatrix
+from conftest import diag, gs_matrix, rand_mat, rand_vec, submatrix, vec
+from reference import Digraph, classical_lgv, instance_from_relation
 
 
 def rand_instance(rng, n=None, r=None, k=None) -> LgvInstance:

@@ -5,15 +5,12 @@ from itertools import product
 
 import pytest
 
-from linminmax.classical_oracles import BipartiteGraph, bipartite_max_matching, hall_check
-from linminmax.errors import CertificationError, DimensionError
-from linminmax.exact_linalg import Subspace, Vec, unit_vec, vec
+from linminmax.errors import DimensionError
+from linminmax.exact_linalg import Subspace, Vec, unit_vec
 from linminmax.matching_cover import (
     Cover,
     Matching,
     defect_matching,
-    extract_matching_from_combination,
-    lovasz_max_rank,
     matroid_intersection,
     max_matching,
     rado_transversal,
@@ -26,10 +23,16 @@ from linminmax.relation import (
     apply_space,
     routing_space,
     sample_element,
-    to_matrix_space,
 )
 from linminmax.verify import verify_cover, verify_matching, verify_separator
-from conftest import rand_relation, rand_vec
+from conftest import rand_relation, rand_vec, vec
+from reference import (
+    BipartiteGraph,
+    bipartite_max_matching,
+    hall_check,
+    lovasz_max_rank,
+    to_matrix_space,
+)
 
 
 def embed_bipartite(g: BipartiteGraph) -> Relation:
@@ -254,18 +257,17 @@ def test_defect_matching(rng):
 
 
 def test_extract_matching(rng):
+    """Each prefix of a maximum matching is a matching whose rank-one sum has its size as rank."""
     diag = Relation(3, 3, [(unit_vec(3, i), unit_vec(3, i)) for i in range(3)])
-    m = extract_matching_from_combination(diag, 3)
-    assert sorted(m.indices) == [0, 1, 2]
-    assert extract_matching_from_combination(diag, 0).size == 0
-    with pytest.raises(CertificationError):
-        extract_matching_from_combination(diag, 4)
+    assert sorted(matroid_intersection(diag)[0].indices) == [0, 1, 2]
     for _ in range(15):
         R = rand_relation(rng, rng.randint(2, 4), rng.randint(2, 4), rng.randint(2, 6))
-        target = max_matching(R).value
-        m = extract_matching_from_combination(R, target)
-        assert m.size == target
-        assert m.rank_one_sum().rank() == target
+        matching = matroid_intersection(R)[0]
+        assert matching.size == max_matching(R).value
+        for target in range(matching.size + 1):
+            m = Matching(R, matching.indices[:target])
+            assert verify_matching(R, m)
+            assert m.rank_one_sum().rank() == target
 
 
 def test_lovasz_max_rank(rng):

@@ -4,36 +4,26 @@ from itertools import combinations
 
 import pytest
 
-from linminmax.classical_oracles import Digraph, vertex_disjoint_paths
 from linminmax.errors import DimensionError
-from linminmax.exact_linalg import (
-    Mat,
-    Subspace,
-    outer,
-    solve_exact,
-    unit_vec,
-    vec,
-)
+from linminmax.exact_linalg import Mat, Subspace, outer, solve_exact, unit_vec
 from linminmax.matching_cover import max_matching
-from linminmax.menger import (
+from linminmax.menger import mpc
+from linminmax.relation import GenericSampler, Relation, routing_space, sample_element
+from linminmax.dilworth import BiChain
+from linminmax.verify import independent_bipaths_check, verify_blowup_element, verify_separator
+from conftest import kron, rand_mat, rand_relation, rand_subspace, rand_vec, reduced_indices, vec
+from reference import (
+    Digraph,
+    Poset,
     bordered_rank,
     generic_rank_rank_one_update,
     generic_rank_sum,
     graph_instance,
     konig_via_menger,
-    mpc,
-)
-from linminmax.relation import (
-    GenericSampler,
-    Relation,
-    routing_space,
-    sample_element,
+    poset_embed,
     to_matrix_space,
+    vertex_disjoint_paths,
 )
-from linminmax.dilworth import BiChain, poset_embed
-from linminmax.verify import independent_bipaths_check, verify_blowup_element, verify_separator
-from linminmax.classical_oracles import Poset
-from conftest import rand_mat, rand_relation, rand_subspace, rand_vec, reduced_indices
 
 
 def f7_instance():
@@ -268,7 +258,7 @@ def test_an_unproved_capacity_returns_the_draw_behind_its_value(monkeypatch):
     """Drawing only the border [[I, i],[p, 0]] proves nothing; the value still has its element."""
     from linminmax import relation
 
-    monkeypatch.setattr(relation, "sample_element", lambda V, s, r=1: V.basis[0].kron(Mat.identity(r)))
+    monkeypatch.setattr(relation, "sample_element", lambda V, s, r=1: kron(V.basis[0], Mat.identity(r)))
     R, E, F = f7_instance()
     cv = mpc(R, E, F, routing_space(R, E, F), GenericSampler(seed=0, trials=2))
     assert cv.value == 0 < cv.dual.size

@@ -8,19 +8,13 @@ import pytest
 
 from linminmax import menger, relation
 from linminmax import ncrank as ncrank_module
-from linminmax.classical_oracles import Poset
 from linminmax.cli import EXIT_PROVED, main
-from linminmax.dilworth import max_antichain, poset_embed
+from linminmax.dilworth import max_antichain
 from linminmax.errors import DimensionError
 from linminmax.exact_linalg import Mat, Subspace, Vec, outer, unit_vec
 from linminmax.matching_cover import matroid_intersection
 from linminmax.menger import mpc
-from linminmax.ncrank import (
-    has_full_ncrank,
-    matrix_coherent_decomposition,
-    max_rank_blowup,
-    ncrank,
-)
+from linminmax.ncrank import matrix_coherent_decomposition, ncrank
 from linminmax.relation import (
     GenericSampler,
     MatrixSpace,
@@ -29,11 +23,11 @@ from linminmax.relation import (
     is_nilpotent_algebra,
     routing_space,
     sample_element,
-    to_matrix_space,
     wong_limit,
 )
 from linminmax.verify import verify_cover, verify_separator
 from conftest import blow_up, rand_mat, rand_relation, rand_subspace, rand_vec
+from reference import Poset, max_rank_blowup, poset_embed, to_matrix_space
 from test_dilworth import rand_dual_basis_linorder
 
 
@@ -80,9 +74,9 @@ def test_skew3_chain():
     assert max(sample_element(V, s).rank() for _ in range(10)) == 2
     cv = ncrank(V, GenericSampler(seed=8))
     assert cv.value == cv.dual.size == 3 and V.n - cv.dual.size == 0
-    full, witness = has_full_ncrank(V, GenericSampler(seed=9))
-    assert full
-    r, element = witness
+    full = ncrank(V, GenericSampler(seed=9))
+    assert full.value == V.n
+    r, element = full.primal
     assert element.rank() == r * 3
 
 
@@ -94,8 +88,8 @@ def test_ncrank_examples():
     e11 = MatrixSpace(2, 2, [Mat([[1, 0], [0, 0]])])
     cv = ncrank(e11, GenericSampler(seed=11))
     assert cv.value == 1 and e11.n - cv.dual.size == 1
-    full, witness = has_full_ncrank(e11, GenericSampler(seed=12))
-    assert not full and e11.n - witness.size == 1
+    witness = ncrank(e11, GenericSampler(seed=12)).dual
+    assert e11.n - witness.size == 1
     assert witness.E.orthocomplement().contains(unit_vec(2, 1))
 
     v0 = MatrixSpace(3, 3, [])

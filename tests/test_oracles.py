@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from linminmax import classical_oracles
-from linminmax.classical_oracles import (
+import linminmax
+import reference
+from reference import (
     BipartiteGraph,
     Digraph,
     Poset,
@@ -151,15 +152,37 @@ def _imports(path):
             yield from ((node.level, a.name) for a in node.names)
 
 
+CLASSICAL_ORACLES = (
+    "BipartiteGraph",
+    "Digraph",
+    "bipartite_max_matching",
+    "hall_check",
+    "Poset",
+    "poset_dilworth",
+    "vertex_disjoint_paths",
+)
+
+
 def test_oracles_share_no_code():
-    """The oracles import only the stdlib and `errors`, and no other module imports them."""
-    src = Path(classical_oracles.__file__).parent
-    own = set(_imports(src / "classical_oracles.py"))
-    assert {module for level, module in own if level} == {"errors"}
-    assert all(module.split(".")[0] in sys.stdlib_module_names for level, module in own if not level)
-    for path in src.glob("*.py"):
-        if path.stem != "classical_oracles":
-            assert all("classical_oracles" not in m.split(".") for _, m in _imports(path)), path.name
+    """The classical oracles use the stdlib and `errors` alone, and `src` imports no test module."""
+    path = Path(reference.__file__)
+    tree = ast.parse(path.read_text())
+    assert all(m.split(".")[0] in sys.stdlib_module_names | {"linminmax"} for _, m in _imports(path))
+    package_names = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "linminmax"
+        and node.module != "linminmax.errors"
+        for alias in node.names
+    }
+    defs = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for name in CLASSICAL_ORACLES:
+        used = {node.id for node in ast.walk(defs[name]) if isinstance(node, ast.Name)}
+        assert not used & package_names, name
+        assert used & set(defs) <= set(CLASSICAL_ORACLES), name
+    tests = {p.stem for p in path.parent.glob("*.py")}
+    for src in Path(linminmax.__file__).parent.glob("*.py"):
+        assert all(m.split(".")[0] not in tests for _, m in _imports(src)), src.name
 
 
 def test_digraph_weights_round_trip_as_rationals():

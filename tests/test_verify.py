@@ -32,9 +32,9 @@ from linminmax.relation import (
     Relation,
     routing_space,
     sample_element,
-    to_matrix_space,
 )
 from conftest import blow_up, rand_mat
+from reference import to_matrix_space
 
 GOLDEN = Path(__file__).parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
