@@ -734,14 +734,13 @@ class Subspace:
     Vecs; membership and the subspace operations run on the integer rows.
     """
 
-    __slots__ = ("ambient", "_rows", "_pivots", "_perp")
+    __slots__ = ("ambient", "_rows", "_pivots")
 
     def __init__(self, ambient: int, rows: tuple, pivots: tuple):
         """The subspace with canonical integer `rows` pivoting at `pivots`."""
         _set(self, "ambient", ambient)
         _set(self, "_rows", rows)
         _set(self, "_pivots", pivots)
-        _set(self, "_perp", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -808,18 +807,15 @@ class Subspace:
         return all(self.contains(v) for v in other.vectors)
 
     def orthocomplement(self) -> "Subspace":
-        """Orthogonal complement under the symmetric dot product, computed once.
+        """Orthogonal complement under the symmetric dot product, computed on every call.
 
-        The complement keeps this subspace as its own, so (S^perp)^perp is S.
+        The zero and the full subspace take no kernel.
         """
-        if self._perp is None:
-            if self.dim == 0:
-                perp = Subspace.full(self.ambient)
-            else:
-                perp = Mat._raw(self._rows, 1, self.ambient).kernel()
-            _set(self, "_perp", perp)
-            _set(perp, "_perp", self)
-        return self._perp
+        if self.dim == 0:
+            return Subspace.full(self.ambient)
+        if self.dim == self.ambient:
+            return Subspace.zero(self.ambient)
+        return Mat._raw(self._rows, 1, self.ambient).kernel()
 
     def __eq__(self, other) -> bool:
         return (

@@ -10,8 +10,9 @@ once from the instance, so `mpc` is the noncommutative rank of that space
 minus n, found by `ncrank.wong_rank`: a sampled routing element of order
 r is the primal, and the dual is read off the limit U' of its second Wong
 sequence (`relation.wong_limit`): with X the projection of U' onto the
-first n coordinates, cut to F^perp, F~ = X^perp and E~ = X + E + V[X].
-The value is proved when the rank of the element is r(n + size).
+first n coordinates, cut to F^perp by one integer kernel of its products
+with F, F~ = X^perp and E~ = X + E + V[X].  The value is proved when the
+rank of the element is r(n + size).
 
 The coherent path capacity of a relation R is the matricial one of its
 space V_R, and `mpc` takes R itself: the routing space of R is spanned
@@ -27,8 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
-from .exact_linalg import Mat, Subspace, Vec, subspace_intersection, subspace_sum
+from .exact_linalg import Mat, Subspace, Vec, int_kernel, subspace_intersection, subspace_sum
 from .matching_cover import CertifiedValue
 from .ncrank import wong_rank
 from .relation import GenericSampler, MatrixSpace, apply_space, wong_limit
@@ -71,10 +73,11 @@ def mpc(
 
     def separator(r: int, el: Mat):
         U, _ = wong_limit(routing, r, el)
-        X = subspace_intersection(
-            Subspace.span(n, [Vec.from_ints(row[:n]) for row in U.int_rows()]),
-            F.orthocomplement(),
-        )
+        # X = span(P) n F^perp: the combinations of the projected rows P orthogonal to F
+        P = [row[:n] for row in U.int_rows()]
+        gram = [[sum(map(mul, f, p)) for p in P] for f in F.int_rows()]
+        combos = [[sum(map(mul, c, col)) for col in zip(*P)] for c in int_kernel(gram, len(P))]
+        X = Subspace.span(n, map(Vec.from_ints, combos))
         e_tilde = subspace_sum(subspace_sum(X, E), apply_space(V, X))
         sep = Separator(e_tilde, X.orthocomplement())
         return sep, n + sep.size

@@ -11,10 +11,10 @@ off the pairs without building the n*m-wide span.  So one predicate
 serves the relation and the matrix form of each theorem.  The dual of
 Kőnig, Hall, Lovász, ncrank and matrix Kőnig is one exact cover (E, F)
 with F = V[E^perp]: for a relation, F is the span of the w's of the
-pairs with v outside E, and E^perp is the shrunk subspace.  A subspace
-keeps the orthocomplement that a solver computed, so a predicate reads a
-complement only after confirming it from the rows of both.  A
-certificate whose ambient dimension does not fit the instance is
+pairs with v outside E, and E^perp is the shrunk subspace.  Each
+predicate checks its certificate by definition and computes every
+complement it reads: none for an antichain, nor for a relation's cover.
+A certificate whose ambient dimension does not fit the instance is
 invalid, never an error.
 """
 
@@ -23,17 +23,7 @@ from __future__ import annotations
 from operator import mul
 
 from .exact_linalg import IntEchelon, Subspace, outer_sum
-from .relation import apply_space, doubly_independent
-
-
-def _confirmed_perp(S):
-    """S^perp as S keeps it, if orthogonal to S and of dimension ambient - dim S; else None."""
-    perp = S.orthocomplement()
-    if perp.ambient != S.ambient or perp.dim + S.dim != S.ambient:
-        return None
-    if any(sum(map(mul, a, b)) for a in S.int_rows() for b in perp.int_rows()):
-        return None
-    return perp
+from .relation import apply_space, doubly_independent, perp_image
 
 
 # ---------------------------------------------------------------------------
@@ -54,11 +44,10 @@ def verify_matching(R, m) -> bool:
 
 
 def verify_cover(V, c) -> bool:
-    """F is V[E^perp] exactly, recomputed: for a relation, each pair has v in E or w in F."""
+    """F is V[E^perp] exactly, recomputed: on a relation, the span of the w's with v not in E."""
     if (c.E.ambient, c.F.ambient) != (V.n, V.m):
         return False
-    e_perp = _confirmed_perp(c.E)
-    return e_perp is not None and apply_space(V, e_perp) == c.F
+    return perp_image(V, c.E) == c.F
 
 
 def verify_rado_report(sets, m: int, transversal, witness) -> bool:
@@ -88,8 +77,8 @@ def verify_antichain(V, C) -> bool:
     """V[C] orthogonal to C: for a relation, every pair has v or w orthogonal to C."""
     if not C.ambient == V.n == V.m:
         return False
-    c_perp = _confirmed_perp(C)
-    return c_perp is not None and c_perp.contains_subspace(apply_space(V, C))
+    rows = C.int_rows()
+    return not any(sum(map(mul, a, b)) for a in apply_space(V, C).int_rows() for b in rows)
 
 
 def _bichain_holds(R, chain) -> bool:
@@ -160,10 +149,9 @@ def verify_separator(V, E, F, sep) -> bool:
     """
     if not sep.E_tilde.ambient == sep.F_tilde.ambient == V.n:
         return False
-    f_perp = _confirmed_perp(sep.F_tilde)
+    f_perp = sep.F_tilde.orthocomplement()
     return (
-        f_perp is not None
-        and sep.E_tilde.contains_subspace(E)
+        sep.E_tilde.contains_subspace(E)
         and sep.F_tilde.contains_subspace(F)
         and sep.E_tilde.contains_subspace(f_perp)
         and sep.E_tilde.contains_subspace(apply_space(V, f_perp))

@@ -336,7 +336,7 @@ def test_separator_size_is_computed_once(monkeypatch, capsys):
         calls.clear()
         assert main(["check", theorem, str(golden / f"{theorem}.json")]) == 0
         capsys.readouterr()
-        assert len(calls) == 2  # the Wong separator's X, then the size
+        assert len(calls) == 1  # the size; the Wong separator's X takes no intersection
 
 
 def test_path_capacities_on_the_zero_space():

@@ -154,6 +154,34 @@ def test_a_cover_must_be_exactly_the_image():
         assert not verify.verify_cover(V, Cover(E, Subspace.zero(3)))
 
 
+def test_an_antichain_must_be_orthogonal_to_its_image():
+    """Pairs (e_0, e_1), (e_1, e_2): C = span{e_0, e_1} has the image e_1, not orthogonal to C."""
+    e = [unit_vec(3, i) for i in range(3)]
+    R = Relation(3, 3, [(e[0], e[1]), (e[1], e[2])])
+    for V in (R, to_matrix_space(R)):
+        # span{e_0, e_2} meets only v = e_0, whose w = e_1 is orthogonal to it
+        assert verify.verify_antichain(V, Subspace.span(3, [e[0], e[2]]))
+        # the image e_2 of e_1 is orthogonal to C, but the image e_1 of e_0 is not
+        assert not verify.verify_antichain(V, Subspace.span(3, e[:2]))
+
+
+def test_relation_covers_and_antichains_take_no_complement(monkeypatch):
+    """A relation's cover is read off its pairs, and an antichain C is tested against V[C] by products."""
+    e = [unit_vec(3, i) for i in range(3)]
+    R = Relation(3, 3, [(e[0], e[0]), (e[1], e[0]), (e[2], e[1])])
+
+    def refused(self):
+        raise AssertionError("orthocomplement taken")
+
+    monkeypatch.setattr(Subspace, "orthocomplement", refused)
+    E = Subspace.span(3, e[2:])
+    assert verify.verify_cover(R, Cover(E, Subspace.span(3, e[:1])))
+    assert not verify.verify_cover(R, Cover(E, Subspace.span(3, e[:2])))
+    for V in (R, to_matrix_space(R)):
+        assert verify.verify_antichain(V, Subspace.span(3, e[2:]))
+        assert not verify.verify_antichain(V, Subspace.span(3, e[:1]))
+
+
 def _tampered_primal(solver, tamper):
     """`solver` with its primal (r, el) replaced by a zero el or by order r + 1."""
 
@@ -301,11 +329,9 @@ def _skew(n: int, side: int) -> MatrixSpace:
     return MatrixSpace(side, side, [e(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
-def _stale(S: Subspace) -> Subspace:
-    """S without its last basis row, still keeping the complement of S."""
-    smaller = Subspace.span(S.ambient, S.vectors[:-1])
-    object.__setattr__(smaller, "_perp", S.orthocomplement())
-    return smaller
+def _smaller(S: Subspace) -> Subspace:
+    """S without its last basis row."""
+    return Subspace.span(S.ambient, S.vectors[:-1])
 
 
 def _space_file(tmp_path, V: MatrixSpace):
@@ -314,48 +340,54 @@ def _space_file(tmp_path, V: MatrixSpace):
     return path
 
 
-def test_verify_cover_confirms_the_kept_complement():
+def test_verify_cover_rejects_a_smaller_E():
+    """skew15 has ncrank 15, so no cover of size 14 exists."""
     V = _skew(15, 15)
     cover = ncrank.ncrank(V, GenericSampler(seed=0)).dual
     assert verify.verify_cover(V, cover)
-    assert not verify.verify_cover(V, replace(cover, E=_stale(cover.E)))
+    assert not verify.verify_cover(V, replace(cover, E=_smaller(cover.E)))
 
 
-def test_verify_antichain_confirms_the_kept_complement():
+def test_verify_antichain_rejects_a_larger_C():
+    """Every subspace of an antichain is one; no subspace beyond a maximum antichain is."""
     L = dilworth.validate_linorder(build_linorder_f4())
     C = dilworth.max_antichain(L).primal
+    outside = [u for u in (unit_vec(C.ambient, i) for i in range(C.ambient)) if not C.contains(u)]
+    assert outside
     for V in (L.relation, to_matrix_space(L.relation)):
         assert verify.verify_antichain(V, C)
-        assert not verify.verify_antichain(V, _stale(C))
+        assert verify.verify_antichain(V, _smaller(C))
+        for u in outside:
+            assert not verify.verify_antichain(V, Subspace.span(C.ambient, C.vectors + (u,)))
 
 
-def test_verify_separator_confirms_the_kept_complement():
+def test_verify_separator_rejects_a_smaller_F_tilde():
     R, E, _ = build_menger_f7()
     F = Subspace.span(7, [unit_vec(7, 5)])
     for V in (R, to_matrix_space(R)):
         sep = menger.mpc(V, E, F, routing_space(V, E, F), GenericSampler(seed=0)).dual
         assert verify.verify_separator(V, E, F, sep)
-        assert not verify.verify_separator(V, E, F, replace(sep, F_tilde=_stale(sep.F_tilde)))
+        assert not verify.verify_separator(V, E, F, replace(sep, F_tilde=_smaller(sep.F_tilde)))
 
 
 @pytest.mark.parametrize("theorem", ["ncrank", "matrix-konig"])
-def test_a_cover_with_a_stale_complement_exits_1(theorem, tmp_path, capsys, monkeypatch):
+def test_a_cover_with_a_smaller_E_exits_1(theorem, tmp_path, capsys, monkeypatch):
     """Each cover's E loses its last row: the value 15 outgrows a cover of 14 that is not one."""
     path = _space_file(tmp_path, _skew(15, 15))
     assert _check(capsys, theorem, path)[0] == EXIT_PROVED
     original = ncrank._defect_bound
 
-    def stale_bound(V):
+    def smaller_bound(V):
         certify = original(V)
 
-        def stale(r, el):
+        def smaller(r, el):
             cover, _ = certify(r, el)
-            cover = replace(cover, E=_stale(cover.E))
+            cover = replace(cover, E=_smaller(cover.E))
             return cover, cover.size
 
-        return stale
+        return smaller
 
-    monkeypatch.setattr(ncrank, "_defect_bound", stale_bound)
+    monkeypatch.setattr(ncrank, "_defect_bound", smaller_bound)
     assert _check(capsys, theorem, path)[0] == EXIT_VIOLATION
 
 
