@@ -32,7 +32,6 @@ from .exact_linalg import (
     solve_exact,
     unit_vec,
 )
-from .matching_cover import Matching
 from .relation import (
     GenericSampler,
     MatrixSpace,
@@ -149,8 +148,7 @@ def gen_linorder(rng, size) -> dict:
     inv = solve_exact(m, Mat.identity(size))
     pairs = [(m.row(i), inv.col(j)) for i, j in gt]
     R = Relation(size, size, pairs)
-    result = dilworth.validate_linorder(R)
-    if not isinstance(result, dilworth.Linorder):
+    if dilworth.validate_linorder(R) is not None:
         raise InvariantViolation("generated relation failed linorder validation")
     return R.to_json()
 
@@ -275,26 +273,26 @@ def _verdict(report: dict, verified: bool, value: int, bound: int):
 def check_konig(data, config: RunConfig):
     """A maximum matching always meets its cover: a gap fails, like a certificate."""
     R = _relation_from(data)
-    cv = matching_cover.max_matching(R)
+    matching, cover = matching_cover.matroid_intersection(R)
     ok = (
-        verify.verify_matching(R, cv.primal)
-        and verify.verify_cover(R, cv.dual)
-        and cv.primal.size == cv.dual.size == cv.value
+        verify.verify_matching(R, matching)
+        and verify.verify_cover(R, cover)
+        and matching.size == cover.size
     )
-    report = {"value": cv.value, "matching": cv.primal.to_json(), "cover": cv.dual.to_json()}
-    return _verdict(report, ok, cv.primal.size, cv.dual.size)
+    report = {"value": cover.size, "matching": matching.to_json(), "cover": cover.to_json()}
+    return _verdict(report, ok, matching.size, cover.size)
 
 
 def check_hall(data, config: RunConfig):
     R = _relation_from(data)
     _require(R.m >= R.n >= 1, "Hall's theorem needs m >= n >= 1")
-    result = matching_cover.saturated_matching(R)
-    if isinstance(result, Matching):
-        ok = verify.verify_matching(R, result) and result.size == R.n
-        report = {"saturated": True, "matching": result.to_json()}
+    matching, cover = matching_cover.matroid_intersection(R)
+    if matching.size == R.n:
+        ok = verify.verify_matching(R, matching)
+        report = {"saturated": True, "matching": matching.to_json()}
     else:
-        ok = verify.verify_cover(R, result) and result.size < R.n
-        witness = {"S": result.E.orthocomplement().to_json(), "neighborhood": result.F.to_json()}
+        ok = verify.verify_cover(R, cover) and cover.size < R.n
+        witness = {"S": cover.E.orthocomplement().to_json(), "neighborhood": cover.F.to_json()}
         report = {"saturated": False, "witness": witness}
     return report, (EXIT_PROVED if ok else EXIT_VIOLATION)
 
@@ -318,50 +316,52 @@ def check_rado(data, config: RunConfig):
     return report, (EXIT_PROVED if ok else EXIT_VIOLATION)
 
 
-def _linorder_from(data) -> dilworth.Linorder:
+def _linorder_from(data) -> Relation:
     R = _relation_from(data)
     _require(R.n == R.m, "a linorder lives on F^n x F^n")
-    result = dilworth.validate_linorder(R)
-    if not isinstance(result, dilworth.Linorder):
-        raise ParseFailure(f"relation is not a linorder: {result}")
-    return result
+    violation = dilworth.validate_linorder(R)
+    if violation is not None:
+        raise ParseFailure(f"relation is not a linorder: {violation}")
+    return R
 
 
 def check_dilworth(data, config: RunConfig):
-    L = _linorder_from(data)
-    ac = dilworth.max_antichain(L)
-    D = dilworth.bichain_decomposition(L)
+    R = _linorder_from(data)
+    matching, cover = matching_cover.matroid_intersection(R)
+    C, width = cover.antichain(), R.n - cover.size
+    D = dilworth.bichain_decomposition(R, matching)
     ok = (
-        verify.verify_antichain(L.relation, ac.primal)
-        and verify.verify_bichain_decomposition(L.relation, D)
-        and ac.value == D.size == ac.primal.dim
+        verify.verify_antichain(R, C)
+        and verify.verify_bichain_decomposition(R, D)
+        and width == D.size == C.dim
     )
     report = {
-        "antichain_dim": ac.value,
+        "antichain_dim": width,
         "bichain_count": D.size,
         "chain_lengths": [c.length for c in D.chains],
-        "antichain": ac.primal.to_json(),
+        "antichain": C.to_json(),
         "decomposition": D.to_json(),
     }
     return report, (EXIT_PROVED if ok else EXIT_VIOLATION)
 
 
 def check_coherent(data, config: RunConfig):
-    L = _linorder_from(data)
-    ac = dilworth.max_antichain(L)
-    C = dilworth.coherent_decomposition(L)
-    pairs = L.optimum[0].indices
+    R = _linorder_from(data)
+    matching, cover = matching_cover.matroid_intersection(R)
+    C, width = cover.antichain(), R.n - cover.size
+    D = dilworth.coherent_decomposition(matching)
+    pairs = matching.indices
     ok = (
-        verify.verify_antichain(L.relation, ac.primal)
-        and verify.verify_pair_sum(L.relation, pairs, C.A)
-        and verify.verify_coherent_decomposition(C)
-        and ac.value == C.size == ac.primal.dim
+        verify.verify_antichain(R, C)
+        and verify.verify_pair_sum(R, pairs, D.A)
+        and verify.verify_coherent_decomposition(D)
+        and width == D.size == C.dim
     )
     report = {
-        "antichain_dim": ac.value,
-        "coherent_count": C.size,
-        "chain_lengths": [l for _, l in C.chains],
-        "decomposition": C.to_json(),
+        "antichain_dim": width,
+        "coherent_count": D.size,
+        "chain_lengths": [l for _, l in D.chains],
+        "decomposition": D.to_json(),
         "pairs": list(pairs),
     }
     return report, (EXIT_PROVED if ok else EXIT_VIOLATION)

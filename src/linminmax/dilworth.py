@@ -5,19 +5,19 @@ through nonorthogonal middles and has v orthogonal to w in every pair; its
 rank-one span is then a nilpotent operator algebra.  The maximum antichain
 dimension equals n minus the minimum cover size, and is matched both by
 bi-chain decompositions (alternating w, v sequences) and by coherent
-decompositions (iterate chains of one matrix from the algebra).  A
-`Linorder` holds its relation, and the antichain, the bi-chains and the
-coherent decomposition all read its one cached matroid-intersection run.
-The coherent decomposition is the Jordan chains of the maximum matching's
-rank-one sum, an element of maximum rank in the span (Lovász), so no span
-is built and nothing is sampled.  `verify` alone decides the bi-chains
-and the coherent chains that the solvers return.
+decompositions (iterate chains of one matrix from the algebra).  The
+antichain, the bi-chains and the coherent decomposition all read one
+matroid-intersection run of the relation: the antichain is (E + F)^perp
+of its minimum cover, and both decompositions start from its maximum
+matching.  The coherent decomposition is the Jordan chains of that
+matching's rank-one sum, an element of maximum rank in the span
+(Lovász), so no span is built and nothing is sampled.  `verify` alone
+decides the bi-chains and the coherent chains that the solvers return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import DimensionError, InvariantViolation
 from .exact_linalg import (
@@ -26,24 +26,8 @@ from .exact_linalg import (
     Vec,
     unit_vec,
 )
-from .matching_cover import CertifiedValue, matroid_intersection
+from .matching_cover import Matching
 from .relation import Relation
-
-
-@dataclass(frozen=True)
-class Linorder:
-    """A validated linorder; its one min-max run is made on first use."""
-
-    relation: Relation
-
-    @property
-    def n(self) -> int:
-        return self.relation.n
-
-    @cached_property
-    def optimum(self):
-        """(maximum matching, minimum cover) of the relation, of equal size."""
-        return matroid_intersection(self.relation)
 
 
 @dataclass(frozen=True)
@@ -55,7 +39,7 @@ class LinorderViolation:
 
 
 def validate_linorder(R: Relation):
-    """Check both linorder axioms; returns a Linorder or the first violation.
+    """Check both linorder axioms; returns the first violation, or None.
 
     They force the span to be nilpotent: transitivity shortens a cycle
     i1 -> i2 -> ... of arcs w_i . v_j != 0 through the pair (v_i1, w_i2)
@@ -64,14 +48,14 @@ def validate_linorder(R: Relation):
     if R.n != R.m:
         raise DimensionError("a linorder lives on F^n x F^n")
     for i, (v, w) in enumerate(R.pairs):
-        if v.dot(w) != 0:
+        if not v.is_orthogonal(w):
             return LinorderViolation("orthogonality", (i,))
     pair_set = set(R.pairs)
     for i, (v, w) in enumerate(R.pairs):
         for j, (v2, w2) in enumerate(R.pairs):
-            if w.dot(v2) != 0 and (v, w2) not in pair_set:
+            if not w.is_orthogonal(v2) and (v, w2) not in pair_set:
                 return LinorderViolation("transitivity", (i, j))
-    return Linorder(R)
+    return None
 
 
 @dataclass(frozen=True)
@@ -131,21 +115,11 @@ class CoherentDecomposition:
         }
 
 
-def max_antichain(L: Linorder) -> CertifiedValue:
-    """Largest subspace C with every pair orthogonal to C on one side.
-
-    C is read off the minimum cover of `L.optimum` as (E + F)^perp; its
-    dimension is exactly n minus the cover size.
-    """
-    _, cover = L.optimum
-    return CertifiedValue(L.n - cover.size, cover.antichain(), cover)
-
-
 def _perfect_nonorthogonal_bijection(ws, vs):
     """phi with w_i not orthogonal to v_{phi(i)} via augmenting paths."""
     n = len(ws)
     adj = [
-        [j for j in range(n) if ws[i].dot(vs[j]) != 0]
+        [j for j in range(n) if not ws[i].is_orthogonal(vs[j])]
         for i in range(n)
     ]
     match_w = [None] * n
@@ -184,18 +158,16 @@ def _complete_to_basis(vectors, n):
     return out
 
 
-def bichain_decomposition(L: Linorder) -> BiChainDecomposition:
+def bichain_decomposition(R: Relation, matching: Matching) -> BiChainDecomposition:
     """Decompose F^n into the minimum number of bi-chains.
 
-    Steps: the maximum matching of `L.optimum`; completion of its v's and
+    Steps: a maximum matching of the linorder R; completion of its v's and
     w's to bases; a bijection phi with w_i never orthogonal to
     v_{phi(i)}; then the 2n-vertex graph with edges
     w_i -> v_{phi(i)} and v_i -> w_i (matched i) splits into maximal paths,
     each of which is a bi-chain.
     """
-    R = L.relation
     n = R.n
-    matching, _ = L.optimum
     s = matching.size
     matched = list(matching.indices)
     vs = [R.pairs[i][0] for i in matched]
@@ -228,14 +200,13 @@ def bichain_decomposition(L: Linorder) -> BiChainDecomposition:
     return BiChainDecomposition(tuple(chains))
 
 
-def w_chain_check(L: Linorder, chains) -> bool:
+def w_chain_check(R: Relation, chains) -> bool:
     """Whether the given w-sequences are linked chains whose entries form a basis.
 
     Consecutive entries must be linked through some relation pair (v, w')
     with the current entry not orthogonal to v and w' the next entry.  This
     is the weaker single-sided notion that can undercut the antichain bound.
     """
-    R = L.relation
     n = R.n
     ech = IntEchelon(n)
     total = 0
@@ -243,7 +214,7 @@ def w_chain_check(L: Linorder, chains) -> bool:
         chain = list(chain)
         for w, w_next in zip(chain, chain[1:]):
             if not any(
-                w.dot(v) != 0 and w2 == w_next for v, w2 in R.pairs
+                not w.is_orthogonal(v) and w2 == w_next for v, w2 in R.pairs
             ):
                 return False
         for w in chain:
@@ -290,13 +261,13 @@ def nilpotent_jordan_chains(A: Mat):
     return chains
 
 
-def coherent_decomposition(L: Linorder) -> CoherentDecomposition:
+def coherent_decomposition(matching: Matching) -> CoherentDecomposition:
     """Minimum coherent decomposition: Jordan chains of one maximum-rank element.
 
-    The implementing matrix is the rank-one sum of the maximum matching of
-    `L.optimum`, whose rank is the matching size; its Jordan chains number
+    The implementing matrix is the rank-one sum of a maximum matching of a
+    linorder, whose rank is the matching size; its Jordan chains number
     n minus that rank, the maximum antichain dimension.  It is also the sum
-    of the interior links of `bichain_decomposition(L)`.
+    of the interior links of `bichain_decomposition(R, matching)`.
     """
-    A = L.optimum[0].rank_one_sum()
+    A = matching.rank_one_sum()
     return CoherentDecomposition(A, tuple(nilpotent_jordan_chains(A)))

@@ -213,10 +213,11 @@ class Vec:
         d = self._den
         return tuple(Fraction(x, d) for x in self._num)
 
-    def dot(self, other: "Vec") -> Fraction:
+    def is_orthogonal(self, other: "Vec") -> bool:
+        """Whether the dot product with `other` is 0, decided on the integer rows."""
         if self.dim != other.dim:
             raise DimensionError(f"dot of dim {self.dim} with dim {other.dim}")
-        return Fraction(sum(map(mul, self._num, other._num)), self._den * other._den)
+        return not sum(map(mul, self._num, other._num))
 
     def is_zero(self) -> bool:
         return not any(self._num)

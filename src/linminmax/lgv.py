@@ -204,7 +204,7 @@ def is_acyclic(R: Relation) -> bool:
     """Whether the induced matrix space satisfies V_R^n = {0}, on neighborhood spans."""
     if R.n != R.m:
         raise DimensionError("acyclicity is defined for relations on F^n x F^n")
-    return space_power_is_zero(R, R.n)
+    return space_power_is_zero(R)
 
 
 def lgv_acyclic(inst: LgvInstance, xs):

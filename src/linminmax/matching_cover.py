@@ -1,4 +1,4 @@
-"""Matchings, covers, and certified min-max values for relations.
+"""Maximum matchings and minimum covers of relations, of equal size.
 
 The maximum size of a matching (pairs with doubly independent vectors)
 equals the minimum size of a cover (a subspace pair absorbing every pair of
@@ -7,16 +7,16 @@ linear matroids of the v's and of the w's, and both optima come from one
 polynomial augmenting-path run: the final common independent set is the
 matching, and the set reachable in the last exchange graph gives a cover
 of the same size.  The run stops as soon as the matching spans the v's:
-nothing is then reachable, and (span of the v's, 0) is the cover.  Hall's
-saturated matchings and defect matchings read that one run too: a prefix
-of the matching, or the minimum cover itself.  A minimum cover (E, F) is
+nothing is then reachable, and (span of the v's, 0) is the cover.  Kőnig,
+Hall and Rado each read that one run: a relation on F^n x F^m is
+saturated exactly when its maximum matching has size n, and otherwise
+the minimum cover is the witness.  A minimum cover (E, F) is
 exact: F is the neighborhood span N(E^perp), because (E, N(E^perp)) is a
 cover too and lies inside F.  So E^perp is a shrunk subspace, of defect
 n - |cover|.
 For a matrix space the same `Cover` has F = V[E^perp], and `ncrank`
-returns it as its dual.  Every returned value carries a primal and a
-dual certificate of equal size; `verify` checks them against the
-instance.
+returns it as its dual.  `verify` checks matchings and covers against
+the instance.
 """
 
 from __future__ import annotations
@@ -79,15 +79,6 @@ class Cover:
 
     def to_json(self):
         return {"E": self.E.to_json(), "F": self.F.to_json()}
-
-
-@dataclass(frozen=True)
-class CertifiedValue:
-    """A value with its primal and dual witnesses; `verify` decides whether they meet."""
-
-    value: int
-    primal: object
-    dual: object
 
 
 def _circuits(rows, I, outside, width):
@@ -185,44 +176,18 @@ def matroid_intersection(R: Relation):
     return Matching(R, tuple(I)), Cover(E, F)
 
 
-def max_matching(R: Relation) -> CertifiedValue:
-    """Maximum matching with the minimum cover as its dual certificate."""
-    matching, cover = matroid_intersection(R)
-    return CertifiedValue(cover.size, matching, cover)
-
-
-def saturated_matching(R: Relation):
-    """A matching whose v's form a basis of F^n, or a minimum cover smaller than n."""
-    if not (R.m >= R.n >= 1):
-        raise DimensionError("saturated matchings need m >= n >= 1")
-    return defect_matching(R, 0)
-
-
-def defect_matching(R: Relation, d: int):
-    """Matching of size n - d, or a minimum cover of size less than n - d.
-
-    The matching is the first n - d pairs of a maximum matching; the
-    cover's E^perp is a shrunk subspace of defect more than d.
-    """
-    if d < 0:
-        raise ValueError("defect must be nonnegative")
-    matching, cover = matroid_intersection(R)
-    if cover.size < R.n - d:
-        return cover
-    return Matching(R, matching.indices[: max(R.n - d, 0)])
-
-
 def rado_transversal(sets, m: int):
     """Independent representatives w_i in S_i, or a violating subfamily.
 
-    Encodes the families as the relation {(e_i, v) : v in S_i}; a failed
-    saturated matching's cover converts into indices of k sets whose union
-    spans fewer than k dimensions.
+    Encodes the families as the relation {(e_i, v) : v in S_i}.  Its
+    maximum matching saturates the e_i exactly when a transversal exists;
+    otherwise the minimum cover converts into indices of k sets whose
+    union spans fewer than k dimensions.
     """
     sets = [list(s) for s in sets]
     n = len(sets)
-    if m < n:
-        raise DimensionError("rado_transversal needs ambient m >= number of sets")
+    if not m >= n >= 1:
+        raise DimensionError("rado_transversal needs m >= number of sets >= 1")
     pairs = []
     for i, S in enumerate(sets):
         for v in S:
@@ -230,14 +195,14 @@ def rado_transversal(sets, m: int):
                 raise DimensionError("set vector with wrong ambient dimension")
             pairs.append((unit_vec(n, i), v))
     R = Relation(n, m, pairs)
-    result = saturated_matching(R)
-    if isinstance(result, Cover):
+    matching, cover = matroid_intersection(R)
+    if matching.size < n:
         # The shrunk subspace E^perp is a coordinate subspace here (all v's
         # are e_i), and the sets it touches have a union of deficient dimension.
-        S = result.E.orthocomplement()
+        S = cover.E.orthocomplement()
         return None, [i for i in range(n) if any(u[i] for u in S.int_rows())]
     transversal: list[Vec | None] = [None] * n
-    for idx in result.indices:
+    for idx in matching.indices:
         v, w = R.pairs[idx]
         i = next(j for j, x in enumerate(v.int_row()) if x)
         transversal[i] = w

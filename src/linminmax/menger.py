@@ -31,8 +31,7 @@ from functools import cached_property
 from operator import mul
 
 from .exact_linalg import Mat, Subspace, Vec, int_kernel, subspace_intersection, subspace_sum
-from .matching_cover import CertifiedValue
-from .ncrank import wong_rank
+from .ncrank import CertifiedValue, wong_rank
 from .relation import GenericSampler, MatrixSpace, apply_space, wong_limit
 
 

@@ -24,12 +24,13 @@ value below the size of its dual, never at a wrong value.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial
 
 from .errors import CertificationError
 from .exact_linalg import Mat, Subspace
 from .dilworth import CoherentDecomposition, nilpotent_jordan_chains
-from .matching_cover import CertifiedValue, Cover
+from .matching_cover import Cover
 from .relation import (
     BLOWUP_DIM_BUDGET,
     GenericSampler,
@@ -38,6 +39,15 @@ from .relation import (
     is_nilpotent_algebra,
     wong_limit,
 )
+
+
+@dataclass(frozen=True)
+class CertifiedValue:
+    """A value with its primal and dual witnesses; `verify` decides whether they meet."""
+
+    value: int
+    primal: object
+    dual: object
 
 
 def _defect_bound(V: MatrixSpace):

@@ -324,27 +324,26 @@ def best_sample(V: MatrixSpace, sampler: GenericSampler, r: int, bound) -> tuple
     return best, best_el, found
 
 
-def space_power_is_zero(V, k: int) -> bool:
-    """Whether V^k = {0} (V must be square); true at every k when V = {0}.
+def space_power_is_zero(V) -> bool:
+    """Whether V is nilpotent, V^n = {0} (V must be square); true when V = {0}.
 
     V is a matrix space or a relation, read through its neighborhood spans
     (see `_image`).  Runs the flag U_0 = F^n, U_{i+1} = V[U_i] on integer
-    rows: U_k is V^k F^n, so V^k = 0 exactly when U_k = 0, and V = 0
-    exactly when U_1 = 0.  The U_i only shrink, so a step that keeps the
-    dimension has reached a nonzero fixed point.
+    rows: U_k is V^k F^n, so V^k = 0 exactly when U_k = 0.  The U_i only
+    shrink, and a step that keeps the dimension has reached a nonzero fixed
+    point, so the flag decides within n steps.
     """
     if V.m != V.n:
         raise DimensionError("powers of a non-square matrix space")
     n = V.n
     U = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(max(k, 1)):
+    while True:
         ech = _image(V, U, len(U))
         if ech.rank == 0:
             return True
         if ech.rank == len(U):
             return False
         U = ech.back_substituted()[0]
-    return False
 
 
 def is_nilpotent_algebra(V: MatrixSpace) -> bool:
@@ -356,7 +355,7 @@ def is_nilpotent_algebra(V: MatrixSpace) -> bool:
             for x in V.int_basis
             for yt in transposed
         )
-        object.__setattr__(V, "_nilpotent", closed and space_power_is_zero(V, V.n))
+        object.__setattr__(V, "_nilpotent", closed and space_power_is_zero(V))
     return V._nilpotent
 
 

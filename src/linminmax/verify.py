@@ -88,7 +88,7 @@ def _bichain_holds(R, chain) -> bool:
         return False
     if any(x.dim != R.n for x in chain.ws + chain.vs):
         return False
-    if any(w.dot(v) == 0 for w, v in zip(chain.ws, chain.vs)):
+    if any(w.is_orthogonal(v) for w, v in zip(chain.ws, chain.vs)):
         return False
     return all(
         0 <= idx < len(R.pairs) and R.pairs[idx] == (chain.vs[i], chain.ws[i + 1])

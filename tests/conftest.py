@@ -14,6 +14,12 @@ def vec(*entries) -> Vec:
     return Vec(entries)
 
 
+def dot(a: Vec, b: Vec) -> Fraction:
+    """The dot product of two vectors of one dimension, as a Fraction."""
+    assert a.dim == b.dim
+    return sum((x * y for x, y in zip(a.entries, b.entries)), Fraction(0))
+
+
 def as_lists(m: Mat):
     """The entries of m as lists of Fractions."""
     return [[Fraction(x, m.den) for x in row] for row in m.int_rows()]

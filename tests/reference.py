@@ -21,13 +21,13 @@ from functools import partial
 from itertools import combinations
 
 from linminmax import verify
-from linminmax.dilworth import Linorder, LinorderViolation, validate_linorder
+from linminmax.dilworth import validate_linorder
 from linminmax.errors import CertificationError, DimensionError, InvariantViolation
 from linminmax.exact_linalg import IntEchelon, Mat, Subspace, Vec, hstack, outer, unit_vec
 from linminmax.lgv import LgvInstance
-from linminmax.matching_cover import CertifiedValue, matroid_intersection, max_matching
+from linminmax.matching_cover import matroid_intersection
 from linminmax.menger import mpc
-from linminmax.ncrank import _defect_bound
+from linminmax.ncrank import CertifiedValue, _defect_bound
 from linminmax.relation import (
     GenericSampler,
     MatrixSpace,
@@ -409,14 +409,13 @@ def max_rank_blowup(V: MatrixSpace, r: int, sampler: GenericSampler) -> int:
     return best_sample(V, sampler, r, partial(_defect_bound(V), r))[0]
 
 
-def poset_embed(P) -> Linorder:
+def poset_embed(P) -> Relation:
     """Standard-basis linorder with a pair (e_i, e_j) for each (i, j) in `P.gt`."""
     n = P.size
-    pairs = [(unit_vec(n, i), unit_vec(n, j)) for i, j in P.gt]
-    result = validate_linorder(Relation(n, n, pairs))
-    if isinstance(result, LinorderViolation):
+    R = Relation(n, n, [(unit_vec(n, i), unit_vec(n, j)) for i, j in P.gt])
+    if validate_linorder(R) is not None:
         raise InvariantViolation("poset embedding violated a linorder axiom")
-    return result
+    return R
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +530,7 @@ def konig_via_menger(R: Relation, sampler: GenericSampler) -> CertifiedValue:
     capacity = mpc(R2, E, F, routing_space(R2, E, F), sampler)
     if not verify.verify_separator(R2, E, F, capacity.dual):
         raise InvariantViolation("Wong separator fails the separator axioms")
-    direct = max_matching(R)
-    if capacity.value != direct.value:
+    if capacity.value != matroid_intersection(R)[1].size:
         raise InvariantViolation(
             "path capacity disagrees with the matching optimum"
         )

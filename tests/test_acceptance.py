@@ -16,7 +16,7 @@ from linminmax.cli import (
     demo_menger_f7,
     demo_skew3,
 )
-from linminmax.dilworth import bichain_decomposition, max_antichain
+from linminmax.dilworth import bichain_decomposition
 from linminmax.exact_linalg import (
     Mat,
     Subspace,
@@ -30,8 +30,6 @@ from linminmax.exact_linalg import (
 from linminmax.matching_cover import (
     Matching,
     matroid_intersection,
-    max_matching,
-    saturated_matching,
 )
 from linminmax.menger import mpc
 from linminmax.lgv import LgvInstance, lgv_acyclic, lgv_lhs, lgv_rhs_parts, lgv_rhs
@@ -124,11 +122,10 @@ def test_criterion_4_linear_konig_200():
         n, m = rng.randint(1, 5), rng.randint(1, 5)
         r = rng.randint(1, 12)
         R = _rand_relation(rng, n, m, r)
-        cover = matroid_intersection(R)[1]
-        cv = max_matching(R)
-        assert cv.value == cover.size == cv.primal.size == cv.dual.size
-        assert verify_matching(R, cv.primal)
-        assert verify_cover(R, cv.dual)
+        matching, cover = matroid_intersection(R)
+        assert matching.size == cover.size
+        assert verify_matching(R, matching)
+        assert verify_cover(R, cover)
         passed += 1
     elapsed = time.monotonic() - start
     assert passed == 200
@@ -147,18 +144,20 @@ def test_criterion_5_classical_reductions():
             n, m, [(unit_vec(n, a), unit_vec(m, b)) for a, b in edges]
         )
         classical, _, _ = bipartite_max_matching(g)
-        assert max_matching(R).value == classical
+        matching, cover = matroid_intersection(R)
+        assert matching.size == cover.size == classical
         if m >= n:
             hall_ok, _ = hall_check(g)
-            assert hall_ok == isinstance(saturated_matching(R), Matching)
+            assert hall_ok == (matching.size == n)
     # 100 posets: Dilworth values agree.
     for i in range(100):
         rng = random.Random(53000 + i)
         p = rand_poset(rng, rng.randint(1, 7))
-        L = poset_embed(p)
+        R = poset_embed(p)
         mc, ma, _, _ = poset_dilworth(p)
-        assert max_antichain(L).value == ma
-        assert bichain_decomposition(L).size == mc
+        matching, cover = matroid_intersection(R)
+        assert R.n - cover.size == cover.antichain().dim == ma
+        assert bichain_decomposition(R, matching).size == mc
     # 100 digraphs: capacity = disjoint paths = separator size.
     for i in range(100):
         rng = random.Random(54000 + i)
@@ -305,12 +304,12 @@ def test_criterion_8_matrix_theorems():
     # linorder algebras: matrix coherent decomposition size = r * antichain.
     for i in range(12):
         rng = random.Random(82000 + i)
-        L, _ = rand_dual_basis_linorder(rng, rng.randint(2, 4))
-        V = to_matrix_space(L.relation)
+        R, _ = rand_dual_basis_linorder(rng, rng.randint(2, 4))
+        V = to_matrix_space(R)
         r = max(1, V.n - 1)
         sampler = GenericSampler(seed=82500 + i)
         D = matrix_coherent_decomposition(V, r, sampler, ncrank(V, sampler).dual)
-        assert D.size == r * max_antichain(L).value
+        assert D.size == r * (R.n - matroid_intersection(R)[1].size)
     # matricial and coherent path capacities agree on rank-one spaces.
     for i in range(20):
         rng = random.Random(83000 + i)
@@ -365,8 +364,8 @@ def test_criterion_9_structural_invariants():
     assert guttman_checked >= 30
     # nilpotent truncation: (I - A)^{-1} = sum of the first n powers
     for i in range(10):
-        L, _ = rand_dual_basis_linorder(rng, rng.randint(2, 4))
-        V = to_matrix_space(L.relation)
+        R, _ = rand_dual_basis_linorder(rng, rng.randint(2, 4))
+        V = to_matrix_space(R)
         n = V.n
         s = GenericSampler(seed=92000 + i)
         A = sample_element(V, s)
@@ -388,8 +387,8 @@ def test_criterion_9_structural_invariants():
     for i in range(30):
         n, m = rng.randint(2, 4), rng.randint(2, 4)
         R = _rand_relation(rng, n, m, rng.randint(1, 6))
-        cv = max_matching(R)
-        assert cv.primal.rank_one_sum().rank() == cv.value
+        matching, cover = matroid_intersection(R)
+        assert matching.rank_one_sum().rank() == cover.size
         # forced dependence drops the rank below the index count
         v, w = R.pairs[0]
         doubled = Relation(R.n, R.m, list(R.pairs) + [(v.scaled(2), w.scaled(3))])

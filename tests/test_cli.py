@@ -598,7 +598,7 @@ def _linorder_space(tmp_path, capsys, size):
 
 
 def test_matrix_dilworth_on_larger_nilpotent_algebras(tmp_path, capsys):
-    from linminmax.dilworth import max_antichain, validate_linorder
+    from linminmax.matching_cover import matroid_intersection
 
     for size in (6, 7):
         R, space = _linorder_space(tmp_path, capsys, size)
@@ -607,7 +607,7 @@ def test_matrix_dilworth_on_larger_nilpotent_algebras(tmp_path, capsys):
         assert code == EXIT_PROVED, report
         assert report["r"] == size - 1
         assert report["coherent_count"] == report["r"] * report["antichain_dim"]
-        assert report["antichain_dim"] == max_antichain(validate_linorder(R)).value
+        assert report["antichain_dim"] == R.n - matroid_intersection(R)[1].size
 
 
 def test_matrix_dilworth_at_n_9_meets_the_blowup_side_limit(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Linorders, bi-chains, coherent chains, and the classical Dilworth reduction."""
 
-import dataclasses
 import random
 from itertools import product
 
@@ -8,18 +7,16 @@ import pytest
 
 from linminmax.cli import gen_linorder
 from linminmax.dilworth import (
-    Linorder,
     LinorderViolation,
     bichain_decomposition,
     coherent_decomposition,
-    max_antichain,
     nilpotent_jordan_chains,
     validate_linorder,
     w_chain_check,
 )
 from linminmax.errors import DimensionError
 from linminmax.exact_linalg import Mat, Subspace, outer_sum, solve_exact, unit_vec
-from linminmax.matching_cover import max_matching
+from linminmax.matching_cover import matroid_intersection
 from linminmax.relation import Relation, space_power_is_zero
 from linminmax.verify import (
     verify_antichain,
@@ -32,16 +29,14 @@ from reference import Poset, poset_dilworth, poset_embed, to_matrix_space
 from test_oracles import rand_poset
 
 
-def f4_linorder() -> Linorder:
+def f4_linorder() -> Relation:
     e = [unit_vec(4, i) for i in range(4)]
-    L = validate_linorder(
-        Relation(4, 4, [(e[0], e[1]), (e[0], e[2]), (e[0], e[3])])
-    )
-    assert isinstance(L, Linorder)
-    return L
+    R = Relation(4, 4, [(e[0], e[1]), (e[0], e[2]), (e[0], e[3])])
+    assert validate_linorder(R) is None
+    return R
 
 
-def rand_dual_basis_linorder(rng, size) -> Linorder:
+def rand_dual_basis_linorder(rng, size) -> tuple:
     """Random poset pushed through a random dual basis pair."""
     poset = rand_poset(rng, size)
     while True:
@@ -50,14 +45,14 @@ def rand_dual_basis_linorder(rng, size) -> Linorder:
             break
     inv = solve_exact(m, Mat.identity(size))
     pairs = [(m.row(i), inv.col(j)) for i, j in poset.gt]
-    L = validate_linorder(Relation(size, size, pairs))
-    assert isinstance(L, Linorder)
-    return L, poset
+    R = Relation(size, size, pairs)
+    assert validate_linorder(R) is None
+    return R, poset
 
 
 def test_validate_examples():
     chain = poset_embed(Poset(3, [(0, 1), (1, 2), (0, 2)]))
-    assert isinstance(chain, Linorder)
+    assert validate_linorder(chain) is None
 
     refl = validate_linorder(Relation(1, 1, [(vec(1), vec(1))]))
     assert isinstance(refl, LinorderViolation) and refl.axiom == "orthogonality"
@@ -67,7 +62,7 @@ def test_validate_examples():
     broken = validate_linorder(Relation(3, 3, [(e[0], e[1]), (e[1], e[2])]))
     assert isinstance(broken, LinorderViolation) and broken.axiom == "transitivity"
 
-    assert isinstance(f4_linorder(), Linorder)
+    assert validate_linorder(f4_linorder()) is None
 
     with pytest.raises(DimensionError):
         validate_linorder(Relation(2, 3, []))
@@ -80,7 +75,7 @@ def _closed_under_composition(rng, n, limit=10) -> Relation:
     while grown and len(pairs) < limit:
         grown = False
         for (v, w), (v2, w2) in product(pairs, repeat=2):
-            if w.dot(v2) != 0 and (v, w2) not in pairs:
+            if not w.is_orthogonal(v2) and (v, w2) not in pairs:
                 pairs.append((v, w2))
                 grown = True
     return Relation(n, n, pairs)
@@ -92,50 +87,61 @@ def test_the_linorder_axioms_force_a_nilpotent_span():
     accepted = []
     for _ in range(300):
         R = _closed_under_composition(rng, rng.randint(1, 3))
-        if isinstance(validate_linorder(R), Linorder):
+        if validate_linorder(R) is None:
             accepted.append(R)
     assert len({R.pairs for R in accepted if R.pairs}) >= 30
     for seed in range(12):
         data = gen_linorder(random.Random(seed), 1 + seed % 6)
-        accepted.append(validate_linorder(Relation.from_json(data)).relation)
+        R = Relation.from_json(data)
+        assert validate_linorder(R) is None
+        accepted.append(R)
     for _ in range(12):
-        accepted.append(poset_embed(rand_poset(rng, rng.randint(1, 6))).relation)
+        accepted.append(poset_embed(rand_poset(rng, rng.randint(1, 6))))
     for R in accepted:
-        assert space_power_is_zero(R, R.n), R.to_json()
+        assert space_power_is_zero(R), R.to_json()
+
+
+def bichains(R):
+    return bichain_decomposition(R, matroid_intersection(R)[0])
+
+
+def coherent(R):
+    return coherent_decomposition(matroid_intersection(R)[0])
 
 
 def test_antichain_examples():
-    empty = validate_linorder(Relation(3, 3, []))
-    cv = max_antichain(empty)
-    assert cv.value == 3 and cv.primal == Subspace.full(3)
+    empty = Relation(3, 3, [])
+    assert validate_linorder(empty) is None
+    cover = matroid_intersection(empty)[1]
+    assert empty.n - cover.size == 3 and cover.antichain() == Subspace.full(3)
 
-    L = f4_linorder()
-    cv = max_antichain(L)
+    R = f4_linorder()
+    cover = matroid_intersection(R)[1]
+    C = cover.antichain()
     e = [unit_vec(4, i) for i in range(4)]
-    assert cv.value == 3
-    assert cv.primal == Subspace.span(4, [e[1], e[2], e[3]])
-    assert verify_antichain(L.relation, cv.primal)
+    assert R.n - cover.size == 3
+    assert C == Subspace.span(4, [e[1], e[2], e[3]])
+    assert verify_antichain(R, C)
 
 
 def test_bichain_decomposition_examples():
-    empty = validate_linorder(Relation(3, 3, []))
-    D = bichain_decomposition(empty)
+    D = bichains(Relation(3, 3, []))
     assert D.size == 3 and all(c.length == 1 for c in D.chains)
 
-    L = f4_linorder()
-    D = bichain_decomposition(L)
+    R = f4_linorder()
+    D = bichains(R)
     assert D.size == 3
-    assert verify_bichain_decomposition(L.relation, D)
+    assert verify_bichain_decomposition(R, D)
     assert sum(c.length for c in D.chains) == 4
 
 
 def test_w_chain_examples():
-    L = f4_linorder()
+    R = f4_linorder()
     e = [unit_vec(4, i) for i in range(4)]
-    assert w_chain_check(L, [[e[0], e[1]], [e[0] + e[2], e[3]]])
-    assert not w_chain_check(L, [[e[0], e[0]]])
-    D = bichain_decomposition(L)
-    assert w_chain_check(L, [list(c.ws) for c in D.chains])
+    assert w_chain_check(R, [[e[0], e[1]], [e[0] + e[2], e[3]]])
+    assert not w_chain_check(R, [[e[0], e[0]]])
+    D = bichains(R)
+    assert w_chain_check(R, [list(c.ws) for c in D.chains])
 
 
 def test_jordan_chain_examples():
@@ -194,15 +200,15 @@ def test_jordan_chains_match_rank_profile():
 
 
 def test_coherent_decomposition_examples():
-    empty = validate_linorder(Relation(3, 3, []))
-    C = coherent_decomposition(empty)
+    C = coherent(Relation(3, 3, []))
     assert C.size == 3 and C.A.is_zero()
 
-    L = f4_linorder()
-    C = coherent_decomposition(L)
+    R = f4_linorder()
+    matching = matroid_intersection(R)[0]
+    C = coherent_decomposition(matching)
     assert C.size == 3
-    assert verify_coherent_decomposition(C, to_matrix_space(L.relation))
-    assert verify_pair_sum(L.relation, L.optimum[0].indices, C.A)
+    assert verify_coherent_decomposition(C, to_matrix_space(R))
+    assert verify_pair_sum(R, matching.indices, C.A)
 
 
 def interior_link_sum(R, D) -> Mat:
@@ -212,15 +218,15 @@ def interior_link_sum(R, D) -> Mat:
 
 
 def test_coherent_matrix_is_the_interior_link_sum():
-    L = f4_linorder()
-    D = bichain_decomposition(L)
-    C = coherent_decomposition(L)
-    assert C.A == interior_link_sum(L.relation, D)
+    R = f4_linorder()
+    D = bichains(R)
+    C = coherent(R)
+    assert C.A == interior_link_sum(R, D)
     assert C.size == D.size == 3
 
-    empty = validate_linorder(Relation(2, 2, []))
-    C0 = coherent_decomposition(empty)
-    assert C0.A == interior_link_sum(empty.relation, bichain_decomposition(empty)) == Mat.zeros(2, 2)
+    empty = Relation(2, 2, [])
+    C0 = coherent(empty)
+    assert C0.A == interior_link_sum(empty, bichains(empty)) == Mat.zeros(2, 2)
     assert C0.size == 2 and verify_coherent_decomposition(C0)
 
 
@@ -228,37 +234,28 @@ def test_poset_embedding_reduction():
     rng = random.Random(43)
     for _ in range(15):
         p = rand_poset(rng, rng.randint(1, 6))
-        L = poset_embed(p)
+        R = poset_embed(p)
         mc, ma, _, _ = poset_dilworth(p)
-        ac = max_antichain(L)
-        D = bichain_decomposition(L)
-        C = coherent_decomposition(L)
-        assert ac.value == ma
+        matching, cover = matroid_intersection(R)
+        width = R.n - cover.size
+        D = bichains(R)
+        C = coherent(R)
+        assert width == cover.antichain().dim == ma
         assert D.size == mc
         assert C.size == ma
-        assert ac.value == p.size - max_matching(L.relation).value
+        assert width == p.size - matching.size
 
 
 def test_random_linorders_all_equal():
     rng = random.Random(47)
     for _ in range(10):
-        L, poset = rand_dual_basis_linorder(rng, rng.randint(2, 5))
-        ac = max_antichain(L)
-        D = bichain_decomposition(L)
-        C = coherent_decomposition(L)
-        assert C.A == interior_link_sum(L.relation, D)
-        assert ac.value == D.size == C.size
-        assert ac.value == L.n - max_matching(L.relation).value
+        R, poset = rand_dual_basis_linorder(rng, rng.randint(2, 5))
+        matching, cover = matroid_intersection(R)
+        width = R.n - cover.size
+        D = bichains(R)
+        C = coherent(R)
+        assert C.A == interior_link_sum(R, D)
+        assert width == cover.antichain().dim == D.size == C.size
+        assert width == R.n - matching.size
         mc, ma, _, _ = poset_dilworth(poset)
-        assert ac.value == ma
-
-
-def test_linorder_holds_its_relation_and_one_run():
-    import inspect
-
-    L = f4_linorder()
-    assert [f.name for f in dataclasses.fields(L)] == ["relation"]
-    assert "optimum" not in vars(L)  # made on first use, then kept
-    assert L.optimum is L.optimum
-    assert validate_linorder(L.relation) == L  # equality reads the relation alone
-    assert list(inspect.signature(coherent_decomposition).parameters) == ["L"]
+        assert width == ma

@@ -27,7 +27,7 @@ from linminmax.matching_cover import matroid_intersection
 from linminmax.verify import verify_cover
 from linminmax.lgv import LgvInstance
 from linminmax.relation import MatrixSpace, Relation
-from conftest import as_lists, rand_mat, rand_vec, vec
+from conftest import as_lists, dot, rand_mat, rand_vec, vec
 
 
 def cofactor_det(m: Mat) -> Fraction:
@@ -712,7 +712,8 @@ def test_vec_arithmetic_matches_fraction_lists():
         assert (va - vb).entries == tuple(x - y for x, y in zip(a, b))
         assert (-va).entries == tuple(-x for x in a)
         assert va.scaled(c).entries == tuple(x * c for x in a)
-        assert va.dot(vb) == sum((x * y for x, y in zip(a, b)), Fraction(0))
+        assert va.is_orthogonal(vb) == (sum((x * y for x, y in zip(a, b)), Fraction(0)) == 0)
+        assert dot(va, vb) == sum((x * y for x, y in zip(a, b)), Fraction(0))
         assert va.is_zero() == all(x == 0 for x in a)
         assert [va[i] for i in range(n)] == a
         assert va.to_json() == [rational_to_string(x) for x in a]
@@ -726,6 +727,8 @@ def test_vec_arithmetic_matches_fraction_lists():
         assert as_lists(outer_sum([(va, vb), (vb, va)], n, n)) == [
             [y * x + x2 * y2 for x, y2 in zip(a, b)] for y, x2 in zip(b, a)
         ]
+    with pytest.raises(DimensionError):
+        vec(1, 2).is_orthogonal(vec(1))
 
 
 def rand_picks(rng, n, k):

@@ -18,7 +18,7 @@ from linminmax.lgv import (
     lgv_rhs_parts,
 )
 from linminmax.relation import Relation
-from conftest import diag, gs_matrix, rand_mat, rand_vec, submatrix, vec
+from conftest import diag, dot, gs_matrix, rand_mat, rand_vec, submatrix, vec
 from reference import Digraph, classical_lgv, instance_from_relation
 
 
@@ -98,7 +98,7 @@ def test_acyclicity():
 def _pair_digraph_has_cycle(R) -> bool:
     """Depth-first search of the digraph with an arc i -> j when v_i . w_j != 0."""
     r = len(R.pairs)
-    succ = [[j for j in range(r) if R.pairs[i][0].dot(R.pairs[j][1]) != 0] for i in range(r)]
+    succ = [[j for j in range(r) if not R.pairs[i][0].is_orthogonal(R.pairs[j][1])] for i in range(r)]
     state = [0] * r  # 0 unseen, 1 on the stack, 2 done
 
     def cycle_from(i):
@@ -341,12 +341,12 @@ def ref_lhs(inst, xs):
 
 def _singular_point(inst, rng):
     """A point where I - W X V^T is singular, or None: x_i = 1 / (v_i . w_i), the rest 0."""
-    pairs = [i for i in range(inst.r) if inst.V.col(i).dot(inst.W.col(i))]
+    pairs = [i for i in range(inst.r) if dot(inst.V.col(i), inst.W.col(i))]
     if not pairs:
         return None
     i = rng.choice(pairs)
     xs = [Fraction(0)] * inst.r
-    xs[i] = 1 / inst.V.col(i).dot(inst.W.col(i))
+    xs[i] = 1 / dot(inst.V.col(i), inst.W.col(i))
     return xs
 
 

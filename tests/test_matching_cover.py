@@ -8,13 +8,9 @@ import pytest
 from linminmax.errors import DimensionError
 from linminmax.exact_linalg import Subspace, Vec, unit_vec
 from linminmax.matching_cover import (
-    Cover,
     Matching,
-    defect_matching,
     matroid_intersection,
-    max_matching,
     rado_transversal,
-    saturated_matching,
 )
 from linminmax.menger import mpc
 from linminmax.relation import (
@@ -70,14 +66,14 @@ def unrestricted_min_cover(R: Relation) -> int:
 
 def test_max_matching_examples():
     diag = Relation(3, 3, [(unit_vec(3, i), unit_vec(3, i)) for i in range(3)])
-    cv = max_matching(diag)
-    assert cv.value == cv.dual.size == 3
+    matching, cover = matroid_intersection(diag)
+    assert matching.size == cover.size == 3
 
     e = lambda i: unit_vec(4, i)
     shared = Relation(4, 4, [(e(0), e(1)), (e(0), e(2)), (e(0), e(3))])
-    cv = max_matching(shared)
-    assert cv.value == 1
-    assert verify_matching(shared, cv.primal) and verify_cover(shared, cv.dual)
+    matching, cover = matroid_intersection(shared)
+    assert cover.size == 1
+    assert verify_matching(shared, matching) and verify_cover(shared, cover)
 
 
 def test_max_matching_agrees_with_classical(rng):
@@ -86,8 +82,7 @@ def test_max_matching_agrees_with_classical(rng):
         g_edges = [(i, j) for i in range(n) for j in range(m) if rng.random() < 0.4]
         g = BipartiteGraph(n, m, g_edges)
         size, _, _ = bipartite_max_matching(g)
-        cv = max_matching(embed_bipartite(g))
-        assert cv.value == size
+        assert matroid_intersection(embed_bipartite(g))[1].size == size
 
 
 def test_min_cover_examples():
@@ -129,9 +124,9 @@ def test_max_matching_on_large_graphs():
         g = BipartiteGraph(n, m, sorted(rng.sample(cells, rng.randint(50, 150))))
         size, _, _ = bipartite_max_matching(g)
         R = embed_bipartite(g)
-        cv = max_matching(R)
-        assert cv.value == cv.primal.size == cv.dual.size == size
-        assert verify_matching(R, cv.primal) and verify_cover(R, cv.dual)
+        matching, cover = matroid_intersection(R)
+        assert matching.size == cover.size == size
+        assert verify_matching(R, matching) and verify_cover(R, cover)
 
 
 def low_rank_relation(rng, n, m):
@@ -151,29 +146,28 @@ def low_rank_relation(rng, n, m):
 def test_low_rank_primal_equals_dual(rng):
     for _ in range(60):
         R = low_rank_relation(rng, rng.randint(1, 6), rng.randint(1, 6))
-        cv = max_matching(R)
-        assert verify_matching(R, cv.primal) and verify_cover(R, cv.dual)
-        assert cv.value == cv.primal.size == cv.dual.size
+        matching, cover = matroid_intersection(R)
+        assert verify_matching(R, matching) and verify_cover(R, cover)
+        assert matching.size == cover.size
         if len(R.pairs) <= 6:
-            assert cv.value == unrestricted_min_cover(R)
+            assert cover.size == unrestricted_min_cover(R)
 
 
 def test_weak_duality(rng):
     for _ in range(20):
         R = rand_relation(rng, rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 6))
-        cv = max_matching(R)
+        matching, cover = matroid_intersection(R)
         # any sub-matching vs any subset-generated cover
-        indices = list(cv.primal.indices)
+        indices = list(matching.indices)
         sub = Matching(R, tuple(indices[: len(indices) // 2]))
         assert verify_matching(R, sub)
-        assert sub.size <= cv.dual.size
+        assert sub.size <= cover.size
 
 
 def test_prop_lafact_both_directions(rng):
     for _ in range(25):
         R = rand_relation(rng, rng.randint(2, 4), rng.randint(2, 4), rng.randint(2, 6))
-        cv = max_matching(R)
-        m = cv.primal
+        m = matroid_intersection(R)[0]
         assert m.rank_one_sum().rank() == m.size
         # random index multisets with forced dependence lose rank
         r = len(R.pairs)
@@ -208,19 +202,15 @@ def test_the_minimum_cover_is_exact(rng):
 
 def test_saturated_matching_examples():
     diag = Relation(3, 3, [(unit_vec(3, i), unit_vec(3, i)) for i in range(3)])
-    result = saturated_matching(diag)
-    assert isinstance(result, Matching) and result.size == 3
+    assert matroid_intersection(diag)[0].size == 3
 
     e = lambda i: unit_vec(4, i)
     shared = Relation(4, 4, [(e(0), e(1)), (e(0), e(2)), (e(0), e(3))])
-    witness = saturated_matching(shared)
-    assert isinstance(witness, Cover) and verify_cover(shared, witness)
+    matching, witness = matroid_intersection(shared)
+    assert matching.size < shared.n and verify_cover(shared, witness)
     S = witness.E.orthocomplement()
     assert S.dim > witness.F.dim
     assert S.contains(e(1))
-
-    with pytest.raises(DimensionError):
-        saturated_matching(Relation(3, 2, []))
 
 
 def test_saturated_matching_matches_hall(rng):
@@ -230,30 +220,30 @@ def test_saturated_matching_matches_hall(rng):
         edges = [(i, j) for i in range(n) for j in range(m) if rng.random() < 0.45]
         g = BipartiteGraph(n, m, edges)
         ok, _ = hall_check(g)
-        result = saturated_matching(embed_bipartite(g))
-        assert ok == isinstance(result, Matching)
+        assert ok == (matroid_intersection(embed_bipartite(g))[0].size == n)
 
 
 def test_defect_matching(rng):
+    """Defect Hall on one run: a matching of size n - d, or a shrunk subspace of defect more than d."""
     e = lambda i: unit_vec(4, i)
     shared = Relation(4, 4, [(e(0), e(1)), (e(0), e(2)), (e(0), e(3))])
-    m = defect_matching(shared, 3)
-    assert isinstance(m, Matching) and m.size == 1
-
     diag = Relation(3, 3, [(unit_vec(3, i), unit_vec(3, i)) for i in range(3)])
-    assert defect_matching(diag, 0).size == 3
+    # a matching of size 1 = n - 3 in `shared`, and of size 3 = n - 0 in `diag`
+    assert matroid_intersection(shared)[1].size == 1 and matroid_intersection(diag)[1].size == 3
 
+    relations = [shared, diag]
     for _ in range(15):
-        R = rand_relation(rng, rng.randint(2, 4), rng.randint(2, 4), rng.randint(1, 5))
-        best = max_matching(R).value
-        d = R.n - best
-        m = defect_matching(R, d)
-        assert isinstance(m, Matching) and m.size == best
-        # too-small defect yields a witness
-        if d >= 1:
-            w = defect_matching(R, d - 1)
-            assert isinstance(w, Cover) and verify_cover(R, w)
-            assert w.E.orthocomplement().dim - w.F.dim > d - 1
+        relations.append(rand_relation(rng, rng.randint(2, 4), rng.randint(2, 4), rng.randint(1, 5)))
+    for R in relations:
+        matching, cover = matroid_intersection(R)
+        for d in range(R.n + 1):
+            if cover.size >= R.n - d:
+                prefix = Matching(R, matching.indices[: R.n - d])
+                assert prefix.size == R.n - d and verify_matching(R, prefix)
+            else:
+                # too-small defect yields a witness
+                assert verify_cover(R, cover)
+                assert cover.E.orthocomplement().dim - cover.F.dim > d
 
 
 def test_extract_matching(rng):
@@ -263,7 +253,7 @@ def test_extract_matching(rng):
     for _ in range(15):
         R = rand_relation(rng, rng.randint(2, 4), rng.randint(2, 4), rng.randint(2, 6))
         matching = matroid_intersection(R)[0]
-        assert matching.size == max_matching(R).value
+        assert matching.size == matroid_intersection(R)[1].size
         for target in range(matching.size + 1):
             m = Matching(R, matching.indices[:target])
             assert verify_matching(R, m)
@@ -307,6 +297,10 @@ def test_rado_examples():
 
     tr, wit = rado_transversal([[unit_vec(2, 0)], [unit_vec(2, 0)]], 2)
     assert tr is None and wit == [0, 1]
+
+    for sets, m in (([], 3), ([[e(0)], [e(1)], [e(2)]], 2)):  # no sets, or more sets than m
+        with pytest.raises(DimensionError):
+            rado_transversal(sets, m)
 
 
 def test_rado_agrees_with_exhaustive(rng):

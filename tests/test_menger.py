@@ -6,12 +6,12 @@ import pytest
 
 from linminmax.errors import DimensionError
 from linminmax.exact_linalg import Mat, Subspace, outer, solve_exact, unit_vec
-from linminmax.matching_cover import max_matching
+from linminmax.matching_cover import matroid_intersection
 from linminmax.menger import mpc
 from linminmax.relation import GenericSampler, Relation, routing_space, sample_element
 from linminmax.dilworth import BiChain
 from linminmax.verify import independent_bipaths_check, verify_blowup_element, verify_separator
-from conftest import kron, rand_mat, rand_relation, rand_subspace, rand_vec, reduced_indices, vec
+from conftest import dot, kron, rand_mat, rand_relation, rand_subspace, rand_vec, reduced_indices, vec
 from reference import (
     Digraph,
     Poset,
@@ -97,8 +97,7 @@ def test_capacity_equals_separator_random(rng):
 
 def test_guttman_and_transfer_matrix():
     # nilpotent linorder element: (I - A)^{-1} is the finite geometric sum
-    L = poset_embed(Poset(4, [(0, 1), (0, 2), (0, 3)]))
-    V = to_matrix_space(L.relation)
+    V = to_matrix_space(poset_embed(Poset(4, [(0, 1), (0, 2), (0, 3)])))
     s = GenericSampler(seed=11)
     n = 4
     for _ in range(5):
@@ -213,7 +212,7 @@ def test_konig_via_menger(rng):
     for _ in range(6):
         R = rand_relation(rng, rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 5))
         cv = konig_via_menger(R, GenericSampler(seed=37))
-        assert cv.value == max_matching(R).value
+        assert cv.value == matroid_intersection(R)[1].size
 
 
 def _check_cpc_certificate(R, E, F, cv):
@@ -286,7 +285,7 @@ def _subset_capacity(R, E, F):
         for S in combinations(range(len(kept)), size):
             rows = list(F.vectors) + [v for k, (v, _) in enumerate(kept) if k not in S]
             cols = list(E.vectors) + [kept[k][1] for k in S]
-            value = Mat([[r.dot(c) for c in cols] for r in rows], len(cols)).rank()
+            value = Mat([[dot(r, c) for c in cols] for r in rows], len(cols)).rank()
             best = value if best is None else min(best, value)
     return best
 

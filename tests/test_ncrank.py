@@ -9,7 +9,6 @@ import pytest
 from linminmax import menger, relation
 from linminmax import ncrank as ncrank_module
 from linminmax.cli import EXIT_PROVED, main
-from linminmax.dilworth import max_antichain
 from linminmax.errors import DimensionError
 from linminmax.exact_linalg import Mat, Subspace, Vec, outer, unit_vec
 from linminmax.matching_cover import matroid_intersection
@@ -189,11 +188,11 @@ def test_matrix_antichain():
 
 def test_matrix_antichain_matches_linorder(rng):
     for _ in range(6):
-        L, _ = rand_dual_basis_linorder(rng, rng.randint(2, 4))
-        V = to_matrix_space(L.relation)
+        R, _ = rand_dual_basis_linorder(rng, rng.randint(2, 4))
+        V = to_matrix_space(R)
         assert is_nilpotent_algebra(V)
         c = ncrank(V, GenericSampler(seed=31)).dual.antichain()
-        assert c.dim == max_antichain(L).value
+        assert c.dim == R.n - matroid_intersection(R)[1].size
 
 
 def _coherent(V, r, seed):
@@ -208,17 +207,16 @@ def test_matrix_coherent_decomposition(rng):
     assert D.size == 2
 
     e = [unit_vec(4, i) for i in range(4)]
-    L = poset_embed(Poset(4, [(0, 1), (0, 2), (0, 3)]))
-    V = to_matrix_space(L.relation)
+    V = to_matrix_space(poset_embed(Poset(4, [(0, 1), (0, 2), (0, 3)])))
     D = _coherent(V, 3, 34)
     assert D.size == 9  # 3 * antichain dimension 3
 
     for _ in range(4):
-        L, _ = rand_dual_basis_linorder(rng, rng.randint(2, 4))
-        V = to_matrix_space(L.relation)
+        R, _ = rand_dual_basis_linorder(rng, rng.randint(2, 4))
+        V = to_matrix_space(R)
         r = max(1, V.n - 1)
         D = _coherent(V, r, 35)
-        assert D.size == r * max_antichain(L).value
+        assert D.size == r * (R.n - matroid_intersection(R)[1].size)
 
 
 def test_matrix_coherent_decomposition_draws_on_while_the_rank_is_not_a_multiple_of_r(monkeypatch):
@@ -246,8 +244,8 @@ def test_matrix_coherent_decomposition_draws_on_while_the_rank_is_not_a_multiple
 
 def test_blowup_of_nilpotent_algebra_is_one(rng):
     for _ in range(4):
-        L, _ = rand_dual_basis_linorder(rng, rng.randint(2, 3))
-        V = to_matrix_space(L.relation)
+        R, _ = rand_dual_basis_linorder(rng, rng.randint(2, 3))
+        V = to_matrix_space(R)
         for r in (1, 2):
             blown = blow_up(V, r).space
             assert is_nilpotent_algebra(blown)

@@ -7,18 +7,19 @@ is drawn once.
 """
 
 import json
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from linminmax import exact_linalg, lgv, matching_cover, relation
-from linminmax.cli import EXIT_PROVED, main
+from linminmax import dilworth, exact_linalg, lgv, matching_cover, relation
+from linminmax.cli import EXIT_PROVED, gen_linorder, main
 from linminmax.exact_linalg import IntEchelon, Mat, Subspace, Vec, unit_vec
-from linminmax.matching_cover import defect_matching, matroid_intersection, max_matching
+from linminmax.matching_cover import matroid_intersection
 from linminmax.relation import Relation
 from linminmax.verify import verify_cover, verify_matching
-from conftest import rand_relation, rand_vec
+from conftest import rand_vec
 from reference import BipartiteGraph, bipartite_max_matching
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -102,17 +103,22 @@ def test_path_capacities_build_one_routing_space(argv, monkeypatch, capsys):
 
 
 def test_solvers_run_the_intersection_once_and_sample_nothing(rng, monkeypatch):
+    """Rado runs it once; the linorder decompositions read the matching they are given."""
     runs = count_calls(monkeypatch, matching_cover.matroid_intersection)
     draws = count_calls(monkeypatch, relation.sample_element)
     for _ in range(10):
-        R = rand_relation(rng, rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 6))
+        m = rng.randint(1, 4)
+        sets = [[rand_vec(rng, m) for _ in range(rng.randint(0, 3))] for _ in range(rng.randint(1, m))]
         runs.clear()
-        max_matching(R)
+        matching_cover.rado_transversal(sets, m)
         assert len(runs) == 1
-        for d in range(R.n + 1):
-            defect_matching(R, d)
-        assert len(runs) == 2 + R.n
-        assert draws == []
+    runs.clear()
+    for size in range(1, 6):
+        R = Relation.from_json(gen_linorder(random.Random(size), size))
+        matching = matroid_intersection(R)[0]  # the unpatched name: not counted
+        dilworth.bichain_decomposition(R, matching)
+        dilworth.coherent_decomposition(matching)
+    assert runs == [] and draws == []
 
 
 def test_acyclicity_builds_no_span(monkeypatch):

@@ -89,8 +89,8 @@ def test_check_coherent_rejects_a_matrix_that_is_not_the_pair_sum(capsys, monkey
     """Conjugating by a shift keeps the chains a basis, but A is no longer the matching's sum."""
     original = dilworth.coherent_decomposition
 
-    def shifted(L):
-        C = original(L)
+    def shifted(matching):
+        C = original(matching)
         P = _shift(C.A.rows)
         A = P @ C.A @ P.transpose()
         return dilworth.CoherentDecomposition(A, tuple((P.apply(s), l) for s, l in C.chains))
@@ -103,8 +103,8 @@ def test_check_coherent_rejects_a_matrix_that_is_not_the_pair_sum(capsys, monkey
     assert code == EXIT_VIOLATION
     # the chains still count, and they are still a basis
     assert json.loads(tampered)["coherent_count"] == json.loads(out)["coherent_count"] == 2
-    L = dilworth.validate_linorder(Relation.from_json(json.loads(path.read_text())))
-    assert verify.verify_coherent_decomposition(shifted(L))
+    R = Relation.from_json(json.loads(path.read_text()))
+    assert verify.verify_coherent_decomposition(shifted(matching_cover.matroid_intersection(R)[0]))
 
 
 def test_pair_sum_needs_distinct_indices_in_range():
@@ -124,19 +124,22 @@ def test_check_hall_recomputes_the_witness_neighborhood(tmp_path, capsys, monkey
     e = [unit_vec(3, i) for i in range(3)]
     path = tmp_path / "hall.json"
     path.write_text(json.dumps(Relation(3, 3, [(e[0], e[0]), (e[1], e[0]), (e[2], e[1])]).to_json()))
-    original = matching_cover.saturated_matching
+    original = matching_cover.matroid_intersection
 
     def shrunk(R):
-        w = original(R)
+        matching, w = original(R)
         assert w.E.orthocomplement() == Subspace.span(3, e[:2]) and w.F.dim == 1
-        return replace(w, F=Subspace.zero(3))
+        return matching, replace(w, F=Subspace.zero(3))
+
+    def unshrunk(R):
+        # a true image of S = span{e_0}, but of the same dimension: no defect, so no witness
+        matching, w = original(R)
+        return matching, replace(w, E=Subspace.span(3, e[1:]), F=Subspace.span(3, e[:1]))
 
     assert _check(capsys, "hall", path)[0] == EXIT_PROVED
-    monkeypatch.setattr(matching_cover, "saturated_matching", shrunk)
+    monkeypatch.setattr(matching_cover, "matroid_intersection", shrunk)
     assert _check(capsys, "hall", path)[0] == EXIT_VIOLATION
-    # a true image of S = span{e_0}, but of the same dimension: no defect, so no witness
-    unshrunk = lambda R: replace(original(R), E=Subspace.span(3, e[1:]), F=Subspace.span(3, e[:1]))
-    monkeypatch.setattr(matching_cover, "saturated_matching", unshrunk)
+    monkeypatch.setattr(matching_cover, "matroid_intersection", unshrunk)
     assert _check(capsys, "hall", path)[0] == EXIT_VIOLATION
 
 
@@ -223,13 +226,13 @@ def test_demo_menger_f7_verifies_its_primal(tamper, capsys, monkeypatch):
 
 def test_demo_linorder_f4_checks_its_antichain(capsys, monkeypatch):
     """A 2-dimensional antichain behind the value 3 fails the demo's Dilworth check."""
-    original = dilworth.max_antichain
+    original = Cover.antichain
 
-    def shrunk(L):
-        ac = original(L)
-        return replace(ac, primal=Subspace.span(ac.primal.ambient, ac.primal.vectors[:2]))
+    def shrunk(cover):
+        C = original(cover)
+        return Subspace.span(C.ambient, C.vectors[:2])
 
-    monkeypatch.setattr(dilworth, "max_antichain", shrunk)
+    monkeypatch.setattr(Cover, "antichain", shrunk)
     assert main(["demo", "linorder-f4", "--output", "json"]) == EXIT_VIOLATION
     assert json.loads(capsys.readouterr().out)["antichain_dim"] == 3
 
@@ -244,12 +247,12 @@ def _unit_pairs(R: Relation, indices) -> Relation:
 
 def test_check_konig_reads_the_matching_against_the_instance(capsys, monkeypatch):
     """Pairs 0, 1 and 4 of the instance have dependent v's (v_4 = 2 v_0 - v_1)."""
-    original = matching_cover.max_matching
+    original = matching_cover.matroid_intersection
 
     def tailored(R):
-        return replace(original(R), primal=Matching(_unit_pairs(R, (0, 1, 4)), (0, 1, 4)))
+        return Matching(_unit_pairs(R, (0, 1, 4)), (0, 1, 4)), original(R)[1]
 
-    monkeypatch.setattr(matching_cover, "max_matching", tailored)
+    monkeypatch.setattr(matching_cover, "matroid_intersection", tailored)
     code, out = _check(capsys, "konig", INSTANCES["konig"])
     assert code == EXIT_VIOLATION
     assert json.loads(out)["matching"] == [0, 1, 4]
@@ -258,8 +261,11 @@ def test_check_konig_reads_the_matching_against_the_instance(capsys, monkeypatch
 def test_check_hall_reads_the_matching_against_the_instance(capsys, monkeypatch):
     """The instance has no saturated matching: every v is orthogonal to (0, 1, 1)."""
     assert _check(capsys, "hall", INSTANCES["hall"])[0] == EXIT_PROVED
+    original = matching_cover.matroid_intersection
     monkeypatch.setattr(
-        matching_cover, "saturated_matching", lambda R: Matching(_unit_pairs(R, (0, 1, 2)), (0, 1, 2))
+        matching_cover,
+        "matroid_intersection",
+        lambda R: (Matching(_unit_pairs(R, (0, 1, 2)), (0, 1, 2)), original(R)[1]),
     )
     code, out = _check(capsys, "hall", INSTANCES["hall"])
     assert code == EXIT_VIOLATION
@@ -270,10 +276,10 @@ def test_check_dilworth_reads_the_bichains_against_the_instance(capsys, monkeypa
     """Bi-chains of the instance under a coordinate shift, a linorder with the same antichain size."""
     original = dilworth.bichain_decomposition
 
-    def shifted(L):
-        P = _shift(L.n)
-        moved = Relation(L.n, L.n, [(P.apply(v), P.apply(w)) for v, w in L.relation.pairs])
-        return original(dilworth.validate_linorder(moved))
+    def shifted(R, matching):
+        P = _shift(R.n)
+        moved = Relation(R.n, R.n, [(P.apply(v), P.apply(w)) for v, w in R.pairs])
+        return original(moved, matching_cover.matroid_intersection(moved)[0])
 
     code, out = _check(capsys, "dilworth", INSTANCES["dilworth"])
     assert code == EXIT_PROVED
@@ -350,11 +356,11 @@ def test_verify_cover_rejects_a_smaller_E():
 
 def test_verify_antichain_rejects_a_larger_C():
     """Every subspace of an antichain is one; no subspace beyond a maximum antichain is."""
-    L = dilworth.validate_linorder(build_linorder_f4())
-    C = dilworth.max_antichain(L).primal
+    R = build_linorder_f4()
+    C = matching_cover.matroid_intersection(R)[1].antichain()
     outside = [u for u in (unit_vec(C.ambient, i) for i in range(C.ambient)) if not C.contains(u)]
     assert outside
-    for V in (L.relation, to_matrix_space(L.relation)):
+    for V in (R, to_matrix_space(R)):
         assert verify.verify_antichain(V, C)
         assert verify.verify_antichain(V, _smaller(C))
         for u in outside:
