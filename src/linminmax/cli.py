@@ -329,7 +329,7 @@ def check_dilworth(data, config: RunConfig):
     R = _linorder_from(data)
     matching, cover = matching_cover.matroid_intersection(R)
     C, width = cover.antichain(), R.n - cover.size
-    D = dilworth.bichain_decomposition(R, matching)
+    D = dilworth.bichain_decomposition(matching)
     ok = (
         verify.verify_antichain(R, C)
         and verify.verify_bichain_decomposition(R, D)

@@ -158,7 +158,7 @@ def _complete_to_basis(vectors, n):
     return out
 
 
-def bichain_decomposition(R: Relation, matching: Matching) -> BiChainDecomposition:
+def bichain_decomposition(matching: Matching) -> BiChainDecomposition:
     """Decompose F^n into the minimum number of bi-chains.
 
     Steps: a maximum matching of the linorder R; completion of its v's and
@@ -167,6 +167,7 @@ def bichain_decomposition(R: Relation, matching: Matching) -> BiChainDecompositi
     w_i -> v_{phi(i)} and v_i -> w_i (matched i) splits into maximal paths,
     each of which is a bi-chain.
     """
+    R = matching.relation
     n = R.n
     s = matching.size
     matched = list(matching.indices)
@@ -267,7 +268,7 @@ def coherent_decomposition(matching: Matching) -> CoherentDecomposition:
     The implementing matrix is the rank-one sum of a maximum matching of a
     linorder, whose rank is the matching size; its Jordan chains number
     n minus that rank, the maximum antichain dimension.  It is also the sum
-    of the interior links of `bichain_decomposition(R, matching)`.
+    of the interior links of `bichain_decomposition(matching)`.
     """
     A = matching.rank_one_sum()
     return CoherentDecomposition(A, tuple(nilpotent_jordan_chains(A)))

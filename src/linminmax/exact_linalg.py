@@ -9,18 +9,18 @@ factor with every entry; equal values are therefore equal data.  A subspace
 holds its canonical basis as primitive integer rows.  Sums, products,
 membership tests and eliminations run on those integers, and Fractions
 appear only at the accessors (`entries`, indexing and `vectors`).  A JSON
-row loads straight to an integer row: a row of strings made of decimal
-digits and "-" alone by one `int` per entry, and any other row entry by
-entry, each string read as an integer pair (p, q), by `int` for the plain
-forms -?digits and -?digits/digits, and by `Fraction` for any other.  A report writes each entry x / d of a row with
-one gcd, as `rational_to_string` writes the Fraction x / d.
+row loads straight to an integer row: a row of strings -?digits and
+-?digits/digits with q > 0 in one pass, by `int` on each part and one lcm
+and gcd; any other row, one holding "1/-2", "1/0", "--1", " 1", "+1",
+"1.5" or a JSON number, entry by entry: by `int` for an entry of the plain
+forms, by `Fraction` for the rest.  A report writes each entry x / d of
+a row with one gcd, as `rational_to_string` writes the Fraction x / d.
 
 Every elimination is fraction-free over the integers, and there is one
 routine: the incremental Bareiss echelon `IntEchelon` (rank, independence,
-determinants, spans, kernels, solving, intersection).  Its divisions are
-exact, so every entry it holds is a minor of its input, and a determinant
-is its last pivot.  Intersections are computed with the Zassenhaus
-construction, one echelon of the rows [a | a] and [b | 0].
+determinants, spans, sums, kernels, solving).  Its divisions are exact, so
+every entry it holds is a minor of its input, and a determinant is its
+last pivot.
 
 A subspace is stored as its reduced row echelon rows, each scaled to a
 primitive integer row with a positive pivot, so two equal subspaces are
@@ -54,31 +54,49 @@ def _json_rows(data) -> tuple[list[list[int]], int]:
     """(integer rows, l): a JSON array of rows of rationals, times l.
 
     l is the lcm of the entries' denominators, reduced as in `clear_scale`,
-    and every row must be an array.  A row whose entries are strings of
-    decimal digits and "-" alone is read by one `int` per entry: on such a
-    string `int` succeeds exactly for -?digits, which `Fraction` reads to
-    the same value.  Any other row, or one that `int` refuses, is refused
-    if it holds a bool, and is read entry by entry by `_pair` once every
-    row has passed those checks.
+    and every row must be an array.  A row that `_plain_row` refuses is
+    refused if it holds a bool, and is read entry by entry by `_pair` once
+    every row has passed those checks.
     """
     rows, pending = [], []
     for entries in json_list(data):
-        json_list(entries)
-        try:
-            if "".join(entries).replace("-", "").isdecimal():
-                rows.append((list(map(int, entries)), 1))
-                continue
-        except (TypeError, ValueError):
-            pass
-        if bool in map(type, entries):
-            raise TypeError("a boolean is not a rational entry")
-        pending.append(len(rows))
-        rows.append(entries)
+        row = _plain_row(json_list(entries))
+        if row is None:
+            pending.append(len(rows))
+            row = _no_bools(entries)
+        rows.append(row)
     for i in pending:
         rows[i] = clear_scale([_pair(x) for x in rows[i]])
     l = lcm(*(d for _, d in rows))
     # over the lcm of reduced denominators the rows are already reduced
     return [num if d == l else [x * (l // d) for x in num] for num, d in rows], l
+
+
+def _plain_row(entries) -> tuple[list[int], int] | None:
+    """`clear_scale` of a row of strings -?digits and -?digits/digits, or None.
+
+    A row whose joined strings hold decimal digits, "-" and "/" alone takes
+    one `partition` and one or two `int`s per entry, one lcm and one gcd.
+    There `int` succeeds exactly for -?digits, read as by `Fraction`, and a
+    denominator only counts when positive: "1/-2" and "1/0" give None.
+    """
+    try:
+        joined = "".join(entries)
+        if not joined.replace("-", "").replace("/", "").isdecimal():
+            return None
+        if "/" not in joined:
+            return list(map(int, entries)), 1
+        pairs = [(int(p), int(q) if s else 1) for p, s, q in (x.partition("/") for x in entries)]
+    except (TypeError, ValueError):
+        return None
+    return clear_scale(pairs) if min(q for _, q in pairs) > 0 else None
+
+
+def _no_bools(entries):
+    """`entries`, refused with TypeError if one is a bool, which `_pair` would read as an int."""
+    if bool in map(type, entries):
+        raise TypeError("a boolean is not a rational entry")
+    return entries
 
 
 def _rational_strings(row, d: int) -> list[str]:
@@ -265,7 +283,7 @@ class Vec:
 
     @classmethod
     def from_json(cls, data) -> "Vec":
-        (num,), den = _json_rows([data])
+        num, den = _plain_row(json_list(data)) or clear_scale([_pair(x) for x in _no_bools(data)])
         return cls._raw(tuple(num), den)
 
 
@@ -792,8 +810,11 @@ class Subspace:
         return Mat.from_cols(self.vectors, rows=self.ambient)
 
     def contains(self, v: Vec) -> bool:
+        """Whether v lies in the subspace: at once for the full space, else on the integer rows."""
         if v.dim != self.ambient:
             raise DimensionError("membership test with wrong ambient dimension")
+        if self.dim == self.ambient:
+            return True
         # v must be the sum of v[p] / row[p] * row; l clears the denominators
         ent = v.int_row()
         terms = [(ent[p], row[p], row) for row, p in zip(self._rows, self._pivots) if ent[p]]
@@ -846,28 +867,10 @@ class Subspace:
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
+    """A + B; with a zero or a full term, one of the terms, with no elimination."""
     if a.ambient != b.ambient:
         raise DimensionError("sum of subspaces in different ambient spaces")
+    if 0 in (a.dim, b.dim) or a.ambient in (a.dim, b.dim):
+        return a if a.dim == a.ambient or b.dim == 0 else b
     return Subspace.from_echelon(_echelon(a.int_rows() + b.int_rows(), a.ambient))
 
-
-def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """A ∩ B by Zassenhaus: echelon the rows [a | a] and [b | 0].
-
-    A row of the echelon whose left half is zero, that is whose pivot is at
-    least n, is [0 | x] with x = sum c_i a_i = -sum d_j b_j, so its right
-    half lies in A ∩ B; those right halves form a basis of A ∩ B.
-    """
-    if a.ambient != b.ambient:
-        raise DimensionError("intersection of subspaces in different ambient spaces")
-    n = a.ambient
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(n)
-    if a.dim == n:
-        return b
-    if b.dim == n:
-        return a
-    pad = (0,) * n
-    ech = _echelon([r + r for r in a.int_rows()] + [r + pad for r in b.int_rows()], 2 * n)
-    meet = [_primitive(r[n:]) for r, p in zip(ech.rows, ech.pivots) if p >= n]
-    return Subspace.from_echelon(_echelon(meet, n))

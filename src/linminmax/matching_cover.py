@@ -6,17 +6,17 @@ the relation).  This is Edmonds' matroid-intersection min-max for the
 linear matroids of the v's and of the w's, and both optima come from one
 polynomial augmenting-path run: the final common independent set is the
 matching, and the set reachable in the last exchange graph gives a cover
-of the same size.  The run stops as soon as the matching spans the v's:
-nothing is then reachable, and (span of the v's, 0) is the cover.  Kőnig,
-Hall and Rado each read that one run: a relation on F^n x F^m is
-saturated exactly when its maximum matching has size n, and otherwise
-the minimum cover is the witness.  A minimum cover (E, F) is
-exact: F is the neighborhood span N(E^perp), because (E, N(E^perp)) is a
-cover too and lies inside F.  So E^perp is a shrunk subspace, of defect
-n - |cover|.
-For a matrix space the same `Cover` has F = V[E^perp], and `ncrank`
-returns it as its dual.  `verify` checks matchings and covers against
-the instance.
+of the same size, spanned by the matching's own pairs.  The run stops as
+soon as the matching spans the v's: nothing is then reachable, and the
+cover is (span of the matching's v's, 0), which is (F^n, 0), with no
+elimination, when the matching has size n.  Kőnig, Hall and Rado each
+read that one run: a relation on F^n x F^m is saturated exactly when its
+maximum matching has size n, and otherwise the minimum cover is the
+witness.  A minimum cover (E, F) is exact: F is the neighborhood span
+N(E^perp), because (E, N(E^perp)) is a cover too and lies inside F.  So
+E^perp is a shrunk subspace, of defect n - |cover|.  For a matrix space
+the same `Cover` has F = V[E^perp], and `ncrank` returns it as its dual.
+`verify` checks matchings and covers against the instance.
 """
 
 from __future__ import annotations
@@ -112,8 +112,10 @@ def matroid_intersection(R: Relation):
     augments along a shortest path from X1 (I + x keeps the v's
     independent) to X2 (I + x keeps the w's independent).  When no path is
     left, the set Q reachable from X1 gives the cover
-    (span{v_i : i not in Q}, span{w_i : i in Q}) of size |I|.  Once I spans
-    the v's, X1 and Q are empty, so no round is run to find that.
+    (span{v_i : i not in Q}, span{w_i : i in Q}) of size |I|, spanned by
+    the v's of I - Q and the w's of I n Q: by Edmonds' rank identity, each
+    is a basis of its side.  Once I spans the v's, X1 and Q are empty, so
+    no round is run to find that.
     """
     ground = [
         i for i, (v, w) in enumerate(R.pairs) if not v.is_zero() and not w.is_zero()
@@ -171,9 +173,14 @@ def matroid_intersection(R: Relation):
             path.add(sink)
             sink = parent[sink]
         I = sorted(members ^ path)
-    E = Subspace.span(R.n, [R.pairs[i][0] for i in ground if i not in Q])
-    F = Subspace.span(R.m, [R.pairs[i][1] for i in Q])
+    E = _independent_span(R.n, [R.pairs[i][0] for i in I if i not in Q])
+    F = _independent_span(R.m, [R.pairs[i][1] for i in I if i in Q])
     return Matching(R, tuple(I)), Cover(E, F)
+
+
+def _independent_span(ambient: int, vectors) -> Subspace:
+    """The span of independent vectors; F^ambient, with no elimination, when there are ambient of them."""
+    return Subspace.full(ambient) if len(vectors) == ambient else Subspace.span(ambient, vectors)
 
 
 def rado_transversal(sets, m: int):

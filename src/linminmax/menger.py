@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
-from .exact_linalg import Mat, Subspace, Vec, int_kernel, subspace_intersection, subspace_sum
+from .exact_linalg import Mat, Subspace, Vec, int_kernel, subspace_sum
 from .ncrank import CertifiedValue, wong_rank
 from .relation import GenericSampler, MatrixSpace, apply_space, wong_limit
 
@@ -41,7 +41,7 @@ class Separator:
 
     E is inside E~, F inside F~, and F~^perp and V[F~^perp] inside E~; the
     instance (V, E, F) is not stored, and the size dim(E~ n F~) is
-    computed once.
+    computed once, as dim E~ + dim F~ - dim(E~ + F~).
     """
 
     E_tilde: Subspace
@@ -49,7 +49,7 @@ class Separator:
 
     @cached_property
     def size(self) -> int:
-        return subspace_intersection(self.E_tilde, self.F_tilde).dim
+        return self.E_tilde.dim + self.F_tilde.dim - subspace_sum(self.E_tilde, self.F_tilde).dim
 
     def to_json(self):
         return {

@@ -7,7 +7,8 @@ the standard library and the package's error types alone, so that they
 share no code with the exact-arithmetic modules they validate.  Every
 oracle returns a primal/dual pair of equal size (an inequality is a hard
 failure of the oracle itself).  Then come the references built on the
-package: the rank-one span of a relation, the bordered matrix of a path
+package: subspace membership by Fraction elimination and intersection by
+Zassenhaus, the rank-one span of a relation, the bordered matrix of a path
 capacity, the subset formulas for generic ranks, Kőnig through Menger,
 Lovász's maximum rank, the poset and graph encodings, and the classical
 Lindström–Gessel–Viennot identity by explicit path enumeration.
@@ -372,6 +373,54 @@ def vertex_disjoint_paths(G: Digraph, H, K):
         if set(paths[a]) & set(paths[b]):
             raise InvariantViolation("flow decomposition paths are not disjoint")
     return count, paths, separator
+
+
+# ---------------------------------------------------------------------------
+# subspaces
+
+
+def ref_rref(rows):
+    """Fraction Gauss-Jordan reference: (nonzero RREF rows, pivot columns)."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    piv_cols, pr = [], 0
+    for c in range(ncols):
+        pivot = next((i for i in range(pr, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[pr], rows[pivot] = rows[pivot], rows[pr]
+        rows[pr] = [x / rows[pr][c] for x in rows[pr]]
+        for i in range(len(rows)):
+            if i != pr and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
+        piv_cols.append(c)
+        pr += 1
+    return rows[:pr], piv_cols
+
+
+def in_span(S: Subspace, v: Vec) -> bool:
+    """Membership by the reference RREF: v adds nothing to the rank of S's basis."""
+    rows = [list(u.entries) for u in S.vectors]
+    return len(ref_rref(rows + [list(v.entries)])[0]) == len(ref_rref(rows)[0])
+
+
+def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
+    """A ∩ B by Zassenhaus: echelon the rows [a | a] and [b | 0].
+
+    A row of the echelon whose left half is zero, that is whose pivot is at
+    least n, is [0 | x] with x = sum c_i a_i = -sum d_j b_j, so its right
+    half lies in A ∩ B; those right halves form a basis of A ∩ B.
+    """
+    if a.ambient != b.ambient:
+        raise DimensionError("intersection of subspaces in different ambient spaces")
+    n = a.ambient
+    pad = (0,) * n
+    ech = IntEchelon(2 * n)
+    for row in [r + r for r in a.int_rows()] + [r + pad for r in b.int_rows()]:
+        ech.add(row)
+    meet = [r[n:] for r, p in zip(ech.rows, ech.pivots) if p >= n]
+    return Subspace.span(n, map(Vec.from_ints, meet))
 
 
 # ---------------------------------------------------------------------------

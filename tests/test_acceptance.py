@@ -23,7 +23,6 @@ from linminmax.exact_linalg import (
     Vec,
     outer,
     solve_exact,
-    subspace_intersection,
     subspace_sum,
     unit_vec,
 )
@@ -50,6 +49,7 @@ from reference import (
     max_rank_blowup,
     poset_dilworth,
     poset_embed,
+    subspace_intersection,
     to_matrix_space,
     vertex_disjoint_paths,
 )
@@ -157,7 +157,7 @@ def test_criterion_5_classical_reductions():
         mc, ma, _, _ = poset_dilworth(p)
         matching, cover = matroid_intersection(R)
         assert R.n - cover.size == cover.antichain().dim == ma
-        assert bichain_decomposition(R, matching).size == mc
+        assert bichain_decomposition(matching).size == mc
     # 100 digraphs: capacity = disjoint paths = separator size.
     for i in range(100):
         rng = random.Random(54000 + i)

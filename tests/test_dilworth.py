@@ -102,7 +102,7 @@ def test_the_linorder_axioms_force_a_nilpotent_span():
 
 
 def bichains(R):
-    return bichain_decomposition(R, matroid_intersection(R)[0])
+    return bichain_decomposition(matroid_intersection(R)[0])
 
 
 def coherent(R):

@@ -1,6 +1,7 @@
 """Exact rational linear algebra: examples and structural invariants."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,7 +20,6 @@ from linminmax.exact_linalg import (
     outer_sum,
     rational_to_string,
     solve_exact,
-    subspace_intersection,
     subspace_sum,
     unit_vec,
 )
@@ -28,6 +28,7 @@ from linminmax.verify import verify_cover
 from linminmax.lgv import LgvInstance
 from linminmax.relation import MatrixSpace, Relation
 from conftest import as_lists, dot, rand_mat, rand_vec, vec
+from reference import in_span, ref_rref, subspace_intersection
 
 
 def cofactor_det(m: Mat) -> Fraction:
@@ -227,26 +228,6 @@ def test_subspace_canonical_equality():
 
 # ---------------------------------------------------------------------------
 # the integer engine against small Fraction references
-
-
-def ref_rref(rows):
-    """Fraction Gauss-Jordan reference: (nonzero RREF rows, pivot columns)."""
-    rows = [[Fraction(x) for x in r] for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    piv_cols, pr = [], 0
-    for c in range(ncols):
-        pivot = next((i for i in range(pr, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[pr], rows[pivot] = rows[pivot], rows[pr]
-        rows[pr] = [x / rows[pr][c] for x in rows[pr]]
-        for i in range(len(rows)):
-            if i != pr and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
-        piv_cols.append(c)
-        pr += 1
-    return rows[:pr], piv_cols
 
 
 def ref_kernel_rows(n, rows):
@@ -667,6 +648,88 @@ def test_json_rows_load_plain_integers_to_integer_data():
         Mat.from_json([["1/0"], "12"])
 
 
+PLAIN_ENTRY = re.compile(r"-?[0-9٣]+(/[0-9٣]*[1-9٣][0-9٣]*)?")
+
+
+def _short_string(rng):
+    """A short string from 0-9, ٣, "-", "/", "+", " " and ".": half of them -?digits(/digits)?."""
+    digits = "0123456789٣"
+
+    def part():
+        return "".join(rng.choice(digits) for _ in range(rng.randint(1, 2)))
+
+    if rng.random() < 0.5:
+        return rng.choice(("", "-")) + part() + rng.choice(("", "/" + part()))
+    return "".join(
+        rng.choice(digits) if rng.random() < 0.6 else rng.choice("-/+ .")
+        for _ in range(rng.randint(1, 4))
+    )
+
+
+def _fraction_or_refusal(s):
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def test_rows_of_short_strings_load_as_fraction_reads_each_entry():
+    """Seeded fuzz: a row loads to each entry's Fraction value, or is refused where Fraction refuses an entry.
+
+    Plain rows (every entry -?digits or -?digits/digits with a nonzero
+    denominator) take the one-pass reader; mixed rows hold plain entries
+    and entries that fall back to `_pair`, such as "1/-2", "1/0", "+1",
+    " 1", "1.5" and "--1".
+    """
+    rng = random.Random(27)
+    seen = {}
+    for _ in range(3000):
+        row = [_short_string(rng) for _ in range(rng.randint(1, 4))]
+        plain = sum(PLAIN_ENTRY.fullmatch(s) is not None for s in row)
+        if plain == len(row):
+            kind = "p/q" if "/" in "".join(row) else "plain"
+        else:
+            kind = "mixed" if plain else "fallback"
+        values = [_fraction_or_refusal(s) for s in row]
+        if None in values:
+            with pytest.raises((ValueError, TypeError)):
+                Vec.from_json(row)
+            kind += " refused"
+        else:
+            v = Vec.from_json(row)
+            assert v.entries == tuple(values), row
+            assert v == Vec(values)
+            assert all(type(x) is int for x in v.int_row()) and type(v.den) is int
+        seen[kind] = seen.get(kind, 0) + 1
+    assert set(seen) == {"p/q", "plain", "mixed", "mixed refused", "fallback", "fallback refused"}, seen
+    assert min(seen.values()) >= 50, seen
+
+
+def test_plain_rational_rows_load_without_a_per_entry_parse(monkeypatch):
+    """-?digits and -?digits/digits rows take no `_pair` call; "1/-2", "1/0" and "+1" do."""
+    from linminmax import exact_linalg
+
+    calls = []
+    pair = exact_linalg._pair
+    half_and_one = vec(Fraction(1, 2), 1)
+
+    def counting(x):
+        calls.append(x)
+        return pair(x)
+
+    monkeypatch.setattr(exact_linalg, "_pair", counting)
+    v = Vec.from_json(["1/2", "-3/4", "٣", "-0/5", "6/4"])
+    assert (v.int_row(), v.den) == ((2, -3, 12, 0, 6), 4)
+    m = Mat.from_json([["1/2", "3"], ["-2/3", "0"]])
+    assert (m.int_rows(), m.den) == (((3, 18), (-4, 0)), 6)
+    assert calls == []
+    assert Vec.from_json(["1/2", "+1"]) == half_and_one
+    assert calls == ["1/2", "+1"]
+    for bad in (["1/-2"], ["1/0"], ["1/2", "1/-2"], ["-0/0"], ["1/2/3"], ["/2"], ["1/"]):
+        with pytest.raises(ValueError):
+            Vec.from_json(bad)
+
+
 def test_to_json_renders_each_entry_as_its_fraction():
     """Seeded Vec, Mat and Subspace rows, with negative entries and large denominators."""
     rng = random.Random(26)
@@ -746,10 +809,6 @@ def rand_picks(rng, n, k):
     return out
 
 
-def ref_contains(basis_rows, v):
-    return len(ref_rref(list(basis_rows) + [list(v)])[0]) == len(ref_rref(basis_rows)[0])
-
-
 def test_subspace_operations_match_fraction_references():
     rng = random.Random(61)
     for _ in range(150):
@@ -762,9 +821,9 @@ def test_subspace_operations_match_fraction_references():
         perps = ref_kernel_rows(n, rows_a) + ref_kernel_rows(n, rows_b)
         assert subspace_intersection(a, b).vectors == ref_span(n, ref_kernel_rows(n, perps))
         assert a.orthocomplement().vectors == ref_span(n, ref_kernel_rows(n, rows_a))
-        assert a.contains_subspace(b) == all(ref_contains(rows_a, r) for r in rows_b)
+        assert a.contains_subspace(b) == all(in_span(a, v) for v in b.vectors)
         for v in rand_rational_rows(rng, 3, n) + rows_b:
-            assert a.contains(vec(*v)) == ref_contains(rows_a, v)
+            assert a.contains(vec(*v)) == in_span(a, vec(*v))
         assert Subspace.from_json(a.to_json(), n) == a
 
 
@@ -783,6 +842,24 @@ def test_vec_and_subspace_accessors_hold_fractions():
         v.x = 1
 
 
+def test_contains_agrees_with_elimination():
+    """Full, zero and proper subspaces, ambient 0 included, against the reference RREF."""
+    rng = random.Random(68)
+    checked = {"full": 0, "zero": 0, "proper": 0}
+    for _ in range(200):
+        n = rng.randint(0, 5)
+        (S,) = rand_picks(rng, n, 1)
+        kind = "full" if S.dim == n else "zero" if S.dim == 0 else "proper"
+        checked[kind] += 1
+        vectors = [vec(*r) for r in rand_rational_rows(rng, 3, n)] + list(S.vectors)
+        for v in vectors:
+            assert S.contains(v) == in_span(S, v)
+    assert min(checked.values()) >= 20, checked
+    assert Subspace.full(0).contains(Vec([])) and Subspace.zero(0).contains(Vec([]))
+    with pytest.raises(DimensionError):
+        Subspace.full(3).contains(vec(1, 2))
+
+
 def test_membership_and_spans_build_no_fractions(monkeypatch):
     rng = random.Random(67)
     n = 5
@@ -795,7 +872,7 @@ def test_membership_and_spans_build_no_fractions(monkeypatch):
     vectors = [v for v, _ in pairs]
     a = Subspace.span(n, vectors[:3])
     b = Subspace.span(n, vectors[2:6])
-    expected = [ref_contains([list(u.entries) for u in b.vectors], v.entries) for v in vectors]
+    expected = [in_span(b, v) for v in vectors]
     assert all(type(t) is int for v in vectors for t in v.int_row() + (v.den,))
     assert all(
         type(t) is int for s in (a, b, cover.E) for row in s.int_rows() for t in row
@@ -812,7 +889,7 @@ def test_membership_and_spans_build_no_fractions(monkeypatch):
     assert verify_cover(R, cover)
     assert [b.contains(v) for v in vectors] == expected
     Subspace.span(n, vectors)
-    subspace_intersection(a, b)
+    subspace_sum(a, b)
     assert made == []
     Fraction(1, 3)  # the counter is live
     assert len(made) == 1

@@ -200,6 +200,56 @@ def test_the_minimum_cover_is_exact(rng):
     assert unsaturated >= 20
 
 
+def test_a_spanning_matching_gives_the_full_space_without_a_span(monkeypatch):
+    """When the matching's v's span F^n, E is F^n by its size alone, and F = 0."""
+    spans = []
+    span = Subspace.span
+
+    def counting(ambient, vectors):
+        vectors = list(vectors)
+        spans.append((ambient, len(vectors)))
+        return span(ambient, vectors)
+
+    monkeypatch.setattr(Subspace, "span", staticmethod(counting))
+    rng = random.Random(71)
+    for _ in range(20):
+        n, m = rng.randint(1, 4), rng.randint(5, 7)
+        pairs = [(rand_vec(rng, n), rand_vec(rng, m)) for _ in range(rng.randint(n, 8))]
+        pairs += [(unit_vec(n, i), rand_vec(rng, m, nonzero=True)) for i in range(n)]
+        R = Relation(n, m, rng.sample(pairs, len(pairs)))
+        spans.clear()
+        matching, cover = matroid_intersection(R)
+        assert matching.size == n
+        assert cover.E == Subspace.full(n) and cover.F == Subspace.zero(m)
+        assert all(ambient == m for ambient, _ in spans), spans  # F alone, never E
+        assert verify_cover(R, cover)
+
+
+def test_deficient_covers_are_spanned_by_the_matching(rng):
+    """Deficient relations with zero v's, zero w's and repeated pairs: the cover verifies, at the matching's size."""
+    checked = 0
+    for _ in range(40):
+        n, m = rng.randint(2, 5), rng.randint(2, 5)
+        k = rng.randint(0, min(n, m) - 1)  # every w in a k-space, so no matching saturates F^n
+        basis = [rand_vec(rng, m) for _ in range(k)]
+
+        def low_w():
+            return sum((b.scaled(rng.randint(-2, 2)) for b in basis), Vec([0] * m))
+
+        pairs = [(rand_vec(rng, n, nonzero=True), low_w()) for _ in range(rng.randint(1, 6))]
+        pairs += [(Vec([0] * n), rand_vec(rng, m)), (rand_vec(rng, n), Vec([0] * m))]
+        pairs += rng.sample(pairs, rng.randint(1, len(pairs)))
+        R = Relation(n, m, rng.sample(pairs, len(pairs)))
+        matching, cover = matroid_intersection(R)
+        assert matching.size < n
+        assert verify_matching(R, matching) and verify_cover(R, cover)
+        assert cover.size == matching.size
+        if len(R) <= 7:
+            assert cover.size == unrestricted_min_cover(R)
+        checked += cover.F.dim > 0
+    assert checked >= 10
+
+
 def test_saturated_matching_examples():
     diag = Relation(3, 3, [(unit_vec(3, i), unit_vec(3, i)) for i in range(3)])
     assert matroid_intersection(diag)[0].size == 3

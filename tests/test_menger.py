@@ -316,26 +316,38 @@ def test_routing_space_echelons_once(echelon_widths):
 
 
 def test_separator_size_is_computed_once(monkeypatch, capsys):
-    """A menger check intersects E~ and F~ once, however often it reads the size."""
+    """A menger check sums E~ and F~ once per separator, however often it reads the size.
+
+    The size is dim E~ + dim F~ - dim(E~ + F~); the other sums build E~.
+    """
     from pathlib import Path
 
     from linminmax import menger
     from linminmax.cli import main
 
-    calls = []
-    meet = menger.subspace_intersection
+    calls, separators = [], []
+    total = menger.subspace_sum
 
     def counting(a, b):
-        calls.append(1)
-        return meet(a, b)
+        calls.append((a, b))
+        return total(a, b)
 
-    monkeypatch.setattr(menger, "subspace_intersection", counting)
+    class Recorded(menger.Separator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            separators.append(self)
+
+    monkeypatch.setattr(menger, "subspace_sum", counting)
+    monkeypatch.setattr(menger, "Separator", Recorded)
     golden = Path(__file__).parent / "golden"
     for theorem in ("menger", "matrix-menger"):
         calls.clear()
+        separators.clear()
         assert main(["check", theorem, str(golden / f"{theorem}.json")]) == 0
         capsys.readouterr()
-        assert len(calls) == 1  # the size; the Wong separator's X takes no intersection
+        sizes = [c for c in calls if any(c == (s.E_tilde, s.F_tilde) for s in separators)]
+        assert len(separators) == 2  # the trivial dual and the Wong separator
+        assert len(sizes) == 1  # the Wong separator's size; the trivial one is never read
 
 
 def test_path_capacities_on_the_zero_space():

@@ -116,7 +116,7 @@ def test_solvers_run_the_intersection_once_and_sample_nothing(rng, monkeypatch):
     for size in range(1, 6):
         R = Relation.from_json(gen_linorder(random.Random(size), size))
         matching = matroid_intersection(R)[0]  # the unpatched name: not counted
-        dilworth.bichain_decomposition(R, matching)
+        dilworth.bichain_decomposition(matching)
         dilworth.coherent_decomposition(matching)
     assert runs == [] and draws == []
 

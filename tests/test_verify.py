@@ -276,10 +276,11 @@ def test_check_dilworth_reads_the_bichains_against_the_instance(capsys, monkeypa
     """Bi-chains of the instance under a coordinate shift, a linorder with the same antichain size."""
     original = dilworth.bichain_decomposition
 
-    def shifted(R, matching):
+    def shifted(matching):
+        R = matching.relation
         P = _shift(R.n)
         moved = Relation(R.n, R.n, [(P.apply(v), P.apply(w)) for v, w in R.pairs])
-        return original(moved, matching_cover.matroid_intersection(moved)[0])
+        return original(matching_cover.matroid_intersection(moved)[0])
 
     code, out = _check(capsys, "dilworth", INSTANCES["dilworth"])
     assert code == EXIT_PROVED
