@@ -18,6 +18,7 @@ import json
 import random
 import sys
 from dataclasses import dataclass
+from operator import mul
 
 from . import dilworth, lgv, matching_cover, menger, ncrank, verify
 from .errors import CertificationError, InvariantViolation, SingularityError
@@ -271,15 +272,24 @@ def _verdict(report: dict, verified: bool, value: int, bound: int):
 
 
 def check_konig(data, config: RunConfig):
-    """A maximum matching always meets its cover: a gap fails, like a certificate."""
+    """A maximum matching always meets its cover: a gap fails, like a certificate.
+
+    The cover (U, F) is printed as (U^perp, F): the span E of the matched
+    v's orthogonal to U, which is all of U^perp when dim E = n - dim U.
+    """
     R = _relation_from(data)
     matching, cover = matching_cover.matroid_intersection(R)
+    us = cover.U.int_rows()
+    vs = [v for v, _ in matching.pairs() if not any(sum(map(mul, v.int_row(), u)) for u in us)]
+    E = Subspace.span(R.n, vs) if us else Subspace.full(R.n)
     ok = (
         verify.verify_matching(R, matching)
         and verify.verify_cover(R, cover)
         and matching.size == cover.size
+        and E.dim == R.n - len(us)
     )
-    report = {"value": cover.size, "matching": matching.to_json(), "cover": cover.to_json()}
+    printed = {"E": E.to_json(), "F": cover.F.to_json()}
+    report = {"value": cover.size, "matching": matching.to_json(), "cover": printed}
     return _verdict(report, ok, matching.size, cover.size)
 
 
@@ -292,7 +302,7 @@ def check_hall(data, config: RunConfig):
         report = {"saturated": True, "matching": matching.to_json()}
     else:
         ok = verify.verify_cover(R, cover) and cover.size < R.n
-        witness = {"S": cover.E.orthocomplement().to_json(), "neighborhood": cover.F.to_json()}
+        witness = {"S": cover.U.to_json(), "neighborhood": cover.F.to_json()}
         report = {"saturated": False, "witness": witness}
     return report, (EXIT_PROVED if ok else EXIT_VIOLATION)
 
@@ -441,7 +451,7 @@ def check_ncrank(data, config: RunConfig):
     report = {
         "ncrank": cv.value,
         "defect": defect,
-        "witness": {"E": cv.dual.E.orthocomplement().to_json(), "defect": defect},
+        "witness": {"E": cv.dual.U.to_json(), "defect": defect},
         "element": {"r": r, "matrix": element.to_json()},
     }
     return _verdict(report, ok, cv.value, cv.dual.size)

@@ -7,9 +7,9 @@ dimension equals n minus the minimum cover size, and is matched both by
 bi-chain decompositions (alternating w, v sequences) and by coherent
 decompositions (iterate chains of one matrix from the algebra).  The
 antichain, the bi-chains and the coherent decomposition all read one
-matroid-intersection run of the relation: the antichain is (E + F)^perp
-of its minimum cover, and both decompositions start from its maximum
-matching.  The coherent decomposition is the Jordan chains of that
+matroid-intersection run of the relation: the antichain is U n F^perp
+of its minimum cover (U, F), and both decompositions start from its
+maximum matching.  The coherent decomposition is the Jordan chains of that
 matching's rank-one sum, an element of maximum rank in the span
 (Lovász), so no span is built and nothing is sampled.  `verify` alone
 decides the bi-chains and the coherent chains that the solvers return.

@@ -12,15 +12,15 @@ appear only at the accessors (`entries`, indexing and `vectors`).  A JSON
 row loads straight to an integer row: a row of strings -?digits and
 -?digits/digits with q > 0 in one pass, by `int` on each part and one lcm
 and gcd; any other row, one holding "1/-2", "1/0", "--1", " 1", "+1",
-"1.5" or a JSON number, entry by entry: by `int` for an entry of the plain
-forms, by `Fraction` for the rest.  A report writes each entry x / d of
-a row with one gcd, as `rational_to_string` writes the Fraction x / d.
+"1.5" or a JSON number, entry by entry by `Fraction`.  A report writes
+each entry x / d of a row with one gcd, as `rational_to_string` writes
+the Fraction x / d.
 
 Every elimination is fraction-free over the integers, and there is one
 routine: the incremental Bareiss echelon `IntEchelon` (rank, independence,
 determinants, spans, sums, kernels, solving).  Its divisions are exact, so
 every entry it holds is a minor of its input, and a determinant is its
-last pivot.
+last pivot.  A canonical kernel (`Mat.kernel`) is one elimination.
 
 A subspace is stored as its reduced row echelon rows, each scaled to a
 primitive integer row with a positive pivot, so two equal subspaces are
@@ -121,22 +121,13 @@ def rational_to_string(q: Fraction) -> str:
 def _pair(x) -> tuple[int, int]:
     """(p, q) with q > 0 for an int, Fraction or rational string entry p / q.
 
-    A string is refused with ValueError unless `Fraction` accepts it.  The
-    forms -?digits and -?digits/digits with a nonzero denominator are read
-    by `int`, and the pair is left unreduced; any other string goes to
-    `Fraction`.
+    A string is read by `Fraction`, and refused with ValueError unless
+    `Fraction` accepts it; `_plain_row` reads the plain rows of an instance.
     """
     # cheap checks first: isinstance against Fraction goes through its ABC
     if type(x) is int:
         return x, 1
     if isinstance(x, str):
-        num, slash, den = x.partition("/")
-        # isdecimal holds exactly for the digit strings `int` reads
-        if num.removeprefix("-").isdecimal():
-            if not slash:
-                return int(num), 1
-            if den.isdecimal() and (q := int(den)):
-                return int(num), q
         try:
             x = Fraction(x)
         except ZeroDivisionError:
@@ -619,10 +610,14 @@ class Mat:
         return Fraction(det_bareiss(self._num), self._den ** self.rows)
 
     def kernel(self) -> "Subspace":
-        """Right kernel {v : M v = 0} as a canonical subspace of F^cols."""
-        return Subspace.from_echelon(
-            _echelon(int_kernel(self._num, self.cols), self.cols)
-        )
+        """Right kernel {v : M v = 0} as a canonical subspace of F^cols, by one elimination.
+
+        With the columns reversed, `int_kernel`'s vector of free column f ends at f, where
+        no other is nonzero: reversed back, the vectors are already the canonical rows.
+        """
+        rows = [v[::-1] for v in reversed(int_kernel([r[::-1] for r in self._num], self.cols))]
+        pivots = [next(i for i, x in enumerate(v) if x) for v in rows]
+        return Subspace(self.cols, tuple(map(tuple, rows)), tuple(pivots))
 
     # misc ---------------------------------------------------------------
 
@@ -874,3 +869,10 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
         return a if a.dim == a.ambient or b.dim == 0 else b
     return Subspace.from_echelon(_echelon(a.int_rows() + b.int_rows(), a.ambient))
 
+
+def meet_perp(rows, F: Subspace) -> Subspace:
+    """span(rows) n F^perp for integer rows: the combinations in the kernel of their F-products."""
+    rows = list(rows)
+    gram = [[sum(map(mul, f, p)) for p in rows] for f in F.int_rows()]
+    combos = ([sum(map(mul, c, col)) for col in zip(*rows)] for c in int_kernel(gram, len(rows)))
+    return Subspace.from_echelon(_echelon(combos, F.ambient))

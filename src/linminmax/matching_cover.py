@@ -1,22 +1,22 @@
 """Maximum matchings and minimum covers of relations, of equal size.
 
 The maximum size of a matching (pairs with doubly independent vectors)
-equals the minimum size of a cover (a subspace pair absorbing every pair of
-the relation).  This is Edmonds' matroid-intersection min-max for the
+equals the minimum size of a cover.  A cover is a shrunk subspace U with
+F = V[U]: every pair has v orthogonal to U or w in F, and the size is
+n - dim U + dim F.  This is Edmonds' matroid-intersection min-max for the
 linear matroids of the v's and of the w's, and both optima come from one
 polynomial augmenting-path run: the final common independent set is the
 matching, and the set reachable in the last exchange graph gives a cover
-of the same size, spanned by the matching's own pairs.  The run stops as
+of the same size, read off the matching's own pairs.  The run stops as
 soon as the matching spans the v's: nothing is then reachable, and the
-cover is (span of the matching's v's, 0), which is (F^n, 0), with no
-elimination, when the matching has size n.  Kőnig, Hall and Rado each
-read that one run: a relation on F^n x F^m is saturated exactly when its
-maximum matching has size n, and otherwise the minimum cover is the
-witness.  A minimum cover (E, F) is exact: F is the neighborhood span
-N(E^perp), because (E, N(E^perp)) is a cover too and lies inside F.  So
-E^perp is a shrunk subspace, of defect n - |cover|.  For a matrix space
-the same `Cover` has F = V[E^perp], and `ncrank` returns it as its dual.
-`verify` checks matchings and covers against the instance.
+cover is (0, 0), with no elimination, when the matching has size n.
+Kőnig, Hall and Rado each read that one run: a relation on F^n x F^m is
+saturated exactly when its maximum matching has size n, and otherwise U
+is the witness, of defect dim U - dim F = n - |cover|.  A minimum cover
+is exact: F is the neighborhood span N(U), because (U, N(U)) is a cover
+too and N(U) lies inside F.  For a matrix space the same `Cover` has
+F = V[U], and `ncrank` returns it as its dual.  `verify` checks
+matchings and covers against the instance.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .exact_linalg import (
     Mat,
     Subspace,
     Vec,
+    meet_perp,
     outer_sum,
-    subspace_sum,
     unit_vec,
 )
 from .relation import Relation
@@ -60,25 +60,22 @@ class Matching:
 
 @dataclass(frozen=True)
 class Cover:
-    """Subspace pair (E, F) with F = V[E^perp]: each pair of R has v in E or w in F.
+    """A subspace U of F^n with F = V[U]: each pair of R has v orthogonal to U or w in F.
 
-    E^perp is a shrunk subspace of defect n - size, so the size bounds
-    the rank of every element of V, and of V (x) M_r over r.
+    Its size is n - dim U + dim F, and U has defect dim U - dim F = n - size,
+    so the size bounds the rank of every element of V, and of V (x) M_r over r.
     """
 
-    E: Subspace
+    U: Subspace
     F: Subspace
 
     @property
     def size(self) -> int:
-        return self.E.dim + self.F.dim
+        return self.U.ambient - self.U.dim + self.F.dim
 
     def antichain(self) -> Subspace:
-        """(E + F)^perp: the maximum antichain, for a minimum cover of a nilpotent space."""
-        return subspace_sum(self.E, self.F).orthocomplement()
-
-    def to_json(self):
-        return {"E": self.E.to_json(), "F": self.F.to_json()}
+        """U n F^perp: the maximum antichain, for a minimum cover of a nilpotent space."""
+        return meet_perp(self.U.int_rows(), self.F)
 
 
 def _circuits(rows, I, outside, width):
@@ -111,11 +108,11 @@ def matroid_intersection(R: Relation):
     Each round builds the exchange graph from fundamental circuits and
     augments along a shortest path from X1 (I + x keeps the v's
     independent) to X2 (I + x keeps the w's independent).  When no path is
-    left, the set Q reachable from X1 gives the cover
-    (span{v_i : i not in Q}, span{w_i : i in Q}) of size |I|, spanned by
-    the v's of I - Q and the w's of I n Q: by Edmonds' rank identity, each
-    is a basis of its side.  Once I spans the v's, X1 and Q are empty, so
-    no round is run to find that.
+    left, the set Q reachable from X1 gives the cover U, the annihilator
+    of {v_i : i not in Q}, and F = span{w_i : i in Q}, of size |I|, read
+    off the v's of I - Q and the w's of I n Q: by Edmonds' rank identity,
+    each is a basis of its side.  Once I spans the v's, X1 and Q are empty,
+    so no round is run to find that.
     """
     ground = [
         i for i, (v, w) in enumerate(R.pairs) if not v.is_zero() and not w.is_zero()
@@ -173,14 +170,12 @@ def matroid_intersection(R: Relation):
             path.add(sink)
             sink = parent[sink]
         I = sorted(members ^ path)
-    E = _independent_span(R.n, [R.pairs[i][0] for i in I if i not in Q])
-    F = _independent_span(R.m, [R.pairs[i][1] for i in I if i in Q])
-    return Matching(R, tuple(I)), Cover(E, F)
-
-
-def _independent_span(ambient: int, vectors) -> Subspace:
-    """The span of independent vectors; F^ambient, with no elimination, when there are ambient of them."""
-    return Subspace.full(ambient) if len(vectors) == ambient else Subspace.span(ambient, vectors)
+    vs = [R.pairs[i][0].int_row() for i in I if i not in Q]
+    ws = [R.pairs[i][1] for i in I if i in Q]
+    # the v's and the w's of I are independent: n of them span F^n, m of them F^m
+    U = Subspace.zero(R.n) if len(vs) == R.n else Mat.from_int_rows(tuple(vs), 1, R.n).kernel()
+    F = Subspace.full(R.m) if len(ws) == R.m else Subspace.span(R.m, ws)
+    return Matching(R, tuple(I)), Cover(U, F)
 
 
 def rado_transversal(sets, m: int):
@@ -204,10 +199,9 @@ def rado_transversal(sets, m: int):
     R = Relation(n, m, pairs)
     matching, cover = matroid_intersection(R)
     if matching.size < n:
-        # The shrunk subspace E^perp is a coordinate subspace here (all v's
-        # are e_i), and the sets it touches have a union of deficient dimension.
-        S = cover.E.orthocomplement()
-        return None, [i for i in range(n) if any(u[i] for u in S.int_rows())]
+        # The shrunk subspace U is a coordinate subspace here (all v's are
+        # e_i), and the sets it touches have a union of deficient dimension.
+        return None, [i for i in range(n) if any(u[i] for u in cover.U.int_rows())]
     transversal: list[Vec | None] = [None] * n
     for idx in matching.indices:
         v, w = R.pairs[idx]

@@ -9,19 +9,20 @@ the routing space of V (`relation.routing_space`), which the caller builds
 once from the instance, so `mpc` is the noncommutative rank of that space
 minus n, found by `ncrank.wong_rank`: a sampled routing element of order
 r is the primal, and the dual is read off the limit U' of its second Wong
-sequence (`relation.wong_limit`): with X the projection of U' onto the
-first n coordinates, cut to F^perp by one integer kernel of its products
-with F, F~ = X^perp and E~ = X + E + V[X].  The value is proved when the
-rank of the element is r(n + size).
+sequence (`relation.wong_limit`).  The separator is kept as (E~, X), with
+X = F~^perp the projection of U' onto the first n coordinates, cut to
+F^perp by `exact_linalg.meet_perp`, and E~ = X + E + V[X]; F~ is taken
+for the report alone.  The value is proved when the rank of the element
+is r(n + size).
 
 The coherent path capacity of a relation R is the matricial one of its
 space V_R, and `mpc` takes R itself: the routing space of R is spanned
 by the border and the embedded rank-ones w v^T, and V_R[X] is the
 neighborhood span N(X), so the n*m-wide span V_R is never built.
-V_R[F~^perp] lies inside E~ exactly when every pair has v in F~ or w in
-E~, so the separator is one in the relation sense too, and it meets the
-sampled rank at order r = 1.  No subset is enumerated, and order 1 needs
-no blow-up budget, so linear Menger has no size limit.
+V_R[X] lies inside E~ exactly when every pair has v orthogonal to X or w
+in E~, so the separator is one in the relation sense too, and it meets
+the sampled rank at order r = 1.  No subset is enumerated, and order 1
+needs no blow-up budget, so linear Menger has no size limit.
 """
 
 from __future__ import annotations
@@ -30,31 +31,33 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
-from .exact_linalg import Mat, Subspace, Vec, int_kernel, subspace_sum
+from .exact_linalg import Mat, Subspace, meet_perp, subspace_sum
 from .ncrank import CertifiedValue, wong_rank
 from .relation import GenericSampler, MatrixSpace, apply_space, wong_limit
 
 
 @dataclass(frozen=True)
 class Separator:
-    """Pair (E~, F~) pinching every path from E to F relative to a space V.
+    """Pair (E~, F~) pinching every path from E to F relative to V, kept as (E~, X = F~^perp).
 
-    E is inside E~, F inside F~, and F~^perp and V[F~^perp] inside E~; the
-    instance (V, E, F) is not stored, and the size dim(E~ n F~) is
-    computed once, as dim E~ + dim F~ - dim(E~ + F~).
+    E lies in E~, F is orthogonal to X, and X and V[X] lie in E~; the
+    instance (V, E, F) is not stored.  The size dim(E~ n F~) is computed
+    once, as dim E~ minus the rank of E~'s products with X.
     """
 
     E_tilde: Subspace
-    F_tilde: Subspace
+    X: Subspace
 
     @cached_property
     def size(self) -> int:
-        return self.E_tilde.dim + self.F_tilde.dim - subspace_sum(self.E_tilde, self.F_tilde).dim
+        xs = self.X.int_rows()
+        products = tuple(tuple(sum(map(mul, e, x)) for x in xs) for e in self.E_tilde.int_rows())
+        return self.E_tilde.dim - Mat.from_int_rows(products, 1, len(xs)).rank()
 
     def to_json(self):
         return {
             "E_tilde": self.E_tilde.to_json(),
-            "F_tilde": self.F_tilde.to_json(),
+            "F_tilde": self.X.orthocomplement().to_json(),
             "size": self.size,
         }
 
@@ -72,15 +75,10 @@ def mpc(
 
     def separator(r: int, el: Mat):
         U, _ = wong_limit(routing, r, el)
-        # X = span(P) n F^perp: the combinations of the projected rows P orthogonal to F
-        P = [row[:n] for row in U.int_rows()]
-        gram = [[sum(map(mul, f, p)) for p in P] for f in F.int_rows()]
-        combos = [[sum(map(mul, c, col)) for col in zip(*P)] for c in int_kernel(gram, len(P))]
-        X = Subspace.span(n, map(Vec.from_ints, combos))
-        e_tilde = subspace_sum(subspace_sum(X, E), apply_space(V, X))
-        sep = Separator(e_tilde, X.orthocomplement())
+        X = meet_perp((row[:n] for row in U.int_rows()), F)
+        sep = Separator(subspace_sum(subspace_sum(X, E), apply_space(V, X)), X)
         return sep, n + sep.size
 
-    full = Subspace.full(n)
-    cv = wong_rank(routing, sampler, separator, (Separator(full, full), 2 * n))
+    trivial = Separator(Subspace.full(n), Subspace.zero(n))
+    cv = wong_rank(routing, sampler, separator, (trivial, 2 * n))
     return CertifiedValue(cv.value - n, cv.primal, cv.dual)

@@ -2,9 +2,9 @@
 
 The noncommutative rank of a matrix space V in M_{m,n} is (1/r) times the
 maximum rank in the blow-up V (x) M_r, attained for every r >= n-1, and by
-Fortin and Reutenauer the minimum size of a cover (E, F), V[E^perp] in F.
-The exact `Cover` (U^perp, V[U]) has size n minus the defect dim U -
-dim V[U], and bounds every blow-up rank by r times that size, while a
+Fortin and Reutenauer the minimum size n - dim U + dim V[U] of a cover:
+a subspace U with its image V[U].  That size is n minus the defect
+dim U - dim V[U], and bounds every blow-up rank by r times itself, while a
 sampled blow-up element of that rank is the primal.  Every blow-up draw
 goes through one loop, `relation.best_sample`, which enforces the side
 limit BLOWUP_DIM_BUDGET (order 1 of a nonzero space is the space itself
@@ -12,9 +12,9 @@ and always runs) and stops at the first draw whose rank meets r times its
 own bound.  `wong_rank` runs it for r = 1 .. n - 1 as far as the side
 allows, with the dual of each draw that beats the best so far read off
 the limit U' of its second Wong sequence (`wong_limit`): for `ncrank` the
-cover (U'^perp, V[U']), which matrix Kőnig reports as its minimum cover.
-An order that is not proved draws all `trials` and keeps the dual of its
-first maximum.  The path capacities of `menger` run the same orders on a
+cover (U', V[U']) itself, which matrix Kőnig reports as its minimum
+cover.  An order that is not proved draws all `trials` and keeps the dual
+of its first maximum.  The path capacities of `menger` run the same orders on a
 routing space, with a separator as the dual.  Matrix Dilworth takes the
 Jordan chains of a blow-up element that the same loop draws with the
 cover size as its bound: the one coherent decomposition that samples,
@@ -51,11 +51,10 @@ class CertifiedValue:
 
 
 def _defect_bound(V: MatrixSpace):
-    """(r, el) -> (cover (U'^perp, V[U']) of el's Wong limit U', its size: a bound on ncrank V)."""
+    """(r, el) -> (cover (U', V[U']) of el's Wong limit U', its size: a bound on ncrank V)."""
 
     def certify(r: int, el: Mat):
-        U, image = wong_limit(V, r, el)
-        cover = Cover(U.orthocomplement(), image)
+        cover = Cover(*wong_limit(V, r, el))
         return cover, cover.size
 
     return certify
@@ -90,9 +89,9 @@ def ncrank(V: MatrixSpace, sampler: GenericSampler) -> CertifiedValue:
 
     By the Wong-sequence theorem of Ivanyos, Karpinski, Qiao and Santha, a
     sample of maximum rank meets the cover bound of its own Wong limit, at
-    r = n - 1 at the latest.  The trivial dual is the cover (F^n, 0).
+    r = n - 1 at the latest.  The trivial dual is the cover (0, 0), of size n.
     """
-    trivial = Cover(Subspace.full(V.n), Subspace.zero(V.m))
+    trivial = Cover(Subspace.zero(V.n), Subspace.zero(V.m))
     return wong_rank(V, sampler, _defect_bound(V), (trivial, V.n))
 
 

@@ -5,8 +5,8 @@ induces the rank-one map w v^T, and the span of those maps is the matrix
 space the min-max machinery actually works with.  No check builds the
 span of a relation: the image V_R[U] of a subspace is the neighborhood
 span N(U), so `apply_space` and the nilpotency flag of
-`space_power_is_zero` run on the relation itself, as `perp_image` does
-with no complement.  The routing space of a path capacity
+`space_power_is_zero` run on the relation itself, and a cover (U, V[U])
+is checked with no complement.  The routing space of a path capacity
 (`routing_space`) is built here too, on a relation from the border and
 its rank-ones, with the basis the span would give; a check builds it
 once and its solver routes in that space.
@@ -224,13 +224,6 @@ def apply_space(V, E: Subspace) -> Subspace:
     if E.ambient != V.n:
         raise DimensionError("apply_space ambient mismatch")
     return Subspace.from_echelon(_image(V, E.int_rows(), V.m))
-
-
-def perp_image(V, E: Subspace) -> Subspace:
-    """V[E^perp]; on a relation, the w's of the pairs whose v lies outside (E^perp)^perp = E."""
-    if isinstance(V, Relation):
-        return Subspace.span(V.m, (w for v, w in V.pairs if not E.contains(v)))
-    return apply_space(V, E.orthocomplement())
 
 
 def wong_limit(V: MatrixSpace, r: int, A: Mat) -> tuple[Subspace, Subspace]:

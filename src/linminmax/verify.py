@@ -9,12 +9,12 @@ imported.  A relation R is checked as its rank-one space V_R: the image
 V_R[U] is the neighborhood span N(U), which `relation.apply_space` reads
 off the pairs without building the n*m-wide span.  So one predicate
 serves the relation and the matrix form of each theorem.  The dual of
-Kőnig, Hall, Lovász, ncrank and matrix Kőnig is one exact cover (E, F)
-with F = V[E^perp]: for a relation, F is the span of the w's of the
-pairs with v outside E, and E^perp is the shrunk subspace.  Each
-predicate checks its certificate by definition and computes every
-complement it reads: none for an antichain, nor for a relation's cover.
-A certificate whose ambient dimension does not fit the instance is
+Kőnig, Hall, Lovász, ncrank and matrix Kőnig is one exact cover: the
+shrunk subspace U with F = V[U], for a relation the span of the w's of
+the pairs whose v meets U.  A separator is (E~, X) with X = F~^perp.
+Each predicate checks its certificate by definition, by images,
+memberships and products, and takes no complement and no kernel.  A
+certificate whose ambient dimension does not fit the instance is
 invalid, never an error.
 """
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 from operator import mul
 
 from .exact_linalg import IntEchelon, Subspace, outer_sum
-from .relation import apply_space, doubly_independent, perp_image
+from .relation import apply_space, doubly_independent
 
 
 # ---------------------------------------------------------------------------
@@ -44,10 +44,10 @@ def verify_matching(R, m) -> bool:
 
 
 def verify_cover(V, c) -> bool:
-    """F is V[E^perp] exactly, recomputed: on a relation, the span of the w's with v not in E."""
-    if (c.E.ambient, c.F.ambient) != (V.n, V.m):
+    """F is V[U] exactly, recomputed: on a relation, the span of the w's whose v meets U."""
+    if (c.U.ambient, c.F.ambient) != (V.n, V.m):
         return False
-    return perp_image(V, c.E) == c.F
+    return apply_space(V, c.U) == c.F
 
 
 def verify_rado_report(sets, m: int, transversal, witness) -> bool:
@@ -142,19 +142,19 @@ def verify_coherent_decomposition(D, space=None, r: int = 1) -> bool:
 
 
 def verify_separator(V, E, F, sep) -> bool:
-    """E inside E~, F inside F~, and F~^perp and V[F~^perp] inside E~.
+    """E inside E~, F orthogonal to X = F~^perp, and X and V[X] inside E~.
 
-    For a relation the last condition says that every pair has v in F~ or
-    w in E~.
+    For a relation the last condition says that every pair has v
+    orthogonal to X or w in E~.
     """
-    if not sep.E_tilde.ambient == sep.F_tilde.ambient == V.n:
+    if not sep.E_tilde.ambient == sep.X.ambient == V.n:
         return False
-    f_perp = sep.F_tilde.orthocomplement()
+    xs = sep.X.int_rows()
     return (
         sep.E_tilde.contains_subspace(E)
-        and sep.F_tilde.contains_subspace(F)
-        and sep.E_tilde.contains_subspace(f_perp)
-        and sep.E_tilde.contains_subspace(apply_space(V, f_perp))
+        and not any(sum(map(mul, f, x)) for f in F.int_rows() for x in xs)
+        and sep.E_tilde.contains_subspace(sep.X)
+        and sep.E_tilde.contains_subspace(apply_space(V, sep.X))
     )
 
 

@@ -50,6 +50,21 @@ def rand_relation(rng, n, m, r, bound=2):
     return Relation(n, m, pairs)
 
 
+def planted_rado_family(rng, n, m):
+    """n sets of 2 or 3 vectors in F^m, the first three inside one plane: no transversal.
+
+    Each planted vector is a p + b q for one plane (p, q), with a and b drawn per vector.
+    """
+    p, q = rand_vec(rng, m), rand_vec(rng, m)
+    sets = []
+    for i in range(n):
+        if i < 3:
+            sets.append([p.scaled(rng.randint(-2, 2)) + q.scaled(rng.randint(1, 2)) for _ in range(2 + i % 2)])
+        else:
+            sets.append([rand_vec(rng, m) for _ in range(2 + i % 2)])
+    return sets
+
+
 def rand_subspace(rng, n, max_dim=None, bound=2):
     k = rng.randint(0, n if max_dim is None else max_dim)
     return Subspace.span(n, [rand_vec(rng, n, bound) for _ in range(k)])

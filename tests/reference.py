@@ -399,6 +399,24 @@ def ref_rref(rows):
     return rows[:pr], piv_cols
 
 
+def ref_kernel_rows(n, rows):
+    """Basis of {v : r . v = 0 for every row r}, by the reference RREF."""
+    red, piv = ref_rref(rows)
+    basis = []
+    for f in (j for j in range(n) if j not in piv):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for row, p in zip(red, piv):
+            v[p] = -row[f]
+        basis.append(v)
+    return basis
+
+
+def ref_nullspace(n, rows):
+    """The RREF rows of {v in F^n : r . v = 0 for every row r}, all in Fractions."""
+    return ref_rref(ref_kernel_rows(n, rows))[0]
+
+
 def in_span(S: Subspace, v: Vec) -> bool:
     """Membership by the reference RREF: v adds nothing to the rank of S's basis."""
     rows = [list(u.entries) for u in S.vectors]
@@ -447,7 +465,7 @@ def lovasz_max_rank(R: Relation) -> CertifiedValue:
 
     The value is n - d where d is the largest dimension defect dim S -
     dim N(S); the primal is the rank-one sum of a maximum matching, and
-    the cover's E^perp is a maximizing S.
+    the cover's U is a maximizing S.
     """
     matching, cover = matroid_intersection(R)
     return CertifiedValue(cover.size, matching.rank_one_sum(), cover)

@@ -637,9 +637,9 @@ def test_check_ncrank_rechecks_defect_rank_and_membership(tmp_path, capsys, monk
 
     skew = build_skew3()
     assert exit_with(skew, lambda cv: cv) == EXIT_PROVED
-    # the dual claims defect 1 with E^perp = span{e_0}, whose image skew3[E^perp] is 2-dimensional
-    e12 = Subspace.span(3, [unit_vec(3, 1), unit_vec(3, 2)])
-    wrong_defect = lambda cv: replace(cv, dual=replace(cv.dual, E=e12))
+    # the dual claims defect 1 with U = span{e_0}, whose image skew3[U] is 2-dimensional
+    e0 = Subspace.span(3, [unit_vec(3, 0)])
+    wrong_defect = lambda cv: replace(cv, dual=replace(cv.dual, U=e0))
     assert exit_with(skew, wrong_defect) == EXIT_VIOLATION
     low_rank = lambda cv: replace(cv, primal=(cv.primal[0], Mat.zeros(6, 6)))
     assert exit_with(skew, low_rank) == EXIT_VIOLATION

@@ -28,7 +28,7 @@ from linminmax.verify import verify_cover
 from linminmax.lgv import LgvInstance
 from linminmax.relation import MatrixSpace, Relation
 from conftest import as_lists, dot, rand_mat, rand_vec, vec
-from reference import in_span, ref_rref, subspace_intersection
+from reference import in_span, ref_kernel_rows, ref_nullspace, ref_rref, subspace_intersection
 
 
 def cofactor_det(m: Mat) -> Fraction:
@@ -230,19 +230,6 @@ def test_subspace_canonical_equality():
 # the integer engine against small Fraction references
 
 
-def ref_kernel_rows(n, rows):
-    """Basis of {v : r . v = 0 for every row r}, by the reference RREF."""
-    red, piv = ref_rref(rows)
-    basis = []
-    for f in (j for j in range(n) if j not in piv):
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for row, p in zip(red, piv):
-            v[p] = -row[f]
-        basis.append(v)
-    return basis
-
-
 def ref_span(n, rows):
     return tuple(vec(*r) for r in ref_rref(rows)[0])
 
@@ -412,6 +399,53 @@ def test_mat_arithmetic_matches_fraction_lists():
             ]
             w = rand_shape_rows(rng, 1, rows)[0] if rows else []
             assert as_lists(outer(vec(*w), vec(*u))) == [[x * y for y in u] for x in w]
+
+
+def _kernel_shape(rng, kind):
+    """A row list of the given kind: 0 rows, 0 columns, full row rank, with zero rows, with
+    repeated rows, or random rational entries of both signs."""
+    rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+    if kind == 0:
+        return [], cols
+    if kind == 1:
+        return [[] for _ in range(rows)], 0
+    if kind == 2:  # triangular with a nonzero diagonal, under a column shuffle
+        rows = min(rows, cols)
+        order = rng.sample(range(cols), cols)
+        a = [
+            [rng.choice((-3, -1, 1, 2)) if j == i else rng.randint(-4, 4) * (j > i) for j in range(cols)]
+            for i in range(rows)
+        ]
+        return [[r[order[j]] for j in range(cols)] for r in a], cols
+    a = [[rng.randint(-9, 9) * (rng.random() < 0.7) for _ in range(cols)] for _ in range(rows)]
+    if kind == 3:
+        a.insert(rng.randint(0, len(a)), [0] * cols)
+    elif kind == 4 and a:
+        a += [list(a[0]), [-2 * x for x in a[-1]]]
+    elif kind == 5:
+        a = [[Fraction(x, rng.choice((1, 2, 3, -7))) for x in r] for r in a]
+    return a, cols
+
+
+def test_kernel_is_the_fraction_rref_nullspace_in_one_elimination(monkeypatch):
+    """Mat.kernel equals the Fraction-RREF nullspace on 1,200 seeded shapes, and each call
+    builds one echelon and back-substitutes it once."""
+    built, substituted = [], []
+    init, back = IntEchelon.__init__, IntEchelon.back_substituted
+    monkeypatch.setattr(IntEchelon, "__init__", lambda self, width: built.append(width) or init(self, width))
+    monkeypatch.setattr(IntEchelon, "back_substituted", lambda self: substituted.append(1) or back(self))
+    rng = random.Random(89)
+    for t in range(1200):
+        a, cols = _kernel_shape(rng, t % 6)
+        m = Mat(a, cols)
+        built.clear()
+        substituted.clear()
+        k = m.kernel()
+        assert (len(built), len(substituted)) == (1, 1)
+        assert k.ambient == cols
+        assert [list(v.entries) for v in k.vectors] == ref_nullspace(cols, a)
+        if t % 6 == 2:
+            assert k.dim == cols - len(a)
 
 
 def test_mat_eliminations_match_fraction_references():
@@ -875,7 +909,7 @@ def test_membership_and_spans_build_no_fractions(monkeypatch):
     expected = [in_span(b, v) for v in vectors]
     assert all(type(t) is int for v in vectors for t in v.int_row() + (v.den,))
     assert all(
-        type(t) is int for s in (a, b, cover.E) for row in s.int_rows() for t in row
+        type(t) is int for s in (a, b, cover.U) for row in s.int_rows() for t in row
     )
 
     made = []

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from linminmax.errors import DimensionError
-from linminmax.exact_linalg import Subspace, Vec, unit_vec
+from linminmax.exact_linalg import Mat, Subspace, Vec, unit_vec
 from linminmax.matching_cover import (
     Matching,
     matroid_intersection,
@@ -20,8 +20,8 @@ from linminmax.relation import (
     routing_space,
     sample_element,
 )
-from linminmax.verify import verify_cover, verify_matching, verify_separator
-from conftest import rand_relation, rand_vec, vec
+from linminmax.verify import verify_cover, verify_matching, verify_rado_report, verify_separator
+from conftest import planted_rado_family, rand_relation, rand_vec, vec
 from reference import (
     BipartiteGraph,
     bipartite_max_matching,
@@ -180,7 +180,7 @@ def test_prop_lafact_both_directions(rng):
 
 
 def test_the_minimum_cover_is_exact(rng):
-    """F = N(E^perp) for the cover of every run, so E^perp is a shrunk subspace of defect n - |cover|.
+    """F = N(U) for the cover of every run, so U is a shrunk subspace of defect n - |cover|.
 
     Among the relations: zero vectors, repeated pairs, unsaturated ones, no pairs, and n = 0.
     """
@@ -193,7 +193,7 @@ def test_the_minimum_cover_is_exact(rng):
     unsaturated = 0
     for R in relations:
         cover = matroid_intersection(R)[1]
-        S = cover.E.orthocomplement()
+        S = cover.U
         assert cover.F == apply_space(R, S)
         assert S.dim - cover.F.dim == R.n - cover.size
         unsaturated += cover.size < R.n
@@ -201,7 +201,7 @@ def test_the_minimum_cover_is_exact(rng):
 
 
 def test_a_spanning_matching_gives_the_full_space_without_a_span(monkeypatch):
-    """When the matching's v's span F^n, E is F^n by its size alone, and F = 0."""
+    """When the matching's v's span F^n, U is 0 by its size alone, and F = 0."""
     spans = []
     span = Subspace.span
 
@@ -220,8 +220,8 @@ def test_a_spanning_matching_gives_the_full_space_without_a_span(monkeypatch):
         spans.clear()
         matching, cover = matroid_intersection(R)
         assert matching.size == n
-        assert cover.E == Subspace.full(n) and cover.F == Subspace.zero(m)
-        assert all(ambient == m for ambient, _ in spans), spans  # F alone, never E
+        assert cover.U == Subspace.zero(n) and cover.F == Subspace.zero(m)
+        assert all(ambient == m for ambient, _ in spans), spans  # F alone, never U
         assert verify_cover(R, cover)
 
 
@@ -258,7 +258,7 @@ def test_saturated_matching_examples():
     shared = Relation(4, 4, [(e(0), e(1)), (e(0), e(2)), (e(0), e(3))])
     matching, witness = matroid_intersection(shared)
     assert matching.size < shared.n and verify_cover(shared, witness)
-    S = witness.E.orthocomplement()
+    S = witness.U
     assert S.dim > witness.F.dim
     assert S.contains(e(1))
 
@@ -293,7 +293,7 @@ def test_defect_matching(rng):
             else:
                 # too-small defect yields a witness
                 assert verify_cover(R, cover)
-                assert cover.E.orthocomplement().dim - cover.F.dim > d
+                assert cover.U.dim - cover.F.dim > d
 
 
 def test_extract_matching(rng):
@@ -318,7 +318,7 @@ def test_lovasz_max_rank(rng):
     shared = Relation(4, 4, [(e(0), e(1)), (e(0), e(2)), (e(0), e(3))])
     cv = lovasz_max_rank(shared)
     assert cv.value == 1
-    assert cv.dual.E.orthocomplement() == Subspace.span(4, [e(1), e(2), e(3)])
+    assert cv.dual.U == Subspace.span(4, [e(1), e(2), e(3)])
     assert shared.n - cv.dual.size == 3
 
     for _ in range(10):
@@ -372,3 +372,47 @@ def test_rado_agrees_with_exhaustive(rng):
             assert Subspace.span(m, tr).dim == n
             for i, v in enumerate(tr):
                 assert v in sets[i]
+
+
+def test_rado_finds_the_planted_plane(rng):
+    """Three sets inside one plane: the violating family verifies, and its union is deficient."""
+    for _ in range(30):
+        m = rng.randint(3, 8)
+        n = rng.randint(3, m)
+        sets = planted_rado_family(rng, n, m)
+        tr, wit = rado_transversal(sets, m)
+        assert tr is None and verify_rado_report(sets, m, None, wit)
+        assert Subspace.span(m, [v for i in wit for v in sets[i]]).dim < len(wit)
+
+
+def test_konig_prints_the_complement_of_the_shrunk_subspace(rng):
+    """On deficient relations, the E that `check konig` prints is U^perp, and the check exits 0."""
+    from linminmax.cli import EXIT_PROVED, RunConfig, check_konig, gen_relation
+
+    for seed in range(30):
+        n = rng.randint(2, 6)
+        data = gen_relation(random.Random(seed), n, rng.randint(1, 6), rng.randint(1, n - 1))
+        cover = matroid_intersection(Relation.from_json(data))[1]
+        report, code = check_konig(data, RunConfig(seed))
+        assert code == EXIT_PROVED and cover.size < n
+        assert report["cover"] == {"E": cover.U.orthocomplement().to_json(), "F": cover.F.to_json()}
+
+
+def test_a_matching_of_size_n_takes_no_kernel(monkeypatch):
+    """A saturating matching leaves U = 0 with no elimination; `konig` and `hall` then take no kernel."""
+    from linminmax.cli import EXIT_PROVED, RunConfig, check_hall, check_konig
+
+    def refused(self):
+        raise AssertionError("kernel taken")
+
+    monkeypatch.setattr(Mat, "kernel", refused)
+    rng = random.Random(73)
+    for _ in range(30):
+        n, m = rng.randint(1, 5), rng.randint(5, 7)
+        pairs = [(rand_vec(rng, n), rand_vec(rng, m)) for _ in range(rng.randint(0, 6))]
+        pairs += [(unit_vec(n, i), unit_vec(m, i)) for i in range(n)]
+        R = Relation(n, m, rng.sample(pairs, len(pairs)))
+        matching, cover = matroid_intersection(R)
+        assert matching.size == n and cover.U == Subspace.zero(n)
+        for check in (check_konig, check_hall):
+            assert check(R.to_json(), RunConfig())[1] == EXIT_PROVED

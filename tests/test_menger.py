@@ -49,7 +49,8 @@ def test_f7_capacity_and_separator():
     sep = mpc(R, E, F, routing_space(R, E, F), GenericSampler(seed=6)).dual
     assert sep.size == 1
     assert sep.E_tilde == Subspace.span(7, e[0:4])
-    assert sep.F_tilde == Subspace.span(7, e[3:7])
+    assert sep.X == Subspace.span(7, e[0:3])  # F~ = X^perp
+    assert sep.to_json()["F_tilde"] == Subspace.span(7, e[3:7]).to_json()
     assert verify_separator(R, E, F, sep)
 
 
@@ -316,38 +317,39 @@ def test_routing_space_echelons_once(echelon_widths):
 
 
 def test_separator_size_is_computed_once(monkeypatch, capsys):
-    """A menger check sums E~ and F~ once per separator, however often it reads the size.
+    """A menger check ranks the products of E~ with X once per separator, however often it reads the size.
 
-    The size is dim E~ + dim F~ - dim(E~ + F~); the other sums build E~.
+    The size is dim E~ minus that rank; menger ranks nothing else.
     """
     from pathlib import Path
 
     from linminmax import menger
     from linminmax.cli import main
 
-    calls, separators = [], []
-    total = menger.subspace_sum
+    ranks, separators = [], []
 
-    def counting(a, b):
-        calls.append((a, b))
-        return total(a, b)
+    class Counting(menger.Mat):
+        def rank(self):
+            ranks.append((self.rows, self.cols))
+            return super().rank()
 
     class Recorded(menger.Separator):
         def __init__(self, *args):
             super().__init__(*args)
             separators.append(self)
 
-    monkeypatch.setattr(menger, "subspace_sum", counting)
+    monkeypatch.setattr(menger, "Mat", Counting)
     monkeypatch.setattr(menger, "Separator", Recorded)
     golden = Path(__file__).parent / "golden"
     for theorem in ("menger", "matrix-menger"):
-        calls.clear()
+        ranks.clear()
         separators.clear()
         assert main(["check", theorem, str(golden / f"{theorem}.json")]) == 0
         capsys.readouterr()
-        sizes = [c for c in calls if any(c == (s.E_tilde, s.F_tilde) for s in separators)]
         assert len(separators) == 2  # the trivial dual and the Wong separator
-        assert len(sizes) == 1  # the Wong separator's size; the trivial one is never read
+        # the Wong separator's size; the trivial one is never read
+        wong = separators[1]
+        assert ranks == [(wong.E_tilde.dim, wong.X.dim)]
 
 
 def test_path_capacities_on_the_zero_space():

@@ -89,7 +89,7 @@ def test_ncrank_examples():
     assert cv.value == 1 and e11.n - cv.dual.size == 1
     witness = ncrank(e11, GenericSampler(seed=12)).dual
     assert e11.n - witness.size == 1
-    assert witness.E.orthocomplement().contains(unit_vec(2, 1))
+    assert witness.U.contains(unit_vec(2, 1))
 
     v0 = MatrixSpace(3, 3, [])
     cv = ncrank(v0, GenericSampler(seed=13))
@@ -150,7 +150,7 @@ def test_matrix_min_cover(rng):
 
 
 def test_the_ncrank_dual_is_an_exact_cover(rng):
-    """F = V[E^perp] for the dual of `ncrank`: random spaces, skew3 and zero spaces."""
+    """F = V[U] for the dual of `ncrank`: random spaces, skew3 and zero spaces."""
     spaces = [skew3(), MatrixSpace(3, 3, []), MatrixSpace(2, 3, [])]
     for _ in range(15):
         m, n = rng.randint(1, 3), rng.randint(1, 3)
@@ -158,12 +158,12 @@ def test_the_ncrank_dual_is_an_exact_cover(rng):
         spaces.append(MatrixSpace.spanned(m, n, gens))
     for seed, V in enumerate(spaces):
         cv = ncrank(V, GenericSampler(seed=seed))
-        assert cv.dual.F == apply_space(V, cv.dual.E.orthocomplement())
+        assert cv.dual.F == apply_space(V, cv.dual.U)
         assert cv.value <= cv.dual.size
 
 
 def test_matrix_antichain():
-    """(E + F)^perp of the minimum cover; the identity has no coherent decomposition."""
+    """U n F^perp of the minimum cover (U, F); the identity has no coherent decomposition."""
     v0 = MatrixSpace(3, 3, [])
     assert ncrank(v0, GenericSampler(seed=27)).dual.antichain() == Subspace.full(3)
 
@@ -380,7 +380,7 @@ def test_wong_limit_matches_the_blown_up_sequence(rng):
 
 def _check_ncrank_certificate(V, cv):
     """The dual's defect, the element's membership in V (x) M_r and its rank."""
-    U = cv.dual.E.orthocomplement()
+    U = cv.dual.U
     assert cv.dual.F == apply_space(V, U)
     assert V.n - cv.dual.size == U.dim - apply_space(V, U).dim
     assert cv.value == cv.dual.size

@@ -129,24 +129,24 @@ def test_acyclicity_builds_no_span(monkeypatch):
     assert spans == []
 
 
-# At most this many `Mat.kernel` calls per golden check and demo.  A
-# subspace keeps no complement, so each one read is computed where it is
-# read; none is taken for a zero or full subspace, for a relation's cover
-# or antichain in `verify`, or for the cut of X to F^perp in `mpc`.
+# At most this many `Mat.kernel` calls per golden check and demo.  A cover
+# keeps its shrunk subspace U and a separator X = F~^perp, so a complement
+# is taken only where a report prints one; none is taken for a zero or full
+# subspace, in `verify`, or for a Wong cover or the cut of X to F^perp.
 KERNEL_CALLS = {
     "coherent": 5,
     "dilworth": 1,
     "hall": 1,
     "konig": 0,
     "lgv": 0,
-    "matrix-dilworth": 6,
+    "matrix-dilworth": 4,
     "matrix-konig": 0,
     "matrix-menger": 0,
-    "menger": 2,
+    "menger": 1,
     "ncrank": 0,
     "rado": 0,
     "demo linorder-f4": 5,
-    "demo menger-f7": 2,
+    "demo menger-f7": 1,
     "demo skew3": 0,
 }
 
@@ -242,7 +242,7 @@ def test_the_intersection_stops_exactly_when_the_matching_spans_the_vs(rng, monk
         rounds = [tuple(args[1]) for args in circuits]
         assert all(len(I) < span_v.dim for I in rounds)
         if matching.size == span_v.dim:
-            assert (cover.E, cover.F) == (span_v, Subspace.zero(R.m))
+            assert (cover.U, cover.F) == (span_v.orthocomplement(), Subspace.zero(R.m))
             stopped += 1
         else:
             assert rounds[-1] == matching.indices
@@ -274,6 +274,27 @@ def test_the_lgv_check_runs_no_fraction_solve(acyclic, tmp_path, monkeypatch, ca
     assert main(["check", "lgv", str(path), "--output", "json"]) == EXIT_PROVED
     assert json.loads(capsys.readouterr().out)["acyclic"] is acyclic
     assert solves == [] and dets == []
+
+
+@pytest.mark.parametrize("theorem", ["ncrank", "matrix-konig"])
+def test_space_covers_take_no_complement(theorem, tmp_path, monkeypatch, capsys):
+    """The Wong limit U is the cover: no kernel and no complement, also where U is proper."""
+    from reference import to_matrix_space
+
+    taken = []
+    monkeypatch.setattr(Mat, "kernel", lambda self: taken.append(self))
+    monkeypatch.setattr(Subspace, "orthocomplement", lambda self: taken.append(self))
+    proper = 0
+    for seed in range(6):
+        V = to_matrix_space(Relation.from_json(gen_linorder(random.Random(seed), 3 + seed % 3)))
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(V.to_json()))
+        assert main(["check", theorem, str(path), "--output", "json", "--seed", str(seed)]) == EXIT_PROVED
+        if theorem == "ncrank":
+            proper += 0 < len(json.loads(capsys.readouterr().out)["witness"]["E"][0]) < V.n
+        capsys.readouterr()
+    assert taken == []
+    assert theorem == "matrix-konig" or proper >= 3
 
 
 @pytest.mark.parametrize("theorem", sorted(KERNEL_CALLS))

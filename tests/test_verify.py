@@ -33,7 +33,7 @@ from linminmax.relation import (
     routing_space,
     sample_element,
 )
-from conftest import blow_up, rand_mat
+from conftest import blow_up, planted_rado_family, rand_mat, rand_subspace
 from reference import to_matrix_space
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -128,13 +128,13 @@ def test_check_hall_recomputes_the_witness_neighborhood(tmp_path, capsys, monkey
 
     def shrunk(R):
         matching, w = original(R)
-        assert w.E.orthocomplement() == Subspace.span(3, e[:2]) and w.F.dim == 1
+        assert w.U == Subspace.span(3, e[:2]) and w.F.dim == 1
         return matching, replace(w, F=Subspace.zero(3))
 
     def unshrunk(R):
         # a true image of S = span{e_0}, but of the same dimension: no defect, so no witness
         matching, w = original(R)
-        return matching, replace(w, E=Subspace.span(3, e[1:]), F=Subspace.span(3, e[:1]))
+        return matching, replace(w, U=Subspace.span(3, e[:1]), F=Subspace.span(3, e[:1]))
 
     assert _check(capsys, "hall", path)[0] == EXIT_PROVED
     monkeypatch.setattr(matching_cover, "matroid_intersection", shrunk)
@@ -144,17 +144,17 @@ def test_check_hall_recomputes_the_witness_neighborhood(tmp_path, capsys, monkey
 
 
 def test_a_cover_must_be_exactly_the_image():
-    """E^perp = span{e_0, e_1} meets only w = e_0: F = span{e_0} and nothing larger or smaller."""
+    """U = span{e_0, e_1} meets only w = e_0: F = span{e_0} and nothing larger or smaller."""
     e = [unit_vec(3, i) for i in range(3)]
     R = Relation(3, 3, [(e[0], e[0]), (e[1], e[0]), (e[2], e[1])])
-    E = Subspace.span(3, e[2:])
+    U = Subspace.span(3, e[:2])
     for V in (R, to_matrix_space(R)):
-        assert verify.verify_cover(V, Cover(E, Subspace.span(3, e[:1])))
-        # a cover with a larger F, but not the image of E^perp
-        assert not verify.verify_cover(V, Cover(E, Subspace.span(3, e[:2])))
+        assert verify.verify_cover(V, Cover(U, Subspace.span(3, e[:1])))
+        # a cover with a larger F, but not the image of U
+        assert not verify.verify_cover(V, Cover(U, Subspace.span(3, e[:2])))
         # F misses the image vector e_0
-        assert not verify.verify_cover(V, Cover(E, Subspace.span(3, e[1:2])))
-        assert not verify.verify_cover(V, Cover(E, Subspace.zero(3)))
+        assert not verify.verify_cover(V, Cover(U, Subspace.span(3, e[1:2])))
+        assert not verify.verify_cover(V, Cover(U, Subspace.zero(3)))
 
 
 def test_an_antichain_must_be_orthogonal_to_its_image():
@@ -177,9 +177,9 @@ def test_relation_covers_and_antichains_take_no_complement(monkeypatch):
         raise AssertionError("orthocomplement taken")
 
     monkeypatch.setattr(Subspace, "orthocomplement", refused)
-    E = Subspace.span(3, e[2:])
-    assert verify.verify_cover(R, Cover(E, Subspace.span(3, e[:1])))
-    assert not verify.verify_cover(R, Cover(E, Subspace.span(3, e[:2])))
+    U = Subspace.span(3, e[:2])
+    assert verify.verify_cover(R, Cover(U, Subspace.span(3, e[:1])))
+    assert not verify.verify_cover(R, Cover(U, Subspace.span(3, e[:2])))
     for V in (R, to_matrix_space(R)):
         assert verify.verify_antichain(V, Subspace.span(3, e[2:]))
         assert not verify.verify_antichain(V, Subspace.span(3, e[:1]))
@@ -341,6 +341,12 @@ def _smaller(S: Subspace) -> Subspace:
     return Subspace.span(S.ambient, S.vectors[:-1])
 
 
+def _larger(S: Subspace) -> Subspace:
+    """S with the first unit vector outside it, if any: then its complement loses a dimension."""
+    units = (unit_vec(S.ambient, i) for i in range(S.ambient))
+    return Subspace.span(S.ambient, S.vectors + tuple(u for u in units if not S.contains(u))[:1])
+
+
 def _space_file(tmp_path, V: MatrixSpace):
     path = tmp_path / "space.json"
     path.write_text(json.dumps(V.to_json()))
@@ -348,11 +354,13 @@ def _space_file(tmp_path, V: MatrixSpace):
 
 
 def test_verify_cover_rejects_a_smaller_E():
-    """skew15 has ncrank 15, so no cover of size 14 exists."""
+    """skew15 has ncrank 15, so no cover of size 14 exists: a larger U, a smaller E = U^perp, is refused."""
     V = _skew(15, 15)
     cover = ncrank.ncrank(V, GenericSampler(seed=0)).dual
     assert verify.verify_cover(V, cover)
-    assert not verify.verify_cover(V, replace(cover, E=_smaller(cover.E)))
+    larger = replace(cover, U=_larger(cover.U))
+    assert larger.size == 14
+    assert not verify.verify_cover(V, larger)
 
 
 def test_verify_antichain_rejects_a_larger_C():
@@ -369,17 +377,44 @@ def test_verify_antichain_rejects_a_larger_C():
 
 
 def test_verify_separator_rejects_a_smaller_F_tilde():
+    """A smaller F~ = X^perp, that is a larger X, is refused."""
     R, E, _ = build_menger_f7()
     F = Subspace.span(7, [unit_vec(7, 5)])
     for V in (R, to_matrix_space(R)):
         sep = menger.mpc(V, E, F, routing_space(V, E, F), GenericSampler(seed=0)).dual
         assert verify.verify_separator(V, E, F, sep)
-        assert not verify.verify_separator(V, E, F, replace(sep, F_tilde=_smaller(sep.F_tilde)))
+        assert not verify.verify_separator(V, E, F, replace(sep, X=_larger(sep.X)))
+
+
+def test_verify_separator_checks_each_condition():
+    """On menger-f7, each condition alone refuses a separator (E~, X) that meets the others."""
+    R, E, F = build_menger_f7()
+    e = [unit_vec(7, i) for i in range(7)]
+    span = lambda *vs: Subspace.span(7, vs)
+    for V in (R, to_matrix_space(R)):
+        cases = [
+            # E inside E~
+            (span(*e[1:]), Subspace.zero(7), False),
+            # F orthogonal to X, with E~ = F^7 for the rest
+            (Subspace.full(7), span(e[0]), True),
+            (Subspace.full(7), span(e[5]), False),
+            # X inside E~: X = span{e_2} is orthogonal to F, and V[X] = 0
+            (span(*e[:3]), span(e[2]), True),
+            (E, span(e[2]), False),
+            # V[X] inside E~: X = span{e_3 + e_4} meets only v = e_3 + e_4, whose w is e_5
+            (span(e[0], e[1], e[3] + e[4], e[5]), span(e[3] + e[4]), True),
+            (span(e[0], e[1], e[3] + e[4]), span(e[3] + e[4]), False),
+        ]
+        for e_tilde, X, holds in cases:
+            assert verify.verify_separator(V, E, F, Separator(e_tilde, X)) == holds
 
 
 @pytest.mark.parametrize("theorem", ["ncrank", "matrix-konig"])
 def test_a_cover_with_a_smaller_E_exits_1(theorem, tmp_path, capsys, monkeypatch):
-    """Each cover's E loses its last row: the value 15 outgrows a cover of 14 that is not one."""
+    """Each cover's E = U^perp loses a dimension, as U gains one.
+
+    The value 15 outgrows a cover of 14 that is not one.
+    """
     path = _space_file(tmp_path, _skew(15, 15))
     assert _check(capsys, theorem, path)[0] == EXIT_PROVED
     original = ncrank._defect_bound
@@ -389,7 +424,7 @@ def test_a_cover_with_a_smaller_E_exits_1(theorem, tmp_path, capsys, monkeypatch
 
         def smaller(r, el):
             cover, _ = certify(r, el)
-            cover = replace(cover, E=_smaller(cover.E))
+            cover = replace(cover, U=_larger(cover.U))
             return cover, cover.size
 
         return smaller
@@ -605,3 +640,80 @@ def test_verify_imports_only_the_kernels():
         elif isinstance(node, ast.Import):
             assert all(a.name.split(".")[0] in sys.stdlib_module_names for a in node.names)
     assert inside <= {"exact_linalg", "relation", "errors"}
+
+
+# ---------------------------------------------------------------------------
+# no predicate takes a complement or a kernel
+
+
+def _corpus_sample(tmp_path):
+    """The argvs of seeded small checks of every theorem but lgv: relations with and without
+    a saturating matching, linorders and their spaces, random matrix spaces, path
+    instances on both, and Rado families with a planted plane."""
+    from linminmax import cli
+
+    out = []
+
+    def add(theorems, data, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        out.extend(["check", t, str(path), "--trials", "10"] for t in theorems)
+
+    for seed in range(4):
+        rng = random.Random(seed)
+        n = 3 + seed
+        subspaces = {k: rand_subspace(rng, n, 2).to_json() for k in "EF"}
+        for r in (n - 2, 2 * n):
+            data = cli.gen_relation(rng, n, n, r)
+            add(["konig", "hall", "menger"], dict(data, **subspaces), f"relation-{seed}-{r}")
+        linorder = Relation.from_json(cli.gen_linorder(rng, n))
+        add(["dilworth", "coherent"], linorder.to_json(), f"linorder-{seed}")
+        add(["matrix-dilworth", "ncrank"], to_matrix_space(linorder).to_json(), f"linspace-{seed}")
+        space = cli.gen_matrixspace(rng, n, n, 2)
+        add(["ncrank", "matrix-konig", "matrix-menger"], dict(space, **subspaces), f"space-{seed}")
+        sets = planted_rado_family(rng, n, n + 1)
+        add(["rado"], {"m": n + 1, "sets": [[v.to_json() for v in s] for s in sets]}, f"rado-{seed}")
+    return out
+
+
+def test_no_predicate_takes_a_complement_or_a_kernel(tmp_path, capsys, monkeypatch):
+    """Over the golden checks, the demos and a seeded sample, no call to a `verify` predicate
+    reaches `Subspace.orthocomplement`, `Mat.kernel` or `int_kernel`, while the checks
+    around them still do."""
+    from linminmax import exact_linalg, relation
+
+    inside, taken, outside, ran = [], [], [], set()
+
+    def watched(name, fn):
+        def call(*args, **kwargs):
+            (taken if inside else outside).append((tuple(inside), name))
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(Subspace, "orthocomplement", watched("orthocomplement", Subspace.orthocomplement))
+    monkeypatch.setattr(Mat, "kernel", watched("Mat.kernel", Mat.kernel))
+    for module in (exact_linalg, relation):
+        monkeypatch.setattr(module, "int_kernel", watched("int_kernel", module.int_kernel))
+    for name, fn in PREDICATES.items():
+
+        def predicate(*args, name=name, fn=fn, **kwargs):
+            inside.append(name)
+            ran.add(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(verify, name, predicate)
+    runs = [["check", e["theorem"], str(GOLDEN / e["instance"])] for e in MANIFEST]
+    runs += [["demo", d] for d in ("linorder-f4", "menger-f7", "skew3")]
+    runs += _corpus_sample(tmp_path)
+    codes = []
+    for argv in runs:
+        codes.append(main(argv))
+        capsys.readouterr()
+    assert taken == []
+    assert codes == [EXIT_PROVED] * len(runs)
+    assert ran == set(PREDICATES)
+    assert {name for _, name in outside} == {"orthocomplement", "Mat.kernel", "int_kernel"}
