@@ -645,14 +645,6 @@ class Mat:
         return cls._raw(tuple(map(tuple, rows)), den, _width(rows, cols))
 
 
-def outer(w: Vec, v: Vec) -> Mat:
-    """Rank-one matrix w v^T sending u to (v . u) w."""
-    vn = v.int_row()
-    return Mat.from_int_rows(
-        tuple(tuple([x * y for y in vn]) for x in w.int_row()), w.den * v.den, v.dim
-    )
-
-
 def outer_sum(pairs, rows: int, cols: int) -> Mat:
     """sum of w v^T over the (v, w) in `pairs`, accumulated on integers."""
     terms = []

@@ -9,15 +9,18 @@ the routing space of V (`relation.routing_space`), which the caller builds
 once from the instance, so `mpc` is the noncommutative rank of that space
 minus n, found by `ncrank.wong_rank`: a sampled routing element of order
 r is the primal, and the dual is read off the limit U' of its second Wong
-sequence (`relation.wong_limit`).  The separator is kept as (E~, X), with
-X = F~^perp the projection of U' onto the first n coordinates, cut to
-F^perp by `exact_linalg.meet_perp`, and E~ = X + E + V[X]; F~ is taken
-for the report alone.  The value is proved when the rank of the element
-is r(n + size).
+sequence (`relation.wong_limit`).  The routing space is held as its
+generators, with no elimination, and the element carries the
+coefficients by which `verify` checks it.  The separator is kept as
+(E~, X), with X = F~^perp the projection of U' onto the first n
+coordinates, cut to F^perp by `exact_linalg.meet_perp`, and
+E~ = X + E + V[X]; F~ is taken for the report alone.  The value is
+proved when the rank of the element is r(n + size).
 
 The coherent path capacity of a relation R is the matricial one of its
 space V_R, and `mpc` takes R itself: the routing space of R is spanned
-by the border and the embedded rank-ones w v^T, and V_R[X] is the
+by the border and the embedded rank-ones w v^T, whose image of U is w
+wherever v meets U's first n coordinates, and V_R[X] is the
 neighborhood span N(X), so the n*m-wide span V_R is never built.
 V_R[X] lies inside E~ exactly when every pair has v orthogonal to X or w
 in E~, so the separator is one in the relation sense too, and it meets
@@ -33,7 +36,7 @@ from operator import mul
 
 from .exact_linalg import Mat, Subspace, meet_perp, subspace_sum
 from .ncrank import CertifiedValue, wong_rank
-from .relation import GenericSampler, MatrixSpace, apply_space, wong_limit
+from .relation import GenericSampler, RoutingSpace, apply_space, wong_limit
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,7 @@ class Separator:
 
 
 def mpc(
-    V, E: Subspace, F: Subspace, routing: MatrixSpace, sampler: GenericSampler
+    V, E: Subspace, F: Subspace, routing: RoutingSpace, sampler: GenericSampler
 ) -> CertifiedValue:
     """Matricial path capacity: ncrank of `routing`, the routing space of V, minus n.
 

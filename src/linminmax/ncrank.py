@@ -48,6 +48,7 @@ class CertifiedValue:
     value: int
     primal: object
     dual: object
+    ranks: tuple = ()  # the largest sampled rank at each blow-up order drawn, from r = 1
 
 
 def _defect_bound(V: MatrixSpace):
@@ -72,16 +73,17 @@ def wong_rank(V: MatrixSpace, sampler: GenericSampler, certify, trivial) -> Cert
     first certificate of smallest bound, or the `trivial` (cert, bound)
     pair, which holds for every draw, when none bounds lower.
     """
-    best, primal, dual = -1, None, trivial
+    best, primal, dual, ranks = -1, None, trivial, ()
     for r in range(1, max(1, min(V.n - 1, BLOWUP_DIM_BUDGET // max(V.m, V.n, 1))) + 1):
         rank_r, el, (cert, bound) = best_sample(V, sampler, r, partial(certify, r))
+        ranks += (rank_r,)
         if rank_r == r * bound:
-            return CertifiedValue(bound, (r, el), cert)
+            return CertifiedValue(bound, (r, el), cert, ranks)
         if bound < dual[1]:
             dual = (cert, bound)
         if rank_r // r > best:
             best, primal = rank_r // r, (r, el)
-    return CertifiedValue(best, primal, dual[0])
+    return CertifiedValue(best, primal, dual[0], ranks)
 
 
 def ncrank(V: MatrixSpace, sampler: GenericSampler) -> CertifiedValue:

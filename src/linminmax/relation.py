@@ -7,9 +7,8 @@ span of a relation: the image V_R[U] of a subspace is the neighborhood
 span N(U), so `apply_space` and the nilpotency flag of
 `space_power_is_zero` run on the relation itself, and a cover (U, V[U])
 is checked with no complement.  The routing space of a path capacity
-(`routing_space`) is built here too, on a relation from the border and
-its rank-ones, with the basis the span would give; a check builds it
-once and its solver routes in that space.
+(`routing_space`) is held as its generators, with no elimination, and
+a draw carries the coefficients by which `verify` checks it.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .exact_linalg import (
     int_kernel,
     json_int,
     json_list,
-    outer,
 )
 
 
@@ -90,16 +88,21 @@ class Relation:
             [(Vec.from_json(v), Vec.from_json(w)) for v, w in json_list(data["pairs"])],
         )
 
+    def images(self, rows):
+        """The w of each pair whose v meets the span of `rows`: they span V_R[U] = N(U)."""
+        return (
+            w.int_row() for v, w in self.pairs if any(sum(map(mul, v.int_row(), u)) for u in rows)
+        )
+
 
 class MatrixSpace:
     """Span of a list of m x n matrices, kept on its independent generators.
 
-    Every space is built by `_span`: the prefix-greedy independent sub-list
-    of the generators is the basis, and the integer echelon that chose it
-    serves the membership tests.  `MatrixSpace(m, n, basis)` refuses a
-    dependent basis; `MatrixSpace.spanned` keeps what a spanning list spans.
-    The basis is also kept as integer rows over one common denominator
-    (`int_basis[i]` is `den` times `basis[i]`).
+    The prefix-greedy independent sub-list of the generators is the basis,
+    and the integer echelon that chose it serves `is_nilpotent_algebra`;
+    `MatrixSpace(m, n, basis)` refuses a dependent basis.  The basis is
+    also kept as integer rows over one common denominator (`int_basis[i]`
+    is `den` times `basis[i]`).
     """
 
     __slots__ = ("m", "n", "basis", "int_basis", "den", "_echelon", "_nilpotent")
@@ -109,13 +112,6 @@ class MatrixSpace:
         self._span(m, n, basis)
         if len(self.basis) != len(basis):
             raise ValueError("matrix space basis is linearly dependent")
-
-    @classmethod
-    def spanned(cls, m: int, n: int, generators) -> "MatrixSpace":
-        """The span of `generators`."""
-        space = cls.__new__(cls)
-        space._span(m, n, tuple(generators))
-        return space
 
     def _span(self, m: int, n: int, generators: tuple):
         if m < 0 or n < 0:
@@ -137,20 +133,9 @@ class MatrixSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, a: Mat, r: int = 1) -> bool:
-        """Whether a lies in V (x) M_r, the layout `sample_element` draws.
-
-        It does exactly when each of its r^2 slices (a[i r + k][j r + l])_{i,j}
-        lies in V; each slice is one reduction against the echelon of V.
-        """
-        if (a.rows, a.cols) != (self.m * r, self.n * r):
-            raise DimensionError("membership test with wrong shape")
-        rows = a.int_rows()
-        return all(
-            self._echelon.contains([x for row in rows[k::r] for x in row[l::r]])
-            for k in range(r)
-            for l in range(r)
-        )
+    def images(self, rows):
+        """B u for each basis matrix B and each u in `rows`: they span V[U]."""
+        return ([sum(map(mul, row, u)) for row in b] for b in self.int_basis for u in rows)
 
     def to_json(self):
         return {"m": self.m, "n": self.n, "basis": [b.to_json() for b in self.basis]}
@@ -183,6 +168,15 @@ class GenericSampler:
         return self._rng.randint(-self.coeff_bound, self.coeff_bound)
 
 
+class Draw(Mat):
+    """An element sum_B B (x) C_B of V (x) M_r that carries its coefficients.
+
+    `coeffs[b]` is C_B of V's b-th generator in `int_basis`: r rows of r integers.
+    """
+
+    __slots__ = ("coeffs",)
+
+
 # ---------------------------------------------------------------------------
 # operations
 
@@ -190,20 +184,12 @@ class GenericSampler:
 def _image(V, rows, cap: int) -> IntEchelon:
     """Echelon of V[U] on integer rows, U spanned by `rows`; stops at rank cap.
 
-    V is a matrix space, or a relation R standing for its span V_R: then
-    V_R[U] is the neighborhood span N(U), the w's of the pairs whose v
-    meets U, and the n*m-wide span is never built.
+    The rows that span V[U] come from `V.images`: on a relation R standing
+    for its span V_R, the w's of the pairs whose v meets U, so the n*m-wide
+    span is never built; on a routing space, the border's and V's images.
     """
     ech = IntEchelon(V.m)
-    if isinstance(V, Relation):
-        images = (
-            w.int_row()
-            for v, w in V.pairs
-            if any(sum(map(mul, v.int_row(), u)) for u in rows)
-        )
-    else:
-        images = ([sum(map(mul, row, u)) for row in b] for b in V.int_basis for u in rows)
-    for image in images:
+    for image in V.images(rows):
         ech.add(image)
         if ech.rank == cap:
             break
@@ -259,15 +245,16 @@ def wong_limit(V: MatrixSpace, r: int, A: Mat) -> tuple[Subspace, Subspace]:
         W = grown
 
 
-def sample_element(V: MatrixSpace, sampler: GenericSampler, r: int = 1) -> Mat:
+def sample_element(V, sampler: GenericSampler, r: int = 1) -> Mat:
     """Random integer element sum_B B (x) C_B of V (x) M_r, C_B drawn row by row.
 
     Entry (i k, j l) of the element is sum_B B[i][j] C_B[k][l]: the dot
-    product of the column (B[i][j])_B of the integer basis rows with the
-    coefficients (C_B[k][l])_B.  At r = 1 it is the combination
-    sum_B c_B B.  Every generic element in the package is drawn here.
+    product of the column (B[i][j])_B of the integer generator rows
+    `V.int_basis` with the coefficients (C_B[k][l])_B.  At r = 1 it is the
+    combination sum_B c_B B.  The `Draw` carries the C_B.  Every generic
+    element in the package is drawn here.
     """
-    if V.dim == 0:
+    if not V.int_basis:
         return Mat.zeros(V.m * r, V.n * r)
     drawn = [
         [[sampler.coefficient() for _ in range(r)] for _ in range(r)]
@@ -279,7 +266,9 @@ def sample_element(V: MatrixSpace, sampler: GenericSampler, r: int = 1) -> Mat:
         cols = list(zip(*(b[i] for b in V.int_basis)))
         for coeffs in cells:
             rows.append(tuple([sum(map(mul, col, c)) for col in cols for c in coeffs]))
-    return Mat.from_int_rows(tuple(rows), V.den, V.n * r)
+    el = Draw.from_int_rows(tuple(rows), V.den, V.n * r)
+    object.__setattr__(el, "coeffs", drawn)
+    return el
 
 
 def best_sample(V: MatrixSpace, sampler: GenericSampler, r: int, bound) -> tuple:
@@ -293,13 +282,13 @@ def best_sample(V: MatrixSpace, sampler: GenericSampler, r: int, bound) -> tuple
     2 * trials more draws follow while the best rank is not, and a
     CertificationError if it still is not.  A blow-up side max(m, n) r
     beyond BLOWUP_DIM_BUDGET is refused, except at order 1 of a nonzero
-    space, which is V itself.  The zero space draws nothing: its one
-    element is the zero matrix, of rank 0.
+    space, which is V itself.  The zero space, with no generators, draws
+    nothing: its one element is the zero matrix, of rank 0.
     """
     side = max(V.m, V.n) * r
-    if side > BLOWUP_DIM_BUDGET and (r > 1 or V.dim == 0):
+    if side > BLOWUP_DIM_BUDGET and (r > 1 or not V.int_basis):
         raise CertificationError(f"blow-up side {side} exceeds {BLOWUP_DIM_BUDGET}")
-    if V.dim == 0:
+    if not V.int_basis:
         zero = Mat.zeros(V.m * r, V.n * r)
         return 0, zero, bound(zero)
     best = -1
@@ -372,25 +361,54 @@ def _border(E: Subspace, F: Subspace, n: int) -> Mat:
     return Mat.from_int_rows(top + bottom, den, n + len(es))
 
 
-def _top_left(A: Mat, like: Mat) -> Mat:
-    """[[A, 0],[0, 0]] in the shape of `like`."""
-    pad = (0,) * (like.cols - A.cols)
-    rows = tuple(row + pad for row in A.int_rows())
-    zero_rows = ((0,) * like.cols,) * (like.rows - A.rows)
-    return Mat.from_int_rows(rows + zero_rows, A.den, like.cols)
-
-
-def routing_space(V, E: Subspace, F: Subspace) -> MatrixSpace:
-    """Span of [[I, i],[p, 0]] and every [[A, 0],[0, 0]] with A in V.
+class RoutingSpace:
+    """Span of [[I, i],[p, 0]] and every [[A, 0],[0, 0]] with A in V, held as generators.
 
     The path capacity from E to F relative to the square space V is its
-    noncommutative rank minus n.  V is a matrix space, or a relation R
-    whose generators are then the border and each w v^T in pair order: a
-    pair that depends on earlier pairs depends on the border and them, so
-    the prefix-greedy basis is the one built on the span of the w v^T.
+    noncommutative rank minus n.  `int_basis` holds the border, then V's
+    basis or each rank-one w v^T of a relation, embedded, over one `den`:
+    nothing is eliminated, and only zero generators (all of them at n = 0)
+    are left out.  `images` reads V[U] off the border and V.
     """
+
+    __slots__ = ("m", "n", "V", "int_basis", "den")
+
+    def __init__(self, V, border: Mat):
+        pad = (0,) * (border.cols - V.n)
+        below = ((0,) * border.cols,) * (border.rows - V.n)
+
+        def embedded(rows):
+            return tuple(row + pad for row in rows) + below
+
+        if isinstance(V, Relation):
+            gens = [
+                (embedded(tuple([x * y for y in v.int_row()]) for x in w.int_row()), v.den * w.den)
+                for v, w in V.pairs
+                if not (v.is_zero() or w.is_zero())
+            ]
+        else:
+            gens = [(embedded(b), V.den) for b in V.int_basis]
+        if V.n:
+            gens.insert(0, (border.int_rows(), border.den))
+        self.den = lcm(*(d for _, d in gens))
+        self.int_basis = tuple(
+            b if d == self.den else tuple(tuple([x * (self.den // d) for x in row]) for row in b)
+            for b, d in gens
+        )
+        self.m, self.n, self.V = border.rows, border.cols, V
+
+    def images(self, rows):
+        """The border's image of each u, then V's images of the u[:n], embedded."""
+        n = self.V.n
+        for u in rows:  # none when n = 0, where there is no border
+            yield [sum(map(mul, row, u)) for row in self.int_basis[0]]
+        pad = (0,) * (self.m - n)
+        for image in self.V.images([u[:n] for u in rows]):
+            yield tuple(image) + pad
+
+
+def routing_space(V, E: Subspace, F: Subspace) -> RoutingSpace:
+    """The routing space of the square matrix space or relation V from E to F."""
     if V.m != V.n:
         raise DimensionError("path capacities need a square space")
-    base = _border(E, F, V.n)
-    gens = (outer(w, v) for v, w in V.pairs) if isinstance(V, Relation) else V.basis
-    return MatrixSpace.spanned(base.rows, base.cols, [base] + [_top_left(a, base) for a in gens])
+    return RoutingSpace(V, _border(E, F, V.n))

@@ -12,14 +12,18 @@ serves the relation and the matrix form of each theorem.  The dual of
 Kőnig, Hall, Lovász, ncrank and matrix Kőnig is one exact cover: the
 shrunk subspace U with F = V[U], for a relation the span of the w's of
 the pairs whose v meets U.  A separator is (E~, X) with X = F~^perp.
-Each predicate checks its certificate by definition, by images,
-memberships and products, and takes no complement and no kernel.  A
-certificate whose ambient dimension does not fit the instance is
-invalid, never an error.
+A blow-up element (the primal of ncrank, matrix Kőnig and Dilworth and
+both path capacities) is checked by one exact sum over its space's
+generators and the coefficients it carries, so a routing space needs no
+echelon.  Each predicate checks its certificate by definition, by
+images, memberships, sums and products, and takes no complement and no
+kernel.  A certificate whose ambient dimension does not fit the
+instance is invalid, never an error.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import mul
 
 from .exact_linalg import IntEchelon, Subspace, outer_sum
@@ -116,12 +120,11 @@ def verify_pair_sum(R, indices, A) -> bool:
 def verify_coherent_decomposition(D, space=None, r: int = 1) -> bool:
     """The chains (seed, A seed, ..., A^{len-1} seed) form a basis.
 
-    With `space`, the implementing matrix A must also lie in space (x) M_r.
+    With `space`, the implementing matrix A must also lie in space (x) M_r,
+    by the coefficients it carries (`_is_blowup_sum`).
     """
     n = D.A.rows
     if D.A.cols != n or any(seed.dim != n for seed, _ in D.chains):
-        return False
-    if space is not None and (space.m * r, space.n * r) != (n, n):
         return False
     ech = IntEchelon(n)
     count = 0
@@ -134,7 +137,7 @@ def verify_coherent_decomposition(D, space=None, r: int = 1) -> bool:
             count += 1
     if count != n or ech.rank != n:
         return False
-    return space is None or space.contains(D.A, r)
+    return space is None or _is_blowup_sum(space, r, D.A)
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +168,35 @@ def independent_bipaths_check(R, E, F, paths) -> bool:
     ) and doubly_independent(((v, w) for p in paths for v, w in zip(p.vs, p.ws)), R.n, R.n)
 
 
+def _is_blowup_sum(V, r: int, element) -> bool:
+    """element = sum_B B (x) C_B exactly, over V's generators B and the C_B it carries.
+
+    Its slice (element[i r + k][j r + l])_{i,j} must be sum_B C_B[k][l] B,
+    added up on the integer rows `V.int_basis` and compared over both
+    denominators.  With no generators the sum is 0; else an element
+    without one r x r coefficient matrix per generator fails.
+    """
+    if (element.rows, element.cols) != (V.m * r, V.n * r):
+        return False
+    if not V.int_basis:
+        return element.is_zero()
+    coeffs = getattr(element, "coeffs", ())
+    shapes = {(len(c), *map(len, c)) for c in coeffs}
+    if len(coeffs) != len(V.int_basis) or shapes != {(r,) * (r + 1)}:
+        return False
+    rows = element.int_rows()
+    for k in range(r):
+        for l in range(r):
+            acc = [0] * (V.m * V.n)
+            for b, c in zip(V.int_basis, coeffs):
+                x = c[k][l] * element.den
+                if x:
+                    acc = [a + x * y for a, y in zip(acc, chain.from_iterable(b))]
+            if acc != [x * V.den for row in rows[k::r] for x in row[l::r]]:
+                return False
+    return True
+
+
 def verify_blowup_element(V, r: int, element, rank: int) -> bool:
-    """An element of V (x) M_r of rank `rank`."""
-    return (
-        (element.rows, element.cols) == (V.m * r, V.n * r)
-        and V.contains(element, r)
-        and element.rank() == rank
-    )
+    """An element of V (x) M_r, by the coefficients it carries, of rank `rank`."""
+    return _is_blowup_sum(V, r, element) and element.rank() == rank

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from linminmax.exact_linalg import IntEchelon, Mat, Subspace, Vec, hstack, outer
+from linminmax.exact_linalg import IntEchelon, Mat, Subspace, Vec, hstack
 from linminmax.relation import MatrixSpace, Relation
+from reference import outer
 
 
 def vec(*entries) -> Vec:

@@ -8,9 +8,11 @@ share no code with the exact-arithmetic modules they validate.  Every
 oracle returns a primal/dual pair of equal size (an inequality is a hard
 failure of the oracle itself).  Then come the references built on the
 package: subspace membership by Fraction elimination and intersection by
-Zassenhaus, the rank-one span of a relation, the bordered matrix of a path
-capacity, the subset formulas for generic ranks, Kőnig through Menger,
-Lovász's maximum rank, the poset and graph encodings, and the classical
+Zassenhaus, spans of matrices and membership in their blow-ups by
+elimination, the rank-one span of a relation, the routing space as one
+eliminated padded span and the bordered matrix of a path capacity, the
+subset formulas for generic ranks, Kőnig through Menger, Lovász's
+maximum rank, the poset and graph encodings, and the classical
 Lindström–Gessel–Viennot identity by explicit path enumeration.
 """
 
@@ -24,7 +26,7 @@ from itertools import combinations
 from linminmax import verify
 from linminmax.dilworth import validate_linorder
 from linminmax.errors import CertificationError, DimensionError, InvariantViolation
-from linminmax.exact_linalg import IntEchelon, Mat, Subspace, Vec, hstack, outer, unit_vec
+from linminmax.exact_linalg import IntEchelon, Mat, Subspace, Vec, hstack, unit_vec
 from linminmax.lgv import LgvInstance
 from linminmax.matching_cover import matroid_intersection
 from linminmax.menger import mpc
@@ -34,7 +36,6 @@ from linminmax.relation import (
     MatrixSpace,
     Relation,
     _border,
-    _top_left,
     best_sample,
     routing_space,
     sample_element,
@@ -445,15 +446,65 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
 # relations and matrix spaces
 
 
+def outer(w: Vec, v: Vec) -> Mat:
+    """Rank-one matrix w v^T sending u to (v . u) w."""
+    vn = v.int_row()
+    return Mat.from_int_rows(
+        tuple(tuple([x * y for y in vn]) for x in w.int_row()), w.den * v.den, v.dim
+    )
+
+
+def spanned(m: int, n: int, generators) -> MatrixSpace:
+    """The span of `generators`, kept on the prefix-greedy independent ones."""
+    space = MatrixSpace.__new__(MatrixSpace)
+    space._span(m, n, tuple(generators))
+    return space
+
+
+def space_contains(V: MatrixSpace, a: Mat, r: int = 1) -> bool:
+    """Whether a lies in V (x) M_r, the layout `sample_element` draws.
+
+    It does exactly when each of its r^2 slices (a[i r + k][j r + l])_{i,j}
+    lies in V; each slice is one reduction against the echelon of V.
+    """
+    if (a.rows, a.cols) != (V.m * r, V.n * r):
+        raise DimensionError("membership test with wrong shape")
+    rows = a.int_rows()
+    return all(
+        V._echelon.contains([x for row in rows[k::r] for x in row[l::r]])
+        for k in range(r)
+        for l in range(r)
+    )
+
+
 def to_matrix_space(R: Relation) -> MatrixSpace:
     """Independent rank-one generators of span{w v^T : (v, w) in R}, prefix-greedy."""
-    return MatrixSpace.spanned(R.m, R.n, [outer(w, v) for v, w in R.pairs])
+    return spanned(R.m, R.n, [outer(w, v) for v, w in R.pairs])
+
+
+def top_left(A: Mat, like: Mat) -> Mat:
+    """[[A, 0],[0, 0]] in the shape of `like`."""
+    pad = (0,) * (like.cols - A.cols)
+    rows = tuple(row + pad for row in A.int_rows())
+    zero_rows = ((0,) * like.cols,) * (like.rows - A.rows)
+    return Mat.from_int_rows(rows + zero_rows, A.den, like.cols)
+
+
+def dense_routing_space(V, E: Subspace, F: Subspace) -> MatrixSpace:
+    """The routing space as one padded span, eliminated: the border, then V's generators embedded.
+
+    Its generators are those of `relation.routing_space`, in the same
+    order, padded to (n + dim F) x (n + dim E) and kept prefix-greedy.
+    """
+    base = _border(E, F, V.n)
+    gens = (outer(w, v) for v, w in V.pairs) if isinstance(V, Relation) else V.basis
+    return spanned(base.rows, base.cols, [base] + [top_left(a, base) for a in gens])
 
 
 def bordered_matrix(A: Mat, E: Subspace, F: Subspace) -> Mat:
     """[[I - A, i],[p, 0]], the element of the routing space at A."""
     base = _border(E, F, A.rows)
-    return base - _top_left(A, base)
+    return base - top_left(A, base)
 
 
 # ---------------------------------------------------------------------------

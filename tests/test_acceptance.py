@@ -21,7 +21,6 @@ from linminmax.exact_linalg import (
     Mat,
     Subspace,
     Vec,
-    outer,
     solve_exact,
     subspace_sum,
     unit_vec,
@@ -47,6 +46,7 @@ from reference import (
     graph_instance,
     hall_check,
     max_rank_blowup,
+    outer,
     poset_dilworth,
     poset_embed,
     subspace_intersection,

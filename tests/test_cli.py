@@ -624,10 +624,16 @@ def test_check_ncrank_rechecks_defect_rank_and_membership(tmp_path, capsys, monk
     from linminmax import ncrank
     from linminmax.cli import build_skew3
     from linminmax.exact_linalg import Mat, Subspace, unit_vec
-    from linminmax.relation import MatrixSpace
+    from linminmax.relation import Draw, MatrixSpace
 
     original = ncrank.ncrank
     path = tmp_path / "space.json"
+
+    def carrying(M, coeffs):
+        """M as a draw that carries the coefficients `coeffs`."""
+        el = Draw.from_int_rows(M.int_rows(), M.den, M.cols)
+        object.__setattr__(el, "coeffs", coeffs)
+        return el
 
     def exit_with(space, tamper):
         monkeypatch.setattr(ncrank, "ncrank", lambda V, sampler: tamper(original(V, sampler)))
@@ -641,12 +647,15 @@ def test_check_ncrank_rechecks_defect_rank_and_membership(tmp_path, capsys, monk
     e0 = Subspace.span(3, [unit_vec(3, 0)])
     wrong_defect = lambda cv: replace(cv, dual=replace(cv.dual, U=e0))
     assert exit_with(skew, wrong_defect) == EXIT_VIOLATION
-    low_rank = lambda cv: replace(cv, primal=(cv.primal[0], Mat.zeros(6, 6)))
+    # the zero element is the sum of zero coefficients: in the blow-up, but of rank 0
+    zeros = [[[0, 0], [0, 0]]] * 3
+    low_rank = lambda cv: replace(cv, primal=(cv.primal[0], carrying(Mat.zeros(6, 6), zeros)))
     assert exit_with(skew, low_rank) == EXIT_VIOLATION
 
     diagonal = MatrixSpace(2, 2, [Mat([[1, 0], [0, 0]]), Mat([[0, 0], [0, 1]])])
     assert exit_with(diagonal, lambda cv: cv) == EXIT_PROVED
-    outside = lambda cv: replace(cv, primal=(1, Mat([[0, 1], [1, 0]])))
+    # no coefficients make the swap a sum of the diagonal basis; these give I
+    outside = lambda cv: replace(cv, primal=(1, carrying(Mat([[0, 1], [1, 0]]), [[[1]], [[1]]])))
     assert exit_with(diagonal, outside) == EXIT_VIOLATION
 
 

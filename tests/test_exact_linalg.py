@@ -16,7 +16,6 @@ from linminmax.exact_linalg import (
     det_bareiss,
     hstack,
     json_list,
-    outer,
     outer_sum,
     rational_to_string,
     solve_exact,
@@ -28,7 +27,7 @@ from linminmax.verify import verify_cover
 from linminmax.lgv import LgvInstance
 from linminmax.relation import MatrixSpace, Relation
 from conftest import as_lists, dot, rand_mat, rand_vec, vec
-from reference import in_span, ref_kernel_rows, ref_nullspace, ref_rref, subspace_intersection
+from reference import in_span, outer, ref_kernel_rows, ref_nullspace, ref_rref, subspace_intersection
 
 
 def cofactor_det(m: Mat) -> Fraction:

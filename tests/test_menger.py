@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from linminmax.errors import DimensionError
-from linminmax.exact_linalg import Mat, Subspace, outer, solve_exact, unit_vec
+from linminmax.exact_linalg import Mat, Subspace, solve_exact, unit_vec
 from linminmax.matching_cover import matroid_intersection
 from linminmax.menger import mpc
 from linminmax.relation import GenericSampler, Relation, routing_space, sample_element
@@ -16,11 +16,14 @@ from reference import (
     Digraph,
     Poset,
     bordered_rank,
+    dense_routing_space,
     generic_rank_rank_one_update,
     generic_rank_sum,
     graph_instance,
     konig_via_menger,
+    outer,
     poset_embed,
+    space_contains,
     to_matrix_space,
     vertex_disjoint_paths,
 )
@@ -217,12 +220,16 @@ def test_konig_via_menger(rng):
 
 
 def _check_cpc_certificate(R, E, F, cv):
-    """Proved, a separator, and a primal whose bordered rank meets it."""
+    """Proved, a separator, and a primal whose bordered rank meets it.
+
+    The primal is checked by the coefficients it carries on the routing
+    space it was drawn on, and lies in the dense routing space of V_R.
+    """
     assert verify_separator(R, E, F, cv.dual)
     assert cv.value == cv.dual.size
     r, el = cv.primal
-    routing = routing_space(to_matrix_space(R), E, F)
-    assert verify_blowup_element(routing, r, el, r * (R.n + cv.value))
+    assert verify_blowup_element(routing_space(R, E, F), r, el, r * (R.n + cv.value))
+    assert space_contains(dense_routing_space(to_matrix_space(R), E, F), el, r)
 
 
 def test_cpc_beyond_the_old_subset_budget(rng):
@@ -258,14 +265,28 @@ def test_an_unproved_capacity_returns_the_draw_behind_its_value(monkeypatch):
     """Drawing only the border [[I, i],[p, 0]] proves nothing; the value still has its element."""
     from linminmax import relation
 
-    monkeypatch.setattr(relation, "sample_element", lambda V, s, r=1: kron(V.basis[0], Mat.identity(r)))
+    draw = relation.sample_element
+
+    class BorderOnly:
+        """The coefficients of border (x) I_r: I_r for the first generator, then zeros."""
+
+        def __init__(self, r):
+            self.stream = iter([int(k == l) for k in range(r) for l in range(r)])
+
+        def coefficient(self):
+            return next(self.stream, 0)
+
+    monkeypatch.setattr(relation, "sample_element", lambda V, s, r=1: draw(V, BorderOnly(r), r))
     R, E, F = f7_instance()
-    cv = mpc(R, E, F, routing_space(R, E, F), GenericSampler(seed=0, trials=2))
+    routing = routing_space(R, E, F)
+    cv = mpc(R, E, F, routing, GenericSampler(seed=0, trials=2))
     assert cv.value == 0 < cv.dual.size
     assert verify_separator(R, E, F, cv.dual)
     r, el = cv.primal
-    routing = routing_space(to_matrix_space(R), E, F)
+    border = Mat.from_int_rows(routing.int_basis[0], routing.den, routing.n)
+    assert el == kron(border, Mat.identity(r))
     assert verify_blowup_element(routing, r, el, r * (R.n + cv.value))
+    assert space_contains(dense_routing_space(to_matrix_space(R), E, F), el, r)
 
 
 def test_cpc_has_no_size_limit():
@@ -303,17 +324,22 @@ def test_cpc_matches_the_subset_formula(rng):
 
 
 def test_routing_space_echelons_once(echelon_widths):
-    """A relation's routing space and its span's are each one echelon; mpc builds none."""
+    """No echelon of routing width (n + dim F)(n + dim E) is built, for a relation or its span.
+
+    The routing space is held as its generators; mpc routes on them, and the
+    verifier checks the primal by its coefficients, with no echelon of them.
+    """
     R, E, F = f7_instance()
     V = to_matrix_space(R)
     width = (7 + F.dim) * (7 + E.dim)
     for space in (R, V):
         echelon_widths.clear()
         routing = routing_space(space, E, F)
-        assert echelon_widths.count(width) == 1
         cv = mpc(space, E, F, routing, GenericSampler(seed=3))
         assert cv.value == cv.dual.size
-        assert echelon_widths.count(width) == 1
+        r, el = cv.primal
+        assert verify_blowup_element(routing, r, el, r * (7 + cv.value))
+        assert echelon_widths and width not in echelon_widths
 
 
 def test_separator_size_is_computed_once(monkeypatch, capsys):

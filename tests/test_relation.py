@@ -7,7 +7,7 @@ import pytest
 
 from linminmax import relation
 from linminmax.errors import CertificationError, DimensionError
-from linminmax.exact_linalg import IntEchelon, Mat, Subspace, Vec, outer, unit_vec
+from linminmax.exact_linalg import IntEchelon, Mat, Subspace, Vec, unit_vec
 from linminmax.relation import (
     GenericSampler,
     MatrixSpace,
@@ -29,7 +29,7 @@ from conftest import (
     reduced_indices,
     vec,
 )
-from reference import to_matrix_space
+from reference import dense_routing_space, outer, space_contains, spanned, to_matrix_space
 
 
 def spans_same(space_a, space_b):
@@ -70,7 +70,7 @@ def test_to_matrix_space_random_span(rng):
         assert V.dim <= n * m
         full = MatrixSpace(m, n, V.basis)
         for v, w in R.pairs:
-            assert full.contains(outer(w, v))
+            assert space_contains(full, outer(w, v))
 
 
 def test_reduce_relation_preserves_neighborhoods(rng):
@@ -270,7 +270,11 @@ def test_relation_power_is_zero_matches_its_span(rng):
 
 
 def test_relation_routing_space_matches_its_span(rng):
-    """Routing R keeps the basis, int_basis and den of routing V_R, and its members."""
+    """Routing R spans what the dense routing space of V_R spans, and has its members.
+
+    Routing R keeps every nonzero generator, a repeated or dependent one
+    too; the dense reference eliminates them.
+    """
     e = [unit_vec(3, i) for i in range(3)]
     zero, line = Subspace.zero(3), Subspace.span(3, [e[0]])
     cases = [
@@ -295,11 +299,15 @@ def test_relation_routing_space_matches_its_span(rng):
         cases.append((Relation(n, n, pairs), E, F))
     sampler = GenericSampler(seed=5)
     for R, E, F in cases:
-        a, b = routing_space(R, E, F), routing_space(to_matrix_space(R), E, F)
-        assert (a.basis, a.int_basis, a.den) == (b.basis, b.int_basis, b.den), R.to_json()
+        a, b = routing_space(R, E, F), dense_routing_space(to_matrix_space(R), E, F)
+        span_a = spanned(a.m, a.n, [Mat.from_int_rows(g, a.den, a.n) for g in a.int_basis])
+        assert spans_same(span_a, b), R.to_json()
         elements = [sample_element(a, sampler), sample_element(b, sampler), rand_mat(rng, a.m, a.n, 1)]
-        assert [a.contains(el) for el in elements] == [b.contains(el) for el in elements]
-    assert routing_space(*cases[3]).dim == 3
+        assert [space_contains(span_a, el) for el in elements] == [space_contains(b, el) for el in elements]
+        assert space_contains(b, elements[0])
+    # the border I beside the three e_i e_i^T that span it; the zero pair is left out
+    assert [len(routing_space(*cases[k]).int_basis) for k in (3, 4)] == [4, 4]
+    assert [dense_routing_space(to_matrix_space(R), E, F).dim for R, E, F in cases[3:5]] == [3, 3]
 
 
 def test_space_power_is_zero_needs_square():
@@ -329,10 +337,10 @@ def test_matrix_space_membership_is_stable():
     inside = Mat([[2, 4], [-3, -4]])
     outside = Mat([[1, 0], [0, 0]])
     for _ in range(2):  # membership tests leave the stored echelon unchanged
-        assert V.contains(inside)
-        assert not V.contains(outside)
+        assert space_contains(V, inside)
+        assert not space_contains(V, outside)
     with pytest.raises(DimensionError):
-        V.contains(Mat.identity(3))
+        space_contains(V, Mat.identity(3))
 
 
 def rand_rational_space(rng, m, n, dim):
@@ -373,7 +381,7 @@ def test_sample_element_lies_in_the_blowup(rng):
         for r in (1, 2, 3):
             A = sample_element(V, GenericSampler(seed=trial, coeff_bound=50), r)
             assert (A.rows, A.cols) == (m * r, n * r)
-            assert blow_up(V, r).space.contains(A)
+            assert space_contains(blow_up(V, r).space, A)
 
 
 def test_sample_element_at_order_one_is_the_basis_combination(rng):
@@ -448,15 +456,15 @@ def test_to_matrix_space_echelons_once(rng, echelon_widths):
     V = to_matrix_space(R)
     assert echelon_widths == [12]
     assert 0 < V.dim <= 9
-    assert all(V.contains(b) for b in V.basis)
+    assert all(space_contains(V, b) for b in V.basis)
     assert echelon_widths == [12]
 
 
 def test_spanned_keeps_the_prefix_greedy_generators():
     a, b = Mat([[1, 2], [0, 0]]), Mat([[0, 0], [3, 4]])
-    V = MatrixSpace.spanned(2, 2, [Mat.zeros(2, 2), a, a.scaled(2), b, a + b])
+    V = spanned(2, 2, [Mat.zeros(2, 2), a, a.scaled(2), b, a + b])
     assert V.basis == (a, b)
-    assert MatrixSpace.spanned(2, 2, [Mat.zeros(2, 2)]).dim == 0
+    assert spanned(2, 2, [Mat.zeros(2, 2)]).dim == 0
     # the pairs behind the basis of a relation's span are the prefix-greedy ones
     e0, e1 = unit_vec(2, 0), unit_vec(2, 1)
     pairs = [(e0, vec(0, 0)), (e0, e0), (e0.scaled(2), e0), (e1, e0), (e0 + e1, e0)]
