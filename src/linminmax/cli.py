@@ -33,7 +33,7 @@ from .exact_linalg import (
     solve_exact,
     unit_vec,
 )
-from .relation import GenericSampler, MatrixSpace, Relation, routing_space
+from .relation import GenericSampler, MatrixSpace, Relation, is_nilpotent_algebra, routing_space
 
 EXIT_PROVED = 0
 EXIT_VIOLATION = 1
@@ -461,7 +461,7 @@ def check_matrix_konig(data, config: RunConfig):
 
 def check_matrix_dilworth(data, config: RunConfig):
     V = _space_from(data)
-    if not ncrank.is_nilpotent_algebra(V):
+    if not is_nilpotent_algebra(V):
         raise ParseFailure("matrix Dilworth needs a nilpotent algebra")
     r = max(1, V.n - 1)
     cover = ncrank.ncrank(V, config.sampler()).dual

@@ -4,7 +4,7 @@ For source columns A, sink columns B, and pair columns (v_i, w_i) carrying
 formal weights x_i, the determinant det(B^T (I - W X V^T)^{-1} A) equals a
 signed subset sum of small bordered determinants divided by the matching
 subset expansion of det(I - X V^T W).  When the pair family is acyclic,
-which `is_acyclic` (V_R^n = 0) alone decides, W X V^T is nilpotent and the
+which the minor table decides (`acyclic`), W X V^T is nilpotent and the
 denominator is identically 1.  Both sides are evaluated exactly at
 rational points; there is no symbolic polynomial arithmetic anywhere.
 
@@ -32,7 +32,6 @@ from operator import mul
 
 from .errors import DimensionError, InvariantViolation, SingularityError
 from .exact_linalg import IntEchelon, Mat, clear_scale, det_bareiss, hstack, permutation_sign
-from .relation import Relation, space_power_is_zero
 
 
 @dataclass(frozen=True)
@@ -72,14 +71,17 @@ class LgvInstance:
 
     @cached_property
     def acyclic(self) -> bool:
-        return is_acyclic(self.relation())
+        """Whether V_R^n = 0 for the pairs R: every e-entry of `minors` but the empty set's is 0.
 
-    def relation(self) -> Relation:
-        return Relation(
-            self.n,
-            self.n,
-            [(self.V.col(i), self.W.col(i)) for i in range(self.r)],
-        )
+        The e-entry of S is a nonzero multiple of det G_S, G = V^T W.  As
+        V_R^k is spanned by the w_i1 G_i1i2 ... G_i(k-1)ik v_ik^T, V_R^n = 0
+        exactly when the digraph with an arc i -> j wherever G_ij != 0 has
+        no cycle.  Then G is strictly triangular in a topological order, so
+        every nonempty principal minor is 0.  Else a shortest cycle C (or
+        loop) is induced, so C is the one permutation of its vertices along
+        arcs, and det G_C is +- the product along C, which is not 0.
+        """
+        return not any(self.minors[1][1:])
 
     def to_json(self):
         return {
@@ -198,13 +200,6 @@ def lgv_rhs_parts(inst: LgvInstance, xs):
     num = Fraction(sum(map(mul, g, weights)), scale * d ** inst.k)
     den = Fraction(sum(map(mul, e, weights)), scale)
     return num, den
-
-
-def is_acyclic(R: Relation) -> bool:
-    """Whether the induced matrix space satisfies V_R^n = {0}, on neighborhood spans."""
-    if R.n != R.m:
-        raise DimensionError("acyclicity is defined for relations on F^n x F^n")
-    return space_power_is_zero(R)
 
 
 def lgv_acyclic(inst: LgvInstance, xs):

@@ -18,8 +18,9 @@ of its first maximum.  The path capacities of `menger` run the same orders on a
 routing space, with a separator as the dual.  Matrix Dilworth takes the
 Jordan chains of a blow-up element that the same loop draws with the
 cover size as its bound: the one coherent decomposition that samples,
-since a linorder's reads its maximum matching.  An unmet bound leaves the
-value below the size of its dual, never at a wrong value.
+since a linorder's reads its maximum matching.  Its check decides once
+that V is a nilpotent algebra (`relation.is_nilpotent_algebra`).  An unmet
+bound leaves the value below the size of its dual, never at a wrong value.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .relation import (
     GenericSampler,
     MatrixSpace,
     best_sample,
-    is_nilpotent_algebra,
     wong_limit,
 )
 
@@ -100,14 +100,12 @@ def ncrank(V: MatrixSpace, sampler: GenericSampler) -> CertifiedValue:
 def matrix_coherent_decomposition(
     V: MatrixSpace, r: int, sampler: GenericSampler, cover: Cover
 ) -> CoherentDecomposition:
-    """Coherent decomposition of F^{rn} relative to V (x) M_r.
+    """Coherent decomposition of F^{rn} relative to V (x) M_r, V a nilpotent algebra.
 
     The Jordan chains of an element of the blow-up (a nilpotent algebra
     again) of rank r times the size of `cover`, the dual of `ncrank`,
     drawn by `best_sample`; its size is rn minus that rank.
     """
-    if not is_nilpotent_algebra(V):
-        raise ValueError("matrix Dilworth is stated for nilpotent algebras")
     rank, A, _ = best_sample(V, sampler, r, lambda el: (None, cover.size))
     if rank < r * cover.size:
         raise CertificationError(

@@ -4,11 +4,12 @@ A relation is a finite list of vector pairs (v, w) in F^n x F^m.  Each pair
 induces the rank-one map w v^T, and the span of those maps is the matrix
 space the min-max machinery actually works with.  No check builds the
 span of a relation: the image V_R[U] of a subspace is the neighborhood
-span N(U), so `apply_space` and the nilpotency flag of
-`space_power_is_zero` run on the relation itself, and a cover (U, V[U])
-is checked with no complement.  The routing space of a path capacity
-(`routing_space`) is held as its generators, with no elimination, and
-a draw carries the coefficients by which `verify` checks it.
+span N(U), so `apply_space` runs on the relation itself, and a cover
+(U, V[U]) is checked with no complement.  No power V^k is iterated:
+`is_nilpotent_algebra` reads nilpotency off the traces of the basis of a
+space closed under products.  The routing space of a path capacity
+(`routing_space`) is held as its generators, with no elimination, and a
+draw carries the coefficients by which `verify` checks it.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ class MatrixSpace:
     is `den` times `basis[i]`).
     """
 
-    __slots__ = ("m", "n", "basis", "int_basis", "den", "_echelon", "_nilpotent")
+    __slots__ = ("m", "n", "basis", "int_basis", "den", "_echelon")
 
     def __init__(self, m: int, n: int, basis):
         basis = tuple(basis)
@@ -122,7 +123,7 @@ class MatrixSpace:
         ech = IntEchelon(m * n)
         basis = tuple(g for g in generators if ech.add(g.int_flat()))
         int_basis, den = common_int_rows(basis)
-        values = (m, n, basis, tuple(int_basis), den, ech, None)
+        values = (m, n, basis, tuple(int_basis), den, ech)
         for name, value in zip(MatrixSpace.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -181,21 +182,6 @@ class Draw(Mat):
 # operations
 
 
-def _image(V, rows, cap: int) -> IntEchelon:
-    """Echelon of V[U] on integer rows, U spanned by `rows`; stops at rank cap.
-
-    The rows that span V[U] come from `V.images`: on a relation R standing
-    for its span V_R, the w's of the pairs whose v meets U, so the n*m-wide
-    span is never built; on a routing space, the border's and V's images.
-    """
-    ech = IntEchelon(V.m)
-    for image in V.images(rows):
-        ech.add(image)
-        if ech.rank == cap:
-            break
-    return ech
-
-
 def doubly_independent(pairs, n: int, m: int) -> bool:
     """Whether the v's of `pairs` are linearly independent in F^n and the w's in F^m."""
     ech_v, ech_w = IntEchelon(n), IntEchelon(m)
@@ -206,10 +192,21 @@ def doubly_independent(pairs, n: int, m: int) -> bool:
 
 
 def apply_space(V, E: Subspace) -> Subspace:
-    """V[E] = span{A e : A in V, e in E}; on a relation, the neighborhood span N(E) (see `_image`)."""
+    """V[E] = span{A e : A in V, e in E}, eliminated on integer rows.
+
+    The rows that span V[E] come from `V.images`: on a relation R standing
+    for its span V_R, the w's of the pairs whose v meets E (the
+    neighborhood span N(E)), so the n*m-wide span is never built; on a
+    routing space, the border's and V's images.
+    """
     if E.ambient != V.n:
         raise DimensionError("apply_space ambient mismatch")
-    return Subspace.from_echelon(_image(V, E.int_rows(), V.m))
+    ech = IntEchelon(V.m)
+    for image in V.images(E.int_rows()):
+        ech.add(image)
+        if ech.rank == V.m:
+            break
+    return Subspace.from_echelon(ech)
 
 
 def wong_limit(V: MatrixSpace, r: int, A: Mat) -> tuple[Subspace, Subspace]:
@@ -306,39 +303,22 @@ def best_sample(V: MatrixSpace, sampler: GenericSampler, r: int, bound) -> tuple
     return best, best_el, found
 
 
-def space_power_is_zero(V) -> bool:
-    """Whether V is nilpotent, V^n = {0} (V must be square); true when V = {0}.
-
-    V is a matrix space or a relation, read through its neighborhood spans
-    (see `_image`).  Runs the flag U_0 = F^n, U_{i+1} = V[U_i] on integer
-    rows: U_k is V^k F^n, so V^k = 0 exactly when U_k = 0.  The U_i only
-    shrink, and a step that keeps the dimension has reached a nonzero fixed
-    point, so the flag decides within n steps.
-    """
-    if V.m != V.n:
-        raise DimensionError("powers of a non-square matrix space")
-    n = V.n
-    U = [[int(i == j) for j in range(n)] for i in range(n)]
-    while True:
-        ech = _image(V, U, len(U))
-        if ech.rank == 0:
-            return True
-        if ech.rank == len(U):
-            return False
-        U = ech.back_substituted()[0]
-
-
 def is_nilpotent_algebra(V: MatrixSpace) -> bool:
-    """V^2 contained in V and V^n = {0}; decided once per space."""
-    if V._nilpotent is None:
-        transposed = [list(zip(*y)) for y in V.int_basis]
-        closed = V.m == V.n and all(
-            V._echelon.contains([sum(map(mul, row, col)) for row in x for col in yt])
-            for x in V.int_basis
-            for yt in transposed
-        )
-        object.__setattr__(V, "_nilpotent", closed and space_power_is_zero(V))
-    return V._nilpotent
+    """V^2 contained in V and V^n = {0}: V is closed under products and its basis is traceless.
+
+    Then every power of every element of V lies in V and has trace 0, so
+    over Q every element is nilpotent, and a set of nilpotent matrices
+    closed under products is simultaneously strictly triangularizable
+    (Levitzki; Radjavi and Rosenthal, Simultaneous Triangularization, 2000).
+    Conversely, a nilpotent matrix has trace 0.
+    """
+    transposed = [list(zip(*y)) for y in V.int_basis]
+    closed = V.m == V.n and all(
+        V._echelon.contains([sum(map(mul, row, col)) for row in x for col in yt])
+        for x in V.int_basis
+        for yt in transposed
+    )
+    return closed and not any(sum(b[i][i] for i in range(V.n)) for b in V.int_basis)
 
 
 # ---------------------------------------------------------------------------

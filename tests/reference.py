@@ -12,8 +12,10 @@ Zassenhaus, spans of matrices and membership in their blow-ups by
 elimination, the rank-one span of a relation, the routing space as one
 eliminated padded span and the bordered matrix of a path capacity, the
 subset formulas for generic ranks, Kőnig through Menger, Lovász's
-maximum rank, the poset and graph encodings, and the classical
-Lindström–Gessel–Viennot identity by explicit path enumeration.
+maximum rank, the poset and graph encodings, nilpotency by the powers
+of a space and acyclicity by a depth-first search of the pair digraph,
+and the classical Lindström–Gessel–Viennot identity by explicit path
+enumeration.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import combinations, product
 
 from linminmax import verify
 from linminmax.dilworth import validate_linorder
@@ -482,6 +484,28 @@ def to_matrix_space(R: Relation) -> MatrixSpace:
     return spanned(R.m, R.n, [outer(w, v) for v, w in R.pairs])
 
 
+def ref_power_dims(V: MatrixSpace, kmax: int) -> list:
+    """dim V^k for k = 1..kmax from the definition: spans of basis products."""
+    width = V.m * V.n
+    level = list(V.basis)
+    dims = []
+    for _ in range(kmax):
+        ech = IntEchelon(width)
+        kept = [p for p in level if ech.add(p.int_flat())]
+        dims.append(len(kept))
+        level = [p @ b for p, b in product(kept, V.basis)]
+    return dims
+
+
+def ref_nilpotent_algebra(V: MatrixSpace) -> bool:
+    """V is square, V^2 lies in V (by spanning the products), and V^n = 0 (by `ref_power_dims`)."""
+    if V.m != V.n:
+        return False
+    products = [x @ y for x, y in product(V.basis, V.basis)]
+    closed = spanned(V.m, V.n, list(V.basis) + products).dim == V.dim
+    return closed and ref_power_dims(V, max(V.n, 1))[-1] == 0
+
+
 def top_left(A: Mat, like: Mat) -> Mat:
     """[[A, 0],[0, 0]] in the shape of `like`."""
     pad = (0,) * (like.cols - A.cols)
@@ -668,6 +692,23 @@ def instance_from_relation(R: Relation, sources, sinks) -> LgvInstance:
         Mat.from_cols(list(sources), rows=R.n),
         Mat.from_cols(list(sinks), rows=R.n),
     )
+
+
+def pair_digraph_has_cycle(R: Relation) -> bool:
+    """Depth-first search of the digraph with an arc i -> j when v_i . w_j != 0."""
+    r = len(R.pairs)
+    succ = [[j for j in range(r) if not R.pairs[i][0].is_orthogonal(R.pairs[j][1])] for i in range(r)]
+    state = [0] * r  # 0 unseen, 1 on the stack, 2 done
+
+    def cycle_from(i):
+        state[i] = 1
+        for j in succ[i]:
+            if state[j] == 1 or (state[j] == 0 and cycle_from(j)):
+                return True
+        state[i] = 2
+        return False
+
+    return any(state[i] == 0 and cycle_from(i) for i in range(r))
 
 
 def classical_lgv(G, H, K):

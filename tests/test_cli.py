@@ -401,18 +401,19 @@ def test_check_lgv_exit_codes_for_failures_and_singular_points(tmp_path, capsys,
 
 
 def test_check_lgv_tests_nilpotency_once(tmp_path, capsys, monkeypatch):
+    """Acyclicity is read off the one minor table that the identity check builds."""
     from linminmax import lgv
     from linminmax.exact_linalg import unit_vec
     from linminmax.relation import Relation
 
     calls = []
-    original = lgv.is_acyclic
+    original = lgv._subset_minors
 
-    def counting(R):
-        calls.append(R)
-        return original(R)
+    def counting(inst):
+        calls.append(inst)
+        return original(inst)
 
-    monkeypatch.setattr(lgv, "is_acyclic", counting)
+    monkeypatch.setattr(lgv, "_subset_minors", counting)
     e = [unit_vec(3, i) for i in range(3)]
     dag = Relation(3, 3, [(e[0], e[1]), (e[1], e[2])])
     cycle = Relation(3, 3, [(e[0], e[1]), (e[1], e[0])])

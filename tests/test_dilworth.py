@@ -17,7 +17,7 @@ from linminmax.dilworth import (
 from linminmax.errors import DimensionError
 from linminmax.exact_linalg import Mat, Subspace, outer_sum, solve_exact, unit_vec
 from linminmax.matching_cover import matroid_intersection
-from linminmax.relation import Relation, space_power_is_zero
+from linminmax.relation import Relation
 from linminmax.verify import (
     verify_antichain,
     verify_bichain_decomposition,
@@ -25,7 +25,7 @@ from linminmax.verify import (
     verify_pair_sum,
 )
 from conftest import rand_vec, vec
-from reference import Poset, poset_dilworth, poset_embed, space_contains, to_matrix_space
+from reference import Poset, poset_dilworth, poset_embed, ref_power_dims, space_contains, to_matrix_space
 from test_oracles import rand_poset
 
 
@@ -98,7 +98,7 @@ def test_the_linorder_axioms_force_a_nilpotent_span():
     for _ in range(12):
         accepted.append(poset_embed(rand_poset(rng, rng.randint(1, 6))))
     for R in accepted:
-        assert space_power_is_zero(R), R.to_json()
+        assert ref_power_dims(to_matrix_space(R), max(R.n, 1))[-1] == 0, R.to_json()
 
 
 def bichains(R):

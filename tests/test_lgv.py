@@ -8,10 +8,9 @@ from itertools import chain, combinations
 import pytest
 
 from linminmax.errors import SingularityError
-from linminmax.exact_linalg import Mat, hstack, solve_exact, unit_vec
+from linminmax.exact_linalg import Mat, Vec, hstack, solve_exact, unit_vec
 from linminmax.lgv import (
     LgvInstance,
-    is_acyclic,
     lgv_acyclic,
     lgv_lhs,
     lgv_rhs,
@@ -19,7 +18,7 @@ from linminmax.lgv import (
 )
 from linminmax.relation import Relation
 from conftest import diag, dot, gs_matrix, rand_mat, rand_vec, submatrix, vec
-from reference import Digraph, classical_lgv, instance_from_relation
+from reference import Digraph, classical_lgv, instance_from_relation, pair_digraph_has_cycle
 
 
 def rand_instance(rng, n=None, r=None, k=None) -> LgvInstance:
@@ -85,31 +84,19 @@ def test_gs_matrix_shape(rng):
     assert (g.rows, g.cols) == (4, 4)
 
 
+def acyclic(R: Relation) -> bool:
+    """`LgvInstance.acyclic` of the pairs of R, with no sources or sinks."""
+    return instance_from_relation(R, [], []).acyclic
+
+
 def test_acyclicity():
     e = [unit_vec(3, i) for i in range(3)]
     dag = Relation(3, 3, [(e[0], e[1]), (e[1], e[2]), (e[0], e[2])])
-    assert is_acyclic(dag)
+    assert acyclic(dag)
     loop = Relation(1, 1, [(vec(1), vec(1))])
-    assert not is_acyclic(loop)
+    assert not acyclic(loop)
     cycle = Relation(2, 2, [(e2 := unit_vec(2, 0), unit_vec(2, 1)), (unit_vec(2, 1), e2)])
-    assert not is_acyclic(cycle)
-
-
-def _pair_digraph_has_cycle(R) -> bool:
-    """Depth-first search of the digraph with an arc i -> j when v_i . w_j != 0."""
-    r = len(R.pairs)
-    succ = [[j for j in range(r) if not R.pairs[i][0].is_orthogonal(R.pairs[j][1])] for i in range(r)]
-    state = [0] * r  # 0 unseen, 1 on the stack, 2 done
-
-    def cycle_from(i):
-        state[i] = 1
-        for j in succ[i]:
-            if state[j] == 1 or (state[j] == 0 and cycle_from(j)):
-                return True
-        state[i] = 2
-        return False
-
-    return any(state[i] == 0 and cycle_from(i) for i in range(r))
+    assert not acyclic(cycle)
 
 
 def _rand_pair_relation(rng, n, trial) -> Relation:
@@ -145,14 +132,70 @@ def test_is_acyclic_is_a_pair_digraph_without_a_cycle(rng):
     ]
     randoms = (_rand_pair_relation(rng, rng.randint(1, 4), trial) for trial in range(150))
     for R in chain(fixed, randoms):
-        acyclic = is_acyclic(R)
-        assert acyclic == (not _pair_digraph_has_cycle(R)), R.to_json()
-        outcomes[acyclic] += 1
-        if acyclic:
-            inst = instance_from_relation(R, [unit_vec(R.n, 0)], [unit_vec(R.n, R.n - 1)])
+        inst = instance_from_relation(R, [unit_vec(R.n, 0)], [unit_vec(R.n, R.n - 1)])
+        assert inst.acyclic == (not pair_digraph_has_cycle(R)), R.to_json()
+        outcomes[inst.acyclic] += 1
+        if inst.acyclic:
             for _ in range(3):
                 xs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(inst.r)]
                 assert lgv_rhs_parts(inst, xs)[1] == 1, (R.to_json(), xs)
+    assert min(outcomes.values()) >= 40, outcomes
+
+
+def _rand_rational(rng) -> Fraction:
+    return Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))
+
+
+def _sparse_vec(rng, n) -> Vec:
+    return Vec([_rand_rational(rng) if rng.random() < 0.35 else 0 for _ in range(n)])
+
+
+def _rand_cyclic_digraph(rng, n):
+    """A random DAG on n vertices plus one loop, 2-cycle or chorded cycle, or nothing more."""
+    edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4}
+    extra = rng.choice(["dag", "loop", "2-cycle", "cycle"])
+    if extra == "loop":
+        edges.add((i := rng.randrange(n), i))
+    elif extra == "2-cycle" and n >= 2:
+        i, j = rng.sample(range(n), 2)
+        edges |= {(i, j), (j, i)}
+    elif extra == "cycle" and n >= 3:
+        cycle = rng.sample(range(n), rng.randint(3, n))
+        edges |= set(zip(cycle, cycle[1:] + cycle[:1]))
+        edges |= {(a, b) for a in cycle for b in cycle if a != b and rng.random() < 0.3}  # chords
+    return sorted(edges)
+
+
+def test_acyclic_matches_the_pair_digraph_cycle_search():
+    """`LgvInstance.acyclic`, read off the minor table, is "the pair digraph has no cycle".
+
+    Sparse rational pairs with zero v or w vectors, and digraphs with
+    loops, 2-cycles and chorded cycles in the standard basis or a scaled
+    random dual basis pair; n = 0 and r = 0 too.
+    """
+    rng = random.Random(89)
+    relations = [Relation(0, 0, []), Relation(0, 0, [(vec(), vec())] * 2), Relation(3, 3, [])]
+    for trial in range(360):
+        n = rng.randint(1, 5)
+        if trial % 3 == 0:
+            pairs = [(_sparse_vec(rng, n), _sparse_vec(rng, n)) for _ in range(rng.randint(0, 6))]
+            relations.append(Relation(n, n, pairs))
+            continue
+        edges = _rand_cyclic_digraph(rng, n)[:6]
+        if trial % 3 == 1:
+            relations.append(Relation(n, n, [(unit_vec(n, i), unit_vec(n, j)) for i, j in edges]))
+            continue
+        while (m := rand_mat(rng, n, n, 2)).det() == 0:
+            pass
+        inv = solve_exact(m, Mat.identity(n))
+        scales = [(_rand_rational(rng), _rand_rational(rng)) for _ in edges]
+        pairs = [(m.row(i).scaled(a), inv.col(j).scaled(b)) for (i, j), (a, b) in zip(edges, scales)]
+        relations.append(Relation(n, n, pairs))
+    outcomes = {True: 0, False: 0}
+    for R in relations:
+        verdict = acyclic(R)
+        assert verdict == (not pair_digraph_has_cycle(R)), R.to_json()
+        outcomes[verdict] += 1
     assert min(outcomes.values()) >= 40, outcomes
 
 
@@ -164,11 +207,11 @@ def test_acyclic_identity_and_denominator(rng):
         ]
         pairs = [(unit_vec(n, i), unit_vec(n, j)) for i, j in edges]
         R = Relation(n, n, pairs)
-        assert is_acyclic(R)
         k = rng.randint(1, 2)
         sources = [unit_vec(n, rng.randrange(n)) for _ in range(k)]
         sinks = [unit_vec(n, rng.randrange(n)) for _ in range(k)]
         inst = instance_from_relation(R, sources, sinks)
+        assert inst.acyclic
         xs = [Fraction(rng.randint(-4, 4)) for _ in range(inst.r)]
         lhs, rhs = lgv_acyclic(inst, xs)
         assert lhs == rhs

@@ -1,5 +1,6 @@
 """Blow-ups, noncommutative rank, and the matrix-level min-max theorems."""
 
+import json
 import random
 from collections import Counter
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 from linminmax import menger, relation
 from linminmax import ncrank as ncrank_module
-from linminmax.cli import EXIT_PROVED, main
+from linminmax.cli import EXIT_PARSE, EXIT_PROVED, main
 from linminmax.errors import DimensionError
 from linminmax.exact_linalg import Mat, Subspace, Vec, unit_vec
 from linminmax.matching_cover import matroid_intersection
@@ -452,15 +453,17 @@ def test_hidden_shrunk_spaces_are_proved():
             _check_ncrank_certificate(V, cv)
 
 
-def test_matrix_dilworth_checks_nilpotency_even_with_a_cover():
+def test_matrix_dilworth_checks_nilpotency_even_with_a_cover(tmp_path, capsys):
     """Every element of span{e12, e23} is nilpotent, but e12 e23 = e13 is outside it."""
     e12 = Mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     e23 = Mat([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
     V = MatrixSpace(3, 3, [e12, e23])
-    cov = ncrank(V, GenericSampler(seed=40)).dual
+    assert ncrank(V, GenericSampler(seed=40)).dual.size == 2
     assert not is_nilpotent_algebra(V)
-    with pytest.raises(ValueError, match="nilpotent algebras"):
-        matrix_coherent_decomposition(V, 2, GenericSampler(seed=42), cov)
+    path = tmp_path / "path-space.json"
+    path.write_text(json.dumps(V.to_json()))
+    assert main(["check", "matrix-dilworth", str(path)]) == EXIT_PARSE
+    assert "needs a nilpotent algebra" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """One matroid-intersection run per relation theorem, one routing space per path check.
 
-No span, no draw and no nilpotency flag for linorders, and no span for a
-path capacity's routing space.
+No span, no draw and no nilpotency test for linorders, no span for
+acyclicity, and no span for a path capacity's routing space.
 A subspace's complement is computed once per check, and a proved blow-up order
 is drawn once.
 """
@@ -20,7 +20,7 @@ from linminmax.matching_cover import matroid_intersection
 from linminmax.relation import Relation
 from linminmax.verify import verify_cover, verify_matching
 from conftest import rand_vec
-from reference import BipartiteGraph, bipartite_max_matching
+from reference import BipartiteGraph, bipartite_max_matching, instance_from_relation
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -66,11 +66,16 @@ def test_each_check_runs_the_intersection_once(theorem, monkeypatch, capsys):
 
 @pytest.mark.parametrize("theorem", ["dilworth", "coherent"])
 def test_linorder_checks_run_no_nilpotency_flag(theorem, monkeypatch, capsys):
-    """The linorder axioms decide nilpotency, so validation runs no V^n flag."""
-    flags = count_calls(monkeypatch, relation.space_power_is_zero)
+    """The linorder axioms decide nilpotency, so validation runs no nilpotency test.
+
+    Neither the closure and trace test of a matrix space nor the minor
+    table that decides an LGV family's acyclicity runs.
+    """
+    algebras = count_calls(monkeypatch, relation.is_nilpotent_algebra)
+    tables = count_calls(monkeypatch, lgv._subset_minors)
     assert main(["check", theorem, str(GOLDEN / f"{theorem}.json")]) == EXIT_PROVED
     capsys.readouterr()
-    assert flags == []
+    assert algebras == [] and tables == []
 
 
 def test_coherent_on_a_16_dimensional_linorder_builds_no_span(tmp_path, monkeypatch, capsys):
@@ -128,8 +133,8 @@ def test_solvers_run_the_intersection_once_and_sample_nothing(rng, monkeypatch):
 def test_acyclicity_builds_no_span(monkeypatch):
     spans = count_spans(monkeypatch)
     e = [unit_vec(3, i) for i in range(3)]
-    assert lgv.is_acyclic(Relation(3, 3, [(e[0], e[1]), (e[1], e[2])]))
-    assert not lgv.is_acyclic(Relation(3, 3, [(e[0], e[1]), (e[1], e[0])]))
+    assert instance_from_relation(Relation(3, 3, [(e[0], e[1]), (e[1], e[2])]), [], []).acyclic
+    assert not instance_from_relation(Relation(3, 3, [(e[0], e[1]), (e[1], e[0])]), [], []).acyclic
     assert spans == []
 
 

@@ -1,5 +1,6 @@
 """Relations, induced matrix spaces, and the finiteness reduction."""
 
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -8,6 +9,7 @@ import pytest
 from linminmax import relation
 from linminmax.errors import CertificationError, DimensionError
 from linminmax.exact_linalg import IntEchelon, Mat, Subspace, Vec, unit_vec
+from linminmax.lgv import LgvInstance
 from linminmax.relation import (
     GenericSampler,
     MatrixSpace,
@@ -17,11 +19,11 @@ from linminmax.relation import (
     is_nilpotent_algebra,
     routing_space,
     sample_element,
-    space_power_is_zero,
 )
 from conftest import (
     as_lists,
     blow_up,
+    diag,
     rand_mat,
     rand_relation,
     rand_subspace,
@@ -29,7 +31,16 @@ from conftest import (
     reduced_indices,
     vec,
 )
-from reference import dense_routing_space, outer, space_contains, spanned, to_matrix_space
+from reference import (
+    dense_routing_space,
+    instance_from_relation,
+    outer,
+    ref_nilpotent_algebra,
+    ref_power_dims,
+    space_contains,
+    spanned,
+    to_matrix_space,
+)
 
 
 def spans_same(space_a, space_b):
@@ -174,19 +185,6 @@ def test_zero_pairs_are_dropped_by_reduce():
     assert len(R.pairs) == 2
 
 
-def ref_power_dims(V, kmax):
-    """dim V^k for k = 1..kmax from the definition: spans of basis products."""
-    width = V.m * V.n
-    level = list(V.basis)
-    dims = []
-    for _ in range(kmax):
-        ech = IntEchelon(width)
-        kept = [p for p in level if ech.add(p.int_flat())]
-        dims.append(len(kept))
-        level = [p @ b for p, b in product(kept, V.basis)]
-    return dims
-
-
 def conjugated(rng, mats, n):
     """The same matrices in a random basis, P M P^-1, with rational entries."""
     from linminmax.exact_linalg import solve_exact
@@ -213,7 +211,19 @@ def random_nilpotent_space(rng, n):
     return MatrixSpace(n, n, kept) if kept else random_nilpotent_space(rng, n)
 
 
+def algebra_of(n, mats) -> MatrixSpace:
+    """The span of `mats` and all their products: the algebra they generate, without I."""
+    space = spanned(n, n, mats)
+    while True:
+        products = [x @ y for x, y in product(space.basis, space.basis)]
+        grown = spanned(n, n, list(space.basis) + products)
+        if grown.dim == space.dim:
+            return MatrixSpace(n, n, space.basis)
+        space = grown
+
+
 def test_space_power_is_zero_matches_products(rng):
+    """`is_nilpotent_algebra` is "closed, and V^n = 0" by spans of products, on V and on its algebra."""
     spaces = [random_nilpotent_space(rng, rng.randint(2, 5)) for _ in range(25)]
     e12, e21 = Mat([[0, 1], [0, 0]]), Mat([[0, 0], [1, 0]])
     spaces += [
@@ -225,23 +235,76 @@ def test_space_power_is_zero_matches_products(rng):
     for _ in range(10):
         n = rng.randint(1, 4)
         spaces.append(MatrixSpace(n, n, [rand_mat(rng, n, n)]))
-    seen_nilpotent = seen_other = 0
+    seen = {True: 0, False: 0}
     for V in spaces:
-        dims = ref_power_dims(V, V.n + 2)
-        index = next((k + 1 for k, d in enumerate(dims) if d == 0), None)
-        assert space_power_is_zero(V) == (index is not None), V.basis
-        if index is None:
-            seen_other += 1
-        else:
-            seen_nilpotent += 1
-            assert index <= V.n
-    assert seen_nilpotent > 20 and seen_other > 5
-    assert space_power_is_zero(MatrixSpace(3, 3, []))
-    assert space_power_is_zero(MatrixSpace(0, 0, []))
+        for W in (V, algebra_of(V.n, V.basis)):
+            verdict = is_nilpotent_algebra(W)
+            assert verdict == ref_nilpotent_algebra(W), W.basis
+            seen[verdict] += 1
+    assert seen[True] > 20 and seen[False] > 5, seen
+    assert is_nilpotent_algebra(MatrixSpace(3, 3, []))
+    assert is_nilpotent_algebra(MatrixSpace(0, 0, []))
+
+
+def test_is_nilpotent_algebra_matches_closure_and_powers():
+    """The trace rule agrees with "closed under products, and V^n = 0" by spans of products.
+
+    Closed algebras of both verdicts (conjugated strictly upper triangular
+    ones, upper triangular ones with a diagonal, diagonal ones,
+    span{I, E12}, the 0 x 0 and the zero space), and spaces that are not
+    closed though every generator is nilpotent, which are refused.
+    """
+    import random
+
+    rng = random.Random(97)
+
+    def upper(n, strict):
+        low = 1 if strict else 0
+        rows = [
+            [rng.randint(-2, 2) if j >= i + low and rng.random() < 0.6 else 0 for j in range(n)]
+            for i in range(n)
+        ]
+        return Mat(rows, n)
+
+    e12, e23 = Mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]]), Mat([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
+    spaces = [
+        MatrixSpace(0, 0, []),
+        MatrixSpace(3, 3, []),
+        MatrixSpace(3, 3, [e12, e23]),
+        MatrixSpace(2, 2, [Mat.identity(2), Mat([[0, 1], [0, 0]])]),
+        algebra_of(2, [Mat([[1, 0], [0, -1]])]),  # a traceless generator whose square is I
+    ]
+    for trial in range(150):
+        n = rng.randint(1, 4)
+        kind = trial % 5
+        if kind == 0:  # strictly upper triangular, conjugated, closed
+            gens = conjugated(rng, [upper(n, True) for _ in range(rng.randint(1, 2))], n)
+            spaces.append(algebra_of(n, gens))
+        elif kind == 1:  # upper triangular with a diagonal, conjugated, closed
+            gens = conjugated(rng, [upper(n, False) for _ in range(rng.randint(1, 2))], n)
+            spaces.append(algebra_of(n, gens))
+        elif kind == 2:  # diagonal
+            spaces.append(algebra_of(n, [diag([rng.randint(-2, 2) for _ in range(n)])]))
+        elif kind == 3:  # nilpotent generators, closed or not
+            spaces.append(random_nilpotent_space(rng, max(n, 3)))
+        else:  # the path e12, e23, ..., conjugated: each generator is nilpotent, e12 e23 is missing
+            n = max(n, 3)
+            units = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+            path = [Mat([row if k == i else [0] * n for k, row in enumerate(units)], n) for i in range(n - 1)]
+            spaces.append(MatrixSpace(n, n, conjugated(rng, path, n)))
+    outcomes = {True: 0, False: 0}
+    refused_nilpotent = 0
+    for V in spaces:
+        verdict = is_nilpotent_algebra(V)
+        assert verdict == ref_nilpotent_algebra(V), (V.n, V.basis)
+        outcomes[verdict] += 1
+        refused_nilpotent += not verdict and ref_power_dims(V, max(V.n, 1))[-1] == 0
+    assert min(outcomes.values()) >= 40, outcomes
+    assert refused_nilpotent >= 20, refused_nilpotent
 
 
 def test_relation_power_is_zero_matches_its_span(rng):
-    """On a relation the flag runs on neighborhood spans, with the span's verdicts."""
+    """On a relation the LGV minor table decides V_R^n = 0, with the span's verdicts."""
     import random
 
     from linminmax.cli import gen_linorder
@@ -263,9 +326,9 @@ def test_relation_power_is_zero_matches_its_span(rng):
         relations.append(rand_relation(rng, n, n, rng.randint(1, 4)))
     nilpotent = 0
     for R in relations:
-        V = to_matrix_space(R)
-        assert space_power_is_zero(R) == space_power_is_zero(V), R.to_json()
-        nilpotent += space_power_is_zero(R)
+        acyclic = instance_from_relation(R, [], []).acyclic
+        assert acyclic == (ref_power_dims(to_matrix_space(R), max(R.n, 1))[-1] == 0), R.to_json()
+        nilpotent += acyclic
     assert 15 < nilpotent < len(relations)
 
 
@@ -311,12 +374,12 @@ def test_relation_routing_space_matches_its_span(rng):
 
 
 def test_space_power_is_zero_needs_square():
+    """Nilpotency is defined for square spaces and square pair families only."""
     V = MatrixSpace(2, 3, [Mat([[0, 1, 0], [0, 0, 0]])])
-    with pytest.raises(DimensionError):
-        space_power_is_zero(V)
-    with pytest.raises(DimensionError):
-        space_power_is_zero(Relation(3, 2, []))
     assert not is_nilpotent_algebra(V)
+    assert not is_nilpotent_algebra(MatrixSpace(2, 3, []))
+    with pytest.raises(DimensionError):
+        LgvInstance(Mat.zeros(3, 1), Mat.zeros(2, 1), Mat.zeros(3, 0), Mat.zeros(3, 0))
 
 
 def test_is_nilpotent_algebra_examples(rng):
@@ -474,22 +537,20 @@ def test_spanned_keeps_the_prefix_greedy_generators():
         MatrixSpace(2, 2, [a, b, a + b])
 
 
-def test_nilpotent_verdict_is_decided_once_per_space(monkeypatch):
-    calls = []
-    power_is_zero = relation.space_power_is_zero
+def test_nilpotent_verdict_is_decided_once_per_space(monkeypatch, tmp_path, capsys):
+    """`check matrix-dilworth` runs the closure test once, on a nilpotent algebra and on a refused space."""
+    from linminmax.cli import EXIT_PARSE, EXIT_PROVED, main
+    from test_one_run import count_calls
 
-    def counting(V):
-        calls.append(V.n)
-        return power_is_zero(V)
-
-    monkeypatch.setattr(relation, "space_power_is_zero", counting)
+    calls = count_calls(monkeypatch, relation.is_nilpotent_algebra)
     e12, e23 = Mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]]), Mat([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
-    basis = [e12, e23, e12 @ e23]
-    V = MatrixSpace(3, 3, basis)
-    assert is_nilpotent_algebra(V) and is_nilpotent_algebra(V)
-    assert calls == [3]
-    assert is_nilpotent_algebra(MatrixSpace(3, 3, basis))
-    assert calls == [3, 3]
+    for basis, code in [([e12, e23, e12 @ e23], EXIT_PROVED), ([e12, e23], EXIT_PARSE)]:
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(MatrixSpace(3, 3, basis).to_json()))
+        calls.clear()
+        assert main(["check", "matrix-dilworth", str(path)]) == code
+        capsys.readouterr()
+        assert len(calls) == 1
 
 
 def _scripted(monkeypatch, draws):

@@ -116,3 +116,8 @@ def test_every_module_is_imported_from_the_cli():
 def test_only_the_cli_imports_the_verifier():
     importers = sorted(module for module in MODULES if "verify" in _imported_modules(module))
     assert importers == ["cli"]
+
+
+def test_lgv_imports_only_the_kernel_and_the_errors():
+    """Acyclicity is read off the minor table, so `lgv` needs no relation or matrix space."""
+    assert _imported_modules("lgv") == {"exact_linalg", "errors"}
