@@ -8,6 +8,14 @@ stays below the verified dual, 1 means a certificate, identity or paper
 value failed to hold, 3 means the command line or the instance was
 malformed.  Every random draw is seeded by `--seed`, and every report
 embeds the seed and configuration that reproduce it.
+
+`main` hands the arguments after a command name (`gen`, `check`, `demo`)
+straight to that command's parser; the top-level parser sees only the
+other command lines (none, `-h`, an unknown command) and reports the
+arguments a command leaves over, so usage errors read as from one parser.
+A JSON report or instance is written by `json_text` in one byte-stable
+form, that of `json.dumps(x, indent=2, sort_keys=True)`: 2-space indent,
+sorted keys and ASCII escapes.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ import json
 import random
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from operator import mul
 
 from . import dilworth, lgv, matching_cover, menger, ncrank, verify
@@ -80,9 +89,41 @@ def _load(path: str) -> dict:
         raise ParseFailure(str(ex)) from ex
 
 
+def json_text(x, indent: str = "") -> str:
+    """`json.dumps(x, indent=2, sort_keys=True)`, nested at `indent`.
+
+    Strings, ints, bools, None, and dicts with string keys, lists and tuples
+    of these are written here: the stdlib encoder runs in pure Python
+    whenever it indents.  Any other scalar is written by `json.dumps`.
+    """
+    if type(x) is str:
+        return _quote(x)
+    if type(x) is int:
+        return int.__repr__(x)
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if x is None:
+        return "null"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = indent + "  "
+        items = [f"{_quote(k)}: {json_text(x[k], inner)}" for k in sorted(x)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = indent + "  "
+        items = [json_text(v, inner) for v in x]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    return json.dumps(x)
+
+
 def _emit(report: dict, fmt: str):
     if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json_text(report))
     else:
         for key, value in report.items():
             print(f"{key}: {value}")
@@ -210,7 +251,7 @@ def run_gen(args) -> int:
         print(f"bad {args.kind} sizes {sizes}: {error}", file=sys.stderr)
         return EXIT_PARSE
     data = gen(rng, **sizes)
-    text = json.dumps(data, indent=2, sort_keys=True)
+    text = json_text(data)
     if not args.out:
         print(text)
         return EXIT_PROVED
@@ -686,7 +727,10 @@ def _add_common(parser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and kept for the process."""
+    """The argument parser, built on first use and kept for the process.
+
+    Its `commands` maps each command name to that command's parser.
+    """
     parser = _Parser(
         prog="linminmax",
         description="Exact certificates for linear and matrix min-max dualities.",
@@ -714,11 +758,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_demo)
     p_demo.set_defaults(func=run_demo)
 
+    parser.commands = {"gen": p_gen, "check": p_check, "demo": p_demo}
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line; the same exits and messages as `parse_args` on the whole line."""
+    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, rest = command.parse_known_args(argv[1:])
+        if rest:
+            parser.error(f"unrecognized arguments: {' '.join(rest)}")
     return args.func(args)
 
 

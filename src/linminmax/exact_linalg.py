@@ -10,11 +10,14 @@ holds its canonical basis as primitive integer rows.  Sums, products,
 membership tests and eliminations run on those integers, and Fractions
 appear only at the accessors (`entries`, indexing and `vectors`).  A JSON
 row loads straight to an integer row: a row of strings -?digits and
--?digits/digits with q > 0 in one pass, by `int` on each part and one lcm
-and gcd; any other row, one holding "1/-2", "1/0", "--1", " 1", "+1",
-"1.5" or a JSON number, entry by entry by `Fraction`.  A report writes
-each entry x / d of a row with one gcd, as `rational_to_string` writes
-the Fraction x / d.
+-?digits/digits with q > 0 in one pass, by `int` on each part into a
+list of numerators and one of denominators, and one lcm and gcd; any
+other row, one holding "1/-2", "1/0", "--1", " 1", "+1", "1.5" or a JSON
+number, entry by entry by `Fraction`.  A report writes each entry x / d
+of a row with one gcd, as `rational_to_string` writes the Fraction x / d.
+A subspace loads by eliminating the integer columns of its JSON basis
+matrix, and prints its canonical row j as column j, each entry over the
+row's pivot.
 
 Every elimination is fraction-free over the integers, and there is one
 routine: the incremental Bareiss echelon `IntEchelon` (rank, independence,
@@ -86,10 +89,14 @@ def _plain_row(entries) -> tuple[list[int], int] | None:
             return None
         if "/" not in joined:
             return list(map(int, entries)), 1
-        pairs = [(int(p), int(q) if s else 1) for p, s, q in (x.partition("/") for x in entries)]
+        nums, dens = [], []
+        for x in entries:
+            p, s, q = x.partition("/")
+            nums.append(int(p))
+            dens.append(int(q) if s else 1)
     except (TypeError, ValueError):
         return None
-    return clear_scale(pairs) if min(q for _, q in pairs) > 0 else None
+    return _over_lcm(nums, dens) if min(dens) > 0 else None
 
 
 def _no_bools(entries):
@@ -146,10 +153,15 @@ def clear_scale(pairs) -> tuple[list[int], int]:
     l is the lcm of the q's, divided by the gcd of l and the scaled row, so
     that l and the row share no factor.
     """
-    l = lcm(*[q for _, q in pairs])
+    return _over_lcm([p for p, _ in pairs], [q for _, q in pairs])
+
+
+def _over_lcm(nums: list[int], dens: list[int]) -> tuple[list[int], int]:
+    """`clear_scale` of the rationals nums[i] / dens[i], for positive dens."""
+    l = lcm(*dens)
     if l == 1:
-        return [p for p, _ in pairs], 1
-    num = [p * (l // q) for p, q in pairs]
+        return nums, 1
+    num = [p * (l // q) for p, q in zip(nums, dens)]
     g = gcd(l, *num)
     if g != 1:
         num = [x // g for x in num]
@@ -436,7 +448,7 @@ class Mat:
     `_num` is a tuple of integer row tuples and `_den` a positive integer,
     and entry (i, j) is `_num[i][j] / _den`.  They are reduced so that
     gcd(`_den`, every entry) = 1, which makes equal matrices equal data.
-    The accessors (`row`, `col`, `columns`) return Vecs, whose `entries`
+    The accessors (`row`, `col`) return Vecs, whose `entries`
     are Fractions; the arithmetic and the eliminations run on the integers.
     """
 
@@ -491,25 +503,6 @@ class Mat:
     def zeros(cls, rows: int, cols: int) -> "Mat":
         return cls._raw(((0,) * cols,) * rows, 1, cols)
 
-    @classmethod
-    def from_cols(cls, columns, rows: int | None = None) -> "Mat":
-        columns = [c if isinstance(c, Vec) else Vec(c) for c in columns]
-        if columns:
-            rows = columns[0].dim
-        elif rows is None:
-            raise DimensionError("from_cols with no columns needs explicit row count")
-        if any(c.dim != rows for c in columns):
-            raise DimensionError("ragged matrix columns")
-        den = lcm(*(c.den for c in columns))
-        scaled = [
-            c.int_row() if c.den == den else [x * (den // c.den) for x in c.int_row()]
-            for c in columns
-        ]
-        # over the lcm of reduced denominators the result is already reduced
-        return cls._raw(
-            tuple(zip(*scaled)) if scaled else ((),) * rows, den, len(columns)
-        )
-
     # accessors ----------------------------------------------------------
 
     @property
@@ -530,9 +523,6 @@ class Mat:
 
     def col(self, j: int) -> Vec:
         return Vec.from_ints([r[j] for r in self._num], self._den)
-
-    def columns(self) -> list[Vec]:
-        return [Vec.from_ints(c, self._den) for c in self._columns()]
 
     def is_zero(self) -> bool:
         return not any(any(r) for r in self._num)
@@ -791,11 +781,6 @@ class Subspace:
         # a primitive row over its positive pivot is already reduced
         return tuple(Vec._raw(r, r[p]) for r, p in zip(self._rows, self._pivots))
 
-    @property
-    def basis(self) -> Mat:
-        """Basis matrix (ambient x dim), reduced column echelon form."""
-        return Mat.from_cols(self.vectors, rows=self.ambient)
-
     def contains(self, v: Vec) -> bool:
         """Whether v lies in the subspace: at once for the full space, else on the integer rows."""
         if v.dim != self.ambient:
@@ -840,17 +825,24 @@ class Subspace:
         return f"Subspace(dim {self.dim} of F^{self.ambient})"
 
     def to_json(self):
-        return self.basis.to_json()
+        """The ambient x dim basis matrix: entry (i, j) is row_j[i] / row_j[p_j], the RREF row j."""
+        cols = [_rational_strings(r, r[p]) for r, p in zip(self._rows, self._pivots)]
+        return [list(row) for row in zip(*cols)] if cols else [[] for _ in range(self.ambient)]
 
     @classmethod
     def from_json(cls, data, ambient: int | None = None) -> "Subspace":
+        """The span of the columns of a JSON basis matrix, eliminated as integer columns.
+
+        A column times the matrix's common denominator spans the same line.
+        """
         data = json_list(data)
         if ambient is None:
             ambient = len(data)
-        m = Mat.from_json(data) if data else Mat.zeros(ambient, 0)
-        if m.rows != ambient:
+        rows, _ = _json_rows(data)
+        _width(rows, None)  # refuses ragged rows
+        if rows and len(rows) != ambient:
             raise DimensionError("basis matrix has wrong ambient dimension")
-        return cls.span(ambient, m.columns())
+        return cls.from_echelon(_echelon(zip(*rows), ambient))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:

@@ -7,7 +7,8 @@ the standard library and the package's error types alone, so that they
 share no code with the exact-arithmetic modules they validate.  Every
 oracle returns a primal/dual pair of equal size (an inequality is a hard
 failure of the oracle itself).  Then come the references built on the
-package: subspace membership by Fraction elimination and intersection by
+package: matrices built from their columns and the basis matrix of a
+subspace, subspace membership by Fraction elimination and intersection by
 Zassenhaus, spans of matrices and membership in their blow-ups by
 elimination, the rank-one span of a relation, the routing space as one
 eliminated padded span and the bordered matrix of a path capacity, the
@@ -379,7 +380,22 @@ def vertex_disjoint_paths(G: Digraph, H, K):
 
 
 # ---------------------------------------------------------------------------
-# subspaces
+# matrices by their columns, and subspaces
+
+
+def from_cols(columns, rows: int) -> Mat:
+    """The rows x len(columns) matrix whose columns are the Vecs `columns`."""
+    return Mat([[c[i] for c in columns] for i in range(rows)], len(columns))
+
+
+def columns(m: Mat) -> list:
+    """The columns of m, as Vecs."""
+    return [m.col(j) for j in range(m.cols)]
+
+
+def basis_matrix(S: Subspace) -> Mat:
+    """The ambient x dim matrix whose columns are the RREF basis of S."""
+    return from_cols(S.vectors, S.ambient)
 
 
 def ref_rref(rows):
@@ -584,8 +600,8 @@ def generic_rank_rank_one_update(A: Mat, v: Vec, w: Vec) -> int:
     """Generic rank of A + x w v^T: min(rank [A | w], rank [A ; v^T])."""
     if v.dim != A.cols or w.dim != A.rows:
         raise DimensionError("rank-one update with mismatched shapes")
-    col_aug = hstack([A, Mat.from_cols([w])])
-    row_aug = _block([[A], [Mat.from_cols([v]).transpose()]])
+    col_aug = hstack([A, from_cols([w], A.rows)])
+    row_aug = _block([[A], [from_cols([v], A.cols).transpose()]])
     return min(col_aug.rank(), row_aug.rank())
 
 
@@ -602,7 +618,7 @@ def generic_rank_sum(A: Mat, pairs) -> int:
     k = len(pairs)
     # Scaling a row by a nonzero factor keeps every rank, so [A | W] is
     # taken once as integer rows over one denominator, and each v^T alone.
-    top = hstack([A, Mat.from_cols([w for _, w in pairs], rows=A.rows)]).int_rows()
+    top = hstack([A, from_cols([w for _, w in pairs], A.rows)]).int_rows()
     bottom = [list(v.int_row()) for v, _ in pairs]
     best = None
     for mask in range(1 << k):
@@ -687,10 +703,10 @@ def instance_from_relation(R: Relation, sources, sinks) -> LgvInstance:
     if R.n != R.m:
         raise DimensionError("path instances need a relation on F^n x F^n")
     return LgvInstance(
-        Mat.from_cols([v for v, _ in R.pairs], rows=R.n),
-        Mat.from_cols([w for _, w in R.pairs], rows=R.n),
-        Mat.from_cols(list(sources), rows=R.n),
-        Mat.from_cols(list(sinks), rows=R.n),
+        from_cols([v for v, _ in R.pairs], R.n),
+        from_cols([w for _, w in R.pairs], R.n),
+        from_cols(list(sources), R.n),
+        from_cols(list(sinks), R.n),
     )
 
 

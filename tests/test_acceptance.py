@@ -38,9 +38,11 @@ from linminmax.verify import verify_cover, verify_matching
 from reference import (
     BipartiteGraph,
     Digraph,
+    basis_matrix,
     bipartite_max_matching,
     bordered_rank,
     classical_lgv,
+    from_cols,
     generic_rank_rank_one_update,
     generic_rank_sum,
     graph_instance,
@@ -255,14 +257,14 @@ def test_criterion_7_lgv():
         pairs = [(unit_vec(n, a), unit_vec(n, b)) for a, b in edges]
         k = rng.randint(1, 2)
         inst = LgvInstance(
-            Mat.from_cols([p[0] for p in pairs], rows=n)
+            from_cols([p[0] for p in pairs], n)
             if pairs
             else Mat.zeros(n, 0),
-            Mat.from_cols([p[1] for p in pairs], rows=n)
+            from_cols([p[1] for p in pairs], n)
             if pairs
             else Mat.zeros(n, 0),
-            Mat.from_cols([unit_vec(n, rng.randrange(n)) for _ in range(k)], rows=n),
-            Mat.from_cols([unit_vec(n, rng.randrange(n)) for _ in range(k)], rows=n),
+            from_cols([unit_vec(n, rng.randrange(n)) for _ in range(k)], n),
+            from_cols([unit_vec(n, rng.randrange(n)) for _ in range(k)], n),
         )
         xs = [Fraction(rng.randint(-9, 9)) for _ in range(len(pairs))]
         _, den = lgv_rhs_parts(inst, xs)
@@ -355,10 +357,10 @@ def test_criterion_9_structural_invariants():
         s = GenericSampler(seed=91500 + i)
         for _ in range(4):
             A = sample_element(V, s)
-            inv = solve_exact(Mat.identity(n) - A, E.basis)
+            inv = solve_exact(Mat.identity(n) - A, basis_matrix(E))
             if inv is None:
                 continue
-            schur = (F.basis.transpose() @ inv).rank()
+            schur = (basis_matrix(F).transpose() @ inv).rank()
             assert bordered_rank(A, E, F) == n + schur
             guttman_checked += 1
     assert guttman_checked >= 30

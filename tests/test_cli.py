@@ -2,6 +2,7 @@
 
 import ast
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,8 @@ from linminmax.cli import (
     EXIT_PROVED,
     EXIT_VIOLATION,
     ParseFailure,
+    RunConfig,
+    json_text,
     main,
 )
 from reference import instance_from_relation, to_matrix_space
@@ -564,6 +567,9 @@ def test_theorem_preconditions_are_parse_errors(tmp_path, capsys):
         ("coherent", {"n": 2, "m": 3, "pairs": []}),
         ("menger", {"n": 2, "m": 3, "pairs": [], "E": [["1"], ["0"]], "F": [["0"], ["1"]]}),
         ("matrix-menger", {"m": 2, "n": 3, "basis": [], "E": [one] * 3, "F": [one] * 3}),
+        # a basis matrix of E or F must have n rows
+        ("menger", {"n": 2, "m": 2, "pairs": [], "E": [one] * 3, "F": [one] * 2}),
+        ("matrix-menger", {"m": 2, "n": 2, "basis": [], "E": [one] * 2, "F": [two]}),
         ("rado", {"m": 2, "sets": []}),
         ("rado", {"m": 1, "sets": [[one], [one]]}),
         ("rado", {"m": 2, "sets": [[three]]}),
@@ -680,3 +686,104 @@ def test_check_rado_rechecks_its_report(tmp_path, capsys, monkeypatch):
     assert exit_with(([e[1]], None)) == EXIT_VIOLATION  # set 1 unrepresented
     assert exit_with((None, [0, 1])) == EXIT_VIOLATION  # the union spans F^3
     assert exit_with((None, [2])) == EXIT_VIOLATION  # no such set
+
+
+def _dumps(x) -> str:
+    return json.dumps(x, indent=2, sort_keys=True)
+
+
+def test_json_text_writes_every_report_and_instance_as_json_dumps():
+    """The golden files, the checks' and demos' own reports, and each `gen` kind's instances."""
+    for path in sorted(GOLDEN.iterdir()):
+        data = json.loads(path.read_text())
+        assert json_text(data) == _dumps(data), path.name
+    for entry in json.loads((GOLDEN / "manifest.json").read_text()):
+        data = json.loads((GOLDEN / entry["instance"]).read_text())
+        report, _ = cli.CHECKS[entry["theorem"]](data, RunConfig(trials=10))
+        assert json_text(report) == _dumps(report), entry["theorem"]
+    for name, demo in cli.DEMOS.items():
+        report, _ = demo(RunConfig())
+        assert json_text(report) == _dumps(report), name
+    for kind, (gen, sizes) in cli.GENERATORS.items():
+        for seed in range(3):
+            data = gen(random.Random(seed), **sizes)
+            assert json_text(data) == _dumps(data), (kind, seed)
+
+
+_CHARS = 'aZ09 "\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u4e2d\u2028\ud800\U0001f600'
+
+
+def _random_text(rng) -> str:
+    return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(6)))
+
+
+def _random_json(rng, depth=0):
+    """A nested value of the types reports hold, with empty containers, escapes and wide ints."""
+    kind = rng.randrange(9 if depth < 4 else 6)
+    if kind == 0:
+        return _random_text(rng)
+    if kind == 1:
+        return rng.choice([0, -1, 7, -(2**64) - 3, 2**70 + 1, rng.randint(-(10**30), 10**30)])
+    if kind == 2:
+        return rng.choice([True, False, None])
+    if kind == 3:
+        return rng.choice([{}, [], (), {"": {}}, [[]], [{}, []], {"a": []}])
+    if kind == 4:
+        return rng.choice([0.5, -2.5e300, 1e-7])
+    if kind == 5:
+        return rng.choice(["", "1/2", "-3"])
+    if kind == 6:
+        return [_random_json(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 7:
+        return tuple(_random_json(rng, depth + 1) for _ in range(rng.randrange(4)))
+    return {_random_text(rng): _random_json(rng, depth + 1) for _ in range(rng.randrange(4))}
+
+
+def test_json_text_matches_json_dumps_on_random_values():
+    rng = random.Random(36)
+    for _ in range(600):
+        x = _random_json(rng)
+        assert json_text(x) == _dumps(x), x
+
+
+def _outcome(capsys, run):
+    try:
+        code = run()
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "konig", _KONIG, "--output", "json", "--trials", "3"],
+        ["check", "hall", str(GOLDEN / "hall.json"), "--seed", "2"],
+        ["check", "lgv", str(GOLDEN / "lgv.json"), "--output", "json", "--coeff-bound", "9"],
+        ["gen", "relation", "n=2", "m=3", "r=2", "--seed", "5"],
+        ["gen", "lgv"],
+        ["demo", "skew3", "--output", "json"],
+        ["demo", "linorder-f4", "--seed", "1", "--budget", "4"],
+        ["check", "nosuch", "f"],
+        ["check", "konig", "f", "--trials", "0"],
+        ["check", "lgv", "f", "--coeff-bound", "0"],
+        ["check", "konig", "f", "--bogus"],
+        ["check", "konig", "f", "--bogus", "x", "--seed", "1"],
+        ["check", "konig"],
+        ["check", "-h"],
+        ["gen", "relation", "size=16"],
+        ["nosuch"],
+        ["-h"],
+        [],
+    ],
+    ids=lambda argv: " ".join(argv) or "no arguments",
+)
+def test_dispatch_matches_the_top_level_parser(argv, capsys):
+    """`main` gives the exit code, stdout and stderr of parsing the whole line at the top level."""
+
+    def parsed():
+        args = cli.build_parser().parse_args(argv)
+        return args.func(args)
+
+    assert _outcome(capsys, lambda: main(argv)) == _outcome(capsys, parsed)

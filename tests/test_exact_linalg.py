@@ -27,7 +27,16 @@ from linminmax.verify import verify_cover
 from linminmax.lgv import LgvInstance
 from linminmax.relation import MatrixSpace, Relation
 from conftest import as_lists, dot, rand_mat, rand_vec, vec
-from reference import in_span, outer, ref_kernel_rows, ref_nullspace, ref_rref, subspace_intersection
+from reference import (
+    basis_matrix,
+    columns,
+    in_span,
+    outer,
+    ref_kernel_rows,
+    ref_nullspace,
+    ref_rref,
+    subspace_intersection,
+)
 
 
 def cofactor_det(m: Mat) -> Fraction:
@@ -485,7 +494,7 @@ def test_mat_canonical_form():
 
 def test_mat_entries_are_fractions():
     m = Mat([[1, "3/4"], [Fraction(-2, 6), True]])
-    entries = [x for u in m.columns() for x in u.entries] + list(m.row(1).entries + m.col(0).entries)
+    entries = [x for u in columns(m) for x in u.entries] + list(m.row(1).entries + m.col(0).entries)
     assert all(type(x) is Fraction for x in entries)
     assert type(m.row(0)[0]) is Fraction and m.row(1)[0] == Fraction(-1, 3)
     assert m.to_json() == [["1", "3/4"], ["-1/3", "1"]]
@@ -628,7 +637,7 @@ def _boundary_loaders(row, plain):
         ),
         (
             lambda: Subspace.from_json(data),
-            lambda: Subspace.span(2, _reference_mat(data).columns()),
+            lambda: Subspace.span(2, columns(_reference_mat(data))),
         ),
         (
             lambda: LgvInstance.from_json(lgv_json(key)),
@@ -779,11 +788,11 @@ def test_to_json_renders_each_entry_as_its_fraction():
         v, m = Vec(rows[0]), Mat(rows, n)
         S = Subspace.span(n, [Vec(r) for r in rows])
         assert v.to_json() == [rational_to_string(Fraction(x, v.den)) for x in v.int_row()]
-        for shown in (m, S.basis):
+        for shown in (m, basis_matrix(S)):
             assert shown.to_json() == [
                 [rational_to_string(Fraction(x, shown.den)) for x in row] for row in shown.int_rows()
             ]
-        assert S.to_json() == S.basis.to_json()
+        assert S.to_json() == basis_matrix(S).to_json()
         assert Mat.from_json(m.to_json()) == m and Vec.from_json(v.to_json()) == v
 
 
