@@ -505,9 +505,8 @@ def check_matrix_dilworth(data, config: RunConfig):
     if not is_nilpotent_algebra(V):
         raise ParseFailure("matrix Dilworth needs a nilpotent algebra")
     r = max(1, V.n - 1)
-    cover = ncrank.ncrank(V, config.sampler()).dual
+    cover, D = ncrank.matrix_coherent_decomposition(V, r, config.sampler())
     C = cover.antichain()
-    D = ncrank.matrix_coherent_decomposition(V, r, config.sampler(), cover)
     ok = (
         verify.verify_antichain(V, C)
         and verify.verify_coherent_decomposition(D, V, r)

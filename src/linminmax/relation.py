@@ -8,8 +8,10 @@ span N(U), so `apply_space` runs on the relation itself, and a cover
 (U, V[U]) is checked with no complement.  No power V^k is iterated:
 `is_nilpotent_algebra` reads nilpotency off the traces of the basis of a
 space closed under products.  The routing space of a path capacity
-(`routing_space`) is held as its generators, with no elimination, and a
-draw carries the coefficients by which `verify` checks it.
+(`routing_space`) is held as the generators that its space yields, with
+no elimination, and a draw carries the coefficients by which `verify`
+checks it.  Every best-of-trials loop is `best_sample`, and the largest
+blow-up order it draws at is `max_order`.
 """
 
 from __future__ import annotations
@@ -34,6 +36,11 @@ from .exact_linalg import (
 
 # The largest blow-up side max(m, n) r that `best_sample` draws at.
 BLOWUP_DIM_BUDGET = 64
+
+
+def max_order(V) -> int:
+    """The largest blow-up order r whose side max(m, n) r stays within BLOWUP_DIM_BUDGET."""
+    return BLOWUP_DIM_BUDGET // max(V.m, V.n, 1)
 
 
 class Relation:
@@ -89,6 +96,12 @@ class Relation:
             [(Vec.from_json(v), Vec.from_json(w)) for v, w in json_list(data["pairs"])],
         )
 
+    def generators(self):
+        """(integer rows, den) of each rank-one w v^T with v and w nonzero, in pair order."""
+        for v, w in self.pairs:
+            if not (v.is_zero() or w.is_zero()):
+                yield tuple(tuple([x * y for y in v.int_row()]) for x in w.int_row()), v.den * w.den
+
     def images(self, rows):
         """The w of each pair whose v meets the span of `rows`: they span V_R[U] = N(U)."""
         return (
@@ -133,6 +146,10 @@ class MatrixSpace:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    def generators(self):
+        """(integer rows, den) of each basis matrix."""
+        return ((b, self.den) for b in self.int_basis)
 
     def images(self, rows):
         """B u for each basis matrix B and each u in `rows`: they span V[U]."""
@@ -216,21 +233,14 @@ def wong_limit(V: MatrixSpace, r: int, A: Mat) -> tuple[Subspace, Subspace]:
     point.  Since (B (x) E_kl)(x (x) e_j) = [l = j] Bx (x) e_k, the image
     of U is V[U'] (x) F^r, where U' spans the r slices (u[j r + l])_j of the
     vectors u of U; so the blow-up basis is never built.  U_i is the kernel
-    of Q A, where the rows q (x) e_k of Q span W_i^perp = V[U']^perp (x) F^r.
-    Returns (U', V[U']) of the limit.  Its defect bounds rank A: when the
-    limit W lies in im A, dim U' - dim V[U'] >= n - rank(A) / r.
+    of Q A, where the rows q (x) e_k of Q span W_i^perp = V[U']^perp (x) F^r;
+    at W_0 = 0, Q A is A itself.  Returns (U', V[U']) of the limit.  Its
+    defect bounds rank A: when the limit W lies in im A,
+    dim U' - dim V[U'] >= n - rank(A) / r.
     """
     n, rows = V.n, A.int_rows()
-    W = Subspace.zero(V.m)
+    W, q_rows = Subspace.zero(V.m), rows
     while True:
-        q_rows = []
-        for q in int_kernel(W.int_rows(), V.m):
-            terms = [(x, i) for i, x in enumerate(q) if x]
-            for k in range(r):
-                acc = [0] * (n * r)
-                for x, i in terms:
-                    acc = [a + x * y for a, y in zip(acc, rows[i * r + k])]
-                q_rows.append(acc)
         slices = IntEchelon(n)
         for u in int_kernel(q_rows, n * r):
             for l in range(r):
@@ -239,7 +249,14 @@ def wong_limit(V: MatrixSpace, r: int, A: Mat) -> tuple[Subspace, Subspace]:
         grown = apply_space(V, U)
         if grown.dim == W.dim:
             return U, grown
-        W = grown
+        W, q_rows = grown, []
+        for q in int_kernel(W.int_rows(), V.m):
+            terms = [(x, i) for i, x in enumerate(q) if x]
+            for k in range(r):
+                acc = [0] * (n * r)
+                for x, i in terms:
+                    acc = [a + x * y for a, y in zip(acc, rows[i * r + k])]
+                q_rows.append(acc)
 
 
 def sample_element(V, sampler: GenericSampler, r: int = 1) -> Mat:
@@ -272,22 +289,16 @@ def best_sample(V: MatrixSpace, sampler: GenericSampler, r: int, bound) -> tuple
     """(rank, el, bound(el)) of the first draw of largest rank in V (x) M_r.
 
     `bound(el)` returns (cert, b): a certificate read off a draw and the
-    bound b on rank / r over all of V (x) M_r that it proves, or None.
-    Each draw that beats the best so far is passed to it, and the first
-    whose rank reaches r * b ends the loop; else `sampler.trials` draws
-    are made.  The maximum rank of V (x) M_r is a multiple of r, so up to
-    2 * trials more draws follow while the best rank is not, and a
-    CertificationError if it still is not.  A blow-up side max(m, n) r
-    beyond BLOWUP_DIM_BUDGET is refused, except at order 1 of a nonzero
-    space, which is V itself.  The zero space, with no generators, draws
-    nothing: its one element is the zero matrix, of rank 0.
+    bound b on rank / r over all of V (x) M_r that it proves.  Each draw
+    that beats the best so far is passed to it, and the first whose rank
+    reaches r * b ends the loop; else `sampler.trials` draws are made.
+    The maximum rank of V (x) M_r is a multiple of r, so up to 2 * trials
+    more draws follow while the best rank is not, and a CertificationError
+    if it still is not.  An order beyond `max_order(V)` is refused, except
+    order 1 of a nonzero space, which is V itself.
     """
-    side = max(V.m, V.n) * r
-    if side > BLOWUP_DIM_BUDGET and (r > 1 or not V.int_basis):
-        raise CertificationError(f"blow-up side {side} exceeds {BLOWUP_DIM_BUDGET}")
-    if not V.int_basis:
-        zero = Mat.zeros(V.m * r, V.n * r)
-        return 0, zero, bound(zero)
+    if r > max_order(V) and (r > 1 or not V.int_basis):
+        raise CertificationError(f"blow-up side {max(V.m, V.n) * r} exceeds {BLOWUP_DIM_BUDGET}")
     best = -1
     for i in range(3 * sampler.trials):
         if i >= sampler.trials and best % r == 0:
@@ -296,7 +307,7 @@ def best_sample(V: MatrixSpace, sampler: GenericSampler, r: int, bound) -> tuple
         rank = el.rank()
         if rank > best:
             best, best_el, found = rank, el, bound(el)
-            if found[1] is not None and rank >= r * found[1]:
+            if rank >= r * found[1]:
                 break
     if best % r != 0:
         raise CertificationError(f"sampled blow-up maximum {best} is not divisible by {r}")
@@ -345,10 +356,10 @@ class RoutingSpace:
     """Span of [[I, i],[p, 0]] and every [[A, 0],[0, 0]] with A in V, held as generators.
 
     The path capacity from E to F relative to the square space V is its
-    noncommutative rank minus n.  `int_basis` holds the border, then V's
-    basis or each rank-one w v^T of a relation, embedded, over one `den`:
-    nothing is eliminated, and only zero generators (all of them at n = 0)
-    are left out.  `images` reads V[U] off the border and V.
+    noncommutative rank minus n.  `int_basis` holds the border, then each
+    generator that V yields, embedded, over one `den`: nothing is
+    eliminated, and no generator is zero (at n = 0 there is none).
+    `images` reads V[U] off the border and V.
     """
 
     __slots__ = ("m", "n", "V", "int_basis", "den")
@@ -356,18 +367,7 @@ class RoutingSpace:
     def __init__(self, V, border: Mat):
         pad = (0,) * (border.cols - V.n)
         below = ((0,) * border.cols,) * (border.rows - V.n)
-
-        def embedded(rows):
-            return tuple(row + pad for row in rows) + below
-
-        if isinstance(V, Relation):
-            gens = [
-                (embedded(tuple([x * y for y in v.int_row()]) for x in w.int_row()), v.den * w.den)
-                for v, w in V.pairs
-                if not (v.is_zero() or w.is_zero())
-            ]
-        else:
-            gens = [(embedded(b), V.den) for b in V.int_basis]
+        gens = [(tuple(row + pad for row in b) + below, d) for b, d in V.generators()]
         if V.n:
             gens.insert(0, (border.int_rows(), border.den))
         self.den = lcm(*(d for _, d in gens))

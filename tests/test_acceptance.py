@@ -32,7 +32,7 @@ from linminmax.matching_cover import (
 from linminmax.menger import mpc
 from linminmax.lgv import LgvInstance, lgv_acyclic, lgv_lhs, lgv_rhs_parts, lgv_rhs
 from linminmax.errors import SingularityError
-from linminmax.ncrank import matrix_coherent_decomposition, ncrank
+from linminmax.ncrank import matrix_coherent_decomposition
 from linminmax.relation import GenericSampler, Relation, routing_space, sample_element
 from linminmax.verify import verify_cover, verify_matching
 from reference import (
@@ -310,8 +310,8 @@ def test_criterion_8_matrix_theorems():
         V = to_matrix_space(R)
         r = max(1, V.n - 1)
         sampler = GenericSampler(seed=82500 + i)
-        D = matrix_coherent_decomposition(V, r, sampler, ncrank(V, sampler).dual)
-        assert D.size == r * (R.n - matroid_intersection(R)[1].size)
+        cover, D = matrix_coherent_decomposition(V, r, sampler)
+        assert D.size == r * cover.antichain().dim == r * (R.n - matroid_intersection(R)[1].size)
     # matricial and coherent path capacities agree on rank-one spaces.
     for i in range(20):
         rng = random.Random(83000 + i)

@@ -9,8 +9,8 @@ import pytest
 
 from linminmax import menger, relation
 from linminmax import ncrank as ncrank_module
-from linminmax.cli import EXIT_PARSE, EXIT_PROVED, main
-from linminmax.errors import DimensionError
+from linminmax.cli import EXIT_PARSE, EXIT_PROVED, gen_linorder, main
+from linminmax.errors import CertificationError, DimensionError
 from linminmax.exact_linalg import Mat, Subspace, Vec, unit_vec
 from linminmax.matching_cover import matroid_intersection
 from linminmax.menger import mpc
@@ -29,6 +29,7 @@ from linminmax.verify import verify_cover, verify_separator
 from conftest import blow_up, rand_mat, rand_relation, rand_subspace, rand_vec
 from reference import Poset, max_rank_blowup, outer, poset_embed, space_contains, spanned, to_matrix_space
 from test_dilworth import rand_dual_basis_linorder
+from test_relation import algebra_of, conjugated
 
 
 def skew3() -> MatrixSpace:
@@ -182,9 +183,8 @@ def test_matrix_antichain():
     assert c.dim == 1
 
     identity = MatrixSpace(2, 2, [Mat.identity(2)])
-    cov = ncrank(identity, GenericSampler(seed=29)).dual
     with pytest.raises(ValueError):
-        matrix_coherent_decomposition(identity, 1, GenericSampler(seed=30), cov)
+        matrix_coherent_decomposition(identity, 1, GenericSampler(seed=30))
 
 
 def test_matrix_antichain_matches_linorder(rng):
@@ -197,9 +197,10 @@ def test_matrix_antichain_matches_linorder(rng):
 
 
 def _coherent(V, r, seed):
-    """`matrix_coherent_decomposition` at r, with the cover drawn from the same sampler."""
-    sampler = GenericSampler(seed=seed)
-    return matrix_coherent_decomposition(V, r, sampler, ncrank(V, sampler).dual)
+    """`matrix_coherent_decomposition` at r; its cover's antichain has dimension D.size / r."""
+    cover, D = matrix_coherent_decomposition(V, r, GenericSampler(seed=seed))
+    assert r * cover.antichain().dim == D.size
+    return D
 
 
 def test_matrix_coherent_decomposition(rng):
@@ -223,8 +224,6 @@ def test_matrix_coherent_decomposition(rng):
 def test_matrix_coherent_decomposition_draws_on_while_the_rank_is_not_a_multiple_of_r(monkeypatch):
     """Two rank-1 draws of span{e12} (x) M_2 miss the maximum 2; the loop draws on to it."""
     V = MatrixSpace(2, 2, [Mat([[0, 1], [0, 0]])])
-    cover = ncrank(V, GenericSampler(seed=0)).dual
-    assert cover.size == 1
 
     def blown(c):
         """e12 (x) c in the layout of `sample_element`: [[0, c], [0, 0]]."""
@@ -238,9 +237,60 @@ def test_matrix_coherent_decomposition_draws_on_while_the_rank_is_not_a_multiple
         return draws[len(calls) - 1]
 
     monkeypatch.setattr(relation, "sample_element", scripted)
-    D = matrix_coherent_decomposition(V, 2, GenericSampler(seed=0, trials=2), cover)
+    cover, D = matrix_coherent_decomposition(V, 2, GenericSampler(seed=0, trials=2))
     assert calls == [2, 2, 2]
     assert D.A == draws[2] and D.size == 2
+    assert cover.size == 1
+
+
+def test_matrix_coherent_decomposition_refuses_a_draw_below_its_own_bound(monkeypatch):
+    """Zero draws of span{e12} (x) M_2 have Wong bound 1, so rank 2 is never met: exit 2, not a result."""
+    V = MatrixSpace(2, 2, [Mat([[0, 1], [0, 0]])])
+    calls = []
+
+    def zero(space, sampler, r=1):
+        calls.append(r)
+        return Mat.zeros(2 * r, 2 * r)
+
+    monkeypatch.setattr(relation, "sample_element", zero)
+    with pytest.raises(CertificationError, match="certified maximum rank 2"):
+        matrix_coherent_decomposition(V, 2, GenericSampler(seed=0, trials=3))
+    assert calls == [2, 2, 2]
+
+
+def _nilpotent_algebras(rng):
+    """Spans of linorders of sizes 2-5, conjugated strictly upper triangular algebras
+    of sizes 2-4, and zero spaces."""
+    for size in range(2, 6):
+        for _ in range(5):
+            yield to_matrix_space(Relation.from_json(gen_linorder(rng, size)))
+    for n in range(2, 5):
+        for _ in range(7):
+            strict = [
+                Mat([[rng.randint(-2, 2) if j > i else 0 for j in range(n)] for i in range(n)], n)
+                for _ in range(rng.randint(1, 2))
+            ]
+            yield algebra_of(n, conjugated(rng, strict, n))
+    for n in range(1, 4):
+        yield MatrixSpace(n, n, [])
+
+
+def test_matrix_dilworth_matches_the_two_run_reference(tmp_path, capsys):
+    """One blow-up run gives the antichain and the count of the ncrank cover, then a draw at r."""
+    rng = random.Random(41)
+    path = tmp_path / "algebra.json"
+    cases = 0
+    for seed, V in enumerate(_nilpotent_algebras(rng)):
+        assert is_nilpotent_algebra(V)
+        path.write_text(json.dumps(V.to_json()))
+        code = main(["check", "matrix-dilworth", str(path), "--output", "json", "--seed", str(seed)])
+        report = json.loads(capsys.readouterr().out)
+        cv = ncrank(V, GenericSampler(seed=seed))
+        assert cv.value == cv.dual.size
+        width, r = cv.dual.antichain().dim, max(1, V.n - 1)
+        assert (code, report["antichain_dim"], report["coherent_count"]) == (EXIT_PROVED, width, r * width)
+        cases += 1
+    assert cases >= 40
 
 
 def test_blowup_of_nilpotent_algebra_is_one(rng):

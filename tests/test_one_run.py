@@ -3,7 +3,8 @@
 No span, no draw and no nilpotency test for linorders, no span for
 acyclicity, and no span for a path capacity's routing space.
 A subspace's complement is computed once per check, and a proved blow-up order
-is drawn once.
+is drawn once.  Matrix Dilworth reads its antichain and its chains off one
+blow-up run.
 """
 
 import json
@@ -13,14 +14,14 @@ from pathlib import Path
 
 import pytest
 
-from linminmax import dilworth, exact_linalg, lgv, matching_cover, relation
-from linminmax.cli import EXIT_PROVED, gen_linorder, main
+from linminmax import dilworth, exact_linalg, lgv, matching_cover, ncrank, relation
+from linminmax.cli import EXIT_BOUNDS, EXIT_PROVED, gen_linorder, main
 from linminmax.exact_linalg import IntEchelon, Mat, Subspace, Vec, unit_vec
 from linminmax.matching_cover import matroid_intersection
 from linminmax.relation import Relation
 from linminmax.verify import verify_cover, verify_matching
 from conftest import rand_vec
-from reference import BipartiteGraph, bipartite_max_matching, instance_from_relation
+from reference import BipartiteGraph, bipartite_max_matching, instance_from_relation, to_matrix_space
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -111,6 +112,36 @@ def test_path_capacities_build_one_routing_space(argv, monkeypatch, capsys):
     assert len(spans) == (1 if argv[1] == "matrix-menger" else 0)
 
 
+def _linorder_space(tmp_path, size: int):
+    """The file of the span of `gen linorder size=<size> --seed 3`."""
+    V = to_matrix_space(Relation.from_json(gen_linorder(random.Random(3), size)))
+    path = tmp_path / f"linorder-{size}-space.json"
+    path.write_text(json.dumps(V.to_json()))
+    return path
+
+
+@pytest.mark.parametrize("size", [None, 5])
+def test_matrix_dilworth_is_one_blowup_run(size, tmp_path, monkeypatch, capsys):
+    """One draw's Wong limit is the cover and its Jordan chains the decomposition: no ncrank search."""
+    path = GOLDEN / "matrix-dilworth.json" if size is None else _linorder_space(tmp_path, size)
+    runs = count_calls(monkeypatch, relation.best_sample)
+    searches = count_calls(monkeypatch, ncrank.ncrank)
+    assert main(["check", "matrix-dilworth", str(path), "--output", "json"]) == EXIT_PROVED
+    report = json.loads(capsys.readouterr().out)
+    assert len(runs) == 1 and searches == []
+    assert report["coherent_count"] == report["r"] * report["antichain_dim"] > 0
+
+
+def test_matrix_dilworth_beyond_the_side_limit_draws_nothing(tmp_path, monkeypatch, capsys):
+    """The span of a 9-dimensional linorder needs r = 8, of side 72 > 64: exit 2 before any draw."""
+    path = _linorder_space(tmp_path, 9)
+    draws = count_calls(monkeypatch, relation.sample_element)
+    searches = count_calls(monkeypatch, ncrank.ncrank)
+    assert main(["check", "matrix-dilworth", str(path), "--output", "json"]) == EXIT_BOUNDS
+    assert json.loads(capsys.readouterr().out) == {"error": "bounds: blow-up side 72 exceeds 64"}
+    assert draws == [] and searches == []
+
+
 def test_solvers_run_the_intersection_once_and_sample_nothing(rng, monkeypatch):
     """Rado runs it once; the linorder decompositions read the matching they are given."""
     runs = count_calls(monkeypatch, matching_cover.matroid_intersection)
@@ -169,7 +200,7 @@ DRAW_CALLS = {
     "hall": 0,
     "konig": 0,
     "lgv": 0,
-    "matrix-dilworth": 2,
+    "matrix-dilworth": 1,
     "matrix-konig": 1,
     "matrix-menger": 1,
     "menger": 1,
@@ -288,8 +319,6 @@ def test_the_lgv_check_runs_no_fraction_solve(acyclic, tmp_path, monkeypatch, ca
 @pytest.mark.parametrize("theorem", ["ncrank", "matrix-konig"])
 def test_space_covers_take_no_complement(theorem, tmp_path, monkeypatch, capsys):
     """The Wong limit U is the cover: no kernel and no complement, also where U is proper."""
-    from reference import to_matrix_space
-
     taken = []
     monkeypatch.setattr(Mat, "kernel", lambda self: taken.append(self))
     monkeypatch.setattr(Subspace, "orthocomplement", lambda self: taken.append(self))

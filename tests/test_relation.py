@@ -458,9 +458,9 @@ def test_sample_element_at_order_one_is_the_basis_combination(rng):
         assert sample_element(V, GenericSampler(seed=trial, coeff_bound=9)) == expected
 
 
-def _unbounded(el):
-    """A `best_sample` bound that proves nothing."""
-    return None, None
+def _unreachable(V):
+    """A `best_sample` bound that no draw of V (x) M_r reaches: n + 1."""
+    return lambda el: (None, V.n + 1)
 
 
 def test_best_sample_returns_the_first_maximum_and_stops_at_target(monkeypatch):
@@ -479,7 +479,7 @@ def test_best_sample_returns_the_first_maximum_and_stops_at_target(monkeypatch):
 
     monkeypatch.setattr(relation, "sample_element", scripted)
     sampler = GenericSampler(seed=0, trials=4)
-    assert best_sample(V, sampler, 1, _unbounded) == (2, draws[1], (None, None))
+    assert best_sample(V, sampler, 1, _unreachable(V)) == (2, draws[1], (None, 3))
     assert len(calls) == 4
     calls.clear()
     assert best_sample(V, sampler, 1, lambda el: (None, 2)) == (2, draws[1], (None, 2))
@@ -491,7 +491,7 @@ def test_best_sample_draws_match_the_sampler_stream(rng):
         V = rand_rational_space(rng, 3, 3, rng.randint(1, 3))
         for r in (1, 2):
             s = CountingSampler(seed=trial, trials=5)
-            rank, el, _ = best_sample(V, s, r, _unbounded)
+            rank, el, _ = best_sample(V, s, r, _unreachable(V))
             assert s.drawn == 5 * V.dim * r * r
             ref = GenericSampler(seed=trial, trials=5)
             seen = [sample_element(V, ref, r) for _ in range(5)]
@@ -507,7 +507,8 @@ def test_best_sample_draws_match_the_sampler_stream(rng):
 def test_best_sample_on_the_zero_space_draws_nothing():
     for m, n, r in [(3, 2, 1), (2, 2, 3), (0, 4, 2), (2, 0, 1)]:
         s = CountingSampler(seed=1)
-        rank, el, _ = best_sample(MatrixSpace(m, n, []), s, r, _unbounded)
+        V = MatrixSpace(m, n, [])
+        rank, el, _ = best_sample(V, s, r, _unreachable(V))
         assert rank == 0
         assert el == Mat.zeros(m * r, n * r)
         assert s.drawn == 0
@@ -585,16 +586,16 @@ def test_best_sample_stops_at_the_first_draw_that_meets_its_own_dual(monkeypatch
     assert len(calls) == 3
     assert duals == [draws[0], draws[2]]
 
-    # a bound of None proves nothing: every trial is drawn, and the first
-    # maximum comes back with its own dual
+    # a bound that no draw reaches proves nothing: every trial is drawn, and
+    # the first maximum comes back with its own dual
     calls.clear()
     duals.clear()
 
     def unproved(el):
         duals.append(el)
-        return ("cert", el), None
+        return ("cert", el), 3
 
-    assert best_sample(V, sampler, 1, unproved) == (2, draws[2], (("cert", draws[2]), None))
+    assert best_sample(V, sampler, 1, unproved) == (2, draws[2], (("cert", draws[2]), 3))
     assert len(calls) == 4
     assert duals == [draws[0], draws[2]]
 
@@ -605,8 +606,8 @@ def test_best_sample_with_a_dual_draws_on_while_the_rank_is_not_a_multiple_of_r(
     draws = [one, one, one, two, two, one, one]
     calls = _scripted(monkeypatch, draws)
     sampler = GenericSampler(seed=0, trials=2)
-    rank_cert = lambda el: (el.rank(), None)
-    assert best_sample(V, sampler, 2, rank_cert) == (2, two, (2, None))
+    rank_cert = lambda el: (el.rank(), 2)
+    assert best_sample(V, sampler, 2, rank_cert) == (2, two, (2, 2))
     assert len(calls) == 4
     # at most 2 * trials more draws, then a maximum that is no multiple of r fails
     draws[3] = draws[4] = one

@@ -121,3 +121,31 @@ def test_only_the_cli_imports_the_verifier():
 def test_lgv_imports_only_the_kernel_and_the_errors():
     """Acyclicity is read off the minor table, so `lgv` needs no relation or matrix space."""
     assert _imported_modules("lgv") == {"exact_linalg", "errors"}
+
+
+def test_the_blowup_side_limit_lives_in_relation():
+    """Only `relation` names BLOWUP_DIM_BUDGET: `max_order` reads it, and `best_sample`'s refusal prints it."""
+    namers = sorted(module for module, tree in MODULES.items() if "BLOWUP_DIM_BUDGET" in _names(tree))
+    assert namers == ["relation"]
+
+
+def test_no_code_asks_which_kind_of_space_it_holds():
+    """No `isinstance` test on Relation or MatrixSpace, but equality's test of its operand.
+
+    A relation and a matrix space each yield their generators and images,
+    so the code that takes either one never asks which it was given.
+    """
+    found = []
+    for module, tree in MODULES.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, FUNCTIONS) or fn.name == "__eq__":
+                continue
+            for call in ast.walk(fn):
+                if (
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id == "isinstance"
+                    and _names(call.args[1]) & {"Relation", "MatrixSpace"}
+                ):
+                    found.append(f"{module}.{fn.name}:{call.lineno}")
+    assert found == []

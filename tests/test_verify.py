@@ -72,11 +72,11 @@ def test_check_matrix_dilworth_rejects_a_decomposition_outside_the_blowup(capsys
     """Conjugating by a shift keeps the chains a basis, but moves A out of V (x) M_r."""
     original = ncrank.matrix_coherent_decomposition
 
-    def shifted(V, r, sampler, cov=None):
-        D = original(V, r, sampler, cov)
+    def shifted(V, r, sampler):
+        cover, D = original(V, r, sampler)
         P = _shift(D.A.rows)
         A = P @ D.A @ P.transpose()
-        return dilworth.CoherentDecomposition(A, tuple((P.apply(s), l) for s, l in D.chains))
+        return cover, dilworth.CoherentDecomposition(A, tuple((P.apply(s), l) for s, l in D.chains))
 
     path = INSTANCES["matrix-dilworth"]
     monkeypatch.setattr(ncrank, "matrix_coherent_decomposition", shifted)
