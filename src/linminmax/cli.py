@@ -42,7 +42,14 @@ from .exact_linalg import (
     solve_exact,
     unit_vec,
 )
-from .relation import GenericSampler, MatrixSpace, Relation, is_nilpotent_algebra, routing_space
+from .relation import (
+    GenericSampler,
+    MatrixSpace,
+    Relation,
+    is_nilpotent_algebra,
+    rank_one_relation,
+    routing_space,
+)
 
 EXIT_PROVED = 0
 EXIT_VIOLATION = 1
@@ -505,7 +512,11 @@ def check_matrix_dilworth(data, config: RunConfig):
     if not is_nilpotent_algebra(V):
         raise ParseFailure("matrix Dilworth needs a nilpotent algebra")
     r = max(1, V.n - 1)
-    cover, D = ncrank.matrix_coherent_decomposition(V, r, config.sampler())
+    R = rank_one_relation(V)
+    if R is None:
+        cover, D = ncrank.matrix_coherent_decomposition(V, r, config.sampler())
+    else:
+        cover, D = ncrank.rank_one_coherent_decomposition(V, R, r)
     C = cover.antichain()
     ok = (
         verify.verify_antichain(V, C)

@@ -11,8 +11,11 @@ matroid-intersection run of the relation: the antichain is U n F^perp
 of its minimum cover (U, F), and both decompositions start from its
 maximum matching.  The coherent decomposition is the Jordan chains of that
 matching's rank-one sum, an element of maximum rank in the span
-(Lovász), so no span is built and nothing is sampled.  `verify` alone
-decides the bi-chains and the coherent chains that the solvers return.
+(Lovász), so no span is built and nothing is sampled.  Matrix Dilworth
+on a nilpotent algebra spanned by rank-ones reads the same decomposition
+off the algebra's factor relation and lifts it to its blow-up order; any
+other algebra draws its element.  `verify` alone decides the bi-chains
+and the coherent chains that the solvers return.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .errors import DimensionError, InvariantViolation
 from .exact_linalg import (
     IntEchelon,
     Mat,
+    Subspace,
     Vec,
     unit_vec,
 )
@@ -231,20 +235,21 @@ def nilpotent_jordan_chains(A: Mat):
     Kernel filtration ker A <= ker A^2 <= ... with greedy lifting: new seeds
     at the deepest level first, then their images carried down.  The number
     of chains is dim ker A and the iterates form a basis, as `verify` and the
-    checks' size equalities decide.
+    checks' size equalities decide.  Only the powers A .. A^(p-1) below the
+    nilpotency index p take a kernel: ker A^0 is 0 and ker A^p is F^n.
     """
     if not A.is_square():
         raise DimensionError("Jordan chains of a non-square matrix")
     n = A.rows
     if n == 0:
         return []
-    powers = [Mat.identity(n)]
+    powers = [A]
     while not powers[-1].is_zero():
-        if len(powers) > n:
+        if len(powers) >= n:
             raise ValueError("matrix is not nilpotent")
         powers.append(powers[-1] @ A)
-    p = len(powers) - 1  # nilpotency index
-    kernels = [P.kernel() for P in powers]  # kernels[0] = {0}
+    p = len(powers)  # nilpotency index
+    kernels = [Subspace.zero(n)] + [P.kernel() for P in powers[:-1]] + [Subspace.full(n)]
     chains: list[tuple[Vec, int]] = []
     carried: list[Vec] = []
     for j in range(p, 0, -1):

@@ -389,13 +389,19 @@ def _primitive(row: list[int]) -> list[int]:
 
 
 def int_kernel(rows, n: int) -> list[list[int]]:
-    """Primitive integer basis of the right kernel {v : r . v = 0 for every row r}.
+    """Primitive integer basis of the right kernel {v : r . v = 0 for every row r}."""
+    return echelon_kernel(_echelon(rows, n))
+
+
+def echelon_kernel(ech: IntEchelon) -> list[list[int]]:
+    """Primitive integer basis of the right kernel of the rows of `ech`.
 
     With the echelon rows r back-substituted, the free column f gives the
     kernel vector with l at f and -r[f] * l / r[p] at each pivot p, where l
     is the lcm of the pivot entries.
     """
-    back, pivots = _echelon(rows, n).back_substituted()
+    n = ech.width
+    back, pivots = ech.back_substituted()
     l = lcm(*(r[p] for r, p in zip(back, pivots)))
     basis = []
     for f in sorted(set(range(n)) - set(pivots)):
@@ -592,7 +598,12 @@ class Mat:
     # rank / determinant / kernel ---------------------------------------
 
     def rank(self) -> int:
+        """The rank, by a fresh elimination of the rows on every call."""
         return _echelon(self._num, self.cols).rank
+
+    def echelon(self) -> IntEchelon:
+        """An integer echelon of the rows: ker self is `echelon_kernel` of it."""
+        return _echelon(self._num, self.cols)
 
     def det(self) -> Fraction:
         if not self.is_square():

@@ -16,11 +16,15 @@ read off the limit U' of its second Wong sequence (`wong_limit`): for
 minimum cover.  An order that is not proved draws all `trials` and keeps
 the dual of its first maximum.  The path capacities of `menger` run the
 same orders on a routing space, with a separator as the dual.  Matrix
-Dilworth is one run of the same loop at r = n - 1 with the same cover
-bound: the draw that meets it gives both the minimum cover, whose
-antichain the check reports, and the Jordan chains of the coherent
-decomposition, the one that samples, since a linorder's reads its
-maximum matching.  Its check decides once that V is a nilpotent algebra
+Dilworth on an algebra whose basis is not all rank-ones is one run of the
+same loop at r = n - 1 with the same cover bound: the draw that meets it
+gives both the minimum cover, whose antichain the check reports, and the
+Jordan chains of the coherent decomposition.  On a basis of rank-ones
+x_i y_i^T it draws nothing: one matroid intersection of the factor
+relation {(y_i, x_i)} (`relation.rank_one_relation`) gives the minimum
+cover and an element of maximum rank (Lovász), whose Jordan chains are
+lifted to order r.  `ncrank` and matrix Kőnig sample on such a basis too.
+Its check decides once that V is a nilpotent algebra
 (`relation.is_nilpotent_algebra`).  An unmet bound leaves the value below
 the size of its dual, never at a wrong value.
 """
@@ -31,10 +35,19 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import CertificationError
-from .exact_linalg import Mat, Subspace
-from .dilworth import CoherentDecomposition, nilpotent_jordan_chains
-from .matching_cover import Cover
-from .relation import GenericSampler, MatrixSpace, best_sample, max_order, wong_limit
+from .exact_linalg import Mat, Subspace, Vec
+from .dilworth import CoherentDecomposition, coherent_decomposition, nilpotent_jordan_chains
+from .matching_cover import Cover, matroid_intersection
+from .relation import (
+    Draw,
+    GenericSampler,
+    MatrixSpace,
+    Relation,
+    best_sample,
+    max_order,
+    require_order,
+    wong_limit,
+)
 
 
 @dataclass(frozen=True)
@@ -108,3 +121,36 @@ def matrix_coherent_decomposition(
     if rank < r * size:
         raise CertificationError(f"no sampled element reached the certified maximum rank {r * size}")
     return cover, CoherentDecomposition(A, tuple(nilpotent_jordan_chains(A)))
+
+
+def rank_one_coherent_decomposition(
+    V: MatrixSpace, R: Relation, r: int
+) -> tuple[Cover, CoherentDecomposition]:
+    """(cover, D) as `matrix_coherent_decomposition` gives them, for V spanned by R's rank-ones.
+
+    R = `relation.rank_one_relation(V)`: pair i factors V's i-th basis
+    matrix.  One matroid intersection of R gives a minimum cover and a
+    maximum matching, whose rank-one sum A_1 has the maximum rank of V
+    (Lovász), so nothing is drawn.  D holds the Jordan chains of A_1 (x) I_r,
+    the element with coefficient I_r on each matched basis matrix and 0 on
+    the others: each chain (u, len) of A_1 gives the r chains (u (x) e_k, len).
+    """
+    require_order(V, r)
+    matching, cover = matroid_intersection(R)
+    D = coherent_decomposition(matching)
+    eye = [[int(k == l) for l in range(r)] for k in range(r)]
+    zero = [[0] * r for _ in range(r)]
+    matched = set(matching.indices)
+    coeffs = [eye if i in matched else zero for i in range(len(R.pairs))]
+
+    def lifted(row, k):
+        return tuple([x if l == k else 0 for x in row for l in range(r)])
+
+    rows = tuple(lifted(row, k) for row in D.A.int_rows() for k in range(r))
+    A = Draw.of(rows, D.A.den, D.A.cols * r, coeffs)
+    chains = tuple(
+        (Vec.from_ints(lifted(u.int_row(), k), u.den), length)
+        for u, length in D.chains
+        for k in range(r)
+    )
+    return cover, CoherentDecomposition(A, chains)

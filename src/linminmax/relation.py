@@ -11,7 +11,10 @@ space closed under products.  The routing space of a path capacity
 (`routing_space`) is held as the generators that its space yields, with
 no elimination, and a draw carries the coefficients by which `verify`
 checks it.  Every best-of-trials loop is `best_sample`, and the largest
-blow-up order it draws at is `max_order`.
+blow-up order it draws at is `max_order`, which `require_order` enforces.
+A space whose basis matrices are all rank-ones x_i y_i^T has the factor
+relation {(y_i, x_i)} (`rank_one_relation`), on which matrix Dilworth
+runs with no draw; any other space is sampled.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .exact_linalg import (
     Subspace,
     Vec,
     common_int_rows,
+    echelon_kernel,
     int_kernel,
     json_int,
     json_list,
@@ -41,6 +45,12 @@ BLOWUP_DIM_BUDGET = 64
 def max_order(V) -> int:
     """The largest blow-up order r whose side max(m, n) r stays within BLOWUP_DIM_BUDGET."""
     return BLOWUP_DIM_BUDGET // max(V.m, V.n, 1)
+
+
+def require_order(V, r: int) -> None:
+    """Refuse an order r beyond `max_order(V)`, except order 1 of a nonzero space, which is V itself."""
+    if r > max_order(V) and (r > 1 or not V.int_basis):
+        raise CertificationError(f"blow-up side {max(V.m, V.n) * r} exceeds {BLOWUP_DIM_BUDGET}")
 
 
 class Relation:
@@ -189,10 +199,27 @@ class GenericSampler:
 class Draw(Mat):
     """An element sum_B B (x) C_B of V (x) M_r that carries its coefficients.
 
-    `coeffs[b]` is C_B of V's b-th generator in `int_basis`: r rows of r integers.
+    `coeffs[b]` is C_B of V's b-th generator in `int_basis`: r rows of r
+    integers.  A draw keeps the echelon of its rows once built, so the
+    echelon that `best_sample` ranks it by also gives `wong_limit` its
+    kernel; `rank()` still eliminates afresh, as `verify` does.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_echelon")
+
+    @classmethod
+    def of(cls, rows: tuple, den: int, cols: int, coeffs) -> "Draw":
+        """The element `rows` / den with coefficients `coeffs`."""
+        el = cls.from_int_rows(rows, den, cols)
+        object.__setattr__(el, "coeffs", coeffs)
+        return el
+
+    def echelon(self) -> IntEchelon:
+        try:
+            return self._echelon
+        except AttributeError:  # not built yet
+            object.__setattr__(self, "_echelon", super().echelon())
+            return self._echelon
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +261,15 @@ def wong_limit(V: MatrixSpace, r: int, A: Mat) -> tuple[Subspace, Subspace]:
     of U is V[U'] (x) F^r, where U' spans the r slices (u[j r + l])_j of the
     vectors u of U; so the blow-up basis is never built.  U_i is the kernel
     of Q A, where the rows q (x) e_k of Q span W_i^perp = V[U']^perp (x) F^r;
-    at W_0 = 0, Q A is A itself.  Returns (U', V[U']) of the limit.  Its
-    defect bounds rank A: when the limit W lies in im A,
-    dim U' - dim V[U'] >= n - rank(A) / r.
+    at W_0 = 0, Q A is A itself, whose kernel is read off `A.echelon()`.
+    Returns (U', V[U']) of the limit.  Its defect bounds rank A: when the
+    limit W lies in im A, dim U' - dim V[U'] >= n - rank(A) / r.
     """
     n, rows = V.n, A.int_rows()
-    W, q_rows = Subspace.zero(V.m), rows
+    W, kernel = Subspace.zero(V.m), echelon_kernel(A.echelon())
     while True:
         slices = IntEchelon(n)
-        for u in int_kernel(q_rows, n * r):
+        for u in kernel:
             for l in range(r):
                 slices.add(u[l::r])
         U = Subspace.from_echelon(slices)
@@ -257,6 +284,7 @@ def wong_limit(V: MatrixSpace, r: int, A: Mat) -> tuple[Subspace, Subspace]:
                 for x, i in terms:
                     acc = [a + x * y for a, y in zip(acc, rows[i * r + k])]
                 q_rows.append(acc)
+        kernel = int_kernel(q_rows, n * r)
 
 
 def sample_element(V, sampler: GenericSampler, r: int = 1) -> Mat:
@@ -280,9 +308,7 @@ def sample_element(V, sampler: GenericSampler, r: int = 1) -> Mat:
         cols = list(zip(*(b[i] for b in V.int_basis)))
         for coeffs in cells:
             rows.append(tuple([sum(map(mul, col, c)) for col in cols for c in coeffs]))
-    el = Draw.from_int_rows(tuple(rows), V.den, V.n * r)
-    object.__setattr__(el, "coeffs", drawn)
-    return el
+    return Draw.of(tuple(rows), V.den, V.n * r, drawn)
 
 
 def best_sample(V: MatrixSpace, sampler: GenericSampler, r: int, bound) -> tuple:
@@ -290,21 +316,20 @@ def best_sample(V: MatrixSpace, sampler: GenericSampler, r: int, bound) -> tuple
 
     `bound(el)` returns (cert, b): a certificate read off a draw and the
     bound b on rank / r over all of V (x) M_r that it proves.  Each draw
-    that beats the best so far is passed to it, and the first whose rank
-    reaches r * b ends the loop; else `sampler.trials` draws are made.
-    The maximum rank of V (x) M_r is a multiple of r, so up to 2 * trials
-    more draws follow while the best rank is not, and a CertificationError
-    if it still is not.  An order beyond `max_order(V)` is refused, except
-    order 1 of a nonzero space, which is V itself.
+    that beats the best so far is passed to it, with the echelon that
+    ranked it kept on the draw, and the first whose rank reaches r * b
+    ends the loop; else `sampler.trials` draws are made.  The maximum rank
+    of V (x) M_r is a multiple of r, so up to 2 * trials more draws follow
+    while the best rank is not, and a CertificationError if it still is
+    not.  `require_order` refuses the order first.
     """
-    if r > max_order(V) and (r > 1 or not V.int_basis):
-        raise CertificationError(f"blow-up side {max(V.m, V.n) * r} exceeds {BLOWUP_DIM_BUDGET}")
+    require_order(V, r)
     best = -1
     for i in range(3 * sampler.trials):
         if i >= sampler.trials and best % r == 0:
             break
         el = sample_element(V, sampler, r)
-        rank = el.rank()
+        rank = el.echelon().rank
         if rank > best:
             best, best_el, found = rank, el, bound(el)
             if rank >= r * found[1]:
@@ -330,6 +355,27 @@ def is_nilpotent_algebra(V: MatrixSpace) -> bool:
         for yt in transposed
     )
     return closed and not any(sum(b[i][i] for i in range(V.n)) for b in V.int_basis)
+
+
+def rank_one_relation(V: MatrixSpace) -> Relation | None:
+    """The relation {(y_i, x_i)} with x_i y_i^T the i-th basis matrix of V, or None.
+
+    None when some basis matrix has rank 2 or more.  A nonzero B is x y^T
+    exactly when every entry B[i][j] times its pivot entry B[p][q] (the
+    first nonzero of the first nonzero row p) is B[i][q] B[p][j]; then y is
+    row p and x column q over B[p][q].  No row is eliminated, and V_R is V,
+    pair i standing for basis matrix i.
+    """
+    pairs = []
+    for b in V.int_basis:
+        top = next(filter(any, b))
+        q = next(j for j, x in enumerate(top) if x)
+        a, col = top[q], [row[q] for row in b]
+        if any(x * a != c * y for row, c in zip(b, col) for x, y in zip(row, top)):
+            return None
+        sign = 1 if a > 0 else -1
+        pairs.append((Vec.from_ints(top, V.den), Vec.from_ints([sign * c for c in col], sign * a)))
+    return Relation(V.n, V.m, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from linminmax.errors import CertificationError, DimensionError
 from linminmax.exact_linalg import Mat, Subspace, Vec, unit_vec
 from linminmax.matching_cover import matroid_intersection
 from linminmax.menger import mpc
-from linminmax.ncrank import matrix_coherent_decomposition, ncrank
+from linminmax.ncrank import matrix_coherent_decomposition, ncrank, rank_one_coherent_decomposition
 from linminmax.relation import (
     GenericSampler,
     MatrixSpace,
@@ -25,7 +25,12 @@ from linminmax.relation import (
     sample_element,
     wong_limit,
 )
-from linminmax.verify import verify_cover, verify_separator
+from linminmax.verify import (
+    verify_antichain,
+    verify_coherent_decomposition,
+    verify_cover,
+    verify_separator,
+)
 from conftest import blow_up, rand_mat, rand_relation, rand_subspace, rand_vec
 from reference import Poset, max_rank_blowup, outer, poset_embed, space_contains, spanned, to_matrix_space
 from test_dilworth import rand_dual_basis_linorder
@@ -291,6 +296,41 @@ def test_matrix_dilworth_matches_the_two_run_reference(tmp_path, capsys):
         assert (code, report["antichain_dim"], report["coherent_count"]) == (EXIT_PROVED, width, r * width)
         cases += 1
     assert cases >= 40
+
+
+def test_a_rank_one_basis_reads_its_factor_relation():
+    """The factor relation's solver against the sampled one, on nilpotent algebras spanned by rank-ones.
+
+    Linorder spans of sizes 1-7, with rational factors, and zero spaces:
+    each pair of the relation factors its basis matrix exactly, and both
+    solvers give verified certificates of the same sizes.  A basis that
+    holds a matrix of rank 2 has no factor relation.
+    """
+    e12_e23 = Mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    e13 = Mat([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+    assert is_nilpotent_algebra(MatrixSpace(3, 3, [e12_e23, e13]))
+    assert relation.rank_one_relation(MatrixSpace(3, 3, [e12_e23, e13])) is None
+    rng = random.Random(43)
+    sizes = [1, 2, 3, 4, 5] * 7 + [6, 7]
+    spaces = [to_matrix_space(Relation.from_json(gen_linorder(rng, size))) for size in sizes]
+    spaces += [MatrixSpace(n, n, []) for n in range(4)]
+    rational = 0
+    for seed, V in enumerate(spaces):
+        assert is_nilpotent_algebra(V)
+        R = relation.rank_one_relation(V)
+        assert (R.n, R.m, len(R.pairs)) == (V.n, V.m, V.dim)
+        assert all(outer(w, v) == b for (v, w), b in zip(R.pairs, V.basis))
+        rational += any(x.den > 1 for pair in R.pairs for x in pair)
+        r = max(1, V.n - 1)
+        factored = rank_one_coherent_decomposition(V, R, r)
+        sampled = matrix_coherent_decomposition(V, r, GenericSampler(seed=seed))
+        dims = set()
+        for cover, D in (factored, sampled):
+            C = cover.antichain()
+            assert verify_antichain(V, C) and verify_coherent_decomposition(D, V, r)
+            dims.add((C.dim, D.size))
+        assert len(dims) == 1 and D.size == r * C.dim
+    assert len(spaces) >= 40 and rational >= 20
 
 
 def test_blowup_of_nilpotent_algebra_is_one(rng):

@@ -3,8 +3,8 @@
 No span, no draw and no nilpotency test for linorders, no span for
 acyclicity, and no span for a path capacity's routing space.
 A subspace's complement is computed once per check, and a proved blow-up order
-is drawn once.  Matrix Dilworth reads its antichain and its chains off one
-blow-up run.
+is drawn once.  Matrix Dilworth on a basis of rank-ones draws nothing, and on
+any other algebra reads its antichain and its chains off one blow-up run.
 """
 
 import json
@@ -22,6 +22,7 @@ from linminmax.relation import Relation
 from linminmax.verify import verify_cover, verify_matching
 from conftest import rand_vec
 from reference import BipartiteGraph, bipartite_max_matching, instance_from_relation, to_matrix_space
+from test_relation import strict_algebra
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -121,9 +122,24 @@ def _linorder_space(tmp_path, size: int):
 
 
 @pytest.mark.parametrize("size", [None, 5])
-def test_matrix_dilworth_is_one_blowup_run(size, tmp_path, monkeypatch, capsys):
-    """One draw's Wong limit is the cover and its Jordan chains the decomposition: no ncrank search."""
+def test_matrix_dilworth_on_a_rank_one_basis_draws_nothing(size, tmp_path, monkeypatch, capsys):
+    """A basis of rank-ones is read as its factor relation: no draw, no blow-up run, no ncrank search."""
     path = GOLDEN / "matrix-dilworth.json" if size is None else _linorder_space(tmp_path, size)
+    runs = count_calls(monkeypatch, relation.best_sample)
+    draws = count_calls(monkeypatch, relation.sample_element)
+    searches = count_calls(monkeypatch, ncrank.ncrank)
+    assert main(["check", "matrix-dilworth", str(path), "--output", "json"]) == EXIT_PROVED
+    report = json.loads(capsys.readouterr().out)
+    assert runs == draws == searches == []
+    assert report["coherent_count"] == report["r"] * report["antichain_dim"] > 0
+
+
+def test_matrix_dilworth_without_a_rank_one_basis_is_one_blowup_run(tmp_path, monkeypatch, capsys):
+    """One draw's Wong limit is the cover and its Jordan chains the decomposition: no ncrank search."""
+    V = strict_algebra(5, 4)
+    assert relation.rank_one_relation(V) is None
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(V.to_json()))
     runs = count_calls(monkeypatch, relation.best_sample)
     searches = count_calls(monkeypatch, ncrank.ncrank)
     assert main(["check", "matrix-dilworth", str(path), "--output", "json"]) == EXIT_PROVED

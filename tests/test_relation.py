@@ -222,6 +222,22 @@ def algebra_of(n, mats) -> MatrixSpace:
         space = grown
 
 
+def strict_algebra(seed: int, n: int) -> MatrixSpace:
+    """The algebra of 2 random strictly upper triangular n x n matrices, conjugated.
+
+    Its basis starts with the 2 generators, so for n >= 3 it is seldom
+    spanned by rank-ones: `check matrix-dilworth` samples it.
+    """
+    import random
+
+    rng = random.Random(seed)
+    strict = [
+        Mat([[rng.randint(-2, 2) if j > i else 0 for j in range(n)] for i in range(n)], n)
+        for _ in range(2)
+    ]
+    return algebra_of(n, conjugated(rng, strict, n))
+
+
 def test_space_power_is_zero_matches_products(rng):
     """`is_nilpotent_algebra` is "closed, and V^n = 0" by spans of products, on V and on its algebra."""
     spaces = [random_nilpotent_space(rng, rng.randint(2, 5)) for _ in range(25)]

@@ -27,14 +27,17 @@ from linminmax.cli import (
 )
 from linminmax.exact_linalg import Mat, Subspace, outer_sum, unit_vec
 from linminmax.relation import (
+    Draw,
     GenericSampler,
     MatrixSpace,
     Relation,
+    rank_one_relation,
     routing_space,
     sample_element,
 )
 from conftest import blow_up, planted_rado_family, rand_mat, rand_subspace
 from reference import space_contains, spanned, to_matrix_space
+from test_relation import strict_algebra
 
 GOLDEN = Path(__file__).parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
@@ -68,21 +71,39 @@ def _shift(n: int) -> Mat:
     return Mat([[int(j == (i - 1) % n) for j in range(n)] for i in range(n)], n)
 
 
-def test_check_matrix_dilworth_rejects_a_decomposition_outside_the_blowup(capsys, monkeypatch):
-    """Conjugating by a shift keeps the chains a basis, but moves A out of V (x) M_r."""
-    original = ncrank.matrix_coherent_decomposition
+def test_check_matrix_dilworth_rejects_a_decomposition_outside_the_blowup(tmp_path, capsys, monkeypatch):
+    """Conjugating by a shift keeps the chains a basis, but moves A out of V (x) M_r.
 
-    def shifted(V, r, sampler):
-        cover, D = original(V, r, sampler)
-        P = _shift(D.A.rows)
-        A = P @ D.A @ P.transpose()
-        return cover, dilworth.CoherentDecomposition(A, tuple((P.apply(s), l) for s, l in D.chains))
+    The shifted A keeps the coefficients it claims, which no longer sum to
+    it.  Both solvers are tampered with: the factor relation's on the
+    golden instance, spanned by rank-ones, and the sampled one on an
+    algebra whose basis holds a matrix of rank 2 or more.
+    """
+    algebra = tmp_path / "algebra.json"
+    V = strict_algebra(5, 4)
+    assert rank_one_relation(V) is None
+    algebra.write_text(json.dumps(V.to_json()))
+    cases = [
+        ("rank_one_coherent_decomposition", INSTANCES["matrix-dilworth"]),
+        ("matrix_coherent_decomposition", algebra),
+    ]
+    for solver, path in cases:
+        code, out = _check(capsys, "matrix-dilworth", path)
+        assert code == EXIT_PROVED
+        original = getattr(ncrank, solver)
 
-    path = INSTANCES["matrix-dilworth"]
-    monkeypatch.setattr(ncrank, "matrix_coherent_decomposition", shifted)
-    code, out = _check(capsys, "matrix-dilworth", path)
-    assert code == EXIT_VIOLATION
-    assert json.loads(out)["coherent_count"] == 6  # the chains still count
+        def shifted(*args, original=original):
+            cover, D = original(*args)
+            P = _shift(D.A.rows)
+            A = P @ D.A @ P.transpose()
+            A = Draw.of(A.int_rows(), A.den, A.cols, D.A.coeffs)
+            return cover, dilworth.CoherentDecomposition(A, tuple((P.apply(s), l) for s, l in D.chains))
+
+        monkeypatch.setattr(ncrank, solver, shifted)
+        code, tampered = _check(capsys, "matrix-dilworth", path)
+        assert code == EXIT_VIOLATION
+        # the chains still count
+        assert json.loads(tampered)["coherent_count"] == json.loads(out)["coherent_count"] > 0
 
 
 def test_check_coherent_rejects_a_matrix_that_is_not_the_pair_sum(capsys, monkeypatch):
